@@ -7,9 +7,10 @@
 //	fwdiff [-schema five|four|paper] [-format name] [-v] [-json]
 //	       [-trace trace.json] a.fw b.fw
 //
-// -trace writes the run's span tree (construct/shape/compare with FDD
-// node counts and discrepancy stats) to the named file; load it with
-// docs/OBSERVABILITY.md's reading guide or feed the spans to jq.
+// -trace writes the run's span tree (construct and the compare.direct
+// diff walk, with FDD node counts and discrepancy stats) to the named
+// file; load it with docs/OBSERVABILITY.md's reading guide or feed the
+// spans to jq.
 //
 // Exit status is 0 when the policies are equivalent, 1 when they differ,
 // and 2 on usage or input errors.
@@ -110,9 +111,9 @@ func run() int {
 		return 2
 	}
 	if *verbose {
-		fmt.Printf("\npaths compared: %d (differing before merge: %d)\n", report.PathsCompared, report.RawPaths)
-		fmt.Printf("construction %v, shaping %v, comparison %v (total %v)\n",
-			report.Timing.Construct, report.Timing.Shape, report.Timing.Compare, report.Timing.Total())
+		fmt.Printf("\nterminal pairs compared: %d (differing: %d)\n", report.PathsCompared, report.RawPaths)
+		fmt.Printf("construction %v, comparison %v (total %v)\n",
+			report.Timing.Construct, report.Timing.Compare, report.Timing.Total())
 	}
 	if report.Equivalent() {
 		return 0

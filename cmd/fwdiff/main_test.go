@@ -94,8 +94,8 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // TestRunTraceFile checks -trace writes a span tree holding the whole
-// pipeline: the engine's diff span with construct, shape, and compare
-// children carrying FDD stats.
+// pipeline: construct spans carrying FDD stats and the engine's one diff
+// span with the direct walk under it, and no shaping.
 func TestRunTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	a := writeFile(t, dir, "a.fw", teamA)
@@ -116,14 +116,30 @@ func TestRunTraceFile(t *testing.T) {
 		t.Fatalf("unexpected trace doc: %+v", doc)
 	}
 	root := doc.Traces[0].Root
-	for _, name := range []string{"construct", "shape", "compare"} {
+	for _, name := range []string{"construct", "diff", "compare.direct"} {
 		if _, ok := root.Find(name); !ok {
 			t.Fatalf("trace missing %q span:\n%s", name, raw)
+		}
+	}
+	for _, name := range []string{"shape", "compare", "diff.direct"} {
+		if _, ok := root.Find(name); ok {
+			t.Fatalf("trace has a %q span:\n%s", name, raw)
 		}
 	}
 	cons, _ := root.Find("construct")
 	if _, ok := cons.Attrs["nodes"]; !ok {
 		t.Fatalf("construct span missing nodes attr: %v", cons.Attrs)
+	}
+	diff, _ := root.Find("diff")
+	walk, ok := diff.Find("compare.direct")
+	if !ok {
+		t.Fatalf("compare.direct span not under the diff span:\n%s", raw)
+	}
+	if got := walk.Attrs["discrepancies"]; got != float64(3) {
+		t.Fatalf("compare.direct discrepancies attr = %v, want 3", got)
+	}
+	if _, ok := walk.Attrs["terminalPairs"]; !ok {
+		t.Fatalf("compare.direct span missing terminalPairs attr: %v", walk.Attrs)
 	}
 }
 

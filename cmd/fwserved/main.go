@@ -40,7 +40,7 @@
 //	                   ("slo": ok|warn|burning)
 //	GET  /metrics      Prometheus text format: per-endpoint request
 //	                   counts/latency/status, in-flight gauge,
-//	                   construct/shape/compare phase timings, span
+//	                   construct/compare phase timings, span
 //	                   durations, engine cache counters, fwslo_* burn
 //	                   rates, and fwproc_* runtime gauges; scraping with
 //	                   Accept: application/openmetrics-text adds
@@ -54,8 +54,8 @@
 //
 // Every /v1/* request is traced end to end: the response carries
 // X-Trace-ID and a Server-Timing header with per-phase durations, and
-// the trace (construct/shape/compare spans annotated with FDD node
-// counts, shaping splits, discrepancy counts) is retained in a bounded
+// the trace (construct and diff-walk spans annotated with FDD node
+// counts and discrepancy counts) is retained in a bounded
 // ring — the slowest are pinned past ring eviction. -trace-capacity
 // sizes the ring; -slow-trace-threshold sets what counts as slow.
 //
@@ -68,8 +68,8 @@
 // Every request is access-logged (structured, one line per request) and
 // runs under panic recovery (a bug yields a 500, not a dropped
 // connection). -request-timeout bounds each request's pipeline work: the
-// deadline propagates through construction, shaping, and the comparison
-// walk, which abort mid-walk, and the client gets 503. A client that
+// deadline propagates through construction and the diff walk, which
+// abort mid-walk, and the client gets 503. A client that
 // disconnects early cancels its pipeline the same way.
 //
 // On SIGINT or SIGTERM the server stops accepting connections and

@@ -100,7 +100,8 @@ type DiffResponse struct {
 	Equivalent    bool          `json:"equivalent"`
 	Discrepancies []Discrepancy `json:"discrepancies,omitempty"`
 	// Timing breaks the pipeline into the paper's three phases, in
-	// milliseconds.
+	// milliseconds. The engine's diff walk does no shaping, so
+	// ShapeMillis is always 0; it stays for clients that read it.
 	ConstructMillis float64 `json:"constructMillis"`
 	ShapeMillis     float64 `json:"shapeMillis"`
 	CompareMillis   float64 `json:"compareMillis"`

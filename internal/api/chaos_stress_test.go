@@ -52,6 +52,13 @@ type flakyFault struct {
 	inner chaos.Fault
 }
 
+// hits reports how many times the fault has fired inner so far.
+func (f *flakyFault) hits() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls / f.n
+}
+
 func (f *flakyFault) fire(ctx context.Context) error {
 	f.mu.Lock()
 	f.calls++
@@ -65,7 +72,7 @@ func (f *flakyFault) fire(ctx context.Context) error {
 
 // TestChaosStress drives hundreds of concurrent requests through a real
 // TCP server while faults fire randomly underneath: injected latency in
-// compile, forced budget exhaustion mid-shape, cache-insert failures,
+// compile, forced budget exhaustion mid-diff, cache-insert failures,
 // and client-side cancellation — all under admission pressure. It then
 // asserts the system degraded instead of corrupting:
 //
@@ -99,10 +106,14 @@ func TestChaosStress(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Fault cocktail: each fires on a fraction of pipeline passes.
+	// Fault cocktail: each fires on a fraction of pipeline passes. The
+	// budget exhaustion lands at the top of the engine's diff walk, which
+	// runs only on report-cache misses: the four valid pairs below make at
+	// least four walks, so one in three is sure to trip.
+	walkFault := &flakyFault{n: 3, inner: chaos.ExhaustBudget(guard.KindNodes)}
 	removes := []func(){
 		chaos.Register(chaos.PointCompile, (&flakyFault{n: 7, inner: chaos.Latency(2 * time.Millisecond)}).fire),
-		chaos.Register(chaos.PointShape, (&flakyFault{n: 11, inner: chaos.ExhaustBudget(guard.KindNodes)}).fire),
+		chaos.Register(chaos.PointDirectWalk, walkFault.fire),
 		chaos.Register(chaos.PointCacheInsertCompile, (&flakyFault{n: 5, inner: chaos.FailWith(fmt.Errorf("injected: compile cache down"))}).fire),
 		chaos.Register(chaos.PointCacheInsertReport, (&flakyFault{n: 3, inner: chaos.FailWith(fmt.Errorf("injected: report cache down"))}).fire),
 	}
@@ -196,6 +207,9 @@ func TestChaosStress(t *testing.T) {
 	}
 	if bad > 10 {
 		t.Errorf("... and %d more problems", bad-10)
+	}
+	if walkFault.hits() == 0 {
+		t.Error("the diff-walk budget fault never fired: the storm did not exercise a mid-diff budget trip")
 	}
 
 	// Lift the faults; the very next request must be correct — a

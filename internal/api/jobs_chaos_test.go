@@ -24,7 +24,7 @@ import (
 
 // TestJobsChaos drives a fleet of concurrent async jobs through a real
 // TCP server while faults fire underneath: injected latency on the
-// worker right before a pair runs, forced budget exhaustion mid-shape,
+// worker right before a pair runs, forced budget exhaustion mid-diff,
 // and hard diff failures — with random mid-flight DELETEs mixed in.
 // It then asserts the job subsystem degraded instead of wedging:
 //
@@ -56,13 +56,14 @@ func TestJobsChaos(t *testing.T) {
 	// Fault cocktail: latency stretches pairs out so cancellation can
 	// catch them in flight; budget and diff faults make pairs fail so
 	// error isolation is exercised alongside successes.
-	// The jobs.pair failure matters most: shape/diff faults only fire on
+	// The jobs.pair failure matters most: diff-walk faults only fire on
 	// cache misses, and with a small policy pool the caches warm up
 	// quickly — the per-pair hook keeps failing pairs for the whole run.
+	walkFault := &flakyFault{n: 9, inner: chaos.ExhaustBudget(guard.KindNodes)}
 	removes := []func(){
 		chaos.Register(chaos.PointJobPair, (&flakyFault{n: 3, inner: chaos.Latency(5 * time.Millisecond)}).fire),
 		chaos.Register(chaos.PointJobPair, (&flakyFault{n: 5, inner: chaos.FailWith(fmt.Errorf("injected: pair worker down"))}).fire),
-		chaos.Register(chaos.PointShape, (&flakyFault{n: 9, inner: chaos.ExhaustBudget(guard.KindNodes)}).fire),
+		chaos.Register(chaos.PointDirectWalk, walkFault.fire),
 		chaos.Register(chaos.PointDiff, (&flakyFault{n: 7, inner: chaos.FailWith(fmt.Errorf("injected: diff backend down"))}).fire),
 	}
 	defer func() {
@@ -231,11 +232,14 @@ func TestJobsChaos(t *testing.T) {
 
 	// The storm must have exercised both sides of the isolation story:
 	// some jobs finished, and at least one completed job mixed failed
-	// pairs with successful siblings. (Faults fire on 1/9 shapes and
+	// pairs with successful siblings. (Faults fire on 1/9 diff walks and
 	// 1/7 diffs over ~32 jobs; a run where none lands means the fault
 	// plumbing is broken, not that we got lucky.)
 	if completedJobs == 0 {
 		t.Error("no jobs completed under chaos")
+	}
+	if walkFault.hits() == 0 {
+		t.Error("the diff-walk budget fault never fired: no pair tripped its budget mid-diff")
 	}
 	if failedPairJobs == 0 {
 		t.Error("no completed job mixed failed and successful pairs — error isolation untested")

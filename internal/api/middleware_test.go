@@ -140,19 +140,25 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fwserved_http_inflight_requests`,
 		`fwserved_http_panics_total 0`,
 		`fwserved_pipeline_phase_seconds_bucket{phase="construct",le="+Inf"}`,
-		`fwserved_pipeline_phase_seconds_bucket{phase="shape",le="+Inf"}`,
 		`fwserved_pipeline_phase_seconds_bucket{phase="compare",le="+Inf"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
 		}
 	}
+	// The served diffs ran no shaping, so the shape phase saw no
+	// observation at all — not a zero.
+	if strings.Contains(out, `fwserved_pipeline_phase_seconds_count{phase="shape"}`) {
+		t.Fatalf("shape phase observed although no shaping ran:\n%s", out)
+	}
 	// diff ran the pipeline; impact asked for the same (teamA, teamB)
 	// pair and was served from the engine's report cache (no second
 	// observation — cached timings must not double-count); resolve's
 	// (teamA, teamA) pair ran the pipeline again. Two observations.
-	if !strings.Contains(out, `fwserved_pipeline_phase_seconds_count{phase="construct"} 2`) {
-		t.Fatalf("construct phase count wrong:\n%s", out)
+	for _, phase := range []string{"construct", "compare"} {
+		if want := `fwserved_pipeline_phase_seconds_count{phase="` + phase + `"} 2`; !strings.Contains(out, want) {
+			t.Fatalf("%s phase count wrong, want %q:\n%s", phase, want, out)
+		}
 	}
 	// The engine's own families are exported through the same registry.
 	for _, want := range []string{

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"diversefw/internal/admission"
+	"diversefw/internal/engine"
 )
 
 const teamA = `
@@ -237,6 +238,43 @@ func TestImpactEndpointIncremental(t *testing.T) {
 	}
 	if resp.Incremental || resp.RulesReappended != 0 {
 		t.Fatalf("after form reported incremental build: %+v", resp)
+	}
+}
+
+// TestImpactEditsAndDiffShareOneReport pins that the edits path and
+// /v1/diff of one pair share one cached report, in both orders, so a row
+// number taken from either endpoint means the same region in the other.
+func TestImpactEditsAndDiffShareOneReport(t *testing.T) {
+	t.Parallel()
+	edits := ImpactRequest{Schema: "paper", Before: in(teamA), Edits: []string{"insert 1: P in 1 -> discard"}}
+	pair := DiffRequest{Schema: "paper", A: in(teamA), B: in("P in 1 -> discard\n" + teamA)}
+	for _, impactFirst := range []bool{true, false} {
+		eng := engine.New(engine.Config{})
+		srv := NewServer(WithEngine(eng))
+		var diff DiffResponse
+		if impactFirst {
+			if code := do(t, srv, "/v1/impact", edits, nil); code != http.StatusOK {
+				t.Fatalf("impact: status %d", code)
+			}
+		}
+		if code := do(t, srv, "/v1/diff", pair, &diff); code != http.StatusOK {
+			t.Fatalf("diff: status %d", code)
+		}
+		if diff.Cached != impactFirst {
+			t.Fatalf("impact first %v: diff cached = %v", impactFirst, diff.Cached)
+		}
+		if !impactFirst {
+			hits := eng.Stats().Reports.Hits
+			if code := do(t, srv, "/v1/impact", edits, nil); code != http.StatusOK {
+				t.Fatalf("impact: status %d", code)
+			}
+			if got := eng.Stats().Reports.Hits; got != hits+1 {
+				t.Fatalf("impact after diff: report hits %d -> %d, want one hit", hits, got)
+			}
+		}
+		if n := eng.Stats().Reports.Entries; n != 1 {
+			t.Fatalf("impact first %v: %d cached reports for one pair, want 1", impactFirst, n)
+		}
 	}
 }
 

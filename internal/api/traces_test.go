@@ -24,9 +24,11 @@ func getTraces(t *testing.T, srv http.Handler, query string) *httptest.ResponseR
 }
 
 // TestTraceCapturesPipeline pins the acceptance criterion: a /v1/diff
-// request produces a retained trace whose tree contains construct,
-// shape, and compare spans carrying the deep FDD stats, and the response
-// itself carries X-Trace-ID and a Server-Timing breakdown.
+// request produces a retained trace whose tree contains construct spans
+// and the engine's one diff span with the direct walk under it, each
+// carrying its deep stats, and no shaping; the response itself carries
+// X-Trace-ID and a Server-Timing breakdown that counts the walk as the
+// compare phase.
 func TestTraceCapturesPipeline(t *testing.T) {
 	t.Parallel()
 	srv := NewServer()
@@ -40,8 +42,17 @@ func TestTraceCapturesPipeline(t *testing.T) {
 		t.Fatal("diff response missing X-Trace-ID")
 	}
 	st := rec.Header().Get("Server-Timing")
-	if !strings.Contains(st, "construct;dur=") || !strings.Contains(st, "total;dur=") {
-		t.Fatalf("Server-Timing = %q, want construct and total entries", st)
+	for _, entry := range []string{"construct;dur=", "compare;dur=", "total;dur="} {
+		if !strings.Contains(st, entry) {
+			t.Fatalf("Server-Timing = %q, want a %q entry", st, entry)
+		}
+	}
+	if strings.Contains(st, "shape;") {
+		t.Fatalf("Server-Timing = %q reports a shape phase that did not run", st)
+	}
+	// The wire field stays, as zero.
+	if body := rec.Body.String(); !strings.Contains(body, `"shapeMillis":0,`) {
+		t.Fatalf("diff response lacks \"shapeMillis\":0: %s", body)
 	}
 
 	var snap trace.Snapshot
@@ -76,22 +87,32 @@ func TestTraceCapturesPipeline(t *testing.T) {
 			t.Fatalf("construct span missing %q attr: %v", attr, cons.Attrs)
 		}
 	}
-	sh, ok := found.Root.Find("shape")
-	if !ok {
-		t.Fatal("shape span missing from diff trace")
-	}
-	for _, attr := range []string{"edgeSplits", "subgraphCopies", "nodeInsertions"} {
-		if _, ok := sh.Attrs[attr]; !ok {
-			t.Fatalf("shape span missing %q attr: %v", attr, sh.Attrs)
+	for _, gone := range []string{"shape", "compare", "diff.direct"} {
+		if _, ok := found.Root.Find(gone); ok {
+			t.Fatalf("served diff trace has a %q span", gone)
 		}
 	}
-	cmp, ok := found.Root.Find("compare")
+	diff, ok := found.Root.Find("diff")
 	if !ok {
-		t.Fatal("compare span missing from diff trace")
+		t.Fatal("engine diff span missing from diff trace")
+	}
+	walk, ok := diff.Find("compare.direct")
+	if !ok {
+		t.Fatal("compare.direct span missing under the diff span")
+	}
+	for _, attr := range []string{"terminalPairs", "differingPairs", "sharedHits"} {
+		if _, ok := walk.Attrs[attr]; !ok {
+			t.Fatalf("compare.direct span missing %q attr: %v", attr, walk.Attrs)
+		}
+	}
+	for _, old := range []string{"pathsCompared", "rawPaths"} {
+		if _, ok := walk.Attrs[old]; ok {
+			t.Fatalf("compare.direct span still carries %q: %v", old, walk.Attrs)
+		}
 	}
 	// teamA vs teamB is the paper's example: 3 discrepancy rows.
-	if got := cmp.Attrs["discrepancies"]; got != float64(3) {
-		t.Fatalf("compare discrepancies attr = %v, want 3", got)
+	if got := walk.Attrs["discrepancies"]; got != float64(3) {
+		t.Fatalf("compare.direct discrepancies attr = %v, want 3", got)
 	}
 	if _, ok := found.Root.Find("cache-lookup"); !ok {
 		t.Fatal("engine cache-lookup event missing from diff trace")
@@ -162,9 +183,14 @@ func TestTracesChromeFormat(t *testing.T) {
 		}
 		names[ev["name"].(string)] = true
 	}
-	for _, want := range []string{"/v1/diff", "construct", "shape", "compare"} {
+	for _, want := range []string{"/v1/diff", "construct", "diff", "compare.direct"} {
 		if !names[want] {
 			t.Fatalf("chrome export missing %q event; have %v", want, names)
+		}
+	}
+	for _, gone := range []string{"shape", "compare", "diff.direct"} {
+		if names[gone] {
+			t.Fatalf("chrome export has a %q event; have %v", gone, names)
 		}
 	}
 

@@ -35,7 +35,7 @@ const (
 	// FDD construction. An error aborts the compilation (and is never
 	// cached, like any failed flight).
 	PointCompile Point = "engine.compile"
-	// PointDiff fires inside a diff flight, before shaping/comparison.
+	// PointDiff fires inside a diff flight, before the comparison walk.
 	// An error aborts the diff.
 	PointDiff Point = "engine.diff"
 	// PointCacheInsertCompile fires before inserting a freshly compiled
@@ -48,8 +48,13 @@ const (
 	// PointShape fires at the top of a shaping walk (after
 	// simplification, before alignment) — the spot to inject latency or
 	// budget exhaustion "mid-pipeline", between the two halves of a
-	// diff. An error aborts the shaping.
+	// paper-pipeline diff. An error aborts the shaping.
 	PointShape Point = "shape.walk"
+	// PointDirectWalk fires at the top of the direct product walk that
+	// serves every engine diff, after the walk has picked up the
+	// context's work budget — the serving path's spot for injected
+	// latency or budget exhaustion mid-diff. An error aborts the walk.
+	PointDirectWalk Point = "compare.direct"
 	// PointJobPair fires at the top of one async-job pair comparison,
 	// on the worker goroutine with the job's context. An error fails
 	// that pair (it settles as an error entry; with retries enabled it

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"diversefw/internal/chaos"
 	"diversefw/internal/fdd"
 	"diversefw/internal/guard"
 	"diversefw/internal/interval"
@@ -34,11 +35,14 @@ func DiffFDDsDirect(fa, fb *fdd.FDD) (*Report, error) {
 //   - the memo is keyed by node pair, so repeated shared substructure is
 //     compared once.
 //
-// The trade-off against the lockstep pipeline: PathsCompared/RawPaths
-// count the product-walk's terminal visits, not decision-path pairs, and
-// discrepancy rows may be partitioned differently (the merged rows
-// describe the same packet set; see MergeDiscrepancies). Timing fills
-// only the Compare phase.
+// Both walks build the reduced, canonical difference diagram of the same
+// discrepancy function, so the report's rows are exactly the lockstep
+// pipeline's, in the same order (pinned by the row-identity tests). What
+// differs is the counters: PathsCompared/RawPaths count the distinct
+// terminal-node pairs the memoized walk compared (and those that
+// differ), not decision-path pairs — the trace names them
+// terminalPairs/differingPairs — and Timing fills only the Compare
+// phase.
 func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
 	if !fa.Schema.Equal(fb.Schema) {
 		return nil, fmt.Errorf("compare: schemas differ")
@@ -60,8 +64,14 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 		budget: cancelCheckEvery,
 		work:   guard.FromContext(ctx),
 	}
+	if err := chaos.Fire(ctx, chaos.PointDirectWalk); err != nil {
+		return nil, fmt.Errorf("compare: %w", err)
+	}
 	root := w.walk(fa.Root, fb.Root)
-	if w.err == nil && w.work != nil && w.pending > 0 {
+	if w.err == nil && w.work != nil {
+		// Flush the tail of the charges; this also surfaces a budget
+		// latched elsewhere (or by fault injection) on a walk too short
+		// to reach its first poll.
 		if err := w.work.AddNodes(int64(w.pending)); err != nil {
 			w.err = err
 		}
@@ -81,8 +91,8 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 	report.Discrepancies = MergeDiscrepancies(fa.Schema.NumFields(), report.Discrepancies)
 	report.Timing = Timing{Compare: time.Since(start)}
 	if sp != nil {
-		sp.SetAttr("pathsCompared", report.PathsCompared)
-		sp.SetAttr("rawPaths", report.RawPaths)
+		sp.SetAttr("terminalPairs", report.PathsCompared)
+		sp.SetAttr("differingPairs", report.RawPaths)
 		sp.SetAttr("sharedHits", w.shared)
 		sp.SetAttr("discrepancies", len(report.Discrepancies))
 	}

@@ -12,6 +12,8 @@ import (
 	"diversefw/internal/fdd"
 	"diversefw/internal/guard"
 	"diversefw/internal/rule"
+	"diversefw/internal/synth"
+	"diversefw/internal/trace"
 )
 
 // settleGoroutines waits for the goroutine count to return to at most
@@ -172,7 +174,7 @@ func TestInjectedCompileFailureIsNeverCached(t *testing.T) {
 
 func TestDiffBudgetExceededTypedAndUncached(t *testing.T) {
 	// Compile with no limits, then diff on an engine whose limits are
-	// tiny: the diff flight's budget trips during shaping/comparison.
+	// tiny: the diff flight's budget trips during the diff walk.
 	free := New(Config{})
 	a, _, err := free.Compile(context.Background(), mustPolicy(t, teamA))
 	if err != nil {
@@ -189,6 +191,80 @@ func TestDiffBudgetExceededTypedAndUncached(t *testing.T) {
 	}
 	if s := e.Stats(); s.Reports.Entries != 0 {
 		t.Fatal("failed diff flight must not be cached")
+	}
+}
+
+// TestAdversarialDiffBudgetTripsInDirectWalk compiles two construction
+// blow-up staircases without limits, then diffs them on an engine whose
+// node budget is far below what the product walk materializes (~130
+// nodes for this pair) yet is never consulted by construction here: the
+// typed budget error — policy_too_complex on the wire — must come from
+// the direct walk, leave no report behind, and leave nothing resident
+// across repeats.
+func TestAdversarialDiffBudgetTripsInDirectWalk(t *testing.T) {
+	free := New(Config{})
+	a, _, err := free.Compile(context.Background(), synth.Adversarial(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := free.Compile(context.Background(), synth.Adversarial(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Limits: guard.Limits{MaxFDDNodes: 32}})
+	diff := func() error {
+		_, _, err := e.Diff(context.Background(), a, b)
+		return err
+	}
+
+	ctx, tr := trace.New(context.Background(), "test", trace.NewID())
+	_, _, err = e.Diff(ctx, a, b)
+	tr.Root().End()
+	var be *guard.ErrBudgetExceeded
+	if !errors.As(err, &be) || be.Kind != guard.KindNodes {
+		t.Fatalf("Diff = %v, want a %s budget error", err, guard.KindNodes)
+	}
+	root := tr.Root().Snapshot()
+	if _, ok := root.Find("construct"); ok {
+		t.Fatal("the limited engine constructed: the budget was charged outside the walk")
+	}
+	sp, ok := root.Find("diff")
+	if !ok {
+		t.Fatal("diff span missing")
+	}
+	if sp.Attrs["budgetExceeded"] != string(guard.KindNodes) {
+		t.Fatalf("diff span attrs = %v, want budgetExceeded=%s", sp.Attrs, guard.KindNodes)
+	}
+	if _, ok := sp.Find("compare.direct"); !ok {
+		t.Fatal("the budget tripped before the direct walk ran")
+	}
+	if s := e.Stats(); s.Reports.Entries != 0 || s.Compilations != 0 {
+		t.Fatalf("aborted walk left state: %d reports, %d compilations", s.Reports.Entries, s.Compilations)
+	}
+
+	// Repeats recompute and fail the same way; none of the aborted walks'
+	// memo or node store stays reachable (each walk allocates ~60 KB, so
+	// keeping them would grow the heap by ~12 MB).
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for i := 0; i < 5; i++ {
+		diff() //nolint:errcheck
+	}
+	before := heap()
+	for i := 0; i < 200; i++ {
+		if err := diff(); !errors.Is(err, guard.ErrBudget) {
+			t.Fatalf("repeat %d: %v, want budget error", i, err)
+		}
+	}
+	if after := heap(); after > before+1<<20 {
+		t.Fatalf("heap grew from %d to %d bytes over 200 aborted walks", before, after)
+	}
+	if s := e.Stats(); s.Reports.Entries != 0 {
+		t.Fatalf("report cache entries = %d after aborted walks, want 0", s.Reports.Entries)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/impact"
 	"diversefw/internal/metrics"
@@ -53,14 +55,15 @@ func TestImpactEditsIncremental(t *testing.T) {
 		t.Fatalf("incremental counters: %+v", s.Incremental)
 	}
 
-	// The same report as the full pipeline, semantically: every packet the
-	// direct walk flagged is flagged by the lockstep diff and vice versa.
-	full, _, err := e.DiffPolicies(context.Background(), before, after)
+	// The same rows as the paper's shape-and-lockstep pipeline, in the
+	// same order.
+	paper, err := compare.Diff(before, after)
 	if err != nil {
-		t.Fatalf("DiffPolicies: %v", err)
+		t.Fatalf("compare.Diff: %v", err)
 	}
-	if full.Equivalent() != r.Equivalent() {
-		t.Fatalf("direct and lockstep disagree on equivalence")
+	if !reflect.DeepEqual(paper.Discrepancies, r.Discrepancies) {
+		t.Fatalf("edits path rows differ from the paper pipeline's (%d vs %d rows)",
+			len(r.Discrepancies), len(paper.Discrepancies))
 	}
 
 	// Second identical call: everything cached, including the derived
@@ -76,11 +79,8 @@ func TestImpactEditsIncremental(t *testing.T) {
 	if st2.Incremental {
 		t.Fatalf("cache hit must not claim an incremental build")
 	}
-	// The DiffPolicies call above cached a lockstep report for the pair;
-	// the edits path must now prefer it over its own direct-walk report
-	// so row numbering stays consistent with /v1/diff.
-	if r2 != full {
-		t.Fatalf("second call did not prefer the cached lockstep report")
+	if r2 != r {
+		t.Fatalf("second call did not return the cached report")
 	}
 	if got := e.Stats().Compilations; got != compilations {
 		t.Fatalf("second call compiled again (%d -> %d)", compilations, got)
@@ -144,19 +144,19 @@ func TestImpactEditsAbortNotCachedNotFallenBack(t *testing.T) {
 	}
 }
 
-func TestImpactEditsReportNamespaceIsolation(t *testing.T) {
-	// A lockstep report cached for the pair must be preferred by the
-	// edits path (row numbering stays stable across /v1/diff and
-	// /v1/resolve), and a direct report must never be stored under the
-	// lockstep key.
-	e := New(Config{})
+func TestImpactEditsAndDiffShareOneReport(t *testing.T) {
+	// One pair has one report under one key, whichever path computed it:
+	// the edits path and DiffPolicies hand out the same report instance
+	// (and so the same row numbers) in either order.
 	before := synth.Synthetic(synth.Config{Rules: 100, Seed: 9})
 	edits := tailEdits(t, before)
 	after, err := impact.Apply(before, edits)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	lock, _, err := e.DiffPolicies(context.Background(), before, after)
+
+	e := New(Config{})
+	full, _, err := e.DiffPolicies(context.Background(), before, after)
 	if err != nil {
 		t.Fatalf("DiffPolicies: %v", err)
 	}
@@ -164,29 +164,27 @@ func TestImpactEditsReportNamespaceIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ImpactEdits: %v", err)
 	}
-	if !st.ReportCached {
-		t.Fatalf("edits path ignored the cached lockstep report")
-	}
-	if r != lock {
-		t.Fatalf("edits path returned a different report than the cached lockstep one")
+	if !st.ReportCached || r != full {
+		t.Fatalf("edits path did not serve the report DiffPolicies cached (cached=%v)", st.ReportCached)
 	}
 
-	// Reverse order: the direct report lands under "inc|..." and the
-	// lockstep path must not see it.
 	e2 := New(Config{})
-	_, rd, _, err := e2.ImpactEdits(context.Background(), before, edits)
+	_, rd, st, err := e2.ImpactEdits(context.Background(), before, edits)
 	if err != nil {
 		t.Fatalf("ImpactEdits: %v", err)
 	}
-	lock2, stats2, err := e2.DiffPolicies(context.Background(), before, after)
+	if st.ReportCached {
+		t.Fatalf("cold edits call reported a cached report")
+	}
+	full2, stats, err := e2.DiffPolicies(context.Background(), before, after)
 	if err != nil {
 		t.Fatalf("DiffPolicies: %v", err)
 	}
-	if stats2.ReportCached {
-		t.Fatalf("lockstep path served a direct-walk report")
+	if !stats.ReportCached || full2 != rd {
+		t.Fatalf("DiffPolicies did not serve the report the edits path cached (cached=%v)", stats.ReportCached)
 	}
-	if lock2 == rd {
-		t.Fatalf("lockstep and direct share a report instance across namespaces")
+	if n := e2.Stats().Reports.Entries; n != 1 {
+		t.Fatalf("report cache holds %d entries for one pair, want 1", n)
 	}
 }
 

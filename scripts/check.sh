@@ -19,6 +19,12 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The served-request benchmark is a module of its own (bench/go.mod), so
+# the commands above never compile it. It calls engine, compare, fdd,
+# jobs and api exports directly; vetting and short-testing it here makes
+# renaming one of them fail this gate rather than the benchmark run.
+(cd bench && go vet . && go test -short .)
+
 # The observability primitives are the layer every request path shares,
 # so their concurrency tests rerun uncached: a flaky span buffer or
 # histogram race must not hide behind a stale test-cache entry.
