@@ -126,7 +126,7 @@ func TestJobsCrossCompareCompileOnce(t *testing.T) {
 // policy_too_complex entry — while every other pair returns results.
 func TestJobsBudgetTrippedPairIsolated(t *testing.T) {
 	t.Parallel()
-	const budget = 50_000 // Adversarial(16) needs ~1e5 nodes
+	const budget = 50_000 // Adversarial(48) needs ~2.8e5 nodes
 	eng := engine.New(engine.Config{Limits: guard.Limits{MaxFDDNodes: budget, MaxEdgeSplits: budget}})
 	srv := NewServer(WithEngine(eng), WithJobs(jobs.Config{Workers: 4}))
 	defer srv.Close()
@@ -137,7 +137,7 @@ func TestJobsBudgetTrippedPairIsolated(t *testing.T) {
 			{Name: "ok1", Policy: in(fiveA)},
 			{Name: "ok2", Policy: in(fiveB)},
 			{Name: "ok3", Policy: in("any -> accept\n")},
-			{Name: "bomb", Policy: in(rule.FormatPolicy(synth.Adversarial(16)))},
+			{Name: "bomb", Policy: in(rule.FormatPolicy(synth.Adversarial(48)))},
 		},
 	}
 	final := pollUntilTerminal(t, srv, submitJob(t, srv, req).ID)

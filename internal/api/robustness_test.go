@@ -148,10 +148,10 @@ func TestHealthzWithoutAdmission(t *testing.T) {
 // the caches, and repeated over-budget requests do not accumulate
 // partial-FDD memory.
 func TestWorstCasePolicyReturns422(t *testing.T) {
-	const budget = 50_000 // Adversarial(16) needs ~1e5 nodes
+	const budget = 50_000 // Adversarial(48) needs ~2.8e5 nodes
 	eng := engine.New(engine.Config{Limits: guard.Limits{MaxFDDNodes: budget, MaxEdgeSplits: budget}})
 	srv := NewServer(WithEngine(eng))
-	adversarialBody := `{"schema":"five","a":` + jsonString(rule.FormatPolicy(synth.Adversarial(16))) +
+	adversarialBody := `{"schema":"five","a":` + jsonString(rule.FormatPolicy(synth.Adversarial(48))) +
 		`,"b":` + jsonString(fiveB) + `}`
 	wellFormedBody := `{"schema":"five","a":` + jsonString(fiveA) + `,"b":` + jsonString(fiveB) + `}`
 

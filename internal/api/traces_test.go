@@ -82,9 +82,14 @@ func TestTraceCapturesPipeline(t *testing.T) {
 	if !ok {
 		t.Fatal("construct span missing from diff trace")
 	}
-	for _, attr := range []string{"rules", "nodes", "edges", "nodesPreReduce"} {
+	for _, attr := range []string{"rules", "nodes", "edges", "overlayNodes"} {
 		if _, ok := cons.Attrs[attr]; !ok {
 			t.Fatalf("construct span missing %q attr: %v", attr, cons.Attrs)
+		}
+	}
+	for _, gone := range []string{"nodesPreReduce", "edgesPreReduce"} {
+		if _, ok := cons.Attrs[gone]; ok {
+			t.Fatalf("construct span still carries %q: %v", gone, cons.Attrs)
 		}
 	}
 	for _, gone := range []string{"shape", "compare", "diff.direct"} {

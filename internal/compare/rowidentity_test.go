@@ -171,9 +171,9 @@ func TestRowIdentityBuilderFamily(t *testing.T) {
 	requireRows(t, rows)
 }
 
-// TestRowIdentityAdversarial covers the construction blow-up staircase,
-// against a perturbation of itself and against a smaller staircase (not
-// at n=16, whose lockstep against n=14 alone takes seconds).
+// TestRowIdentityAdversarial covers the worst-case construction policy
+// (synth.Adversarial), against a perturbation of itself and, below
+// n=16, against a smaller instance.
 func TestRowIdentityAdversarial(t *testing.T) {
 	t.Parallel()
 	rows := 0

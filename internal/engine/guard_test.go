@@ -194,10 +194,10 @@ func TestDiffBudgetExceededTypedAndUncached(t *testing.T) {
 	}
 }
 
-// TestAdversarialDiffBudgetTripsInDirectWalk compiles two construction
-// blow-up staircases without limits, then diffs them on an engine whose
-// node budget is far below what the product walk materializes (~130
-// nodes for this pair) yet is never consulted by construction here: the
+// TestAdversarialDiffBudgetTripsInDirectWalk compiles two worst-case
+// construction policies without limits, then diffs them on an engine
+// whose node budget is far below what the product walk materializes for
+// this pair yet is never consulted by construction here: the
 // typed budget error — policy_too_complex on the wire — must come from
 // the direct walk, leave no report behind, and leave nothing resident
 // across repeats.

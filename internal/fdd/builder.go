@@ -11,18 +11,18 @@ import (
 )
 
 // Builder is a resumable FDD construction: the paper's append loop, plus
-// root snapshots ("checkpoints") taken at the incremental-reduction
-// boundaries. Because appending is copy-on-write (no node is ever mutated
-// after creation) and reduction hash-conses into a store shared by the
-// whole builder family, a checkpoint is a single root pointer — no
-// copying, no serialization.
+// root snapshots ("checkpoints") taken every checkpointEvery rules.
+// Appends hash-cons every node they create into a per-build overlay
+// (append.go), and each checkpoint root is promoted into a store shared
+// by the whole builder family; canonical nodes are never mutated, so a
+// checkpoint is a single root pointer — no copying, no serialization.
 //
 // Resume exploits the checkpoints for change-impact analysis: to build
 // the FDD of an edited policy, it finds the longest common rule prefix
 // between the old and new policies, restarts from the deepest checkpoint
 // at or before that prefix, and re-appends only the suffix. A tail edit
 // on an N-rule policy re-appends a handful of rules instead of N, and —
-// because the resumed diagram is reduced in the same store as the base —
+// because the resumed diagram is canonical in the same store as the base —
 // unchanged subgraphs come back pointer-identical, which downstream
 // comparisons can short-circuit on.
 //
@@ -46,8 +46,9 @@ type builderCore struct {
 	in *Interner
 }
 
-// checkpoint is one resumable prefix: the reduced root of the partial
-// diagram after the first `rules` rules were appended.
+// checkpoint is one resumable prefix: the root, canonical in the family
+// store, of the partial diagram after the first `rules` rules were
+// appended.
 type checkpoint struct {
 	rules int
 	root  *Node
@@ -57,7 +58,7 @@ type checkpoint struct {
 // half is thinned to every second entry, so spacing degrades
 // geometrically for old prefixes while the tail — where edits
 // concentrate (the paper's dominant error case is mis-ordered insertions
-// near the end) — keeps the full reduceEvery resolution.
+// near the end) — keeps the full checkpointEvery resolution.
 const maxCheckpoints = 128
 
 // NewBuilder constructs the FDD for p, retaining resume checkpoints.
@@ -106,8 +107,9 @@ func (b *Builder) NumCheckpoints() int { return len(b.checkpoints) }
 
 // StoreNodes returns the node count of the family's shared store — the
 // resident cost of keeping this builder (and its checkpoints) alive,
-// which is larger than the final diagram because intermediate partial
-// forms stay interned.
+// which is larger than the final diagram because the checkpoint roots'
+// partial diagrams stay interned. The intermediate diagrams between
+// checkpoints never reach the store.
 func (b *Builder) StoreNodes() int {
 	b.core.mu.Lock()
 	defer b.core.mu.Unlock()
@@ -132,7 +134,7 @@ type ResumeStats struct {
 //
 // The result is identical — graph-isomorphic, and pointer-identical on
 // shared subgraphs — to constructing `after` from scratch: appending is
-// semantic per rule, and the final reduced ordered form is canonical per
+// semantic per rule, and the reduced ordered form is canonical per
 // decision function, so the resume cadence cannot leak into the output.
 func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, ResumeStats, error) {
 	var st ResumeStats
@@ -167,10 +169,13 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 	return nb, st, nil
 }
 
-// build runs the append loop for rules[start:] on top of the (reduced,
-// canonical) partial root, recording checkpoints at the reduction
-// boundaries. base and effPrefix describe the prefix already in root and
-// are copied, never aliased. Callers hold core.mu.
+// build runs the append loop for rules[start:] on top of the partial
+// root (canonical in the family store), promoting and recording a
+// checkpoint every checkpointEvery rules. Rule i is effective exactly
+// when its append changed the root: within one canonical store, equal
+// functions are equal pointers. base and effPrefix describe the prefix
+// already in root and are copied, never aliased. Callers hold core.mu,
+// which also keeps the family store still while an overlay sits on it.
 func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Policy,
 	start int, root *Node, base []checkpoint, effPrefix []bool) (b *Builder, err error) {
 	// The append recursion has no error path (it cannot fail on valid
@@ -185,15 +190,16 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 			b, err = nil, fmt.Errorf("fdd: construction aborted: %w", bp.err)
 		}
 	}()
-	ap := newAppender(p.Schema)
+	ap := newAppender(p.Schema, core.in)
 	ap.budget = guard.FromContext(ctx)
 	effective := make([]bool, p.Size())
 	copy(effective, effPrefix)
-	cps := make([]checkpoint, len(base), len(base)+(p.Size()-start)/reduceEvery+1)
+	cps := make([]checkpoint, len(base), len(base)+(p.Size()-start)/checkpointEvery+1)
 	copy(cps, base)
 	i := start
 	if i == 0 {
-		root = ap.buildPath(p.Rules[0].Pred, 0, p.Rules[0].Decision)
+		ap.start(p.Rules[0].Pred, p.Rules[0].Decision)
+		root = ap.path(0)
 		effective[0] = true
 		i = 1
 	}
@@ -208,28 +214,22 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 			return nil, fmt.Errorf("fdd: construction aborted: %w", err)
 		}
 		r := p.Rules[i]
-		var added bool
-		root, added = ap.appendRule(root, r.Pred, 0, r.Decision)
-		effective[i] = added
-		// Appending shares subgraphs copy-on-write, so the diagram is a
-		// DAG; hash-consing it periodically keeps its size near the
-		// reduced form throughout construction instead of only at the end.
-		// The reduced root doubles as a resume checkpoint: the cadence is
-		// anchored to absolute rule indices so every builder in a family
-		// snapshots the same prefix lengths.
-		if i%reduceEvery == 0 {
-			root = core.in.ReduceNode(p.Schema, root)
+		next := ap.appendRule(root, r.Pred, r.Decision)
+		effective[i] = next != root
+		root = next
+		// The cadence is anchored to absolute rule indices so every
+		// builder in a family snapshots the same prefix lengths.
+		if i%checkpointEvery == 0 {
+			root = ap.promote(root)
 			cps = appendCheckpoint(cps, checkpoint{rules: i + 1, root: root})
 		}
 	}
+	root = ap.promote(root)
 	if sp != nil {
-		// The pre/post-reduction delta is the paper's blow-up signal: how
-		// much structure the final hash-consing pass collapsed.
-		nodes, edges := countGraph(root)
-		sp.SetAttr("nodesPreReduce", nodes)
-		sp.SetAttr("edgesPreReduce", edges)
+		// The build's work: every node it interned, most of them in
+		// intermediate diagrams the promotions dropped.
+		sp.SetAttr("overlayNodes", ap.overlayNodes)
 	}
-	root = core.in.ReduceNode(p.Schema, root)
 	f := &FDD{Schema: p.Schema, Root: root}
 	if cerr := f.checkComplete(); cerr != nil {
 		return nil, fmt.Errorf("fdd: %w: %w", ErrIncomplete, cerr)

@@ -238,7 +238,7 @@ func TestResumeErrors(t *testing.T) {
 func TestCheckpointThinning(t *testing.T) {
 	cps := []checkpoint{}
 	for i := 0; i < 500; i++ {
-		cps = appendCheckpoint(cps, checkpoint{rules: i*reduceEvery + 1})
+		cps = appendCheckpoint(cps, checkpoint{rules: i*checkpointEvery + 1})
 	}
 	if len(cps) > maxCheckpoints {
 		t.Fatalf("thinning failed: %d checkpoints, cap %d", len(cps), maxCheckpoints)
@@ -251,7 +251,7 @@ func TestCheckpointThinning(t *testing.T) {
 		}
 		last = cp.rules
 	}
-	if last != 499*reduceEvery+1 {
+	if last != 499*checkpointEvery+1 {
 		t.Fatalf("deepest checkpoint lost: last is %d", last)
 	}
 }

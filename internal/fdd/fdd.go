@@ -12,10 +12,11 @@
 package fdd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"diversefw/internal/field"
 	"diversefw/internal/guard"
@@ -62,9 +63,10 @@ type FDD struct {
 
 // Construct builds an FDD equivalent to the policy using the paper's
 // construction algorithm: rules are appended one at a time to a partial
-// FDD. The result is kept in reduced (hash-consed DAG) form, which is
-// semantically identical to the paper's tree and exponentially smaller on
-// realistic inputs. It fails if the policy is not comprehensive (some
+// FDD. Every node an append creates is hash-consed on the spot, so the
+// partial FDD stays in reduced (DAG) form throughout — semantically
+// identical to the paper's tree and exponentially smaller on realistic
+// inputs. It fails if the policy is not comprehensive (some
 // packet matches no rule), because the result would violate the
 // completeness property.
 func Construct(p *rule.Policy) (*FDD, error) {
@@ -93,12 +95,12 @@ func ConstructEffective(p *rule.Policy) (f *FDD, effective []bool, err error) {
 // ConstructContext. The per-rule ctx check is negligible next to the
 // cost of one append.
 //
-// When ctx carries a guard.Budget, every node the append algorithm
-// materializes is charged against it (batched, one atomic add per few
-// hundred nodes) and construction aborts with the budget's typed
-// guard.ErrBudgetExceeded mid-append — the defense against policies
-// whose partial FDD blows up exponentially (Section 3) before the first
-// reduction could shrink it.
+// When ctx carries a guard.Budget, every subproblem the append
+// algorithm visits and every node it creates is charged against it
+// (batched, one atomic add per few hundred units) and construction
+// aborts with the budget's typed guard.ErrBudgetExceeded mid-append —
+// the defense against policies whose reduced FDD is itself huge
+// (Theorem 1 allows (2n-1)^d paths).
 func ConstructEffectiveContext(ctx context.Context, p *rule.Policy) (*FDD, []bool, error) {
 	// The construction loop lives in the resumable Builder (builder.go);
 	// this entry point simply discards the resume state.
@@ -129,176 +131,6 @@ func countGraph(root *Node) (nodes, edges int) {
 	}
 	walk(root)
 	return nodes, edges
-}
-
-// reduceEvery is how many appended rules pass between incremental
-// reductions during construction.
-const reduceEvery = 32
-
-// appender holds the per-construction state of the append algorithm:
-// the schema and its full-domain sets, computed once instead of on every
-// visit (Schema.FullSet allocates a fresh Set per call, and appendRule
-// consults the full domain at every level of every append).
-type appender struct {
-	schema *field.Schema
-	fulls  []interval.Set // fulls[k] == schema.FullSet(k)
-	ivbuf  []interval.Interval
-
-	// budget, when non-nil, is charged for every node the append creates;
-	// pending batches charges so the hot path pays one atomic add per
-	// budgetChargeEvery nodes (see guard).
-	budget  *guard.Budget
-	pending int
-}
-
-// budgetChargeEvery is how many created nodes accumulate locally between
-// budget flushes — same order as the cancellation poll interval: crossings
-// are detected within a few hundred nodes of work.
-const budgetChargeEvery = 256
-
-// budgetPanic carries a budget crossing out of the append recursion; it
-// is recovered at the construction entry points only.
-type budgetPanic struct{ err error }
-
-// charge records n created nodes, flushing the local batch into the
-// budget when it is full. A crossing unwinds via budgetPanic.
-func (ap *appender) charge(n int) {
-	if ap.budget == nil {
-		return
-	}
-	ap.pending += n
-	if ap.pending >= budgetChargeEvery {
-		ap.flush()
-	}
-}
-
-// flush empties the local batch into the budget and aborts on a crossing.
-func (ap *appender) flush() {
-	if ap.budget == nil || ap.pending == 0 {
-		return
-	}
-	n := ap.pending
-	ap.pending = 0
-	if err := ap.budget.AddNodes(int64(n)); err != nil {
-		panic(budgetPanic{err})
-	}
-}
-
-func newAppender(schema *field.Schema) *appender {
-	fulls := make([]interval.Set, schema.NumFields())
-	for k := range fulls {
-		fulls[k] = schema.FullSet(k)
-	}
-	return &appender{schema: schema, fulls: fulls}
-}
-
-// buildPath builds the decision path for conjuncts pred[k..] ending in a
-// terminal labeled d (the partial FDD of a single rule).
-func (ap *appender) buildPath(pred rule.Predicate, k int, d rule.Decision) *Node {
-	if k == len(pred) {
-		ap.charge(1)
-		return Terminal(d)
-	}
-	ap.charge(1)
-	return &Node{
-		Field: k,
-		Edges: []*Edge{{Label: pred[k], To: ap.buildPath(pred, k+1, d)}},
-	}
-}
-
-// covered returns the union of v's edge labels in a single pass: sibling
-// labels are disjoint, so gathering every interval and canonicalizing
-// once replaces the old per-edge Union chain (which re-sorted and
-// re-allocated the running set on every edge).
-func (ap *appender) covered(v *Node) interval.Set {
-	ap.ivbuf = ap.ivbuf[:0]
-	for _, e := range v.Edges {
-		ap.ivbuf = e.Label.AppendIntervals(ap.ivbuf)
-	}
-	return interval.NewSet(ap.ivbuf...)
-}
-
-// appendRule implements APPEND of Fig. 7: merge rule conjuncts pred[k..]
-// with decision d into the partial FDD rooted at v. It returns the new
-// root of the subgraph and reports whether any new region of the packet
-// space received decision d — false means every packet matching the rule
-// already matched an earlier rule.
-//
-// Unlike the paper's in-place formulation, this version is copy-on-write:
-// existing nodes are never mutated, so subgraphs can be shared instead of
-// deep-copied when an edge splits (case 3), and appending works directly
-// on reduced DAGs whose paths skip full-domain fields. The constructed
-// diagram is semantically identical to Fig. 7's output.
-func (ap *appender) appendRule(v *Node, pred rule.Predicate, k int, d rule.Decision) (*Node, bool) {
-	if k == len(pred) {
-		// All fields consumed: the existing first-match decision wins.
-		return v, false
-	}
-	s := pred[k]
-
-	// A terminal or a node labeled with a later field covers field k
-	// implicitly with the full domain: split that implicit edge on S.
-	if v.IsTerminal() || v.Field > k {
-		if s.Equal(ap.fulls[k]) {
-			// S is the whole domain: no split, and no Subtract allocation.
-			return ap.appendRule(v, pred, k+1, d)
-		}
-		inside, added := ap.appendRule(v, pred, k+1, d)
-		if !added {
-			return v, false
-		}
-		ap.charge(1)
-		return &Node{Field: k, Edges: []*Edge{
-			{Label: ap.fulls[k].Subtract(s), To: v},
-			{Label: s, To: inside},
-		}}, true
-	}
-
-	ap.charge(1)
-	out := &Node{Field: v.Field, Edges: make([]*Edge, 0, len(v.Edges)+2)}
-	added := false
-
-	// Uncovered part of S: packets here match none of the earlier rules,
-	// so they get the new rule's decision path. A node whose edges
-	// already tile the whole domain (every node of a complete diagram)
-	// has no uncovered part — skip the union and subtraction outright.
-	if covered := ap.covered(v); !covered.Equal(ap.fulls[v.Field]) {
-		if rest := s.Subtract(covered); !rest.Empty() {
-			out.Edges = append(out.Edges, &Edge{
-				Label: rest,
-				To:    ap.buildPath(pred, k+1, d),
-			})
-			added = true
-		}
-	}
-
-	for _, e := range v.Edges {
-		common := e.Label.Intersect(s)
-		switch {
-		case common.Empty():
-			// Case 1: S ∩ I(e) = ∅ — the edge is unaffected.
-			out.Edges = append(out.Edges, &Edge{Label: e.Label, To: e.To})
-		case common.Equal(e.Label):
-			// Case 2: I(e) ⊆ S — append the rest of the rule below e.
-			child, chAdded := ap.appendRule(e.To, pred, k+1, d)
-			out.Edges = append(out.Edges, &Edge{Label: e.Label, To: child})
-			added = added || chAdded
-		default:
-			// Case 3: split e; the outside part keeps the old subgraph
-			// (shared, not copied — nothing mutates it), the inside part
-			// gets the appended version.
-			child, chAdded := ap.appendRule(e.To, pred, k+1, d)
-			out.Edges = append(out.Edges, &Edge{Label: e.Label.Subtract(s), To: e.To})
-			out.Edges = append(out.Edges, &Edge{Label: common, To: child})
-			added = added || chAdded
-		}
-	}
-	if !added {
-		// No terminal changed anywhere below: the append was a no-op, so
-		// keep the original (possibly shared) node.
-		return v, false
-	}
-	return out, true
 }
 
 // copySubgraph deep-copies the subgraph rooted at n.
@@ -624,10 +456,10 @@ func (f *FDD) SimplifyContext(ctx context.Context) (out *FDD, err error) {
 
 // sortEdges orders edges by the start of their (single) first interval.
 func sortEdges(edges []*Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		a, _ := edges[i].Label.Min()
-		b, _ := edges[j].Label.Min()
-		return a < b
+	slices.SortFunc(edges, func(x, y *Edge) int {
+		a, _ := x.Label.Min()
+		b, _ := y.Label.Min()
+		return cmp.Compare(a, b)
 	})
 }
 

@@ -15,8 +15,8 @@ import (
 // bounded for large policies.
 //
 // Hash-consing happens in a fresh node store (Interner); pipelines that
-// reduce repeatedly — incremental construction, the difference-diagram
-// walk — hold their own store so already-canonical subgraphs are never
+// reduce repeatedly — construction, the difference-diagram walk — hold
+// their own store so already-canonical subgraphs are never
 // re-hashed.
 //
 // The result is a DAG, not a tree; callers that need a simple FDD must

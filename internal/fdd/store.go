@@ -15,11 +15,17 @@ import (
 // allocation, O(1) amortized per node.
 //
 // A node owned by the store is canonical: its children are canonical and
-// no other stored node is structurally equal to it. Because construction
-// is copy-on-write (nodes are never mutated after creation), a store can
-// be reused across the incremental reductions of one construction — a
+// no other stored node is structurally equal to it. Canonical nodes are
+// never mutated, so a store can be shared by a whole builder family — a
 // subgraph that is already canonical is recognized by a single map
 // lookup and never re-walked or re-hashed.
+//
+// An overlay (newOverlay) is a store stacked on a parent: lookups
+// consult the parent first and ids continue the parent's numbering, so a
+// node is canonical in exactly one of the two and pointer equality still
+// means functional equality across both. Construction interns its
+// intermediate diagrams into an overlay and promotes only the checkpoint
+// roots into the parent.
 //
 // An Interner is not safe for concurrent use; parallel pipelines give
 // each worker its own store and re-intern once at the stitch point.
@@ -27,7 +33,12 @@ type Interner struct {
 	buckets map[uint64][]*Node      // structural hash -> chain of canonical nonterminals
 	terms   map[rule.Decision]*Node // decision -> canonical terminal
 	ids     map[*Node]uint32        // canonical node -> dense id
-	nodes   []*Node                 // dense id -> canonical node
+	nodes   []*Node                 // dense id - idBase -> canonical node
+	// parent, when non-nil, makes this store an overlay of parent, which
+	// must not change while the overlay is in use; idBase is parent's
+	// node count at creation, the first id the overlay assigns.
+	parent *Interner
+	idBase uint32
 	// hashOverride, when non-nil, replaces hashNode. Tests use it to
 	// force every node into one bucket and exercise the chaining path.
 	hashOverride func(*Node) uint64
@@ -42,13 +53,35 @@ func NewInterner() *Interner {
 	}
 }
 
-// NumNodes returns how many canonical nodes the store holds.
+// newOverlay returns an empty store stacked on parent.
+func newOverlay(parent *Interner) *Interner {
+	in := NewInterner()
+	in.parent = parent
+	in.idBase = uint32(parent.NumNodes())
+	in.hashOverride = parent.hashOverride
+	return in
+}
+
+// NumNodes returns how many canonical nodes the store holds (an
+// overlay counts only its own, not its parent's).
 func (in *Interner) NumNodes() int { return len(in.nodes) }
 
 // Canonical reports whether n is owned by (canonical in) this store.
 func (in *Interner) Canonical(n *Node) bool {
 	_, ok := in.ids[n]
 	return ok
+}
+
+// id returns the dense id of a node canonical in this store or its
+// parent, and whether the parent owns it.
+func (in *Interner) id(n *Node) (id uint32, inParent bool) {
+	if id, ok := in.ids[n]; ok {
+		return id, false
+	}
+	if in.parent != nil {
+		return in.parent.ids[n], true
+	}
+	return 0, false
 }
 
 // fnv64Offset is the FNV-64 offset basis, the seed of node hashes.
@@ -62,17 +95,22 @@ func mix64(h, v uint64) uint64 {
 
 // hashNode computes the structural hash of a nonterminal whose children
 // are already canonical in this store (terminals are interned by
-// decision in a separate table and never hashed).
-func (in *Interner) hashNode(n *Node) uint64 {
-	if in.hashOverride != nil {
-		return in.hashOverride(n)
-	}
-	h := mix64(fnv64Offset, uint64(n.Field))
+// decision in a separate table and never hashed). inParent reports that
+// every child belongs to the parent store — only then can the parent
+// hold an equal node, under the same hash.
+func (in *Interner) hashNode(n *Node) (h uint64, inParent bool) {
+	inParent = in.parent != nil
+	h = mix64(fnv64Offset, uint64(n.Field))
 	for _, e := range n.Edges {
+		id, p := in.id(e.To)
+		inParent = inParent && p
 		h = e.Label.Hash(h)
-		h = mix64(h, uint64(in.ids[e.To]))
+		h = mix64(h, uint64(id))
 	}
-	return h
+	if in.hashOverride != nil {
+		h = in.hashOverride(n)
+	}
+	return h, inParent
 }
 
 // sameShape reports structural equality of two nodes whose children are
@@ -93,7 +131,14 @@ func sameShape(a, b *Node) bool {
 // storing n itself if none exists. n's children must already be
 // canonical and its edges in sorted order.
 func (in *Interner) intern(n *Node) *Node {
-	h := in.hashNode(n)
+	h, inParent := in.hashNode(n)
+	if inParent {
+		for _, c := range in.parent.buckets[h] {
+			if sameShape(c, n) {
+				return c
+			}
+		}
+	}
 	for _, c := range in.buckets[h] {
 		if sameShape(c, n) {
 			return c
@@ -106,12 +151,17 @@ func (in *Interner) intern(n *Node) *Node {
 
 // register assigns n the next dense id.
 func (in *Interner) register(n *Node) {
-	in.ids[n] = uint32(len(in.nodes))
+	in.ids[n] = in.idBase + uint32(len(in.nodes))
 	in.nodes = append(in.nodes, n)
 }
 
 // CanonicalTerminal returns the store's canonical terminal labeled d.
 func (in *Interner) CanonicalTerminal(d rule.Decision) *Node {
+	if in.parent != nil {
+		if c, ok := in.parent.terms[d]; ok {
+			return c
+		}
+	}
 	if c, ok := in.terms[d]; ok {
 		return c
 	}
@@ -133,7 +183,14 @@ func (in *Interner) CanonicalTerminal(d rule.Decision) *Node {
 // a bottom-up walk that canonicalizes each node as it is created (the
 // lockstep comparison does this) never materializes an unreduced tree.
 func (in *Interner) Canonicalize(fieldIdx int, edges []*Edge, full interval.Set) *Node {
-	edges = mergeSameChild(edges)
+	return in.canonicalize(fieldIdx, edges, full, false)
+}
+
+// canonicalize is Canonicalize; with shared set, the Edge structs are
+// never modified, so the caller may pass edges that other canonical
+// nodes hold (the edges slice is still consumed).
+func (in *Interner) canonicalize(fieldIdx int, edges []*Edge, full interval.Set, shared bool) *Node {
+	edges = mergeSameChild(edges, shared)
 	if len(edges) == 1 && edges[0].Label.Equal(full) {
 		return edges[0].To
 	}
@@ -142,19 +199,28 @@ func (in *Interner) Canonicalize(fieldIdx int, edges []*Edge, full interval.Set)
 }
 
 // mergeSameChild merges edges that lead to the same (canonical) child,
-// in place. Small edge lists — the overwhelmingly common case — are
-// merged by pointer scan; large ones through a map.
-func mergeSameChild(edges []*Edge) []*Edge {
+// in place in the slice. A merged edge is relabeled in place, or, when
+// the edges are shared with other nodes, replaced by a fresh Edge.
+// Small edge lists — the overwhelmingly common case — are merged by
+// pointer scan; large ones through a map.
+func mergeSameChild(edges []*Edge, shared bool) []*Edge {
 	if len(edges) < 2 {
 		return edges
 	}
+	merge := func(p, e *Edge) *Edge {
+		if shared {
+			return &Edge{Label: p.Label.Union(e.Label), To: p.To}
+		}
+		p.Label = p.Label.Union(e.Label)
+		return p
+	}
+	out := edges[:0]
 	if len(edges) <= 16 {
-		out := edges[:0]
 		for _, e := range edges {
 			dup := false
-			for _, p := range out {
+			for i, p := range out {
 				if p.To == e.To {
-					p.Label = p.Label.Union(e.Label)
+					out[i] = merge(p, e)
 					dup = true
 					break
 				}
@@ -165,14 +231,13 @@ func mergeSameChild(edges []*Edge) []*Edge {
 		}
 		return out
 	}
-	seen := make(map[*Node]*Edge, len(edges))
-	out := edges[:0]
+	seen := make(map[*Node]int, len(edges))
 	for _, e := range edges {
-		if prev, ok := seen[e.To]; ok {
-			prev.Label = prev.Label.Union(e.Label)
+		if i, ok := seen[e.To]; ok {
+			out[i] = merge(out[i], e)
 			continue
 		}
-		seen[e.To] = e
+		seen[e.To] = len(out)
 		out = append(out, e)
 	}
 	return out
@@ -190,15 +255,15 @@ func (in *Interner) Reduce(f *FDD) *FDD {
 // merged edge covers the whole field domain are elided. The returned
 // node is canonical in the store. Nodes already canonical in this store
 // are returned as-is without re-walking their subgraphs, which is what
-// makes incremental re-reduction during construction cheap.
+// makes promoting a checkpoint root out of a construction overlay cheap:
+// only the overlay's part of the diagram is re-interned.
 func (in *Interner) ReduceNode(schema *field.Schema, root *Node) *Node {
 	fulls := make([]interval.Set, schema.NumFields())
 	for k := range fulls {
 		fulls[k] = schema.FullSet(k)
 	}
-	// memo dedupes shared *input* nodes within this call: copy-on-write
-	// appends share unchanged subgraphs, so the input is a DAG and each
-	// distinct node should be reduced once.
+	// memo dedupes shared *input* nodes within this call: the input is
+	// usually a DAG, and each distinct node should be reduced once.
 	memo := make(map[*Node]*Node)
 	var reduce func(n *Node) *Node
 	reduce = func(n *Node) *Node {

@@ -97,7 +97,7 @@ type FaultSpec struct {
 type InjectSpec struct {
 	Faults []FaultSpec `json:"faults,omitempty"`
 	// AdversarialRules > 0 swaps the A side of every inject-phase diff
-	// for synth.Adversarial(n) — the paper's exponential-blowup input —
+	// for synth.Adversarial(n) — the worst-case construction input —
 	// which the server's MaxFDDNodes budget must refuse deterministically.
 	AdversarialRules int `json:"adversarialRules,omitempty"`
 	// DrainAfterOps calls BeginDrain once that many inject ops have

@@ -10,15 +10,18 @@ import (
 	"diversefw/internal/rule"
 )
 
-// Measured construction work for Adversarial(n), in budget-charged FDD
-// nodes (deterministic — the generator takes no seed):
+// Measured construction work for Adversarial(n), in budget-charged units
+// (one per append subproblem visited plus one per node created;
+// deterministic — the generator takes no seed), with the reduced FDD's
+// node count alongside:
 //
-//	n=8  -> ~5.3e3    n=16 -> ~1.0e5    n=24 -> ~5.7e5    n=32 -> ~2.0e6
+//	n=8  -> 708 (108)        n=16 -> ~8.4e3 (843)     n=24 -> ~3.6e4 (2,762)
+//	n=32 -> ~8.4e4 (5,637)   n=40 -> ~1.7e5 (9,579)   n=48 -> ~2.8e5 (14,573)
 //
-// The growth is the paper's Section 3 blowup regime: each added rule
-// multiplies the subgraph copying across all five fields. These tests
-// pin that behavior so a generator change that accidentally tames (or
-// explodes) the workload fails loudly.
+// Construction interns every node as it appends, so its work tracks the
+// size of the reduced diagram, which grows roughly as n³ here. These
+// tests pin that behavior so a generator change that accidentally tames
+// (or explodes) the workload fails loudly.
 
 func TestAdversarialIsDeterministic(t *testing.T) {
 	t.Parallel()
@@ -35,18 +38,23 @@ func TestAdversarialCompletesUnderGenerousBudget(t *testing.T) {
 	t.Parallel()
 	b := guard.NewBudget(guard.Limits{MaxFDDNodes: 1 << 20})
 	ctx := guard.WithBudget(context.Background(), b)
-	f, err := fdd.ConstructContext(ctx, Adversarial(8))
+	f, err := fdd.ConstructContext(ctx, Adversarial(16))
 	if err != nil {
-		t.Fatalf("n=8 should fit in 1M nodes: %v", err)
+		t.Fatalf("n=16 should fit in 1M nodes: %v", err)
 	}
 	if f == nil {
 		t.Fatal("nil FDD")
 	}
-	// Pin the measured work band: ~5.3k charged nodes at n=8. A factor-4
+	// Pin the measured work band: ~8.4k charged nodes at n=16. A factor-4
 	// drift either way means the generator stopped producing (or wildly
 	// overshoots) its documented workload.
-	if u := b.Usage(); u.Nodes < 1_300 || u.Nodes > 22_000 {
-		t.Fatalf("n=8 charged %d nodes, expected the ~5.3e3 band", u.Nodes)
+	if u := b.Usage(); u.Nodes < 2_100 || u.Nodes > 33_600 {
+		t.Fatalf("n=16 charged %d nodes, expected the ~8.4e3 band", u.Nodes)
+	}
+	// The reduced diagram itself is large — the property the generator
+	// exists for.
+	if nodes := f.Stats().Nodes; nodes < 400 {
+		t.Fatalf("n=16 reduced FDD has %d nodes, expected ~843", nodes)
 	}
 }
 
@@ -61,15 +69,15 @@ func TestAdversarialWorkGrowsSuperlinearly(t *testing.T) {
 		return b.Usage().Nodes
 	}
 	c8, c12 := charged(8), charged(12)
-	// Doubling 8->12 rules must multiply work by far more than the rule
-	// ratio (measured: ~5.3e3 -> ~3.0e4, a 5.5x jump for 1.5x rules).
+	// 8->12 rules must multiply work by far more than the rule ratio
+	// (measured: 708 -> 2,992, a 4.2x jump for 1.5x rules).
 	if c12 < 3*c8 {
 		t.Fatalf("work should blow up: n=8 charged %d, n=12 charged %d", c8, c12)
 	}
 }
 
 // TestAdversarialTripsBudgetDeterministically is the regression fixture
-// for the budget mechanism itself: a 16-rule staircase needs ~1e5 nodes,
+// for the budget mechanism itself: Adversarial(48) needs ~2.8e5 nodes,
 // so a 50k budget must always trip mid-construction with the typed
 // error, and the charge accounting must stop near the limit (bounded
 // overshoot — the batched charging may run over by the in-flight
@@ -79,7 +87,7 @@ func TestAdversarialTripsBudgetDeterministically(t *testing.T) {
 	const limit = 50_000
 	b := guard.NewBudget(guard.Limits{MaxFDDNodes: limit})
 	ctx := guard.WithBudget(context.Background(), b)
-	f, err := fdd.ConstructContext(ctx, Adversarial(16))
+	f, err := fdd.ConstructContext(ctx, Adversarial(48))
 	if f != nil {
 		t.Fatal("aborted construction must not return a diagram")
 	}
@@ -95,6 +103,46 @@ func TestAdversarialTripsBudgetDeterministically(t *testing.T) {
 		t.Fatalf("charged %d, expected past the %d limit", u.Nodes, limit)
 	}
 	if u.Nodes > 2*limit {
+		t.Fatalf("charged %d nodes against a %d limit: abort is not prompt", u.Nodes, limit)
+	}
+}
+
+// TestNoOpRulesAreCharged pins that the budget bounds construction CPU,
+// not just the nodes it creates: rules shadowed by an earlier catch-all
+// change nothing, yet each still walks every subproblem of the diagram
+// it overlaps. A large reduced prefix followed by many full-domain
+// rules must trip the budget with the typed error, even though the
+// prefix alone fits and the shadowed rules create no node at all.
+func TestNoOpRulesAreCharged(t *testing.T) {
+	t.Parallel()
+	const limit = 50_000
+	prefix := Adversarial(24) // ~3.6e4 charged, 2,762 reduced nodes, ends in a catch-all
+	build := func(p *rule.Policy) (*fdd.FDD, *guard.Budget, error) {
+		b := guard.NewBudget(guard.Limits{MaxFDDNodes: limit})
+		f, err := fdd.ConstructContext(guard.WithBudget(context.Background(), b), p)
+		return f, b, err
+	}
+	if _, _, err := build(prefix); err != nil {
+		t.Fatalf("the prefix alone must fit in %d nodes: %v", limit, err)
+	}
+
+	rules := append([]rule.Rule(nil), prefix.Rules...)
+	for range 1000 {
+		rules = append(rules, rule.CatchAll(prefix.Schema, rule.Accept))
+	}
+	p, err := rule.NewPolicy(prefix.Schema, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, b, err := build(p)
+	if f != nil {
+		t.Fatal("aborted construction must not return a diagram")
+	}
+	var be *guard.ErrBudgetExceeded
+	if !errors.As(err, &be) || be.Kind != guard.KindNodes {
+		t.Fatalf("want fdd_nodes trip, got %v", err)
+	}
+	if u := b.Usage(); u.Nodes > 2*limit {
 		t.Fatalf("charged %d nodes against a %d limit: abort is not prompt", u.Nodes, limit)
 	}
 }

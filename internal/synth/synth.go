@@ -19,6 +19,7 @@
 package synth
 
 import (
+	"math"
 	"math/rand"
 
 	"diversefw/internal/field"
@@ -184,18 +185,19 @@ func drawProto(r *rand.Rand, schema *field.Schema) interval.Set {
 	}
 }
 
-// Adversarial generates a worst-case blowup policy: n-1 "staircase"
-// rules plus a catch-all, engineered to maximize the subgraph copying of
-// the paper's append construction (Section 3). Every rule constrains
-// every field to a staircase interval [i*step, i*step+span] with span
-// much larger than step, so rule i's interval partially overlaps the
-// intervals of many earlier rules in every field at once. Each partial
-// overlap forces an edge split, and each split copies the entire
-// subgraph hanging below the edge — at every level of the diagram — so
-// the work of one append multiplies across fields: this is the
-// exponential regime the work budgets (internal/guard) exist to stop.
-// Decisions alternate, so no rule is redundant and every shell of the
-// staircase keeps its own decision region.
+// Adversarial generates a worst-case construction policy: n-1 boxes plus
+// a catch-all, engineered so that the reduced FDD itself is large.
+// Every rule constrains every field to an interval half the domain wide,
+// placed at an independent position per field: the offset of rule i in
+// field f is the fractional part of (i+1)·√p_f for the f-th prime p_f (a
+// Weyl sequence), scaled to the lower half of the domain. Because the
+// positions are uncorrelated across fields, no field's partition
+// determines another's, so the diagram must enumerate the box overlaps
+// field by field: the reduced FDD grows roughly as n³ (measured below),
+// and so does the number of nodes construction creates. Decisions
+// alternate, so overlapping boxes keep distinct decision regions.
+// (Boxes sharing one position sequence across fields would not do: their
+// reduced diagram stays small, and construction interns as it goes.)
 //
 // The output is deterministic in n alone: regression tests pin the node
 // counts at which budgets trip.
@@ -210,24 +212,10 @@ func Adversarial(n int) *rule.Policy {
 		pred := make(rule.Predicate, d)
 		for f := 0; f < d; f++ {
 			dom := schema.Domain(f)
-			size := dom.Hi - dom.Lo + 1
-			// ~2n steps across the domain, each interval spanning half
-			// of it: every pair of rules within n/1 steps overlaps
-			// partially in every field.
-			step := size / uint64(2*n)
-			if step == 0 {
-				step = 1
-			}
-			span := size / 2
-			lo := dom.Lo + uint64(i)*step
-			if lo > dom.Hi {
-				lo = dom.Hi
-			}
-			hi := lo + span
-			if hi > dom.Hi {
-				hi = dom.Hi
-			}
-			pred[f] = interval.SetFromInterval(interval.MustNew(lo, hi))
+			half := (dom.Hi - dom.Lo + 1) / 2
+			_, frac := math.Modf(float64(i+1) * math.Sqrt(float64(weylPrimes[f%len(weylPrimes)])))
+			lo := dom.Lo + uint64(frac*float64(half))
+			pred[f] = interval.SetFromInterval(interval.MustNew(lo, lo+half-1))
 		}
 		dec := rule.Accept
 		if i%2 == 1 {
@@ -238,10 +226,15 @@ func Adversarial(n int) *rule.Policy {
 	rules = append(rules, rule.CatchAll(schema, rule.Discard))
 	p, err := rule.NewPolicy(schema, rules)
 	if err != nil {
-		panic(err) // staircase intervals are always in-domain
+		panic(err) // boxes start in the lower half and span half: always in-domain
 	}
 	return p
 }
+
+// weylPrimes seed Adversarial's per-field positions: square roots of
+// distinct primes are linearly independent over the rationals, so the
+// fields' offset sequences never line up.
+var weylPrimes = []int{2, 3, 5, 7, 11, 13, 17, 19}
 
 // RealLife generates a policy shaped like the paper's two real-life
 // subjects (661 and 42 rules): a tighter pool of subnets (one
