@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"diversefw/internal/engine"
 	"diversefw/internal/field"
 	"diversefw/internal/frontend"
 	"diversefw/internal/rule"
@@ -141,6 +142,10 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 	}
 	if a, b := rule.FormatPolicy(pNative), rule.FormatPolicy(pNft); a != b {
 		t.Fatalf("lowered IR differs:\n%s\nvs\n%s", a, b)
+	}
+	// ...and so do their content addresses, which hash the IR itself.
+	if a, b := engine.PolicyHash(pNative), engine.PolicyHash(pNft); a != b {
+		t.Fatalf("PolicyHash differs for identical IR: %s vs %s", a, b)
 	}
 
 	// One shared cache entry: diffing the two encodings compiles once.

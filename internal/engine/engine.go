@@ -5,10 +5,11 @@
 // everything per call. The engine content-addresses the expensive
 // intermediate results so repeated work is served from memory:
 //
-//   - Compile caches (schema, canonical-policy-hash) -> parsed policy +
-//     constructed, reduced FDD. Two requests carrying the same policy —
-//     regardless of whitespace, comments, or value spelling — share one
-//     construction.
+//   - Compile caches PolicyHash -> parsed policy + constructed, reduced
+//     FDD. The hash is taken over the rule IR (schema plus canonical
+//     interval sets), so two requests carrying the same policy —
+//     regardless of source format, whitespace, comments, or value
+//     spelling — share one construction.
 //   - Diff caches (hash(A), hash(B)) -> the full comparison report, so a
 //     repeated diff of the same pair costs two hash lookups. Reusing the
 //     report also makes discrepancy row numbering stable across /v1/diff
@@ -30,17 +31,16 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
 	"diversefw/internal/chaos"
 	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
-	"diversefw/internal/field"
 	"diversefw/internal/guard"
 	"diversefw/internal/impact"
 	"diversefw/internal/metrics"
@@ -86,8 +86,8 @@ type Compiled struct {
 	// checkpoint (see ImpactEdits). Its extra node store is charged to
 	// SizeBytes.
 	Builder *fdd.Builder
-	// Hash is the content address: sha256 over the schema signature and
-	// the canonical policy text.
+	// Hash is the content address, PolicyHash(Policy): sha256 over the
+	// schema key and the policy's canonical interval sets.
 	Hash string
 	// SizeBytes is the resident-memory estimate the LRU charges.
 	SizeBytes int64
@@ -97,12 +97,6 @@ type Compiled struct {
 type Engine struct {
 	compiled *lruCache[*Compiled]
 	reports  *lruCache[*compare.Report]
-	// derived maps (baseHash, editScriptHash) -> afterHash: the cheap
-	// "derived-from" edge of the compile cache. It only short-circuits
-	// hashing the edited policy text; the compilation itself is always
-	// fetched by content address, so a stale edge is a miss, never a
-	// wrong answer.
-	derived *lruCache[string]
 
 	compileFlights flightGroup[*Compiled]
 	reportFlights  flightGroup[*compare.Report]
@@ -138,7 +132,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		compiled:  newLRU[*Compiled](cfg.CompileCacheBytes),
 		reports:   newLRU[*compare.Report](cfg.ReportCacheBytes),
-		derived:   newLRU[string](derivedCacheBytes),
 		construct: fdd.NewBuilderContext,
 		resume: func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
 			return base.Resume(ctx, after)
@@ -151,17 +144,38 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// PolicyHash returns the canonical content address of a parsed policy:
-// sha256 over the schema signature and rule.FormatPolicy's canonical
-// rendering, so formatting differences (whitespace, comments, value
-// spelling) do not split cache entries.
+// PolicyHash returns the content address of a parsed policy: sha256 over
+// its IR, not any text. The input is the schema's key (every member
+// field.Schema.Equal compares), then per rule the decision as a uvarint
+// followed by each field's canonical interval key (interval.Set.AppendKey).
+// Both encodings are count-prefixed and canonical, so equal policies share
+// an address whatever their source format, whitespace, comments or value
+// spelling, and different policies get different ones. The rules stream
+// through one fixed buffer, so the allocation count does not grow with the
+// policy.
 func PolicyHash(p *rule.Policy) string {
 	h := sha256.New()
-	io.WriteString(h, p.Schema.String())
-	h.Write([]byte{0})
-	io.WriteString(h, rule.FormatPolicy(p))
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [2 * hashFlushBytes]byte
+	b := p.Schema.AppendKey(buf[:0])
+	for _, r := range p.Rules {
+		b = binary.AppendUvarint(b, uint64(r.Decision))
+		for _, s := range r.Pred {
+			b = s.AppendKey(b)
+		}
+		if len(b) >= hashFlushBytes {
+			h.Write(b)
+			b = b[:0]
+		}
+	}
+	h.Write(b)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
+
+// hashFlushBytes is how much encoded IR PolicyHash gathers before feeding
+// the digest. A five-field rule of single intervals encodes in under 100
+// bytes, so the buffer only grows for rules with very many intervals.
+const hashFlushBytes = 512
 
 // Compile returns the compiled form of p, from the cache when its content
 // address is resident, deduplicating concurrent identical compilations.
@@ -381,9 +395,7 @@ var errNoBuilder = errors.New("engine: base compilation has no builder")
 //     policy's builder from the deepest checkpoint the edits left
 //     untouched, re-appending only the suffix;
 //   - the diff (the engine's one walk, see diff) short-circuits in O(1)
-//     on the subgraphs the incremental build shares with the base FDD;
-//   - a derived-from edge (baseHash, editScriptHash) -> afterHash skips
-//     re-hashing the edited policy on repeat edits.
+//     on the subgraphs the incremental build shares with the base FDD.
 //
 // A failed incremental build falls back to scratch construction and the
 // failure is never cached; budget charging and singleflight semantics
@@ -406,12 +418,7 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	editKey := cb.Hash + "|" + editScriptHash(before.Schema, edits)
-	afterHash, derivedHit := e.derived.get(editKey)
-	e.observeGet(cacheDerived, derivedHit)
-	if !derivedHit {
-		afterHash = PolicyHash(after)
-	}
+	afterHash := PolicyHash(after)
 	stats.AfterHash = afterHash
 	ca, hitA, res, err := e.compileIncremental(ctx, cb, after, afterHash)
 	if err != nil {
@@ -423,9 +430,6 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	stats.Incremental = res.incremental
 	stats.CheckpointRules = res.stats.CheckpointRules
 	stats.RulesReappended = res.stats.RulesReappended
-	if !derivedHit {
-		e.derived.add(editKey, afterHash, int64(len(editKey)+len(afterHash)))
-	}
 	r, cached, err := e.diff(ctx, cb, ca, time.Since(start))
 	stats.ReportCached = cached
 	if err != nil {
@@ -526,18 +530,6 @@ func (e *Engine) compileIncremental(ctx context.Context, base *Compiled, after *
 	return res.c, false, res, nil
 }
 
-// editScriptHash content-addresses an edit script by its canonical
-// impact.FormatEdit rendering, one edit per line, so equivalent scripts
-// arriving with different spelling share one derived-from edge.
-func editScriptHash(schema *field.Schema, edits []impact.Edit) string {
-	h := sha256.New()
-	for _, ed := range edits {
-		io.WriteString(h, impact.FormatEdit(schema, ed))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // isAbort reports whether the error is a cancellation or budget crossing
 // — failures the scratch path would reproduce, so falling back is waste.
 func isAbort(err error) bool {
@@ -634,12 +626,7 @@ func (e *Engine) Stats() Stats {
 const (
 	cacheCompile = "compile"
 	cacheReport  = "report"
-	cacheDerived = "derived"
 )
-
-// derivedCacheBytes bounds the derived-from edge cache; entries are two
-// hashes plus a short script hash, so a megabyte holds thousands.
-const derivedCacheBytes = 1 << 20
 
 // budgeted attaches a fresh work budget from the engine's limits to a
 // flight context, unless the caller already supplied one (a request

@@ -66,8 +66,7 @@ func TestImpactEditsIncremental(t *testing.T) {
 			len(r.Discrepancies), len(paper.Discrepancies))
 	}
 
-	// Second identical call: everything cached, including the derived
-	// edge; no new construction.
+	// Second identical call: everything cached; no new construction.
 	compilations := e.Stats().Compilations
 	_, r2, st2, err := e.ImpactEdits(context.Background(), before, edits)
 	if err != nil {
@@ -86,7 +85,7 @@ func TestImpactEditsIncremental(t *testing.T) {
 		t.Fatalf("second call compiled again (%d -> %d)", compilations, got)
 	}
 	if st2.AfterHash != st.AfterHash {
-		t.Fatalf("derived edge returned a different after hash")
+		t.Fatalf("repeat call addressed the edited policy differently")
 	}
 }
 

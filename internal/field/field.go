@@ -9,6 +9,7 @@
 package field
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -126,6 +127,23 @@ func (s *Schema) Equal(other *Schema) bool {
 		}
 	}
 	return true
+}
+
+// AppendKey appends a binary encoding of everything Equal compares to b
+// and returns the extended slice: a uvarint field count, then per field
+// its length-prefixed name, domain bounds and kind as uvarints. Equal
+// schemas produce equal keys and the encoding is uniquely decodable, so
+// it can lead a longer content key (see engine.PolicyHash).
+func (s *Schema) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.fields)))
+	for _, f := range s.fields {
+		b = binary.AppendUvarint(b, uint64(len(f.Name)))
+		b = append(b, f.Name...)
+		b = binary.AppendUvarint(b, f.Domain.Lo)
+		b = binary.AppendUvarint(b, f.Domain.Hi)
+		b = binary.AppendUvarint(b, uint64(f.Kind))
+	}
+	return b
 }
 
 // String renders the schema as "name:domain" pairs.

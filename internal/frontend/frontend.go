@@ -7,9 +7,9 @@
 // Zaliva's "Platform-Independent Firewall Policy Representation" argues
 // for exactly this shape: one abstract model, per-platform frontends.
 // Because every frontend lowers to the same canonical IR — and the
-// engine content-addresses compilations over rule.FormatPolicy's
-// canonical rendering — the same policy arriving as nftables ruleset
-// text and as native rule DSL shares a single compiled FDD.
+// engine content-addresses compilations by that IR (engine.PolicyHash)
+// — the same policy arriving as nftables ruleset text and as native
+// rule DSL shares a single compiled FDD.
 //
 // Registered formats:
 //

@@ -139,9 +139,7 @@ func ParseEdits(schema *field.Schema, script string) ([]Edit, error) {
 }
 
 // FormatEdit renders the edit in the script syntax ParseEdit accepts
-// (1-based positions), and is its inverse up to whitespace. Besides the
-// CLI round trip, it is the canonical serialization the engine hashes to
-// key the derived-from compile-cache edge (see engine.ImpactEdits).
+// (1-based positions), and is its inverse up to whitespace.
 func FormatEdit(schema *field.Schema, e Edit) string {
 	switch e.Kind {
 	case InsertRule:

@@ -151,8 +151,13 @@ type Set struct {
 // NewSet returns the canonical set covering exactly the union of the given
 // intervals (which may overlap, touch, and arrive in any order).
 func NewSet(ivs ...Interval) Set {
-	if len(ivs) == 0 {
+	switch len(ivs) {
+	case 0:
 		return Set{}
+	case 1:
+		// One interval is already canonical; a fresh slice keeps the set
+		// from aliasing the caller's.
+		return Set{ivs: []Interval{ivs[0]}}
 	}
 	sorted := make([]Interval, len(ivs))
 	copy(sorted, ivs)

@@ -150,7 +150,19 @@ func trailingZeros(v uint64, width int) int {
 
 // FormatIPv4 renders a 32-bit integer as dotted-quad notation.
 func FormatIPv4(v uint64) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	return string(AppendIPv4(nil, v))
+}
+
+// AppendIPv4 appends FormatIPv4's dotted quad to b and returns the
+// extended slice.
+func AppendIPv4(b []byte, v uint64) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(v>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
 }
 
 // ParseIPv4 parses dotted-quad notation to a 32-bit integer.

@@ -83,7 +83,13 @@ func ParseRule(schema *field.Schema, line string) (Rule, error) {
 
 	pred := FullPredicate(schema)
 	if !strings.EqualFold(predText, "any") && predText != "*" && predText != "" {
-		seen := make(map[int]bool)
+		// seen is a field bitmask: one word covers every standard
+		// schema, and only schemas past 64 fields spill to the heap.
+		var seenWord [1]uint64
+		seen := seenWord[:]
+		if n := schema.NumFields(); n > 64 {
+			seen = make([]uint64, (n+63)/64)
+		}
 		for _, conj := range strings.Split(predText, "&&") {
 			conj = strings.TrimSpace(conj)
 			name, valText, ok := cutConjunct(conj)
@@ -94,10 +100,11 @@ func ParseRule(schema *field.Schema, line string) (Rule, error) {
 			if fi < 0 {
 				return Rule{}, fmt.Errorf("rule: unknown field %q", name)
 			}
-			if seen[fi] {
+			word, bit := fi/64, uint64(1)<<(fi%64)
+			if seen[word]&bit != 0 {
 				return Rule{}, fmt.Errorf("rule: field %q appears twice", name)
 			}
-			seen[fi] = true
+			seen[word] |= bit
 			set, err := ParseValueSet(schema.Field(fi), valText)
 			if err != nil {
 				return Rule{}, err
@@ -210,77 +217,115 @@ func parseValueAtom(f field.Field, atom string) (interval.Interval, error) {
 // render complemented ("!25", "!224.168.0.0/16") — the paper's "N != 25"
 // and "S not in the malicious domain" style.
 func FormatValueSet(f field.Field, s interval.Set) string {
-	if s.Equal(interval.SetFromInterval(f.Domain)) {
-		return "*"
-	}
-	if c := s.ComplementWithin(f.Domain); !c.Empty() && c.NumIntervals() < s.NumIntervals() {
-		inner := formatAtoms(f, c)
-		if strings.Contains(inner, "|") {
-			return "!(" + inner + ")"
+	return string(appendValueSet(nil, f, s))
+}
+
+// appendValueSet appends FormatValueSet's rendering of s to b. It picks
+// the complemented form from interval counts and builds the complement
+// only when it prints it.
+func appendValueSet(b []byte, f field.Field, s interval.Set) []byte {
+	dom := f.Domain
+	lo, _ := s.Min()
+	hi, _ := s.Max()
+	complement := false
+	switch {
+	case s.Empty():
+	case lo < dom.Lo || hi > dom.Hi:
+		// Values outside the domain (a validated policy has none): the
+		// count argument below does not hold, so build the complement.
+		c := s.ComplementWithin(dom)
+		complement = !c.Empty() && c.NumIntervals() < s.NumIntervals()
+	case lo == dom.Lo && hi == dom.Hi:
+		if s.NumIntervals() == 1 {
+			return append(b, '*')
 		}
-		return "!" + inner
+		// Within the domain, the complement of n intervals is the n-1
+		// gaps between them plus one interval per domain end s leaves
+		// uncovered. It is strictly simpler exactly when s reaches both.
+		complement = true
 	}
-	return formatAtoms(f, s)
+	if !complement {
+		return appendAtoms(b, f, s)
+	}
+	c := s.ComplementWithin(dom)
+	if c.NumIntervals() == 1 {
+		return appendAtoms(append(b, '!'), f, c)
+	}
+	b = appendAtoms(append(b, "!("...), f, c)
+	return append(b, ')')
 }
 
-func formatAtoms(f field.Field, s interval.Set) string {
-	var parts []string
-	for _, iv := range s.Intervals() {
-		parts = append(parts, formatValueInterval(f, iv))
+func appendAtoms(b []byte, f field.Field, s interval.Set) []byte {
+	var buf [8]interval.Interval
+	for i, iv := range s.AppendIntervals(buf[:0]) {
+		if i > 0 {
+			b = append(b, '|')
+		}
+		b = appendValueInterval(b, f, iv)
 	}
-	return strings.Join(parts, "|")
+	return b
 }
 
-func formatValueInterval(f field.Field, iv interval.Interval) string {
+func appendValueInterval(b []byte, f field.Field, iv interval.Interval) []byte {
 	switch f.Kind {
 	case field.KindIPv4:
 		// Prefer a single CIDR block; fall back to an address range.
 		if ps, err := prefix.FromInterval(iv, 32); err == nil && len(ps) == 1 {
+			b = prefix.AppendIPv4(b, ps[0].Bits)
 			if ps[0].Len == 32 {
-				return prefix.FormatIPv4(ps[0].Bits)
+				return b
 			}
-			return fmt.Sprintf("%s/%d", prefix.FormatIPv4(ps[0].Bits), ps[0].Len)
+			return strconv.AppendInt(append(b, '/'), int64(ps[0].Len), 10)
 		}
-		return prefix.FormatIPv4(iv.Lo) + "-" + prefix.FormatIPv4(iv.Hi)
+		b = prefix.AppendIPv4(b, iv.Lo)
+		return prefix.AppendIPv4(append(b, '-'), iv.Hi)
 	case field.KindProto:
 		if iv.Lo == iv.Hi {
 			if name, ok := protoNames[iv.Lo]; ok {
-				return name
+				return append(b, name...)
 			}
 		}
 	}
+	b = strconv.AppendUint(b, iv.Lo, 10)
 	if iv.Lo == iv.Hi {
-		return strconv.FormatUint(iv.Lo, 10)
+		return b
 	}
-	return strconv.FormatUint(iv.Lo, 10) + "-" + strconv.FormatUint(iv.Hi, 10)
+	return strconv.AppendUint(append(b, '-'), iv.Hi, 10)
 }
 
 // FormatRule renders the rule in the parseable text format, omitting
 // full-domain conjuncts.
 func FormatRule(schema *field.Schema, r Rule) string {
-	var conjs []string
+	return string(appendRule(nil, schema, r))
+}
+
+// appendRule appends FormatRule's rendering of r to b.
+func appendRule(b []byte, schema *field.Schema, r Rule) []byte {
+	start := len(b)
 	for fi, s := range r.Pred {
 		f := schema.Field(fi)
 		if s.Equal(interval.SetFromInterval(f.Domain)) {
 			continue
 		}
-		conjs = append(conjs, f.Name+" in "+FormatValueSet(f, s))
+		if len(b) > start {
+			b = append(b, " && "...)
+		}
+		b = append(append(b, f.Name...), " in "...)
+		b = appendValueSet(b, f, s)
 	}
-	pred := "any"
-	if len(conjs) > 0 {
-		pred = strings.Join(conjs, " && ")
+	if len(b) == start {
+		b = append(b, "any"...)
 	}
-	return pred + " -> " + r.Decision.String()
+	return append(append(b, " -> "...), r.Decision.String()...)
 }
 
 // FormatPolicy renders the whole policy, one rule per line.
 func FormatPolicy(p *Policy) string {
-	var sb strings.Builder
+	var b []byte
 	for _, r := range p.Rules {
-		sb.WriteString(FormatRule(p.Schema, r))
-		sb.WriteByte('\n')
+		b = append(appendRule(b, p.Schema, r), '\n')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // WritePolicy writes FormatPolicy output to w.

@@ -1,11 +1,14 @@
 package rule
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
+	"diversefw/internal/prefix"
 )
 
 func TestParseRuleBasics(t *testing.T) {
@@ -93,6 +96,26 @@ func TestParseRuleErrors(t *testing.T) {
 	for _, line := range bad {
 		if _, err := ParseRule(s, line); err == nil {
 			t.Errorf("ParseRule(%q) should fail", line)
+		}
+	}
+}
+
+// TestParseRuleDuplicateFieldWide covers the duplicate-field bitmask on
+// a schema wider than one 64-bit word.
+func TestParseRuleDuplicateFieldWide(t *testing.T) {
+	t.Parallel()
+	fields := make([]field.Field, 70)
+	for i := range fields {
+		fields[i] = field.Field{Name: fmt.Sprintf("f%d", i), Domain: interval.MustNew(0, 9), Kind: field.KindInt}
+	}
+	s := field.MustSchema(fields...)
+	if _, err := ParseRule(s, "f3 in 1 && f67 in 2 && f64 in 3 -> accept"); err != nil {
+		t.Fatalf("distinct fields rejected: %v", err)
+	}
+	for _, line := range []string{"f67 in 1 && f67 in 2 -> accept", "f3 in 1 && f3 in 2 -> accept"} {
+		_, err := ParseRule(s, line)
+		if err == nil || !strings.Contains(err.Error(), "appears twice") {
+			t.Errorf("ParseRule(%q) err = %v, want duplicate-field error", line, err)
 		}
 	}
 }
@@ -255,6 +278,116 @@ func TestFormatValueSet(t *testing.T) {
 	}
 	if got := FormatValueSet(protoF, interval.SetOf(99, 99)); got != "99" {
 		t.Fatalf("unknown proto = %q", got)
+	}
+}
+
+// formatValueSetReference is FormatValueSet as first written: it builds
+// the complement to count its intervals and renders atoms with
+// fmt.Sprintf. FormatValueSet must stay byte-identical to it.
+func formatValueSetReference(f field.Field, s interval.Set) string {
+	atoms := func(s interval.Set) string {
+		var parts []string
+		for _, iv := range s.Intervals() {
+			var atom string
+			switch {
+			case f.Kind == field.KindIPv4:
+				quad := func(v uint64) string {
+					return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+				}
+				if ps, err := prefix.FromInterval(iv, 32); err == nil && len(ps) == 1 {
+					atom = fmt.Sprintf("%s/%d", quad(ps[0].Bits), ps[0].Len)
+					if ps[0].Len == 32 {
+						atom = quad(ps[0].Bits)
+					}
+				} else {
+					atom = quad(iv.Lo) + "-" + quad(iv.Hi)
+				}
+			case f.Kind == field.KindProto && iv.Lo == iv.Hi && protoNames[iv.Lo] != "":
+				atom = protoNames[iv.Lo]
+			case iv.Lo == iv.Hi:
+				atom = fmt.Sprintf("%d", iv.Lo)
+			default:
+				atom = fmt.Sprintf("%d-%d", iv.Lo, iv.Hi)
+			}
+			parts = append(parts, atom)
+		}
+		return strings.Join(parts, "|")
+	}
+	if s.Equal(interval.SetFromInterval(f.Domain)) {
+		return "*"
+	}
+	if c := s.ComplementWithin(f.Domain); !c.Empty() && c.NumIntervals() < s.NumIntervals() {
+		inner := atoms(c)
+		if strings.Contains(inner, "|") {
+			return "!(" + inner + ")"
+		}
+		return "!" + inner
+	}
+	return atoms(s)
+}
+
+// TestFormatValueSetMatchesReference pins FormatValueSet, which picks the
+// complemented form from interval counts, to the reference that builds
+// the complement: a table of the edge cases (each domain end covered or
+// not, one to three intervals, out-of-domain values), then random sets.
+func TestFormatValueSetMatchesReference(t *testing.T) {
+	t.Parallel()
+	port := field.Field{Name: "p", Domain: interval.MustNew(0, 65535), Kind: field.KindPort}
+	proto := field.Field{Name: "proto", Domain: interval.MustNew(0, 255), Kind: field.KindProto}
+	addr := field.Field{Name: "src", Domain: interval.MustNew(0, 1<<32-1), Kind: field.KindIPv4}
+	small := field.Field{Name: "x", Domain: interval.MustNew(0, 10), Kind: field.KindInt}
+	set := func(bounds ...uint64) interval.Set {
+		var ivs []interval.Interval
+		for i := 0; i < len(bounds); i += 2 {
+			ivs = append(ivs, interval.MustNew(bounds[i], bounds[i+1]))
+		}
+		return interval.NewSet(ivs...)
+	}
+	cases := []struct {
+		f    field.Field
+		s    interval.Set
+		want string
+	}{
+		{port, set(0, 65535), "*"},
+		{port, set(25, 25), "25"},
+		{port, set(0, 24, 26, 65535), "!25"},
+		{port, set(0, 24, 26, 79, 81, 65535), "!(25|80)"},
+		{port, set(0, 24, 26, 65534), "0-24|26-65534"},
+		{port, set(1, 24, 26, 65535), "1-24|26-65535"},
+		{port, set(1, 24, 26, 65534), "1-24|26-65534"},
+		{port, set(80, 80, 443, 443), "80|443"},
+		{proto, set(0, 5, 7, 255), "!tcp"},
+		{proto, set(6, 6, 17, 17), "tcp|udp"},
+		{addr, set(0, 0xE0A7FFFF, 0xE0A90000, 1<<32-1), "!224.168.0.0/16"},
+		{addr, set(0x0A000001, 0x0A000005), "10.0.0.1-10.0.0.5"},
+		{small, interval.Set{}, ""},
+		// Out-of-domain values: the count argument does not apply.
+		{small, set(0, 2, 5, 6, 8, 20), "!(3-4|7)"},
+		{small, set(3, 4, 20, 30, 40, 50), "!(0-2|5-10)"},
+		{small, set(20, 30), "20-30"},
+	}
+	for _, tc := range cases {
+		got, ref := FormatValueSet(tc.f, tc.s), formatValueSetReference(tc.f, tc.s)
+		if got != tc.want || ref != tc.want {
+			t.Errorf("%s %v: got %q, reference %q, want %q", tc.f.Name, tc.s, got, ref, tc.want)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		f := []field.Field{port, proto, addr, small}[i%4]
+		hi := f.Domain.Hi
+		var ivs []interval.Interval
+		for k := r.Intn(4); k >= 0; k-- {
+			lo := uint64(r.Int63n(int64(hi) + 1))
+			if r.Intn(4) == 0 {
+				lo = []uint64{0, hi}[r.Intn(2)]
+			}
+			ivs = append(ivs, interval.MustNew(lo, lo+uint64(r.Int63n(int64(hi-lo)+1))))
+		}
+		s := interval.NewSet(ivs...)
+		if got, ref := FormatValueSet(f, s), formatValueSetReference(f, s); got != ref {
+			t.Fatalf("%s %v: got %q, reference %q", f.Name, s, got, ref)
+		}
 	}
 }
 

@@ -19,6 +19,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# Benchmarks compile only under -bench, so the content-address one runs
+# a single iteration here: an engine or synth API change that breaks it
+# fails this gate instead of the next person who profiles hashing.
+go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
+
 # The served-request benchmark is a module of its own (bench/go.mod), so
 # the commands above never compile it. It calls engine, compare, fdd,
 # jobs and api exports directly; vetting and short-testing it here makes
