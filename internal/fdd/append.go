@@ -10,7 +10,7 @@ import (
 // checkpointEvery is how many appended rules pass between checkpoints:
 // the partial diagram's root is promoted into the builder family's
 // store, recorded as a resume point, and the overlay holding the
-// intermediate nodes since the previous checkpoint is dropped.
+// intermediate nodes since the previous checkpoint is emptied.
 const checkpointEvery = 32
 
 // appender holds the per-construction state of the append algorithm
@@ -20,9 +20,8 @@ const checkpointEvery = 32
 // a later reduction would throw away, and "did this rule change the
 // diagram" is a pointer comparison.
 type appender struct {
-	schema *field.Schema
-	fulls  []interval.Set // fulls[k] == schema.FullSet(k)
-	ivbuf  []interval.Interval
+	fulls []interval.Set // fulls[k] == schema.FullSet(k)
+	ivbuf []interval.Interval
 
 	family *Interner // the builder family's store
 	ov     *Interner // overlay of family holding the nodes since the last promotion
@@ -37,10 +36,15 @@ type appender struct {
 
 	// Per-append state: the rule being appended, the memo that visits
 	// each (node, field index) once, and lazily built pieces that depend
-	// only on the rule and a field index.
+	// only on the rule and a field index. A memo entry holds for the
+	// append whose generation it carries: start bumps gen instead of
+	// clearing the map, which would cost the map's peak size per rule.
+	// The map is cleared at promotion, when the overlay nodes it keys on
+	// are released anyway.
 	pred    rule.Predicate
 	dec     rule.Decision
-	memo    map[memoKey]*Node
+	gen     uint32
+	memo    map[memoKey]memoEntry
 	paths   []*Node        // paths[k]: canonical path for pred[k:], or nil
 	outside []interval.Set // outside[k]: fulls[k] minus pred[k], or empty
 
@@ -60,6 +64,13 @@ type memoKey struct {
 	k int
 }
 
+// memoEntry is a memoized subproblem result, valid in the append of
+// generation gen only.
+type memoEntry struct {
+	out *Node
+	gen uint32
+}
+
 // budgetChargeEvery is how many charged units accumulate locally between
 // budget flushes — same order as the cancellation poll interval: crossings
 // are detected within a few hundred nodes of work.
@@ -76,12 +87,11 @@ func newAppender(schema *field.Schema, family *Interner) *appender {
 		fulls[k] = schema.FullSet(k)
 	}
 	return &appender{
-		schema:  schema,
 		fulls:   fulls,
 		family:  family,
 		ov:      newOverlay(family),
 		covered: make(map[*Node]interval.Set),
-		memo:    make(map[memoKey]*Node),
+		memo:    make(map[memoKey]memoEntry),
 		paths:   make([]*Node, d+1),
 		outside: make([]interval.Set, d),
 	}
@@ -120,21 +130,23 @@ func (ap *appender) node(k int, edges []*Edge) *Node {
 	return ap.ov.canonicalize(k, edges, ap.fulls[k], true)
 }
 
-// promote re-interns root into the family store and starts a fresh
-// overlay: the family keeps exactly the nodes reachable from promoted
-// roots, never the intermediate forms between them.
-func (ap *appender) promote(root *Node) *Node {
-	root = ap.family.ReduceNode(ap.schema, root)
+// promote moves the overlay nodes root reaches into the family store
+// and empties the overlay for the next batch: the family keeps exactly
+// the nodes reachable from promoted roots, never the intermediate forms
+// between them, and the nodes it keeps are the ones the appends built.
+// root itself stays the same pointer, now canonical in the family.
+func (ap *appender) promote(root *Node) {
+	ap.ov.adoptInto(root)
 	ap.overlayNodes += ap.ov.NumNodes()
-	ap.ov = newOverlay(ap.family)
+	ap.ov.reset()
 	clear(ap.covered)
-	return root
+	clear(ap.memo)
 }
 
 // start resets the per-append state for rule (pred, d).
 func (ap *appender) start(pred rule.Predicate, d rule.Decision) {
 	ap.pred, ap.dec = pred, d
-	clear(ap.memo)
+	ap.gen++
 	clear(ap.paths)
 	clear(ap.outside)
 }
@@ -216,12 +228,12 @@ func (ap *appender) apply(v *Node, k int) *Node {
 		return v
 	}
 	key := memoKey{v, k}
-	if out, ok := ap.memo[key]; ok {
-		return out
+	if e, ok := ap.memo[key]; ok && e.gen == ap.gen {
+		return e.out
 	}
 	ap.charge(1)
 	out := ap.applyAt(v, k)
-	ap.memo[key] = out
+	ap.memo[key] = memoEntry{out, ap.gen}
 	return out
 }
 
@@ -282,7 +294,7 @@ func (ap *appender) applyAt(v *Node, k int) *Node {
 			edges = make([]*Edge, 0, len(v.Edges)+2)
 			edges = append(edges, v.Edges[:i]...)
 		}
-		if common := e.Label.Intersect(s); common.Equal(e.Label) {
+		if s.ContainsSet(e.Label) {
 			// Case 2: I(e) ⊆ S — the rest of the rule went below e.
 			edges = append(edges, &Edge{Label: e.Label, To: child})
 		} else {
@@ -290,7 +302,7 @@ func (ap *appender) applyAt(v *Node, k int) *Node {
 			// the inside part gets the appended version.
 			edges = append(edges,
 				&Edge{Label: e.Label.Subtract(s), To: e.To},
-				&Edge{Label: common, To: child})
+				&Edge{Label: e.Label.Intersect(s), To: child})
 		}
 	}
 	if edges == nil {

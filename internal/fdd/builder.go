@@ -220,11 +220,11 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 		// The cadence is anchored to absolute rule indices so every
 		// builder in a family snapshots the same prefix lengths.
 		if i%checkpointEvery == 0 {
-			root = ap.promote(root)
+			ap.promote(root)
 			cps = appendCheckpoint(cps, checkpoint{rules: i + 1, root: root})
 		}
 	}
-	root = ap.promote(root)
+	ap.promote(root)
 	if sp != nil {
 		// The build's work: every node it interned, most of them in
 		// intermediate diagrams the promotions dropped.

@@ -2,8 +2,10 @@ package fdd
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"diversefw/internal/interval"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
 )
@@ -261,4 +263,29 @@ func flip(d rule.Decision) rule.Decision {
 		return rule.Discard
 	}
 	return rule.Accept
+}
+
+// TestIncompleteErrorText pins the completeness check's message: it
+// names the first uncovered node's field, the canonical union of its
+// edge labels (here gathered from three edges, two of them touching)
+// and the field's domain.
+func TestIncompleteErrorText(t *testing.T) {
+	schema := quickSchema()
+	full := schema.FullSet(0)
+	mk := func(b interval.Set, d rule.Decision) rule.Rule {
+		return rule.Rule{Pred: rule.Predicate{full, b, full}, Decision: d}
+	}
+	p := &rule.Policy{Schema: schema, Rules: []rule.Rule{
+		mk(interval.SetOf(8, 9), rule.Accept),
+		mk(interval.SetOf(10, 20), rule.Discard),
+		mk(interval.SetOf(30, 31), rule.Accept),
+	}}
+	_, err := NewBuilder(p)
+	if !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("NewBuilder: %v, want ErrIncomplete", err)
+	}
+	const want = "fdd: policy is not comprehensive: node labeled b covers only {[8, 20], [30, 31]} of [0, 63]"
+	if err.Error() != want {
+		t.Fatalf("error text:\n got %q\nwant %q", err.Error(), want)
+	}
 }

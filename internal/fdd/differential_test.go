@@ -231,6 +231,45 @@ func assertStoreIsReachable(t *testing.T, in *Interner, bs ...*Builder) {
 			t.Fatalf("store holds a node no promoted root reaches")
 		}
 	}
+	assertStoreIndexed(t, in)
+}
+
+// assertStoreIndexed checks that every node of in can be found again
+// the way intern looks for it: under its own dense id, and in the bucket
+// of the hash it has under the store's current ids (or, for a terminal,
+// in the decision table). A node adopted from an overlay keeps its
+// overlay hash only if promotion forgot to re-hash it, and then a later
+// equal node would miss it and be interned twice.
+func assertStoreIndexed(t *testing.T, in *Interner) {
+	t.Helper()
+	chained := 0
+	for _, chain := range in.buckets {
+		chained += len(chain)
+	}
+	terminals := 0
+	for i, n := range in.nodes {
+		if id, _ := in.id(n); int(id) != i {
+			t.Fatalf("store node %d has id %d", i, id)
+		}
+		if n.IsTerminal() {
+			terminals++
+			if in.terms[n.Decision] != n {
+				t.Fatalf("terminal %v is not the store's canonical terminal", n.Decision)
+			}
+			continue
+		}
+		h, _ := in.hashNode(n)
+		found := false
+		for _, c := range in.buckets[h] {
+			found = found || c == n
+		}
+		if !found {
+			t.Fatalf("store node %d is not in the bucket of its hash", i)
+		}
+	}
+	if chained+terminals != len(in.nodes) {
+		t.Fatalf("buckets chain %d nonterminals, the store holds %d", chained, len(in.nodes)-terminals)
+	}
 }
 
 // staircase is the worst case of the copy-on-write reference append:

@@ -264,18 +264,23 @@ func (f *FDD) Stats() Stats {
 // checkComplete verifies that every node's outgoing edges cover the whole
 // field domain (the completeness property).
 func (f *FDD) checkComplete() error {
+	fulls := make([]interval.Set, f.Schema.NumFields())
+	for k := range fulls {
+		fulls[k] = f.Schema.FullSet(k)
+	}
 	seen := make(map[*Node]bool)
+	var buf []interval.Interval // every edge interval of one node
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if n.IsTerminal() || seen[n] {
 			return nil
 		}
 		seen[n] = true
-		union := interval.Set{}
+		buf = buf[:0]
 		for _, e := range n.Edges {
-			union = union.Union(e.Label)
+			buf = e.Label.AppendIntervals(buf)
 		}
-		if !union.Equal(f.Schema.FullSet(n.Field)) {
+		if union := interval.NewSet(buf...); !union.Equal(fulls[n.Field]) {
 			return fmt.Errorf("node labeled %s covers only %v of %v",
 				f.Schema.Field(n.Field).Name, union, f.Schema.Domain(n.Field))
 		}

@@ -25,7 +25,9 @@ import (
 // node is canonical in exactly one of the two and pointer equality still
 // means functional equality across both. Construction interns its
 // intermediate diagrams into an overlay and promotes only the checkpoint
-// roots into the parent.
+// roots into the parent: adoptInto moves the overlay nodes a root
+// reaches into the parent as they are, and reset empties the overlay's
+// tables for the next batch.
 //
 // An Interner is not safe for concurrent use; parallel pipelines give
 // each worker its own store and re-intern once at the stitch point.
@@ -60,6 +62,47 @@ func newOverlay(parent *Interner) *Interner {
 	in.idBase = uint32(parent.NumNodes())
 	in.hashOverride = parent.hashOverride
 	return in
+}
+
+// adoptInto moves root and the nodes below it that this overlay owns
+// into its parent, children first. No node is copied and no edge
+// rewritten. A node canonical here never equals a parent node: intern
+// consults the parent whenever all of a node's children are in it, and
+// a node with a child canonical here cannot equal a parent node, whose
+// children are all the parent's. So each moved node stays unique; only
+// its hash changes, because ids do, and it is re-hashed under its
+// parent id. The overlay must be reset before it is used again.
+func (in *Interner) adoptInto(root *Node) {
+	p := in.parent
+	var adopt func(n *Node)
+	adopt = func(n *Node) {
+		if p.Canonical(n) {
+			return
+		}
+		if n.IsTerminal() {
+			p.terms[n.Decision] = n
+			p.register(n)
+			return
+		}
+		for _, e := range n.Edges {
+			adopt(e.To)
+		}
+		h, _ := p.hashNode(n)
+		p.buckets[h] = append(p.buckets[h], n)
+		p.register(n)
+	}
+	adopt(root)
+}
+
+// reset empties the overlay, keeping its tables' capacity, and restarts
+// its ids after the parent's current nodes.
+func (in *Interner) reset() {
+	clear(in.buckets)
+	clear(in.terms)
+	clear(in.ids)
+	clear(in.nodes)
+	in.nodes = in.nodes[:0]
+	in.idBase = uint32(in.parent.NumNodes())
 }
 
 // NumNodes returns how many canonical nodes the store holds (an
@@ -254,9 +297,8 @@ func (in *Interner) Reduce(f *FDD) *FDD {
 // are shared, edges to the same child are merged, and nodes whose single
 // merged edge covers the whole field domain are elided. The returned
 // node is canonical in the store. Nodes already canonical in this store
-// are returned as-is without re-walking their subgraphs, which is what
-// makes promoting a checkpoint root out of a construction overlay cheap:
-// only the overlay's part of the diagram is re-interned.
+// are returned as-is without re-walking their subgraphs, so re-reducing
+// a diagram that is mostly canonical copies only its new part.
 func (in *Interner) ReduceNode(schema *field.Schema, root *Node) *Node {
 	fulls := make([]interval.Set, schema.NumFields())
 	for k := range fulls {

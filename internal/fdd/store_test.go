@@ -1,10 +1,12 @@
 package fdd
 
 import (
+	"context"
 	"testing"
 
 	"diversefw/internal/interval"
 	"diversefw/internal/rule"
+	"diversefw/internal/synth"
 )
 
 // storeFDD builds a small complete 3-field diagram in which two
@@ -115,5 +117,90 @@ func TestCanonicalTerminalDedupes(t *testing.T) {
 	}
 	if a == c {
 		t.Fatal("distinct decisions must not share a terminal")
+	}
+}
+
+// TestPromoteAdoptsOverlayNodes drives the append loop by hand and
+// checks each promotion: every node it adds to the family store is a
+// node the overlay created (the same pointer, not a copy), the promoted
+// root is canonical in the family, and the overlay comes back empty.
+func TestPromoteAdoptsOverlayNodes(t *testing.T) {
+	p := synth.RealLife(200, 5)
+	family := NewInterner()
+	ap := newAppender(p.Schema, family)
+	ap.start(p.Rules[0].Pred, p.Rules[0].Decision)
+	root := ap.path(0)
+	for i := 1; i < p.Size(); i++ {
+		r := p.Rules[i]
+		root = ap.appendRule(root, r.Pred, r.Decision)
+		if i%checkpointEvery != 0 && i != p.Size()-1 {
+			continue
+		}
+		created := make(map[*Node]bool, ap.ov.NumNodes())
+		for _, n := range ap.ov.nodes {
+			created[n] = true
+		}
+		before := family.NumNodes()
+		ap.promote(root)
+		if !family.Canonical(root) {
+			t.Fatalf("rule %d: promoted root is not canonical in the family", i)
+		}
+		for _, n := range family.nodes[before:] {
+			if !created[n] {
+				t.Fatalf("rule %d: promotion added a node the overlay did not create", i)
+			}
+		}
+		if ap.ov.NumNodes() != 0 || len(ap.ov.ids) != 0 || len(ap.ov.buckets) != 0 {
+			t.Fatalf("rule %d: overlay not emptied by promotion", i)
+		}
+	}
+	assertStoreIndexed(t, family)
+}
+
+// TestBuildCollisionChaining runs a build and a Resume with every node
+// hashed into one bucket, so adoption has to chain each moved node
+// behind the family's existing ones. The result must be the diagram
+// the default hash builds, and the store must stay deduplicated.
+func TestBuildCollisionChaining(t *testing.T) {
+	p := synth.RealLife(80, 6)
+	after, err := p.DeleteRule(p.Size() - 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := &builderCore{in: NewInterner()}
+	core.in.hashOverride = func(*Node) uint64 { return 42 }
+	core.mu.Lock()
+	b, err := core.build(context.Background(), nil, p, 0, nil, nil, nil)
+	core.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.StoreNodes() != plain.StoreNodes() {
+		t.Fatalf("single-bucket store holds %d nodes, the default-hash one %d", b.StoreNodes(), plain.StoreNodes())
+	}
+	nb, st, err := b.Resume(context.Background(), after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckpointRules == 0 {
+		t.Fatal("resume used no checkpoint")
+	}
+	if len(core.in.buckets) != 1 || len(core.in.buckets[42]) < 2 {
+		t.Fatalf("hash override did not chain the family store: %d buckets", len(core.in.buckets))
+	}
+	assertStoreIsReachable(t, core.in, b, nb)
+	plainAfter, err := NewBuilder(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]*Builder{{b, plain}, {nb, plainAfter}} {
+		got, want := c[0].FDD(), c[1].FDD()
+		if !sameFunction(t, got, want) || got.Stats() != want.Stats() {
+			t.Fatal("single-bucket build differs from the default-hash build")
+		}
 	}
 }

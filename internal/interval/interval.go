@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -97,23 +98,6 @@ func (iv Interval) Intersect(other Interval) (Interval, bool) {
 	return Interval{Lo: lo, Hi: hi}, true
 }
 
-// Subtract returns iv minus other as zero, one, or two disjoint intervals
-// in ascending order.
-func (iv Interval) Subtract(other Interval) []Interval {
-	inter, ok := iv.Intersect(other)
-	if !ok {
-		return []Interval{iv}
-	}
-	var out []Interval
-	if iv.Lo < inter.Lo {
-		out = append(out, Interval{Lo: iv.Lo, Hi: inter.Lo - 1})
-	}
-	if inter.Hi < iv.Hi {
-		out = append(out, Interval{Lo: inter.Hi + 1, Hi: iv.Hi})
-	}
-	return out
-}
-
 // Equal reports whether the two intervals have identical bounds.
 func (iv Interval) Equal(other Interval) bool { return iv == other }
 
@@ -159,21 +143,26 @@ func NewSet(ivs ...Interval) Set {
 		// from aliasing the caller's.
 		return Set{ivs: []Interval{ivs[0]}}
 	}
-	sorted := make([]Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
+	sorted := slices.Clone(ivs)
+	slices.SortFunc(sorted, Interval.Compare)
 	out := sorted[:1]
 	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.Overlaps(*last) || iv.Adjacent(*last) {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-			continue
-		}
-		out = append(out, iv)
+		out = appendMerged(out, iv)
 	}
 	return Set{ivs: out}
+}
+
+// appendMerged appends iv to the canonical list out, whose last interval
+// starts at or before iv.Lo, merging the two when they overlap or touch.
+func appendMerged(out []Interval, iv Interval) []Interval {
+	if n := len(out); n > 0 {
+		last := &out[n-1]
+		if iv.Lo <= last.Hi || iv.Lo-1 == last.Hi {
+			last.Hi = max(last.Hi, iv.Hi)
+			return out
+		}
+	}
+	return append(out, iv)
 }
 
 // SetOf returns the set holding the single interval [lo, hi].
@@ -229,9 +218,21 @@ func (s Set) Contains(v uint64) bool {
 	return i < len(s.ivs) && s.ivs[i].Contains(v)
 }
 
-// ContainsSet reports whether every element of other is in s.
+// ContainsSet reports whether every element of other is in s. Canonical
+// form leaves a gap between any two intervals of s, so each interval of
+// other must lie inside a single interval of s: one walk over both
+// lists, allocating nothing.
 func (s Set) ContainsSet(other Set) bool {
-	return other.Subtract(s).Empty()
+	j := 0
+	for _, iv := range other.ivs {
+		for j < len(s.ivs) && s.ivs[j].Hi < iv.Lo {
+			j++
+		}
+		if j == len(s.ivs) || !s.ivs[j].ContainsInterval(iv) {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether the two sets contain exactly the same integers.
@@ -248,7 +249,8 @@ func (s Set) Equal(other Set) bool {
 	return true
 }
 
-// Union returns the set of integers in s or other.
+// Union returns the set of integers in s or other, merging the two
+// canonical lists in one pass.
 func (s Set) Union(other Set) Set {
 	if s.Empty() {
 		return other
@@ -256,10 +258,18 @@ func (s Set) Union(other Set) Set {
 	if other.Empty() {
 		return s
 	}
-	all := make([]Interval, 0, len(s.ivs)+len(other.ivs))
-	all = append(all, s.ivs...)
-	all = append(all, other.ivs...)
-	return NewSet(all...)
+	a, b := s.ivs, other.ivs
+	out := make([]Interval, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && a[0].Lo <= b[0].Lo {
+			out = appendMerged(out, a[0])
+			a = a[1:]
+		} else {
+			out = appendMerged(out, b[0])
+			b = b[1:]
+		}
+	}
+	return Set{ivs: out}
 }
 
 // Intersect returns the set of integers in both s and other.
@@ -279,27 +289,42 @@ func (s Set) Intersect(other Set) Set {
 	return Set{ivs: out} // pieces are already disjoint, non-adjacent, ordered
 }
 
-// Subtract returns the set of integers in s but not in other.
+// Subtract returns the set of integers in s but not in other. It walks
+// both canonical lists once and allocates only when a piece survives:
+// an empty result costs nothing.
 func (s Set) Subtract(other Set) Set {
 	if s.Empty() || other.Empty() {
 		return s
 	}
 	var out []Interval
+	keep := func(lo, hi uint64) {
+		if out == nil {
+			out = make([]Interval, 0, len(s.ivs)+len(other.ivs))
+		}
+		out = append(out, Interval{Lo: lo, Hi: hi})
+	}
 	j := 0
 	for _, iv := range s.ivs {
-		rest := []Interval{iv}
 		for j < len(other.ivs) && other.ivs[j].Hi < iv.Lo {
 			j++
 		}
-		for k := j; k < len(other.ivs) && len(rest) > 0; k++ {
+		// lo is the first value of iv not yet kept or cut; the cuts
+		// overlapping iv are other.ivs[j:], in order.
+		lo, done := iv.Lo, false
+		for k := j; k < len(other.ivs) && other.ivs[k].Lo <= iv.Hi; k++ {
 			sub := other.ivs[k]
-			if sub.Lo > rest[len(rest)-1].Hi {
+			if sub.Lo > lo {
+				keep(lo, sub.Lo-1)
+			}
+			if sub.Hi >= iv.Hi {
+				done = true
 				break
 			}
-			last := rest[len(rest)-1]
-			rest = append(rest[:len(rest)-1], last.Subtract(sub)...)
+			lo = sub.Hi + 1
 		}
-		out = append(out, rest...)
+		if !done {
+			keep(lo, iv.Hi)
+		}
 	}
 	return Set{ivs: out}
 }

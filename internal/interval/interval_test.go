@@ -151,33 +151,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		a, b Interval
-		want []Interval
-	}{
-		{MustNew(0, 10), MustNew(20, 30), []Interval{MustNew(0, 10)}},
-		{MustNew(0, 10), MustNew(0, 10), nil},
-		{MustNew(0, 10), MustNew(0, 5), []Interval{MustNew(6, 10)}},
-		{MustNew(0, 10), MustNew(5, 10), []Interval{MustNew(0, 4)}},
-		{MustNew(0, 10), MustNew(3, 7), []Interval{MustNew(0, 2), MustNew(8, 10)}},
-		{MustNew(5, 7), MustNew(0, 10), nil},
-	}
-	for _, c := range cases {
-		got := c.a.Subtract(c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("Subtract(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Subtract(%v, %v)[%d] = %v, want %v", c.a, c.b, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
 func TestCompare(t *testing.T) {
 	t.Parallel()
 	cases := []struct {

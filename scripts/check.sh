@@ -24,6 +24,10 @@ go test -race ./...
 # fails this gate instead of the next person who profiles hashing.
 go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
 
+# The construction benchmark likewise runs once, so the bytes/op and
+# allocs/op figures that locate construction garbage stay measurable.
+go test -run '^$' -bench Construct -benchtime 1x ./internal/fdd/
+
 # The served-request benchmark is a module of its own (bench/go.mod), so
 # the commands above never compile it. It calls engine, compare, fdd,
 # jobs and api exports directly; vetting and short-testing it here makes
