@@ -70,9 +70,6 @@ type benchReport struct {
 	// per policy, so its stats are the pair's totals) — the deep FDD
 	// shape of the workload alongside its timings.
 	SpanStats map[string]map[string]int64 `json:"span_stats,omitempty"`
-	// Overload is the admission-control measurement: offered load above
-	// capacity, shed rate, and latency of the admitted requests.
-	Overload *overloadResult `json:"overload,omitempty"`
 	// CalibrationNsPerOp is the ns/op of a fixed allocation-free integer
 	// workload measured alongside the phases. It captures the machine's
 	// speed at snapshot time (host frequency scaling and noisy
@@ -495,12 +492,6 @@ func benchJSON(cfg config) error {
 	report.DurableOverheadPct = measureDurableOverhead()
 	fmt.Printf("durable store overhead: %+.2f%% (journaled fsync=batch vs in-memory crosscompare, median of interleaved pairs)\n", report.DurableOverheadPct)
 	report.SpanStats = spanStats(pa, pb)
-
-	overload, err := runOverload(cfg.benchRules)
-	if err != nil {
-		return err
-	}
-	report.Overload = overload
 
 	if base != nil {
 		report.Baseline = cfg.baseline

@@ -174,7 +174,7 @@ func run(args []string) int {
 	maxPerClient := fs.Int("max-per-client", DefaultMaxPerClient,
 		"admission control: max concurrent analysis requests per client address; over-cap requests get 429 client_over_limit (0 disables)")
 	jobsWorkers := fs.Int("jobs-workers", 4,
-		"async jobs (/v1/jobs): worker pool size for pair comparisons")
+		"worker pool size for every pair comparison: /v1/jobs and /v1/crosscompare pairs")
 	jobsRetention := fs.Duration("jobs-retention", 15*time.Minute,
 		"async jobs: how long finished jobs stay pollable before being purged")
 	jobsJournal := fs.String("jobs-journal", "",

@@ -17,7 +17,8 @@
 //   - internal/core: the multi-team Session workflow and change-impact
 //     facade.
 //   - internal/compare: Diff (two firewalls), CrossCompare and DiffN
-//     (N teams).
+//     (N teams), the paper-reference path; the server schedules its
+//     cross-comparison pairs on internal/jobs' coordinator.
 //   - internal/resolve: the resolution phase generating the final,
 //     verified firewall.
 //   - cmd/: fwdiff, fwimpact, fwresolve, fwquery, fwaudit, fwtopo, fwgen,

@@ -465,25 +465,37 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	// Compilation happens inside each pair (deduplicated by the compile
-	// cache, so each policy is still constructed exactly once): a policy
-	// whose construction trips the budget fails only its own pairs,
-	// and the matrix comes back partial instead of empty.
-	pairs, err := s.eng.CrossComparePolicies(r.Context(), policies)
+	// The pairs run on the job coordinator's workers, as an async job's
+	// do, but the job belongs to this request. Compilation happens inside
+	// each pair (deduplicated by the compile cache, so each policy is
+	// still constructed exactly once): a policy whose construction trips
+	// the budget fails only its own pairs, and the matrix comes back
+	// partial instead of empty.
+	snap, err := s.jobs.Run(r.Context(), jobs.Spec{
+		Kind:       jobs.KindCrossCompare,
+		SchemaName: req.Schema,
+		Names:      names,
+		Policies:   policies,
+	})
+	if errors.Is(err, jobs.ErrClosed) {
+		writeError(w, http.StatusServiceUnavailable, CodeServerOverloaded,
+			fmt.Errorf("server shutting down"))
+		return
+	}
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
 	}
 	resp := CrossCompareResponse{
 		Policies:      names,
-		Pairs:         make([]CrossPair, 0, len(pairs)),
+		Pairs:         make([]CrossPair, 0, len(snap.Pairs)),
 		AllEquivalent: true,
 		ElapsedMillis: float64(time.Since(start).Microseconds()) / 1000,
 	}
-	for _, pr := range pairs {
+	for _, pr := range snap.Pairs {
 		cell := CrossPair{
-			A: names[pr.I],
-			B: names[pr.J],
+			A: names[pr.Pair.I],
+			B: names[pr.Pair.J],
 		}
 		if pr.Err != nil {
 			cell.Error = convertPairError(pr.Err)

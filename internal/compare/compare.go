@@ -514,7 +514,7 @@ type PairReport struct {
 	Report *Report
 	// Err is the pair's failure, nil on success. Cancellation of the
 	// whole cross-comparison is not a pair failure — see
-	// CrossCompareFunc.
+	// CrossCompareContext.
 	Err error
 }
 
@@ -530,31 +530,18 @@ func CrossCompare(policies []*rule.Policy) ([]PairReport, error) {
 // CrossCompareContext is CrossCompare with cancellation: no new pair
 // starts once ctx is canceled, running pairs abort mid-pipeline (see
 // DiffContext), and the call fails with a wrapped ctx.Err().
-func CrossCompareContext(ctx context.Context, policies []*rule.Policy) ([]PairReport, error) {
-	return CrossCompareFunc(ctx, len(policies), func(ctx context.Context, i, j int) (*Report, error) {
-		return DiffContext(ctx, policies[i], policies[j])
-	})
-}
-
-// CrossCompareFunc runs diff over every pair (i, j) with i < j among n
-// items and returns the n*(n-1)/2 reports in deterministic (i, j) order.
-// It owns the scheduling — a GOMAXPROCS-bounded worker pool, no new pair
-// once ctx dies — while the caller owns the comparison itself, which is
-// how a caching layer substitutes memoized reports without reimplementing
-// the fan-out.
 //
 // Failure isolation: a pair whose diff errors is recorded in its own
 // entry (PairReport.Err, wrapped with the pair indices) while every
 // other pair still runs and returns its report — one pathological
-// policy costs its N-1 pairs, not the whole matrix. Only the caller's
-// ctx dying fails the call as a whole: the slice built so far is
-// discarded and the wrapped ctx.Err() is returned, since partial
-// results the caller no longer wants are worthless.
-func CrossCompareFunc(ctx context.Context, n int, diff func(ctx context.Context, i, j int) (*Report, error)) ([]PairReport, error) {
+// policy costs its N-1 pairs, not the whole matrix. Only ctx dying
+// fails the call as a whole: the slice built so far is discarded,
+// since partial results the caller no longer wants are worthless.
+func CrossCompareContext(ctx context.Context, policies []*rule.Policy) ([]PairReport, error) {
 	type pair struct{ i, j int }
 	var pairs []pair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	for i := range policies {
+		for j := i + 1; j < len(policies); j++ {
 			pairs = append(pairs, pair{i, j})
 		}
 	}
@@ -575,7 +562,7 @@ func CrossCompareFunc(ctx context.Context, n int, diff func(ctx context.Context,
 		go func(k int, pr pair) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := diff(ctx, pr.i, pr.j)
+			r, err := DiffContext(ctx, policies[pr.i], policies[pr.j])
 			if err != nil {
 				out[k] = PairReport{I: pr.i, J: pr.j,
 					Err: fmt.Errorf("compare: pair (%d, %d): %w", pr.i, pr.j, err)}

@@ -538,42 +538,6 @@ func isAbort(err error) bool {
 		errors.Is(err, guard.ErrBudget)
 }
 
-// CrossCompare compares every pair among N compiled policies, reusing
-// each FDD across its N-1 pairs and each pair report across requests.
-// Reports come back in deterministic (i, j) order; the worker pool and
-// cancellation semantics are compare.CrossCompareFunc's. A pair that
-// fails — a budget trip, an injected fault — comes back as its own
-// PairReport.Err entry while every other pair still returns its report;
-// only ctx dying fails the whole call.
-func (e *Engine) CrossCompare(ctx context.Context, policies []*Compiled) ([]compare.PairReport, error) {
-	return compare.CrossCompareFunc(ctx, len(policies), func(ctx context.Context, i, j int) (*compare.Report, error) {
-		r, _, err := e.Diff(ctx, policies[i], policies[j])
-		return r, err
-	})
-}
-
-// CrossComparePolicies is CrossCompare for parsed-but-uncompiled
-// policies: each pair compiles its two sides through the compile cache
-// (so each policy is constructed exactly once no matter how many pairs
-// share it — concurrent pairs coalesce on the singleflight) and then
-// diffs them. A policy whose compilation fails poisons only its own
-// pairs: each of them carries the compile error in its PairReport.Err,
-// wrapped with the failing side's index, and the other pairs complete.
-func (e *Engine) CrossComparePolicies(ctx context.Context, policies []*rule.Policy) ([]compare.PairReport, error) {
-	return compare.CrossCompareFunc(ctx, len(policies), func(ctx context.Context, i, j int) (*compare.Report, error) {
-		ca, _, err := e.Compile(ctx, policies[i])
-		if err != nil {
-			return nil, fmt.Errorf("policy %d: %w", i+1, err)
-		}
-		cb, _, err := e.Compile(ctx, policies[j])
-		if err != nil {
-			return nil, fmt.Errorf("policy %d: %w", j+1, err)
-		}
-		r, _, err := e.Diff(ctx, ca, cb)
-		return r, err
-	})
-}
-
 // CacheStats is a point-in-time snapshot of one cache.
 type CacheStats struct {
 	Entries   int    `json:"entries"`

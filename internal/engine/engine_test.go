@@ -300,46 +300,6 @@ func TestDiffPoliciesSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestCrossCompareReusesCompiledFDDs(t *testing.T) {
-	t.Parallel()
-	e := New(Config{})
-	texts := []string{teamA, teamB, "any -> accept\n"}
-	compiled := make([]*Compiled, len(texts))
-	for i, text := range texts {
-		c, _, err := e.Compile(context.Background(), mustPolicy(t, text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		compiled[i] = c
-	}
-	pairs, err := e.CrossCompare(context.Background(), compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3", len(pairs))
-	}
-	for k, want := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-		if pairs[k].I != want[0] || pairs[k].J != want[1] {
-			t.Fatalf("pair %d = (%d, %d), want (%d, %d)", k, pairs[k].I, pairs[k].J, want[0], want[1])
-		}
-	}
-	// N policies, N compilations — the cross comparison itself constructs
-	// nothing.
-	if st := e.Stats(); st.Compilations != uint64(len(texts)) {
-		t.Fatalf("Stats().Compilations = %d, want %d", st.Compilations, len(texts))
-	}
-
-	// Running the same matrix again is all report-cache hits.
-	before := e.Stats().Reports.Hits
-	if _, err := e.CrossCompare(context.Background(), compiled); err != nil {
-		t.Fatal(err)
-	}
-	if hits := e.Stats().Reports.Hits - before; hits != 3 {
-		t.Fatalf("warm cross-compare report hits = %d, want 3", hits)
-	}
-}
-
 func TestCompileEvictionKeepsServing(t *testing.T) {
 	t.Parallel()
 	// A compile cache too small for two entries: the second compile

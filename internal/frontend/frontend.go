@@ -148,6 +148,15 @@ func Parse(format string, schema *field.Schema, text string, opt Options) (*rule
 	return f.Parse(schema, text, opt)
 }
 
+// Field indices of the five-tuple schema the platform formats target.
+const (
+	fSrc = iota
+	fDst
+	fSport
+	fDport
+	fProto
+)
+
 // requireFiveTuple is the schema gate shared by the platform formats.
 func requireFiveTuple(name string, schema *field.Schema) error {
 	if !schema.Equal(field.IPv4FiveTuple()) {

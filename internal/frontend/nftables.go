@@ -325,15 +325,6 @@ func (p *nftParser) selectChain(chains []*nftChain, want string) (*nftChain, boo
 	return nil, false
 }
 
-// Field indices of the five-tuple schema (mirrors internal/iptables).
-const (
-	nfSrc = iota
-	nfDst
-	nfSport
-	nfDport
-	nfProto
-)
-
 // lowerStatement turns one rule statement into an IR rule. Failures are
 // recorded as diagnostics; ok is false then and the caller moves on, so
 // one parse reports every bad rule in the chain.
@@ -369,11 +360,11 @@ func (p *nftParser) lowerStatement(schema *field.Schema, stmt []nfToken) (rule.R
 			var fi int
 			switch sel.text {
 			case "saddr":
-				fi = nfSrc
+				fi = fSrc
 			case "daddr":
-				fi = nfDst
+				fi = fDst
 			case "protocol":
-				fi = nfProto
+				fi = fProto
 			default:
 				p.diag(sel, "unsupported ip selector %q", sel.text)
 				return rule.Rule{}, false
@@ -388,7 +379,7 @@ func (p *nftParser) lowerStatement(schema *field.Schema, stmt []nfToken) (rule.R
 			if t.text == "udp" {
 				proto = 17
 			}
-			if !setField(t, nfProto, interval.NewSet(interval.Point(proto))) {
+			if !setField(t, fProto, interval.NewSet(interval.Point(proto))) {
 				return rule.Rule{}, false
 			}
 			if i+1 >= len(stmt) {
@@ -399,9 +390,9 @@ func (p *nftParser) lowerStatement(schema *field.Schema, stmt []nfToken) (rule.R
 			var fi int
 			switch sel.text {
 			case "sport":
-				fi = nfSport
+				fi = fSport
 			case "dport":
-				fi = nfDport
+				fi = fDport
 			default:
 				p.diag(sel, "unsupported %s selector %q", t.text, sel.text)
 				return rule.Rule{}, false
@@ -416,8 +407,8 @@ func (p *nftParser) lowerStatement(schema *field.Schema, stmt []nfToken) (rule.R
 				p.diag(t, "only meta l4proto is understood")
 				return rule.Rule{}, false
 			}
-			s, next, ok := p.spec(schema, stmt, i+2, nfProto)
-			if !ok || !setField(t, nfProto, s) {
+			s, next, ok := p.spec(schema, stmt, i+2, fProto)
+			if !ok || !setField(t, fProto, s) {
 				return rule.Rule{}, false
 			}
 			i = next

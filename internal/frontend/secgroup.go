@@ -54,15 +54,6 @@ type sgDoc struct {
 	IpPermissions []sgPerm
 }
 
-// Field indices of the five-tuple schema.
-const (
-	sgSrc = iota
-	sgDst
-	sgSport
-	sgDport
-	sgProto
-)
-
 func (secgroup) Parse(schema *field.Schema, text string, _ Options) (*rule.Policy, error) {
 	if err := requireFiveTuple("secgroup", schema); err != nil {
 		return nil, err
@@ -88,12 +79,12 @@ func (secgroup) Parse(schema *field.Schema, text string, _ Options) (*rule.Polic
 		case "", "-1":
 			// any protocol
 		default:
-			s, err := rule.ParseValueSet(schema.Field(sgProto), proto)
+			s, err := rule.ParseValueSet(schema.Field(fProto), proto)
 			if err != nil {
 				addDiag(i, "bad IpProtocol %q: %v", perm.IpProtocol, err)
 				continue
 			}
-			pred[sgProto] = s
+			pred[fProto] = s
 		}
 
 		// FromPort/ToPort are ICMP type/code for icmp permissions, not
@@ -118,7 +109,7 @@ func (secgroup) Parse(schema *field.Schema, text string, _ Options) (*rule.Polic
 					addDiag(i, "bad port range %d-%d: %v", lo, hi, err)
 					continue
 				}
-				pred[sgDport] = interval.NewSet(iv)
+				pred[fDport] = interval.NewSet(iv)
 			}
 		}
 
@@ -126,7 +117,7 @@ func (secgroup) Parse(schema *field.Schema, text string, _ Options) (*rule.Polic
 			src := interval.NewSet()
 			bad := false
 			for _, r := range perm.IpRanges {
-				s, err := rule.ParseValueSet(schema.Field(sgSrc), strings.TrimSpace(r.CidrIp))
+				s, err := rule.ParseValueSet(schema.Field(fSrc), strings.TrimSpace(r.CidrIp))
 				if err != nil {
 					addDiag(i, "bad CidrIp %q: %v", r.CidrIp, err)
 					bad = true
@@ -137,7 +128,7 @@ func (secgroup) Parse(schema *field.Schema, text string, _ Options) (*rule.Polic
 			if bad {
 				continue
 			}
-			pred[sgSrc] = src
+			pred[fSrc] = src
 		}
 
 		rules = append(rules, rule.Rule{Pred: pred, Decision: rule.Accept})

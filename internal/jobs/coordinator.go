@@ -15,7 +15,8 @@ import (
 	"diversefw/internal/trace"
 )
 
-// ErrClosed reports a Submit after Close.
+// ErrClosed reports a Submit or Run after Close, and a Run that Close
+// interrupted.
 var ErrClosed = errors.New("jobs: coordinator closed")
 
 // Recorder receives one observation per settled pair for objective
@@ -88,7 +89,7 @@ type task struct {
 	k int
 }
 
-// Job is one submitted unit of work. All exported access goes through
+// Job is one unit of work, submitted or Run. All exported access goes through
 // Coordinator methods and Snapshot; the struct itself is internal to
 // the package and mutated under its mutex.
 type Job struct {
@@ -99,7 +100,14 @@ type Job struct {
 
 	ctx      context.Context
 	cancelFn context.CancelFunc
-	tr       *trace.Trace
+	// tr is the job's own trace; nil for a Run job, whose pair spans
+	// land on span, the caller's active span. For a running stored job
+	// span is tr's root.
+	tr   *trace.Trace
+	span *trace.Span
+	// run marks a job that belongs to a Run caller: it is not stored,
+	// journaled, listed or counted by the job-level instruments.
+	run bool
 
 	mu          sync.Mutex
 	state       State
@@ -197,7 +205,7 @@ func (c *Coordinator) adoptRecovered(recovered []*Job) {
 		jctx, tr := trace.New(jctx, "job", j.id)
 		tr.Root().SetAttr("job.kind", string(j.spec.Kind))
 		tr.Root().SetAttr("job.recovered", true)
-		j.ctx, j.cancelFn, j.tr = jctx, cancel, tr
+		j.ctx, j.cancelFn, j.tr, j.span = jctx, cancel, tr, tr.Root()
 		j.done = make(chan struct{})
 		if c.inst != nil {
 			c.inst.active.Inc()
@@ -212,33 +220,9 @@ func (c *Coordinator) adoptRecovered(recovered []*Job) {
 	}
 	c.start()
 	for _, j := range recovered {
-		j := j
-		if j.state.Terminal() {
-			continue
+		if !j.state.Terminal() {
+			c.feed(j)
 		}
-		type route struct{ k, w int }
-		var pending []route
-		for k := range j.pairs {
-			if j.pairs[k].Status.Settled() {
-				continue
-			}
-			p := j.pairs[k].Pair
-			pending = append(pending, route{
-				k: k,
-				w: c.sharder.Shard(j.hashes[p.I], j.hashes[p.J], c.cfg.Workers),
-			})
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			for _, r := range pending {
-				select {
-				case c.queues[r.w] <- task{j: j, k: r.k}:
-				case <-j.ctx.Done():
-					return
-				}
-			}
-		}()
 	}
 }
 
@@ -272,31 +256,82 @@ func (c *Coordinator) Submit(spec Spec) (Snapshot, error) {
 	if c.store.Len() >= c.cfg.MaxJobs {
 		return Snapshot{}, ErrTooManyJobs
 	}
-	c.start()
+	j := c.newJob(c.baseCtx, spec)
+	j.ctx, j.tr = trace.New(j.ctx, "job", j.id)
+	j.span = j.tr.Root()
+	j.span.SetAttr("job.kind", string(spec.Kind))
+	j.span.SetAttr("job.policies", len(spec.Policies))
+	j.span.SetAttr("job.pairs", len(spec.Pairs))
+	c.store.Put(j)
+	if c.inst != nil {
+		c.inst.submitted.Inc()
+		c.inst.active.Inc()
+		c.inst.stored.Set(int64(c.store.Len()))
+	}
+	c.feed(j)
+	return c.snapshot(j), nil
+}
 
-	// Content hashes drive sharding, so they are taken at submit.
-	// engine.PolicyHash reads the rule IR directly, without rendering
-	// text: about 70 µs for a 661-rule policy.
+// Run executes a spec's pairs on the same workers, sharding, chaos
+// point, retry and quarantine as a submitted job, and blocks until every
+// pair has settled. The job belongs to the caller: it is not stored,
+// journaled or listed, and it opens no trace of its own — its job.pair
+// spans, and the engine spans under them, land on ctx's active span.
+// When ctx dies the unsettled pairs settle as skipped and Run returns
+// ctx.Err(); when Close interrupts it, ErrClosed. Either way the
+// snapshot holds the pairs that did settle.
+func (c *Coordinator) Run(ctx context.Context, spec Spec) (Snapshot, error) {
+	if err := c.baseCtx.Err(); err != nil {
+		return Snapshot{}, ErrClosed
+	}
+	if err := validateSpec(&spec); err != nil {
+		return Snapshot{}, err
+	}
+	j := c.newJob(ctx, spec)
+	j.run = true
+	j.span = trace.Active(ctx)
+	// The job's context descends from the caller's; it also dies with
+	// the coordinator, which keeps no list of Run jobs to cancel.
+	stop := context.AfterFunc(c.baseCtx, j.cancelFn)
+	defer stop()
+	c.feed(j)
+	// Finalizing cancels the job's context, so this wakes on the last
+	// settle as well as on cancellation.
+	<-j.ctx.Done()
+	j.mu.Lock()
+	if !j.state.Terminal() {
+		c.skipUnsettledLocked(j)
+		c.finalizeLocked(j, StateCanceled)
+	}
+	j.mu.Unlock()
+	snap := c.snapshot(j)
+	if snap.State == StateCanceled {
+		if err := ctx.Err(); err != nil {
+			return snap, err
+		}
+		return snap, ErrClosed
+	}
+	return snap, nil
+}
+
+// newJob builds the job for a validated spec, with a context under
+// parent and every pair pending. Content hashes drive sharding, so they
+// are taken here: engine.PolicyHash reads the rule IR directly, without
+// rendering text (about 70 µs for a 661-rule policy).
+func (c *Coordinator) newJob(parent context.Context, spec Spec) *Job {
+	c.start()
 	hashes := make([]string, len(spec.Policies))
 	for i, p := range spec.Policies {
 		hashes[i] = engine.PolicyHash(p)
 	}
-
-	id := trace.NewID()
-	jctx, cancel := context.WithCancel(c.baseCtx)
-	jctx, tr := trace.New(jctx, "job", id)
-	tr.Root().SetAttr("job.kind", string(spec.Kind))
-	tr.Root().SetAttr("job.policies", len(spec.Policies))
-	tr.Root().SetAttr("job.pairs", len(spec.Pairs))
-
+	ctx, cancel := context.WithCancel(parent)
 	j := &Job{
-		id:       id,
+		id:       trace.NewID(),
 		spec:     spec,
 		hashes:   hashes,
 		created:  time.Now(),
-		ctx:      jctx,
+		ctx:      ctx,
 		cancelFn: cancel,
-		tr:       tr,
 		state:    StateQueued,
 		pairs:    make([]PairResult, len(spec.Pairs)),
 		done:     make(chan struct{}),
@@ -304,29 +339,38 @@ func (c *Coordinator) Submit(spec Spec) (Snapshot, error) {
 	for k, p := range spec.Pairs {
 		j.pairs[k] = PairResult{Pair: p, Name: spec.PairNames[k], Status: PairPending}
 	}
-	c.store.Put(j)
-	if c.inst != nil {
-		c.inst.submitted.Inc()
-		c.inst.active.Inc()
-		c.inst.stored.Set(int64(c.store.Len()))
-	}
+	return j
+}
 
-	// The feeder routes pairs to their shard. It blocks when a worker's
-	// queue is full — backpressure, not buffering — and bails out the
-	// moment the job or the coordinator dies.
+// feed routes a job's unsettled pairs to their shards: all of a new
+// job's, the remainder of a recovered one's. The feeder blocks when a
+// worker's queue is full — backpressure, not buffering — and bails out
+// the moment the job or the coordinator dies. Call it before any worker
+// can see the job.
+func (c *Coordinator) feed(j *Job) {
+	type route struct{ k, w int }
+	var pending []route
+	for k := range j.pairs {
+		if j.pairs[k].Status.Settled() {
+			continue
+		}
+		p := j.pairs[k].Pair
+		pending = append(pending, route{
+			k: k,
+			w: c.sharder.Shard(j.hashes[p.I], j.hashes[p.J], c.cfg.Workers),
+		})
+	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		for k, p := range spec.Pairs {
-			w := c.sharder.Shard(hashes[p.I], hashes[p.J], c.cfg.Workers)
+		for _, r := range pending {
 			select {
-			case c.queues[w] <- task{j: j, k: k}:
+			case c.queues[r.w] <- task{j: j, k: r.k}:
 			case <-j.ctx.Done():
 				return
 			}
 		}
 	}()
-	return c.snapshot(j), nil
 }
 
 // validateSpec normalizes and checks a spec in place: crosscompare
@@ -500,7 +544,7 @@ func (c *Coordinator) runPair(j *Job, k int) {
 				if c.inst != nil {
 					c.inst.retries.Inc()
 				}
-				j.tr.Root().AddCompleted("job.pair", start, elapsed,
+				j.span.AddCompleted("job.pair", start, elapsed,
 					trace.A("pair", j.pairs[k].Name),
 					trace.A("status", "retry"),
 					trace.A("attempt", attempt))
@@ -515,12 +559,12 @@ func (c *Coordinator) runPair(j *Job, k int) {
 	// The span goes on the trace BEFORE the settle: settling the last
 	// pair finalizes the job, which snapshots the trace into the buffer
 	// — a span added after that is lost from the retained record.
-	j.tr.Root().AddCompleted("job.pair", start, elapsed,
+	j.span.AddCompleted("job.pair", start, elapsed,
 		trace.A("pair", j.pairs[k].Name),
 		trace.A("status", string(status)))
 	c.settle(j, k, status, r, err, elapsed, quarantined)
 	if c.inst != nil {
-		c.inst.pairDuration.ObserveExemplar(elapsed.Seconds(), j.tr.ID())
+		c.inst.pairDuration.ObserveExemplar(elapsed.Seconds(), j.traceID())
 	}
 	if c.cfg.SLO != nil {
 		code := 200
@@ -580,11 +624,18 @@ func (c *Coordinator) settle(j *Job, k int, status PairStatus, r *compare.Report
 			c.inst.quarantined.Inc()
 		}
 	}
-	if c.durable != nil {
+	if c.durable != nil && !j.run {
 		c.durable.appendSettle(j, k)
 	}
 	if j.settled == len(j.pairs) && !j.state.Terminal() {
-		c.finalizeLocked(j, StateCompleted)
+		// A pair settles as skipped only once its job is dead, so a
+		// worker that settles the last pair that way has raced the
+		// canceler to the finish and ends the job as canceled.
+		state := StateCompleted
+		if j.skipped > 0 {
+			state = StateCanceled
+		}
+		c.finalizeLocked(j, state)
 	}
 }
 
@@ -643,14 +694,17 @@ func (c *Coordinator) finalizeLocked(j *Job, state State) {
 	j.finished = time.Now()
 	j.cancelFn()
 	close(j.done)
+	if j.run {
+		return
+	}
 	if c.durable != nil {
 		c.durable.appendFinal(j, state, j.finished)
 	}
-	j.tr.Root().SetAttr("job.state", string(state))
-	j.tr.Root().SetAttr("job.ok", j.ok)
-	j.tr.Root().SetAttr("job.errors", j.errs)
-	j.tr.Root().SetAttr("job.skipped", j.skipped)
-	j.tr.Root().SetAttr("job.quarantined", j.quarantined)
+	j.span.SetAttr("job.state", string(state))
+	j.span.SetAttr("job.ok", j.ok)
+	j.span.SetAttr("job.errors", j.errs)
+	j.span.SetAttr("job.skipped", j.skipped)
+	j.span.SetAttr("job.quarantined", j.quarantined)
 	j.tr.Finish()
 	if c.cfg.Traces != nil {
 		c.cfg.Traces.Observe(j.tr)
@@ -691,7 +745,7 @@ func (c *Coordinator) snapshot(j *Job) Snapshot {
 		State:      j.state,
 		SchemaName: j.spec.SchemaName,
 		Names:      append([]string(nil), j.spec.Names...),
-		TraceID:    j.tr.ID(),
+		TraceID:    j.traceID(),
 		Progress: Progress{
 			Total:       len(j.pairs),
 			Settled:     j.settled,
@@ -706,6 +760,15 @@ func (c *Coordinator) snapshot(j *Job) Snapshot {
 		Finished: j.finished,
 	}
 	return s
+}
+
+// traceID names the job's own trace; empty for a Run job, which has
+// none.
+func (j *Job) traceID() string {
+	if j.tr == nil {
+		return ""
+	}
+	return j.tr.ID()
 }
 
 // instruments is the fwjobs_* family.

@@ -12,6 +12,10 @@
 // worker pool, and every pair that finishes is visible to the next
 // poll even if a sibling pair later trips its budget.
 //
+// The synchronous /v1/crosscompare endpoint runs its pairs on the same
+// workers through Coordinator.Run, which blocks for the caller instead
+// of storing a job, so the server has one pair scheduler.
+//
 // Pairs are sharded across workers by the content hashes of their two
 // policies (see Sharder), so the pairs that share a policy cluster on
 // the same worker and walk the engine's content-addressed compile

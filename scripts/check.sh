@@ -60,7 +60,7 @@ go test -race -count=1 -run 'TestJobsChaos' ./internal/api/
 # through the no-panic/round-trip properties on every gate.
 go test -run=NONE -fuzz=FuzzNftables -fuzztime=1x ./internal/frontend/
 go test -run=NONE -fuzz=FuzzSecgroup -fuzztime=1x ./internal/frontend/
-go test -run=NONE -fuzz=FuzzImport -fuzztime=1x ./internal/iptables/
+go test -run=NONE -fuzz=FuzzImport -fuzztime=1x ./internal/frontend/
 
 # The journal replayer faces arbitrary bytes after a crash (torn tails,
 # bit rot, garbage), so its corpus — seeded with the testdata/journal
