@@ -11,7 +11,11 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"diversefw/internal/admission"
 	"diversefw/internal/anomaly"
@@ -42,12 +46,18 @@ type PolicyInput struct {
 
 // UnmarshalJSON accepts the bare string or the strict object form
 // (unknown keys rejected — the outer decoder's DisallowUnknownFields
-// does not see inside a custom unmarshaler).
+// does not see inside a custom unmarshaler). The bare string is
+// unquoted by unquoteString in one pass rather than by a second trip
+// through encoding/json, which would validate and scan it again.
 func (p *PolicyInput) UnmarshalJSON(data []byte) error {
 	trim := bytes.TrimLeft(data, " \t\r\n")
-	if len(trim) > 0 && (trim[0] == '"' || bytes.Equal(trim, []byte("null"))) {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
+	if bytes.Equal(trim, []byte("null")) {
+		*p = PolicyInput{}
+		return nil
+	}
+	if len(trim) > 0 && trim[0] == '"' {
+		s, err := unquoteString(trim)
+		if err != nil {
 			return err
 		}
 		*p = PolicyInput{Text: s}
@@ -62,6 +72,114 @@ func (p *PolicyInput) UnmarshalJSON(data []byte) error {
 	}
 	*p = PolicyInput(obj)
 	return nil
+}
+
+// errBadString rejects a bare-string policy that is not one valid JSON
+// string. Only direct callers of UnmarshalJSON can see it: a decoder
+// validates the value before handing it over.
+var errBadString = errors.New("policy must be a string or a {format, text, chain} object: invalid JSON string")
+
+// unquoteString decodes data, a JSON string token followed by nothing
+// but JSON whitespace, validating it as it unquotes into one buffer. It
+// gives what json.Unmarshal into a string gives: escapes decoded, a
+// valid surrogate-pair escape joined, and invalid UTF-8 bytes and lone
+// surrogates replaced by U+FFFD.
+func unquoteString(data []byte) (string, error) {
+	var b strings.Builder
+	b.Grow(len(data))
+	i, run := 1, 1 // run: start of the bytes not yet copied to b
+	for i < len(data) {
+		switch c := data[i]; {
+		case ' ' <= c && c < utf8.RuneSelf && c != '"' && c != '\\':
+			i++ // the common case: a byte that stands for itself
+		case c == '"':
+			b.Write(data[run:i])
+			if len(bytes.TrimLeft(data[i+1:], " \t\r\n")) > 0 {
+				return "", errBadString
+			}
+			return b.String(), nil
+		case c == '\\':
+			b.Write(data[run:i])
+			n, ok := unescape(&b, data[i:])
+			if !ok {
+				return "", errBadString
+			}
+			i += n
+			run = i
+		case c < ' ':
+			return "", errBadString
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && size == 1 {
+				b.Write(data[run:i])
+				b.WriteRune(utf8.RuneError)
+				run = i + 1
+			}
+			i += size
+		}
+	}
+	return "", errBadString
+}
+
+// unescape decodes the escape sequence at the start of esc into b and
+// reports how many bytes it took.
+func unescape(b *strings.Builder, esc []byte) (int, bool) {
+	if len(esc) < 2 {
+		return 0, false
+	}
+	switch c := esc[1]; c {
+	case '"', '\\', '/':
+		b.WriteByte(c)
+	case 'b':
+		b.WriteByte('\b')
+	case 'f':
+		b.WriteByte('\f')
+	case 'n':
+		b.WriteByte('\n')
+	case 'r':
+		b.WriteByte('\r')
+	case 't':
+		b.WriteByte('\t')
+	case 'u':
+		r := hex4(esc)
+		if r < 0 {
+			return 0, false
+		}
+		if utf16.IsSurrogate(r) {
+			if dec := utf16.DecodeRune(r, hex4(esc[6:])); dec != utf8.RuneError {
+				b.WriteRune(dec)
+				return 12, true
+			}
+			r = utf8.RuneError
+		}
+		b.WriteRune(r)
+		return 6, true
+	default:
+		return 0, false
+	}
+	return 2, true
+}
+
+// hex4 decodes the \uXXXX escape at the start of esc, or returns -1.
+func hex4(esc []byte) rune {
+	if len(esc) < 6 || esc[0] != '\\' || esc[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range esc[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 // MarshalJSON emits the bare string whenever the object form adds

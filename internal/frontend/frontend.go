@@ -166,9 +166,8 @@ func requireFiveTuple(name string, schema *field.Schema) error {
 }
 
 // native is the rule text DSL — the IR's own syntax, and the only
-// format that works over every schema. It re-implements the line loop
-// of rule.ParsePolicy so one parse can report every bad line at once,
-// with line-positioned diagnostics.
+// format that works over every schema. It runs rule.ParseLines so one
+// parse reports every bad line at once, as line-positioned diagnostics.
 type native struct{}
 
 func init() { register(native{}) }
@@ -177,32 +176,17 @@ func (native) Name() string        { return "native" }
 func (native) Description() string { return "rule text DSL (docs/FORMATS.md), any schema" }
 
 func (native) Parse(schema *field.Schema, text string, _ Options) (*rule.Policy, error) {
-	var rules []rule.Rule
 	var diags []Diagnostic
-	for lineNo, line := range strings.Split(text, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		rl, err := rule.ParseRule(schema, line)
-		if err != nil {
-			if len(diags) < maxDiagnostics {
-				diags = append(diags, Diagnostic{Line: lineNo + 1, Col: 1, Message: err.Error()})
-			}
-			continue
-		}
-		rules = append(rules, rl)
-	}
+	p, err := rule.ParseLines(schema, text, func(line int, err error) bool {
+		diags = append(diags, Diagnostic{Line: line, Col: 1, Message: err.Error()})
+		return len(diags) < maxDiagnostics
+	})
 	if len(diags) > 0 {
 		return nil, &ParseError{Format: "native", Diagnostics: diags}
 	}
-	p, err := rule.NewPolicy(schema, rules)
 	if err != nil {
-		// ParseRule already validated per-rule shape, so this only
-		// fires for an empty ruleset or a hand-rolled schema quirk.
+		// Every parsed rule is well formed, so validation only fails
+		// for a hand-rolled schema quirk.
 		return nil, &ParseError{Format: "native", Diagnostics: []Diagnostic{
 			{Line: 1, Col: 1, Message: err.Error()},
 		}}

@@ -135,21 +135,26 @@ type Set struct {
 // NewSet returns the canonical set covering exactly the union of the given
 // intervals (which may overlap, touch, and arrive in any order).
 func NewSet(ivs ...Interval) Set {
-	switch len(ivs) {
-	case 0:
+	// The clone keeps the set from aliasing the caller's slice.
+	return NewSetInPlace(slices.Clone(ivs))
+}
+
+// NewSetInPlace is NewSet without the copy: it sorts and merges ivs in
+// place and adopts the canonical prefix ivs[:n] as the set's storage,
+// where n is the set's NumIntervals. The adopted run's capacity is
+// clipped at n (ivs[:n:n]), so no append through the set can ever write
+// into ivs[n:], which stays the caller's to reuse; the caller must not
+// write ivs[:n] again. Parsers use it to keep many sets in one slab.
+func NewSetInPlace(ivs []Interval) Set {
+	if len(ivs) == 0 {
 		return Set{}
-	case 1:
-		// One interval is already canonical; a fresh slice keeps the set
-		// from aliasing the caller's.
-		return Set{ivs: []Interval{ivs[0]}}
 	}
-	sorted := slices.Clone(ivs)
-	slices.SortFunc(sorted, Interval.Compare)
-	out := sorted[:1]
-	for _, iv := range sorted[1:] {
+	slices.SortFunc(ivs, Interval.Compare)
+	out := ivs[:1]
+	for _, iv := range ivs[1:] {
 		out = appendMerged(out, iv)
 	}
-	return Set{ivs: out}
+	return Set{ivs: out[:len(out):len(out)]}
 }
 
 // appendMerged appends iv to the canonical list out, whose last interval

@@ -403,3 +403,28 @@ func TestSetString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+func TestNewSetInPlace(t *testing.T) {
+	t.Parallel()
+	slab := []Interval{MustNew(20, 30), MustNew(0, 3), MustNew(4, 10), MustNew(25, 35), MustNew(99, 99)}
+	s := NewSetInPlace(slab[:4])
+	if want := NewSet(MustNew(0, 10), MustNew(20, 35)); !s.Equal(want) {
+		t.Fatalf("got %v, want %v", s, want)
+	}
+	// The set adopts the merged prefix of the slab without copying...
+	if &s.ivs[0] != &slab[0] {
+		t.Fatal("NewSetInPlace copied its run")
+	}
+	// ...and clips its capacity there, so growing the set reallocates
+	// instead of overwriting the slab's next interval.
+	if cap(s.ivs) != len(s.ivs) {
+		t.Fatalf("cap = %d, want %d", cap(s.ivs), len(s.ivs))
+	}
+	_ = append(s.ivs, MustNew(50, 60))
+	if slab[2] != MustNew(20, 30) || slab[4] != Point(99) {
+		t.Fatalf("append through the set wrote into the slab: %v", slab)
+	}
+	if !NewSetInPlace(nil).Empty() {
+		t.Fatal("NewSetInPlace(nil) should be empty")
+	}
+}

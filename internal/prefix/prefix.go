@@ -165,50 +165,95 @@ func AppendIPv4(b []byte, v uint64) []byte {
 	return b
 }
 
-// ParseIPv4 parses dotted-quad notation to a 32-bit integer.
+// ParseIPv4 parses dotted-quad notation to a 32-bit integer: four
+// '.'-separated octets of one or more decimal digits, each at most 255.
+// It walks the bytes once and allocates only to build an error.
 func ParseIPv4(s string) (uint64, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("prefix: invalid IPv4 address %q", s)
-	}
-	var v uint64
-	for _, part := range parts {
-		n, err := strconv.ParseUint(part, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("prefix: invalid IPv4 address %q: %v", s, err)
+	var v, octet uint64
+	digits, dots := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			octet = octet*10 + uint64(c-'0')
+			if octet > 255 {
+				return 0, ipv4Error(s)
+			}
+			digits++
+		case c == '.' && digits > 0 && dots < 3:
+			v, octet, digits, dots = v<<8|octet, 0, 0, dots+1
+		default:
+			return 0, ipv4Error(s)
 		}
-		v = v<<8 | n
 	}
-	return v, nil
+	if dots != 3 || digits == 0 {
+		return 0, ipv4Error(s)
+	}
+	return v<<8 | octet, nil
+}
+
+// ipv4Error explains why s is not a dotted quad: the wrong number of
+// octets, or strconv's reason for rejecting the first bad one.
+func ipv4Error(s string) error {
+	if strings.Count(s, ".") == 3 {
+		for rest, more := s, true; more; {
+			var part string
+			part, rest, more = strings.Cut(rest, ".")
+			if _, err := strconv.ParseUint(part, 10, 8); err != nil {
+				return fmt.Errorf("prefix: invalid IPv4 address %q: %v", s, err)
+			}
+		}
+	}
+	return fmt.Errorf("prefix: invalid IPv4 address %q", s)
 }
 
 // ParseCIDR parses "a.b.c.d/len" (or a bare address, meaning /32) into the
 // interval of addresses it covers. Host bits below the mask are permitted
-// and zeroed, matching common firewall-config practice.
+// and zeroed, matching common firewall-config practice. The length is a
+// decimal integer in [0, 32] with an optional sign, as strconv.Atoi reads
+// it. Like ParseIPv4, it allocates only to build an error.
 func ParseCIDR(s string) (interval.Interval, error) {
 	addr := s
 	length := 32
 	if i := strings.IndexByte(s, '/'); i >= 0 {
-		addr = s[:i]
-		n, err := strconv.Atoi(s[i+1:])
-		if err != nil || n < 0 || n > 32 {
+		n, ok := parseCIDRLength(s[i+1:])
+		if !ok {
 			return interval.Interval{}, fmt.Errorf("prefix: invalid CIDR length in %q", s)
 		}
-		length = n
+		addr, length = s[:i], n
 	}
 	v, err := ParseIPv4(addr)
 	if err != nil {
 		return interval.Interval{}, err
 	}
-	if length < 32 {
-		mask := ^uint64(0) << uint(32-length) & 0xFFFFFFFF
-		v &= mask
+	host := uint64(1)<<uint(32-length) - 1
+	return interval.Interval{Lo: v &^ host, Hi: v | host}, nil
+}
+
+// parseCIDRLength reads a prefix length the way strconv.Atoi would and
+// accepts it when it lies in [0, 32]: an optional sign, then one or more
+// decimal digits ("+8" and "-0" pass, "-1" and "33" do not).
+func parseCIDRLength(s string) (int, bool) {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg, s = s[0] == '-', s[1:]
 	}
-	p, err := NewPrefix(v, length, 32)
-	if err != nil {
-		return interval.Interval{}, err
+	if s == "" {
+		return 0, false
 	}
-	return p.Interval(), nil
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n <= 32 { // past 32 the value is rejected anyway; stop growing
+			n = n*10 + int(c-'0')
+		}
+	}
+	if n > 32 || neg && n != 0 {
+		return 0, false
+	}
+	return n, true
 }
 
 // FormatCIDRs renders an interval of IPv4 addresses as a comma-separated

@@ -7,25 +7,27 @@ import (
 	"diversefw/internal/field"
 )
 
+// parseRuleSeeds seed FuzzParseRule and the differential corpus.
+var parseRuleSeeds = []string{
+	"any -> accept",
+	"src in 224.168.0.0/16 -> discard",
+	"dst in 192.168.0.1 && dport in 25 && proto in tcp -> accept",
+	"sport in 0-1023|8080 -> discard-log",
+	"src in !10.0.0.0/8 -> accept",
+	"dst in !(8.8.8.8|1.1.1.1) -> discard",
+	"src in 1.2.3.4-1.2.3.9 -> accept",
+	"-> accept",
+	"x in 1 -> accept",
+	"src in  -> accept",
+	"src in 999.999.999.999 -> accept",
+	"&& -> accept",
+	"proto in decision#12 -> decision#12",
+}
+
 // FuzzParseRule checks that the rule parser never panics and that
 // anything it accepts survives a format/parse round trip.
 func FuzzParseRule(f *testing.F) {
-	seeds := []string{
-		"any -> accept",
-		"src in 224.168.0.0/16 -> discard",
-		"dst in 192.168.0.1 && dport in 25 && proto in tcp -> accept",
-		"sport in 0-1023|8080 -> discard-log",
-		"src in !10.0.0.0/8 -> accept",
-		"dst in !(8.8.8.8|1.1.1.1) -> discard",
-		"src in 1.2.3.4-1.2.3.9 -> accept",
-		"-> accept",
-		"x in 1 -> accept",
-		"src in  -> accept",
-		"src in 999.999.999.999 -> accept",
-		"&& -> accept",
-		"proto in decision#12 -> decision#12",
-	}
-	for _, s := range seeds {
+	for _, s := range parseRuleSeeds {
 		f.Add(s)
 	}
 	schema := field.IPv4FiveTuple()

@@ -131,30 +131,38 @@ type Policy struct {
 // NewPolicy validates rules against the schema: each rule must have one
 // nonempty value set per field, every set within the field's domain.
 func NewPolicy(schema *field.Schema, rules []Rule) (*Policy, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("rule: nil schema")
-	}
-	for ri, r := range rules {
-		if len(r.Pred) != schema.NumFields() {
-			return nil, fmt.Errorf("rule %d: predicate has %d conjuncts, schema has %d fields",
-				ri, len(r.Pred), schema.NumFields())
-		}
-		if r.Decision <= 0 {
-			return nil, fmt.Errorf("rule %d: invalid decision %d", ri, int(r.Decision))
-		}
-		for fi, s := range r.Pred {
-			if s.Empty() {
-				return nil, fmt.Errorf("rule %d: field %s has empty value set", ri, schema.Field(fi).Name)
-			}
-			if !schema.FullSet(fi).ContainsSet(s) {
-				return nil, fmt.Errorf("rule %d: field %s set %v exceeds domain %v",
-					ri, schema.Field(fi).Name, s, schema.Domain(fi))
-			}
-		}
+	if err := validateRules(schema, rules); err != nil {
+		return nil, err
 	}
 	rs := make([]Rule, len(rules))
 	copy(rs, rules)
 	return &Policy{Schema: schema, Rules: rs}, nil
+}
+
+// validateRules is NewPolicy's check of rules against schema.
+func validateRules(schema *field.Schema, rules []Rule) error {
+	if schema == nil {
+		return fmt.Errorf("rule: nil schema")
+	}
+	for ri, r := range rules {
+		if len(r.Pred) != schema.NumFields() {
+			return fmt.Errorf("rule %d: predicate has %d conjuncts, schema has %d fields",
+				ri, len(r.Pred), schema.NumFields())
+		}
+		if r.Decision <= 0 {
+			return fmt.Errorf("rule %d: invalid decision %d", ri, int(r.Decision))
+		}
+		for fi, s := range r.Pred {
+			if s.Empty() {
+				return fmt.Errorf("rule %d: field %s has empty value set", ri, schema.Field(fi).Name)
+			}
+			if !schema.FullSet(fi).ContainsSet(s) {
+				return fmt.Errorf("rule %d: field %s set %v exceeds domain %v",
+					ri, schema.Field(fi).Name, s, schema.Domain(fi))
+			}
+		}
+	}
+	return nil
 }
 
 // MustPolicy is like NewPolicy but panics on error; for fixtures.

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
@@ -27,22 +29,89 @@ import (
 // CIDR "a.b.c.d/l", address "a.b.c.d", or address range
 // "a.b.c.d-e.f.g.h". Protocol fields also accept tcp/udp/icmp.
 
-// knownProtos maps symbolic protocol names to IANA numbers, used by fields
-// of kind KindProto.
-var knownProtos = map[string]uint64{"icmp": 1, "tcp": 6, "udp": 17}
+// knownProtos lists the symbolic protocol names fields of kind KindProto
+// accept, with their IANA numbers.
+var knownProtos = [...]struct {
+	name string
+	num  uint64
+}{{"icmp", 1}, {"tcp", 6}, {"udp", 17}}
 
 // protoNames is the reverse of knownProtos for formatting.
 var protoNames = map[uint64]string{1: "icmp", 6: "tcp", 17: "udp"}
 
-// ParsePolicy reads a policy in the text format from r.
+// maxLineBytes bounds a line of ParsePolicy input. A line this long or
+// longer fails the parse with bufio.ErrTooLong, the error bufio.Scanner
+// gives for it.
+const maxLineBytes = 1 << 20
+
+// ParsePolicy reads a policy in the text format from r. A line of 1 MiB
+// or more is an error.
 func ParsePolicy(schema *field.Schema, r io.Reader) (*Policy, error) {
-	var rules []Rule
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	var text strings.Builder
+	_, err := io.Copy(&text, r)
+	return parsePolicy(schema, text.String(), err)
+}
+
+// ParsePolicyString is ParsePolicy over an in-memory string.
+func ParsePolicyString(schema *field.Schema, s string) (*Policy, error) {
+	return parsePolicy(schema, s, nil)
+}
+
+// parsePolicy parses text, the input read before readErr ended the read
+// (nil at end of input). Errors come in the order reading line by line
+// meets them: a bad line, a line over the bound, the read error, then
+// NewPolicy's validation.
+func parsePolicy(schema *field.Schema, text string, readErr error) (*Policy, error) {
+	var lineErr error
+	rules, err := parseLines(schema, text, maxLineBytes, func(line int, err error) bool {
+		lineErr = fmt.Errorf("line %d: %w", line, err)
+		return false
+	})
+	switch {
+	case lineErr != nil:
+		return nil, lineErr
+	case err != nil:
+		return nil, fmt.Errorf("rule: read policy: %w", err)
+	case readErr != nil:
+		return nil, fmt.Errorf("rule: read policy: %w", readErr)
+	}
+	return adoptPolicy(schema, rules)
+}
+
+// ParseLines parses policy text that may have many bad lines: it calls
+// bad with the 1-based number and error of each line that does not
+// parse, and stops early when bad returns false. If bad was never
+// called, it returns the policy, validated as NewPolicy validates;
+// otherwise it returns a nil policy and no error.
+func ParseLines(schema *field.Schema, text string, bad func(line int, err error) bool) (*Policy, error) {
+	failed := false
+	rules, _ := parseLines(schema, text, 0, func(line int, err error) bool {
+		failed = true
+		return bad(line, err)
+	})
+	if failed {
+		return nil, nil
+	}
+	return adoptPolicy(schema, rules)
+}
+
+// parseLines is the policy line loop. Each line of text, minus its '#'
+// comment and surrounding space, is one rule; blank lines are skipped.
+// All the rules share one arena sized to text. A bad line goes to bad,
+// and the loop stops when bad returns false. With maxLine > 0, a line of
+// maxLine bytes or more ends the loop with bufio.ErrTooLong.
+func parseLines(schema *field.Schema, text string, maxLine int, bad func(line int, err error) bool) ([]Rule, error) {
+	if schema == nil {
+		return nil, nil // adoptPolicy reports the nil schema
+	}
+	a := newArena(schema, text)
+	rules := make([]Rule, 0, a.maxRules)
+	for n, rest, more := 1, text, true; more; n++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if maxLine > 0 && len(line) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -50,69 +119,129 @@ func ParsePolicy(schema *field.Schema, r io.Reader) (*Policy, error) {
 		if line == "" {
 			continue
 		}
-		rl, err := ParseRule(schema, line)
+		rl, err := a.rule(line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			if !bad(n, err) {
+				break
+			}
+			continue
 		}
 		rules = append(rules, rl)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rule: read policy: %w", err)
-	}
-	return NewPolicy(schema, rules)
+	return rules, nil
 }
 
-// ParsePolicyString is ParsePolicy over an in-memory string.
-func ParsePolicyString(schema *field.Schema, s string) (*Policy, error) {
-	return ParsePolicy(schema, strings.NewReader(s))
+// adoptPolicy is NewPolicy for a rule slice the parser owns: it
+// validates the same way but keeps rules instead of copying them.
+func adoptPolicy(schema *field.Schema, rules []Rule) (*Policy, error) {
+	if err := validateRules(schema, rules); err != nil {
+		return nil, err
+	}
+	return &Policy{Schema: schema, Rules: rules[:len(rules):len(rules)]}, nil
+}
+
+// arena is the storage one parse lowers rules into. Every interval of
+// every value set lives in the ivs slab and every predicate in the sets
+// slab, so a policy costs a few allocations however many rules it has.
+// A field a rule omits shares full, the schema's full-domain sets.
+// Sets adopt their runs of ivs with clipped capacity
+// (interval.NewSetInPlace), so nothing can write from one into the next.
+type arena struct {
+	schema   *field.Schema
+	ivs      []interval.Interval
+	sets     []interval.Set
+	full     []interval.Set
+	maxRules int
+}
+
+// newArena sizes an arena for text. A rule is one line, each of its
+// sets is one "&&"-separated conjunct, and each set's intervals are its
+// '|'-separated atoms plus at most one more per '!' complement, so byte
+// counts of text bound both slabs without a first parse.
+func newArena(schema *field.Schema, text string) arena {
+	n := schema.NumFields()
+	lines := strings.Count(text, "\n") + 1
+	conjuncts := lines + strings.Count(text, "&")/2
+	atoms := conjuncts + strings.Count(text, "|") + strings.Count(text, "!")
+	a := arena{
+		schema:   schema,
+		ivs:      make([]interval.Interval, 0, n+atoms),
+		sets:     make([]interval.Set, 0, n*(lines+1)),
+		maxRules: lines,
+	}
+	for i := range n {
+		a.ivs = append(a.ivs, schema.Domain(i))
+		a.sets = append(a.sets, interval.NewSetInPlace(a.ivs[i:]))
+	}
+	a.full = a.sets[:n:n]
+	return a
 }
 
 // ParseRule parses a single "predicate -> decision" line.
 func ParseRule(schema *field.Schema, line string) (Rule, error) {
+	a := newArena(schema, line)
+	return a.rule(line)
+}
+
+// rule lexes one "predicate -> decision" line into a rule whose
+// predicate and sets live in the arena. A failed line leaves the arena
+// as it found it.
+func (a *arena) rule(line string) (Rule, error) {
 	arrow := strings.LastIndex(line, "->")
 	if arrow < 0 {
 		return Rule{}, fmt.Errorf("rule: missing '->' in %q", line)
 	}
 	predText := strings.TrimSpace(line[:arrow])
-	decText := strings.TrimSpace(line[arrow+2:])
-
-	dec, err := ParseDecision(decText)
+	dec, err := ParseDecision(strings.TrimSpace(line[arrow+2:]))
 	if err != nil {
 		return Rule{}, err
 	}
 
-	pred := FullPredicate(schema)
-	if !strings.EqualFold(predText, "any") && predText != "*" && predText != "" {
-		// seen is a field bitmask: one word covers every standard
-		// schema, and only schemas past 64 fields spill to the heap.
-		var seenWord [1]uint64
-		seen := seenWord[:]
-		if n := schema.NumFields(); n > 64 {
-			seen = make([]uint64, (n+63)/64)
-		}
-		for _, conj := range strings.Split(predText, "&&") {
-			conj = strings.TrimSpace(conj)
-			name, valText, ok := cutConjunct(conj)
-			if !ok {
-				return Rule{}, fmt.Errorf("rule: bad conjunct %q (want \"<field> in <values>\")", conj)
-			}
-			fi := schema.IndexOf(name)
-			if fi < 0 {
-				return Rule{}, fmt.Errorf("rule: unknown field %q", name)
-			}
-			word, bit := fi/64, uint64(1)<<(fi%64)
-			if seen[word]&bit != 0 {
-				return Rule{}, fmt.Errorf("rule: field %q appears twice", name)
-			}
-			seen[word] |= bit
-			set, err := ParseValueSet(schema.Field(fi), valText)
-			if err != nil {
-				return Rule{}, err
-			}
-			pred[fi] = set
+	ivMark, setMark := len(a.ivs), len(a.sets)
+	a.sets = append(a.sets, a.full...)
+	pred := Predicate(a.sets[setMark:len(a.sets):len(a.sets)])
+	if strings.EqualFold(predText, "any") || predText == "*" || predText == "" {
+		return Rule{Pred: pred, Decision: dec}, nil
+	}
+	// seen is a field bitmask: one word covers every standard schema, and
+	// only schemas past 64 fields spill to the heap.
+	var seenWord [1]uint64
+	seen := seenWord[:]
+	if n := a.schema.NumFields(); n > 64 {
+		seen = make([]uint64, (n+63)/64)
+	}
+	for rest, more := predText, true; more; {
+		var conj string
+		conj, rest, more = strings.Cut(rest, "&&")
+		if err := a.conjunct(pred, seen, strings.TrimSpace(conj)); err != nil {
+			a.ivs, a.sets = a.ivs[:ivMark], a.sets[:setMark]
+			return Rule{}, err
 		}
 	}
 	return Rule{Pred: pred, Decision: dec}, nil
+}
+
+// conjunct lexes one "<field> in <values>" conjunct into pred.
+func (a *arena) conjunct(pred Predicate, seen []uint64, conj string) error {
+	name, valText, ok := cutConjunct(conj)
+	if !ok {
+		return fmt.Errorf("rule: bad conjunct %q (want \"<field> in <values>\")", conj)
+	}
+	fi := a.schema.IndexOf(name)
+	if fi < 0 {
+		return fmt.Errorf("rule: unknown field %q", name)
+	}
+	word, bit := fi/64, uint64(1)<<(fi%64)
+	if seen[word]&bit != 0 {
+		return fmt.Errorf("rule: field %q appears twice", name)
+	}
+	seen[word] |= bit
+	set, err := a.values(a.schema.Field(fi), valText)
+	if err != nil {
+		return err
+	}
+	pred[fi] = set
+	return nil
 }
 
 // cutConjunct splits "<field> in <values>" (also accepting "=" as the
@@ -132,38 +261,73 @@ func cutConjunct(conj string) (name, values string, ok bool) {
 // ("!25" is every port but 25, "!224.168.0.0/16" every address outside
 // the block).
 func ParseValueSet(f field.Field, text string) (interval.Set, error) {
+	a := arena{ivs: make([]interval.Interval, 0, 1+strings.Count(text, "|")+strings.Count(text, "!"))}
+	return a.values(f, text)
+}
+
+// values lexes a value list onto the end of the ivs slab and returns the
+// set adopting its canonical intervals, the slab's last run. On error it
+// may leave intervals behind; the rule rolls the slab back.
+func (a *arena) values(f field.Field, text string) (interval.Set, error) {
 	text = strings.TrimSpace(text)
-	if text == "*" || strings.EqualFold(text, "any") || strings.EqualFold(text, "all") {
-		return interval.SetFromInterval(f.Domain), nil
-	}
-	if strings.HasPrefix(text, "!") {
+	start := len(a.ivs)
+	switch {
+	case text == "*" || strings.EqualFold(text, "any") || strings.EqualFold(text, "all"):
+		a.ivs = append(a.ivs, f.Domain)
+	case strings.HasPrefix(text, "!"):
 		body := strings.TrimSpace(text[1:])
 		if strings.HasPrefix(body, "(") && strings.HasSuffix(body, ")") {
 			body = body[1 : len(body)-1]
 		}
-		inner, err := ParseValueSet(f, body)
-		if err != nil {
+		if _, err := a.values(f, body); err != nil {
 			return interval.Set{}, err
 		}
-		out := inner.ComplementWithin(f.Domain)
-		if out.Empty() {
+		// The inner set is dropped, so its run may be overwritten.
+		if !a.complement(start, f.Domain) {
 			return interval.Set{}, fmt.Errorf("rule: complement %q is empty for field %s", text, f.Name)
 		}
-		return out, nil
-	}
-	var ivs []interval.Interval
-	for _, atom := range strings.Split(text, "|") {
-		iv, err := parseValueAtom(f, strings.TrimSpace(atom))
-		if err != nil {
-			return interval.Set{}, err
+	default:
+		for rest, more := text, true; more; {
+			var atom string
+			atom, rest, more = strings.Cut(rest, "|")
+			iv, err := parseValueAtom(f, strings.TrimSpace(atom))
+			if err != nil {
+				return interval.Set{}, err
+			}
+			a.ivs = append(a.ivs, iv)
 		}
-		ivs = append(ivs, iv)
+		s := interval.NewSetInPlace(a.ivs[start:])
+		a.ivs = a.ivs[:start+s.NumIntervals()]
+		lo, _ := s.Min()
+		hi, _ := s.Max()
+		if lo < f.Domain.Lo || hi > f.Domain.Hi {
+			return interval.Set{}, fmt.Errorf("rule: value %q exceeds domain %v of field %s", text, f.Domain, f.Name)
+		}
+		return s, nil
 	}
-	set := interval.NewSet(ivs...)
-	if !interval.SetFromInterval(f.Domain).ContainsSet(set) {
-		return interval.Set{}, fmt.Errorf("rule: value %q exceeds domain %v of field %s", text, f.Domain, f.Name)
+	return interval.NewSetInPlace(a.ivs[start:]), nil
+}
+
+// complement replaces the canonical run a.ivs[start:], which lies
+// within dom, by its complement within dom (the gaps between its
+// intervals, itself canonical) and reports whether that is nonempty.
+// Gap k is written at or before index start+k, after interval k has
+// been read, so the walk needs no scratch space.
+func (a *arena) complement(start int, dom interval.Interval) bool {
+	w, next := start, dom.Lo
+	for _, iv := range a.ivs[start:] {
+		if iv.Lo > next {
+			a.ivs[w] = interval.Interval{Lo: next, Hi: iv.Lo - 1}
+			w++
+		}
+		if iv.Hi == dom.Hi {
+			a.ivs = a.ivs[:w]
+			return w > start
+		}
+		next = iv.Hi + 1
 	}
-	return set, nil
+	a.ivs = append(a.ivs[:w], interval.Interval{Lo: next, Hi: dom.Hi})
+	return true
 }
 
 func parseValueAtom(f field.Field, atom string) (interval.Interval, error) {
@@ -172,7 +336,7 @@ func parseValueAtom(f field.Field, atom string) (interval.Interval, error) {
 	}
 	switch f.Kind {
 	case field.KindIPv4:
-		if strings.Contains(atom, ".") {
+		if strings.IndexByte(atom, '.') >= 0 {
 			if i := strings.IndexByte(atom, '-'); i >= 0 {
 				lo, err := prefix.ParseIPv4(strings.TrimSpace(atom[:i]))
 				if err != nil {
@@ -187,27 +351,52 @@ func parseValueAtom(f field.Field, atom string) (interval.Interval, error) {
 			return prefix.ParseCIDR(atom)
 		}
 	case field.KindProto:
-		if v, ok := knownProtos[strings.ToLower(atom)]; ok {
-			return interval.Point(v), nil
+		for _, p := range knownProtos {
+			if lowerEqual(atom, p.name) {
+				return interval.Point(p.num), nil
+			}
 		}
 	}
-	// Generic decimal point or range.
-	if i := strings.IndexByte(atom, '-'); i > 0 { // i>0: a leading '-' is invalid anyway
-		lo, err := strconv.ParseUint(strings.TrimSpace(atom[:i]), 10, 64)
-		if err != nil {
-			return interval.Interval{}, fmt.Errorf("rule: bad value %q for field %s", atom, f.Name)
-		}
-		hi, err := strconv.ParseUint(strings.TrimSpace(atom[i+1:]), 10, 64)
-		if err != nil {
-			return interval.Interval{}, fmt.Errorf("rule: bad value %q for field %s", atom, f.Name)
-		}
-		return interval.New(lo, hi)
+	// Generic decimal point or range; i>0: a leading '-' is invalid anyway.
+	lo, hi := atom, atom
+	if i := strings.IndexByte(atom, '-'); i > 0 {
+		lo, hi = strings.TrimSpace(atom[:i]), strings.TrimSpace(atom[i+1:])
 	}
-	v, err := strconv.ParseUint(atom, 10, 64)
-	if err != nil {
+	l, okLo := parseDecimal(lo)
+	h, okHi := parseDecimal(hi)
+	if !okLo || !okHi {
 		return interval.Interval{}, fmt.Errorf("rule: bad value %q for field %s", atom, f.Name)
 	}
-	return interval.Point(v), nil
+	return interval.New(l, h)
+}
+
+// lowerEqual reports whether strings.ToLower(s) == lower, for an
+// all-ASCII lowercase lower, without building the lowered string.
+func lowerEqual(s, lower string) bool {
+	for _, r := range s {
+		if lower == "" || unicode.ToLower(r) != rune(lower[0]) {
+			return false
+		}
+		lower = lower[1:]
+	}
+	return lower == ""
+}
+
+// parseDecimal accepts what strconv.ParseUint(s, 10, 64) accepts: one
+// or more decimal digits whose value fits in 64 bits.
+func parseDecimal(s string) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }
 
 // FormatValueSet renders a value set for the field in the same syntax

@@ -28,6 +28,10 @@ go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
 # allocs/op figures that locate construction garbage stay measurable.
 go test -run '^$' -bench Construct -benchtime 1x ./internal/fdd/
 
+# So does the native-parse benchmark: its allocs/op figure is the one
+# TestNativeParseAllocsFlat pins per policy.
+go test -run '^$' -bench ParseNative -benchtime 1x ./internal/frontend/
+
 # The served-request benchmark is a module of its own (bench/go.mod), so
 # the commands above never compile it. It calls engine, compare, fdd,
 # jobs and api exports directly; vetting and short-testing it here makes
@@ -61,6 +65,16 @@ go test -race -count=1 -run 'TestJobsChaos' ./internal/api/
 go test -run=NONE -fuzz=FuzzNftables -fuzztime=1x ./internal/frontend/
 go test -run=NONE -fuzz=FuzzSecgroup -fuzztime=1x ./internal/frontend/
 go test -run=NONE -fuzz=FuzzImport -fuzztime=1x ./internal/frontend/
+
+# The native rule text gets the same treatment: the no-panic/round-trip
+# targets, and the differential ones that hold the arena lexer (and the
+# prefix byte walk) to the reference parser kept in the tests, and the
+# one-pass policy-string unquoting to encoding/json, byte for byte.
+go test -run=NONE -fuzz='^FuzzParseRule$' -fuzztime=1x ./internal/rule/
+go test -run=NONE -fuzz='^FuzzParsePolicy$' -fuzztime=1x ./internal/rule/
+go test -run=NONE -fuzz='^FuzzParseRuleMatchesReference$' -fuzztime=1x ./internal/rule/
+go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/prefix/
+go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 
 # The journal replayer faces arbitrary bytes after a crash (torn tails,
 # bit rot, garbage), so its corpus — seeded with the testdata/journal
