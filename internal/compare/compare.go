@@ -300,6 +300,11 @@ func fullSets(schema *field.Schema) []interval.Set {
 type cmpWalker struct {
 	in    *fdd.Interner
 	fulls []interval.Set
+	// stack holds the edge lists of the nodes under construction, one
+	// frame per walk call, addressed by base index because deeper calls
+	// may grow (and move) it; the store copies a frame only into a node
+	// it has not seen.
+	stack []fdd.Edge
 	paths int // decision-path pairs walked
 	raw   int // pairs with differing terminal decisions
 
@@ -367,14 +372,14 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 		}
 		return w.in.CanonicalTerminal(a.Decision<<pairShift | b.Decision)
 	}
-	edges := make([]*fdd.Edge, len(a.Edges))
+	base := len(w.stack)
 	for i := range a.Edges {
-		edges[i] = &fdd.Edge{
-			Label: a.Edges[i].Label,
-			To:    w.walk(a.Edges[i].To, b.Edges[i].To),
-		}
+		to := w.walk(a.Edges[i].To, b.Edges[i].To)
+		w.stack = append(w.stack, fdd.Edge{Label: a.Edges[i].Label, To: to})
 	}
-	return w.in.Canonicalize(a.Field, edges, w.fulls[a.Field])
+	out := w.in.Canonicalize(a.Field, w.stack[base:], w.fulls[a.Field])
+	w.stack = w.stack[:base]
+	return out
 }
 
 // walkParallel fans the per-root-edge subwalks out over `workers`
@@ -385,7 +390,7 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 // deterministic: shard k always lands at root-edge position k.
 func (w *cmpWalker) walkParallel(sa, sb *fdd.FDD, workers int) *fdd.FDD {
 	n := len(sa.Root.Edges)
-	edges := make([]*fdd.Edge, n)
+	edges := make([]fdd.Edge, n)
 	shards := make([]cmpWalker, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -403,7 +408,7 @@ func (w *cmpWalker) walkParallel(sa, sb *fdd.FDD, workers int) *fdd.FDD {
 				if k >= n {
 					return
 				}
-				edges[k] = &fdd.Edge{
+				edges[k] = fdd.Edge{
 					Label: sa.Root.Edges[k].Label,
 					To:    sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To),
 				}

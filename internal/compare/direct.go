@@ -101,8 +101,14 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 
 // directWalker carries one product walk's memo, node store, and counters.
 type directWalker struct {
-	in     *fdd.Interner
-	fulls  []interval.Set
+	in    *fdd.Interner
+	fulls []interval.Set
+	// stack holds the edge lists of the nodes under construction, one
+	// frame per walk call, addressed by base index because deeper calls
+	// may grow (and move) it. Interning copies a frame only into a node
+	// the store has not seen, so a product node that dedupes allocates
+	// nothing.
+	stack  []fdd.Edge
 	memo   map[[2]*fdd.Node]*fdd.Node
 	paths  int // node pairs whose terminals were compared
 	raw    int // pairs with differing decisions
@@ -186,28 +192,34 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 		}
 		aBranches := !a.IsTerminal() && a.Field == f
 		bBranches := !b.IsTerminal() && b.Field == f
-		var edges []*fdd.Edge
+		base := len(w.stack)
 		switch {
 		case aBranches && bBranches:
-			for _, ea := range a.Edges {
-				for _, eb := range b.Edges {
+			for i := range a.Edges {
+				ea := &a.Edges[i]
+				for j := range b.Edges {
+					eb := &b.Edges[j]
 					common := ea.Label.Intersect(eb.Label)
 					if common.Empty() {
 						continue
 					}
-					edges = append(edges, &fdd.Edge{Label: common, To: w.walk(ea.To, eb.To)})
+					to := w.walk(ea.To, eb.To)
+					w.stack = append(w.stack, fdd.Edge{Label: common, To: to})
 				}
 			}
 		case aBranches:
-			for _, ea := range a.Edges {
-				edges = append(edges, &fdd.Edge{Label: ea.Label, To: w.walk(ea.To, b)})
+			for i := range a.Edges {
+				to := w.walk(a.Edges[i].To, b)
+				w.stack = append(w.stack, fdd.Edge{Label: a.Edges[i].Label, To: to})
 			}
 		default:
-			for _, eb := range b.Edges {
-				edges = append(edges, &fdd.Edge{Label: eb.Label, To: w.walk(a, eb.To)})
+			for i := range b.Edges {
+				to := w.walk(a, b.Edges[i].To)
+				w.stack = append(w.stack, fdd.Edge{Label: b.Edges[i].Label, To: to})
 			}
 		}
-		out = w.in.Canonicalize(f, edges, w.fulls[f])
+		out = w.in.Canonicalize(f, w.stack[base:], w.fulls[f])
+		w.stack = w.stack[:base]
 	}
 	w.memo[key] = out
 	return out

@@ -125,9 +125,9 @@ func relabel(f *fdd.FDD, fn func(rule.Decision) rule.Decision) *fdd.FDD {
 		if n.IsTerminal() {
 			out = fdd.Terminal(fn(n.Decision))
 		} else {
-			out = &fdd.Node{Field: n.Field, Edges: make([]*fdd.Edge, len(n.Edges))}
+			out = &fdd.Node{Field: n.Field, Edges: make([]fdd.Edge, len(n.Edges))}
 			for i, e := range n.Edges {
-				out.Edges[i] = &fdd.Edge{Label: e.Label, To: walk(e.To)}
+				out.Edges[i] = fdd.Edge{Label: e.Label, To: walk(e.To)}
 			}
 		}
 		memo[n] = out
@@ -144,9 +144,9 @@ func zip(a, b *fdd.FDD, fn func(da, db rule.Decision) rule.Decision) *fdd.FDD {
 		if x.IsTerminal() {
 			return fdd.Terminal(fn(x.Decision, y.Decision))
 		}
-		out := &fdd.Node{Field: x.Field, Edges: make([]*fdd.Edge, len(x.Edges))}
+		out := &fdd.Node{Field: x.Field, Edges: make([]fdd.Edge, len(x.Edges))}
 		for i := range x.Edges {
-			out.Edges[i] = &fdd.Edge{Label: x.Edges[i].Label, To: walk(x.Edges[i].To, y.Edges[i].To)}
+			out.Edges[i] = fdd.Edge{Label: x.Edges[i].Label, To: walk(x.Edges[i].To, y.Edges[i].To)}
 		}
 		return out
 	}

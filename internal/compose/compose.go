@@ -77,9 +77,9 @@ func CombineFDD(p1, p2 *rule.Policy, combiner Combiner) (*fdd.FDD, error) {
 		if a.IsTerminal() {
 			return fdd.Terminal(combiner(a.Decision, b.Decision))
 		}
-		out := &fdd.Node{Field: a.Field, Edges: make([]*fdd.Edge, len(a.Edges))}
+		out := &fdd.Node{Field: a.Field, Edges: make([]fdd.Edge, len(a.Edges))}
 		for i := range a.Edges {
-			out.Edges[i] = &fdd.Edge{Label: a.Edges[i].Label, To: walk(a.Edges[i].To, b.Edges[i].To)}
+			out.Edges[i] = fdd.Edge{Label: a.Edges[i].Label, To: walk(a.Edges[i].To, b.Edges[i].To)}
 		}
 		return out
 	}

@@ -232,11 +232,11 @@ func TestAddVersionFDDDifferentFieldOrder(t *testing.T) {
 	// D=γ: I=0 -> discard, I=1 -> accept; D≠γ: accept.
 	gamma := interval.SetOf(paper.Gamma, paper.Gamma)
 	notGamma := schema.FullSet(paper.FieldD).Subtract(gamma)
-	iNode := &fdd.Node{Field: paper.FieldI, Edges: []*fdd.Edge{
+	iNode := &fdd.Node{Field: paper.FieldI, Edges: []fdd.Edge{
 		{Label: interval.SetOf(0, 0), To: fdd.Terminal(rule.Discard)},
 		{Label: interval.SetOf(1, 1), To: fdd.Terminal(rule.Accept)},
 	}}
-	f := &fdd.FDD{Schema: schema, Root: &fdd.Node{Field: paper.FieldD, Edges: []*fdd.Edge{
+	f := &fdd.FDD{Schema: schema, Root: &fdd.Node{Field: paper.FieldD, Edges: []fdd.Edge{
 		{Label: gamma, To: iNode},
 		{Label: notGamma, To: fdd.Terminal(rule.Accept)},
 	}}}

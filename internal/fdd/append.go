@@ -29,22 +29,36 @@ type appender struct {
 	// build: the construction's work, in nodes.
 	overlayNodes int
 
-	// covered caches each canonical nonterminal's covered-label union;
-	// canonical nodes are immutable, so an entry never goes stale. It
-	// is cleared with the overlay whose nodes it references.
+	// covered caches the covered-label union of each canonical
+	// nonterminal the store did not mark complete (a complete node
+	// covers the domain, which coveredBy reads off the node); canonical
+	// nodes are immutable, so an entry never goes stale. It is cleared
+	// with the overlay whose nodes it references.
 	covered map[*Node]interval.Set
+
+	// stack holds the edge lists under construction, one frame per
+	// applyAt (or node) call, each addressed by its base index: a deeper
+	// call may grow, and so move, the slice. Interning copies a frame
+	// only when its node is new.
+	stack []Edge
 
 	// Per-append state: the rule being appended, the memo that visits
 	// each (node, field index) once, and lazily built pieces that depend
-	// only on the rule and a field index. A memo entry holds for the
+	// only on the rule and a field index. The common subproblem, a node
+	// at its own field, is memoized in the node's slot (Node.memoGen,
+	// Node.memoOut); memo holds only the skipped-field ones (a terminal,
+	// or a node labeled with a later field). Either entry holds for the
 	// append whose generation it carries: start bumps gen instead of
-	// clearing the map, which would cost the map's peak size per rule.
-	// The map is cleared at promotion, when the overlay nodes it keys on
-	// are released anyway.
+	// clearing anything, except when gen wraps. slots lists the nodes
+	// whose slot the build has written since the last clearSlots, which
+	// promotion and the end of the build call, so no resident node keeps
+	// a slot (or a pointer into a discarded overlay) once its build
+	// moves on.
 	pred    rule.Predicate
 	dec     rule.Decision
-	gen     uint32
+	gen     uint16
 	memo    map[memoKey]memoEntry
+	slots   []*Node
 	paths   []*Node        // paths[k]: canonical path for pred[k:], or nil
 	outside []interval.Set // outside[k]: fulls[k] minus pred[k], or empty
 
@@ -57,8 +71,9 @@ type appender struct {
 	pending int
 }
 
-// memoKey identifies one append subproblem: the rule's conjuncts from
-// field k on, merged into the canonical node n.
+// memoKey identifies one skipped-field append subproblem: the rule's
+// conjuncts from field k on, merged into the canonical node n, which is
+// a terminal or labeled with a field after k.
 type memoKey struct {
 	n *Node
 	k int
@@ -68,7 +83,7 @@ type memoKey struct {
 // generation gen only.
 type memoEntry struct {
 	out *Node
-	gen uint32
+	gen uint16
 }
 
 // budgetChargeEvery is how many charged units accumulate locally between
@@ -122,12 +137,14 @@ func (ap *appender) flush() {
 	}
 }
 
-// node canonicalizes a nonterminal labeled k with the given edges (whose
-// children are canonical, and which may be shared with other canonical
-// nodes) into the overlay, charging the budget for it.
-func (ap *appender) node(k int, edges []*Edge) *Node {
+// node canonicalizes a nonterminal labeled k whose edges are the stack
+// frame from base up (their children canonical) into the overlay,
+// charging the budget for it, and pops the frame.
+func (ap *appender) node(k, base int) *Node {
 	ap.charge(1)
-	return ap.ov.canonicalize(k, edges, ap.fulls[k], true)
+	n := ap.ov.Canonicalize(k, ap.stack[base:], ap.fulls[k])
+	ap.stack = ap.stack[:base]
+	return n
 }
 
 // promote moves the overlay nodes root reaches into the family store
@@ -136,17 +153,35 @@ func (ap *appender) node(k int, edges []*Edge) *Node {
 // between them, and the nodes it keeps are the ones the appends built.
 // root itself stays the same pointer, now canonical in the family.
 func (ap *appender) promote(root *Node) {
+	ap.clearSlots()
 	ap.ov.adoptInto(root)
 	ap.overlayNodes += ap.ov.NumNodes()
 	ap.ov.reset()
 	clear(ap.covered)
 	clear(ap.memo)
+	clear(ap.stack[:cap(ap.stack)])
+}
+
+// clearSlots empties every memo slot the build has written since the
+// last call.
+func (ap *appender) clearSlots() {
+	for _, n := range ap.slots {
+		n.memoGen, n.memoOut = 0, nil
+	}
+	clear(ap.slots)
+	ap.slots = ap.slots[:0]
 }
 
 // start resets the per-append state for rule (pred, d).
 func (ap *appender) start(pred rule.Predicate, d rule.Decision) {
 	ap.pred, ap.dec = pred, d
-	ap.gen++
+	if ap.gen++; ap.gen == 0 {
+		// The generation wrapped: empty every slot and memo entry an
+		// earlier append of this build could still match.
+		ap.clearSlots()
+		clear(ap.memo)
+		ap.gen = 1
+	}
 	clear(ap.paths)
 	clear(ap.outside)
 }
@@ -165,7 +200,10 @@ func (ap *appender) path(k int) *Node {
 	case ap.pred[k].Equal(ap.fulls[k]):
 		n = ap.path(k + 1)
 	default:
-		n = ap.node(k, []*Edge{{Label: ap.pred[k], To: ap.path(k + 1)}})
+		to := ap.path(k + 1)
+		base := len(ap.stack)
+		ap.stack = append(ap.stack, Edge{Label: ap.pred[k], To: to})
+		n = ap.node(k, base)
 	}
 	ap.paths[k] = n
 	return n
@@ -181,29 +219,22 @@ func (ap *appender) outsideOf(k int) interval.Set {
 	return ap.outside[k]
 }
 
-// coveredBy returns the union of v's edge labels, cached per canonical
-// node. Sibling labels are disjoint, so when their sizes sum to the
-// size of the field's domain the union is the domain itself and no set
-// is built; otherwise every interval is gathered and canonicalized in a
-// single pass. (A domain of 2^64 values saturates Count and always takes
-// the second path.)
+// coveredBy returns the union of v's edge labels. A node the store
+// found complete when it created it covers the whole domain; the union
+// of any other is gathered and canonicalized in a single pass, once per
+// canonical node.
 func (ap *appender) coveredBy(v *Node) interval.Set {
+	if v.complete {
+		return ap.fulls[v.Field]
+	}
 	if s, ok := ap.covered[v]; ok {
 		return s
 	}
-	full := ap.fulls[v.Field]
-	var n uint64
-	for _, e := range v.Edges {
-		n += e.Label.Count()
+	ap.ivbuf = ap.ivbuf[:0]
+	for i := range v.Edges {
+		ap.ivbuf = v.Edges[i].Label.AppendIntervals(ap.ivbuf)
 	}
-	s := full
-	if c := full.Count(); c == interval.Max || n != c {
-		ap.ivbuf = ap.ivbuf[:0]
-		for _, e := range v.Edges {
-			ap.ivbuf = e.Label.AppendIntervals(ap.ivbuf)
-		}
-		s = interval.NewSet(ap.ivbuf...)
-	}
+	s := interval.NewSet(ap.ivbuf...)
 	ap.covered[v] = s
 	return s
 }
@@ -220,12 +251,25 @@ func (ap *appender) appendRule(root *Node, pred rule.Predicate, d rule.Decision)
 
 // apply merges the rule's conjuncts pred[k:] into the canonical node v,
 // memoized on (v, k) so a subgraph shared under several edges is
-// appended to once. Each memo miss is charged to the budget: an append
+// appended to once: in v's own slot when k is v's field, in the memo
+// map otherwise. Each memo miss is charged to the budget: an append
 // that changes nothing still walks every subproblem its rule overlaps.
 func (ap *appender) apply(v *Node, k int) *Node {
 	if k == len(ap.pred) {
 		// All fields consumed: the existing first-match decision wins.
 		return v
+	}
+	if k == v.Field {
+		if v.memoGen == ap.gen {
+			return v.memoOut
+		}
+		ap.charge(1)
+		out := ap.applyAt(v, k)
+		if v.memoGen == 0 {
+			ap.slots = append(ap.slots, v)
+		}
+		v.memoGen, v.memoOut = ap.gen, out
+		return out
 	}
 	key := memoKey{v, k}
 	if e, ok := ap.memo[key]; ok && e.gen == ap.gen {
@@ -239,7 +283,9 @@ func (ap *appender) apply(v *Node, k int) *Node {
 
 // applyAt is apply's body: the three edge cases of Fig. 7 on a diagram
 // whose nodes may skip fields (a skipped field is implicitly a single
-// full-domain edge).
+// full-domain edge). A changed node's edges are built as a frame on
+// ap.stack starting at base; nothing is pushed until the first change,
+// so an append that leaves v's function alone copies nothing here.
 func (ap *appender) applyAt(v *Node, k int) *Node {
 	s := ap.pred[k]
 
@@ -253,61 +299,62 @@ func (ap *appender) applyAt(v *Node, k int) *Node {
 		if inside == v {
 			return v
 		}
-		return ap.node(k, []*Edge{
-			{Label: ap.outsideOf(k), To: v},
-			{Label: s, To: inside},
-		})
+		base := len(ap.stack)
+		ap.stack = append(ap.stack,
+			Edge{Label: ap.outsideOf(k), To: v},
+			Edge{Label: s, To: inside})
+		return ap.node(k, base)
 	}
 
-	// edges stays nil until the first change: an append that leaves v's
-	// function alone allocates nothing here. Unchanged edges are shared
-	// with v (canonical edges are never mutated).
-	var edges []*Edge
+	base := len(ap.stack)
+	changed := false
 
 	// Uncovered part of S: packets here match none of the earlier rules,
 	// so they get the new rule's decision path. A node whose edges
 	// already tile the whole domain has no uncovered part.
 	if cov := ap.coveredBy(v); !cov.Equal(ap.fulls[v.Field]) {
 		if rest := s.Subtract(cov); !rest.Empty() {
-			edges = make([]*Edge, 0, len(v.Edges)+2)
-			edges = append(edges, &Edge{Label: rest, To: ap.path(k + 1)})
+			to := ap.path(k + 1)
+			ap.stack = append(ap.stack, Edge{Label: rest, To: to})
+			changed = true
 		}
 	}
 
-	for i, e := range v.Edges {
+	for i := range v.Edges {
+		e := &v.Edges[i]
 		if !e.Label.Overlaps(s) {
 			// Case 1: S ∩ I(e) = ∅ — the edge is unaffected.
-			if edges != nil {
-				edges = append(edges, e)
+			if changed {
+				ap.stack = append(ap.stack, *e)
 			}
 			continue
 		}
 		child := ap.apply(e.To, k+1)
 		if child == e.To {
 			// Every packet of S ∩ I(e) already matched an earlier rule.
-			if edges != nil {
-				edges = append(edges, e)
+			if changed {
+				ap.stack = append(ap.stack, *e)
 			}
 			continue
 		}
-		if edges == nil {
-			edges = make([]*Edge, 0, len(v.Edges)+2)
-			edges = append(edges, v.Edges[:i]...)
+		if !changed {
+			ap.stack = append(ap.stack, v.Edges[:i]...)
+			changed = true
 		}
 		if s.ContainsSet(e.Label) {
 			// Case 2: I(e) ⊆ S — the rest of the rule went below e.
-			edges = append(edges, &Edge{Label: e.Label, To: child})
+			ap.stack = append(ap.stack, Edge{Label: e.Label, To: child})
 		} else {
 			// Case 3: split e; the outside part keeps the old subgraph,
 			// the inside part gets the appended version.
-			edges = append(edges,
-				&Edge{Label: e.Label.Subtract(s), To: e.To},
-				&Edge{Label: e.Label.Intersect(s), To: child})
+			ap.stack = append(ap.stack,
+				Edge{Label: e.Label.Subtract(s), To: e.To},
+				Edge{Label: e.Label.Intersect(s), To: child})
 		}
 	}
-	if edges == nil {
+	if !changed {
 		// No terminal changed anywhere below: keep the canonical node.
 		return v
 	}
-	return ap.node(v.Field, edges)
+	return ap.node(v.Field, base)
 }

@@ -1,6 +1,7 @@
 package fdd
 
 import (
+	"runtime"
 	"testing"
 
 	"diversefw/internal/rule"
@@ -34,4 +35,36 @@ func BenchmarkConstruct(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuilderResident measures what a cached builder costs to keep:
+// it retains 16 builders (each policy of constructPolicies twice, in
+// separate families) and reports the live heap they hold, after a full
+// collection, per node of their family stores. The policies are built
+// before the first measurement, so only construction's own objects
+// count: nodes, edges, labels and the stores' tables.
+func BenchmarkBuilderResident(b *testing.B) {
+	pols := constructPolicies()
+	var ms runtime.MemStats
+	var perNode float64
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		builders := make([]*Builder, 16)
+		nodes := 0
+		for j := range builders {
+			bl, err := NewBuilder(pols[j%len(pols)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			builders[j] = bl
+			nodes += bl.StoreNodes()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		perNode = float64(ms.HeapAlloc-before) / float64(nodes)
+		runtime.KeepAlive(builders)
+	}
+	b.ReportMetric(perNode, "B/storenode")
 }

@@ -191,6 +191,9 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 		}
 	}()
 	ap := newAppender(p.Schema, core.in)
+	// Every exit, a budget panic and a cancellation included, leaves no
+	// memo slot set on a family node.
+	defer ap.clearSlots()
 	ap.budget = guard.FromContext(ctx)
 	effective := make([]bool, p.Size())
 	copy(effective, effPrefix)

@@ -191,7 +191,7 @@ func Unmarshal(r io.Reader, schema *field.Schema) (*FDD, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fdd: edge %d -> %d: %w", e.from, e.to, err)
 		}
-		from.Edges = append(from.Edges, &Edge{Label: set, To: to})
+		from.Edges = append(from.Edges, Edge{Label: set, To: to})
 	}
 
 	rootNode, ok := nodes[root]

@@ -1,12 +1,14 @@
 package fdd
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"diversefw/internal/field"
@@ -223,10 +225,11 @@ func assertStoreIsReachable(t *testing.T, in *Interner, bs ...*Builder) {
 			walk(cp.root)
 		}
 	}
-	if len(in.nodes) != len(want) {
-		t.Fatalf("store holds %d nodes, %d are reachable from promoted roots", len(in.nodes), len(want))
+	nodes := storeNodes(t, in)
+	if len(nodes) != len(want) {
+		t.Fatalf("store holds %d nodes, %d are reachable from promoted roots", len(nodes), len(want))
 	}
-	for _, n := range in.nodes {
+	for _, n := range nodes {
 		if !want[n] {
 			t.Fatalf("store holds a node no promoted root reaches")
 		}
@@ -235,41 +238,72 @@ func assertStoreIsReachable(t *testing.T, in *Interner, bs ...*Builder) {
 }
 
 // assertStoreIndexed checks that every node of in can be found again
-// the way intern looks for it: under its own dense id, and in the bucket
-// of the hash it has under the store's current ids (or, for a terminal,
-// in the decision table). A node adopted from an overlay keeps its
-// overlay hash only if promotion forgot to re-hash it, and then a later
-// equal node would miss it and be interned twice.
+// the way intern looks for it: it carries in's serial and a dense id
+// (storeNodes), and sits in the bucket of the hash it has under the
+// store's current ids (or, for a terminal, in the decision table). A
+// node adopted from an overlay keeps its overlay hash only if promotion
+// forgot to re-hash it, and then a later equal node would miss it and
+// be interned twice. No node may keep an append memo slot: builds clear
+// every slot they write before they return.
 func assertStoreIndexed(t *testing.T, in *Interner) {
 	t.Helper()
-	chained := 0
-	for _, chain := range in.buckets {
-		chained += len(chain)
-	}
-	terminals := 0
-	for i, n := range in.nodes {
-		if id, _ := in.id(n); int(id) != i {
-			t.Fatalf("store node %d has id %d", i, id)
+	for i, n := range storeNodes(t, in) {
+		if n.memoGen != 0 || n.memoOut != nil {
+			t.Fatalf("store node %d keeps an append memo slot", i)
 		}
 		if n.IsTerminal() {
-			terminals++
 			if in.terms[n.Decision] != n {
 				t.Fatalf("terminal %v is not the store's canonical terminal", n.Decision)
 			}
 			continue
 		}
-		h, _ := in.hashNode(n)
+		h, _ := in.hashNode(n.Field, n.Edges)
 		found := false
-		for _, c := range in.buckets[h] {
+		for _, c := range bucket(in, h) {
 			found = found || c == n
 		}
 		if !found {
 			t.Fatalf("store node %d is not in the bucket of its hash", i)
 		}
 	}
-	if chained+terminals != len(in.nodes) {
-		t.Fatalf("buckets chain %d nonterminals, the store holds %d", chained, len(in.nodes)-terminals)
+}
+
+// bucket returns the chain of in's nonterminals hashed to h: the
+// bucket's first node, then its overflow.
+func bucket(in *Interner, h uint64) []*Node {
+	c, ok := in.buckets[h]
+	if !ok {
+		return nil
 	}
+	return append([]*Node{c}, in.overflow[h]...)
+}
+
+// storeNodes enumerates in's nodes through its own tables, the bucket
+// chains and the terminal table, ordered by id. It checks the identity
+// each node carries: in's serial, and ids dense from the store's first
+// id to NumNodes()-1 past it, each held by exactly one node.
+func storeNodes(t *testing.T, in *Interner) []*Node {
+	t.Helper()
+	nodes := make([]*Node, 0, in.NumNodes())
+	for h := range in.buckets {
+		nodes = append(nodes, bucket(in, h)...)
+	}
+	for _, n := range in.terms {
+		nodes = append(nodes, n)
+	}
+	if len(nodes) != in.NumNodes() {
+		t.Fatalf("buckets and terminals hold %d nodes, the store counts %d", len(nodes), in.NumNodes())
+	}
+	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
+	for i, n := range nodes {
+		if n.serial != in.serial || !in.Canonical(n) {
+			t.Fatalf("store node %d carries serial %d, the store's is %d", i, n.serial, in.serial)
+		}
+		if n.id != in.idBase+uint32(i) {
+			t.Fatalf("store node %d has id %d, want %d", i, n.id, in.idBase+uint32(i))
+		}
+	}
+	return nodes
 }
 
 // staircase is the worst case of the copy-on-write reference append:

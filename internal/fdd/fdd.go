@@ -34,11 +34,32 @@ const TerminalField = -1
 
 // Node is an FDD node. A terminal node has Field == TerminalField and a
 // Decision; a nonterminal node has a schema field index and outgoing
-// edges.
+// edges, held inline.
+//
+// A node canonical in an Interner also carries that store's identity
+// (its serial and the node's dense id) and one append memo slot, so
+// construction needs no side table keyed by node: see Interner and
+// appender. Nodes built by hand or by the other passes leave them zero.
 type Node struct {
 	Field    int
 	Decision rule.Decision
-	Edges    []*Edge
+	Edges    []Edge
+
+	serial uint64 // serial of the owning store; 0 when no store owns it
+	id     uint32 // dense id in the owning store
+	// memoGen and memoOut are the append memo slot for the subproblem
+	// (this node, its own field): the result memoOut of the append of
+	// generation memoGen. A build clears every slot it wrote before it
+	// promotes a checkpoint and before it returns, so a slot is set only
+	// while its build runs; memoGen 0 means empty. It is 16 bits wide so
+	// that complete shares its word; the appender empties every slot
+	// when its generation wraps.
+	memoGen uint16
+	// complete records, when the store created the node, that its edges
+	// tile the field's whole domain; false also when that was not
+	// established.
+	complete bool
+	memoOut  *Node
 }
 
 // Edge is a labeled outgoing edge.
@@ -138,9 +159,9 @@ func copySubgraph(n *Node) *Node {
 	if n.IsTerminal() {
 		return Terminal(n.Decision)
 	}
-	out := &Node{Field: n.Field, Edges: make([]*Edge, len(n.Edges))}
+	out := &Node{Field: n.Field, Edges: make([]Edge, len(n.Edges))}
 	for i, e := range n.Edges {
-		out.Edges[i] = &Edge{Label: e.Label, To: copySubgraph(e.To)}
+		out.Edges[i] = Edge{Label: e.Label, To: copySubgraph(e.To)}
 	}
 	return out
 }
@@ -437,10 +458,14 @@ func (f *FDD) SimplifyContext(ctx context.Context) (out *FDD, err error) {
 		if n.IsTerminal() {
 			return Terminal(n.Decision)
 		}
-		out := &Node{Field: n.Field}
+		width := 0
+		for _, e := range n.Edges {
+			width += e.Label.NumIntervals()
+		}
+		out := &Node{Field: n.Field, Edges: make([]Edge, 0, width)}
 		for _, e := range n.Edges {
 			for _, iv := range e.Label.Intervals() {
-				out.Edges = append(out.Edges, &Edge{
+				out.Edges = append(out.Edges, Edge{
 					Label: interval.SetFromInterval(iv),
 					To:    simplify(e.To),
 				})
@@ -460,8 +485,8 @@ func (f *FDD) SimplifyContext(ctx context.Context) (out *FDD, err error) {
 }
 
 // sortEdges orders edges by the start of their (single) first interval.
-func sortEdges(edges []*Edge) {
-	slices.SortFunc(edges, func(x, y *Edge) int {
+func sortEdges(edges []Edge) {
+	slices.SortFunc(edges, func(x, y Edge) int {
 		a, _ := x.Label.Min()
 		b, _ := y.Label.Min()
 		return cmp.Compare(a, b)

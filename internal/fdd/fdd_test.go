@@ -255,7 +255,7 @@ func TestDecideOnPartialDiagram(t *testing.T) {
 	s := smallSchema()
 	f := &FDD{
 		Schema: s,
-		Root: &Node{Field: 0, Edges: []*Edge{
+		Root: &Node{Field: 0, Edges: []Edge{
 			{Label: interval.SetOf(0, 4), To: Terminal(rule.Accept)},
 		}},
 	}
@@ -277,28 +277,28 @@ func TestCheckInvariantsCatchesViolations(t *testing.T) {
 		f    *FDD
 	}{
 		{"nil root", &FDD{Schema: s}},
-		{"incomplete", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []*Edge{
+		{"incomplete", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []Edge{
 			{Label: interval.SetOf(0, 4), To: Terminal(rule.Accept)},
 		}}}},
-		{"overlapping", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []*Edge{
+		{"overlapping", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []Edge{
 			{Label: interval.SetOf(0, 5), To: Terminal(rule.Accept)},
 			{Label: interval.SetOf(5, 9), To: Terminal(rule.Discard)},
 		}}}},
-		{"bad field", &FDD{Schema: s, Root: &Node{Field: 7, Edges: []*Edge{
+		{"bad field", &FDD{Schema: s, Root: &Node{Field: 7, Edges: []Edge{
 			{Label: full0, To: Terminal(rule.Accept)},
 		}}}},
-		{"repeated field", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []*Edge{
-			{Label: full0, To: &Node{Field: 0, Edges: []*Edge{
+		{"repeated field", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []Edge{
+			{Label: full0, To: &Node{Field: 0, Edges: []Edge{
 				{Label: full0, To: Terminal(rule.Accept)},
 			}}},
 		}}}},
-		{"out of order", &FDD{Schema: s, Root: &Node{Field: 1, Edges: []*Edge{
-			{Label: full1, To: &Node{Field: 0, Edges: []*Edge{
+		{"out of order", &FDD{Schema: s, Root: &Node{Field: 1, Edges: []Edge{
+			{Label: full1, To: &Node{Field: 0, Edges: []Edge{
 				{Label: full0, To: Terminal(rule.Accept)},
 			}}},
 		}}}},
 		{"bad decision", &FDD{Schema: s, Root: Terminal(0)}},
-		{"empty label", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []*Edge{
+		{"empty label", &FDD{Schema: s, Root: &Node{Field: 0, Edges: []Edge{
 			{Label: interval.Set{}, To: Terminal(rule.Accept)},
 			{Label: full0, To: Terminal(rule.Accept)},
 		}}}},

@@ -59,9 +59,9 @@ func (f *FDD) reduceLegacy() *FDD {
 			merged[child] = ne
 			order = append(order, child)
 		}
-		edges := make([]*Edge, 0, len(order))
+		edges := make([]Edge, 0, len(order))
 		for _, child := range order {
-			edges = append(edges, merged[child])
+			edges = append(edges, *merged[child])
 		}
 		// A node whose edges all lead to one child tests nothing, provided
 		// the merged edge covers the whole domain (it always does in a

@@ -47,7 +47,7 @@ func (ap *refAppender) buildPath(pred rule.Predicate, k int, d rule.Decision) *N
 	}
 	return &Node{
 		Field: k,
-		Edges: []*Edge{{Label: pred[k], To: ap.buildPath(pred, k+1, d)}},
+		Edges: []Edge{{Label: pred[k], To: ap.buildPath(pred, k+1, d)}},
 	}
 }
 
@@ -82,17 +82,17 @@ func (ap *refAppender) appendRule(v *Node, pred rule.Predicate, k int, d rule.De
 		if !added {
 			return v, false
 		}
-		return &Node{Field: k, Edges: []*Edge{
+		return &Node{Field: k, Edges: []Edge{
 			{Label: ap.fulls[k].Subtract(s), To: v},
 			{Label: s, To: inside},
 		}}, true
 	}
 
-	out := &Node{Field: v.Field, Edges: make([]*Edge, 0, len(v.Edges)+2)}
+	out := &Node{Field: v.Field, Edges: make([]Edge, 0, len(v.Edges)+2)}
 	added := false
 	if covered := ap.covered(v); !covered.Equal(ap.fulls[v.Field]) {
 		if rest := s.Subtract(covered); !rest.Empty() {
-			out.Edges = append(out.Edges, &Edge{Label: rest, To: ap.buildPath(pred, k+1, d)})
+			out.Edges = append(out.Edges, Edge{Label: rest, To: ap.buildPath(pred, k+1, d)})
 			added = true
 		}
 	}
@@ -100,15 +100,15 @@ func (ap *refAppender) appendRule(v *Node, pred rule.Predicate, k int, d rule.De
 		common := e.Label.Intersect(s)
 		switch {
 		case common.Empty():
-			out.Edges = append(out.Edges, &Edge{Label: e.Label, To: e.To})
+			out.Edges = append(out.Edges, Edge{Label: e.Label, To: e.To})
 		case common.Equal(e.Label):
 			child, chAdded := ap.appendRule(e.To, pred, k+1, d)
-			out.Edges = append(out.Edges, &Edge{Label: e.Label, To: child})
+			out.Edges = append(out.Edges, Edge{Label: e.Label, To: child})
 			added = added || chAdded
 		default:
 			child, chAdded := ap.appendRule(e.To, pred, k+1, d)
-			out.Edges = append(out.Edges, &Edge{Label: e.Label.Subtract(s), To: e.To})
-			out.Edges = append(out.Edges, &Edge{Label: common, To: child})
+			out.Edges = append(out.Edges, Edge{Label: e.Label.Subtract(s), To: e.To})
+			out.Edges = append(out.Edges, Edge{Label: common, To: child})
 			added = added || chAdded
 		}
 	}

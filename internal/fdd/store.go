@@ -1,24 +1,33 @@
 package fdd
 
 import (
+	"sync/atomic"
+
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/rule"
 )
 
-// Interner is a hash-consing node store: an arena that assigns each
-// canonical FDD node a dense uint32 id and dedupes nodes by a uint64
-// structural hash of (field, [(label, child-id)...]) with collision
-// chaining. It replaces the string-signature reduction (fmt.Sprintf keys
-// in a map[string]*Node): hashing a node is a handful of multiplies over
-// its interval bounds and child ids, no formatting and no string
-// allocation, O(1) amortized per node.
+// Interner is a hash-consing node store: it assigns each canonical FDD
+// node a dense uint32 id and dedupes nodes by a uint64 structural hash
+// of (field, [(label, child-id)...]) with collision chaining. Hashing a
+// node is a handful of multiplies over its interval bounds and child
+// ids, no formatting and no string allocation, O(1) amortized per node.
+//
+// A store keeps no side table from node to identity: a node it owns
+// carries the store's serial and its own dense id, so "is n canonical
+// here" and "what is n's id" are field reads. Serials come from one
+// process-wide 64-bit counter and never repeat, so a node stamped by
+// another store, or by an earlier generation of an overlay, never
+// passes as canonical.
 //
 // A node owned by the store is canonical: its children are canonical and
 // no other stored node is structurally equal to it. Canonical nodes are
-// never mutated, so a store can be shared by a whole builder family — a
-// subgraph that is already canonical is recognized by a single map
-// lookup and never re-walked or re-hashed.
+// never mutated (apart from the append memo slot, which only a build
+// holding the family lock writes and which every build clears before it
+// returns), so a store can be shared by a whole builder family — a
+// subgraph that is already canonical is recognized by one field read
+// and never re-walked or re-hashed.
 //
 // An overlay (newOverlay) is a store stacked on a parent: lookups
 // consult the parent first and ids continue the parent's numbering, so a
@@ -26,32 +35,45 @@ import (
 // means functional equality across both. Construction interns its
 // intermediate diagrams into an overlay and promotes only the checkpoint
 // roots into the parent: adoptInto moves the overlay nodes a root
-// reaches into the parent as they are, and reset empties the overlay's
-// tables for the next batch.
+// reaches into the parent as they are, restamping their serial and id,
+// and reset gives the overlay a fresh serial, which disowns every node
+// that was not adopted in O(1).
 //
 // An Interner is not safe for concurrent use; parallel pipelines give
 // each worker its own store and re-intern once at the stitch point.
 type Interner struct {
-	buckets map[uint64][]*Node      // structural hash -> chain of canonical nonterminals
-	terms   map[rule.Decision]*Node // decision -> canonical terminal
-	ids     map[*Node]uint32        // canonical node -> dense id
-	nodes   []*Node                 // dense id - idBase -> canonical node
+	// buckets maps a structural hash to the first canonical nonterminal
+	// with that hash; overflow chains any others, which a 64-bit hash
+	// makes rare, so the common bucket costs no slice of its own.
+	buckets  map[uint64]*Node
+	overflow map[uint64][]*Node
+	terms    map[rule.Decision]*Node // decision -> canonical terminal
+	// serial is stamped on every node the store owns; count is how many
+	// it owns, whose ids run from idBase to idBase+count-1.
+	serial uint64
+	count  int
 	// parent, when non-nil, makes this store an overlay of parent, which
 	// must not change while the overlay is in use; idBase is parent's
-	// node count at creation, the first id the overlay assigns.
+	// node count at creation (or last reset), the first id the overlay
+	// assigns.
 	parent *Interner
 	idBase uint32
-	// hashOverride, when non-nil, replaces hashNode. Tests use it to
-	// force every node into one bucket and exercise the chaining path.
-	hashOverride func(*Node) uint64
+	// hashOverride, when non-nil, replaces the structural hash. Tests
+	// use it to force every node into one bucket and exercise the
+	// chaining path.
+	hashOverride func(field int, edges []Edge) uint64
 }
+
+// storeSerials hands out store serials. Zero is never handed out, so a
+// node no store owns (serial 0) is canonical nowhere.
+var storeSerials atomic.Uint64
 
 // NewInterner returns an empty node store.
 func NewInterner() *Interner {
 	return &Interner{
-		buckets: make(map[uint64][]*Node),
+		buckets: make(map[uint64]*Node),
 		terms:   make(map[rule.Decision]*Node),
-		ids:     make(map[*Node]uint32),
+		serial:  storeSerials.Add(1),
 	}
 }
 
@@ -66,12 +88,14 @@ func newOverlay(parent *Interner) *Interner {
 
 // adoptInto moves root and the nodes below it that this overlay owns
 // into its parent, children first. No node is copied and no edge
-// rewritten. A node canonical here never equals a parent node: intern
-// consults the parent whenever all of a node's children are in it, and
-// a node with a child canonical here cannot equal a parent node, whose
-// children are all the parent's. So each moved node stays unique; only
-// its hash changes, because ids do, and it is re-hashed under its
-// parent id. The overlay must be reset before it is used again.
+// rewritten: each moved node is restamped with the parent's serial and
+// the parent's next id. A node canonical here never equals a parent
+// node: intern consults the parent whenever all of a node's children
+// are in it, and a node with a child canonical here cannot equal a
+// parent node, whose children are all the parent's. So each moved node
+// stays unique; only its hash changes, because ids do, and it is
+// re-hashed under its parent id. The overlay must be reset before it is
+// used again.
 func (in *Interner) adoptInto(root *Node) {
 	p := in.parent
 	var adopt func(n *Node)
@@ -84,48 +108,35 @@ func (in *Interner) adoptInto(root *Node) {
 			p.register(n)
 			return
 		}
-		for _, e := range n.Edges {
-			adopt(e.To)
+		for i := range n.Edges {
+			adopt(n.Edges[i].To)
 		}
-		h, _ := p.hashNode(n)
-		p.buckets[h] = append(p.buckets[h], n)
+		h, _ := p.hashNode(n.Field, n.Edges)
+		p.insert(h, n)
 		p.register(n)
 	}
 	adopt(root)
 }
 
-// reset empties the overlay, keeping its tables' capacity, and restarts
-// its ids after the parent's current nodes.
+// reset empties the overlay for the next batch: a fresh serial disowns
+// every node it holds (adopted ones already carry the parent's), the
+// tables are cleared keeping their capacity, and ids restart after the
+// parent's current nodes.
 func (in *Interner) reset() {
+	in.serial = storeSerials.Add(1)
 	clear(in.buckets)
+	clear(in.overflow)
 	clear(in.terms)
-	clear(in.ids)
-	clear(in.nodes)
-	in.nodes = in.nodes[:0]
+	in.count = 0
 	in.idBase = uint32(in.parent.NumNodes())
 }
 
 // NumNodes returns how many canonical nodes the store holds (an
 // overlay counts only its own, not its parent's).
-func (in *Interner) NumNodes() int { return len(in.nodes) }
+func (in *Interner) NumNodes() int { return in.count }
 
 // Canonical reports whether n is owned by (canonical in) this store.
-func (in *Interner) Canonical(n *Node) bool {
-	_, ok := in.ids[n]
-	return ok
-}
-
-// id returns the dense id of a node canonical in this store or its
-// parent, and whether the parent owns it.
-func (in *Interner) id(n *Node) (id uint32, inParent bool) {
-	if id, ok := in.ids[n]; ok {
-		return id, false
-	}
-	if in.parent != nil {
-		return in.parent.ids[n], true
-	}
-	return 0, false
-}
+func (in *Interner) Canonical(n *Node) bool { return n.serial == in.serial }
 
 // fnv64Offset is the FNV-64 offset basis, the seed of node hashes.
 const fnv64Offset = 14695981039346656037
@@ -136,66 +147,161 @@ func mix64(h, v uint64) uint64 {
 	return (h ^ v) * fnv64Prime
 }
 
-// hashNode computes the structural hash of a nonterminal whose children
-// are already canonical in this store (terminals are interned by
-// decision in a separate table and never hashed). inParent reports that
-// every child belongs to the parent store — only then can the parent
-// hold an equal node, under the same hash.
-func (in *Interner) hashNode(n *Node) (h uint64, inParent bool) {
+// hashNode computes the structural hash of a nonterminal labeled field
+// with the given edges, whose children are already canonical in this
+// store or its parent (terminals are interned by decision in a separate
+// table and never hashed). inParent reports that every child belongs to
+// the parent store — only then can the parent hold an equal node, under
+// the same hash.
+func (in *Interner) hashNode(field int, edges []Edge) (h uint64, inParent bool) {
 	inParent = in.parent != nil
-	h = mix64(fnv64Offset, uint64(n.Field))
-	for _, e := range n.Edges {
-		id, p := in.id(e.To)
-		inParent = inParent && p
+	h = mix64(fnv64Offset, uint64(field))
+	for i := range edges {
+		e := &edges[i]
+		inParent = inParent && e.To.serial == in.parent.serial
 		h = e.Label.Hash(h)
-		h = mix64(h, uint64(id))
+		h = mix64(h, uint64(e.To.id))
 	}
 	if in.hashOverride != nil {
-		h = in.hashOverride(n)
+		h = in.hashOverride(field, edges)
 	}
 	return h, inParent
 }
 
-// sameShape reports structural equality of two nodes whose children are
-// canonical (so child comparison is pointer identity).
-func sameShape(a, b *Node) bool {
-	if a.Field != b.Field || a.Decision != b.Decision || len(a.Edges) != len(b.Edges) {
+// sameShape reports whether the nonterminal c is labeled field and has
+// exactly the given edges, whose children are canonical (so child
+// comparison is pointer identity).
+func sameShape(c *Node, field int, edges []Edge) bool {
+	if c.Field != field || len(c.Edges) != len(edges) {
 		return false
 	}
-	for i := range a.Edges {
-		if a.Edges[i].To != b.Edges[i].To || !a.Edges[i].Label.Equal(b.Edges[i].Label) {
+	for i := range edges {
+		if c.Edges[i].To != edges[i].To || !c.Edges[i].Label.Equal(edges[i].Label) {
 			return false
 		}
 	}
 	return true
 }
 
-// intern returns the canonical nonterminal structurally equal to n,
-// storing n itself if none exists. n's children must already be
-// canonical and its edges in sorted order.
-func (in *Interner) intern(n *Node) *Node {
-	h, inParent := in.hashNode(n)
+// intern returns the canonical nonterminal labeled field with the given
+// edges, whose children must already be canonical and which must be in
+// sorted order. It probes by (field, edges) first: a node that already
+// exists is returned and nothing is allocated. Only a new node is
+// allocated, with its own exact-size copy of edges; the caller's slice
+// is never retained.
+func (in *Interner) intern(field int, edges []Edge, full interval.Set) *Node {
+	h, inParent := in.hashNode(field, edges)
 	if inParent {
-		for _, c := range in.parent.buckets[h] {
-			if sameShape(c, n) {
-				return c
-			}
-		}
-	}
-	for _, c := range in.buckets[h] {
-		if sameShape(c, n) {
+		if c := in.parent.lookup(h, field, edges); c != nil {
 			return c
 		}
 	}
-	in.buckets[h] = append(in.buckets[h], n)
+	if c := in.lookup(h, field, edges); c != nil {
+		return c
+	}
+	n := newNode(field, edges)
+	n.complete = tiles(edges, full)
+	in.insert(h, n)
 	in.register(n)
 	return n
 }
 
-// register assigns n the next dense id.
+// lookup returns the node in the bucket of hash h that is labeled field
+// with exactly edges, or nil.
+func (in *Interner) lookup(h uint64, field int, edges []Edge) *Node {
+	c := in.buckets[h]
+	if c == nil {
+		return nil
+	}
+	if sameShape(c, field, edges) {
+		return c
+	}
+	for _, c := range in.overflow[h] {
+		if sameShape(c, field, edges) {
+			return c
+		}
+	}
+	return nil
+}
+
+// insert adds the nonterminal n, whose hash is h, to the bucket of h.
+func (in *Interner) insert(h uint64, n *Node) {
+	if _, taken := in.buckets[h]; !taken {
+		in.buckets[h] = n
+		return
+	}
+	if in.overflow == nil {
+		in.overflow = make(map[uint64][]*Node)
+	}
+	in.overflow[h] = append(in.overflow[h], n)
+}
+
+// nodeBlock co-allocates a node with its edge array, one object instead
+// of two. For 1 to 8 edges, 64+32k bytes is itself a size class, so the
+// block costs exactly what the two allocations would.
+type nodeBlock[E any] struct {
+	n Node
+	e E
+}
+
+// newNode returns a node labeled field holding an exact-size copy of
+// edges.
+func newNode(field int, edges []Edge) *Node {
+	var n *Node
+	var dst []Edge
+	switch len(edges) {
+	case 1:
+		b := new(nodeBlock[[1]Edge])
+		n, dst = &b.n, b.e[:]
+	case 2:
+		b := new(nodeBlock[[2]Edge])
+		n, dst = &b.n, b.e[:]
+	case 3:
+		b := new(nodeBlock[[3]Edge])
+		n, dst = &b.n, b.e[:]
+	case 4:
+		b := new(nodeBlock[[4]Edge])
+		n, dst = &b.n, b.e[:]
+	case 5:
+		b := new(nodeBlock[[5]Edge])
+		n, dst = &b.n, b.e[:]
+	case 6:
+		b := new(nodeBlock[[6]Edge])
+		n, dst = &b.n, b.e[:]
+	case 7:
+		b := new(nodeBlock[[7]Edge])
+		n, dst = &b.n, b.e[:]
+	case 8:
+		b := new(nodeBlock[[8]Edge])
+		n, dst = &b.n, b.e[:]
+	default:
+		n, dst = new(Node), make([]Edge, len(edges))
+	}
+	copy(dst, edges)
+	n.Field, n.Edges = field, dst
+	return n
+}
+
+// tiles reports whether the disjoint labels of edges cover full: their
+// sizes sum to its size. (A domain of 2^64 values saturates Count, and
+// its nodes are never reported complete.)
+func tiles(edges []Edge, full interval.Set) bool {
+	c := full.Count()
+	if c == interval.Max {
+		return false
+	}
+	var n uint64
+	for i := range edges {
+		n += edges[i].Label.Count()
+	}
+	return n == c
+}
+
+// register stamps n with the store's serial and next dense id.
 func (in *Interner) register(n *Node) {
-	in.ids[n] = in.idBase + uint32(len(in.nodes))
-	in.nodes = append(in.nodes, n)
+	n.serial = in.serial
+	n.id = in.idBase + uint32(in.count)
+	in.count++
 }
 
 // CanonicalTerminal returns the store's canonical terminal labeled d.
@@ -214,56 +320,46 @@ func (in *Interner) CanonicalTerminal(d rule.Decision) *Node {
 	return c
 }
 
-// Canonicalize builds the canonical node for a nonterminal labeled
+// Canonicalize returns the canonical node for a nonterminal labeled
 // fieldIdx with the given edges, whose children must already be
 // canonical in this store. Edges leading to the same child are merged
 // and the result is ordered by label; a node whose single merged edge
 // covers full (the field's whole domain) tests nothing and is elided to
-// its child. The edges slice and its Edge structs are consumed: the
-// store may retain or relabel them.
+// its child.
+//
+// edges is scratch space: it is merged and reordered in place, and the
+// store never retains it — a node that is not yet stored gets its own
+// exact-size copy, and one that is allocates nothing. Callers build edge
+// lists on a reused stack and truncate it after the call.
 //
 // It is the primitive for building diagrams directly in reduced form —
 // a bottom-up walk that canonicalizes each node as it is created (the
 // lockstep comparison does this) never materializes an unreduced tree.
-func (in *Interner) Canonicalize(fieldIdx int, edges []*Edge, full interval.Set) *Node {
-	return in.canonicalize(fieldIdx, edges, full, false)
-}
-
-// canonicalize is Canonicalize; with shared set, the Edge structs are
-// never modified, so the caller may pass edges that other canonical
-// nodes hold (the edges slice is still consumed).
-func (in *Interner) canonicalize(fieldIdx int, edges []*Edge, full interval.Set, shared bool) *Node {
-	edges = mergeSameChild(edges, shared)
+func (in *Interner) Canonicalize(fieldIdx int, edges []Edge, full interval.Set) *Node {
+	edges = mergeSameChild(edges)
 	if len(edges) == 1 && edges[0].Label.Equal(full) {
 		return edges[0].To
 	}
 	sortEdges(edges)
-	return in.intern(&Node{Field: fieldIdx, Edges: edges})
+	return in.intern(fieldIdx, edges, full)
 }
 
 // mergeSameChild merges edges that lead to the same (canonical) child,
-// in place in the slice. A merged edge is relabeled in place, or, when
-// the edges are shared with other nodes, replaced by a fresh Edge.
-// Small edge lists — the overwhelmingly common case — are merged by
-// pointer scan; large ones through a map.
-func mergeSameChild(edges []*Edge, shared bool) []*Edge {
+// in place in the slice, relabeling the first of them with the union.
+// The edges are values, so no stored node sees the relabeling. Small
+// edge lists — the overwhelmingly common case — are merged by pointer
+// scan; large ones through a map.
+func mergeSameChild(edges []Edge) []Edge {
 	if len(edges) < 2 {
 		return edges
-	}
-	merge := func(p, e *Edge) *Edge {
-		if shared {
-			return &Edge{Label: p.Label.Union(e.Label), To: p.To}
-		}
-		p.Label = p.Label.Union(e.Label)
-		return p
 	}
 	out := edges[:0]
 	if len(edges) <= 16 {
 		for _, e := range edges {
 			dup := false
-			for i, p := range out {
-				if p.To == e.To {
-					out[i] = merge(p, e)
+			for i := range out {
+				if out[i].To == e.To {
+					out[i].Label = out[i].Label.Union(e.Label)
 					dup = true
 					break
 				}
@@ -277,7 +373,7 @@ func mergeSameChild(edges []*Edge, shared bool) []*Edge {
 	seen := make(map[*Node]int, len(edges))
 	for _, e := range edges {
 		if i, ok := seen[e.To]; ok {
-			out[i] = merge(out[i], e)
+			out[i].Label = out[i].Label.Union(e.Label)
 			continue
 		}
 		seen[e.To] = len(out)
@@ -307,6 +403,7 @@ func (in *Interner) ReduceNode(schema *field.Schema, root *Node) *Node {
 	// memo dedupes shared *input* nodes within this call: the input is
 	// usually a DAG, and each distinct node should be reduced once.
 	memo := make(map[*Node]*Node)
+	var stack []Edge
 	var reduce func(n *Node) *Node
 	reduce = func(n *Node) *Node {
 		if in.Canonical(n) {
@@ -323,11 +420,15 @@ func (in *Interner) ReduceNode(schema *field.Schema, root *Node) *Node {
 		// (a node that tests nothing — but an *incomplete* single-edge
 		// node, which Reduce meets on partial diagrams during
 		// construction, is preserved), and dedupes against the store.
-		edges := make([]*Edge, len(n.Edges))
-		for i, e := range n.Edges {
-			edges[i] = &Edge{Label: e.Label, To: reduce(e.To)}
+		// Each call's edges are a frame on stack, indexed by its base
+		// because the recursion may grow (and move) the slice.
+		base := len(stack)
+		for _, e := range n.Edges {
+			to := reduce(e.To)
+			stack = append(stack, Edge{Label: e.Label, To: to})
 		}
-		c := in.Canonicalize(n.Field, edges, fulls[n.Field])
+		c := in.Canonicalize(n.Field, stack[base:], fulls[n.Field])
+		stack = stack[:base]
 		memo[n] = c
 		return c
 	}

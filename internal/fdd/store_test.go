@@ -2,6 +2,9 @@ package fdd
 
 import (
 	"context"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"diversefw/internal/interval"
@@ -16,20 +19,20 @@ import (
 func storeFDD() *FDD {
 	schema := quickSchema()
 	leaf := func() *Node {
-		return &Node{Field: 2, Edges: []*Edge{
+		return &Node{Field: 2, Edges: []Edge{
 			{Label: interval.SetOf(0, 31), To: Terminal(rule.Accept)},
 			{Label: interval.SetOf(32, 63), To: Terminal(rule.Discard)},
 		}}
 	}
-	a := &Node{Field: 1, Edges: []*Edge{
+	a := &Node{Field: 1, Edges: []Edge{
 		{Label: interval.SetOf(0, 31), To: leaf()},
 		{Label: interval.SetOf(32, 63), To: Terminal(rule.DiscardLog)},
 	}}
-	b := &Node{Field: 1, Edges: []*Edge{
+	b := &Node{Field: 1, Edges: []Edge{
 		{Label: interval.SetOf(0, 31), To: leaf()},
 		{Label: interval.SetOf(32, 63), To: Terminal(rule.Accept)},
 	}}
-	root := &Node{Field: 0, Edges: []*Edge{
+	root := &Node{Field: 0, Edges: []Edge{
 		{Label: interval.SetOf(0, 15), To: a},
 		{Label: interval.SetOf(16, 63), To: b},
 	}}
@@ -42,7 +45,7 @@ func storeFDD() *FDD {
 func TestInternerCollisionChaining(t *testing.T) {
 	f := storeFDD()
 	in := NewInterner()
-	in.hashOverride = func(*Node) uint64 { return 42 }
+	in.hashOverride = func(int, []Edge) uint64 { return 42 }
 	red := in.Reduce(f)
 
 	if err := red.CheckInvariants(); err != nil {
@@ -52,14 +55,14 @@ func TestInternerCollisionChaining(t *testing.T) {
 	if got := len(in.buckets); got != 1 {
 		t.Fatalf("hash override must produce exactly 1 bucket, got %d", got)
 	}
-	chain := in.buckets[42]
+	chain := bucket(in, 42)
 	if len(chain) < 2 {
 		t.Fatalf("chaining path not exercised: chain length %d", len(chain))
 	}
 	// Chained nodes are pairwise structurally distinct.
 	for i := range chain {
 		for j := i + 1; j < len(chain); j++ {
-			if sameShape(chain[i], chain[j]) {
+			if sameShape(chain[i], chain[j].Field, chain[j].Edges) {
 				t.Fatalf("bucket holds duplicate structures at %d and %d", i, j)
 			}
 		}
@@ -122,8 +125,11 @@ func TestCanonicalTerminalDedupes(t *testing.T) {
 
 // TestPromoteAdoptsOverlayNodes drives the append loop by hand and
 // checks each promotion: every node it adds to the family store is a
-// node the overlay created (the same pointer, not a copy), the promoted
-// root is canonical in the family, and the overlay comes back empty.
+// node the overlay created (the same pointer, not a copy), restamped
+// with the family's serial and the next family ids; the promoted root
+// is canonical in the family; the overlay comes back empty under a
+// fresh serial, so a node it created but did not hand over is canonical
+// nowhere; and no family node keeps a memo slot.
 func TestPromoteAdoptsOverlayNodes(t *testing.T) {
 	p := synth.RealLife(200, 5)
 	family := NewInterner()
@@ -136,25 +142,37 @@ func TestPromoteAdoptsOverlayNodes(t *testing.T) {
 		if i%checkpointEvery != 0 && i != p.Size()-1 {
 			continue
 		}
-		created := make(map[*Node]bool, ap.ov.NumNodes())
-		for _, n := range ap.ov.nodes {
-			created[n] = true
+		created := storeNodes(t, ap.ov)
+		isCreated := make(map[*Node]bool, len(created))
+		for _, n := range created {
+			isCreated[n] = true
 		}
-		before := family.NumNodes()
+		before, overlaySerial := family.NumNodes(), ap.ov.serial
 		ap.promote(root)
 		if !family.Canonical(root) {
 			t.Fatalf("rule %d: promoted root is not canonical in the family", i)
 		}
-		for _, n := range family.nodes[before:] {
-			if !created[n] {
+		for _, n := range storeNodes(t, family)[before:] {
+			if !isCreated[n] {
 				t.Fatalf("rule %d: promotion added a node the overlay did not create", i)
 			}
 		}
-		if ap.ov.NumNodes() != 0 || len(ap.ov.ids) != 0 || len(ap.ov.buckets) != 0 {
+		if ap.ov.NumNodes() != 0 || len(ap.ov.terms) != 0 || len(ap.ov.buckets) != 0 || len(ap.ov.overflow) != 0 {
 			t.Fatalf("rule %d: overlay not emptied by promotion", i)
 		}
+		if ap.ov.serial == overlaySerial {
+			t.Fatalf("rule %d: overlay kept its serial across the reset", i)
+		}
+		for _, n := range created {
+			if ap.ov.Canonical(n) || (!family.Canonical(n) && n.serial != overlaySerial) {
+				t.Fatalf("rule %d: an overlay node changed owner outside adoption", i)
+			}
+		}
+		if len(ap.slots) != 0 {
+			t.Fatalf("rule %d: promotion left %d memo slots recorded", i, len(ap.slots))
+		}
+		assertStoreIndexed(t, family)
 	}
-	assertStoreIndexed(t, family)
 }
 
 // TestBuildCollisionChaining runs a build and a Resume with every node
@@ -168,7 +186,7 @@ func TestBuildCollisionChaining(t *testing.T) {
 		t.Fatal(err)
 	}
 	core := &builderCore{in: NewInterner()}
-	core.in.hashOverride = func(*Node) uint64 { return 42 }
+	core.in.hashOverride = func(int, []Edge) uint64 { return 42 }
 	core.mu.Lock()
 	b, err := core.build(context.Background(), nil, p, 0, nil, nil, nil)
 	core.mu.Unlock()
@@ -189,7 +207,7 @@ func TestBuildCollisionChaining(t *testing.T) {
 	if st.CheckpointRules == 0 {
 		t.Fatal("resume used no checkpoint")
 	}
-	if len(core.in.buckets) != 1 || len(core.in.buckets[42]) < 2 {
+	if len(core.in.buckets) != 1 || len(bucket(core.in, 42)) < 2 {
 		t.Fatalf("hash override did not chain the family store: %d buckets", len(core.in.buckets))
 	}
 	assertStoreIsReachable(t, core.in, b, nb)
@@ -201,6 +219,86 @@ func TestBuildCollisionChaining(t *testing.T) {
 		got, want := c[0].FDD(), c[1].FDD()
 		if !sameFunction(t, got, want) || got.Stats() != want.Stats() {
 			t.Fatal("single-bucket build differs from the default-hash build")
+		}
+	}
+}
+
+// TestAppendGenerationWrap drives the append loop by hand from a
+// generation just short of wrapping around. Generation 0 marks an empty
+// memo slot, so the wrap must empty every slot and memo entry before
+// reusing small generations; the diagram and effective bits must come
+// out as a scratch build makes them.
+func TestAppendGenerationWrap(t *testing.T) {
+	p := synth.RealLife(120, 8)
+	family := NewInterner()
+	ap := newAppender(p.Schema, family)
+	ap.gen = math.MaxUint16 - 40
+	ap.start(p.Rules[0].Pred, p.Rules[0].Decision)
+	root := ap.path(0)
+	effective := []bool{true}
+	for i := 1; i < p.Size(); i++ {
+		r := p.Rules[i]
+		next := ap.appendRule(root, r.Pred, r.Decision)
+		effective = append(effective, next != root)
+		root = next
+		if i%checkpointEvery == 0 {
+			ap.promote(root)
+		}
+	}
+	ap.promote(root)
+	if ap.gen >= math.MaxUint16-40 {
+		t.Fatalf("generation %d did not wrap", ap.gen)
+	}
+	scratch, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if family.ReduceNode(p.Schema, scratch.FDD().Root) != root {
+		t.Fatal("appending across the generation wrap built a different diagram")
+	}
+	if !reflect.DeepEqual(effective, scratch.Effective()) {
+		t.Fatal("appending across the generation wrap changed the effective bits")
+	}
+	assertStoreIndexed(t, family)
+}
+
+// TestCanonicalizeProbesBeforeCopying pins the store's edge contract:
+// canonicalizing edges that name an existing node allocates nothing,
+// and a new node gets its own exact-size copy, so the caller's slice is
+// scratch the store never retains.
+func TestCanonicalizeProbesBeforeCopying(t *testing.T) {
+	f := storeFDD()
+	in := NewInterner()
+	root := in.Reduce(f).Root
+	full := f.Schema.FullSet(root.Field)
+	scratch := make([]Edge, len(root.Edges), 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(scratch, root.Edges)
+		if in.Canonicalize(root.Field, scratch, full) != root {
+			t.Fatal("equal edges interned to a different node")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a dedupe hit allocated %.0f times", allocs)
+	}
+
+	// Swapping the children makes a new node.
+	copy(scratch, root.Edges)
+	scratch[0].To, scratch[1].To = scratch[1].To, scratch[0].To
+	n := in.Canonicalize(root.Field, scratch, full)
+	if n == root || !in.Canonical(n) {
+		t.Fatal("distinct edges did not make a new canonical node")
+	}
+	if len(n.Edges) != 2 || cap(n.Edges) != 2 || &n.Edges[0] == &scratch[0] {
+		t.Fatal("the new node does not own an exact-size copy of its edges")
+	}
+	want := slices.Clone(n.Edges)
+	for i := range scratch {
+		scratch[i] = Edge{}
+	}
+	for i := range want {
+		if n.Edges[i].To != want[i].To || !n.Edges[i].Label.Equal(want[i].Label) {
+			t.Fatal("overwriting the caller's edges changed the stored node")
 		}
 	}
 }

@@ -22,7 +22,7 @@ func TestPaperFigures8And9(t *testing.T) {
 		field.Field{Name: "F1", Domain: interval.MustNew(0, 100), Kind: field.KindInt},
 	)
 	mk := func(cut uint64, dLow, dHigh rule.Decision) *fdd.FDD {
-		return &fdd.FDD{Schema: s, Root: &fdd.Node{Field: 0, Edges: []*fdd.Edge{
+		return &fdd.FDD{Schema: s, Root: &fdd.Node{Field: 0, Edges: []fdd.Edge{
 			{Label: interval.SetOf(0, 0), To: fdd.Terminal(rule.Discard)},
 			{Label: interval.SetOf(1, cut), To: fdd.Terminal(dLow)},
 			{Label: interval.SetOf(cut+1, 100), To: fdd.Terminal(dHigh)},
@@ -90,12 +90,12 @@ func TestNodeInsertionOperationPreservesSemantics(t *testing.T) {
 	)
 	// fa tests only y (x is implicit); fb tests x then y: shaping must
 	// insert an x node above fa's root.
-	fa := &fdd.FDD{Schema: s, Root: &fdd.Node{Field: 1, Edges: []*fdd.Edge{
+	fa := &fdd.FDD{Schema: s, Root: &fdd.Node{Field: 1, Edges: []fdd.Edge{
 		{Label: interval.SetOf(0, 4), To: fdd.Terminal(rule.Accept)},
 		{Label: interval.SetOf(5, 9), To: fdd.Terminal(rule.Discard)},
 	}}}
-	fb := &fdd.FDD{Schema: s, Root: &fdd.Node{Field: 0, Edges: []*fdd.Edge{
-		{Label: interval.SetOf(0, 9), To: &fdd.Node{Field: 1, Edges: []*fdd.Edge{
+	fb := &fdd.FDD{Schema: s, Root: &fdd.Node{Field: 0, Edges: []fdd.Edge{
+		{Label: interval.SetOf(0, 9), To: &fdd.Node{Field: 1, Edges: []fdd.Edge{
 			{Label: interval.SetOf(0, 9), To: fdd.Terminal(rule.Discard)},
 		}}},
 	}}}

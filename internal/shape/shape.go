@@ -255,7 +255,7 @@ func (s *shaper) shapePair(pa, pb **fdd.Node, st *walkState) {
 // align performs the node-insertion and edge-splitting steps on the pair
 // (*pa, *pb) and returns the refined edge lists, paired index by index.
 // Both lists are empty iff both nodes are terminal.
-func (s *shaper) align(pa, pb **fdd.Node, st *walkState) (outA, outB []*fdd.Edge) {
+func (s *shaper) align(pa, pb **fdd.Node, st *walkState) (outA, outB []fdd.Edge) {
 	a, b := *pa, *pb
 	if a.IsTerminal() && b.IsTerminal() {
 		return nil, nil
@@ -279,16 +279,41 @@ func (s *shaper) align(pa, pb **fdd.Node, st *walkState) (outA, outB []*fdd.Edge
 	// single-interval, and tile the domain, so the two lists can be merged
 	// left to right; by induction both current intervals start at the same
 	// value.
+	// The merge runs twice: first to count the refinement's pieces, so
+	// a cut that already is the refinement keeps its edge list and the
+	// other gets one of exact size, then to carve.
+	m := 0
+	for i, j := 0, 0; i < len(a.Edges) && j < len(b.Edges); m++ {
+		ha, hb := singleInterval(&a.Edges[i]).Hi, singleInterval(&b.Edges[j]).Hi
+		if ha <= hb {
+			i++
+		}
+		if hb <= ha {
+			j++
+		}
+	}
+	splitA, splitB := m != len(a.Edges), m != len(b.Edges)
+	outA, outB = a.Edges, b.Edges
+	if splitA {
+		outA = make([]fdd.Edge, 0, m)
+	}
+	if splitB {
+		outB = make([]fdd.Edge, 0, m)
+	}
 	i, j := 0, 0
 	for i < len(a.Edges) && j < len(b.Edges) {
-		ia := singleInterval(a.Edges[i])
-		ib := singleInterval(b.Edges[j])
+		ia := singleInterval(&a.Edges[i])
+		ib := singleInterval(&b.Edges[j])
 		hi := ia.Hi
 		if ib.Hi < hi {
 			hi = ib.Hi
 		}
-		outA = append(outA, s.slicePiece(a.Edges, i, hi, st))
-		outB = append(outB, s.slicePiece(b.Edges, j, hi, st))
+		if splitA {
+			outA = append(outA, s.slicePiece(&a.Edges[i], hi, st))
+		}
+		if splitB {
+			outB = append(outB, s.slicePiece(&b.Edges[j], hi, st))
+		}
 		if ia.Hi == hi {
 			i++
 		}
@@ -306,29 +331,28 @@ func (s *shaper) insertAbove(ref **fdd.Node, k int, st *walkState) *fdd.Node {
 	old := *ref
 	n := &fdd.Node{
 		Field: k,
-		Edges: []*fdd.Edge{{Label: s.schema.FullSet(k), To: old}},
+		Edges: []fdd.Edge{{Label: s.schema.FullSet(k), To: old}},
 	}
 	st.pendingNodes++
 	*ref = n
 	return n
 }
 
-// slicePiece emits the piece [curLo, hi] of edges[i]. If the piece is the
-// whole remaining edge, the edge itself is reused; otherwise the piece
-// gets a fresh copy of the subtree (subgraph replication) and edges[i] is
-// shrunk to the remainder [hi+1, curHi] keeping the original subtree.
-// Every carve is one edge split and one subgraph replication, counted on
-// st for the shape span's attributes.
-func (s *shaper) slicePiece(edges []*fdd.Edge, i int, hi uint64, st *walkState) *fdd.Edge {
-	e := edges[i]
+// slicePiece emits the piece [curLo, hi] of the edge *e. If the piece
+// is the whole remaining edge, the edge itself is emitted; otherwise the
+// piece gets a fresh copy of the subtree (subgraph replication) and *e
+// is shrunk in place to the remainder [hi+1, curHi] keeping the original
+// subtree. Every carve is one edge split and one subgraph replication,
+// counted on st for the shape span's attributes.
+func (s *shaper) slicePiece(e *fdd.Edge, hi uint64, st *walkState) fdd.Edge {
 	iv := singleInterval(e)
 	if iv.Hi == hi {
-		return e
+		return *e
 	}
 	st.splits++
 	st.copies++
 	st.pendingSplits++
-	piece := &fdd.Edge{
+	piece := fdd.Edge{
 		Label: interval.SetOf(iv.Lo, hi),
 		To:    s.copySubgraph(e.To, st),
 	}
@@ -351,16 +375,19 @@ func (s *shaper) copySubgraph(n *fdd.Node, st *walkState) *fdd.Node {
 	if n.IsTerminal() {
 		return fdd.Terminal(n.Decision)
 	}
-	out := &fdd.Node{Field: n.Field, Edges: make([]*fdd.Edge, len(n.Edges))}
+	out := &fdd.Node{Field: n.Field, Edges: make([]fdd.Edge, len(n.Edges))}
 	for i, e := range n.Edges {
-		out.Edges[i] = &fdd.Edge{Label: e.Label, To: s.copySubgraph(e.To, st)}
+		out.Edges[i] = fdd.Edge{Label: e.Label, To: s.copySubgraph(e.To, st)}
 	}
 	return out
 }
 
-// singleInterval returns the edge's single interval (simple-FDD property).
+// singleInterval returns the edge's single interval (simple-FDD
+// property), read off the label's bounds without copying it.
 func singleInterval(e *fdd.Edge) interval.Interval {
-	return e.Label.Intervals()[0]
+	lo, _ := e.Label.Min()
+	hi, _ := e.Label.Max()
+	return interval.Interval{Lo: lo, Hi: hi}
 }
 
 // SemiIsomorphic reports whether fa and fb are semi-isomorphic

@@ -25,8 +25,11 @@ go test -race ./...
 go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
 
 # The construction benchmark likewise runs once, so the bytes/op and
-# allocs/op figures that locate construction garbage stay measurable.
+# allocs/op figures that locate construction garbage stay measurable,
+# and so does the resident one, whose B/storenode figure is what a
+# cached builder costs per node of its family store.
 go test -run '^$' -bench Construct -benchtime 1x ./internal/fdd/
+go test -run '^$' -bench BuilderResident -benchtime 1x ./internal/fdd/
 
 # So does the native-parse benchmark: its allocs/op figure is the one
 # TestNativeParseAllocsFlat pins per policy.
@@ -88,6 +91,13 @@ go test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=1x ./internal/jobs/
 # it is the end-to-end proof of the durable store and a cached "ok"
 # from a previous binary proves nothing about this one.
 go test -race -count=1 -run 'TestCrashRestartResumesWithoutDuplicateSettles' ./cmd/fwserved/
+
+# One builder family under concurrent use also reruns uncached under
+# the race detector: Resumes write the append memo slots of the
+# family's nodes under the family lock while direct diffs read the same
+# nodes without it, so a slot that shared memory with what readers
+# touch would show here and nowhere else.
+go test -race -count=1 -run 'TestResumeFamilyRace' ./internal/compare/
 
 # The incremental-recompilation differential also reruns uncached under
 # the race detector: hundreds of randomized policy/edit-script pairs
