@@ -84,8 +84,8 @@ func WithAdmission(cfg admission.Config) Option {
 }
 
 // WithJobs tunes the async-job coordinator behind POST /v1/jobs —
-// worker count, finished-job retention, the store cap, or swapped-in
-// Store/Sharder implementations. The endpoints exist without this
+// worker count, finished-job retention, the store cap, or a swapped-in
+// Store implementation. The endpoints exist without this
 // option, on jobs.Config defaults; Metrics and Traces left nil inherit
 // the server's registry and trace buffer.
 func WithJobs(cfg jobs.Config) Option {

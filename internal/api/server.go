@@ -595,36 +595,47 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := AuditResponse{Findings: ConvertAnomalies(p, anomaly.Detect(p))}
-
-	shadowed, err := anomaly.CompletelyShadowed(p)
+	findings, err := policyFindings(p, req.Complete)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
+		writeAnalysisError(w, err)
 		return
 	}
+	writeJSON(w, http.StatusOK, AuditResponse{Findings: findings})
+}
+
+// policyFindings runs the single-policy checks /v1/audit and /v1/analyze
+// share: the pairwise anomaly taxonomy, then the exact FDD-based
+// never-first-match check and, when redundant is set, semantic
+// redundancy. Its errors are pipeline errors (a non-comprehensive policy
+// has no FDD), for writeAnalysisError.
+func policyFindings(p *rule.Policy, redundant bool) ([]Finding, error) {
+	findings := ConvertAnomalies(p, anomaly.Detect(p))
+	shadowed, err := anomaly.CompletelyShadowed(p)
+	if err != nil {
+		return nil, err
+	}
 	for _, i := range shadowed {
-		resp.Findings = append(resp.Findings, Finding{
+		findings = append(findings, Finding{
 			Kind:   "never-first-match",
 			Rules:  []int{i + 1},
-			Detail: fmt.Sprintf("rule %d is never a first match: %s", i+1, rule.FormatRule(schema, p.Rules[i])),
+			Detail: fmt.Sprintf("rule %d is never a first match: %s", i+1, rule.FormatRule(p.Schema, p.Rules[i])),
 		})
 	}
-
-	if req.Complete {
-		_, removed, err := redundancy.RemoveAll(p)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
-			return
-		}
-		for _, i := range removed {
-			resp.Findings = append(resp.Findings, Finding{
-				Kind:   "redundant",
-				Rules:  []int{i + 1},
-				Detail: fmt.Sprintf("rule %d is semantically redundant: %s", i+1, rule.FormatRule(schema, p.Rules[i])),
-			})
-		}
+	if !redundant {
+		return findings, nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	_, removed, err := redundancy.RemoveAll(p)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range removed {
+		findings = append(findings, Finding{
+			Kind:   "redundant",
+			Rules:  []int{i + 1},
+			Detail: fmt.Sprintf("rule %d is semantically redundant: %s", i+1, rule.FormatRule(p.Schema, p.Rules[i])),
+		})
+	}
+	return findings, nil
 }
 
 // analyzeSeverity grades a finding kind: findings that mean traffic is
@@ -665,44 +676,23 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = frontend.DefaultFormat
 	}
+	findings, err := policyFindings(p, true)
+	if err != nil {
+		writeAnalysisError(w, err)
+		return
+	}
 	resp := AnalyzeResponse{Format: format, Policy: rule.FormatPolicy(p)}
-	for _, f := range ConvertAnomalies(p, anomaly.Detect(p)) {
+	for _, f := range findings {
+		source := "pairwise"
+		if f.Kind == "never-first-match" || f.Kind == "redundant" {
+			source = "exact"
+		}
 		resp.Findings = append(resp.Findings, AnalyzeFinding{
 			Kind:     f.Kind,
 			Severity: analyzeSeverity(f.Kind),
-			Source:   "pairwise",
+			Source:   source,
 			Rules:    f.Rules,
 			Detail:   f.Detail,
-		})
-	}
-	shadowed, err := anomaly.CompletelyShadowed(p)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	for _, i := range shadowed {
-		resp.Findings = append(resp.Findings, AnalyzeFinding{
-			Kind:     "never-first-match",
-			Severity: "error",
-			Source:   "exact",
-			Rules:    []int{i + 1},
-			Detail: fmt.Sprintf("rule %d is never a first match: %s",
-				i+1, rule.FormatRule(schema, p.Rules[i])),
-		})
-	}
-	_, removed, err := redundancy.RemoveAll(p)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	for _, i := range removed {
-		resp.Findings = append(resp.Findings, AnalyzeFinding{
-			Kind:     "redundant",
-			Severity: "warning",
-			Source:   "exact",
-			Rules:    []int{i + 1},
-			Detail: fmt.Sprintf("rule %d is semantically redundant: %s",
-				i+1, rule.FormatRule(schema, p.Rules[i])),
 		})
 	}
 	resp.Complexity = complexityOf(p)
@@ -753,7 +743,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	}
 	result, err := query.RunPolicy(p, q)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
+		writeAnalysisError(w, err)
 		return
 	}
 	resp := QueryResponse{Empty: result.Empty()}

@@ -344,6 +344,24 @@ func TestEndpointErrorPaths(t *testing.T) {
 		t.Fatalf("query partial: %d", code)
 	}
 
+	// A non-comprehensive policy is one error on every endpoint that
+	// builds its FDD: 422 incomplete_policy.
+	for _, c := range []struct {
+		path string
+		body interface{}
+	}{
+		{"/v1/audit", AuditRequest{Schema: "paper", Policy: in(partial)}},
+		{"/v1/audit", AuditRequest{Schema: "paper", Policy: in(partial), Complete: true}},
+		{"/v1/query", QueryRequest{Schema: "paper", Policy: in(partial), Query: "select N decision accept"}},
+		{"/v1/analyze", AnalyzeRequest{Schema: "paper", Policy: in(partial)}},
+		{"/v1/diff", DiffRequest{Schema: "paper", A: in(partial), B: in(teamA)}},
+	} {
+		rec := doRec(t, srv, c.path, c.body)
+		if e := errorBody(t, rec); rec.Code != http.StatusUnprocessableEntity || e.Err.Code != CodeIncompletePolicy {
+			t.Fatalf("%s partial: status = %d code = %q, want 422 %s", c.path, rec.Code, e.Err.Code, CodeIncompletePolicy)
+		}
+	}
+
 	// Schema aliases: empty means five, four works.
 	var dr DiffResponse
 	five := "dport in 25 -> accept\nany -> discard\n"

@@ -15,9 +15,11 @@
 //     report also makes discrepancy row numbering stable across /v1/diff
 //     and /v1/resolve for the same pair.
 //
-// Concurrent identical requests are deduplicated with a singleflight
-// group: a thundering herd of N requests for the same policy compiles it
-// once, and the other N-1 wait for that flight. Flights are detached from
+// Both caches run one lookup-or-compute path (lookupOrCompute), and each
+// deduplicates concurrent identical requests with one singleflight group
+// keyed by content address: a thundering herd of N requests for the same
+// policy compiles it once, and the other N-1 wait for that flight, whether
+// they asked for a scratch build or a resume from an edited base. Flights are detached from
 // any single request's context — a caller that aborts stops waiting
 // without failing the flight for everyone else, and only when the last
 // waiter leaves is the flight canceled and forgotten. Failed or canceled
@@ -25,7 +27,8 @@
 // pin a cache entry mid-compile.
 //
 // Both caches are size-aware LRUs; hits, misses, evictions, and resident
-// bytes are exported through internal/metrics when a registry is given.
+// bytes are exported through internal/metrics when a registry is given,
+// read at scrape time from the same counts Stats reads.
 package engine
 
 import (
@@ -86,6 +89,12 @@ type Compiled struct {
 	// checkpoint (see ImpactEdits). Its extra node store is charged to
 	// SizeBytes.
 	Builder *fdd.Builder
+	// incremental reports that Builder resumed a base compilation's
+	// builder rather than starting from scratch; resumed holds that
+	// resume's stats. ImpactEdits reports both to the callers that built
+	// or waited on this compilation.
+	incremental bool
+	resumed     fdd.ResumeStats
 	// Hash is the content address, PolicyHash(Policy): sha256 over the
 	// schema key and the policy's canonical interval sets.
 	Hash string
@@ -95,12 +104,8 @@ type Compiled struct {
 
 // Engine is the caching service layer. Safe for concurrent use.
 type Engine struct {
-	compiled *lruCache[*Compiled]
-	reports  *lruCache[*compare.Report]
-
-	compileFlights flightGroup[*Compiled]
-	reportFlights  flightGroup[*compare.Report]
-	incFlights     flightGroup[incResult]
+	compiled cache[*Compiled]
+	reports  cache[*compare.Report]
 
 	// construct is fdd.NewBuilderContext, swappable in tests to observe
 	// and stall compilations.
@@ -112,13 +117,31 @@ type Engine struct {
 	limits guard.Limits
 
 	compilations atomic.Uint64
-	coalesced    atomic.Uint64
 
 	incAttempted atomic.Uint64
 	incUsed      atomic.Uint64
 	incFallback  atomic.Uint64
 
-	inst *instruments
+	// The two pushed instruments; nil without a registry. Every other
+	// fwengine_* family is served at scrape time from the counts above
+	// and the caches' own (see registerMetrics).
+	incReappended *metrics.Histogram
+	// budgetExceeded lives in the fwguard family: it counts resource-
+	// governance interventions, not engine cache traffic.
+	budgetExceeded *metrics.CounterVec
+}
+
+// cache is one content-addressed cache: its LRU, the flights that fill
+// it, and the names a lookup is traced, faulted and counted under.
+type cache[V any] struct {
+	name        string      // cache-lookup attribute and metric label
+	span        string      // the span a miss opens
+	fault       chaos.Point // fires in a flight before it computes
+	insertFault chaos.Point // fires before a computed value is cached
+	lru         *lruCache[V]
+	flights     flightGroup[V]
+	// coalesced counts callers that joined another caller's flight.
+	coalesced atomic.Uint64
 }
 
 // New returns an engine with the given configuration.
@@ -130,8 +153,16 @@ func New(cfg Config) *Engine {
 		cfg.ReportCacheBytes = DefaultReportCacheBytes
 	}
 	e := &Engine{
-		compiled:  newLRU[*Compiled](cfg.CompileCacheBytes),
-		reports:   newLRU[*compare.Report](cfg.ReportCacheBytes),
+		compiled: cache[*Compiled]{
+			name: cacheCompile, span: "compile",
+			fault: chaos.PointCompile, insertFault: chaos.PointCacheInsertCompile,
+			lru: newLRU[*Compiled](cfg.CompileCacheBytes),
+		},
+		reports: cache[*compare.Report]{
+			name: cacheReport, span: "diff",
+			fault: chaos.PointDiff, insertFault: chaos.PointCacheInsertReport,
+			lru: newLRU[*compare.Report](cfg.ReportCacheBytes),
+		},
 		construct: fdd.NewBuilderContext,
 		resume: func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
 			return base.Resume(ctx, after)
@@ -139,7 +170,7 @@ func New(cfg Config) *Engine {
 		limits: cfg.Limits,
 	}
 	if cfg.Metrics != nil {
-		e.inst = newInstruments(cfg.Metrics)
+		e.registerMetrics(cfg.Metrics)
 	}
 	return e
 }
@@ -183,65 +214,120 @@ const hashFlushBytes = 512
 // any compilation. On ctx death the caller gets ctx.Err() while an
 // in-flight compilation keeps running for its other waiters.
 func (e *Engine) Compile(ctx context.Context, p *rule.Policy) (c *Compiled, hit bool, err error) {
-	hash := PolicyHash(p)
-	if c, ok := e.compiled.get(hash); ok {
-		e.observeGet(cacheCompile, true)
-		trace.Event(ctx, "cache-lookup",
-			trace.A("cache", "compile"), trace.A("hit", true))
-		return c, true, nil
+	return e.compile(ctx, p, PolicyHash(p), nil)
+}
+
+// compile is Compile for a policy whose content address is already taken,
+// with an optional base: a compilation p was derived from by edits. With a
+// base, the flight resumes the base's builder from the deepest checkpoint
+// the edits left untouched, and falls back to scratch construction when
+// the resume fails for any reason that is not the caller's (cancellation)
+// or the governor's (budget) — those would fail a scratch build
+// identically, so they surface as-is. The flight is keyed by the content
+// address alone, so a scratch and a resumed compile of one policy share
+// one construction. Failed flights are never cached, in either mode.
+func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base *Compiled) (*Compiled, bool, error) {
+	annotate := func(sp *trace.Span, c *Compiled, err error) {
+		sp.SetAttr("policyHash", hash[:12])
+		if base == nil {
+			return
+		}
+		sp.SetAttr("baseHash", base.Hash[:12])
+		if err == nil {
+			sp.SetAttr("incremental", c.incremental)
+		}
 	}
-	e.observeGet(cacheCompile, false)
-	trace.Event(ctx, "cache-lookup",
-		trace.A("cache", "compile"), trace.A("hit", false))
-	// The flight context is derived from ctx with values intact
-	// (context.WithoutCancel inside the flight group), so construct's
-	// spans land under this compile span even when the flight outlives
-	// the request.
-	ctx, sp := trace.Start(ctx, "compile")
-	defer sp.End()
-	sp.SetAttr("policyHash", hash[:12])
-	waitStart := time.Now()
-	c, shared, err := e.compileFlights.do(ctx, hash, func(fctx context.Context) (*Compiled, error) {
-		// A flight that completed between the miss above and this call
-		// may have filled the cache already.
-		if c, ok := e.compiled.get(hash); ok {
-			return c, nil
-		}
-		fctx = e.budgeted(fctx)
-		if err := chaos.Fire(fctx, chaos.PointCompile); err != nil {
-			return nil, err
-		}
-		b, err := e.construct(fctx, p)
-		if err != nil {
-			return nil, err
+	return lookupOrCompute(ctx, e, &e.compiled, hash, annotate, func(fctx context.Context) (*Compiled, int64, error) {
+		c := &Compiled{Policy: p, Hash: hash}
+		var err error
+		if c.Builder, err = e.build(fctx, c, base); err != nil {
+			return nil, 0, err
 		}
 		e.compilations.Add(1)
-		if e.inst != nil {
-			e.inst.compilations.Inc()
+		c.FDD = c.Builder.FDD()
+		c.SizeBytes = policyBytes(p) + fddBytes(c.FDD) + builderBytes(c.Builder)
+		return c, c.SizeBytes, nil
+	})
+}
+
+// build constructs c.Policy's builder, resuming base's builder when there
+// is one and recording on c whether the resume was used.
+func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled) (*fdd.Builder, error) {
+	if base != nil && base.Builder != nil {
+		e.incAttempted.Add(1)
+		b, rs, err := e.resume(ctx, base.Builder, c.Policy)
+		if err == nil {
+			e.incUsed.Add(1)
+			if e.incReappended != nil {
+				e.incReappended.Observe(float64(rs.RulesReappended))
+			}
+			c.incremental, c.resumed = true, rs
+			return b, nil
 		}
-		c := &Compiled{Policy: p, FDD: b.FDD(), Builder: b, Hash: hash}
-		c.SizeBytes = policyBytes(p) + fddBytes(b.FDD()) + builderBytes(b)
-		// An injected cache failure skips the insert but not the result:
-		// the caller still gets its compilation, the next request just
-		// recompiles. Verifies degraded-cache behavior is miss-shaped,
-		// never corrupt.
-		if chaos.Fire(fctx, chaos.PointCacheInsertCompile) == nil {
-			e.addCompiled(hash, c)
+		if isAbort(err) {
+			return nil, err
 		}
-		return c, nil
+		e.incFallback.Add(1)
+		trace.Event(ctx, "incremental-fallback", trace.A("error", err.Error()))
+	}
+	return e.construct(ctx, c.Policy)
+}
+
+// lookupOrCompute is the one lookup-or-compute path of both caches. In
+// order: one counted probe of the LRU and its cache-lookup event; on a
+// miss, the cache's span; joining or starting the key's flight, whose
+// first step is an uncounted recheck of the LRU (a flight that finished
+// between the probe and the join may have filled it); the flight's budget
+// and chaos point; compute, then the insert unless the insert-fault point
+// fires (an injected cache failure skips the insert but not the result,
+// so degraded caching is miss-shaped, never corrupt); and last the budget
+// and coalescing outcome, and annotate's attributes, on the span.
+//
+// The flight context is derived from ctx with values intact
+// (context.WithoutCancel inside the flight group), so compute's spans land
+// under the cache's span even when the flight outlives the request. hit
+// reports a probe hit. On ctx death the caller gets ctx.Err() while the
+// flight keeps running for its other waiters.
+func lookupOrCompute[V any](ctx context.Context, e *Engine, c *cache[V], key string,
+	annotate func(*trace.Span, V, error), compute func(context.Context) (V, int64, error)) (v V, hit bool, err error) {
+	v, hit = c.lru.get(key)
+	trace.Event(ctx, "cache-lookup", trace.A("cache", c.name), trace.A("hit", hit))
+	if hit {
+		return v, true, nil
+	}
+	ctx, sp := trace.Start(ctx, c.span)
+	defer sp.End()
+	waitStart := time.Now()
+	v, shared, err := c.flights.do(ctx, key, func(fctx context.Context) (V, error) {
+		if v, ok := c.lru.peek(key); ok {
+			return v, nil
+		}
+		fctx = e.budgeted(fctx)
+		var zero V
+		if err := chaos.Fire(fctx, c.fault); err != nil {
+			return zero, err
+		}
+		v, size, err := compute(fctx)
+		if err != nil {
+			return zero, err
+		}
+		if chaos.Fire(fctx, c.insertFault) == nil {
+			c.lru.add(key, v, size)
+		}
+		return v, nil
 	})
 	e.observeBudget(sp, err)
 	if shared {
-		e.coalesced.Add(1)
-		if e.inst != nil {
-			e.inst.coalesced.With(cacheCompile).Inc()
-		}
-		// Joined another request's flight: the construct span belongs to
-		// the initiating caller's trace, so record the wait explicitly.
+		c.coalesced.Add(1)
+		// Joined another request's flight: the compute spans belong to the
+		// initiating caller's trace, so record the wait explicitly.
 		sp.AddCompleted("singleflight-wait", waitStart, time.Since(waitStart))
 		sp.SetAttr("coalesced", true)
 	}
-	return c, false, err
+	if annotate != nil {
+		annotate(sp, v, err)
+	}
+	return v, false, err
 }
 
 // DiffStats describes how much of a DiffPolicies call was served from the
@@ -312,47 +398,14 @@ func (e *Engine) Diff(ctx context.Context, a, b *Compiled) (r *compare.Report, h
 // whichever endpoint computed it, and row numbers handed out by one
 // endpoint hold for the others.
 func (e *Engine) diff(ctx context.Context, a, b *Compiled, construct time.Duration) (*compare.Report, bool, error) {
-	key := a.Hash + "|" + b.Hash
-	if r, ok := e.reports.get(key); ok {
-		e.observeGet(cacheReport, true)
-		trace.Event(ctx, "cache-lookup",
-			trace.A("cache", "report"), trace.A("hit", true))
-		return r, true, nil
-	}
-	e.observeGet(cacheReport, false)
-	trace.Event(ctx, "cache-lookup",
-		trace.A("cache", "report"), trace.A("hit", false))
-	ctx, sp := trace.Start(ctx, "diff")
-	defer sp.End()
-	waitStart := time.Now()
-	r, shared, err := e.reportFlights.do(ctx, key, func(fctx context.Context) (*compare.Report, error) {
-		if r, ok := e.reports.get(key); ok {
-			return r, nil
-		}
-		fctx = e.budgeted(fctx)
-		if err := chaos.Fire(fctx, chaos.PointDiff); err != nil {
-			return nil, err
-		}
+	return lookupOrCompute(ctx, e, &e.reports, a.Hash+"|"+b.Hash, nil, func(fctx context.Context) (*compare.Report, int64, error) {
 		r, err := compare.DiffFDDsDirectContext(fctx, a.FDD, b.FDD)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		r.Timing.Construct = construct
-		if chaos.Fire(fctx, chaos.PointCacheInsertReport) == nil {
-			e.addReport(key, r)
-		}
-		return r, nil
+		return r, reportBytes(r), nil
 	})
-	e.observeBudget(sp, err)
-	if shared {
-		e.coalesced.Add(1)
-		if e.inst != nil {
-			e.inst.coalesced.With(cacheReport).Inc()
-		}
-		sp.AddCompleted("singleflight-wait", waitStart, time.Since(waitStart))
-		sp.SetAttr("coalesced", true)
-	}
-	return r, false, err
 }
 
 // EditStats describes how an ImpactEdits call was served.
@@ -361,8 +414,9 @@ type EditStats struct {
 	// Incremental reports that the after-FDD was built by resuming the
 	// before policy's builder from a checkpoint instead of from scratch.
 	// False when the edited policy's compilation was already cached (no
-	// construction at all) or when resume failed and construction fell
-	// back to scratch.
+	// construction at all), when resume failed and construction fell back
+	// to scratch, or when this call joined a concurrent Compile of the
+	// same policy that built it from scratch.
 	Incremental bool
 	// CheckpointRules and RulesReappended echo fdd.ResumeStats for an
 	// incremental build (zero otherwise).
@@ -371,20 +425,6 @@ type EditStats struct {
 	// AfterHash is the content address of the edited policy.
 	AfterHash string
 }
-
-// incResult carries a compilation plus how it was built through the
-// incremental singleflight, so coalesced waiters see the same stats the
-// flight runner reports.
-type incResult struct {
-	c           *Compiled
-	stats       fdd.ResumeStats
-	incremental bool
-}
-
-// errNoBuilder routes compilations whose cache entry predates builder
-// retention onto the scratch path (it cannot happen for entries this
-// engine created, but a test may construct Compiled values by hand).
-var errNoBuilder = errors.New("engine: base compilation has no builder")
 
 // ImpactEdits applies an edit script to a compiled-or-compiling policy
 // and returns the edited policy, the discrepancy report between the two,
@@ -398,9 +438,10 @@ var errNoBuilder = errors.New("engine: base compilation has no builder")
 //     on the subgraphs the incremental build shares with the base FDD.
 //
 // A failed incremental build falls back to scratch construction and the
-// failure is never cached; budget charging and singleflight semantics
-// match Compile (the incremental flight coalesces on the edited policy's
-// content address).
+// failure is never cached. The after-policy goes through Compile's own
+// path and flight (see compile), so budget charging and coalescing match
+// Compile's, and a concurrent Compile of the same edited policy shares
+// this construction.
 func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []impact.Edit) (*rule.Policy, *compare.Report, EditStats, error) {
 	var stats EditStats
 	ctx, sp := trace.Start(ctx, "impact.edits")
@@ -420,16 +461,17 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	}
 	afterHash := PolicyHash(after)
 	stats.AfterHash = afterHash
-	ca, hitA, res, err := e.compileIncremental(ctx, cb, after, afterHash)
+	ca, hitA, err := e.compile(ctx, after, afterHash, cb)
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("engine: after policy: %w", err)
 	}
 	if hitA {
 		stats.CompileHits++
+	} else {
+		stats.Incremental = ca.incremental
+		stats.CheckpointRules = ca.resumed.CheckpointRules
+		stats.RulesReappended = ca.resumed.RulesReappended
 	}
-	stats.Incremental = res.incremental
-	stats.CheckpointRules = res.stats.CheckpointRules
-	stats.RulesReappended = res.stats.RulesReappended
 	r, cached, err := e.diff(ctx, cb, ca, time.Since(start))
 	stats.ReportCached = cached
 	if err != nil {
@@ -438,96 +480,6 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	sp.SetAttr("incremental", stats.Incremental)
 	sp.SetAttr("rulesReappended", stats.RulesReappended)
 	return after, r, stats, nil
-}
-
-// compileIncremental is Compile for a policy derived from an already
-// compiled base: the flight resumes the base's builder and falls back to
-// scratch construction when the resume fails for any reason that is not
-// the caller's (cancellation) or the governor's (budget) — those would
-// fail a scratch build identically, so they surface as-is. Failed flights
-// are never cached, in either mode.
-func (e *Engine) compileIncremental(ctx context.Context, base *Compiled, after *rule.Policy, hash string) (*Compiled, bool, incResult, error) {
-	if c, ok := e.compiled.get(hash); ok {
-		e.observeGet(cacheCompile, true)
-		trace.Event(ctx, "cache-lookup",
-			trace.A("cache", "compile"), trace.A("hit", true))
-		return c, true, incResult{c: c}, nil
-	}
-	e.observeGet(cacheCompile, false)
-	trace.Event(ctx, "cache-lookup",
-		trace.A("cache", "compile"), trace.A("hit", false))
-	ctx, sp := trace.Start(ctx, "compile.incremental")
-	defer sp.End()
-	sp.SetAttr("policyHash", hash[:12])
-	sp.SetAttr("baseHash", base.Hash[:12])
-	waitStart := time.Now()
-	res, shared, err := e.incFlights.do(ctx, hash, func(fctx context.Context) (incResult, error) {
-		if c, ok := e.compiled.get(hash); ok {
-			return incResult{c: c}, nil
-		}
-		fctx = e.budgeted(fctx)
-		if err := chaos.Fire(fctx, chaos.PointCompile); err != nil {
-			return incResult{}, err
-		}
-		var out incResult
-		var b *fdd.Builder
-		rerr := errNoBuilder
-		if base.Builder != nil {
-			e.incAttempted.Add(1)
-			if e.inst != nil {
-				e.inst.incAttempted.Inc()
-			}
-			b, out.stats, rerr = e.resume(fctx, base.Builder, after)
-			out.incremental = rerr == nil
-		}
-		if rerr != nil {
-			if isAbort(rerr) {
-				return incResult{}, rerr
-			}
-			if base.Builder != nil {
-				e.incFallback.Add(1)
-				if e.inst != nil {
-					e.inst.incFallback.Inc()
-				}
-				trace.Event(fctx, "incremental-fallback", trace.A("error", rerr.Error()))
-			}
-			out.stats = fdd.ResumeStats{}
-			if b, rerr = e.construct(fctx, after); rerr != nil {
-				return incResult{}, rerr
-			}
-		} else {
-			e.incUsed.Add(1)
-			if e.inst != nil {
-				e.inst.incUsed.Inc()
-				e.inst.incReappended.Observe(float64(out.stats.RulesReappended))
-			}
-		}
-		e.compilations.Add(1)
-		if e.inst != nil {
-			e.inst.compilations.Inc()
-		}
-		c := &Compiled{Policy: after, FDD: b.FDD(), Builder: b, Hash: hash}
-		c.SizeBytes = policyBytes(after) + fddBytes(b.FDD()) + builderBytes(b)
-		if chaos.Fire(fctx, chaos.PointCacheInsertCompile) == nil {
-			e.addCompiled(hash, c)
-		}
-		out.c = c
-		return out, nil
-	})
-	e.observeBudget(sp, err)
-	if shared {
-		e.coalesced.Add(1)
-		if e.inst != nil {
-			e.inst.coalesced.With(cacheCompile).Inc()
-		}
-		sp.AddCompleted("singleflight-wait", waitStart, time.Since(waitStart))
-		sp.SetAttr("coalesced", true)
-	}
-	if err != nil {
-		return nil, false, incResult{}, err
-	}
-	sp.SetAttr("incremental", res.incremental)
-	return res.c, false, res, nil
 }
 
 // isAbort reports whether the error is a cancellation or budget crossing
@@ -571,14 +523,11 @@ type IncrementalStats struct {
 
 // Stats returns current cache and dedup counters.
 func (e *Engine) Stats() Stats {
-	toCache := func(s lruStats) CacheStats {
-		return CacheStats{Entries: s.Entries, Bytes: s.Bytes, Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions}
-	}
 	return Stats{
-		Compile:      toCache(e.compiled.stats()),
-		Reports:      toCache(e.reports.stats()),
+		Compile:      e.compiled.lru.stats(),
+		Reports:      e.reports.lru.stats(),
 		Compilations: e.compilations.Load(),
-		Coalesced:    e.coalesced.Load(),
+		Coalesced:    e.compiled.coalesced.Load() + e.reports.coalesced.Load(),
 		Incremental: IncrementalStats{
 			Attempted: e.incAttempted.Load(),
 			Used:      e.incUsed.Load(),
@@ -611,93 +560,63 @@ func (e *Engine) observeBudget(sp *trace.Span, err error) {
 	if !errors.As(err, &be) {
 		return
 	}
-	if e.inst != nil {
-		e.inst.budgetExceeded.With(string(be.Kind)).Inc()
+	if e.budgetExceeded != nil {
+		e.budgetExceeded.With(string(be.Kind)).Inc()
 	}
 	sp.SetAttr("budgetExceeded", string(be.Kind))
 	sp.SetAttr("budgetLimit", be.Limit)
 	sp.SetAttr("budgetUsed", be.Used)
 }
 
-// instruments holds the engine's metric families; nil without a registry.
-type instruments struct {
-	hits         *metrics.CounterVec
-	misses       *metrics.CounterVec
-	evictions    *metrics.CounterVec
-	bytes        *metrics.GaugeVec
-	entries      *metrics.GaugeVec
-	compilations *metrics.Counter
-	coalesced    *metrics.CounterVec
-
-	incAttempted  *metrics.Counter
-	incUsed       *metrics.Counter
-	incFallback   *metrics.Counter
-	incReappended *metrics.Histogram
-	// budgetExceeded lives in the fwguard family: it counts resource-
-	// governance interventions, not engine cache traffic.
-	budgetExceeded *metrics.CounterVec
+// registerMetrics exports the engine on reg. The fwengine_* counters and
+// gauges are read at scrape time from the same counts Stats reads — the
+// caches' LRU counters and the engine's atomics — so a scrape and a Stats
+// call can never disagree. Only the re-append histogram and the fwguard
+// budget counter are pushed as events happen.
+func (e *Engine) registerMetrics(reg *metrics.Registry) {
+	perCache := func(value func(CacheStats, uint64) uint64) func() []metrics.Sample {
+		return func() []metrics.Sample {
+			return []metrics.Sample{e.compiled.sample(value), e.reports.sample(value)}
+		}
+	}
+	count := func(n *atomic.Uint64) func() []metrics.Sample {
+		return func() []metrics.Sample { return []metrics.Sample{{Value: float64(n.Load())}} }
+	}
+	reg.NewCounterFunc("fwengine_cache_hits_total", "Engine cache hits by cache.",
+		perCache(func(s CacheStats, _ uint64) uint64 { return s.Hits }))
+	reg.NewCounterFunc("fwengine_cache_misses_total", "Engine cache misses by cache.",
+		perCache(func(s CacheStats, _ uint64) uint64 { return s.Misses }))
+	reg.NewCounterFunc("fwengine_cache_evictions_total", "Engine cache LRU evictions by cache.",
+		perCache(func(s CacheStats, _ uint64) uint64 { return s.Evictions }))
+	reg.NewGaugeFunc("fwengine_cache_resident_bytes", "Estimated resident bytes per engine cache.",
+		perCache(func(s CacheStats, _ uint64) uint64 { return uint64(s.Bytes) }))
+	reg.NewGaugeFunc("fwengine_cache_entries", "Entries per engine cache.",
+		perCache(func(s CacheStats, _ uint64) uint64 { return uint64(s.Entries) }))
+	reg.NewCounterFunc("fwengine_singleflight_coalesced_total",
+		"Callers that joined an in-flight identical computation.",
+		perCache(func(_ CacheStats, coalesced uint64) uint64 { return coalesced }))
+	reg.NewCounterFunc("fwengine_compilations_total",
+		"FDD constructions actually performed (not served from cache or coalesced).",
+		count(&e.compilations))
+	reg.NewCounterFunc("fwengine_incremental_attempted_total",
+		"Incremental (resume-from-checkpoint) FDD builds attempted.", count(&e.incAttempted))
+	reg.NewCounterFunc("fwengine_incremental_used_total",
+		"Incremental FDD builds that succeeded and were used.", count(&e.incUsed))
+	reg.NewCounterFunc("fwengine_incremental_fallback_total",
+		"Incremental FDD builds that failed and fell back to scratch construction.", count(&e.incFallback))
+	e.incReappended = reg.NewHistogram("fwengine_incremental_rules_reappended",
+		"Rules re-appended per successful incremental build.",
+		[]float64{1, 4, 16, 64, 256, 1024, 4096})
+	e.budgetExceeded = reg.NewCounterVec("fwguard_budget_exceeded_total",
+		"Pipeline flights aborted by a work budget, by resource kind.", "kind")
 }
 
-func newInstruments(reg *metrics.Registry) *instruments {
-	return &instruments{
-		hits: reg.NewCounterVec("fwengine_cache_hits_total",
-			"Engine cache hits by cache.", "cache"),
-		misses: reg.NewCounterVec("fwengine_cache_misses_total",
-			"Engine cache misses by cache.", "cache"),
-		evictions: reg.NewCounterVec("fwengine_cache_evictions_total",
-			"Engine cache LRU evictions by cache.", "cache"),
-		bytes: reg.NewGaugeVec("fwengine_cache_resident_bytes",
-			"Estimated resident bytes per engine cache.", "cache"),
-		entries: reg.NewGaugeVec("fwengine_cache_entries",
-			"Entries per engine cache.", "cache"),
-		compilations: reg.NewCounter("fwengine_compilations_total",
-			"FDD constructions actually performed (not served from cache or coalesced)."),
-		coalesced: reg.NewCounterVec("fwengine_singleflight_coalesced_total",
-			"Callers that joined an in-flight identical computation.", "cache"),
-		incAttempted: reg.NewCounter("fwengine_incremental_attempted_total",
-			"Incremental (resume-from-checkpoint) FDD builds attempted."),
-		incUsed: reg.NewCounter("fwengine_incremental_used_total",
-			"Incremental FDD builds that succeeded and were used."),
-		incFallback: reg.NewCounter("fwengine_incremental_fallback_total",
-			"Incremental FDD builds that failed and fell back to scratch construction."),
-		incReappended: reg.NewHistogram("fwengine_incremental_rules_reappended",
-			"Rules re-appended per successful incremental build.",
-			[]float64{1, 4, 16, 64, 256, 1024, 4096}),
-		budgetExceeded: reg.NewCounterVec("fwguard_budget_exceeded_total",
-			"Pipeline flights aborted by a work budget, by resource kind.", "kind"),
+// sample is one cache's series of a per-cache family, labelled by its name.
+func (c *cache[V]) sample(value func(CacheStats, uint64) uint64) metrics.Sample {
+	return metrics.Sample{
+		Labels: []metrics.Label{{Name: "cache", Value: c.name}},
+		Value:  float64(value(c.lru.stats(), c.coalesced.Load())),
 	}
-}
-
-func (e *Engine) observeGet(cache string, hit bool) {
-	if e.inst == nil {
-		return
-	}
-	if hit {
-		e.inst.hits.With(cache).Inc()
-	} else {
-		e.inst.misses.With(cache).Inc()
-	}
-}
-
-func (e *Engine) addCompiled(key string, c *Compiled) {
-	evicted := e.compiled.add(key, c, c.SizeBytes)
-	e.observeAdd(cacheCompile, e.compiled.stats(), evicted)
-}
-
-func (e *Engine) addReport(key string, r *compare.Report) {
-	evicted := e.reports.add(key, r, reportBytes(r))
-	e.observeAdd(cacheReport, e.reports.stats(), evicted)
-}
-
-func (e *Engine) observeAdd(cache string, s lruStats, evicted int) {
-	if e.inst == nil {
-		return
-	}
-	if evicted > 0 {
-		e.inst.evictions.With(cache).Add(uint64(evicted))
-	}
-	e.inst.bytes.With(cache).Set(s.Bytes)
-	e.inst.entries.With(cache).Set(int64(s.Entries))
 }
 
 // Resident-size estimates for the LRU budgets. These charge Go object

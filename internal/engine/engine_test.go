@@ -203,13 +203,13 @@ func TestCancelOneOfManyWaiters(t *testing.T) {
 	key := PolicyHash(p)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		e.compileFlights.mu.Lock()
-		f := e.compileFlights.flights[key]
+		e.compiled.flights.mu.Lock()
+		f := e.compiled.flights.flights[key]
 		waiters := 0
 		if f != nil {
 			waiters = f.waiters
 		}
-		e.compileFlights.mu.Unlock()
+		e.compiled.flights.mu.Unlock()
 		if waiters == 2 {
 			break
 		}

@@ -111,7 +111,7 @@ func TestImpactEditsFallbackToScratch(t *testing.T) {
 		t.Fatalf("incremental counters after fallback: %+v", s.Incremental)
 	}
 	// The scratch fallback result IS cached (it succeeded).
-	if _, ok := e.compiled.get(PolicyHash(after)); !ok {
+	if _, ok := e.compiled.lru.peek(PolicyHash(after)); !ok {
 		t.Fatalf("successful scratch fallback was not cached")
 	}
 }
@@ -138,7 +138,7 @@ func TestImpactEditsAbortNotCachedNotFallenBack(t *testing.T) {
 	if s.Incremental.Fallback != 0 {
 		t.Fatalf("cancellation must not trigger scratch fallback: %+v", s.Incremental)
 	}
-	if _, ok := e.compiled.get(PolicyHash(after)); ok {
+	if _, ok := e.compiled.lru.peek(PolicyHash(after)); ok {
 		t.Fatalf("aborted incremental build was cached")
 	}
 }

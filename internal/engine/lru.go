@@ -7,9 +7,11 @@ import (
 
 // lruCache is a size-aware LRU: every entry carries a byte cost and the
 // cache evicts least-recently-used entries whenever the total cost
-// exceeds the budget. Costs are the caller's estimates (see compiledBytes
-// and reportBytes); the point is bounding resident memory, not exact
-// accounting.
+// exceeds the budget. Costs are the caller's estimates (a compilation
+// charges policyBytes + fddBytes + builderBytes, a report reportBytes);
+// the point is bounding resident memory, not exact accounting. The cache
+// keeps the one count of its hits, misses and evictions that Stats and
+// the fwengine_cache_* families both read.
 type lruCache[V any] struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -34,18 +36,34 @@ func newLRU[V any](maxBytes int64) *lruCache[V] {
 	}
 }
 
-// get returns the entry for key, marking it most recently used.
+// get returns the entry for key, marking it most recently used, and
+// counts the lookup as one hit or one miss.
 func (c *lruCache[V]) get(key string) (V, bool) {
+	return c.lookup(key, true)
+}
+
+// peek is get without the count: a recheck of a lookup already counted.
+func (c *lruCache[V]) peek(key string) (V, bool) {
+	return c.lookup(key, false)
+}
+
+func (c *lruCache[V]) lookup(key string, count bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, true
+	el, ok := c.items[key]
+	if count {
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
+		}
 	}
-	c.misses++
-	var zero V
-	return zero, false
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
 }
 
 // add inserts (or replaces) key, then evicts from the cold end until the
@@ -77,19 +95,11 @@ func (c *lruCache[V]) add(key string, v V, size int64) (evicted int) {
 	return evicted
 }
 
-// lruStats is a point-in-time snapshot of one cache's counters.
-type lruStats struct {
-	Entries   int
-	Bytes     int64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-func (c *lruCache[V]) stats() lruStats {
+// stats is a point-in-time snapshot of the cache's size and counters.
+func (c *lruCache[V]) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return lruStats{
+	return CacheStats{
 		Entries:   c.ll.Len(),
 		Bytes:     c.bytes,
 		Hits:      c.hits,

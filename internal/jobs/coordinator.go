@@ -27,8 +27,8 @@ type Recorder interface {
 }
 
 // Config configures a Coordinator. The zero value is usable: 4
-// workers, 15 minute retention, 256 stored jobs, in-memory store,
-// hash sharding, no instrumentation.
+// workers, 15 minute retention, 256 stored jobs, in-memory store, no
+// instrumentation.
 type Config struct {
 	// Workers is the number of pair-comparison workers (default 4).
 	Workers int
@@ -44,8 +44,6 @@ type Config struct {
 	Traces *trace.Buffer
 	// Store overrides the in-memory job store.
 	Store Store
-	// Sharder overrides the default hash sharder.
-	Sharder Sharder
 	// SLO, when non-nil, receives one observation per settled pair under
 	// target "job:<kind>" — OK pairs as status 200, errored pairs as 422;
 	// skipped pairs are not recorded (a cancel is not a failure).
@@ -63,10 +61,9 @@ type Config struct {
 // Coordinator owns the worker pool and the job store. Safe for
 // concurrent use.
 type Coordinator struct {
-	eng     *engine.Engine
-	cfg     Config
-	store   Store
-	sharder Sharder
+	eng   *engine.Engine
+	cfg   Config
+	store Store
 	// durable is non-nil when the store journals job lifecycle records
 	// (a JournalStore); the coordinator then emits settle/terminal
 	// records and adopts the store's recovered jobs at construction.
@@ -137,9 +134,6 @@ func New(eng *engine.Engine, cfg Config) *Coordinator {
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	if cfg.Sharder == nil {
-		cfg.Sharder = HashSharder{}
-	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 1
 	}
@@ -151,7 +145,6 @@ func New(eng *engine.Engine, cfg Config) *Coordinator {
 		eng:     eng,
 		cfg:     cfg,
 		store:   cfg.Store,
-		sharder: cfg.Sharder,
 		baseCtx: ctx,
 		stop:    stop,
 	}
@@ -357,7 +350,7 @@ func (c *Coordinator) feed(j *Job) {
 		p := j.pairs[k].Pair
 		pending = append(pending, route{
 			k: k,
-			w: c.sharder.Shard(j.hashes[p.I], j.hashes[p.J], c.cfg.Workers),
+			w: shard(j.hashes[p.I], j.hashes[p.J], c.cfg.Workers),
 		})
 	}
 	c.wg.Add(1)
@@ -652,7 +645,7 @@ func (c *Coordinator) scheduleRetry(j *Job, k, attempt int) {
 	j.pairs[k].Status = PairPending
 	j.mu.Unlock()
 	p := j.pairs[k].Pair
-	w := c.sharder.Shard(j.hashes[p.I], j.hashes[p.J], c.cfg.Workers)
+	w := shard(j.hashes[p.I], j.hashes[p.J], c.cfg.Workers)
 	delay := retryDelay(c.cfg.RetryBase, j.id, k, attempt)
 	c.wg.Add(1)
 	go func() {

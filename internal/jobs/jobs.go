@@ -17,7 +17,7 @@
 // of storing a job, so the server has one pair scheduler.
 //
 // Pairs are sharded across workers by the content hashes of their two
-// policies (see Sharder), so the pairs that share a policy cluster on
+// policies (see shard), so the pairs that share a policy cluster on
 // the same worker and walk the engine's content-addressed compile
 // cache in a cache-friendly order. Compile-once is not the sharding's
 // job — the engine's singleflight already guarantees each distinct
@@ -238,24 +238,14 @@ func (s *memStore) Len() int {
 	return len(s.byID)
 }
 
-// Sharder assigns a comparison pair to one of the coordinator's
-// workers, given the content hashes of the pair's two policies. The
-// interface exists so the placement policy can be swapped (e.g. a
-// load-aware sharder) without touching the coordinator; implementations
-// must be deterministic in (hashes, workers) and return a value in
-// [0, workers).
-type Sharder interface {
-	Shard(hashA, hashB string, workers int) int
-}
-
-// HashSharder is the default Sharder: FNV-1a over the sorted pair of
-// content hashes. Sorting makes placement symmetric — (A, B) and
-// (B, A) land on the same worker — and hashing the pair rather than
-// one side spreads a hub policy's N-1 pairs across workers instead of
-// serializing them all behind one.
-type HashSharder struct{}
-
-func (HashSharder) Shard(hashA, hashB string, workers int) int {
+// shard assigns a comparison pair to one of workers, given the content
+// hashes of the pair's two policies: FNV-1a over the sorted pair. It is
+// deterministic in (hashes, workers) and returns a value in [0, workers).
+// Sorting makes placement symmetric — (A, B) and (B, A) land on the same
+// worker — and hashing the pair rather than one side spreads a hub
+// policy's N-1 pairs across workers instead of serializing them all
+// behind one.
+func shard(hashA, hashB string, workers int) int {
 	if workers <= 1 {
 		return 0
 	}

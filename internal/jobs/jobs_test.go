@@ -45,20 +45,21 @@ func waitJob(t *testing.T, c *Coordinator, id string) Snapshot {
 	return snap
 }
 
+// TestHashSharder: shard places a pair in range, deterministically and
+// symmetrically.
 func TestHashSharder(t *testing.T) {
-	s := HashSharder{}
 	for workers := 1; workers <= 8; workers++ {
 		for i := 0; i < 50; i++ {
 			a, b := fmt.Sprintf("hash%d", i), fmt.Sprintf("hash%d", i*7+1)
-			w := s.Shard(a, b, workers)
+			w := shard(a, b, workers)
 			if w < 0 || w >= workers {
 				t.Fatalf("Shard(%q, %q, %d) = %d out of range", a, b, workers, w)
 			}
-			if w2 := s.Shard(a, b, workers); w2 != w {
+			if w2 := shard(a, b, workers); w2 != w {
 				t.Fatalf("Shard not deterministic: %d then %d", w, w2)
 			}
 			// Symmetric: argument order must not change placement.
-			if w2 := s.Shard(b, a, workers); w2 != w {
+			if w2 := shard(b, a, workers); w2 != w {
 				t.Fatalf("Shard not symmetric: (a,b)=%d (b,a)=%d", w, w2)
 			}
 		}

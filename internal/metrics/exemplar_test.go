@@ -147,6 +147,8 @@ func TestFuncMetrics(t *testing.T) {
 		return []Sample{
 			{Labels: []Label{{Name: "k", Value: "a"}}, Value: 1.5},
 			{Labels: []Label{{Name: "k", Value: "b"}}, Value: 2},
+			// A large count renders in plain digits, as a Counter does.
+			{Labels: []Label{{Name: "k", Value: "c"}}, Value: 1234567},
 		}
 	})
 	reg.NewCounterFunc("lazy_total", "c", func() []Sample { return nil })
@@ -160,6 +162,7 @@ func TestFuncMetrics(t *testing.T) {
 		"# TYPE lazy_gauge gauge",
 		`lazy_gauge{k="a"} 1.5`,
 		`lazy_gauge{k="b"} 2`,
+		`lazy_gauge{k="c"} 1234567`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

@@ -524,7 +524,7 @@ func (f *funcMetric) render(w io.Writer) {
 			}
 			labels = formatLabels(names, values)
 		}
-		fmt.Fprintf(w, "%s%s %s\n", f.fname, labels, formatFloat(s.Value))
+		fmt.Fprintf(w, "%s%s %s\n", f.fname, labels, formatSample(s.Value))
 	}
 }
 
@@ -572,6 +572,17 @@ func addLabel(labels, name, value string) string {
 		return "{" + pair + "}"
 	}
 	return labels[:len(labels)-1] + "," + pair + "}"
+}
+
+// formatSample renders a callback sample: integral values in plain digits,
+// as a pushed Counter or Gauge renders them, so a count served at scrape
+// time reads 1234567 rather than 1.234567e+06; anything else as
+// formatFloat does.
+func formatSample(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return formatFloat(v)
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest

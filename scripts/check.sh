@@ -99,6 +99,12 @@ go test -race -count=1 -run 'TestCrashRestartResumesWithoutDuplicateSettles' ./c
 # touch would show here and nowhere else.
 go test -race -count=1 -run 'TestResumeFamilyRace' ./internal/compare/
 
+# A scratch compile and a resumed compile of one policy share one flight
+# keyed by its content address; the coalescing test overlaps the two and
+# reruns uncached under the race detector, since a second flight group
+# or a racy join would show only when the two really meet.
+go test -race -count=1 -run 'TestScratchAndResumedCompileShareOneFlight' ./internal/engine/
+
 # The incremental-recompilation differential also reruns uncached under
 # the race detector: hundreds of randomized policy/edit-script pairs
 # asserting that resuming a checkpointed builder is graph-isomorphic to
