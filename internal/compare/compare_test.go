@@ -161,7 +161,7 @@ func TestMergeDiscrepancies(t *testing.T) {
 		{Pred: rule.Predicate{set(0, 4), set(7, 7)}, A: rule.Accept, B: rule.Discard},
 		{Pred: rule.Predicate{set(5, 9), set(7, 7)}, A: rule.Accept, B: rule.Discard},
 	}
-	out := MergeDiscrepancies(2, ds)
+	out := mergePairs(2, ds)
 	if len(out) != 1 {
 		t.Fatalf("got %d rows, want 1", len(out))
 	}
@@ -174,7 +174,7 @@ func TestMergeDiscrepancies(t *testing.T) {
 		{Pred: rule.Predicate{set(0, 4), set(7, 7)}, A: rule.Accept, B: rule.Discard},
 		{Pred: rule.Predicate{set(5, 9), set(7, 7)}, A: rule.Discard, B: rule.Accept},
 	}
-	if out := MergeDiscrepancies(2, ds); len(out) != 2 {
+	if out := mergePairs(2, ds); len(out) != 2 {
 		t.Fatalf("decision-differing rows merged: %v", out)
 	}
 
@@ -183,7 +183,7 @@ func TestMergeDiscrepancies(t *testing.T) {
 		{Pred: rule.Predicate{set(0, 4), set(7, 7)}, A: rule.Accept, B: rule.Discard},
 		{Pred: rule.Predicate{set(5, 9), set(8, 8)}, A: rule.Accept, B: rule.Discard},
 	}
-	if out := MergeDiscrepancies(2, ds); len(out) != 2 {
+	if out := mergePairs(2, ds); len(out) != 2 {
 		t.Fatalf("two-field-differing rows merged: %v", out)
 	}
 
@@ -193,7 +193,7 @@ func TestMergeDiscrepancies(t *testing.T) {
 		{Pred: rule.Predicate{set(5, 9), set(0, 4)}, A: rule.Accept, B: rule.Discard},
 		{Pred: rule.Predicate{set(0, 9), set(5, 9)}, A: rule.Accept, B: rule.Discard},
 	}
-	out = MergeDiscrepancies(2, ds)
+	out = mergePairs(2, ds)
 	if len(out) != 1 {
 		t.Fatalf("cascading merge failed: %v", out)
 	}

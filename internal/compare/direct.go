@@ -9,6 +9,7 @@ import (
 	"diversefw/internal/fdd"
 	"diversefw/internal/guard"
 	"diversefw/internal/interval"
+	"diversefw/internal/rule"
 	"diversefw/internal/trace"
 )
 
@@ -19,11 +20,11 @@ func DiffFDDsDirect(fa, fb *fdd.FDD) (*Report, error) {
 }
 
 // DiffFDDsDirectContext computes the functional discrepancies between fa
-// and fb by walking their product directly: at each node pair it splits
-// on the smaller labeled field, intersecting edge labels pairwise, and
-// memoizes per (a, b) node pair. Unlike the shape-then-lockstep pipeline
-// it never unrolls the reduced DAGs into semi-isomorphic trees, so its
-// cost is bounded by the product of the DAG sizes — not the path counts.
+// and fb as their Product under the pair combiner, whose terminals are
+// the decision pairs a<<pairShift | b. Unlike the shape-then-lockstep
+// pipeline it never unrolls the reduced DAGs into semi-isomorphic trees,
+// so its cost is bounded by the product of the DAG sizes — not the path
+// counts.
 //
 // Two properties make it the fast path for change-impact analysis:
 //
@@ -44,9 +45,6 @@ func DiffFDDsDirect(fa, fb *fdd.FDD) (*Report, error) {
 // terminalPairs/differingPairs — and Timing fills only the Compare
 // phase.
 func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
-	if !fa.Schema.Equal(fb.Schema) {
-		return nil, fmt.Errorf("compare: schemas differ")
-	}
 	if err := checkFDDDecisionRange(fa); err != nil {
 		return nil, err
 	}
@@ -56,14 +54,50 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 	_, sp := trace.Start(ctx, "compare.direct")
 	defer sp.End()
 	start := time.Now()
-	w := &directWalker{
-		in:     fdd.NewInterner(),
-		fulls:  fullSets(fa.Schema),
-		memo:   make(map[[2]*fdd.Node]*fdd.Node),
-		ctx:    ctx,
-		budget: cancelCheckEvery,
-		work:   guard.FromContext(ctx),
+	w := &directWalker{combine: pairDecision, shortCircuit: true}
+	diff, err := w.run(ctx, fa, fb)
+	if err != nil {
+		return nil, err
 	}
+	report := &Report{PathsCompared: w.paths, RawPaths: w.raw, Discrepancies: pairRows(diff)}
+	report.Timing = Timing{Compare: time.Since(start)}
+	if sp != nil {
+		sp.SetAttr("terminalPairs", report.PathsCompared)
+		sp.SetAttr("differingPairs", report.RawPaths)
+		sp.SetAttr("sharedHits", w.shared)
+		sp.SetAttr("discrepancies", len(report.Discrepancies))
+	}
+	return report, nil
+}
+
+// Product returns the reduced product of fa and fb: the diagram that
+// decides every packet p as combine(fa(p), fb(p)). It is the one walk
+// behind the pair diff, DiffN's folds and package compose: at each node
+// pair it splits on the smaller labeled field, intersecting edge labels
+// pairwise, memoizes per (a, b) node pair, and hash-conses every node it
+// builds. It polls ctx and charges the context's guard budget; on
+// either tripping it returns the wrapped error and no diagram.
+func Product(ctx context.Context, fa, fb *fdd.FDD, combine func(da, db rule.Decision) rule.Decision) (*fdd.FDD, error) {
+	return (&directWalker{combine: combine}).run(ctx, fa, fb)
+}
+
+// pairDecision is the pair diff's combiner: agreement collapses to
+// agreeTerminal, a disagreement keeps both decisions as a<<pairShift | b.
+func pairDecision(da, db rule.Decision) rule.Decision {
+	if da == db {
+		return agreeTerminal
+	}
+	return da<<pairShift | db
+}
+
+// run walks the product of fa and fb under w.combine.
+func (w *directWalker) run(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, error) {
+	if !fa.Schema.Equal(fb.Schema) {
+		return nil, fmt.Errorf("compare: schemas differ")
+	}
+	w.in, w.fulls = fdd.NewInterner(), fullSets(fa.Schema)
+	w.memo = make(map[[2]*fdd.Node]*fdd.Node)
+	w.ctx, w.budget, w.work = ctx, cancelCheckEvery, guard.FromContext(ctx)
 	if err := chaos.Fire(ctx, chaos.PointDirectWalk); err != nil {
 		return nil, fmt.Errorf("compare: %w", err)
 	}
@@ -79,30 +113,19 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 	if w.err != nil {
 		return nil, fmt.Errorf("compare: aborted: %w", w.err)
 	}
-	diff := &fdd.FDD{Schema: fa.Schema, Root: root}
-	report := &Report{PathsCompared: w.paths, RawPaths: w.raw}
-	for _, r := range diff.Rules() {
-		da, db := r.Decision>>pairShift, r.Decision&(1<<pairShift-1)
-		if da == db {
-			continue
-		}
-		report.Discrepancies = append(report.Discrepancies, Discrepancy{Pred: r.Pred, A: da, B: db})
-	}
-	report.Discrepancies = MergeDiscrepancies(fa.Schema.NumFields(), report.Discrepancies)
-	report.Timing = Timing{Compare: time.Since(start)}
-	if sp != nil {
-		sp.SetAttr("terminalPairs", report.PathsCompared)
-		sp.SetAttr("differingPairs", report.RawPaths)
-		sp.SetAttr("sharedHits", w.shared)
-		sp.SetAttr("discrepancies", len(report.Discrepancies))
-	}
-	return report, nil
+	return &fdd.FDD{Schema: fa.Schema, Root: root}, nil
 }
 
 // directWalker carries one product walk's memo, node store, and counters.
 type directWalker struct {
-	in    *fdd.Interner
-	fulls []interval.Set
+	in      *fdd.Interner
+	fulls   []interval.Set
+	combine func(da, db rule.Decision) rule.Decision
+	// shortCircuit collapses a node pair that is one pointer to
+	// agreeTerminal without descending. That is sound only for
+	// pairDecision, which sends every (d, d) to that one terminal; under
+	// compose.SerialDecisions, for one, (d, d) maps to d.
+	shortCircuit bool
 	// stack holds the edge lists of the nodes under construction, one
 	// frame per walk call, addressed by base index because deeper calls
 	// may grow (and move) it. Interning copies a frame only into a node
@@ -110,7 +133,7 @@ type directWalker struct {
 	// nothing.
 	stack  []fdd.Edge
 	memo   map[[2]*fdd.Node]*fdd.Node
-	paths  int // node pairs whose terminals were compared
+	paths  int // node pairs whose terminals were combined
 	raw    int // pairs with differing decisions
 	shared int // pointer-identity short-circuits
 
@@ -154,16 +177,17 @@ func (w *directWalker) stop() bool {
 	return false
 }
 
-// walk returns the canonical difference-diagram node for the product of
-// subgraphs a and b.
+// walk returns the canonical product node for subgraphs a and b.
 func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
-	if a == b {
+	if a == b && w.shortCircuit {
 		// Shared subgraph: both sides decide every packet below here
 		// identically, whatever those decisions are.
 		w.shared++
 		return w.in.CanonicalTerminal(agreeTerminal)
 	}
 	if w.stop() {
+		// Unwind with an arbitrary terminal; the caller discards the
+		// diagram.
 		return w.in.CanonicalTerminal(agreeTerminal)
 	}
 	key := [2]*fdd.Node{a, b}
@@ -174,12 +198,10 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 	var out *fdd.Node
 	if a.IsTerminal() && b.IsTerminal() {
 		w.paths++
-		if a.Decision == b.Decision {
-			out = w.in.CanonicalTerminal(agreeTerminal)
-		} else {
+		if a.Decision != b.Decision {
 			w.raw++
-			out = w.in.CanonicalTerminal(a.Decision<<pairShift | b.Decision)
 		}
+		out = w.in.CanonicalTerminal(w.combine(a.Decision, b.Decision))
 	} else {
 		// Branch on the smaller labeled field. A terminal (or a node
 		// labeled with a later field — reduction elides full-domain

@@ -5,18 +5,19 @@
 // The motivating combiner is Serial: a packet traversing two firewalls in
 // sequence (gateway then DMZ firewall — the distributed setting of the
 // paper's references [1] and [15]) passes iff both accept. Composition
-// reuses the pipeline machinery: construct both FDDs, shape them
-// semi-isomorphic, combine companion terminals, and generate a compact
-// rule sequence from the result.
+// reuses the pipeline machinery: construct both FDDs, walk their product
+// (compare.Product) combining the decisions the two reach on each
+// region, and generate a compact rule sequence from the result.
 package compose
 
 import (
+	"context"
 	"fmt"
 
+	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/gen"
 	"diversefw/internal/rule"
-	"diversefw/internal/shape"
 )
 
 // Combiner merges the two firewalls' decisions for one packet.
@@ -42,18 +43,9 @@ func SerialDecisions(d1, d2 rule.Decision) rule.Decision {
 }
 
 // Combine returns a policy equivalent to combiner applied pointwise to
-// the two policies' decisions.
+// the two policies' decisions: the Product of their FDDs under
+// combiner, written back as rules by gen.Generate.
 func Combine(p1, p2 *rule.Policy, combiner Combiner) (*rule.Policy, error) {
-	f, err := CombineFDD(p1, p2, combiner)
-	if err != nil {
-		return nil, err
-	}
-	return gen.Generate(f)
-}
-
-// CombineFDD is Combine but returns the combined decision diagram, for
-// callers that keep composing (e.g. multi-hop paths).
-func CombineFDD(p1, p2 *rule.Policy, combiner Combiner) (*fdd.FDD, error) {
 	if !p1.Schema.Equal(p2.Schema) {
 		return nil, fmt.Errorf("compose: schemas differ")
 	}
@@ -68,22 +60,11 @@ func CombineFDD(p1, p2 *rule.Policy, combiner Combiner) (*fdd.FDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	s1, s2, err := shape.MakeSemiIsomorphic(f1, f2)
+	f, err := compare.Product(context.Background(), f1, f2, combiner)
 	if err != nil {
 		return nil, err
 	}
-	var walk func(a, b *fdd.Node) *fdd.Node
-	walk = func(a, b *fdd.Node) *fdd.Node {
-		if a.IsTerminal() {
-			return fdd.Terminal(combiner(a.Decision, b.Decision))
-		}
-		out := &fdd.Node{Field: a.Field, Edges: make([]fdd.Edge, len(a.Edges))}
-		for i := range a.Edges {
-			out.Edges[i] = fdd.Edge{Label: a.Edges[i].Label, To: walk(a.Edges[i].To, b.Edges[i].To)}
-		}
-		return out
-	}
-	return (&fdd.FDD{Schema: p1.Schema, Root: walk(s1.Root, s2.Root)}).Reduce(), nil
+	return gen.Generate(f)
 }
 
 // Serial composes a chain of policies: the behaviour of a packet

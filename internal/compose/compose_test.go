@@ -1,9 +1,12 @@
 package compose
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"diversefw/internal/compare"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/packet"
@@ -199,6 +202,76 @@ func TestSerialSinglePolicyIsIdentity(t *testing.T) {
 		d, _, _ := got.Decide(rule.Packet{v})
 		if d != want {
 			t.Fatalf("x=%d changed", v)
+		}
+	}
+}
+
+// TestProductSharedNodesUnderSerial pins the pointer-identity
+// short-circuit to the pair diff. A base and a resumed edit of one
+// builder family share every subgraph the edit left alone; under the
+// serial combiner a shared pair (n, n) still decides
+// SerialDecisions(d, d) = d below n, not "agree", so the product must
+// descend into it. Every packet of the small schema is checked.
+func TestProductSharedNodesUnderSerial(t *testing.T) {
+	t.Parallel()
+	s := field.MustSchema(
+		field.Field{Name: "x", Domain: interval.MustNew(0, 15), Kind: field.KindInt},
+		field.Field{Name: "y", Domain: interval.MustNew(0, 15), Kind: field.KindInt},
+	)
+	rr := func(x0, x1, y0, y1 uint64, d rule.Decision) rule.Rule {
+		return rule.Rule{Pred: rule.Predicate{interval.SetOf(x0, x1), interval.SetOf(y0, y1)}, Decision: d}
+	}
+	base := rule.MustPolicy(s, []rule.Rule{
+		rr(0, 3, 0, 7, rule.AcceptLog),
+		rr(4, 7, 8, 15, rule.Discard),
+		rr(8, 11, 2, 9, rule.Accept),
+		rr(12, 15, 0, 3, rule.DiscardLog),
+		rr(10, 13, 10, 15, rule.Discard),
+		rule.CatchAll(s, rule.Accept),
+	})
+	edit, err := base.ReplaceRule(4, rr(10, 13, 10, 15, rule.AcceptLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fdd.NewBuilder(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, _, err := b.Resume(context.Background(), edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, fe := b.FDD(), eb.FDD()
+	inBase := map[*fdd.Node]bool{}
+	var mark func(n *fdd.Node)
+	mark = func(n *fdd.Node) {
+		inBase[n] = true
+		for _, e := range n.Edges {
+			mark(e.To)
+		}
+	}
+	mark(fa.Root)
+	shared := false
+	for _, e := range fe.Root.Edges {
+		shared = shared || (!e.To.IsTerminal() && inBase[e.To])
+	}
+	if !shared {
+		t.Fatal("the edit shares no nonterminal subgraph with its base; the test needs one")
+	}
+
+	got, err := compare.Product(context.Background(), fa, fe, SerialDecisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := uint64(0); x <= 15; x++ {
+		for y := uint64(0); y <= 15; y++ {
+			pkt := rule.Packet{x, y}
+			da, _ := packet.Oracle(base, pkt)
+			de, _ := packet.Oracle(edit, pkt)
+			if d, _ := got.Decide(pkt); d != SerialDecisions(da, de) {
+				t.Fatalf("packet %v: product decides %v, want SerialDecisions(%v, %v) = %v",
+					pkt, d, da, de, SerialDecisions(da, de))
+			}
 		}
 	}
 }

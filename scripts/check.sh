@@ -79,6 +79,11 @@ go test -run=NONE -fuzz='^FuzzParseRuleMatchesReference$' -fuzztime=1x ./interna
 go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/prefix/
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 
+# Pair and N-way discrepancy rows merge in one function; its
+# differential holds it to the string-key pair merge and the N-way
+# merge it replaced, both kept in the tests, over random row sets.
+go test -run=NONE -fuzz='^FuzzMergeRowsMatchesReference$' -fuzztime=1x ./internal/compare/
+
 # The journal replayer faces arbitrary bytes after a crash (torn tails,
 # bit rot, garbage), so its corpus — seeded with the testdata/journal
 # corruption fixtures — re-runs through the never-panic/always-report
