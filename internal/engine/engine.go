@@ -9,7 +9,10 @@
 //     FDD. The hash is taken over the rule IR (schema plus canonical
 //     interval sets), so two requests carrying the same policy —
 //     regardless of source format, whitespace, comments, or value
-//     spelling — share one construction.
+//     spelling — share one construction. An entry keeps its builder's
+//     resume checkpoints only when it is an edit base (ImpactEdits's
+//     before policy, or an edited policy); every other entry keeps its
+//     final diagram alone, and its first edit, if one comes, replays it.
 //   - Diff caches (hash(A), hash(B)) -> the full comparison report, so a
 //     repeated diff of the same pair costs two hash lookups. Reusing the
 //     report also makes discrepancy row numbering stable across /v1/diff
@@ -86,8 +89,11 @@ type Compiled struct {
 	// Builder is the resumable construction that produced FDD. Keeping it
 	// resident is what makes the incremental edit path possible: an edited
 	// policy re-appends only its changed suffix from the deepest untouched
-	// checkpoint (see ImpactEdits). Its extra node store is charged to
-	// SizeBytes.
+	// checkpoint (see ImpactEdits). Only an edit base keeps its
+	// checkpoints: ImpactEdits's before policy and every edited policy.
+	// Any other compilation is trimmed to its final diagram
+	// (fdd.Builder.Trim), and its first edit replays it once. The store
+	// nodes beyond the final diagram are charged to SizeBytes.
 	Builder *fdd.Builder
 	// incremental reports that Builder resumed a base compilation's
 	// builder rather than starting from scratch; resumed holds that
@@ -213,8 +219,12 @@ const hashFlushBytes = 512
 // hit reports whether the result came from the cache without waiting on
 // any compilation. On ctx death the caller gets ctx.Err() while an
 // in-flight compilation keeps running for its other waiters.
+//
+// The compilation keeps its final diagram only, not its resume
+// checkpoints: the diffs it serves never resume it, and should it become
+// an edit base later, its first edit replays it (see ImpactEdits).
 func (e *Engine) Compile(ctx context.Context, p *rule.Policy) (c *Compiled, hit bool, err error) {
-	return e.compile(ctx, p, PolicyHash(p), nil)
+	return e.compile(ctx, p, PolicyHash(p), nil, false)
 }
 
 // compile is Compile for a policy whose content address is already taken,
@@ -226,7 +236,11 @@ func (e *Engine) Compile(ctx context.Context, p *rule.Policy) (c *Compiled, hit 
 // identically, so they surface as-is. The flight is keyed by the content
 // address alone, so a scratch and a resumed compile of one policy share
 // one construction. Failed flights are never cached, in either mode.
-func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base *Compiled) (*Compiled, bool, error) {
+//
+// editBase keeps the builder's resume checkpoints; without it a scratch
+// build is trimmed inside the flight, before it is cached or shared. A
+// resumed build shares its base's store and always keeps them.
+func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base *Compiled, editBase bool) (*Compiled, bool, error) {
 	annotate := func(sp *trace.Span, c *Compiled, err error) {
 		sp.SetAttr("policyHash", hash[:12])
 		if base == nil {
@@ -244,8 +258,14 @@ func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base 
 			return nil, 0, err
 		}
 		e.compilations.Add(1)
+		if !editBase {
+			if err := c.Builder.Trim(); err != nil {
+				return nil, 0, err
+			}
+		}
 		c.FDD = c.Builder.FDD()
-		c.SizeBytes = policyBytes(p) + fddBytes(c.FDD) + builderBytes(c.Builder)
+		size, nodes := fddBytes(c.FDD)
+		c.SizeBytes = policyBytes(p) + size + builderBytes(c.Builder, nodes)
 		return c, c.SizeBytes, nil
 	})
 }
@@ -438,17 +458,19 @@ type EditStats struct {
 //     on the subgraphs the incremental build shares with the base FDD.
 //
 // A failed incremental build falls back to scratch construction and the
-// failure is never cached. The after-policy goes through Compile's own
-// path and flight (see compile), so budget charging and coalescing match
-// Compile's, and a concurrent Compile of the same edited policy shares
-// this construction.
+// failure is never cached. Both policies go through Compile's own path
+// and flight (see compile), so budget charging and coalescing match
+// Compile's, and a concurrent Compile of the same policy shares this
+// construction. Both are compiled as edit bases, keeping their resume
+// checkpoints; a before policy that an earlier Compile cached trimmed
+// replays them inside its first edit's resume, once.
 func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []impact.Edit) (*rule.Policy, *compare.Report, EditStats, error) {
 	var stats EditStats
 	ctx, sp := trace.Start(ctx, "impact.edits")
 	defer sp.End()
 	sp.SetAttr("edits", len(edits))
 	start := time.Now()
-	cb, hitB, err := e.Compile(ctx, before)
+	cb, hitB, err := e.compile(ctx, before, PolicyHash(before), nil, true)
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("engine: before policy: %w", err)
 	}
@@ -461,7 +483,7 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	}
 	afterHash := PolicyHash(after)
 	stats.AfterHash = afterHash
-	ca, hitA, err := e.compile(ctx, after, afterHash, cb)
+	ca, hitA, err := e.compile(ctx, after, afterHash, cb, true)
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("engine: after policy: %w", err)
 	}
@@ -631,10 +653,9 @@ const (
 )
 
 // fddBytes estimates the resident size of a reduced FDD, counting shared
-// nodes once.
-func fddBytes(f *fdd.FDD) int64 {
+// nodes once, and counts its nodes.
+func fddBytes(f *fdd.FDD) (total int64, nodes int) {
 	seen := make(map[*fdd.Node]bool)
-	var total int64
 	var walk func(n *fdd.Node)
 	walk = func(n *fdd.Node) {
 		if seen[n] {
@@ -648,19 +669,21 @@ func fddBytes(f *fdd.FDD) int64 {
 		}
 	}
 	walk(f.Root)
-	return total
+	return total, len(seen)
 }
 
 // builderBytes estimates the extra resident cost of keeping a compiled
-// policy's builder: its family's shared node store retains intermediate
-// partial forms beyond the final diagram. Builders resumed from a common
-// base share one store, so summing per cache entry over-charges — the
-// LRU budget prefers over- to under-counting.
-func builderBytes(b *fdd.Builder) int64 {
+// policy's builder: the nodes its family's shared store holds beyond the
+// final diagram of diagramNodes nodes, which fddBytes already charges —
+// the checkpoints' partial diagrams. A trimmed builder holds none.
+// Builders resumed from a common base share one store, so summing per
+// cache entry over-charges — the LRU budget prefers over- to
+// under-counting.
+func builderBytes(b *fdd.Builder, diagramNodes int) int64 {
 	if b == nil {
 		return 0
 	}
-	return int64(b.StoreNodes()) * (nodeCost + edgeCost)
+	return int64(b.StoreNodes()-diagramNodes) * (nodeCost + edgeCost)
 }
 
 // policyBytes estimates the resident size of a parsed policy.

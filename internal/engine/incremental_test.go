@@ -19,14 +19,7 @@ import (
 // tailEdits flips the decision of one rule near the end of p.
 func tailEdits(t *testing.T, p *rule.Policy) []impact.Edit {
 	t.Helper()
-	i := p.Size() - 3
-	r := p.Rules[i]
-	if r.Decision == rule.Accept {
-		r.Decision = rule.Discard
-	} else {
-		r.Decision = rule.Accept
-	}
-	return []impact.Edit{{Kind: impact.ReplaceRule, Index: i, Rule: r}}
+	return flipEdit(p, p.Size()-3)
 }
 
 func TestImpactEditsIncremental(t *testing.T) {
@@ -205,6 +198,87 @@ func TestIncrementalMetricsScrape(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// flipEdit flips the decision of p's rule i.
+func flipEdit(p *rule.Policy, i int) []impact.Edit {
+	r := p.Rules[i]
+	if r.Decision == rule.Accept {
+		r.Decision = rule.Discard
+	} else {
+		r.Decision = rule.Accept
+	}
+	return []impact.Edit{{Kind: impact.ReplaceRule, Index: i, Rule: r}}
+}
+
+// TestCompileKeepsOnlyTheDiagram pins that a cold Compile caches its
+// builder trimmed, holding its final diagram and nothing else, while
+// ImpactEdits compiles its before policy as an edit base, with its
+// checkpoints.
+func TestCompileKeepsOnlyTheDiagram(t *testing.T) {
+	p := synth.RealLife(300, 3)
+	e := New(Config{})
+	c, _, err := e.Compile(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Builder.NumCheckpoints(); n != 0 {
+		t.Fatalf("a cold Compile keeps %d checkpoints", n)
+	}
+	if _, nodes := fddBytes(c.FDD); c.Builder.StoreNodes() != nodes {
+		t.Fatalf("a cold Compile's store holds %d nodes, its diagram %d", c.Builder.StoreNodes(), nodes)
+	}
+
+	e = New(Config{})
+	if _, _, _, err := e.ImpactEdits(context.Background(), p, tailEdits(t, p)); err != nil {
+		t.Fatal(err)
+	}
+	base, hit, err := e.Compile(context.Background(), p)
+	if err != nil || !hit {
+		t.Fatalf("Compile after ImpactEdits: hit %v, err %v", hit, err)
+	}
+	if base.Builder.NumCheckpoints() == 0 {
+		t.Fatal("ImpactEdits's before compile lost its checkpoints")
+	}
+}
+
+// TestEditsOfADiffFirstBase edits a base that /v1/diff compiled first,
+// trimmed, twice: both edits must resume incrementally, from a
+// checkpoint the first one's replay rebuilt, and serve the same edited
+// policies, reports and resume stats as a flow that only ever edited.
+func TestEditsOfADiffFirstBase(t *testing.T) {
+	before := synth.RealLife(300, 8)
+	other, _ := synth.Perturb(before, 25, 8)
+	scripts := [][]impact.Edit{flipEdit(before, before.Size()-3), flipEdit(before, before.Size()-40)}
+
+	diffFirst := New(Config{})
+	if _, _, err := diffFirst.DiffPolicies(context.Background(), before, other); err != nil {
+		t.Fatal(err)
+	}
+	editsOnly := New(Config{})
+	for i, edits := range scripts {
+		after, r, st, err := diffFirst.ImpactEdits(context.Background(), before, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Incremental || st.CheckpointRules == 0 {
+			t.Fatalf("edit %d of a diff-first base: incremental %v from checkpoint %d",
+				i, st.Incremental, st.CheckpointRules)
+		}
+		wantAfter, want, wst, err := editsOnly.ImpactEdits(context.Background(), before, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after, wantAfter) {
+			t.Fatalf("edit %d: edited policies differ", i)
+		}
+		if !reflect.DeepEqual(r.Discrepancies, want.Discrepancies) {
+			t.Fatalf("edit %d: reports differ (%d vs %d rows)", i, len(r.Discrepancies), len(want.Discrepancies))
+		}
+		if st.CheckpointRules != wst.CheckpointRules || st.RulesReappended != wst.RulesReappended {
+			t.Fatalf("edit %d: resume stats %+v, edits-only flow %+v", i, st, wst)
 		}
 	}
 }

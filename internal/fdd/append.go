@@ -154,7 +154,7 @@ func (ap *appender) node(k, base int) *Node {
 // root itself stays the same pointer, now canonical in the family.
 func (ap *appender) promote(root *Node) {
 	ap.clearSlots()
-	ap.ov.adoptInto(root)
+	moveInto(ap.family, root)
 	ap.overlayNodes += ap.ov.NumNodes()
 	ap.ov.reset()
 	clear(ap.covered)

@@ -26,24 +26,35 @@ import (
 // unchanged subgraphs come back pointer-identical, which downstream
 // comparisons can short-circuit on.
 //
-// A Builder is safe for concurrent use: the shared node store is guarded
-// by the family's mutex, and the published FDD, effective bits, and
-// checkpoints are immutable once the builder is returned.
+// Checkpoints cost memory: the family store keeps every checkpoint's
+// partial diagram. A builder that may never be resumed can drop them
+// with Trim, keeping only its final diagram; its first Resume then
+// replays the policy to rebuild them (see Trim).
+//
+// A Builder is safe for concurrent use: the shared node store, the
+// checkpoints and the trimmed state are guarded by the family's mutex,
+// and the published FDD and effective bits are immutable once the
+// builder is returned.
 type Builder struct {
-	core        *builderCore
-	policy      *rule.Policy
-	fdd         *FDD
-	effective   []bool
+	core      *builderCore
+	policy    *rule.Policy
+	fdd       *FDD
+	effective []bool
+	// checkpoints and trimmed change under core.mu only: Trim drops the
+	// checkpoints, and the first Resume after it rebuilds them.
 	checkpoints []checkpoint
+	trimmed     bool
 }
 
 // builderCore is the state shared by every builder in one resume family:
 // the hash-consing store all of them canonicalize into. The mutex
 // serializes construction; reads of finished diagrams never need it
-// (canonical nodes are immutable).
+// (canonical nodes are immutable). resumed records that a Resume has
+// run on the family, after which no builder of it may be trimmed.
 type builderCore struct {
-	mu sync.Mutex
-	in *Interner
+	mu      sync.Mutex
+	in      *Interner
+	resumed bool
 }
 
 // checkpoint is one resumable prefix: the root, canonical in the family
@@ -102,18 +113,68 @@ func (b *Builder) Policy() *rule.Policy { return b.policy }
 // the packet space (see ConstructEffective). Read-only.
 func (b *Builder) Effective() []bool { return b.effective }
 
-// NumCheckpoints returns how many resumable prefixes the builder holds.
-func (b *Builder) NumCheckpoints() int { return len(b.checkpoints) }
+// NumCheckpoints returns how many resumable prefixes the builder holds
+// (none once trimmed, until a Resume replays them).
+func (b *Builder) NumCheckpoints() int {
+	b.core.mu.Lock()
+	defer b.core.mu.Unlock()
+	return len(b.checkpoints)
+}
 
 // StoreNodes returns the node count of the family's shared store — the
 // resident cost of keeping this builder (and its checkpoints) alive,
 // which is larger than the final diagram because the checkpoint roots'
 // partial diagrams stay interned. The intermediate diagrams between
-// checkpoints never reach the store.
+// checkpoints never reach the store. A trimmed builder's store holds its
+// final diagram only.
 func (b *Builder) StoreNodes() int {
 	b.core.mu.Lock()
 	defer b.core.mu.Unlock()
 	return b.core.in.NumNodes()
+}
+
+// Trim drops the builder's resume state: its checkpoints, and every
+// node of the family store its final diagram does not reach. The
+// diagram's own nodes move, uncopied, into a fresh store (moveInto
+// restamps their store identity), where they stay canonical, so the
+// builder still resumes: its first Resume replays the builder's policy
+// into that store, rebuilding the checkpoints, and the replayed root is
+// the diagram's root pointer, so resumed diagrams still share subgraphs
+// with it.
+//
+// Trim restamps nodes other goroutines may read, so it must run before
+// the builder or its diagram is shared. A family that has been resumed
+// shares its store with other builders, and Trim refuses it with an
+// error.
+func (b *Builder) Trim() error {
+	b.core.mu.Lock()
+	defer b.core.mu.Unlock()
+	if b.core.resumed {
+		return fmt.Errorf("fdd: cannot trim a builder whose family has been resumed")
+	}
+	in := NewInterner()
+	in.hashOverride = b.core.in.hashOverride
+	moveInto(in, b.fdd.Root)
+	b.core.in, b.checkpoints, b.trimmed = in, nil, true
+	return nil
+}
+
+// replay rebuilds a trimmed builder's checkpoints by re-appending its
+// own policy into the family store, where its final diagram is
+// canonical: the replay must end on that very root. A replay that fails
+// leaves the builder trimmed (any checkpoint roots it promoted before
+// failing stay in the store, for the next replay to find). Callers hold
+// core.mu.
+func (b *Builder) replay(ctx context.Context) error {
+	rb, err := b.core.build(ctx, nil, b.policy, 0, nil, nil, nil)
+	if err != nil {
+		return err
+	}
+	if rb.fdd.Root != b.fdd.Root {
+		return fmt.Errorf("fdd: replaying a trimmed builder did not return its diagram")
+	}
+	b.checkpoints, b.trimmed = rb.checkpoints, false
+	return nil
 }
 
 // ResumeStats describes how much work a Resume avoided.
@@ -130,7 +191,9 @@ type ResumeStats struct {
 // Resume constructs the FDD for the edited policy `after`, reusing the
 // deepest checkpoint whose rule prefix the edit left untouched. The
 // returned builder shares this builder's node store (and is itself
-// resumable); the base builder and its FDD are not modified.
+// resumable); the base builder and its FDD are not modified, except that
+// a trimmed base first replays its policy to rebuild its checkpoints,
+// which it keeps for later Resumes.
 //
 // The result is identical — graph-isomorphic, and pointer-identical on
 // shared subgraphs — to constructing `after` from scratch: appending is
@@ -145,6 +208,18 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 		return nil, st, fmt.Errorf("fdd: resume across different schemas")
 	}
 	prefix := commonRulePrefix(b.policy, after)
+	ctx, sp := trace.Start(ctx, "construct.resume")
+	defer sp.End()
+	sp.SetAttr("rules", after.Size())
+	b.core.mu.Lock()
+	defer b.core.mu.Unlock()
+	b.core.resumed = true
+	sp.SetAttr("baseReplayed", b.trimmed)
+	if b.trimmed {
+		if err := b.replay(ctx); err != nil {
+			return nil, st, err
+		}
+	}
 	start, used := 0, 0
 	var root *Node
 	for i, cp := range b.checkpoints {
@@ -155,13 +230,8 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 	}
 	st.CheckpointRules = start
 	st.RulesReappended = after.Size() - start
-	ctx, sp := trace.Start(ctx, "construct.resume")
-	defer sp.End()
-	sp.SetAttr("rules", after.Size())
 	sp.SetAttr("checkpointUsed", st.CheckpointRules)
 	sp.SetAttr("rulesReappended", st.RulesReappended)
-	b.core.mu.Lock()
-	defer b.core.mu.Unlock()
 	nb, err := b.core.build(ctx, nil, after, start, root, b.checkpoints[:used], b.effective[:start])
 	if err != nil {
 		return nil, st, err

@@ -34,7 +34,7 @@ import (
 // node is canonical in exactly one of the two and pointer equality still
 // means functional equality across both. Construction interns its
 // intermediate diagrams into an overlay and promotes only the checkpoint
-// roots into the parent: adoptInto moves the overlay nodes a root
+// roots into the parent: moveInto moves the overlay nodes a root
 // reaches into the parent as they are, restamping their serial and id,
 // and reset gives the overlay a fresh serial, which disowns every node
 // that was not adopted in O(1).
@@ -86,36 +86,37 @@ func newOverlay(parent *Interner) *Interner {
 	return in
 }
 
-// adoptInto moves root and the nodes below it that this overlay owns
-// into its parent, children first. No node is copied and no edge
-// rewritten: each moved node is restamped with the parent's serial and
-// the parent's next id. A node canonical here never equals a parent
-// node: intern consults the parent whenever all of a node's children
-// are in it, and a node with a child canonical here cannot equal a
-// parent node, whose children are all the parent's. So each moved node
-// stays unique; only its hash changes, because ids do, and it is
-// re-hashed under its parent id. The overlay must be reset before it is
-// used again.
-func (in *Interner) adoptInto(root *Node) {
-	p := in.parent
-	var adopt func(n *Node)
-	adopt = func(n *Node) {
-		if p.Canonical(n) {
+// moveInto moves root and the nodes below it that dst does not own into
+// dst, children first. No node is copied and no edge rewritten: each
+// moved node is restamped with dst's serial and dst's next id, and
+// re-hashed under that id. The caller guarantees that no moved node
+// equals a node dst already holds, and that no other goroutine reads
+// the moved nodes' store identity while they move.
+//
+// Promotion moves an overlay's nodes into its parent, and there the
+// guarantee holds by construction: intern consults the parent whenever
+// all of a node's children are in it, and a node with a child canonical
+// in the overlay cannot equal a parent node, whose children are all the
+// parent's. The overlay must be reset before it is used again.
+func moveInto(dst *Interner, root *Node) {
+	var move func(n *Node)
+	move = func(n *Node) {
+		if dst.Canonical(n) {
 			return
 		}
 		if n.IsTerminal() {
-			p.terms[n.Decision] = n
-			p.register(n)
+			dst.terms[n.Decision] = n
+			dst.register(n)
 			return
 		}
 		for i := range n.Edges {
-			adopt(n.Edges[i].To)
+			move(n.Edges[i].To)
 		}
-		h, _ := p.hashNode(n.Field, n.Edges)
-		p.insert(h, n)
-		p.register(n)
+		h, _ := dst.hashNode(n.Field, n.Edges)
+		dst.insert(h, n)
+		dst.register(n)
 	}
-	adopt(root)
+	move(root)
 }
 
 // reset empties the overlay for the next batch: a fresh serial disowns

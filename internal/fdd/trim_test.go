@@ -1,0 +1,256 @@
+package fdd
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"diversefw/internal/guard"
+	"diversefw/internal/rule"
+	"diversefw/internal/synth"
+	"diversefw/internal/trace"
+)
+
+// checkpointRules lists the prefix lengths of b's checkpoints.
+func checkpointRules(b *Builder) []int {
+	var out []int
+	for _, cp := range b.checkpoints {
+		out = append(out, cp.rules)
+	}
+	return out
+}
+
+// TestTrimKeepsOnlyTheDiagram pins what Trim keeps and what the first
+// Resume after it restores: the trimmed store holds exactly the final
+// diagram's nodes, still the same pointers; the replay ends on that
+// root and rebuilds the untrimmed builder's checkpoints; and the resumed
+// diagram matches an untrimmed builder's resume, sharing the trimmed
+// base's subgraphs.
+func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
+	p := synth.RealLife(400, 3)
+	kept, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := b.FDD().Root
+	if err := b.Trim(); err != nil {
+		t.Fatal(err)
+	}
+	if b.FDD().Root != root {
+		t.Fatal("Trim replaced the diagram's root")
+	}
+	if b.NumCheckpoints() != 0 {
+		t.Fatalf("trimmed builder keeps %d checkpoints", b.NumCheckpoints())
+	}
+	if nodes, _ := countGraph(root); b.StoreNodes() != nodes {
+		t.Fatalf("trimmed store holds %d nodes, the diagram %d", b.StoreNodes(), nodes)
+	}
+	assertStoreIsReachable(t, b.core.in, b)
+
+	after := flipRule(t, p, p.Size()-3)
+	want, wst, err := kept.Resume(context.Background(), after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, st, err := b.Resume(context.Background(), after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != wst {
+		t.Fatalf("trimmed resume stats %+v, untrimmed %+v", st, wst)
+	}
+	if !reflect.DeepEqual(checkpointRules(b), checkpointRules(kept)) {
+		t.Fatalf("replay rebuilt checkpoints %v, the untrimmed builder holds %v",
+			checkpointRules(b), checkpointRules(kept))
+	}
+	if !sameFunction(t, nb.FDD(), want.FDD()) {
+		t.Fatal("resume of a trimmed builder differs from the untrimmed one's")
+	}
+	if b.core.in.ReduceNode(p.Schema, root) != root {
+		t.Fatal("the trimmed diagram is no longer canonical in its store")
+	}
+	assertStoreIsReachable(t, b.core.in, b, nb)
+}
+
+// TestReplayMustEndOnTheDiagram checks the replay's identity check: a
+// trimmed builder whose diagram is not canonical in its store (here a
+// copy swapped in behind Trim's back) must fail to resume, not resume
+// from a store its diagram shares nothing with.
+func TestReplayMustEndOnTheDiagram(t *testing.T) {
+	p := synth.RealLife(100, 5)
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Trim(); err != nil {
+		t.Fatal(err)
+	}
+	b.fdd = &FDD{Schema: p.Schema, Root: b.fdd.Root.Copy()}
+	if _, _, err := b.Resume(context.Background(), flipRule(t, p, p.Size()-2)); err == nil {
+		t.Fatal("a replay that did not end on the diagram's root resumed")
+	}
+}
+
+// TestTrimRefusedAfterResume pins that Trim refuses a family that has
+// been resumed: its store then holds nodes other builders' diagrams
+// reach. The refusal covers the base and the resumed builder alike.
+func TestTrimRefusedAfterResume(t *testing.T) {
+	p := synth.RealLife(100, 7)
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, _, err := b.Resume(context.Background(), flipRule(t, p, p.Size()-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := b.StoreNodes()
+	for name, x := range map[string]*Builder{"base": b, "resumed": nb} {
+		if err := x.Trim(); err == nil {
+			t.Fatalf("Trim of the %s builder of a resumed family succeeded", name)
+		}
+	}
+	if b.NumCheckpoints() == 0 || b.StoreNodes() != stored {
+		t.Fatal("a refused Trim changed the family")
+	}
+}
+
+// TestAbortedReplayLeavesBuilderTrimmed aborts the replay of a trimmed
+// builder by a tiny budget, by a budget that trips after a few
+// promotions, and by cancellation between appends. Each abort must
+// leave the builder trimmed (no checkpoints) and no memo slot set in
+// its store; the next Resume must then replay, match scratch
+// construction, and share the diagram's root.
+func TestAbortedReplayLeavesBuilderTrimmed(t *testing.T) {
+	p := synth.RealLife(300, 4)
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := b.FDD().Root
+	if err := b.Trim(); err != nil {
+		t.Fatal(err)
+	}
+	after := flipRule(t, p, p.Size()-3)
+	aborts := []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"tiny budget", guard.WithBudget(context.Background(),
+			guard.NewBudget(guard.Limits{MaxFDDNodes: 1})), guard.ErrBudget},
+		{"budget after promotions", guard.WithBudget(context.Background(),
+			guard.NewBudget(guard.Limits{MaxFDDNodes: 6000})), guard.ErrBudget},
+		{"cancellation", &countdownCtx{Context: context.Background(), n: 70}, context.Canceled},
+	}
+	for _, a := range aborts {
+		if _, _, err := b.Resume(a.ctx, after); !errors.Is(err, a.want) {
+			t.Fatalf("%s: Resume returned %v, want %v", a.name, err, a.want)
+		}
+		if b.NumCheckpoints() != 0 {
+			t.Fatalf("%s: an aborted replay left %d checkpoints", a.name, b.NumCheckpoints())
+		}
+		assertStoreIndexed(t, b.core.in)
+	}
+	nb, st, err := b.Resume(context.Background(), after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckpointRules == 0 || b.NumCheckpoints() == 0 {
+		t.Fatalf("the replay after aborted ones rebuilt no checkpoints (stats %+v)", st)
+	}
+	if b.FDD().Root != root {
+		t.Fatal("replays replaced the diagram's root")
+	}
+	scratch, err := NewBuilder(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFunction(t, nb.FDD(), scratch.FDD()) {
+		t.Fatal("resume after aborted replays differs from scratch construction")
+	}
+	if !reflect.DeepEqual(nb.Effective(), scratch.Effective()) {
+		t.Fatal("resume after aborted replays has different effective bits")
+	}
+	assertStoreIndexed(t, b.core.in)
+}
+
+// TestTrimmedResumeRace resumes one trimmed builder from many goroutines
+// at once, each with its own edit. Exactly one Resume may replay the
+// base (its construct.resume span says baseReplayed), the others must
+// resume from the checkpoints it rebuilt, and every result must match
+// scratch construction. Run under -race it also proves that checkpoint
+// reads and the replay's writes are serialized by the family lock.
+func TestTrimmedResumeRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := synth.RealLife(240, 17)
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Trim(); err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	r := rand.New(rand.NewSource(17))
+	afters := make([]*rule.Policy, goroutines)
+	scratches := make([]*Builder, goroutines)
+	for g := range afters {
+		afters[g] = flipRule(t, p, p.Size()-2-r.Intn(p.Size()/2))
+		if scratches[g], err = NewBuilder(afters[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	replayed := make([]bool, goroutines)
+	errs := make([]error, goroutines)
+	for g := range afters {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// The checkpoint count is read beside the Resumes, one of which
+			// rebuilds the checkpoints.
+			b.NumCheckpoints()
+			ctx, tr := trace.New(context.Background(), "resume", fmt.Sprint(g))
+			nb, _, err := b.Resume(ctx, afters[g])
+			tr.Finish()
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			sp, ok := tr.Snapshot().Root.Find("construct.resume")
+			if !ok {
+				errs[g] = errors.New("no construct.resume span")
+				return
+			}
+			replayed[g] = sp.Attrs["baseReplayed"] == true
+			in := NewInterner()
+			if in.ReduceNode(p.Schema, nb.FDD().Root) != in.ReduceNode(p.Schema, scratches[g].FDD().Root) ||
+				!reflect.DeepEqual(nb.Effective(), scratches[g].Effective()) {
+				errs[g] = fmt.Errorf("goroutine %d: resumed diagram differs from scratch", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	replays := 0
+	for g := range afters {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if replayed[g] {
+			replays++
+		}
+	}
+	if replays != 1 {
+		t.Fatalf("%d of %d concurrent Resumes replayed the trimmed base, want 1", replays, goroutines)
+	}
+}

@@ -3,6 +3,7 @@ package impact
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"diversefw/internal/fdd"
@@ -46,6 +47,25 @@ func randomEdits(rng *rand.Rand, p *rule.Policy) []Edit {
 	return edits
 }
 
+// differentialTrials is the size of the incremental differentials'
+// corpus: trial i is differentialCase(i).
+const differentialTrials = 220
+
+// differentialCase returns trial's before policy, its random edit
+// script, and the edited policy.
+func differentialCase(t *testing.T, trial int) (before *rule.Policy, edits []Edit, after *rule.Policy) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(trial)))
+	n := 36 + rng.Intn(48)
+	before = synth.Synthetic(synth.Config{Rules: n, Seed: int64(trial + 1)})
+	edits = randomEdits(rng, before)
+	after, err := Apply(before, edits)
+	if err != nil {
+		t.Fatalf("trial %d: Apply: %v (edits %v)", trial, err, edits)
+	}
+	return before, edits, after
+}
+
 // TestIncrementalDifferential is the tentpole's correctness proof:
 // across hundreds of randomized policy/edit-script pairs, resuming the
 // before policy's builder yields an FDD graph-isomorphic to scratch
@@ -54,16 +74,8 @@ func randomEdits(rng *rand.Rand, p *rule.Policy) []Edit {
 // canonical per decision function), with identical effective-rule bits,
 // and fails if and only if scratch fails.
 func TestIncrementalDifferential(t *testing.T) {
-	const trials = 220
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		n := 36 + rng.Intn(48)
-		before := synth.Synthetic(synth.Config{Rules: n, Seed: int64(trial + 1)})
-		edits := randomEdits(rng, before)
-		after, err := Apply(before, edits)
-		if err != nil {
-			t.Fatalf("trial %d: Apply: %v (edits %v)", trial, err, edits)
-		}
+	for trial := 0; trial < differentialTrials; trial++ {
+		before, edits, after := differentialCase(t, trial)
 		base, err := fdd.NewBuilder(before)
 		if err != nil {
 			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
@@ -88,6 +100,57 @@ func TestIncrementalDifferential(t *testing.T) {
 			if reff[i] != seff[i] {
 				t.Fatalf("trial %d: effective[%d] resume %v scratch %v", trial, i, reff[i], seff[i])
 			}
+		}
+	}
+}
+
+// TestTrimmedResumeDifferential runs TestIncrementalDifferential's
+// corpus through a trimmed base: trimming the before policy's builder
+// and then resuming it must give the same decision rules, effective
+// bits and resume stats as resuming an untrimmed builder and as scratch
+// construction, fail exactly when they fail, and leave the base's
+// diagram root in place with the untrimmed builder's checkpoints rebuilt.
+func TestTrimmedResumeDifferential(t *testing.T) {
+	for trial := 0; trial < differentialTrials; trial++ {
+		before, edits, after := differentialCase(t, trial)
+		kept, err := fdd.NewBuilder(before)
+		if err != nil {
+			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
+		}
+		trimmed, err := fdd.NewBuilder(before)
+		if err != nil {
+			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
+		}
+		root := trimmed.FDD().Root
+		if err := trimmed.Trim(); err != nil {
+			t.Fatalf("trial %d: Trim: %v", trial, err)
+		}
+		want, wst, werr := kept.Resume(context.Background(), after)
+		got, st, gerr := trimmed.Resume(context.Background(), after)
+		scratch, seff, serr := fdd.ConstructEffective(after)
+		if (gerr == nil) != (werr == nil) || (gerr == nil) != (serr == nil) {
+			t.Fatalf("trial %d: trimmed resume err %v, untrimmed %v, scratch %v (edits %v)",
+				trial, gerr, werr, serr, edits)
+		}
+		if trimmed.FDD().Root != root {
+			t.Fatalf("trial %d: resuming a trimmed base replaced its root", trial)
+		}
+		if gerr != nil {
+			continue
+		}
+		if st != wst {
+			t.Fatalf("trial %d: trimmed resume stats %+v, untrimmed %+v", trial, st, wst)
+		}
+		if trimmed.NumCheckpoints() != kept.NumCheckpoints() {
+			t.Fatalf("trial %d: replay rebuilt %d checkpoints, untrimmed builder holds %d",
+				trial, trimmed.NumCheckpoints(), kept.NumCheckpoints())
+		}
+		rules := got.FDD().Rules()
+		if !reflect.DeepEqual(rules, want.FDD().Rules()) || !reflect.DeepEqual(rules, scratch.Rules()) {
+			t.Fatalf("trial %d: trimmed resume's rules differ (edits %v)", trial, edits)
+		}
+		if !reflect.DeepEqual(got.Effective(), want.Effective()) || !reflect.DeepEqual(got.Effective(), seff) {
+			t.Fatalf("trial %d: trimmed resume's effective bits differ", trial)
 		}
 	}
 }

@@ -104,6 +104,13 @@ go test -race -count=1 -run 'TestCrashRestartResumesWithoutDuplicateSettles' ./c
 # touch would show here and nowhere else.
 go test -race -count=1 -run 'TestResumeFamilyRace' ./internal/compare/
 
+# A builder cached trimmed keeps no checkpoints until its first Resume
+# replays its policy to rebuild them; concurrent Resumes of one trimmed
+# builder must replay it exactly once, and every read of its checkpoints
+# must take the family lock, which this test proves under the race
+# detector, uncached.
+go test -race -count=1 -run 'TestTrimmedResumeRace' ./internal/fdd/
+
 # A scratch compile and a resumed compile of one policy share one flight
 # keyed by its content address; the coalescing test overlaps the two and
 # reruns uncached under the race detector, since a second flight group
