@@ -105,10 +105,18 @@ func TestTraceCapturesPipeline(t *testing.T) {
 	if !ok {
 		t.Fatal("compare.direct span missing under the diff span")
 	}
-	for _, attr := range []string{"terminalPairs", "differingPairs", "sharedHits"} {
+	for _, attr := range []string{"terminalPairs", "differingPairs", "sharedHits", "rowsEnumerated", "mergeRounds"} {
 		if _, ok := walk.Attrs[attr]; !ok {
 			t.Fatalf("compare.direct span missing %q attr: %v", attr, walk.Attrs)
 		}
+	}
+	// The merge folds the enumerated rows into fewer, in at least one
+	// round.
+	if n, _ := walk.Attrs["rowsEnumerated"].(float64); n < 3 {
+		t.Fatalf("compare.direct rowsEnumerated attr = %v, want at least the 3 rows", walk.Attrs["rowsEnumerated"])
+	}
+	if n, _ := walk.Attrs["mergeRounds"].(float64); n < 1 {
+		t.Fatalf("compare.direct mergeRounds attr = %v, want at least 1", walk.Attrs["mergeRounds"])
 	}
 	for _, old := range []string{"pathsCompared", "rawPaths"} {
 		if _, ok := walk.Attrs[old]; ok {

@@ -13,7 +13,6 @@ package compare
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -264,7 +263,7 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 		return nil, fmt.Errorf("compare: canceled: %w", ctx.Err())
 	}
 	report.PathsCompared, report.RawPaths = w.paths, w.raw
-	report.Discrepancies = pairRows(diff)
+	report.Discrepancies, _ = pairRows(diff)
 	if sp != nil {
 		sp.SetAttr("pathsCompared", report.PathsCompared)
 		sp.SetAttr("rawPaths", report.RawPaths)
@@ -425,90 +424,12 @@ func (w *cmpWalker) walkParallel(sa, sb *fdd.FDD, workers int) *fdd.FDD {
 // pairRows lists the merged discrepancy rows of a pair difference
 // diagram, whose terminals are a<<pairShift | b, dropping the regions
 // where a == b. The lockstep and direct walks both end here.
-func pairRows(diff *fdd.FDD) []Discrepancy {
-	rows := diff.Rules()
-	differ := rows[:0]
-	for _, r := range rows {
-		if r.Decision>>pairShift != r.Decision&(1<<pairShift-1) {
-			differ = append(differ, r)
-		}
-	}
-	var out []Discrepancy
-	for _, r := range mergeRows(diff.Schema.NumFields(), differ) {
-		out = append(out, Discrepancy{Pred: r.Pred, A: r.Decision >> pairShift, B: r.Decision & (1<<pairShift - 1)})
-	}
-	return out
-}
-
-// mergeRows coalesces rows that are identical in their decision and in
-// every field but one, unioning the differing field. Shaping slices the
-// packet space finely (e.g. "port != 25" becomes the two paths [0,24]
-// and [26,65535]); merging restores the human-readable rows the paper
-// shows in Table 3. It iterates field by field to a fixpoint.
-//
-// The decision is the merge key's only decision part, so a caller
-// encodes whatever identifies a row's outcome into it injectively: the
-// pair code a<<pairShift | b for a pair diff, the interned vector id for
-// DiffN.
-func mergeRows(numFields int, rows []rule.Rule) []rule.Rule {
-	if len(rows) <= 1 {
-		return rows
-	}
-	// keyBuf is reused across every row and round; keys[i] caches row
-	// i's group key so it is computed exactly once per (row, field).
-	var keyBuf []byte
-	keys := make([]string, len(rows))
-	changed := true
-	for changed {
-		changed = false
-		// Merge the last (most specific) fields first: coalescing e.g. the
-		// protocol split before the source split is what recovers the
-		// paper's Table 3 rows rather than an equally-minimal but less
-		// natural partition.
-		for f := numFields - 1; f >= 0; f-- {
-			groups := make(map[string][]int, len(rows))
-			keys = keys[:0]
-			for i, r := range rows {
-				keyBuf = appendMergeKey(keyBuf[:0], r, f)
-				key := string(keyBuf)
-				keys = append(keys, key)
-				groups[key] = append(groups[key], i)
-			}
-			if len(groups) == len(rows) {
-				continue // nothing to merge on this field
-			}
-			merged := make([]rule.Rule, 0, len(groups))
-			for i, r := range rows {
-				idxs := groups[keys[i]]
-				if idxs[0] != i {
-					continue // folded into an earlier row
-				}
-				out := rule.Rule{Pred: r.Pred.Clone(), Decision: r.Decision}
-				for _, j := range idxs[1:] {
-					out.Pred[f] = out.Pred[f].Union(rows[j].Pred[f])
-					changed = true
-				}
-				merged = append(merged, out)
-			}
-			rows = merged
-		}
-	}
-	return rows
-}
-
-// appendMergeKey appends a binary serialization of the row's decision
-// and all fields except f to b. Set.AppendKey's count-prefixed encoding
-// keeps concatenated fields uniquely decodable, so equal keys imply
-// equal rows; building one allocates nothing beyond the reused buffer.
-func appendMergeKey(b []byte, r rule.Rule, f int) []byte {
-	b = binary.AppendVarint(b, int64(r.Decision))
-	for i, s := range r.Pred {
-		if i == f {
-			continue
-		}
-		b = s.AppendKey(b)
-	}
-	return b
+func pairRows(diff *fdd.FDD) ([]Discrepancy, rowStats) {
+	return diffRows(diff, func(d rule.Decision) bool {
+		return d>>pairShift != d&(1<<pairShift-1)
+	}, func(p rule.Predicate, d rule.Decision) Discrepancy {
+		return Discrepancy{Pred: p, A: d >> pairShift, B: d & (1<<pairShift - 1)}
+	})
 }
 
 // Equivalent reports whether the two policies map every packet to the same

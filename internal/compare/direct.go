@@ -59,12 +59,15 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{PathsCompared: w.paths, RawPaths: w.raw, Discrepancies: pairRows(diff)}
+	rows, st := pairRows(diff)
+	report := &Report{PathsCompared: w.paths, RawPaths: w.raw, Discrepancies: rows}
 	report.Timing = Timing{Compare: time.Since(start)}
 	if sp != nil {
 		sp.SetAttr("terminalPairs", report.PathsCompared)
 		sp.SetAttr("differingPairs", report.RawPaths)
 		sp.SetAttr("sharedHits", w.shared)
+		sp.SetAttr("rowsEnumerated", st.enumerated)
+		sp.SetAttr("mergeRounds", st.rounds)
 		sp.SetAttr("discrepancies", len(report.Discrepancies))
 	}
 	return report, nil

@@ -57,9 +57,11 @@ func sameRows(t *testing.T, kind string, got, want []rule.Predicate) {
 	}
 }
 
-// FuzzMergeRowsMatchesReference holds mergeRows to both merges it
-// replaced, on arbitrary row sets: pair rows (keyed by the pair code) to
-// the string-key pair merge, and N-way rows (keyed by an interned
+// FuzzMergeRowsMatchesReference holds the one-pass merge (rowSet.merge)
+// to the three merges before it, on arbitrary row sets: to
+// mergeRowsByteKey on both kinds of rows, with real group keys and with
+// every key forced to one value; pair rows (keyed by the pair code) to
+// the string-key pair merge; and N-way rows (keyed by an interned
 // vector id, as DiffN does) to mergeN. Plain go test runs it over the
 // seed corpus.
 func FuzzMergeRowsMatchesReference(f *testing.F) {
@@ -77,7 +79,8 @@ func FuzzMergeRowsMatchesReference(f *testing.F) {
 			pairRowsIn = append(pairRowsIn, rule.Rule{Pred: preds[i].Clone(), Decision: a<<pairShift | b})
 			pairRef = append(pairRef, Discrepancy{Pred: preds[i].Clone(), A: a, B: b})
 		}
-		got := mergeRows(numFields, pairRowsIn)
+		got := mergeRuleRows(numFields, pairRowsIn, nil)
+		sameAsByteKey(t, "pair", numFields, pairRowsIn, got)
 		want := mergeDiscrepanciesStringKey(numFields, pairRef)
 		var gotPreds, wantPreds []rule.Predicate
 		for i := range got {
@@ -109,7 +112,8 @@ func FuzzMergeRowsMatchesReference(f *testing.F) {
 			nRowsIn = append(nRowsIn, rule.Rule{Pred: preds[i].Clone(), Decision: id})
 			nRef = append(nRef, NDiscrepancy{Pred: preds[i].Clone(), Decisions: vec})
 		}
-		gotN := mergeRows(numFields, nRowsIn)
+		gotN := mergeRuleRows(numFields, nRowsIn, nil)
+		sameAsByteKey(t, "N-way", numFields, nRowsIn, gotN)
 		wantN := mergeN(numFields, nRef)
 		gotPreds, wantPreds = nil, nil
 		for i := range gotN {
@@ -123,4 +127,29 @@ func FuzzMergeRowsMatchesReference(f *testing.F) {
 		}
 		sameRows(t, "N-way", gotPreds, wantPreds)
 	})
+}
+
+// sameAsByteKey fails unless got, rows merged by rowSet.merge, equals
+// mergeRowsByteKey's merge of rows, and unless merging rows again with
+// every group key colliding gives the same.
+func sameAsByteKey(t *testing.T, kind string, numFields int, rows, got []rule.Rule) {
+	t.Helper()
+	want := mergeRowsByteKey(numFields, rows)
+	collided := mergeRuleRows(numFields, rows, func(uint64) uint64 { return 7 })
+	for name, rs := range map[string][]rule.Rule{"": got, " (colliding keys)": collided} {
+		if len(rs) != len(want) {
+			t.Fatalf("%s rows%s: %d merged rows, byte-key reference %d", kind, name, len(rs), len(want))
+		}
+		for i := range rs {
+			if rs[i].Decision != want[i].Decision {
+				t.Fatalf("%s row %d%s: decision %d, byte-key reference %d", kind, i, name, rs[i].Decision, want[i].Decision)
+			}
+		}
+		var gotPreds, wantPreds []rule.Predicate
+		for i := range rs {
+			gotPreds = append(gotPreds, rs[i].Pred)
+			wantPreds = append(wantPreds, want[i].Pred)
+		}
+		sameRows(t, kind+name, gotPreds, wantPreds)
+	}
 }

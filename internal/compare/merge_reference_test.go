@@ -9,9 +9,8 @@ import (
 	"diversefw/internal/synth"
 )
 
-// mergeKeyString is the seed's fmt-based group key, retained verbatim so
-// the benchmark below quantifies the switch to appendMergeKey's reused
-// byte buffer, and as the reference the row merge is pinned to.
+// mergeKeyString is the seed's fmt-based group key, retained verbatim as
+// the reference the row merge is pinned to.
 func mergeKeyString(d Discrepancy, f int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d/%d", int(d.A), int(d.B))
@@ -62,8 +61,8 @@ func mergeDiscrepanciesStringKey(numFields int, ds []Discrepancy) []Discrepancy 
 	return ds
 }
 
-// mergeInput produces a realistic pile of unmerged discrepancy rows by
-// diffing two synthetic policies and capturing the rows before merging.
+// mergeInput produces a realistic pile of discrepancy rows: the report
+// rows of a diff of two synthetic policies.
 func mergeInput(tb testing.TB) (int, []Discrepancy) {
 	tb.Helper()
 	pa := synth.Synthetic(synth.Config{Rules: 200, Seed: 31})
@@ -72,28 +71,42 @@ func mergeInput(tb testing.TB) (int, []Discrepancy) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// The merged report rows re-split under merging pressure is not
-	// reproducible; instead, use the merged rows as-is — both
-	// implementations still group and scan every (row, field) pair per
-	// round, which is where the key-building cost lives.
+	// These rows are already merged, so the merge has little to do, but
+	// every round still groups and scans every (row, field) pair.
 	if len(r.Discrepancies) < 10 {
 		tb.Fatalf("want a meaty input, got %d rows", len(r.Discrepancies))
 	}
 	return pa.Schema.NumFields(), r.Discrepancies
 }
 
-// mergePairs runs pair rows through mergeRows, keyed by the pair code
-// a<<pairShift | b as pairRows does.
+// mergePairs runs pair rows through rowSet.merge, keyed by the pair
+// code a<<pairShift | b as pairRows does.
 func mergePairs(numFields int, ds []Discrepancy) []Discrepancy {
 	rows := make([]rule.Rule, len(ds))
 	for i, d := range ds {
 		rows[i] = rule.Rule{Pred: d.Pred, Decision: d.A<<pairShift | d.B}
 	}
 	var out []Discrepancy
-	for _, r := range mergeRows(numFields, rows) {
+	for _, r := range mergeRuleRows(numFields, rows, nil) {
 		out = append(out, Discrepancy{Pred: r.Pred, A: r.Decision >> pairShift, B: r.Decision & (1<<pairShift - 1)})
 	}
 	return out
+}
+
+// mergeRuleRows merges rows with rowSet.merge, as diffRows does once it
+// has enumerated them. A non-nil hashOverride replaces every group key.
+func mergeRuleRows(numFields int, rows []rule.Rule, hashOverride func(uint64) uint64) []rule.Rule {
+	s := &rowSet{nf: numFields, hashOverride: hashOverride}
+	for _, r := range rows {
+		for f, set := range r.Pred {
+			s.fields = append(s.fields, s.addSet(f, set))
+		}
+		s.dec = append(s.dec, r.Decision)
+	}
+	s.merge()
+	return emitRows(s, func(p rule.Predicate, d rule.Decision) rule.Rule {
+		return rule.Rule{Pred: p, Decision: d}
+	})
 }
 
 // TestMergeDiscrepanciesMatchesStringKey pins the byte-key row merge to
@@ -123,20 +136,4 @@ func cloneRows(ds []Discrepancy) []Discrepancy {
 		out[i] = Discrepancy{Pred: d.Pred.Clone(), A: d.A, B: d.B}
 	}
 	return out
-}
-
-func BenchmarkMergeDiscrepancies(b *testing.B) {
-	numFields, ds := mergeInput(b)
-	b.Run("byteKey", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mergePairs(numFields, cloneRows(ds))
-		}
-	})
-	b.Run("stringKey", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mergeDiscrepanciesStringKey(numFields, cloneRows(ds))
-		}
-	})
 }

@@ -93,19 +93,11 @@ func DiffN(policies []*rule.Policy) (*NReport, error) {
 
 	report := &NReport{}
 	report.PathsCompared = combined.NumPaths()
-	rows := combined.Rules()
-	differ := rows[:0]
-	for _, r := range rows {
-		if !allEqual(vectors[r.Decision]) {
-			differ = append(differ, r)
-		}
-	}
-	for _, r := range mergeRows(schema.NumFields(), differ) {
-		report.Discrepancies = append(report.Discrepancies, NDiscrepancy{
-			Pred:      r.Pred,
-			Decisions: append([]rule.Decision(nil), vectors[r.Decision]...),
-		})
-	}
+	report.Discrepancies, _ = diffRows(combined, func(d rule.Decision) bool {
+		return !allEqual(vectors[d])
+	}, func(p rule.Predicate, d rule.Decision) NDiscrepancy {
+		return NDiscrepancy{Pred: p, Decisions: append([]rule.Decision(nil), vectors[d]...)}
+	})
 	report.Elapsed = time.Since(start)
 	return report, nil
 }

@@ -100,26 +100,36 @@ func TestRowIdentityRealLifePerturbed(t *testing.T) {
 	requireRows(t, rows)
 }
 
-// TestRowIdentityCrossCompareTeams covers the N-team design: six
-// perturbations of a 40-rule base, every one of the 15 pairs.
-func TestRowIdentityCrossCompareTeams(t *testing.T) {
-	t.Parallel()
+// crossCompareTeams is the N-team design: for each of 8 40-rule bases,
+// six perturbations of it, constructed.
+func crossCompareTeams(t *testing.T) [][]*fdd.FDD {
+	t.Helper()
 	const teams = 6
-	rows := 0
-	for k := 0; k < 8; k++ {
+	out := make([][]*fdd.FDD, 8)
+	for k := range out {
 		base := synth.RealLife(40, int64(k+1))
 		r := rand.New(rand.NewSource(int64(200 + k)))
-		fs := make([]*fdd.FDD, teams)
-		for i := range fs {
+		out[k] = make([]*fdd.FDD, teams)
+		for i := range out[k] {
 			p, _ := synth.Perturb(base, 5+5*float64(i)+5*r.Float64(), r.Int63())
 			f, err := fdd.Construct(p)
 			if err != nil {
 				t.Fatalf("base %d team %d: %v", k+1, i+1, err)
 			}
-			fs[i] = f
+			out[k][i] = f
 		}
-		for i := 0; i < teams; i++ {
-			for j := i + 1; j < teams; j++ {
+	}
+	return out
+}
+
+// TestRowIdentityCrossCompareTeams covers the N-team design: six
+// perturbations of a 40-rule base, every one of the 15 pairs.
+func TestRowIdentityCrossCompareTeams(t *testing.T) {
+	t.Parallel()
+	rows := 0
+	for k, fs := range crossCompareTeams(t) {
+		for i := range fs {
+			for j := i + 1; j < len(fs); j++ {
 				rows += assertSameRows(t, fmt.Sprintf("base %d team%d/team%d", k+1, i+1, j+1), fs[i], fs[j])
 			}
 		}

@@ -227,16 +227,23 @@ func (f *FDD) walkPaths(n *Node, pred rule.Predicate, fn func(rule.Predicate, ru
 }
 
 // NumPaths counts decision paths (what Theorem 1 bounds by (2n-1)^d).
+// Each node's count is computed once, so a reduced diagram costs
+// O(nodes + edges), not O(paths).
 func (f *FDD) NumPaths() int {
+	memo := make(map[*Node]int)
 	var count func(n *Node) int
 	count = func(n *Node) int {
 		if n.IsTerminal() {
 			return 1
 		}
+		if c, ok := memo[n]; ok {
+			return c
+		}
 		total := 0
 		for _, e := range n.Edges {
 			total += count(e.To)
 		}
+		memo[n] = total
 		return total
 	}
 	return count(f.Root)

@@ -31,6 +31,11 @@ go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
 go test -run '^$' -bench Construct -benchtime 1x ./internal/fdd/
 go test -run '^$' -bench BuilderResident -benchtime 1x ./internal/fdd/
 
+# The rows benchmark likewise runs once, so the allocs/op of turning a
+# diff-cold difference diagram into report rows (one pass, and the
+# reference enumerate-filter-merge) stay measurable.
+go test -run '^$' -bench PairRows -benchtime 1x ./internal/compare/
+
 # So does the native-parse benchmark: its allocs/op figure is the one
 # TestNativeParseAllocsFlat pins per policy.
 go test -run '^$' -bench ParseNative -benchtime 1x ./internal/frontend/
@@ -80,8 +85,9 @@ go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/pr
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 
 # Pair and N-way discrepancy rows merge in one function; its
-# differential holds it to the string-key pair merge and the N-way
-# merge it replaced, both kept in the tests, over random row sets.
+# differential holds it, with real and with colliding group keys, to
+# the byte-key merge, the string-key pair merge and the N-way merge it
+# replaced, all kept in the tests, over random row sets.
 go test -run=NONE -fuzz='^FuzzMergeRowsMatchesReference$' -fuzztime=1x ./internal/compare/
 
 # The journal replayer faces arbitrary bytes after a crash (torn tails,
