@@ -79,6 +79,15 @@ func (p *PolicyInput) UnmarshalJSON(data []byte) error {
 // validates the value before handing it over.
 var errBadString = errors.New("policy must be a string or a {format, text, chain} object: invalid JSON string")
 
+// plainByte marks the bytes that stand for themselves inside a JSON
+// string: printable ASCII other than the quote and the backslash.
+var plainByte = func() (plain [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		plain[c] = c != '"' && c != '\\'
+	}
+	return plain
+}()
+
 // unquoteString decodes data, a JSON string token followed by nothing
 // but JSON whitespace, validating it as it unquotes into one buffer. It
 // gives what json.Unmarshal into a string gives: escapes decoded, a
@@ -87,27 +96,37 @@ var errBadString = errors.New("policy must be a string or a {format, text, chain
 func unquoteString(data []byte) (string, error) {
 	var b strings.Builder
 	b.Grow(len(data))
-	i, run := 1, 1 // run: start of the bytes not yet copied to b
+	end, ok := unquoteInto(&b, data, 1)
+	if !ok || len(bytes.TrimLeft(data[end:], " \t\r\n")) > 0 {
+		return "", errBadString
+	}
+	return b.String(), nil
+}
+
+// unquoteInto decodes the JSON string token at the start of data into b,
+// from offset i on (what precedes i is already in b), and returns the
+// offset just past its closing quote; false when the token is not one
+// valid JSON string.
+func unquoteInto(b *strings.Builder, data []byte, i int) (int, bool) {
+	run := i // start of the bytes not yet copied to b
 	for i < len(data) {
 		switch c := data[i]; {
-		case ' ' <= c && c < utf8.RuneSelf && c != '"' && c != '\\':
+		case plainByte[c]:
 			i++ // the common case: a byte that stands for itself
 		case c == '"':
 			b.Write(data[run:i])
-			if len(bytes.TrimLeft(data[i+1:], " \t\r\n")) > 0 {
-				return "", errBadString
-			}
-			return b.String(), nil
+			return i + 1, true
 		case c == '\\':
 			b.Write(data[run:i])
-			n, ok := unescape(&b, data[i:])
-			if !ok {
-				return "", errBadString
+			r, n := decodeEscape(data[i:])
+			if n == 0 {
+				return 0, false
 			}
+			b.WriteRune(r)
 			i += n
 			run = i
 		case c < ' ':
-			return "", errBadString
+			return 0, false
 		default:
 			r, size := utf8.DecodeRune(data[i:])
 			if r == utf8.RuneError && size == 1 {
@@ -118,46 +137,90 @@ func unquoteString(data []byte) (string, error) {
 			i += size
 		}
 	}
-	return "", errBadString
+	return 0, false
 }
 
-// unescape decodes the escape sequence at the start of esc into b and
-// reports how many bytes it took.
-func unescape(b *strings.Builder, esc []byte) (int, bool) {
+// unquoteInPlace is unquoteString for a token inside a buffer the caller
+// owns: it decodes the JSON string token at the start of data over the
+// token's own bytes, so each byte is scanned once and the string is the
+// one allocation, and it returns the offset just past the closing quote.
+// Decoding never lengthens a token except where an invalid UTF-8 byte
+// becomes the three bytes of U+FFFD; when the bytes escapes have freed
+// cannot take those, the rest goes through unquoteInto.
+func unquoteInPlace(data []byte) (string, int, bool) {
+	w, i, run := 1, 1, 1 // data[1:w] is decoded; data[run:i] stands for itself
+	for i < len(data) {
+		switch c := data[i]; {
+		case plainByte[c]:
+			i++
+		case c == '"':
+			w += copy(data[w:], data[run:i])
+			return string(data[1:w]), i + 1, true
+		case c == '\\':
+			w += copy(data[w:], data[run:i])
+			r, n := decodeEscape(data[i:])
+			if n == 0 {
+				return "", 0, false
+			}
+			// An escape decodes to at most as many bytes as it takes, so
+			// this writes only over bytes already read.
+			w += utf8.EncodeRune(data[w:], r)
+			i += n
+			run = i
+		case c < ' ':
+			return "", 0, false
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && size == 1 {
+				w += copy(data[w:], data[run:i])
+				if w+3 > i+1 { // U+FFFD takes three bytes
+					var b strings.Builder
+					b.Write(data[1:w])
+					end, ok := unquoteInto(&b, data, i)
+					return b.String(), end, ok
+				}
+				w += utf8.EncodeRune(data[w:], utf8.RuneError)
+				run = i + 1
+			}
+			i += size
+		}
+	}
+	return "", 0, false
+}
+
+// decodeEscape decodes the escape sequence at the start of esc and
+// reports how many bytes it took, 0 when it is not a valid one.
+func decodeEscape(esc []byte) (rune, int) {
 	if len(esc) < 2 {
-		return 0, false
+		return 0, 0
 	}
 	switch c := esc[1]; c {
 	case '"', '\\', '/':
-		b.WriteByte(c)
+		return rune(c), 2
 	case 'b':
-		b.WriteByte('\b')
+		return '\b', 2
 	case 'f':
-		b.WriteByte('\f')
+		return '\f', 2
 	case 'n':
-		b.WriteByte('\n')
+		return '\n', 2
 	case 'r':
-		b.WriteByte('\r')
+		return '\r', 2
 	case 't':
-		b.WriteByte('\t')
+		return '\t', 2
 	case 'u':
 		r := hex4(esc)
 		if r < 0 {
-			return 0, false
+			return 0, 0
 		}
 		if utf16.IsSurrogate(r) {
 			if dec := utf16.DecodeRune(r, hex4(esc[6:])); dec != utf8.RuneError {
-				b.WriteRune(dec)
-				return 12, true
+				return dec, 12
 			}
-			r = utf8.RuneError
+			return utf8.RuneError, 6
 		}
-		b.WriteRune(r)
-		return 6, true
-	default:
-		return 0, false
+		return r, 6
 	}
-	return 2, true
+	return 0, 0
 }
 
 // hex4 decodes the \uXXXX escape at the start of esc, or returns -1.

@@ -1,0 +1,301 @@
+package api
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"diversefw/internal/rule"
+	"diversefw/internal/synth"
+)
+
+// referenceDecodeInto is decodeInto as it was before bodies were read
+// once and walked in one pass: a json.Decoder over the size-bounded body
+// with unknown fields disallowed, then a second Decode to reject
+// trailing data. FuzzDecodeMatchesReference holds decodeInto to it.
+func referenceDecodeInto(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("use POST"))
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeBodyError(w, err)
+		return false
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("trailing data after JSON body")
+		}
+		writeBodyError(w, err)
+		return false
+	}
+	return true
+}
+
+// decodeTargets are the request types of the POST endpoints, one each.
+var decodeTargets = []struct {
+	name string
+	new  func() any
+}{
+	{"diff", func() any { return new(DiffRequest) }},
+	{"impact", func() any { return new(ImpactRequest) }},
+	{"audit", func() any { return new(AuditRequest) }},
+	{"analyze", func() any { return new(AnalyzeRequest) }},
+	{"resolve", func() any { return new(ResolveRequest) }},
+	{"query", func() any { return new(QueryRequest) }},
+	{"crosscompare", func() any { return new(CrossCompareRequest) }},
+	{"jobs", func() any { return new(JobSubmitRequest) }},
+}
+
+// runDecode posts body through decode into v.
+func runDecode(decode func(http.ResponseWriter, *http.Request, interface{}) bool, body []byte, v any) (*httptest.ResponseRecorder, bool) {
+	req := httptest.NewRequest(http.MethodPost, "/v1/x", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	return rec, decode(rec, req, v)
+}
+
+// checkDecode holds decodeInto to referenceDecodeInto on body, for every
+// request type: the same accept or reject, status and error code, the
+// bad-request prefix on a rejection, and deeply equal values on accept.
+func checkDecode(t *testing.T, body []byte) {
+	for _, target := range decodeTargets {
+		got, want := target.new(), target.new()
+		grec, gok := runDecode(decodeInto, body, got)
+		wrec, wok := runDecode(referenceDecodeInto, body, want)
+		if gok != wok || grec.Code != wrec.Code {
+			t.Fatalf("%s %q: decodeInto ok=%v status %d %s; reference ok=%v status %d %s",
+				target.name, body, gok, grec.Code, grec.Body, wok, wrec.Code, wrec.Body)
+		}
+		if gok {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %q: decodeInto gives %+v, reference %+v", target.name, body, got, want)
+			}
+			continue
+		}
+		ge, we := errorBody(t, grec), errorBody(t, wrec)
+		if ge.Err.Code != we.Err.Code {
+			t.Fatalf("%s %q: code %q, reference %q", target.name, body, ge.Err.Code, we.Err.Code)
+		}
+		if ge.Err.Code == CodeBadRequest && !strings.HasPrefix(ge.Err.Message, "bad request body: ") {
+			t.Fatalf("%s %q: message %q lacks the bad request body prefix", target.name, body, ge.Err.Message)
+		}
+	}
+}
+
+// decodeSeeds are request bodies covering what the one-pass walk hands
+// to encoding/json and what it decodes itself.
+func decodeSeeds(t testing.TB) [][]byte {
+	var seeds []string
+	// Policy string seeds as every kind of member value, alone and next
+	// to other members.
+	for _, s := range policyStringSeeds {
+		for _, key := range []string{"a", "policy", "before", "after", "schema", "query", "kind", "method"} {
+			seeds = append(seeds, `{"`+key+`":`+s+`}`)
+		}
+		seeds = append(seeds, `{"schema":"five","a":`+s+`,"b":"any -> accept"}`)
+	}
+	// The frontend corpus in object form, as a member and nested.
+	formats := map[string]string{".rules": "iptables", ".nft": "nftables", ".json": "secgroup"}
+	paths, err := filepath.Glob("../../testdata/frontends/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("frontend corpus: %v (%d files)", err, len(paths))
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ := json.Marshal(string(data))
+		obj := fmt.Sprintf(`{"format":%q,"text":%s,"chain":"INPUT"}`, formats[filepath.Ext(p)], text)
+		seeds = append(seeds,
+			`{"schema":"five","policy":`+obj+`}`,
+			`{"schema":"five","a":`+string(text)+`,"b":`+obj+`}`,
+			`{"schema":"five","policies":[{"name":"x","policy":`+obj+`},{"policy":`+string(text)+`}]}`,
+			`{"kind":"crosscompare","schema":"five","policies":[{"policy":`+obj+`}],"pairs":[{"a":"x","b":"y"}]}`)
+	}
+	seeds = append(seeds,
+		// Keys matching a tag only case-insensitively, and escaped keys.
+		`{"A":"x","B":"y","SCHEMA":"five"}`, `{"Policy":"x","Query":"q"}`, `{"Before":"x","Edits":["e"]}`,
+		`{"schema":"five","a":"x"}`, `{"a\u0000":"x"}`,
+		// Duplicate keys: the last wins, whichever side decodes each.
+		`{"a":"x","a":"y"}`, `{"a":{"text":"x","format":"native"},"a":"y"}`, `{"a":"y","a":{"text":"x"}}`,
+		`{"a":"y","a":null}`, `{"a":"y","A":"z"}`, `{"A":"z","a":"y"}`, `{"schema":"five","schema":"four"}`,
+		`{"decisions":{"1":"accept"},"decisions":{"2":"discard"}}`,
+		`{"policies":[{"name":"x","policy":"a"}],"policies":[{"policy":"b"}]}`,
+		// Null members and top-level non-objects.
+		`{"a":null,"schema":null,"complete":null,"policies":null}`, `null`, ` null `, `nullx`, `null {}`,
+		`[]`, `"x"`, ``, ` `, `1`, `{}`, ` {} `, `{`, `{"a"`, `{"a":`, `{"a":"x"`, `{"a":"x",}`, `{,}`, `{"a" "x"}`,
+		// Unknown fields, top-level and nested; type errors.
+		`{"zzz":1}`, `{"a":"x","zzz":"y"}`, `{"a":{"text":"x","zzz":1}}`,
+		`{"policies":[{"name":"x","policy":"a","extra":1}]}`, `{"schema":5}`, `{"a":5}`,
+		`{"complete":"yes"}`, `{"edits":"x"}`, `{"complete":true,"policy":"x"}`, `{"complete":tru}`,
+		`{"pairs":[{"a":"x","b":"y","c":"z"}]}`, `{"a":[1}`, `{"a":{"text":"x"]}`, `{"a":}`, `{"a":1 2}`,
+		// Trailing data and a byte order mark.
+		`{"a":"x"} x`, `{"a":"x"}{}`, `{"a":"x"}}`, `{"a":"x"} `+"\n\t\r", "\xef\xbb\xbf{\"a\":\"x\"}",
+		`{"a":"x"}`+"\x00", `{"a":"x"} null`,
+	)
+	out := make([][]byte, len(seeds))
+	for i, s := range seeds {
+		out[i] = []byte(s)
+	}
+	return out
+}
+
+// FuzzDecodeMatchesReference runs checkDecode on arbitrary bodies; plain
+// go test runs it over the seeds.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	for _, s := range decodeSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(checkDecode)
+}
+
+// TestBodyOverBoundIs413 pins the size rule on every POST endpoint: a
+// body over maxBodyBytes is 413 wherever its first syntax error sits,
+// with or without a Content-Length, and a body of exactly maxBodyBytes
+// decodes (then fails on its schema, which only a decoded body can).
+func TestBodyOverBoundIs413(t *testing.T) {
+	t.Parallel()
+	srv := NewServer()
+	pad := strings.Repeat(" ", 5<<20)
+	over := []string{`{]` + pad, `{"schema":"five"} ` + pad, `{"a":"` + pad}
+	exact := `{"schema":"nope"}`
+	exact += strings.Repeat(" ", maxBodyBytes-len(exact))
+	endpoints := []string{"/v1/diff", "/v1/crosscompare", "/v1/impact", "/v1/audit",
+		"/v1/analyze", "/v1/query", "/v1/resolve", "/v1/jobs"}
+	for _, path := range endpoints {
+		for _, chunked := range []bool{false, true} {
+			post := func(body string) *httptest.ResponseRecorder {
+				req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+				if chunked {
+					req.Body = io.NopCloser(strings.NewReader(body))
+					req.ContentLength = -1
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				return rec
+			}
+			for _, body := range over {
+				rec := post(body)
+				if e := errorBody(t, rec); rec.Code != http.StatusRequestEntityTooLarge || e.Err.Code != CodePayloadTooLarge {
+					t.Fatalf("%s chunked=%v %.20q...: status %d code %q, want 413 %s",
+						path, chunked, body, rec.Code, e.Err.Code, CodePayloadTooLarge)
+				}
+			}
+			rec := post(exact)
+			if e := errorBody(t, rec); e.Err.Code != CodeUnknownSchema {
+				t.Fatalf("%s chunked=%v: a body of exactly maxBodyBytes gives status %d code %q, want %s",
+					path, chunked, rec.Code, e.Err.Code, CodeUnknownSchema)
+			}
+		}
+	}
+
+	// Over a real connection a body of unknown length goes chunked, with
+	// no Content-Length to size the buffer from.
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/diff", "application/json", io.MultiReader(strings.NewReader(exact)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e Error
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Err.Code != CodeUnknownSchema {
+		t.Fatalf("chunked POST of exactly maxBodyBytes: status %d code %q, want %s", resp.StatusCode, e.Err.Code, CodeUnknownSchema)
+	}
+}
+
+// pairBody is a diff-cold-shaped request: a 661-rule real-life policy,
+// the size of the paper's larger firewall, against a perturbation of it.
+func pairBody(t testing.TB) []byte {
+	a := synth.RealLife(661, 1)
+	b, _ := synth.Perturb(a, 20, 2)
+	body, err := json.Marshal(DiffRequest{Schema: "five",
+		A: in(rule.FormatPolicy(a)), B: in(rule.FormatPolicy(b))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// reusableBody is a request body that can be rewound without allocating.
+type reusableBody struct{ bytes.Reader }
+
+func (*reusableBody) Close() error { return nil }
+
+// decodeLoop returns a function that decodes body into a zeroed
+// DiffRequest through decode, reusing one request and recorder, so what
+// it allocates is what decode allocates.
+func decodeLoop(t testing.TB, decode func(http.ResponseWriter, *http.Request, interface{}) bool, body []byte) (func(), *DiffRequest) {
+	rb := new(reusableBody)
+	req := httptest.NewRequest(http.MethodPost, "/v1/diff", bytes.NewReader(body))
+	req.Body = rb
+	rec := httptest.NewRecorder()
+	var out DiffRequest
+	return func() {
+		rb.Reset(body)
+		out = DiffRequest{}
+		if !decode(rec, req, &out) {
+			t.Fatalf("decode failed: %s", rec.Body)
+		}
+	}, &out
+}
+
+// BenchmarkDecodeRequest decodes the pair body with the reference
+// decoder and the one-pass one; MB/s is body bytes decoded per second.
+func BenchmarkDecodeRequest(b *testing.B) {
+	body := pairBody(b)
+	for _, c := range []struct {
+		name   string
+		decode func(http.ResponseWriter, *http.Request, interface{}) bool
+	}{{"reference", referenceDecodeInto}, {"onepass", decodeInto}} {
+		b.Run(c.name, func(b *testing.B) {
+			run, _ := decodeLoop(b, c.decode, body)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				run()
+			}
+		})
+	}
+}
+
+// TestDecodeAllocs pins what decoding the pair body costs without a
+// trace: the body-size reader, the buffer, and one string per member,
+// nothing more (the api.decode span allocates only when traced), and no
+// bytes proportional to the body beyond the buffer and the strings.
+func TestDecodeAllocs(t *testing.T) {
+	body := pairBody(t)
+	run, out := decodeLoop(t, decodeInto, body)
+	if n := testing.AllocsPerRun(20, run); n != 2+3 {
+		t.Fatalf("decodeInto makes %v allocations, want 5: the bounded reader, the buffer and 3 strings", n)
+	}
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	// The allocator rounds a large object up to whole 8 KiB pages.
+	limit := uint64(len(body)+1+len(out.Schema)+len(out.A.Text)+len(out.B.Text)) + 3*8<<10 + 1<<10
+	if perOp > limit {
+		t.Fatalf("decodeInto allocates %d bytes for a %d-byte body, want at most %d", perOp, len(body), limit)
+	}
+}

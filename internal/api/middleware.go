@@ -395,7 +395,7 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 
 // serverTimingPhases are the pipeline spans surfaced in the
 // Server-Timing response header, in emission order.
-var serverTimingPhases = []string{"construct", "shape", "compare", "resolve-generate", "resolve-verify"}
+var serverTimingPhases = []string{"api.decode", "construct", "shape", "compare", "resolve-generate", "resolve-verify"}
 
 // serverTiming renders the trace's per-phase durations so far as a
 // Server-Timing header value: the named pipeline phases that actually

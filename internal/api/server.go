@@ -253,25 +253,28 @@ func (s *Server) version(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeInto reads a JSON request body: POST only (405 carries the
-// required Allow header), bodies over maxBodyBytes are 413 not 400, and
-// the body must be exactly one JSON value — trailing garbage such as
-// `{...}{...}` is a 400, not silently ignored.
+// required Allow header), bodies over maxBodyBytes are 413 not 400
+// whatever their bytes, and the body must be exactly one JSON object (or
+// null, which leaves v as it is) — trailing garbage such as `{...}{...}`
+// is a 400, not silently ignored.
+// The body is read once and decoded in one walk (decodeBody) under an
+// api.decode span.
 func decodeInto(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("use POST"))
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeBodyError(w, err)
-		return false
+	_, sp := trace.Start(r.Context(), "api.decode")
+	body, err := readBody(w, r)
+	if sp != nil { // an untraced request boxes no attribute
+		sp.SetAttr("bytes", len(body))
 	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		if err == nil {
-			err = fmt.Errorf("trailing data after JSON body")
-		}
+	if err == nil {
+		err = decodeBody(body, v)
+	}
+	sp.End()
+	if err != nil {
 		writeBodyError(w, err)
 		return false
 	}

@@ -24,16 +24,17 @@ func getTraces(t *testing.T, srv http.Handler, query string) *httptest.ResponseR
 }
 
 // TestTraceCapturesPipeline pins the acceptance criterion: a /v1/diff
-// request produces a retained trace whose tree contains construct spans
-// and the engine's one diff span with the direct walk under it, each
-// carrying its deep stats, and no shaping; the response itself carries
-// X-Trace-ID and a Server-Timing breakdown that counts the walk as the
-// compare phase.
+// request produces a retained trace whose tree contains the body decode,
+// construct spans and the engine's one diff span with the direct walk
+// under it, each carrying its deep stats, and no shaping; the response
+// itself carries X-Trace-ID and a Server-Timing breakdown that counts
+// the walk as the compare phase.
 func TestTraceCapturesPipeline(t *testing.T) {
 	t.Parallel()
 	srv := NewServer()
 
-	rec := doRec(t, srv, "/v1/diff", DiffRequest{Schema: "paper", A: in(teamA), B: in(teamB)})
+	req := DiffRequest{Schema: "paper", A: in(teamA), B: in(teamB)}
+	rec := doRec(t, srv, "/v1/diff", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("diff: status %d\n%s", rec.Code, rec.Body.String())
 	}
@@ -76,6 +77,18 @@ func TestTraceCapturesPipeline(t *testing.T) {
 	}
 	if got := found.Root.Attrs["requestId"]; got == "" || got == nil {
 		t.Fatalf("root attrs missing requestId: %v", found.Root.Attrs)
+	}
+
+	// The body decode is the root's first child, sized by the body.
+	if len(found.Root.Children) == 0 || found.Root.Children[0].Name != "api.decode" {
+		t.Fatalf("root's first child is not api.decode: %+v", found.Root.Children)
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := found.Root.Children[0].Attrs["bytes"]; got != float64(len(raw)) {
+		t.Fatalf("api.decode bytes attr = %v, want the body's %d", got, len(raw))
 	}
 
 	cons, ok := found.Root.Find("construct")

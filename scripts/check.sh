@@ -40,6 +40,11 @@ go test -run '^$' -bench PairRows -benchtime 1x ./internal/compare/
 # TestNativeParseAllocsFlat pins per policy.
 go test -run '^$' -bench ParseNative -benchtime 1x ./internal/frontend/
 
+# And the request-decode benchmark, which decodes a 661-rule pair body
+# with the one-pass decoder and with the json.Decoder reference kept in
+# the tests, so both MB/s and allocs/op figures stay measurable.
+go test -run '^$' -bench DecodeRequest -benchtime 1x ./internal/api/
+
 # The served-request benchmark is a module of its own (bench/go.mod), so
 # the commands above never compile it. It calls engine, compare, fdd,
 # jobs and api exports directly; vetting and short-testing it here makes
@@ -77,12 +82,15 @@ go test -run=NONE -fuzz=FuzzImport -fuzztime=1x ./internal/frontend/
 # The native rule text gets the same treatment: the no-panic/round-trip
 # targets, and the differential ones that hold the arena lexer (and the
 # prefix byte walk) to the reference parser kept in the tests, and the
-# one-pass policy-string unquoting to encoding/json, byte for byte.
+# one-pass policy-string unquoting to encoding/json, byte for byte, and
+# the one-pass request-body decoder to the json.Decoder one it replaced:
+# the same accept or reject, status and code, and the same request.
 go test -run=NONE -fuzz='^FuzzParseRule$' -fuzztime=1x ./internal/rule/
 go test -run=NONE -fuzz='^FuzzParsePolicy$' -fuzztime=1x ./internal/rule/
 go test -run=NONE -fuzz='^FuzzParseRuleMatchesReference$' -fuzztime=1x ./internal/rule/
 go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/prefix/
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
+go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/api/
 
 # Pair and N-way discrepancy rows merge in one function; its
 # differential holds it, with real and with colliding group keys, to
