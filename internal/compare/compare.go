@@ -226,10 +226,12 @@ func CompareSemiIsomorphic(sa, sb *fdd.FDD) *Report {
 }
 
 // CompareSemiIsomorphicContext is CompareSemiIsomorphic with
-// cancellation: every walker polls ctx every cancelCheckEvery node
-// visits, and once one sees it canceled the whole walk unwinds and the
-// partial difference diagram is discarded. The only possible error is a
-// wrapped ctx.Err().
+// cancellation and budgeting: every walker ticks a guard.Meter per node
+// visit, which polls ctx and charges the visited nodes to the context's
+// guard.Budget every guard.PollEvery visits. Once one walker stops, the
+// whole walk unwinds and the partial difference diagram is discarded.
+// The error is a wrapped ctx.Err() or the budget's typed
+// guard.ErrBudgetExceeded.
 func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report, error) {
 	if !shape.SemiIsomorphic(sa, sb) {
 		// Programming error in the pipeline, not user input.
@@ -238,9 +240,7 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 	_, sp := trace.Start(ctx, "compare")
 	defer sp.End()
 	report := &Report{}
-	var canceled atomic.Bool
-	w := &cmpWalker{fulls: fullSets(sa.Schema), ctx: ctx, canceled: &canceled,
-		budget: cancelCheckEvery, work: guard.FromContext(ctx)}
+	w := newCmpWalker(ctx, sa.Schema)
 
 	var diff *fdd.FDD
 	workers := runtime.GOMAXPROCS(0)
@@ -248,19 +248,13 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 		workers = len(sa.Root.Edges) // terminal root: 0
 	}
 	if workers < 2 {
-		w.in = fdd.NewInterner()
 		root := w.walk(sa.Root, sb.Root)
 		diff = &fdd.FDD{Schema: sa.Schema, Root: root}
 	} else {
-		diff = w.walkParallel(sa, sb, workers)
+		diff = w.walkParallel(ctx, sa, sb, workers)
 	}
-	if canceled.Load() {
-		// A budget crossing latches the same cancellation flag; its typed
-		// error takes precedence so callers can map it to policy_too_complex.
-		if err := w.work.Err(); err != nil {
-			return nil, fmt.Errorf("compare: aborted: %w", err)
-		}
-		return nil, fmt.Errorf("compare: canceled: %w", ctx.Err())
+	if err := w.m.Flush(); err != nil {
+		return nil, fmt.Errorf("compare: %s: %w", guard.Verb(err), err)
 	}
 	report.PathsCompared, report.RawPaths = w.paths, w.raw
 	report.Discrepancies, _ = pairRows(diff)
@@ -271,11 +265,6 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 	}
 	return report, nil
 }
-
-// cancelCheckEvery is how many node visits pass between context polls in
-// the lockstep walk (see the identically named constant in package
-// shape for the rationale).
-const cancelCheckEvery = 256
 
 // fullSets caches every field's full-domain set (Schema.FullSet
 // allocates a fresh Set per call, and the walk needs one per node).
@@ -299,63 +288,26 @@ type cmpWalker struct {
 	paths int // decision-path pairs walked
 	raw   int // pairs with differing terminal decisions
 
-	ctx      context.Context
-	canceled *atomic.Bool // shared cancellation latch across all shards
-	budget   int          // goroutine-local countdown to the next ctx poll
-
-	// work, when non-nil, is the request's guard budget; every node the
-	// walk materializes is charged at the ctx-poll cadence via pending.
-	work    *guard.Budget
-	pending int
+	// m stops the walk on cancellation or a budget crossing; every node
+	// the walk visits is charged as one node.
+	m guard.Meter
 }
 
-// stop reports whether the walk should abort, polling ctx and flushing
-// budget charges once per cancelCheckEvery node visits and latching the
-// result for the other shards.
-func (w *cmpWalker) stop() bool {
-	if w.canceled.Load() {
-		return true
-	}
-	w.budget--
-	if w.budget > 0 {
-		return false
-	}
-	w.budget = cancelCheckEvery
-	if w.flushWork() {
-		return true
-	}
-	if w.ctx.Err() != nil {
-		w.canceled.Store(true)
-		return true
-	}
-	return false
-}
-
-// flushWork empties the pending node charges into the budget, latching
-// cancellation for every shard on a crossing.
-func (w *cmpWalker) flushWork() bool {
-	if w.work == nil || w.pending == 0 {
-		w.pending = 0
-		return false
-	}
-	n := w.pending
-	w.pending = 0
-	if err := w.work.AddNodes(int64(n)); err != nil {
-		w.canceled.Store(true)
-		return true
-	}
-	return false
+// newCmpWalker returns a lockstep walker with its own node store,
+// metered against ctx.
+func newCmpWalker(ctx context.Context, schema *field.Schema) *cmpWalker {
+	return &cmpWalker{in: fdd.NewInterner(), fulls: fullSets(schema), m: guard.NewMeter(ctx)}
 }
 
 // walk compares the semi-isomorphic subtrees a and b and returns the
 // canonical (hash-consed) root of their difference diagram.
 func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
-	if w.stop() {
+	if w.m.Tick() {
 		// Unwind with an arbitrary agreeing terminal; the caller checks
-		// the cancellation latch and discards the diagram.
+		// the meter and discards the diagram.
 		return w.in.CanonicalTerminal(agreeTerminal)
 	}
-	w.pending++
+	w.m.AddNodes(1)
 	if a.IsTerminal() {
 		w.paths++
 		if a.Decision != b.Decision {
@@ -375,25 +327,24 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 
 // walkParallel fans the per-root-edge subwalks out over `workers`
 // goroutines. Shaped diagrams are trees, so the subwalks share nothing;
-// each worker interns into its own store shard. The shard results are
-// stitched under a fresh root and re-interned once, which canonicalizes
-// across shards. Counters are summed into w, and the result is
-// deterministic: shard k always lands at root-edge position k.
-func (w *cmpWalker) walkParallel(sa, sb *fdd.FDD, workers int) *fdd.FDD {
+// each worker interns into its own store shard and meters against ctx
+// with its own meter. The shard results are stitched under a fresh root
+// and re-interned once into w's store, which canonicalizes across
+// shards. Counters are summed into w, and the result is deterministic:
+// shard k always lands at root-edge position k.
+func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD, workers int) *fdd.FDD {
 	n := len(sa.Root.Edges)
 	edges := make([]fdd.Edge, n)
-	shards := make([]cmpWalker, workers)
+	shards := make([]*cmpWalker, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := range shards {
+		sw := newCmpWalker(ctx, sa.Schema)
+		shards[i] = sw
 		wg.Add(1)
-		go func(sw *cmpWalker) {
+		go func() {
 			defer wg.Done()
-			sw.in = fdd.NewInterner()
-			sw.fulls = w.fulls
-			sw.ctx, sw.canceled, sw.budget = w.ctx, w.canceled, cancelCheckEvery
-			sw.work = w.work
-			defer sw.flushWork()
+			defer sw.m.Flush()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= n {
@@ -404,20 +355,20 @@ func (w *cmpWalker) walkParallel(sa, sb *fdd.FDD, workers int) *fdd.FDD {
 					To:    sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To),
 				}
 			}
-		}(&shards[i])
+		}()
 	}
 	wg.Wait()
-	for i := range shards {
-		w.paths += shards[i].paths
-		w.raw += shards[i].raw
+	for _, sw := range shards {
+		w.paths += sw.paths
+		w.raw += sw.raw
 	}
 	root := &fdd.Node{Field: sa.Root.Field, Edges: edges}
-	if w.canceled.Load() {
-		// The shards bailed early; skip the (possibly expensive) final
-		// reduction — the caller discards the diagram anyway.
+	if w.m.Flush() != nil {
+		// A shard stopped on the budget's latch or on ctx, both of which
+		// outlast it; skip the (possibly expensive) final reduction — the
+		// caller discards the diagram anyway.
 		return &fdd.FDD{Schema: sa.Schema, Root: root}
 	}
-	w.in = fdd.NewInterner()
 	return w.in.Reduce(&fdd.FDD{Schema: sa.Schema, Root: root})
 }
 

@@ -100,21 +100,15 @@ func (w *directWalker) run(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, erro
 	}
 	w.in, w.fulls = fdd.NewInterner(), fullSets(fa.Schema)
 	w.memo = make(map[[2]*fdd.Node]*fdd.Node)
-	w.ctx, w.budget, w.work = ctx, cancelCheckEvery, guard.FromContext(ctx)
+	w.m = guard.NewMeter(ctx)
 	if err := chaos.Fire(ctx, chaos.PointDirectWalk); err != nil {
 		return nil, fmt.Errorf("compare: %w", err)
 	}
 	root := w.walk(fa.Root, fb.Root)
-	if w.err == nil && w.work != nil {
-		// Flush the tail of the charges; this also surfaces a budget
-		// latched elsewhere (or by fault injection) on a walk too short
-		// to reach its first poll.
-		if err := w.work.AddNodes(int64(w.pending)); err != nil {
-			w.err = err
-		}
-	}
-	if w.err != nil {
-		return nil, fmt.Errorf("compare: aborted: %w", w.err)
+	// The tail flush also surfaces a budget latched elsewhere (or by
+	// fault injection) on a walk too short to reach its first poll.
+	if err := w.m.Flush(); err != nil {
+		return nil, fmt.Errorf("compare: %s: %w", guard.Verb(err), err)
 	}
 	return &fdd.FDD{Schema: fa.Schema, Root: root}, nil
 }
@@ -140,11 +134,9 @@ type directWalker struct {
 	raw    int // pairs with differing decisions
 	shared int // pointer-identity short-circuits
 
-	ctx     context.Context
-	budget  int // countdown to the next ctx poll / budget flush
-	work    *guard.Budget
-	pending int
-	err     error // latched abort (ctx or budget); diagram is then garbage
+	// m stops the walk on cancellation or a budget crossing (the
+	// diagram is then garbage); every memo miss is charged as one node.
+	m guard.Meter
 }
 
 // agreeTerminal is the single terminal every agreeing region collapses
@@ -154,32 +146,6 @@ type directWalker struct {
 // they agree on.
 const agreeTerminal = 1<<pairShift | 1
 
-// stop polls ctx and flushes budget charges once per cancelCheckEvery
-// visits, latching the first error.
-func (w *directWalker) stop() bool {
-	if w.err != nil {
-		return true
-	}
-	w.budget--
-	if w.budget > 0 {
-		return false
-	}
-	w.budget = cancelCheckEvery
-	if w.work != nil && w.pending > 0 {
-		n := w.pending
-		w.pending = 0
-		if err := w.work.AddNodes(int64(n)); err != nil {
-			w.err = err
-			return true
-		}
-	}
-	if err := w.ctx.Err(); err != nil {
-		w.err = err
-		return true
-	}
-	return false
-}
-
 // walk returns the canonical product node for subgraphs a and b.
 func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 	if a == b && w.shortCircuit {
@@ -188,7 +154,7 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 		w.shared++
 		return w.in.CanonicalTerminal(agreeTerminal)
 	}
-	if w.stop() {
+	if w.m.Tick() {
 		// Unwind with an arbitrary terminal; the caller discards the
 		// diagram.
 		return w.in.CanonicalTerminal(agreeTerminal)
@@ -197,7 +163,7 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 	if c, ok := w.memo[key]; ok {
 		return c
 	}
-	w.pending++
+	w.m.AddNodes(1)
 	var out *fdd.Node
 	if a.IsTerminal() && b.IsTerminal() {
 		w.paths++

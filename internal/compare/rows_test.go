@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"diversefw/internal/fdd"
@@ -130,9 +129,7 @@ func lockstepDiagram(tb testing.TB, fa, fb *fdd.FDD) *fdd.FDD {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var canceled atomic.Bool
-	w := &cmpWalker{in: fdd.NewInterner(), fulls: fullSets(sa.Schema),
-		ctx: context.Background(), canceled: &canceled, budget: cancelCheckEvery}
+	w := newCmpWalker(context.Background(), sa.Schema)
 	return &fdd.FDD{Schema: sa.Schema, Root: w.walk(sa.Root, sb.Root)}
 }
 

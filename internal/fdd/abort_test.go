@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diversefw/internal/guard"
+	"diversefw/internal/paper"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
 )
@@ -118,5 +119,33 @@ func TestAbortedResumeLeavesFamilyClean(t *testing.T) {
 			t.Fatal("resuming the same edit twice returned different roots")
 		}
 		assertStoreIndexed(t, family)
+	}
+}
+
+// TestBudgetChargesLastAppend pins that construction charges the
+// append of its last rule. A lone catch-all charges exactly one unit,
+// its terminal. The paper's two firewalls charge 68 units between them
+// (deterministic: one per append subproblem visited plus one per node
+// created); a build that charged only before each append, never after
+// the last, charged 42 for the pair and nothing for the lone rule.
+func TestBudgetChargesLastAppend(t *testing.T) {
+	charged := func(p *rule.Policy) int64 {
+		t.Helper()
+		b := guard.NewBudget(guard.Limits{})
+		if _, err := ConstructContext(guard.WithBudget(context.Background(), b), p); err != nil {
+			t.Fatal(err)
+		}
+		return b.Usage().Nodes
+	}
+	schema := paper.TeamA().Schema
+	lone, err := rule.NewPolicy(schema, []rule.Rule{rule.CatchAll(schema, rule.Accept)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := charged(lone); got != 1 {
+		t.Fatalf("a lone catch-all charged %d units, want 1", got)
+	}
+	if got := charged(paper.TeamA()) + charged(paper.TeamB()); got != 68 {
+		t.Fatalf("the paper pair charged %d units, want 68", got)
 	}
 }

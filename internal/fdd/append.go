@@ -62,13 +62,11 @@ type appender struct {
 	paths   []*Node        // paths[k]: canonical path for pred[k:], or nil
 	outside []interval.Set // outside[k]: fulls[k] minus pred[k], or empty
 
-	// budget, when non-nil, is charged one unit for every (node, field
-	// index) subproblem the append visits and one for every node it
-	// creates, so charged work bounds CPU even for a rule that changes
-	// nothing; pending batches charges so the hot path pays one atomic
-	// add per budgetChargeEvery units (see guard).
-	budget  *guard.Budget
-	pending int
+	// m meters the build: one tick, charged as one node, for every
+	// (node, field index) subproblem the append visits and one for every
+	// node it creates, so charged work bounds CPU even for a rule that
+	// changes nothing.
+	m guard.Meter
 }
 
 // memoKey identifies one skipped-field append subproblem: the rule's
@@ -86,13 +84,9 @@ type memoEntry struct {
 	gen uint16
 }
 
-// budgetChargeEvery is how many charged units accumulate locally between
-// budget flushes — same order as the cancellation poll interval: crossings
-// are detected within a few hundred nodes of work.
-const budgetChargeEvery = 256
-
-// budgetPanic carries a budget crossing out of the append recursion; it
-// is recovered at the construction entry points only.
+// budgetPanic carries a meter's stop (a budget crossing or a
+// cancellation) out of a recursion with no error path; it is recovered
+// at the construction and simplification entry points only.
 type budgetPanic struct{ err error }
 
 func newAppender(schema *field.Schema, family *Interner) *appender {
@@ -112,36 +106,24 @@ func newAppender(schema *field.Schema, family *Interner) *appender {
 	}
 }
 
-// charge records n units of work (visited subproblems or created nodes),
-// flushing the local batch into the budget when it is full. A crossing
-// unwinds via budgetPanic.
-func (ap *appender) charge(n int) {
-	if ap.budget == nil {
-		return
-	}
-	ap.pending += n
-	if ap.pending >= budgetChargeEvery {
-		ap.flush()
+// tick charges one unit of work, a visited subproblem or a created
+// node, and unwinds once the meter stops the build.
+func (ap *appender) tick() {
+	ap.m.AddNodes(1)
+	if ap.m.Tick() {
+		ap.unwind()
 	}
 }
 
-// flush empties the local batch into the budget and aborts on a crossing.
-func (ap *appender) flush() {
-	if ap.budget == nil || ap.pending == 0 {
-		return
-	}
-	n := ap.pending
-	ap.pending = 0
-	if err := ap.budget.AddNodes(int64(n)); err != nil {
-		panic(budgetPanic{err})
-	}
-}
+// unwind raises the meter's latched error as a budgetPanic; kept out of
+// tick so the hot path inlines.
+func (ap *appender) unwind() { panic(budgetPanic{ap.m.Err()}) }
 
 // node canonicalizes a nonterminal labeled k whose edges are the stack
 // frame from base up (their children canonical) into the overlay,
 // charging the budget for it, and pops the frame.
 func (ap *appender) node(k, base int) *Node {
-	ap.charge(1)
+	ap.tick()
 	n := ap.ov.Canonicalize(k, ap.stack[base:], ap.fulls[k])
 	ap.stack = ap.stack[:base]
 	return n
@@ -195,7 +177,7 @@ func (ap *appender) path(k int) *Node {
 	var n *Node
 	switch {
 	case k == len(ap.pred):
-		ap.charge(1)
+		ap.tick()
 		n = ap.ov.CanonicalTerminal(ap.dec)
 	case ap.pred[k].Equal(ap.fulls[k]):
 		n = ap.path(k + 1)
@@ -263,7 +245,7 @@ func (ap *appender) apply(v *Node, k int) *Node {
 		if v.memoGen == ap.gen {
 			return v.memoOut
 		}
-		ap.charge(1)
+		ap.tick()
 		out := ap.applyAt(v, k)
 		if v.memoGen == 0 {
 			ap.slots = append(ap.slots, v)
@@ -275,7 +257,7 @@ func (ap *appender) apply(v *Node, k int) *Node {
 	if e, ok := ap.memo[key]; ok && e.gen == ap.gen {
 		return e.out
 	}
-	ap.charge(1)
+	ap.tick()
 	out := ap.applyAt(v, k)
 	ap.memo[key] = memoEntry{out, ap.gen}
 	return out

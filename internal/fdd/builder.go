@@ -249,22 +249,23 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Policy,
 	start int, root *Node, base []checkpoint, effPrefix []bool) (b *Builder, err error) {
 	// The append recursion has no error path (it cannot fail on valid
-	// input); budget crossings surface as a budgetPanic so the hot path
-	// stays two-valued, converted back to an error here.
+	// input); a stop by the meter, on a budget crossing or a
+	// cancellation, surfaces as a budgetPanic so the hot path stays
+	// two-valued, and is converted back to an error here.
 	defer func() {
 		if r := recover(); r != nil {
 			bp, ok := r.(budgetPanic)
 			if !ok {
 				panic(r)
 			}
-			b, err = nil, fmt.Errorf("fdd: construction aborted: %w", bp.err)
+			b, err = nil, fmt.Errorf("fdd: construction %s: %w", guard.Verb(bp.err), bp.err)
 		}
 	}()
 	ap := newAppender(p.Schema, core.in)
 	// Every exit, a budget panic and a cancellation included, leaves no
 	// memo slot set on a family node.
 	defer ap.clearSlots()
-	ap.budget = guard.FromContext(ctx)
+	ap.m = guard.NewMeter(ctx)
 	effective := make([]bool, p.Size())
 	copy(effective, effPrefix)
 	cps := make([]checkpoint, len(base), len(base)+(p.Size()-start)/checkpointEvery+1)
@@ -276,15 +277,16 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 		effective[0] = true
 		i = 1
 	}
-	for ; i < p.Size(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fdd: construction canceled: %w", err)
+	for ; ; i++ {
+		// One meter flush between appends, and one after the last, keeps
+		// cancellation and the wall-clock cap live at rule granularity
+		// even when appends create few nodes, and charges every append;
+		// mid-append stops unwind via budgetPanic.
+		if err := ap.m.Flush(); err != nil {
+			return nil, fmt.Errorf("fdd: construction %s: %w", guard.Verb(err), err)
 		}
-		// Flushing per rule keeps the wall-clock cap live even when appends
-		// create few nodes; mid-append crossings unwind via budgetPanic.
-		ap.flush()
-		if err := ap.budget.Err(); err != nil {
-			return nil, fmt.Errorf("fdd: construction aborted: %w", err)
+		if i == p.Size() {
+			break
 		}
 		r := p.Rules[i]
 		next := ap.appendRule(root, r.Pred, r.Decision)

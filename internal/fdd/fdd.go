@@ -438,29 +438,21 @@ func (f *FDD) Simplify() *FDD {
 // context's guard.Budget (if any), aborting with a typed
 // guard.ErrBudgetExceeded instead of materializing the explosion.
 func (f *FDD) SimplifyContext(ctx context.Context) (out *FDD, err error) {
-	b := guard.FromContext(ctx)
-	pending := 0
+	m := guard.NewMeter(ctx)
 	defer func() {
 		if p := recover(); p != nil {
 			bp, ok := p.(budgetPanic)
 			if !ok {
 				panic(p)
 			}
-			out, err = nil, fmt.Errorf("fdd: simplify aborted: %w", bp.err)
+			out, err = nil, fmt.Errorf("fdd: simplify %s: %w", guard.Verb(bp.err), bp.err)
 		}
 	}()
 	var simplify func(n *Node) *Node
 	simplify = func(n *Node) *Node {
-		pending++
-		if pending >= budgetChargeEvery {
-			n := pending
-			pending = 0
-			if err := b.AddNodes(int64(n)); err != nil {
-				panic(budgetPanic{err})
-			}
-			if err := ctx.Err(); err != nil {
-				panic(budgetPanic{err})
-			}
+		m.AddNodes(1)
+		if m.Tick() {
+			panic(budgetPanic{m.Err()})
 		}
 		if n.IsTerminal() {
 			return Terminal(n.Decision)
@@ -482,11 +474,8 @@ func (f *FDD) SimplifyContext(ctx context.Context) (out *FDD, err error) {
 		return out
 	}
 	root := simplify(f.Root)
-	if err := b.AddNodes(int64(pending)); err != nil {
-		return nil, fmt.Errorf("fdd: simplify aborted: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("fdd: simplify canceled: %w", err)
+	if err := m.Flush(); err != nil {
+		return nil, fmt.Errorf("fdd: simplify %s: %w", guard.Verb(err), err)
 	}
 	return &FDD{Schema: f.Schema, Root: root}, nil
 }

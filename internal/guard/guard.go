@@ -7,13 +7,12 @@
 // bytes, and wall clock — and the pipeline walks abort with a typed
 // ErrBudgetExceeded the moment any cap is crossed.
 //
-// The charging discipline mirrors the cancellation latch the pipeline
-// already uses (the cancelCheckEvery countdown in shape and compare):
-// each goroutine accumulates work into a local counter and flushes it
-// into the Budget's atomics every few hundred operations, so the hot
-// path pays one atomic add per batch, not per node. Once any flush
-// crosses a limit the budget latches its error; every other worker sees
-// the latch on its next poll and unwinds, exactly like cancellation.
+// Every walk charges and polls through one Meter per goroutine (see
+// meter.go): it accumulates work locally and, every PollEvery visits,
+// flushes it into the Budget's atomics and polls ctx, so the hot path
+// pays one atomic add per batch, not per node. Once any flush crosses a
+// limit the budget latches its error; every other worker sees the latch
+// on its next poll and unwinds, exactly like cancellation.
 //
 // Budgets travel through context.Context (WithBudget / FromContext) and
 // survive context.WithoutCancel, so a budget set on a request flows

@@ -37,13 +37,14 @@ func MakeSemiIsomorphic(fa, fb *fdd.FDD) (*fdd.FDD, *fdd.FDD, error) {
 }
 
 // MakeSemiIsomorphicContext is MakeSemiIsomorphic with cancellation and
-// budgeting: every worker polls ctx every cancelCheckEvery node visits
-// and the whole shaping returns ctx.Err() (wrapped) once any worker sees
-// it, so an abandoned request stops burning CPU mid-shape. When ctx
-// carries a guard.Budget, edge splits and replicated subgraph nodes —
-// the Section 4 blowup drivers — are charged against it at the same
-// cadence, and a crossing aborts all workers with the budget's typed
-// guard.ErrBudgetExceeded. The partially shaped diagrams are discarded.
+// budgeting: every worker ticks a guard.Meter per node visit, which
+// polls ctx every guard.PollEvery visits, and the whole shaping returns
+// ctx.Err() (wrapped) once any worker sees it, so an abandoned request
+// stops burning CPU mid-shape. When ctx carries a guard.Budget, edge
+// splits and replicated subgraph nodes — the Section 4 blowup drivers —
+// are charged against it at the same cadence, and a crossing aborts all
+// workers with the budget's typed guard.ErrBudgetExceeded. The
+// partially shaped diagrams are discarded.
 func MakeSemiIsomorphicContext(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, *fdd.FDD, error) {
 	if !fa.Schema.Equal(fb.Schema) {
 		return nil, nil, fmt.Errorf("shape: schemas differ: %v vs %v", fa.Schema, fb.Schema)
@@ -67,15 +68,9 @@ func MakeSemiIsomorphicContext(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, 
 	if err := chaos.Fire(ctx, chaos.PointShape); err != nil {
 		return nil, nil, fmt.Errorf("shape: %w", err)
 	}
-	s := &shaper{schema: fa.Schema, ctx: ctx, budget: guard.FromContext(ctx)}
-	s.shapeRoots(&sa.Root, &sb.Root)
-	if s.canceled.Load() {
-		// The budget latch outlives the walk; prefer its typed error over
-		// a plain cancellation so callers can map it to policy_too_complex.
-		if err := s.budget.Err(); err != nil {
-			return nil, nil, fmt.Errorf("shape: aborted: %w", err)
-		}
-		return nil, nil, fmt.Errorf("shape: canceled: %w", ctx.Err())
+	s := &shaper{schema: fa.Schema, ctx: ctx}
+	if err := s.shapeRoots(&sa.Root, &sb.Root); err != nil {
+		return nil, nil, fmt.Errorf("shape: %s: %w", guard.Verb(err), err)
 	}
 	if sp != nil {
 		// The paper's §4 complexity drivers: how many edges the common
@@ -88,16 +83,11 @@ func MakeSemiIsomorphicContext(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, 
 	return sa, sb, nil
 }
 
-// cancelCheckEvery is how many node visits pass between context polls in
-// the shaping and comparison walks: frequent enough that cancellation
-// lands within microseconds of work, rare enough that the poll (a mutex
-// acquisition inside context) stays invisible in profiles.
-const cancelCheckEvery = 256
-
 // shapeRoots shapes the root pair, then hands the per-root-edge
 // subproblems — independent by the tree property — to parallel workers.
-func (s *shaper) shapeRoots(pa, pb **fdd.Node) {
-	rootSt := newWalkState()
+// It returns the error that stopped the shaping, if any.
+func (s *shaper) shapeRoots(pa, pb **fdd.Node) error {
+	rootSt := s.newWalkState()
 	outA, outB := s.align(pa, pb, rootSt)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(outA) {
@@ -107,17 +97,18 @@ func (s *shaper) shapeRoots(pa, pb **fdd.Node) {
 		for k := range outA {
 			s.shapePair(&outA[k].To, &outB[k].To, rootSt)
 		}
-		s.merge(rootSt)
-		return
+		return s.merge(rootSt)
 	}
-	s.merge(rootSt)
+	if err := s.merge(rootSt); err != nil {
+		return err
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := newWalkState()
+			st := s.newWalkState()
 			defer s.merge(st)
 			for {
 				k := int(next.Add(1)) - 1
@@ -129,18 +120,15 @@ func (s *shaper) shapeRoots(pa, pb **fdd.Node) {
 		}()
 	}
 	wg.Wait()
+	// A worker stops only on a budget crossing, which the budget
+	// latches, or on ctx, which stays canceled: one more poll sees
+	// whichever stopped them.
+	return rootSt.m.Flush()
 }
 
 type shaper struct {
 	schema *field.Schema
 	ctx    context.Context
-	// budget, when non-nil, caps the shaping work; charges flush at the
-	// cancellation-poll cadence. Nil-safe no-op otherwise.
-	budget *guard.Budget
-	// canceled latches the first worker's ctx (or budget) observation so
-	// every other worker (and the sequential path) bails without
-	// re-polling.
-	canceled atomic.Bool
 
 	// Shaping-operation totals, merged from the workers' walkStates once
 	// each finishes (never touched on the hot path).
@@ -150,81 +138,30 @@ type shaper struct {
 	inserts int
 }
 
-// walkState is one goroutine's private shaping state: the cancellation
-// countdown, counters for the three shaping operations, and the pending
-// (not yet flushed) budget charges. Keeping the counters goroutine-local
-// (merged once at worker exit) means tracing and budgeting add no
-// shared-memory traffic to the recursion.
+// walkState is one goroutine's private shaping state: its abort meter,
+// which charges edge splits and replicated or inserted nodes to the
+// budget, and counters for the three shaping operations. Keeping the
+// counters goroutine-local (merged once at worker exit) means tracing
+// and budgeting add no shared-memory traffic to the recursion.
 type walkState struct {
-	budget  int
+	m       guard.Meter
 	splits  int
 	copies  int
 	inserts int
-
-	// pendingNodes and pendingSplits accumulate budget charges between
-	// flushes (see shaper.flush).
-	pendingNodes  int
-	pendingSplits int
 }
 
-func newWalkState() *walkState { return &walkState{budget: cancelCheckEvery} }
+func (s *shaper) newWalkState() *walkState { return &walkState{m: guard.NewMeter(s.ctx)} }
 
 // merge folds a finished goroutine's counters into the shaper totals and
-// flushes its remaining budget charges.
-func (s *shaper) merge(st *walkState) {
-	s.flush(st)
+// charges its meter's tail, returning the meter's error.
+func (s *shaper) merge(st *walkState) error {
+	err := st.m.Flush()
 	s.statsMu.Lock()
 	s.splits += st.splits
 	s.copies += st.copies
 	s.inserts += st.inserts
 	s.statsMu.Unlock()
-}
-
-// flush empties st's pending budget charges into the shared budget,
-// latching cancellation on a crossing. Returns true when shaping should
-// abort.
-func (s *shaper) flush(st *walkState) bool {
-	if s.budget == nil {
-		st.pendingNodes, st.pendingSplits = 0, 0
-		return false
-	}
-	var err error
-	if st.pendingNodes > 0 {
-		err = s.budget.AddNodes(int64(st.pendingNodes))
-		st.pendingNodes = 0
-	}
-	if err == nil && st.pendingSplits > 0 {
-		err = s.budget.AddSplits(int64(st.pendingSplits))
-	}
-	st.pendingSplits = 0
-	if err != nil {
-		s.canceled.Store(true)
-		return true
-	}
-	return false
-}
-
-// stop reports whether shaping should abort, polling ctx and flushing
-// budget charges once per cancelCheckEvery calls. st.budget is the
-// caller goroutine's local countdown, kept outside the shared shaper so
-// workers do not contend.
-func (s *shaper) stop(st *walkState) bool {
-	if s.canceled.Load() {
-		return true
-	}
-	st.budget--
-	if st.budget > 0 {
-		return false
-	}
-	st.budget = cancelCheckEvery
-	if s.flush(st) {
-		return true
-	}
-	if s.ctx.Err() != nil {
-		s.canceled.Store(true)
-		return true
-	}
-	return false
+	return err
 }
 
 // fieldOf orders nodes by their label position; terminals sort after every
@@ -238,11 +175,11 @@ func (s *shaper) fieldOf(n *fdd.Node) int {
 
 // shapePair makes the two shapable nodes *pa and *pb semi-isomorphic
 // (Node_Shaping, Fig. 10). The references allow node insertion to splice a
-// new node above either one. st is the goroutine-local cancellation
-// countdown and operation counters (see shaper.stop); on cancellation the
-// recursion unwinds immediately, leaving the pair partially shaped.
+// new node above either one. st is the goroutine-local meter and
+// operation counters; once the meter stops the walk the recursion
+// unwinds immediately, leaving the pair partially shaped.
 func (s *shaper) shapePair(pa, pb **fdd.Node, st *walkState) {
-	if s.stop(st) {
+	if st.m.Tick() {
 		return
 	}
 	outA, outB := s.align(pa, pb, st)
@@ -333,7 +270,7 @@ func (s *shaper) insertAbove(ref **fdd.Node, k int, st *walkState) *fdd.Node {
 		Field: k,
 		Edges: []fdd.Edge{{Label: s.schema.FullSet(k), To: old}},
 	}
-	st.pendingNodes++
+	st.m.AddNodes(1)
 	*ref = n
 	return n
 }
@@ -351,7 +288,7 @@ func (s *shaper) slicePiece(e *fdd.Edge, hi uint64, st *walkState) fdd.Edge {
 	}
 	st.splits++
 	st.copies++
-	st.pendingSplits++
+	st.m.AddSplits(1)
 	piece := fdd.Edge{
 		Label: interval.SetOf(iv.Lo, hi),
 		To:    s.copySubgraph(e.To, st),
@@ -361,17 +298,17 @@ func (s *shaper) slicePiece(e *fdd.Edge, hi uint64, st *walkState) fdd.Edge {
 }
 
 // copySubgraph is subgraph replication with budget charging and abort:
-// every copied node is charged (batched via st), and once the budget or
-// ctx latch trips the copy unwinds returning placeholder terminals —
+// every copied node is charged to st's meter, and once the meter stops
+// the walk the copy unwinds returning placeholder terminals —
 // semantically wrong but unobservable, because the whole shaping is
-// discarded when the latch is set. Replication is where worst-case
+// discarded when a meter stops. Replication is where worst-case
 // inputs spend their exponential work, so the copy itself must be
 // interruptible, not just the walk around it.
 func (s *shaper) copySubgraph(n *fdd.Node, st *walkState) *fdd.Node {
-	if s.stop(st) {
+	if st.m.Tick() {
 		return fdd.Terminal(1)
 	}
-	st.pendingNodes++
+	st.m.AddNodes(1)
 	if n.IsTerminal() {
 		return fdd.Terminal(n.Decision)
 	}

@@ -71,6 +71,14 @@ go test -race -count=1 -run 'TestChaosStress' ./internal/api/
 # the worker pool leaks no goroutines after shutdown.
 go test -race -count=1 -run 'TestJobsChaos' ./internal/api/
 
+# The abort tests of the five metered walks (construction, simplify,
+# shaping, the lockstep walk and the product walk) also rerun uncached
+# under -race: parallel shards stop each other through no shared flag,
+# only through the budget's own latch and the ctx every shard polls, so
+# a racy or late stop must fail here rather than hide behind a cached
+# "ok".
+go test -race -count=1 -run 'Cancel|Budget|Abort|Meter' ./internal/guard/ ./internal/fdd/ ./internal/shape/ ./internal/compare/ ./internal/synth/
+
 # One-iteration fuzz passes over the policy frontends: the parsers face
 # arbitrary config text from the network (nftables rulesets, cloud
 # security-group JSON, iptables dumps), so each corpus entry re-runs
