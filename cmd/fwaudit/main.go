@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -83,7 +84,7 @@ func run() int {
 	}
 
 	if *complete {
-		compacted, removed, err := redundancy.RemoveAll(p)
+		compacted, removed, err := redundancy.RemoveAll(context.Background(), p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fwaudit:", err)
 			return 2

@@ -626,13 +626,14 @@ func gate(cfg config, base *benchReport, report *benchReport, remeasure func(str
 	return nil
 }
 
-// spanStats runs the benchmark pair through one traced diff and folds
-// the resulting span tree into name -> attr -> summed value, keeping
-// only numeric attributes. Spans that run once per policy (construct)
-// therefore report pair totals.
+// spanStats runs the benchmark pair through one traced run of the
+// paper's phases (the construct, shape and compare phases above) and
+// folds the resulting span tree into name -> attr -> summed value,
+// keeping only numeric attributes. Spans that run once per policy
+// (construct) therefore report pair totals.
 func spanStats(pa, pb *rule.Policy) map[string]map[string]int64 {
 	ctx, tr := trace.New(context.Background(), "diff", "")
-	if _, err := compare.DiffContext(ctx, pa, pb); err != nil {
+	if _, err := paperDiff(ctx, pa, pb); err != nil {
 		return nil
 	}
 	tr.Finish()

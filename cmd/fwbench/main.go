@@ -19,6 +19,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,9 +31,11 @@ import (
 	"diversefw/internal/backtoback"
 	"diversefw/internal/bdd"
 	"diversefw/internal/compare"
+	"diversefw/internal/fdd"
 	"diversefw/internal/impact"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
+	"diversefw/internal/shape"
 	"diversefw/internal/synth"
 	"diversefw/internal/textio"
 )
@@ -123,6 +127,43 @@ func csvFile(cfg config, name string, header ...string) (*textio.CSVWriter, func
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
+// paperDiff runs the paper's three phases on pa and pb and times each:
+// construction (both policies concurrently), shaping, and the lockstep
+// comparison. The experiments plot these phases (Figs. 12 and 13), so
+// they run the paper's algorithms; compare.Diff runs the product walk
+// and has no shaping phase.
+func paperDiff(ctx context.Context, pa, pb *rule.Policy) (*compare.Report, error) {
+	start := time.Now()
+	var fb *fdd.FDD
+	var errB error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fb, errB = fdd.ConstructContext(ctx, pb)
+	}()
+	fa, err := fdd.ConstructContext(ctx, pa)
+	<-done
+	if err := errors.Join(err, errB); err != nil {
+		return nil, err
+	}
+	tConstruct := time.Since(start)
+
+	start = time.Now()
+	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, fa, fb)
+	if err != nil {
+		return nil, err
+	}
+	tShape := time.Since(start)
+
+	start = time.Now()
+	report, err := compare.CompareSemiIsomorphicContext(ctx, sa, sb)
+	if err != nil {
+		return nil, err
+	}
+	report.Timing = compare.Timing{Construct: tConstruct, Shape: tShape, Compare: time.Since(start)}
+	return report, nil
+}
+
 // fig12 reproduces "Experimental results on real-life firewalls": for each
 // base size (661 and 42 rules) and each x in 5..50, run `trials`
 // perturb-and-compare rounds and report mean per-phase times.
@@ -142,7 +183,7 @@ func fig12(cfg config) error {
 			var sum compare.Timing
 			for trial := 0; trial < cfg.trials; trial++ {
 				perturbed, _ := synth.Perturb(orig, float64(x), int64(1000*x+trial))
-				report, err := compare.Diff(orig, perturbed)
+				report, err := paperDiff(context.Background(), orig, perturbed)
 				if err != nil {
 					return err
 				}
@@ -180,7 +221,7 @@ func fig13(cfg config) error {
 		for trial := 0; trial < cfg.trials; trial++ {
 			pa := synth.Synthetic(synth.Config{Rules: n, Seed: int64(2*trial + 1)})
 			pb := synth.Synthetic(synth.Config{Rules: n, Seed: int64(2*trial + 2)})
-			report, err := compare.Diff(pa, pb)
+			report, err := paperDiff(context.Background(), pa, pb)
 			if err != nil {
 				return err
 			}
@@ -240,7 +281,7 @@ func effectiveness(cfg config) error {
 		}
 	}
 
-	report, err := compare.Diff(original, redesign)
+	report, err := paperDiff(context.Background(), original, redesign)
 	if err != nil {
 		return err
 	}
@@ -288,7 +329,7 @@ func effectiveness(cfg config) error {
 		orig, lg := synth.InjectErrors(ref, synth.ErrorConfig{
 			OrderingErrors: 12, MissingRules: 4, Seed: seed + 1,
 		})
-		rep, err := compare.Diff(orig, ref)
+		rep, err := paperDiff(context.Background(), orig, ref)
 		if err != nil {
 			return err
 		}
@@ -338,7 +379,7 @@ func backToBack(cfg config) error {
 
 	fmt.Println("workload       strategy  tests    regions  found")
 	for _, w := range workloads {
-		report, err := compare.Diff(w.pa, w.pb)
+		report, err := paperDiff(context.Background(), w.pa, w.pb)
 		if err != nil {
 			return err
 		}
@@ -392,7 +433,7 @@ func bddBaseline(cfg config) error {
 	fmt.Println("workload       FDD rows  BDD cubes     BDD nodes  FDD(ms)  BDD(ms)")
 	for _, w := range workloads {
 		t0 := time.Now()
-		report, err := compare.Diff(w.pa, w.pb)
+		report, err := paperDiff(context.Background(), w.pa, w.pb)
 		if err != nil {
 			return err
 		}

@@ -121,7 +121,7 @@ func run() int {
 	}
 	genSpan.SetAttr("rules", out.Size())
 	if *compact {
-		compacted, removed, err := redundancy.RemoveAll(out)
+		compacted, removed, err := redundancy.RemoveAll(context.Background(), out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fwcompile:", err)
 			return 2

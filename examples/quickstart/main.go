@@ -54,8 +54,8 @@ func main() {
 	if err := textio.WriteDiscrepancyTable(os.Stdout, paper.Schema(), report.Discrepancies, "Team A", "Team B"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\npipeline: construction %v, shaping %v, comparison %v\n",
-		report.Timing.Construct, report.Timing.Shape, report.Timing.Compare)
+	fmt.Printf("\npipeline: construction %v, comparison %v\n",
+		report.Timing.Construct, report.Timing.Compare)
 	fmt.Println("\nThe teams now discuss each row: may the malicious domain e-mail the")
 	fmt.Println("server? must non-TCP e-mail pass? may non-mail traffic reach the server?")
 	fmt.Println("(See examples/redesign for the resolution phase.)")

@@ -5,6 +5,7 @@
 package diversefw
 
 import (
+	"context"
 	"testing"
 
 	"diversefw/internal/anomaly"
@@ -210,7 +211,7 @@ func TestBaselinesAgreeOnEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted, removed, err := redundancy.RemoveAll(dup)
+	compacted, removed, err := redundancy.RemoveAll(context.Background(), dup)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,6 +200,23 @@ func TestRequestTimeoutIs503(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRequestTimeoutIs503: semantic redundancy removal polls the
+// request's ctx once per candidate rule, so /v1/analyze on a 661-rule
+// policy, whose complete checks take tens of milliseconds, answers a 5ms
+// request timeout with 503 timeout instead of running them to the end.
+func TestAnalyzeRequestTimeoutIs503(t *testing.T) {
+	t.Parallel()
+	srv := NewServer(WithRequestTimeout(5 * time.Millisecond))
+	p := rule.FormatPolicy(synth.RealLife(661, 1))
+	rec := doRec(t, srv, "/v1/analyze", AnalyzeRequest{Schema: "five", Policy: in(p)})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503\n%s", rec.Code, rec.Body.String())
+	}
+	if e := errorBody(t, rec); e.Err.Code != CodeTimeout {
+		t.Fatalf("error code = %q, want %q", e.Err.Code, CodeTimeout)
+	}
+}
+
 // TestClientDisconnectCancelsDiff is the acceptance test for pipeline
 // cancellation end to end: a client that goes away mid-/v1/diff must
 // abort the construct/shape/compare walk (observed as a 499 in the

@@ -598,7 +598,7 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	findings, err := policyFindings(p, req.Complete)
+	findings, err := policyFindings(r.Context(), p, req.Complete)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
@@ -609,9 +609,10 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 // policyFindings runs the single-policy checks /v1/audit and /v1/analyze
 // share: the pairwise anomaly taxonomy, then the exact FDD-based
 // never-first-match check and, when redundant is set, semantic
-// redundancy. Its errors are pipeline errors (a non-comprehensive policy
-// has no FDD), for writeAnalysisError.
-func policyFindings(p *rule.Policy, redundant bool) ([]Finding, error) {
+// redundancy, which stops once ctx is done. Its errors are pipeline
+// errors (a non-comprehensive policy has no FDD, a dead request has no
+// time), for writeAnalysisError.
+func policyFindings(ctx context.Context, p *rule.Policy, redundant bool) ([]Finding, error) {
 	findings := ConvertAnomalies(p, anomaly.Detect(p))
 	shadowed, err := anomaly.CompletelyShadowed(p)
 	if err != nil {
@@ -627,7 +628,7 @@ func policyFindings(p *rule.Policy, redundant bool) ([]Finding, error) {
 	if !redundant {
 		return findings, nil
 	}
-	_, removed, err := redundancy.RemoveAll(p)
+	_, removed, err := redundancy.RemoveAll(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +680,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = frontend.DefaultFormat
 	}
-	findings, err := policyFindings(p, true)
+	findings, err := policyFindings(r.Context(), p, true)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return

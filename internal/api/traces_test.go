@@ -185,6 +185,64 @@ func TestTraceResolveSpans(t *testing.T) {
 	t.Fatalf("trace %s not retained", traceID)
 }
 
+// TestTraceResolveMethodARunsProductWalk: resolution method a neither
+// shapes nor walks in lockstep. Its redundancy removal is one span under
+// resolve-generate, and the verification diff's walk is a compare.direct
+// child of resolve-verify.
+func TestTraceResolveMethodARunsProductWalk(t *testing.T) {
+	t.Parallel()
+	srv := NewServer()
+	rec := doRec(t, srv, "/v1/resolve", ResolveRequest{
+		Schema: "paper", A: in(teamA), B: in(teamB), Method: "a",
+		Decisions: map[string]string{"1": "discard", "2": "accept", "3": "discard"},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("resolve: status %d\n%s", rec.Code, rec.Body.String())
+	}
+	traceID := rec.Header().Get("X-Trace-ID")
+
+	var snap trace.Snapshot
+	if err := json.Unmarshal(getTraces(t, srv, "").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range snap.Recent {
+		if r.TraceID != traceID {
+			continue
+		}
+		for _, gone := range []string{"shape", "compare"} {
+			if _, ok := r.Root.Find(gone); ok {
+				t.Fatalf("method a trace has a %q span", gone)
+			}
+		}
+		gen, ok := r.Root.Find("resolve-generate")
+		if !ok || gen.Attrs["method"] != "a" {
+			t.Fatalf("resolve-generate span = %+v, %v; want method a", gen.Attrs, ok)
+		}
+		red, ok := gen.Find("redundancy")
+		if !ok {
+			t.Fatal("redundancy span missing under resolve-generate")
+		}
+		for _, attr := range []string{"checked", "removed"} {
+			if _, ok := red.Attrs[attr]; !ok {
+				t.Fatalf("redundancy span missing %q attr: %v", attr, red.Attrs)
+			}
+		}
+		ver, ok := r.Root.Find("resolve-verify")
+		if !ok {
+			t.Fatal("resolve-verify span missing")
+		}
+		direct := false
+		for _, c := range ver.Children {
+			direct = direct || c.Name == "compare.direct"
+		}
+		if !direct {
+			t.Fatalf("resolve-verify has no compare.direct child: %+v", ver.Children)
+		}
+		return
+	}
+	t.Fatalf("trace %s not retained", traceID)
+}
+
 // TestTracesChromeFormat checks the ?format=chrome round-trip: a valid
 // JSON array of complete events loadable in about:tracing.
 func TestTracesChromeFormat(t *testing.T) {

@@ -4,11 +4,39 @@ import (
 	"testing"
 
 	"diversefw/internal/compare"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
+	"diversefw/internal/shape"
 )
+
+// diffWalks are the two ways to diff two policies: compare.Diff's
+// product walk and the paper's shape-and-lockstep reference. The
+// sampling tests below hold both to the policies' packet decisions.
+var diffWalks = []struct {
+	name string
+	diff func(pa, pb *rule.Policy) (*compare.Report, error)
+}{{"product", compare.Diff}, {"lockstep", lockstepDiff}}
+
+// lockstepDiff is the paper's comparison (Sections 3-5): construct both
+// FDDs, shape them to semi-isomorphism, walk them in lockstep.
+func lockstepDiff(pa, pb *rule.Policy) (*compare.Report, error) {
+	fa, err := fdd.Construct(pa)
+	if err != nil {
+		return nil, err
+	}
+	fb, err := fdd.Construct(pb)
+	if err != nil {
+		return nil, err
+	}
+	sa, sb, err := shape.MakeSemiIsomorphic(fa, fb)
+	if err != nil {
+		return nil, err
+	}
+	return compare.CompareSemiIsomorphic(sa, sb), nil
+}
 
 func TestRunValidation(t *testing.T) {
 	t.Parallel()
@@ -29,21 +57,23 @@ func TestRunValidation(t *testing.T) {
 func TestUniformSamplingMissesSliverRegions(t *testing.T) {
 	t.Parallel()
 	pa, pb := paper.TeamA(), paper.TeamB()
-	report, err := compare.Diff(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(pa, pb, 50000, 7, Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, total := Coverage(report, res)
-	if total != 3 {
-		t.Fatalf("total = %d", total)
-	}
-	if found != 0 {
-		// Astronomically unlikely (P < 50000 * 2^-32 per region).
-		t.Fatalf("uniform sampling hit %d sliver regions", found)
+	for _, w := range diffWalks {
+		report, err := w.diff(pa, pb)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		found, total := Coverage(report, res)
+		if total != 3 {
+			t.Fatalf("%s: total = %d", w.name, total)
+		}
+		if found != 0 {
+			// Astronomically unlikely (P < 50000 * 2^-32 per region).
+			t.Fatalf("%s: uniform sampling hit %d sliver regions", w.name, found)
+		}
 	}
 }
 
@@ -53,32 +83,34 @@ func TestUniformSamplingMissesSliverRegions(t *testing.T) {
 func TestBiasedSamplingFindsSome(t *testing.T) {
 	t.Parallel()
 	pa, pb := paper.TeamA(), paper.TeamB()
-	report, err := compare.Diff(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(pa, pb, 5000, 7, Biased)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, total := Coverage(report, res)
-	if found == 0 {
-		t.Fatal("biased sampling should find at least one region")
-	}
-	if found > total {
-		t.Fatalf("found %d > total %d", found, total)
-	}
-	// Every witness must be a genuine disagreement inside some region.
-	for _, w := range res.Witnesses {
-		inRegion := false
-		for _, d := range report.Discrepancies {
-			if d.Pred.Matches(w) {
-				inRegion = true
-				break
-			}
+	for _, w := range diffWalks {
+		report, err := w.diff(pa, pb)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
 		}
-		if !inRegion {
-			t.Fatalf("witness %v outside every exact region", w)
+		found, total := Coverage(report, res)
+		if found == 0 {
+			t.Fatalf("%s: biased sampling should find at least one region", w.name)
+		}
+		if found > total {
+			t.Fatalf("%s: found %d > total %d", w.name, found, total)
+		}
+		// Every witness must be a genuine disagreement inside some region.
+		for _, pkt := range res.Witnesses {
+			inRegion := false
+			for _, d := range report.Discrepancies {
+				if d.Pred.Matches(pkt) {
+					inRegion = true
+					break
+				}
+			}
+			if !inRegion {
+				t.Fatalf("%s: witness %v outside every exact region", w.name, pkt)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"diversefw/internal/fdd"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
 )
@@ -37,12 +38,13 @@ func TestDiffContextCancelMidRun(t *testing.T) {
 	pa, pb := bigPair(1500)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
 	report, err := DiffContext(ctx, pa, pb)
-	// The full 1,500-rule diff takes well over 25ms on any hardware; the
-	// only way to return without an error would be to ignore the cancel.
+	// The full 1,500-rule diff takes several times 5ms on any hardware
+	// (about 45ms on a 2-vCPU Xeon, most of it construction); the only
+	// way to return without an error would be to ignore the cancel.
 	if report != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("report=%v err=%v, want nil report and context.Canceled", report, err)
 	}
@@ -59,18 +61,27 @@ func TestDiffContextDeadline(t *testing.T) {
 	}
 }
 
-// TestDiffContextCancelParallel drives the cancellation latch through the
-// parallel shape/compare fan-out paths (and is the -race regression test
-// for the shared canceled flag).
+// TestDiffContextCancelParallel drives a cancellation through the
+// paper's shaping and lockstep stages on the shared fan-out: every
+// worker polls the one ctx through its own meter, so all of them stop
+// (and it is the -race regression test for that stop).
 func TestDiffContextCancelParallel(t *testing.T) {
 	pa, pb := bigPair(1500)
+	fa, err := fdd.Construct(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := fdd.Construct(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	withProcs(t, 4, func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(25 * time.Millisecond)
 			cancel()
 		}()
-		if _, err := DiffContext(ctx, pa, pb); !errors.Is(err, context.Canceled) {
+		if _, err := lockstepFDDs(ctx, fa, fb); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err=%v, want context.Canceled", err)
 		}
 	})

@@ -1,22 +1,24 @@
-// Package compare implements the paper's comparison algorithm (Section 5)
-// and the full three-phase discrepancy pipeline: construction (package
-// fdd), shaping (package shape), and the lockstep comparison of two
-// semi-isomorphic FDDs.
+// Package compare finds every functional discrepancy between two
+// firewalls: the regions of the packet space, written as rule-like
+// predicates, on which they reach different decisions.
 //
-// The output is the set of all functional discrepancies between two
-// firewalls: regions of the packet space, written as rule-like predicates,
-// on which the two firewalls reach different decisions. Because each
-// decision path of a semi-isomorphic pair corresponds to its companion
-// path, collecting the paths whose terminal decisions differ finds every
-// discrepancy — no sampling, no false negatives.
+// Diff and DiffContext construct both policies' FDDs (package fdd) and
+// compare them by a memoized product walk over the reduced diagrams
+// (DiffFDDsDirectContext), which builds the reduced difference diagram
+// whose terminals are decision pairs; its differing paths are the
+// discrepancies — no sampling, no false negatives. Every library diff,
+// the serving engine and the CLIs run this walk.
+//
+// The paper's own comparison (Section 5) stays as the reproduction
+// reference: shape both FDDs to semi-isomorphism (package shape), then
+// walk them in lockstep (CompareSemiIsomorphic). The row-identity tests
+// pin that both walks emit the same rows in the same order.
 package compare
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"diversefw/internal/fdd"
@@ -42,12 +44,14 @@ type Report struct {
 	// human-readable rows (regions identical in all but one field are
 	// coalesced). Empty means the firewalls are equivalent.
 	Discrepancies []Discrepancy
-	// RawPaths is the number of differing decision-path pairs before
-	// merging — the comparison algorithm's direct output size.
-	RawPaths int
-	// PathsCompared is the total number of decision-path pairs walked.
+	// RawPaths is the number of differing pairs before merging — the
+	// comparison's direct output size — and PathsCompared the number of
+	// pairs compared. The product walk counts terminal-node pairs, the
+	// paper's lockstep walk (CompareSemiIsomorphic) decision-path pairs.
+	RawPaths      int
 	PathsCompared int
-	// Timing breaks the pipeline into the paper's three phases.
+	// Timing breaks the pipeline into phases; Shape stays zero unless
+	// the caller ran the paper's shaping and timed it.
 	Timing Timing
 }
 
@@ -65,25 +69,22 @@ func (t Timing) Total() time.Duration { return t.Construct + t.Shape + t.Compare
 // Equivalent reports whether the report found no discrepancies.
 func (r *Report) Equivalent() bool { return len(r.Discrepancies) == 0 }
 
-// Diff runs the full pipeline on two policies over the same schema and
-// returns all functional discrepancies between them.
+// Diff constructs two policies over the same schema and returns all
+// functional discrepancies between them.
 func Diff(pa, pb *rule.Policy) (*Report, error) {
 	return DiffContext(context.Background(), pa, pb)
 }
 
-// DiffContext is Diff with cancellation: construction, shaping, and the
-// lockstep comparison all poll ctx and return ctx.Err() (wrapped) as
-// soon as it is canceled or past its deadline, so an abandoned HTTP
-// request or a timed-out job stops burning CPU mid-pipeline.
+// DiffContext is Diff with cancellation: it constructs both policies
+// concurrently, then compares the diagrams by the product walk (see
+// DiffFDDsDirectContext). Both stages poll ctx and return ctx.Err()
+// (wrapped) as soon as it is canceled or past its deadline, so an
+// abandoned HTTP request or a timed-out job stops burning CPU
+// mid-pipeline. The report's Timing fills Construct and Compare; its
+// PathsCompared and RawPaths count terminal-node pairs.
 func DiffContext(ctx context.Context, pa, pb *rule.Policy) (*Report, error) {
 	if !pa.Schema.Equal(pb.Schema) {
 		return nil, fmt.Errorf("compare: schemas differ")
-	}
-	if err := checkDecisionRange(pa); err != nil {
-		return nil, err
-	}
-	if err := checkDecisionRange(pb); err != nil {
-		return nil, err
 	}
 	start := time.Now()
 	// The two constructions are independent (each gets its own node
@@ -105,55 +106,11 @@ func DiffContext(ctx context.Context, pa, pb *rule.Policy) (*Report, error) {
 	}
 	tConstruct := time.Since(start)
 
-	start = time.Now()
-	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, fa, fb)
+	report, err := DiffFDDsDirectContext(ctx, fa, fb)
 	if err != nil {
 		return nil, err
 	}
-	tShape := time.Since(start)
-
-	start = time.Now()
-	report, err := CompareSemiIsomorphicContext(ctx, sa, sb)
-	if err != nil {
-		return nil, err
-	}
-	report.Timing = Timing{Construct: tConstruct, Shape: tShape, Compare: time.Since(start)}
-	return report, nil
-}
-
-// DiffFDDs runs shaping and comparison on two already-constructed FDDs.
-// Useful when one version was designed directly as an FDD (Section 7.2).
-func DiffFDDs(fa, fb *fdd.FDD) (*Report, error) {
-	return DiffFDDsContext(context.Background(), fa, fb)
-}
-
-// DiffFDDsContext is DiffFDDs with cancellation (see DiffContext). It is
-// the pipeline entry for callers that cache constructed FDDs: shaping
-// deep-copies its inputs, so fa and fb come back untouched and can be
-// reused across calls.
-func DiffFDDsContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
-	if !fa.Schema.Equal(fb.Schema) {
-		return nil, fmt.Errorf("compare: schemas differ")
-	}
-	if err := checkFDDDecisionRange(fa); err != nil {
-		return nil, err
-	}
-	if err := checkFDDDecisionRange(fb); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, fa, fb)
-	if err != nil {
-		return nil, err
-	}
-	tShape := time.Since(start)
-
-	start = time.Now()
-	report, err := CompareSemiIsomorphicContext(ctx, sa, sb)
-	if err != nil {
-		return nil, err
-	}
-	report.Timing = Timing{Shape: tShape, Compare: time.Since(start)}
+	report.Timing.Construct = tConstruct
 	return report, nil
 }
 
@@ -161,20 +118,9 @@ func DiffFDDsContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
 // difference diagram: a<<pairShift | b. Decisions are small positive ints.
 const pairShift = 20
 
-// checkDecisionRange rejects decision values too large for the pair
-// encoding (no real decision set comes close to 2^20 values).
-func checkDecisionRange(p *rule.Policy) error {
-	for i, r := range p.Rules {
-		if r.Decision >= 1<<pairShift {
-			return fmt.Errorf("compare: rule %d decision %d exceeds the supported range (< %d)",
-				i, int(r.Decision), 1<<pairShift)
-		}
-	}
-	return nil
-}
-
-// checkFDDDecisionRange is checkDecisionRange for an already-constructed
-// diagram: every terminal's decision must fit the pair encoding.
+// checkFDDDecisionRange rejects a diagram with a terminal decision too
+// large for the pair encoding (no real decision set comes close to 2^20
+// values).
 func checkFDDDecisionRange(f *fdd.FDD) error {
 	seen := make(map[*fdd.Node]bool)
 	var walk func(n *fdd.Node) error
@@ -216,9 +162,13 @@ func checkFDDDecisionRange(f *fdd.FDD) error {
 // firewalls disagree on much of the packet space.
 //
 // The lockstep walks under distinct root-edge pairs are independent, so
-// they fan out across a GOMAXPROCS-bounded worker pool; each worker
-// hash-conses into its own store shard, and the shards are stitched under
-// a fresh root and re-interned once.
+// they fan out across GOMAXPROCS-bounded workers (guard.FanOut); each
+// worker hash-conses into its own store shard, and the shards are
+// stitched under a fresh root and re-interned once.
+//
+// Diff does not run this walk; it is the paper's reference, kept for
+// the experiments that reproduce its figures and for the tests that
+// hold the product walk's rows to it.
 func CompareSemiIsomorphic(sa, sb *fdd.FDD) *Report {
 	// Background contexts never cancel, so the error is impossible.
 	report, _ := CompareSemiIsomorphicContext(context.Background(), sa, sb)
@@ -243,15 +193,10 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 	w := newCmpWalker(ctx, sa.Schema)
 
 	var diff *fdd.FDD
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sa.Root.Edges) {
-		workers = len(sa.Root.Edges) // terminal root: 0
-	}
-	if workers < 2 {
-		root := w.walk(sa.Root, sb.Root)
-		diff = &fdd.FDD{Schema: sa.Schema, Root: root}
+	if sa.Root.IsTerminal() {
+		diff = &fdd.FDD{Schema: sa.Schema, Root: w.walk(sa.Root, sb.Root)}
 	} else {
-		diff = w.walkParallel(ctx, sa, sb, workers)
+		diff = w.walkParallel(ctx, sa, sb)
 	}
 	if err := w.m.Flush(); err != nil {
 		return nil, fmt.Errorf("compare: %s: %w", guard.Verb(err), err)
@@ -325,43 +270,30 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 	return out
 }
 
-// walkParallel fans the per-root-edge subwalks out over `workers`
-// goroutines. Shaped diagrams are trees, so the subwalks share nothing;
-// each worker interns into its own store shard and meters against ctx
-// with its own meter. The shard results are stitched under a fresh root
-// and re-interned once into w's store, which canonicalizes across
-// shards. Counters are summed into w, and the result is deterministic:
-// shard k always lands at root-edge position k.
-func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD, workers int) *fdd.FDD {
-	n := len(sa.Root.Edges)
-	edges := make([]fdd.Edge, n)
-	shards := make([]*cmpWalker, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := range shards {
+// walkParallel fans the per-root-edge subwalks out (guard.FanOut).
+// Shaped diagrams are trees, so the subwalks share nothing; each worker
+// interns into its own store shard and meters against ctx with its own
+// meter. The shard results are stitched under a fresh root and
+// re-interned once into w's store, which canonicalizes across shards.
+// Counters are summed into w, and the result is deterministic: subwalk
+// k always lands at root-edge position k.
+func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD {
+	edges := make([]fdd.Edge, len(sa.Root.Edges))
+	var mu sync.Mutex
+	guard.FanOut(ctx, len(edges), func(next func() (int, bool)) {
 		sw := newCmpWalker(ctx, sa.Schema)
-		shards[i] = sw
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sw.m.Flush()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				edges[k] = fdd.Edge{
-					Label: sa.Root.Edges[k].Label,
-					To:    sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To),
-				}
+		for k, ok := next(); ok; k, ok = next() {
+			edges[k] = fdd.Edge{
+				Label: sa.Root.Edges[k].Label,
+				To:    sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To),
 			}
-		}()
-	}
-	wg.Wait()
-	for _, sw := range shards {
+		}
+		sw.m.Flush()
+		mu.Lock()
 		w.paths += sw.paths
 		w.raw += sw.raw
-	}
+		mu.Unlock()
+	})
 	root := &fdd.Node{Field: sa.Root.Field, Edges: edges}
 	if w.m.Flush() != nil {
 		// A shard stopped on the budget's latch or on ctx, both of which
@@ -436,31 +368,16 @@ func CrossCompareContext(ctx context.Context, policies []*rule.Policy) ([]PairRe
 	}
 
 	out := make([]PairReport, len(pairs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for k, pr := range pairs {
-		if ctx.Err() != nil {
-			break
-		}
-		// Acquire before spawning: at most GOMAXPROCS goroutines exist at
-		// a time, instead of all N*(N-1)/2 launching at once and parking
-		// on the semaphore (each parked goroutine would pin its stack and
-		// its pair's state for the whole run).
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(k int, pr pair) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	guard.FanOut(ctx, len(pairs), func(next func() (int, bool)) {
+		for k, ok := next(); ok; k, ok = next() {
+			pr := pairs[k]
 			r, err := DiffContext(ctx, policies[pr.i], policies[pr.j])
 			if err != nil {
-				out[k] = PairReport{I: pr.i, J: pr.j,
-					Err: fmt.Errorf("compare: pair (%d, %d): %w", pr.i, pr.j, err)}
-				return
+				err = fmt.Errorf("compare: pair (%d, %d): %w", pr.i, pr.j, err)
 			}
-			out[k] = PairReport{I: pr.i, J: pr.j, Report: r}
-		}(k, pr)
-	}
-	wg.Wait()
+			out[k] = PairReport{I: pr.i, J: pr.j, Report: r, Err: err}
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compare: cross comparison: %w", err)
 	}

@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"diversefw/internal/packet"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
+	"diversefw/internal/shape"
 )
 
 func predsEqual(a, b rule.Predicate) bool {
@@ -25,24 +27,26 @@ func predsEqual(a, b rule.Predicate) bool {
 // firewalls must produce exactly the three discrepancies of Table 3.
 func TestPaperTable3(t *testing.T) {
 	t.Parallel()
-	report, err := Diff(paper.TeamA(), paper.TeamB())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := paper.ExpectedDiscrepancies()
-	if len(report.Discrepancies) != len(want) {
-		t.Fatalf("got %d discrepancies, want %d:\n%+v", len(report.Discrepancies), len(want), report.Discrepancies)
-	}
-	for _, w := range want {
-		found := false
-		for _, g := range report.Discrepancies {
-			if g.A == w.DecisionA && g.B == w.DecisionB && predsEqual(g.Pred, w.Pred) {
-				found = true
-				break
-			}
+	for _, w := range policyWalks {
+		report, err := w.diff(paper.TeamA(), paper.TeamB())
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
 		}
-		if !found {
-			t.Errorf("expected discrepancy not found: pred=%v A=%v B=%v", w.Pred, w.DecisionA, w.DecisionB)
+		if len(report.Discrepancies) != len(want) {
+			t.Fatalf("%s: got %d discrepancies, want %d:\n%+v", w.name, len(report.Discrepancies), len(want), report.Discrepancies)
+		}
+		for _, d := range want {
+			found := false
+			for _, g := range report.Discrepancies {
+				if g.A == d.DecisionA && g.B == d.DecisionB && predsEqual(g.Pred, d.Pred) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: expected discrepancy not found: pred=%v A=%v B=%v", w.name, d.Pred, d.DecisionA, d.DecisionB)
+			}
 		}
 	}
 }
@@ -53,29 +57,31 @@ func TestPaperTable3(t *testing.T) {
 func TestDiscrepanciesAreSoundAndComplete(t *testing.T) {
 	t.Parallel()
 	pa, pb := paper.TeamA(), paper.TeamB()
-	report, err := Diff(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := packet.NewSampler(pa.Schema, 17)
-	for i := 0; i < 5000; i++ {
-		pkt := sm.BiasedPair(pa, pb)
-		da, _ := packet.Oracle(pa, pkt)
-		db, _ := packet.Oracle(pb, pkt)
-		var hit *Discrepancy
-		for k := range report.Discrepancies {
-			if report.Discrepancies[k].Pred.Matches(pkt) {
-				if hit != nil {
-					t.Fatalf("packet %v matches two discrepancies", pkt)
+	for _, w := range policyWalks {
+		report, err := w.diff(pa, pb)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		sm := packet.NewSampler(pa.Schema, 17)
+		for i := 0; i < 5000; i++ {
+			pkt := sm.BiasedPair(pa, pb)
+			da, _ := packet.Oracle(pa, pkt)
+			db, _ := packet.Oracle(pb, pkt)
+			var hit *Discrepancy
+			for k := range report.Discrepancies {
+				if report.Discrepancies[k].Pred.Matches(pkt) {
+					if hit != nil {
+						t.Fatalf("%s: packet %v matches two discrepancies", w.name, pkt)
+					}
+					hit = &report.Discrepancies[k]
 				}
-				hit = &report.Discrepancies[k]
 			}
-		}
-		if (da != db) != (hit != nil) {
-			t.Fatalf("packet %v: decisions %v/%v but discrepancy hit=%v", pkt, da, db, hit != nil)
-		}
-		if hit != nil && (hit.A != da || hit.B != db) {
-			t.Fatalf("packet %v: discrepancy says %v/%v, oracles say %v/%v", pkt, hit.A, hit.B, da, db)
+			if (da != db) != (hit != nil) {
+				t.Fatalf("%s: packet %v: decisions %v/%v but discrepancy hit=%v", w.name, pkt, da, db, hit != nil)
+			}
+			if hit != nil && (hit.A != da || hit.B != db) {
+				t.Fatalf("%s: packet %v: discrepancy says %v/%v, oracles say %v/%v", w.name, pkt, hit.A, hit.B, da, db)
+			}
 		}
 	}
 }
@@ -126,6 +132,43 @@ func TestDiffNonComprehensive(t *testing.T) {
 	}
 }
 
+// lockstepFDDs is the paper's comparison (Sections 4-5) on two
+// constructed diagrams: shape them to semi-isomorphism, then walk them
+// in lockstep. It is the reference the product walk is held to.
+func lockstepFDDs(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
+	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, fa, fb)
+	if err != nil {
+		return nil, err
+	}
+	return CompareSemiIsomorphicContext(ctx, sa, sb)
+}
+
+// lockstepDiff is lockstepFDDs on two policies, constructed first.
+func lockstepDiff(ctx context.Context, pa, pb *rule.Policy) (*Report, error) {
+	fa, err := fdd.ConstructContext(ctx, pa)
+	if err != nil {
+		return nil, err
+	}
+	fb, err := fdd.ConstructContext(ctx, pb)
+	if err != nil {
+		return nil, err
+	}
+	return lockstepFDDs(ctx, fa, fb)
+}
+
+// policyWalks are the two ways to diff two policies: Diff's product
+// walk and the paper's shape-and-lockstep reference. Oracle tests take
+// both, so an independent check holds each walk.
+var policyWalks = []struct {
+	name string
+	diff func(pa, pb *rule.Policy) (*Report, error)
+}{
+	{"product", Diff},
+	{"lockstep", func(pa, pb *rule.Policy) (*Report, error) {
+		return lockstepDiff(context.Background(), pa, pb)
+	}},
+}
+
 func TestDiffFDDs(t *testing.T) {
 	t.Parallel()
 	fa, err := fdd.Construct(paper.TeamA())
@@ -136,20 +179,25 @@ func TestDiffFDDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := DiffFDDs(fa, fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Discrepancies) != 3 {
-		t.Fatalf("got %d discrepancies, want 3", len(report.Discrepancies))
-	}
-	// Comparing a design given directly as a (reduced) FDD — Section 7.2.
-	report2, err := DiffFDDs(fa.Reduce(), fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report2.Discrepancies) != 3 {
-		t.Fatalf("reduced input: got %d discrepancies, want 3", len(report2.Discrepancies))
+	for _, w := range []struct {
+		name string
+		diff func(context.Context, *fdd.FDD, *fdd.FDD) (*Report, error)
+	}{{"lockstep", lockstepFDDs}, {"product", DiffFDDsDirectContext}} {
+		report, err := w.diff(context.Background(), fa, fb)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if len(report.Discrepancies) != 3 {
+			t.Fatalf("%s: got %d discrepancies, want 3", w.name, len(report.Discrepancies))
+		}
+		// Comparing a design given directly as a (reduced) FDD — Section 7.2.
+		report2, err := w.diff(context.Background(), fa.Reduce(), fb)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if len(report2.Discrepancies) != 3 {
+			t.Fatalf("%s: reduced input: got %d discrepancies, want 3", w.name, len(report2.Discrepancies))
+		}
 	}
 }
 
@@ -204,18 +252,30 @@ func TestMergeDiscrepancies(t *testing.T) {
 
 func TestReportCounters(t *testing.T) {
 	t.Parallel()
+	for _, w := range policyWalks {
+		report, err := w.diff(paper.TeamA(), paper.TeamB())
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if report.PathsCompared <= 0 {
+			t.Fatalf("%s: PathsCompared not recorded", w.name)
+		}
+		if report.RawPaths <= 0 || report.RawPaths > report.PathsCompared {
+			t.Fatalf("%s: RawPaths %d outside [1, PathsCompared %d]", w.name, report.RawPaths, report.PathsCompared)
+		}
+		// Each differing decision-path pair is one region before merging;
+		// the product walk's differing terminal pairs are shared by
+		// regions, so only the lockstep count bounds the rows.
+		if w.name == "lockstep" && report.RawPaths < len(report.Discrepancies) {
+			t.Fatalf("%s: RawPaths %d < merged rows %d", w.name, report.RawPaths, len(report.Discrepancies))
+		}
+	}
 	report, err := Diff(paper.TeamA(), paper.TeamB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.PathsCompared <= 0 {
-		t.Fatal("PathsCompared not recorded")
-	}
-	if report.RawPaths < len(report.Discrepancies) {
-		t.Fatalf("RawPaths %d < merged rows %d", report.RawPaths, len(report.Discrepancies))
-	}
-	if report.Timing.Total() <= 0 {
-		t.Fatal("timing not recorded")
+	if report.Timing.Construct <= 0 || report.Timing.Compare <= 0 || report.Timing.Shape != 0 {
+		t.Fatalf("Diff timing = %+v, want construct and compare, no shape", report.Timing)
 	}
 }
 

@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,65 +46,73 @@ func TestCrossValidateAgainstBDD(t *testing.T) {
 
 	for trial := 0; trial < 25; trial++ {
 		pa, pb := randPolicy(), randPolicy()
-
-		report, err := Diff(pa, pb)
-		if err != nil {
-			t.Fatal(err)
+		for _, w := range policyWalks {
+			crossValidate(t, fmt.Sprintf("trial %d %s", trial, w.name), w.diff, pa, pb)
 		}
-		enc, res, err := bdd.DiffPolicies(pa, pb)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+}
 
-		// Exhaustive agreement over the whole (small) packet space, plus
-		// an exact disagreement count comparison.
-		count := 0
-		for x := uint64(0); x <= 31; x++ {
-			for y := uint64(0); y <= 15; y++ {
-				pkt := rule.Packet{x, y}
-				inFDD := false
-				for _, d := range report.Discrepancies {
-					if d.Pred.Matches(pkt) {
-						inFDD = true
-						break
-					}
-				}
-				assign := make([]bool, enc.M.NumVars())
-				bits := enc.FieldBits(0)
-				for i, v := range bits {
-					assign[v] = x>>uint(len(bits)-1-i)&1 == 1
-				}
-				bits = enc.FieldBits(1)
-				for i, v := range bits {
-					assign[v] = y>>uint(len(bits)-1-i)&1 == 1
-				}
-				inBDD := enc.M.Eval(res.Diff, assign)
-				if inFDD != inBDD {
-					t.Fatalf("trial %d: packet %v: FDD says %v, BDD says %v", trial, pkt, inFDD, inBDD)
-				}
-				if inFDD {
-					count++
+// crossValidate diffs pa and pb (the test's two-field schema) with diff
+// and holds the rows to the BDD diff, exhaustively.
+func crossValidate(t *testing.T, name string, diff func(pa, pb *rule.Policy) (*Report, error), pa, pb *rule.Policy) {
+	t.Helper()
+	report, err := diff(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, res, err := bdd.DiffPolicies(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Exhaustive agreement over the whole (small) packet space, plus
+	// an exact disagreement count comparison.
+	count := 0
+	for x := uint64(0); x <= 31; x++ {
+		for y := uint64(0); y <= 15; y++ {
+			pkt := rule.Packet{x, y}
+			inFDD := false
+			for _, d := range report.Discrepancies {
+				if d.Pred.Matches(pkt) {
+					inFDD = true
+					break
 				}
 			}
-		}
-
-		// The discrepancy rows are disjoint, so their sizes add up to the
-		// exact disagreement count; the BDD's SatFraction gives the same
-		// number independently.
-		var rowSum uint64
-		for _, d := range report.Discrepancies {
-			size := uint64(1)
-			for _, s := range d.Pred {
-				size *= s.Count()
+			assign := make([]bool, enc.M.NumVars())
+			bits := enc.FieldBits(0)
+			for i, v := range bits {
+				assign[v] = x>>uint(len(bits)-1-i)&1 == 1
 			}
-			rowSum += size
+			bits = enc.FieldBits(1)
+			for i, v := range bits {
+				assign[v] = y>>uint(len(bits)-1-i)&1 == 1
+			}
+			inBDD := enc.M.Eval(res.Diff, assign)
+			if inFDD != inBDD {
+				t.Fatalf("%s: packet %v: FDD says %v, BDD says %v", name, pkt, inFDD, inBDD)
+			}
+			if inFDD {
+				count++
+			}
 		}
-		if rowSum != uint64(count) {
-			t.Fatalf("trial %d: row sizes add to %d, exhaustive count %d", trial, rowSum, count)
+	}
+
+	// The discrepancy rows are disjoint, so their sizes add up to the
+	// exact disagreement count; the BDD's SatFraction gives the same
+	// number independently.
+	var rowSum uint64
+	for _, d := range report.Discrepancies {
+		size := uint64(1)
+		for _, s := range d.Pred {
+			size *= s.Count()
 		}
-		bddCount := res.Fraction * float64(32*16)
-		if int(bddCount+0.5) != count {
-			t.Fatalf("trial %d: BDD fraction gives %v packets, exhaustive count %d", trial, bddCount, count)
-		}
+		rowSum += size
+	}
+	if rowSum != uint64(count) {
+		t.Fatalf("%s: row sizes add to %d, exhaustive count %d", name, rowSum, count)
+	}
+	bddCount := res.Fraction * float64(32*16)
+	if int(bddCount+0.5) != count {
+		t.Fatalf("%s: BDD fraction gives %v packets, exhaustive count %d", name, bddCount, count)
 	}
 }

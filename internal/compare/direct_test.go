@@ -45,7 +45,7 @@ func TestDirectDiffMatchesLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: construct b: %v", trial, err)
 		}
-		lock, err := DiffFDDs(fa, fb)
+		lock, err := lockstepFDDs(context.Background(), fa, fb)
 		if err != nil {
 			t.Fatalf("trial %d: lockstep: %v", trial, err)
 		}

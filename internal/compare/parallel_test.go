@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -22,9 +23,8 @@ func withProcs(t *testing.T, n int, fn func()) {
 }
 
 // TestCrossCompareRace cross-compares 4 synthetic policies concurrently.
-// It is the -race regression test for the bounded-concurrency semaphore
-// in CrossCompare (acquired before spawning) and for the parallel
-// construct/shape/compare pipeline underneath each pair.
+// It is the -race regression test for CrossCompare's bounded fan-out
+// and for the concurrent construction underneath each pair.
 func TestCrossCompareRace(t *testing.T) {
 	policies := make([]*rule.Policy, 4)
 	for i := range policies {
@@ -52,23 +52,24 @@ func TestCrossCompareRace(t *testing.T) {
 	})
 }
 
-// TestParallelPipelineMatchesSequential: the fan-out shape walk and the
-// sharded lockstep comparison must produce exactly the report the
-// single-worker path produces.
+// TestParallelPipelineMatchesSequential: the paper's stages on the
+// shared fan-out (the per-root-edge shape walk and the sharded lockstep
+// comparison) must produce exactly the report the single-worker path
+// produces.
 func TestParallelPipelineMatchesSequential(t *testing.T) {
 	pa := synth.Synthetic(synth.Config{Rules: 120, Seed: 11})
 	pb := synth.Synthetic(synth.Config{Rules: 120, Seed: 12})
 
 	var seq, par *Report
 	withProcs(t, 1, func() {
-		r, err := Diff(pa, pb)
+		r, err := lockstepDiff(context.Background(), pa, pb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq = r
 	})
 	withProcs(t, 4, func() {
-		r, err := Diff(pa, pb)
+		r, err := lockstepDiff(context.Background(), pa, pb)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,21 +17,22 @@ import (
 	"diversefw/internal/synth"
 )
 
-// The serving engine answers every diff with the direct product walk and
-// caches one report per pair; /v1/diff, /v1/impact and /v1/resolve hand
-// out row numbers from that report. The tests below pin that the direct
-// walk emits exactly the rows of the paper's shape-and-lockstep pipeline,
-// in the same order — not just the same packet set — so which walk (or
-// which endpoint) produced a cached report can never change a row number.
-// Both walks build the reduced, canonical difference diagram of the same
-// discrepancy function, so its row enumeration cannot depend on the walk.
+// Every diff answers with the direct product walk: compare.Diff, and
+// the serving engine, which caches one report per pair; /v1/diff,
+// /v1/impact and /v1/resolve hand out row numbers from that report. The
+// tests below pin that the direct walk emits exactly the rows of the
+// paper's shape-and-lockstep pipeline, in the same order — not just the
+// same packet set — so which walk (or which endpoint) produced a report
+// can never change a row number. Both walks build the reduced, canonical
+// difference diagram of the same discrepancy function, so its row
+// enumeration cannot depend on the walk.
 
 // assertSameRows diffs fa and fb with both walks and fails unless the
 // discrepancy rows are deeply equal. It returns the row count, so a
 // family can check it compared something.
 func assertSameRows(t *testing.T, name string, fa, fb *fdd.FDD) int {
 	t.Helper()
-	lock, err := DiffFDDsContext(context.Background(), fa, fb)
+	lock, err := lockstepFDDs(context.Background(), fa, fb)
 	if err != nil {
 		t.Fatalf("%s: lockstep: %v", name, err)
 	}
@@ -39,6 +40,28 @@ func assertSameRows(t *testing.T, name string, fa, fb *fdd.FDD) int {
 	if err != nil {
 		t.Fatalf("%s: direct: %v", name, err)
 	}
+	return sameReportRows(t, name, lock, direct)
+}
+
+// assertSamePolicyRows is assertSameRows for two policies: Diff against
+// the lockstep pipeline, each constructing both policies from scratch.
+func assertSamePolicyRows(t *testing.T, name string, pa, pb *rule.Policy) int {
+	t.Helper()
+	lock, err := lockstepDiff(context.Background(), pa, pb)
+	if err != nil {
+		t.Fatalf("%s: lockstep: %v", name, err)
+	}
+	direct, err := Diff(pa, pb)
+	if err != nil {
+		t.Fatalf("%s: Diff: %v", name, err)
+	}
+	return sameReportRows(t, name, lock, direct)
+}
+
+// sameReportRows fails unless the lockstep and direct reports' rows are
+// deeply equal, and returns their count.
+func sameReportRows(t *testing.T, name string, lock, direct *Report) int {
+	t.Helper()
 	if !reflect.DeepEqual(lock.Discrepancies, direct.Discrepancies) {
 		n := len(lock.Discrepancies)
 		if len(direct.Discrepancies) < n {
@@ -55,21 +78,6 @@ func assertSameRows(t *testing.T, name string, fa, fb *fdd.FDD) int {
 			name, len(lock.Discrepancies), len(direct.Discrepancies), first)
 	}
 	return len(lock.Discrepancies)
-}
-
-// assertSamePolicyRows is assertSameRows for two policies, each
-// constructed from scratch in its own store.
-func assertSamePolicyRows(t *testing.T, name string, pa, pb *rule.Policy) int {
-	t.Helper()
-	fa, err := fdd.Construct(pa)
-	if err != nil {
-		t.Fatalf("%s: construct a: %v", name, err)
-	}
-	fb, err := fdd.Construct(pb)
-	if err != nil {
-		t.Fatalf("%s: construct b: %v", name, err)
-	}
-	return assertSameRows(t, name, fa, fb)
 }
 
 // requireRows fails a family whose pairs were all equivalent: identical

@@ -1,8 +1,8 @@
 // Package impact implements firewall change-impact analysis (Sections 1.3
 // and 8.1 of the paper): the impact of a change is defined as the set of
 // functional discrepancies between the policy before and the policy after
-// the change, computed with the same construction/shaping/comparison
-// pipeline used for diverse design.
+// the change, computed with the same diff (compare.DiffContext) used for
+// diverse design.
 //
 // Beyond the raw discrepancy set, the package attributes each impacted
 // region to the rules that decide it before and after the change, which is

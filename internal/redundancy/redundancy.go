@@ -16,11 +16,13 @@
 package redundancy
 
 import (
+	"context"
 	"fmt"
 
 	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/rule"
+	"diversefw/internal/trace"
 )
 
 // Effective reports, for each rule, whether some packet's first match is
@@ -61,7 +63,14 @@ func IsRedundant(p *rule.Policy, i int) (bool, error) {
 // semantic check to a fixpoint (removing one rule can expose or conceal
 // the redundancy of another, e.g. two identical rules are each redundant
 // but only one may go).
-func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
+//
+// The complete check runs once per candidate rule, and RemoveAll polls
+// ctx before each one, returning ctx.Err() (wrapped) once it is done.
+// When ctx carries a trace, the removal is one "redundancy" span with
+// the candidates checked and the rules removed.
+func RemoveAll(ctx context.Context, p *rule.Policy) (*rule.Policy, []int, error) {
+	_, sp := trace.Start(ctx, "redundancy")
+	defer sp.End()
 	// Track original indices through removals.
 	origIdx := make([]int, p.Size())
 	for i := range origIdx {
@@ -104,12 +113,17 @@ func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	checked := 0
 	for again := true; again; {
 		again = false
 		for i := 0; i < cur.Size(); i++ {
 			if !maybeDownwardRedundant(cur, i) {
 				continue
 			}
+			if err := ctx.Err(); err != nil {
+				return nil, nil, fmt.Errorf("redundancy: %w", err)
+			}
+			checked++
 			without, err := cur.DeleteRule(i)
 			if err != nil {
 				return nil, nil, err
@@ -118,7 +132,7 @@ func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
 			if cerr != nil {
 				continue // sole cover of some packet: not redundant
 			}
-			report, err := compare.DiffFDDs(curFDD, withoutFDD)
+			report, err := compare.DiffFDDsDirect(curFDD, withoutFDD)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -132,6 +146,8 @@ func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
 			}
 		}
 	}
+	sp.SetAttr("checked", checked)
+	sp.SetAttr("removed", len(removed))
 	return cur, removed, nil
 }
 

@@ -1,6 +1,8 @@
 package redundancy
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"diversefw/internal/compare"
@@ -8,6 +10,7 @@ import (
 	"diversefw/internal/interval"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
+	"diversefw/internal/trace"
 )
 
 func schema1() *field.Schema {
@@ -120,7 +123,7 @@ func TestRemoveAllIdenticalRules(t *testing.T) {
 	s := schema1()
 	dup := rule.Rule{Pred: rule.Predicate{interval.SetOf(0, 20)}, Decision: rule.Discard}
 	p := mk(t, s, []rule.Rule{dup, dup, rule.CatchAll(s, rule.Accept)})
-	out, removed, err := RemoveAll(p)
+	out, removed, err := RemoveAll(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestRemoveAllMixedRedundancy(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(60, 70)}, Decision: rule.Accept},  // downward redundant
 		rule.CatchAll(s, rule.Accept),
 	})
-	out, removed, err := RemoveAll(p)
+	out, removed, err := RemoveAll(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestRemoveAllMixedRedundancy(t *testing.T) {
 func TestRemoveAllNoRedundancy(t *testing.T) {
 	t.Parallel()
 	p := paper.TeamB()
-	out, removed, err := RemoveAll(p)
+	out, removed, err := RemoveAll(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestRemoveAllResultIsIrredundant(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(40, 80)}, Decision: rule.Discard},
 		rule.CatchAll(s, rule.Accept),
 	})
-	out, _, err := RemoveAll(p)
+	out, _, err := RemoveAll(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,5 +212,43 @@ func TestRemoveAllResultIsIrredundant(t *testing.T) {
 	}
 	if !eq {
 		t.Fatal("RemoveAll changed semantics")
+	}
+}
+
+// TestRemoveAllCancelAndSpan: RemoveAll stops at its first candidate
+// once ctx is done, and a traced removal is one "redundancy" span with
+// its counts and no per-candidate diff spans under it.
+func TestRemoveAllCancelAndSpan(t *testing.T) {
+	t.Parallel()
+	s := schema1()
+	p := mk(t, s, []rule.Rule{
+		{Pred: rule.Predicate{interval.SetOf(0, 50)}, Decision: rule.Accept},
+		{Pred: rule.Predicate{interval.SetOf(10, 20)}, Decision: rule.Discard}, // upward redundant
+		{Pred: rule.Predicate{interval.SetOf(60, 70)}, Decision: rule.Accept},  // downward redundant
+		rule.CatchAll(s, rule.Accept),
+	})
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, _, err := RemoveAll(dead, p); out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled removal: policy %v, err %v; want none and context.Canceled", out, err)
+	}
+
+	ctx, tr := trace.New(context.Background(), "test", "")
+	if _, _, err := RemoveAll(ctx, p); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	root := tr.Snapshot().Root
+	if len(root.Children) != 1 || root.Children[0].Name != "redundancy" {
+		t.Fatalf("want one redundancy span, got %+v", root.Children)
+	}
+	sp := root.Children[0]
+	if len(sp.Children) != 0 {
+		t.Fatalf("redundancy span has children: %+v", sp.Children)
+	}
+	// Rule 1 goes in the upward pass; rules 2 and 0 are each checked and
+	// removed, and the fixpoint's last pass checks nothing new.
+	if sp.Attrs["removed"] != 3 || sp.Attrs["checked"] != 2 {
+		t.Fatalf("redundancy span attrs = %v, want removed 3, checked 2", sp.Attrs)
 	}
 }

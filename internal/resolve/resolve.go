@@ -257,12 +257,13 @@ func (p *Plan) Method2(useA bool) (*rule.Policy, error) {
 
 // Method2Context is Method2 with cancellation and tracing (a
 // "resolve-generate" span with method "a" or "b" and the correction
-// count; the redundancy removal dominates its duration).
+// count, over the "redundancy" span of the removal that dominates its
+// duration).
 func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, error) {
 	if !p.Resolved() {
 		return nil, fmt.Errorf("resolve: method 2: unresolved discrepancies remain")
 	}
-	_, sp := trace.Start(ctx, "resolve-generate")
+	ctx, sp := trace.Start(ctx, "resolve-generate")
 	defer sp.End()
 	if useA {
 		sp.SetAttr("method", "a")
@@ -286,7 +287,7 @@ func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, err
 	if err != nil {
 		return nil, err
 	}
-	compacted, _, err := redundancy.RemoveAll(composed)
+	compacted, _, err := redundancy.RemoveAll(ctx, composed)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +303,8 @@ func (p *Plan) Verify(candidate *rule.Policy) error {
 }
 
 // VerifyContext is Verify with cancellation and tracing (a
-// "resolve-verify" span wrapping the reference-vs-candidate diff).
+// "resolve-verify" span over the reference-vs-candidate diff's construct
+// and compare.direct spans).
 func (p *Plan) VerifyContext(ctx context.Context, candidate *rule.Policy) error {
 	if !p.Resolved() {
 		return fmt.Errorf("resolve: verify: unresolved discrepancies remain")

@@ -14,9 +14,7 @@ package shape
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"diversefw/internal/chaos"
 	"diversefw/internal/fdd"
@@ -89,37 +87,16 @@ func MakeSemiIsomorphicContext(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, 
 func (s *shaper) shapeRoots(pa, pb **fdd.Node) error {
 	rootSt := s.newWalkState()
 	outA, outB := s.align(pa, pb, rootSt)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(outA) {
-		workers = len(outA)
-	}
-	if workers < 2 {
-		for k := range outA {
-			s.shapePair(&outA[k].To, &outB[k].To, rootSt)
-		}
-		return s.merge(rootSt)
-	}
 	if err := s.merge(rootSt); err != nil {
 		return err
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := s.newWalkState()
-			defer s.merge(st)
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(outA) {
-					return
-				}
-				s.shapePair(&outA[k].To, &outB[k].To, st)
-			}
-		}()
-	}
-	wg.Wait()
+	guard.FanOut(s.ctx, len(outA), func(next func() (int, bool)) {
+		st := s.newWalkState()
+		defer s.merge(st)
+		for k, ok := next(); ok; k, ok = next() {
+			s.shapePair(&outA[k].To, &outB[k].To, st)
+		}
+	})
 	// A worker stops only on a budget crossing, which the budget
 	// latches, or on ctx, which stays canceled: one more poll sees
 	// whichever stopped them.

@@ -1,15 +1,21 @@
 package shape
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"diversefw/internal/fdd"
 	"diversefw/internal/field"
+	"diversefw/internal/guard"
 	"diversefw/internal/interval"
 	"diversefw/internal/packet"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
+	"diversefw/internal/synth"
+	"diversefw/internal/trace"
 )
 
 func construct(t *testing.T, p *rule.Policy) *fdd.FDD {
@@ -234,5 +240,61 @@ func TestPropShapingRandomPolicies(t *testing.T) {
 				t.Fatalf("trial %d: sb wrong on %v", trial, pkt)
 			}
 		}
+	}
+}
+
+// sameTree reports whether two shaped trees are identical: the same
+// fields, edge labels and decisions, edge by edge.
+func sameTree(a, b *fdd.Node) bool {
+	if a.IsTerminal() || b.IsTerminal() {
+		return a.IsTerminal() && b.IsTerminal() && a.Decision == b.Decision
+	}
+	if a.Field != b.Field || len(a.Edges) != len(b.Edges) {
+		return false
+	}
+	for i := range a.Edges {
+		if !a.Edges[i].Label.Equal(b.Edges[i].Label) || !sameTree(a.Edges[i].To, b.Edges[i].To) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestParallelShapingMatchesSequential: shaping's per-root-edge fan-out
+// gives exactly the single-worker result, diagrams and operation counts
+// (merged from each worker as it finishes) alike, and the merged split
+// count is every split the workers charged to the budget.
+func TestParallelShapingMatchesSequential(t *testing.T) {
+	fa := construct(t, synth.Synthetic(synth.Config{Rules: 60, Seed: 21}))
+	fb := construct(t, synth.Synthetic(synth.Config{Rules: 60, Seed: 22}))
+	type result struct {
+		sa, sb *fdd.FDD
+		attrs  map[string]any
+	}
+	run := func(procs int) result {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		b := guard.NewBudget(guard.Limits{})
+		ctx, tr := trace.New(guard.WithBudget(context.Background(), b), "test", "")
+		sa, sb, err := MakeSemiIsomorphicContext(ctx, fa, fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		sp, ok := tr.Snapshot().Root.Find("shape")
+		if !ok {
+			t.Fatal("shape span missing")
+		}
+		if splits := b.Usage().Splits; splits == 0 || sp.Attrs["edgeSplits"] != int(splits) {
+			t.Fatalf("%d workers: edgeSplits attr %v, budget charged %d splits", procs, sp.Attrs["edgeSplits"], splits)
+		}
+		return result{sa, sb, sp.Attrs}
+	}
+	seq, par := run(1), run(4)
+	if !sameTree(seq.sa.Root, par.sa.Root) || !sameTree(seq.sb.Root, par.sb.Root) {
+		t.Fatal("parallel shaping gave different diagrams")
+	}
+	if !reflect.DeepEqual(seq.attrs, par.attrs) {
+		t.Fatalf("shaping counts differ: sequential %v, parallel %v", seq.attrs, par.attrs)
 	}
 }

@@ -2,7 +2,8 @@
 # Tier-1 gate plus the race gate: everything a PR must pass locally.
 # The -race run matters because the pipeline fans out across goroutines
 # (compare.Diff constructs concurrently; shaping and the lockstep walk
-# shard per root edge; CrossCompare bounds a worker pool) and several
+# shard per root edge and CrossCompare runs pairs, all on guard.FanOut's
+# bounded workers) and several
 # tests raise GOMAXPROCS to force those paths even on 1-CPU machines.
 set -eu
 cd "$(dirname "$0")/.."
@@ -76,8 +77,10 @@ go test -race -count=1 -run 'TestJobsChaos' ./internal/api/
 # under -race: parallel shards stop each other through no shared flag,
 # only through the budget's own latch and the ctx every shard polls, so
 # a racy or late stop must fail here rather than hide behind a cached
-# "ok".
-go test -race -count=1 -run 'Cancel|Budget|Abort|Meter' ./internal/guard/ ./internal/fdd/ ./internal/shape/ ./internal/compare/ ./internal/synth/
+# "ok". So do the Parallel tests: the one bounded fan-out (guard.FanOut)
+# that shaping, the lockstep walk and CrossCompare share, held to its
+# single-worker result and raced on shaping.
+go test -race -count=1 -run 'Cancel|Budget|Abort|Meter|Parallel' ./internal/guard/ ./internal/fdd/ ./internal/shape/ ./internal/compare/ ./internal/synth/
 
 # One-iteration fuzz passes over the policy frontends: the parsers face
 # arbitrary config text from the network (nftables rulesets, cloud
