@@ -70,7 +70,7 @@ func run() int {
 		findings += len(anomalies)
 	}
 
-	shadowed, err := anomaly.CompletelyShadowed(p)
+	shadowed, err := anomaly.CompletelyShadowed(context.Background(), p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fwaudit:", err)
 		return 2

@@ -9,7 +9,7 @@
 //	         [-compile-cache-mb 128] [-report-cache-mb 32]
 //	         [-max-fdd-nodes 2000000] [-max-inflight 4*cores]
 //	         [-admission-queue 64] [-queue-deadline 5s]
-//	         [-shed-threshold 1.0] [-max-per-client 16]
+//	         [-max-per-client 16]
 //	         [-jobs-workers 4] [-jobs-retention 15m]
 //	         [-log-format json|text] [-log-level info]
 //	         [-trace-capacity 128] [-slow-trace-threshold 250ms]
@@ -166,11 +166,9 @@ func run(args []string) int {
 	maxInflight := fs.Int("max-inflight", DefaultMaxInflight,
 		"admission control: max concurrently running analysis requests (0 disables admission control)")
 	admissionQueue := fs.Int("admission-queue", DefaultAdmissionQueue,
-		"admission control: max analysis requests waiting for a slot; arrivals beyond the shed point get 503 server_overloaded")
+		"admission control: max analysis requests waiting for a slot; arrivals beyond a full queue get 503 server_overloaded")
 	queueDeadline := fs.Duration("queue-deadline", DefaultQueueDeadline,
 		"admission control: max time a request may wait in the queue before being shed (0 waits as long as the request allows)")
-	shedThreshold := fs.Float64("shed-threshold", 1.0,
-		"admission control: shed new arrivals once the queue is this full (fraction of -admission-queue, in (0,1])")
 	maxPerClient := fs.Int("max-per-client", DefaultMaxPerClient,
 		"admission control: max concurrent analysis requests per client address; over-cap requests get 429 client_over_limit (0 disables)")
 	jobsWorkers := fs.Int("jobs-workers", 4,
@@ -188,7 +186,7 @@ func run(args []string) int {
 	sloObjectives := fs.String("slo-objectives", "",
 		"path to an objectives JSON file (see slo/objectives.json); empty uses the built-in defaults")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fwserved [-addr host:port] [-request-timeout d] [-drain-timeout d] [-compile-cache-mb n] [-report-cache-mb n] [-max-fdd-nodes n] [-max-inflight n] [-admission-queue n] [-queue-deadline d] [-shed-threshold f] [-max-per-client n] [-jobs-workers n] [-jobs-retention d] [-jobs-journal dir] [-jobs-fsync always|batch|never] [-jobs-retry-max n] [-jobs-retry-base d] [-slo-objectives file] [-log-format json|text] [-log-level l] [-trace-capacity n] [-slow-trace-threshold d]")
+		fmt.Fprintln(os.Stderr, "usage: fwserved [-addr host:port] [-request-timeout d] [-drain-timeout d] [-compile-cache-mb n] [-report-cache-mb n] [-max-fdd-nodes n] [-max-inflight n] [-admission-queue n] [-queue-deadline d] [-max-per-client n] [-jobs-workers n] [-jobs-retention d] [-jobs-journal dir] [-jobs-fsync always|batch|never] [-jobs-retry-max n] [-jobs-retry-base d] [-slo-objectives file] [-log-format json|text] [-log-level l] [-trace-capacity n] [-slow-trace-threshold d]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -260,7 +258,6 @@ func run(args []string) int {
 			MaxInFlight:   *maxInflight,
 			MaxQueue:      *admissionQueue,
 			QueueDeadline: *queueDeadline,
-			ShedThreshold: *shedThreshold,
 			MaxPerClient:  *maxPerClient,
 		}))
 	}

@@ -7,10 +7,10 @@
 //
 //   - An in-flight cap: at most MaxInFlight requests run concurrently;
 //     arrivals beyond it wait in a bounded queue.
-//   - A shedder: when the queue passes its shed point (ShedThreshold ×
-//     MaxQueue) or a queued request outwaits QueueDeadline, the request
-//     is rejected immediately with a typed *Error the API maps to
-//     429/503 + Retry-After — failing fast and cheap instead of slow and
+//   - A shedder: when the queue is full (MaxQueue waiting requests) or
+//     a queued request outwaits QueueDeadline, the request is rejected
+//     immediately with a typed *Error the API maps to 429/503 +
+//     Retry-After — failing fast and cheap instead of slow and
 //     expensive.
 //   - A per-client concurrency cap: one client (keyed by remote host,
 //     deliberately independent of the client-controlled X-Request-ID)
@@ -37,7 +37,7 @@ import (
 type Reason string
 
 const (
-	// ReasonOverloaded: the queue was past its shed point on arrival.
+	// ReasonOverloaded: the queue was full on arrival.
 	ReasonOverloaded Reason = "overloaded"
 	// ReasonQueueTimeout: the request waited QueueDeadline without a
 	// slot freeing up.
@@ -64,16 +64,13 @@ func (e *Error) Error() string {
 type Config struct {
 	// MaxInFlight is the concurrent-request cap (required, > 0).
 	MaxInFlight int
-	// MaxQueue bounds how many arrivals may wait for a slot; 0 disables
-	// queueing (no free slot -> immediate shed).
+	// MaxQueue bounds how many arrivals may wait for a slot; arrivals
+	// beyond it are rejected immediately. 0 disables queueing (no free
+	// slot -> immediate shed).
 	MaxQueue int
 	// QueueDeadline bounds one request's wait in the queue; 0 means
 	// wait as long as the request context allows.
 	QueueDeadline time.Duration
-	// ShedThreshold in (0, 1] places the shed point as a fraction of
-	// MaxQueue: arrivals beyond ShedThreshold*MaxQueue waiting requests
-	// are rejected immediately. 0 means 1.0 (shed only when full).
-	ShedThreshold float64
 	// MaxPerClient caps one client's concurrently held slots and queue
 	// positions; 0 disables the per-client cap.
 	MaxPerClient int
@@ -85,9 +82,8 @@ type Config struct {
 
 // Controller admits, queues, sheds. Safe for concurrent use.
 type Controller struct {
-	cfg    Config
-	shedAt int
-	slots  chan struct{}
+	cfg   Config
+	slots chan struct{}
 
 	inflight atomic.Int64
 	queued   atomic.Int64
@@ -154,15 +150,11 @@ func New(cfg Config, reg *metrics.Registry) *Controller {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 1
 	}
-	if cfg.ShedThreshold <= 0 || cfg.ShedThreshold > 1 {
-		cfg.ShedThreshold = 1
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
 	c := &Controller{
 		cfg:       cfg,
-		shedAt:    int(cfg.ShedThreshold * float64(cfg.MaxQueue)),
 		slots:     make(chan struct{}, cfg.MaxInFlight),
 		perClient: make(map[string]int),
 	}
@@ -206,8 +198,8 @@ func (c *Controller) Admit(ctx context.Context, client string) (release func(), 
 		return c.admit(client, 0), 0, nil
 	default:
 	}
-	// Queue — unless it is already past the shed point.
-	if n := int(c.queued.Add(1)); n > c.shedAt {
+	// Queue — unless it is already full.
+	if n := int(c.queued.Add(1)); n > c.cfg.MaxQueue {
 		c.queued.Add(-1)
 		c.releaseClient(client)
 		return nil, 0, c.reject(ReasonOverloaded)

@@ -14,6 +14,7 @@
 package anomaly
 
 import (
+	"context"
 	"fmt"
 
 	"diversefw/internal/redundancy"
@@ -151,9 +152,10 @@ func Detect(p *rule.Policy) []Anomaly {
 
 // CompletelyShadowed returns the indices of rules that are never a first
 // match — shadowing by the *union* of earlier rules, which pairwise
-// analysis cannot see. It is exact (a byproduct of FDD construction).
-func CompletelyShadowed(p *rule.Policy) ([]int, error) {
-	eff, err := redundancy.Effective(p)
+// analysis cannot see. It is exact (a byproduct of FDD construction),
+// and the construction stops once ctx is done.
+func CompletelyShadowed(ctx context.Context, p *rule.Policy) ([]int, error) {
+	eff, err := redundancy.Effective(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"context"
 	"testing"
 
 	"diversefw/internal/field"
@@ -170,7 +171,7 @@ func TestUnionShadowingNeedsCompleteCheck(t *testing.T) {
 			t.Fatalf("pairwise analysis should not see union shadowing: %v", a)
 		}
 	}
-	shadowed, err := CompletelyShadowed(p)
+	shadowed, err := CompletelyShadowed(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

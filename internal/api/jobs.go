@@ -7,8 +7,8 @@ import (
 	"strconv"
 	"time"
 
+	"diversefw/internal/field"
 	"diversefw/internal/jobs"
-	"diversefw/internal/rule"
 )
 
 // maxJobPolicies bounds one job's policy set. Jobs exist precisely for
@@ -73,7 +73,7 @@ func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -88,27 +88,9 @@ func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("at most %d policies per job, got %d", maxJobPolicies, len(req.Policies)))
 		return
 	}
-	names := make([]string, len(req.Policies))
-	index := make(map[string]int, len(req.Policies))
-	policies := make([]*rule.Policy, len(req.Policies))
-	for i, np := range req.Policies {
-		name := np.Name
-		if name == "" {
-			name = fmt.Sprintf("policy%d", i+1)
-		}
-		if _, dup := index[name]; dup {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("duplicate policy name %q", name))
-			return
-		}
-		index[name] = i
-		names[i] = name
-		p, err := parseInput(schema, np.Policy, fmt.Sprintf("policy %q", name))
-		if err != nil {
-			writePolicyError(w, err)
-			return
-		}
-		policies[i] = p
+	names, policies, ok := parseNamedPolicies(w, schema, req.Policies)
+	if !ok {
+		return
 	}
 
 	spec := jobs.Spec{
@@ -133,6 +115,10 @@ func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("kind %q needs at least 1 pair", jobs.KindBatchDiff))
 			return
+		}
+		index := make(map[string]int, len(names))
+		for i, name := range names {
+			index[name] = i
 		}
 		for k, ps := range req.Pairs {
 			i, ok := index[ps.A]
@@ -238,7 +224,7 @@ func convertJobSnapshot(snap jobs.Snapshot, withPairs bool) JobStatusResponse {
 	}
 	// The schema name was validated at submission; rendering falls back
 	// to raw output only if it somehow stopped resolving.
-	schema, _ := schemaByName(snap.SchemaName)
+	schema, _ := field.SchemaByName(snap.SchemaName)
 	for _, pr := range snap.Pairs {
 		jp := JobPair{
 			Name:        pr.Name,

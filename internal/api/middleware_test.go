@@ -217,6 +217,23 @@ func TestAnalyzeRequestTimeoutIs503(t *testing.T) {
 	}
 }
 
+// TestAuditRequestTimeoutIs503: the never-first-match check builds the
+// policy's FDD under the request's ctx, so /v1/audit without the
+// semantic redundancy pass still answers a 1ms request timeout on a
+// 661-rule policy with 503 timeout instead of finishing the construction.
+func TestAuditRequestTimeoutIs503(t *testing.T) {
+	t.Parallel()
+	srv := NewServer(WithRequestTimeout(time.Millisecond))
+	p := rule.FormatPolicy(synth.RealLife(661, 1))
+	rec := doRec(t, srv, "/v1/audit", AuditRequest{Schema: "five", Policy: in(p)})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503\n%.300s", rec.Code, rec.Body.String())
+	}
+	if e := errorBody(t, rec); e.Err.Code != CodeTimeout {
+		t.Fatalf("error code = %q, want %q", e.Err.Code, CodeTimeout)
+	}
+}
+
 // TestClientDisconnectCancelsDiff is the acceptance test for pipeline
 // cancellation end to end: a client that goes away mid-/v1/diff must
 // abort the construct/shape/compare walk (observed as a 499 in the

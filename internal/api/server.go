@@ -48,7 +48,7 @@ const maxCrossPolicies = 16
 const statusClientClosedRequest = 499
 
 // schemaNames are the wire schema names, in the order /v1/version lists
-// them (see schemaByName).
+// them (see field.SchemaByName).
 var schemaNames = []string{"five", "four", "paper"}
 
 // Server exposes the analyses over HTTP with JSON bodies. All analysis
@@ -344,20 +344,6 @@ func convertPairError(err error) *PairError {
 	return &PairError{Status: status, Code: code, Message: err.Error()}
 }
 
-// schemaByName resolves the wire schema name.
-func schemaByName(name string) (*field.Schema, error) {
-	switch name {
-	case "", "five":
-		return field.IPv4FiveTuple(), nil
-	case "four":
-		return field.FourTuple(), nil
-	case "paper":
-		return field.PaperExample(), nil
-	default:
-		return nil, fmt.Errorf("unknown schema %q", name)
-	}
-}
-
 // parseInput lowers one PolicyInput through the frontend registry. The
 // returned error keeps its type (frontend.ParseError, ErrUnknownFormat,
 // ErrSchema survive the what-prefix wrapping) so writePolicyError can
@@ -368,6 +354,36 @@ func parseInput(schema *field.Schema, in PolicyInput, what string) (*rule.Policy
 		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	return p, nil
+}
+
+// parseNamedPolicies lowers the policies of a multi-policy request (a
+// cross-comparison or a job), naming an unnamed one policy<i> (1-based)
+// and rejecting a duplicate name. On failure it writes the error
+// response and returns ok false.
+func parseNamedPolicies(w http.ResponseWriter, schema *field.Schema, nps []NamedPolicy) (names []string, policies []*rule.Policy, ok bool) {
+	names = make([]string, len(nps))
+	seen := make(map[string]bool, len(nps))
+	policies = make([]*rule.Policy, len(nps))
+	for i, np := range nps {
+		name := np.Name
+		if name == "" {
+			name = fmt.Sprintf("policy%d", i+1)
+		}
+		if seen[name] {
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Errorf("duplicate policy name %q", name))
+			return nil, nil, false
+		}
+		seen[name] = true
+		names[i] = name
+		p, err := parseInput(schema, np.Policy, fmt.Sprintf("policy %q", name))
+		if err != nil {
+			writePolicyError(w, err)
+			return nil, nil, false
+		}
+		policies[i] = p
+	}
+	return names, policies, true
 }
 
 // writePolicyError maps a parseInput failure onto the error envelope:
@@ -394,7 +410,7 @@ func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -429,7 +445,7 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -444,27 +460,9 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("at most %d policies per cross-comparison, got %d", maxCrossPolicies, len(req.Policies)))
 		return
 	}
-	names := make([]string, len(req.Policies))
-	seen := make(map[string]bool, len(req.Policies))
-	policies := make([]*rule.Policy, len(req.Policies))
-	for i, np := range req.Policies {
-		name := np.Name
-		if name == "" {
-			name = fmt.Sprintf("policy%d", i+1)
-		}
-		if seen[name] {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("duplicate policy name %q", name))
-			return
-		}
-		seen[name] = true
-		names[i] = name
-		p, err := parseInput(schema, np.Policy, fmt.Sprintf("policy %q", name))
-		if err != nil {
-			writePolicyError(w, err)
-			return
-		}
-		policies[i] = p
+	names, policies, ok := parseNamedPolicies(w, schema, req.Policies)
+	if !ok {
+		return
 	}
 
 	start := time.Now()
@@ -526,7 +524,7 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -587,7 +585,7 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -614,7 +612,7 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 // time), for writeAnalysisError.
 func policyFindings(ctx context.Context, p *rule.Policy, redundant bool) ([]Finding, error) {
 	findings := ConvertAnomalies(p, anomaly.Detect(p))
-	shadowed, err := anomaly.CompletelyShadowed(p)
+	shadowed, err := anomaly.CompletelyShadowed(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -666,7 +664,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -730,7 +728,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
@@ -785,7 +783,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
+	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return

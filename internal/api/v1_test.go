@@ -2,12 +2,16 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"diversefw/internal/field"
+	"diversefw/internal/rule"
 )
 
 // errorBody decodes the v1 error envelope from a recorder.
@@ -382,5 +386,36 @@ func TestResolveRowOrderMatchesDiff(t *testing.T) {
 	}
 	if rr.Rows != len(dr.Discrepancies) {
 		t.Fatalf("resolve rows = %d, diff rows = %d", rr.Rows, len(dr.Discrepancies))
+	}
+}
+
+// TestDiffOversizedDecision: a decision too large for the diff's pair
+// encoding cannot arrive as native text, whose '#' starts a comment, so
+// /v1/diff answers "decision#1048576" as an unparseable policy. The
+// engine diff the handler runs next reports the compare package's range
+// error, which the handler's error mapping answers with 422.
+func TestDiffOversizedDecision(t *testing.T) {
+	t.Parallel()
+	srv := NewServer()
+	rec := doRec(t, srv, "/v1/diff", DiffRequest{Schema: "five", A: in("any -> decision#1048576"), B: in("any -> accept")})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400\n%s", rec.Code, rec.Body.String())
+	}
+	if e := errorBody(t, rec); e.Err.Code != CodeUnparseablePolicy {
+		t.Fatalf("error code = %q, want %q", e.Err.Code, CodeUnparseablePolicy)
+	}
+
+	s := field.IPv4FiveTuple()
+	huge := rule.MustPolicy(s, []rule.Rule{rule.CatchAll(s, rule.Decision(1<<20))})
+	accept := rule.MustPolicy(s, []rule.Rule{rule.CatchAll(s, rule.Accept)})
+	_, _, err := srv.Engine().DiffPolicies(context.Background(), huge, accept)
+	rec = httptest.NewRecorder()
+	writeAnalysisError(rec, err)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (err %v)", rec.Code, err)
+	}
+	const want = "compare: decision 1048576 exceeds the supported range (< 1048576)"
+	if e := errorBody(t, rec); e.Err.Code != CodeUnprocessable || e.Err.Message != want {
+		t.Fatalf("error = %+v, want %s %q", e.Err, CodeUnprocessable, want)
 	}
 }

@@ -118,32 +118,18 @@ func DiffContext(ctx context.Context, pa, pb *rule.Policy) (*Report, error) {
 // difference diagram: a<<pairShift | b. Decisions are small positive ints.
 const pairShift = 20
 
-// checkFDDDecisionRange rejects a diagram with a terminal decision too
-// large for the pair encoding (no real decision set comes close to 2^20
-// values).
-func checkFDDDecisionRange(f *fdd.FDD) error {
-	seen := make(map[*fdd.Node]bool)
-	var walk func(n *fdd.Node) error
-	walk = func(n *fdd.Node) error {
-		if seen[n] {
-			return nil
+// pairCode encodes the decision pair (a, b) as a<<pairShift | b. Both
+// walks form their terminal labels here, so a decision too large for the
+// encoding (no real decision set comes close to 2^20 values) is an error
+// at the first terminal pair that holds it, never a wrong pair.
+func pairCode(a, b rule.Decision) (rule.Decision, error) {
+	for _, d := range [2]rule.Decision{a, b} {
+		if d >= 1<<pairShift {
+			return agreeTerminal, fmt.Errorf("compare: decision %d exceeds the supported range (< %d)",
+				int(d), 1<<pairShift)
 		}
-		seen[n] = true
-		if n.IsTerminal() {
-			if n.Decision >= 1<<pairShift {
-				return fmt.Errorf("compare: decision %d exceeds the supported range (< %d)",
-					int(n.Decision), 1<<pairShift)
-			}
-			return nil
-		}
-		for _, e := range n.Edges {
-			if err := walk(e.To); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return walk(f.Root)
+	return a<<pairShift | b, nil
 }
 
 // CompareSemiIsomorphic implements the comparison algorithm of Section 5:
@@ -168,10 +154,14 @@ func checkFDDDecisionRange(f *fdd.FDD) error {
 //
 // Diff does not run this walk; it is the paper's reference, kept for
 // the experiments that reproduce its figures and for the tests that
-// hold the product walk's rows to it.
+// hold the product walk's rows to it. It panics on a decision too large
+// for the pair encoding (see pairCode), the one error a background
+// context leaves; CompareSemiIsomorphicContext returns that error.
 func CompareSemiIsomorphic(sa, sb *fdd.FDD) *Report {
-	// Background contexts never cancel, so the error is impossible.
-	report, _ := CompareSemiIsomorphicContext(context.Background(), sa, sb)
+	report, err := CompareSemiIsomorphicContext(context.Background(), sa, sb)
+	if err != nil {
+		panic(err)
+	}
 	return report
 }
 
@@ -200,6 +190,9 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 	}
 	if err := w.m.Flush(); err != nil {
 		return nil, fmt.Errorf("compare: %s: %w", guard.Verb(err), err)
+	}
+	if w.err != nil {
+		return nil, w.err
 	}
 	report.PathsCompared, report.RawPaths = w.paths, w.raw
 	report.Discrepancies, _ = pairRows(diff)
@@ -232,6 +225,9 @@ type cmpWalker struct {
 	stack []fdd.Edge
 	paths int // decision-path pairs walked
 	raw   int // pairs with differing terminal decisions
+	// err is the first out-of-range decision the walk met (see
+	// pairCode); the diagram is then discarded.
+	err error
 
 	// m stops the walk on cancellation or a budget crossing; every node
 	// the walk visits is charged as one node.
@@ -247,9 +243,9 @@ func newCmpWalker(ctx context.Context, schema *field.Schema) *cmpWalker {
 // walk compares the semi-isomorphic subtrees a and b and returns the
 // canonical (hash-consed) root of their difference diagram.
 func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
-	if w.m.Tick() {
+	if w.m.Tick() || w.err != nil {
 		// Unwind with an arbitrary agreeing terminal; the caller checks
-		// the meter and discards the diagram.
+		// the meter and the range error and discards the diagram.
 		return w.in.CanonicalTerminal(agreeTerminal)
 	}
 	w.m.AddNodes(1)
@@ -258,7 +254,11 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 		if a.Decision != b.Decision {
 			w.raw++
 		}
-		return w.in.CanonicalTerminal(a.Decision<<pairShift | b.Decision)
+		code, err := pairCode(a.Decision, b.Decision)
+		if err != nil && w.err == nil {
+			w.err = err
+		}
+		return w.in.CanonicalTerminal(code)
 	}
 	base := len(w.stack)
 	for i := range a.Edges {
@@ -279,14 +279,19 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 // k always lands at root-edge position k.
 func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD {
 	edges := make([]fdd.Edge, len(sa.Root.Edges))
+	// errs[k] is subwalk k's range error; the first by k is reported, so
+	// the error does not depend on scheduling.
+	errs := make([]error, len(edges))
 	var mu sync.Mutex
 	guard.FanOut(ctx, len(edges), func(next func() (int, bool)) {
 		sw := newCmpWalker(ctx, sa.Schema)
 		for k, ok := next(); ok; k, ok = next() {
+			sw.err = nil
 			edges[k] = fdd.Edge{
 				Label: sa.Root.Edges[k].Label,
 				To:    sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To),
 			}
+			errs[k] = sw.err
 		}
 		sw.m.Flush()
 		mu.Lock()
@@ -294,8 +299,14 @@ func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD 
 		w.raw += sw.raw
 		mu.Unlock()
 	})
+	for _, err := range errs {
+		if err != nil {
+			w.err = err
+			break
+		}
+	}
 	root := &fdd.Node{Field: sa.Root.Field, Edges: edges}
-	if w.m.Flush() != nil {
+	if w.m.Flush() != nil || w.err != nil {
 		// A shard stopped on the budget's latch or on ctx, both of which
 		// outlast it; skip the (possibly expensive) final reduction — the
 		// caller discards the diagram anyway.

@@ -45,16 +45,10 @@ func DiffFDDsDirect(fa, fb *fdd.FDD) (*Report, error) {
 // terminalPairs/differingPairs — and Timing fills only the Compare
 // phase.
 func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
-	if err := checkFDDDecisionRange(fa); err != nil {
-		return nil, err
-	}
-	if err := checkFDDDecisionRange(fb); err != nil {
-		return nil, err
-	}
 	_, sp := trace.Start(ctx, "compare.direct")
 	defer sp.End()
 	start := time.Now()
-	w := &directWalker{combine: pairDecision, shortCircuit: true}
+	w := newPairWalker()
 	diff, err := w.run(ctx, fa, fb)
 	if err != nil {
 		return nil, err
@@ -84,13 +78,26 @@ func Product(ctx context.Context, fa, fb *fdd.FDD, combine func(da, db rule.Deci
 	return (&directWalker{combine: combine}).run(ctx, fa, fb)
 }
 
+// newPairWalker returns the pair diff's walker: pairDecision with the
+// pointer-identity short-circuit.
+func newPairWalker() *directWalker {
+	w := &directWalker{shortCircuit: true}
+	w.combine = w.pairDecision
+	return w
+}
+
 // pairDecision is the pair diff's combiner: agreement collapses to
-// agreeTerminal, a disagreement keeps both decisions as a<<pairShift | b.
-func pairDecision(da, db rule.Decision) rule.Decision {
+// agreeTerminal, a disagreement keeps both decisions as their pairCode.
+// The first out-of-range decision is kept in w.err and stops the walk.
+func (w *directWalker) pairDecision(da, db rule.Decision) rule.Decision {
+	code, err := pairCode(da, db)
+	if err != nil && w.err == nil {
+		w.err = err
+	}
 	if da == db {
 		return agreeTerminal
 	}
-	return da<<pairShift | db
+	return code
 }
 
 // run walks the product of fa and fb under w.combine.
@@ -110,6 +117,9 @@ func (w *directWalker) run(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, erro
 	if err := w.m.Flush(); err != nil {
 		return nil, fmt.Errorf("compare: %s: %w", guard.Verb(err), err)
 	}
+	if w.err != nil {
+		return nil, w.err
+	}
 	return &fdd.FDD{Schema: fa.Schema, Root: root}, nil
 }
 
@@ -123,6 +133,9 @@ type directWalker struct {
 	// pairDecision, which sends every (d, d) to that one terminal; under
 	// compose.SerialDecisions, for one, (d, d) maps to d.
 	shortCircuit bool
+	// err is pairDecision's first range error (see pairCode); the walk
+	// unwinds and the diagram is discarded.
+	err error
 	// stack holds the edge lists of the nodes under construction, one
 	// frame per walk call, addressed by base index because deeper calls
 	// may grow (and move) it. Interning copies a frame only into a node
@@ -154,7 +167,7 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 		w.shared++
 		return w.in.CanonicalTerminal(agreeTerminal)
 	}
-	if w.m.Tick() {
+	if w.m.Tick() || w.err != nil {
 		// Unwind with an arbitrary terminal; the caller discards the
 		// diagram.
 		return w.in.CanonicalTerminal(agreeTerminal)

@@ -113,7 +113,7 @@ func pairRowsReference(diff *fdd.FDD) ([]Discrepancy, int) {
 // DiffFDDsDirect builds it.
 func directDiagram(tb testing.TB, fa, fb *fdd.FDD) *fdd.FDD {
 	tb.Helper()
-	diff, err := (&directWalker{combine: pairDecision, shortCircuit: true}).run(context.Background(), fa, fb)
+	diff, err := newPairWalker().run(context.Background(), fa, fb)
 	if err != nil {
 		tb.Fatal(err)
 	}

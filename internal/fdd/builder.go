@@ -95,9 +95,9 @@ func NewBuilderContext(ctx context.Context, p *rule.Policy) (*Builder, error) {
 		return nil, err
 	}
 	if sp != nil {
-		nodes, edges := countGraph(b.fdd.Root)
-		sp.SetAttr("nodes", nodes)
-		sp.SetAttr("edges", edges)
+		st := b.fdd.Stats()
+		sp.SetAttr("nodes", st.Nodes)
+		sp.SetAttr("edges", st.Edges)
 	}
 	return b, nil
 }
@@ -110,7 +110,7 @@ func (b *Builder) FDD() *FDD { return b.fdd }
 func (b *Builder) Policy() *rule.Policy { return b.policy }
 
 // Effective reports, per rule, whether the rule contributed any region of
-// the packet space (see ConstructEffective). Read-only.
+// the packet space (see ConstructEffectiveContext). Read-only.
 func (b *Builder) Effective() []bool { return b.effective }
 
 // NumCheckpoints returns how many resumable prefixes the builder holds

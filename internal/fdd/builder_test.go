@@ -28,9 +28,9 @@ func TestBuilderMatchesConstruct(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewBuilder: %v", err)
 	}
-	f, eff, err := ConstructEffective(p)
+	f, eff, err := ConstructEffectiveContext(context.Background(), p)
 	if err != nil {
-		t.Fatalf("ConstructEffective: %v", err)
+		t.Fatalf("ConstructEffectiveContext: %v", err)
 	}
 	if !sameFunction(t, b.FDD(), f) {
 		t.Fatalf("builder FDD differs from Construct FDD")

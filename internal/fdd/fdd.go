@@ -91,8 +91,7 @@ type FDD struct {
 // packet matches no rule), because the result would violate the
 // completeness property.
 func Construct(p *rule.Policy) (*FDD, error) {
-	f, _, err := ConstructEffective(p)
-	return f, err
+	return ConstructContext(context.Background(), p)
 }
 
 // ConstructContext is Construct with cancellation: it checks ctx between
@@ -104,17 +103,12 @@ func ConstructContext(ctx context.Context, p *rule.Policy) (*FDD, error) {
 	return f, err
 }
 
-// ConstructEffective is Construct but also reports, per rule, whether the
-// rule contributed any region of the packet space — i.e. whether some
-// packet's first match is that rule. Rules with effective[i] == false are
-// upward redundant (the basis of the redundancy substrate).
-func ConstructEffective(p *rule.Policy) (f *FDD, effective []bool, err error) {
-	return ConstructEffectiveContext(context.Background(), p)
-}
-
-// ConstructEffectiveContext is ConstructEffective with cancellation; see
-// ConstructContext. The per-rule ctx check is negligible next to the
-// cost of one append.
+// ConstructEffectiveContext is ConstructContext but also reports, per
+// rule, whether the rule contributed any region of the packet space —
+// i.e. whether some packet's first match is that rule. Rules with
+// effective[i] == false are upward redundant (the basis of the
+// redundancy substrate). The per-rule ctx check is negligible next to
+// the cost of one append.
 //
 // When ctx carries a guard.Budget, every subproblem the append
 // algorithm visits and every node it creates is charged against it
@@ -130,28 +124,6 @@ func ConstructEffectiveContext(ctx context.Context, p *rule.Policy) (*FDD, []boo
 		return nil, nil, err
 	}
 	return b.fdd, b.effective, nil
-}
-
-// countGraph counts distinct nodes and edges of the DAG rooted at root.
-// Unlike Stats it never enumerates decision paths, whose count can be
-// exponential in the node count on reduced diagrams — this is the cheap
-// walk trace attributes are allowed to pay for.
-func countGraph(root *Node) (nodes, edges int) {
-	seen := make(map[*Node]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		nodes++
-		edges += len(n.Edges)
-		for _, e := range n.Edges {
-			walk(e.To)
-		}
-	}
-	walk(root)
-	return nodes, edges
 }
 
 // copySubgraph deep-copies the subgraph rooted at n.
@@ -226,28 +198,9 @@ func (f *FDD) walkPaths(n *Node, pred rule.Predicate, fn func(rule.Predicate, ru
 	pred[n.Field] = saved
 }
 
-// NumPaths counts decision paths (what Theorem 1 bounds by (2n-1)^d).
-// Each node's count is computed once, so a reduced diagram costs
-// O(nodes + edges), not O(paths).
-func (f *FDD) NumPaths() int {
-	memo := make(map[*Node]int)
-	var count func(n *Node) int
-	count = func(n *Node) int {
-		if n.IsTerminal() {
-			return 1
-		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		total := 0
-		for _, e := range n.Edges {
-			total += count(e.To)
-		}
-		memo[n] = total
-		return total
-	}
-	return count(f.Root)
-}
+// NumPaths counts decision paths (what Theorem 1 bounds by (2n-1)^d)
+// in O(nodes + edges); see Stats.
+func (f *FDD) NumPaths() int { return f.Stats().Paths }
 
 // Stats describes the size of an FDD.
 type Stats struct {
@@ -258,34 +211,37 @@ type Stats struct {
 	Depth     int
 }
 
-// Stats computes size statistics in one traversal. Shared nodes (in
-// reduced, DAG-shaped FDDs) are counted once.
+// Stats computes size statistics in one walk. Shared nodes (in reduced,
+// DAG-shaped FDDs) are counted once, and each node's path count and
+// height are computed once, so a reduced diagram costs O(nodes + edges),
+// not O(paths).
 func (f *FDD) Stats() Stats {
 	var st Stats
-	seen := make(map[*Node]bool)
-	var walk func(n *Node, depth int) int
-	walk = func(n *Node, depth int) int {
-		if !seen[n] {
-			seen[n] = true
-			st.Nodes++
-			if n.IsTerminal() {
-				st.Terminals++
-			}
-			st.Edges += len(n.Edges)
+	type sub struct{ paths, height int }
+	memo := make(map[*Node]sub)
+	var walk func(n *Node) sub
+	walk = func(n *Node) sub {
+		if s, ok := memo[n]; ok {
+			return s
 		}
-		if depth > st.Depth {
-			st.Depth = depth
-		}
+		st.Nodes++
+		st.Edges += len(n.Edges)
+		s := sub{paths: 1}
 		if n.IsTerminal() {
-			return 1
+			st.Terminals++
+		} else {
+			s.paths = 0
+			for _, e := range n.Edges {
+				c := walk(e.To)
+				s.paths += c.paths
+				s.height = max(s.height, c.height+1)
+			}
 		}
-		paths := 0
-		for _, e := range n.Edges {
-			paths += walk(e.To, depth+1)
-		}
-		return paths
+		memo[n] = s
+		return s
 	}
-	st.Paths = walk(f.Root, 0)
+	root := walk(f.Root)
+	st.Paths, st.Depth = root.paths, root.height
 	return st
 }
 

@@ -1,6 +1,7 @@
 package fdd
 
 import (
+	"context"
 	"testing"
 
 	"diversefw/internal/field"
@@ -127,7 +128,7 @@ func TestConstructEffectiveFlags(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(2, 3), full}, Decision: rule.Discard}, // shadowed by rule 0
 		{Pred: rule.FullPredicate(s), Decision: rule.Discard},
 	})
-	_, eff, err := ConstructEffective(p)
+	_, eff, err := ConstructEffectiveContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

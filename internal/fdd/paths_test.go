@@ -60,9 +60,10 @@ func TestNumPathsMatchesRules(t *testing.T) {
 	}
 }
 
-// TestNumPathsDiamondChain counts a diagram of 41 nodes and 2^40 paths:
-// a chain of 40 two-way diamonds, each node's two edges rejoining at
-// the next node. Counting per path would take hours.
+// TestNumPathsDiamondChain counts a diagram of 41 nodes and 2^40 paths
+// with NumPaths and Stats: a chain of 40 two-way diamonds, each node's
+// two edges rejoining at the next node. Counting per path would take
+// hours.
 func TestNumPathsDiamondChain(t *testing.T) {
 	t.Parallel()
 	const depth = 40
@@ -85,5 +86,13 @@ func TestNumPathsDiamondChain(t *testing.T) {
 	}
 	if got != 1<<depth {
 		t.Fatalf("NumPaths = %d, want %d", got, 1<<depth)
+	}
+	start = time.Now()
+	st := f.Stats()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Stats took %v on %d nodes", elapsed, depth+1)
+	}
+	if st.Paths != got || st.Depth != depth || st.Nodes != depth+1 || st.Terminals != 1 || st.Edges != 2*depth {
+		t.Fatalf("Stats = %+v, want %d paths, depth %d, %d nodes, 1 terminal, %d edges", st, got, depth, depth+1, 2*depth)
 	}
 }

@@ -51,7 +51,7 @@ func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
 	if b.NumCheckpoints() != 0 {
 		t.Fatalf("trimmed builder keeps %d checkpoints", b.NumCheckpoints())
 	}
-	if nodes, _ := countGraph(root); b.StoreNodes() != nodes {
+	if nodes := (&FDD{Root: root}).Stats().Nodes; b.StoreNodes() != nodes {
 		t.Fatalf("trimmed store holds %d nodes, the diagram %d", b.StoreNodes(), nodes)
 	}
 	assertStoreIsReachable(t, b.core.in, b)

@@ -199,3 +199,18 @@ func FourTuple() *Schema {
 		Field{Name: "proto", Domain: interval.MustNew(0, maxProto), Kind: KindProto},
 	)
 }
+
+// SchemaByName resolves the schema names requests and journaled jobs
+// carry: "five" (the default, also meant by ""), "four" and "paper".
+func SchemaByName(name string) (*Schema, error) {
+	switch name {
+	case "", "five":
+		return IPv4FiveTuple(), nil
+	case "four":
+		return FourTuple(), nil
+	case "paper":
+		return PaperExample(), nil
+	default:
+		return nil, fmt.Errorf("unknown schema %q", name)
+	}
+}

@@ -81,7 +81,7 @@ func TestIncrementalDifferential(t *testing.T) {
 			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
 		}
 		resumed, st, rerr := base.Resume(context.Background(), after)
-		scratch, seff, serr := fdd.ConstructEffective(after)
+		scratch, seff, serr := fdd.ConstructEffectiveContext(context.Background(), after)
 		if (rerr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: resume err %v, scratch err %v (edits %v)", trial, rerr, serr, edits)
 		}
@@ -127,7 +127,7 @@ func TestTrimmedResumeDifferential(t *testing.T) {
 		}
 		want, wst, werr := kept.Resume(context.Background(), after)
 		got, st, gerr := trimmed.Resume(context.Background(), after)
-		scratch, seff, serr := fdd.ConstructEffective(after)
+		scratch, seff, serr := fdd.ConstructEffectiveContext(context.Background(), after)
 		if (gerr == nil) != (werr == nil) || (gerr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: trimmed resume err %v, untrimmed %v, scratch %v (edits %v)",
 				trial, gerr, werr, serr, edits)

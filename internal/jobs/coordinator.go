@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -27,7 +26,7 @@ type Recorder interface {
 }
 
 // Config configures a Coordinator. The zero value is usable: 4
-// workers, 15 minute retention, 256 stored jobs, in-memory store, no
+// workers, 15 minute retention, 256 stored jobs, no journal, no
 // instrumentation.
 type Config struct {
 	// Workers is the number of pair-comparison workers (default 4).
@@ -42,8 +41,10 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Traces, when non-nil, receives one trace per finished job.
 	Traces *trace.Buffer
-	// Store overrides the in-memory job store.
-	Store Store
+	// Store, when non-nil, journals every stored job's lifecycle: the
+	// coordinator adopts the jobs it replayed at construction and closes
+	// it in Close.
+	Store *JournalStore
 	// SLO, when non-nil, receives one observation per settled pair under
 	// target "job:<kind>" — OK pairs as status 200, errored pairs as 422;
 	// skipped pairs are not recorded (a cancel is not a failure).
@@ -58,16 +59,15 @@ type Config struct {
 	RetryBase time.Duration
 }
 
-// Coordinator owns the worker pool and the job store. Safe for
+// Coordinator owns the worker pool and the stored jobs. Safe for
 // concurrent use.
 type Coordinator struct {
-	eng   *engine.Engine
-	cfg   Config
-	store Store
-	// durable is non-nil when the store journals job lifecycle records
-	// (a JournalStore); the coordinator then emits settle/terminal
-	// records and adopts the store's recovered jobs at construction.
-	durable durableStore
+	eng  *engine.Engine
+	cfg  Config
+	jobs jobTable
+	// journal is cfg.Store: nil when jobs are not durable, else every
+	// stored job's submit, settle, terminal and delete records go to it.
+	journal *JournalStore
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -131,9 +131,6 @@ func New(eng *engine.Engine, cfg Config) *Coordinator {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 256
 	}
-	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
-	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 1
 	}
@@ -144,38 +141,41 @@ func New(eng *engine.Engine, cfg Config) *Coordinator {
 	c := &Coordinator{
 		eng:     eng,
 		cfg:     cfg,
-		store:   cfg.Store,
+		jobs:    jobTable{byID: make(map[string]*Job)},
+		journal: cfg.Store,
 		baseCtx: ctx,
 		stop:    stop,
 	}
 	if cfg.Metrics != nil {
 		c.inst = newInstruments(cfg.Metrics)
 	}
-	if ds, ok := cfg.Store.(durableStore); ok {
-		c.durable = ds
-		c.adoptRecovered(ds.takeRecovered())
+	if c.journal != nil {
+		c.adoptRecovered(c.journal.recovered)
+		c.journal.recovered = nil
 	}
 	return c
 }
 
-// Recovery returns the durable store's replay report, or nil when the
-// store is not journaled. Rendered by /healthz.
+// Recovery returns the journal's replay report, or nil when jobs are
+// not journaled. Rendered by /healthz.
 func (c *Coordinator) Recovery() *RecoveryReport {
-	if c.durable == nil {
+	if c.journal == nil {
 		return nil
 	}
-	return c.durable.recoveryReport()
+	r := c.journal.RecoveryReport()
+	return &r
 }
 
-// adoptRecovered attaches the runtime half (context, trace, done
-// channel) to jobs a JournalStore replayed, and re-enqueues the
-// unsettled pairs of the non-terminal ones. Settled pairs keep their
+// adoptRecovered stores the jobs a JournalStore replayed, attaches
+// their runtime half (context, trace, done channel), and re-enqueues
+// the unsettled pairs of the non-terminal ones. Settled pairs keep their
 // journaled results — the whole point of the journal is that a restart
 // never recomputes them — and the engine's content-addressed compile
 // cache makes the resumed pairs' recompiles cheap.
 func (c *Coordinator) adoptRecovered(recovered []*Job) {
 	resumed := 0
 	for _, j := range recovered {
+		c.jobs.put(j)
 		// A job whose pairs all settled before the crash but whose
 		// finalize record was lost completes here rather than hanging
 		// forever (no worker would ever settle its "last" pair again).
@@ -206,7 +206,7 @@ func (c *Coordinator) adoptRecovered(recovered []*Job) {
 	}
 	if c.inst != nil {
 		c.inst.recovered.Set(int64(len(recovered)))
-		c.inst.stored.Set(int64(c.store.Len()))
+		c.inst.stored.Set(int64(c.jobs.len()))
 	}
 	if resumed == 0 {
 		return
@@ -246,7 +246,7 @@ func (c *Coordinator) Submit(spec Spec) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	c.purgeExpired()
-	if c.store.Len() >= c.cfg.MaxJobs {
+	if c.jobs.len() >= c.cfg.MaxJobs {
 		return Snapshot{}, ErrTooManyJobs
 	}
 	j := c.newJob(c.baseCtx, spec)
@@ -255,11 +255,17 @@ func (c *Coordinator) Submit(spec Spec) (Snapshot, error) {
 	j.span.SetAttr("job.kind", string(spec.Kind))
 	j.span.SetAttr("job.policies", len(spec.Policies))
 	j.span.SetAttr("job.pairs", len(spec.Pairs))
-	c.store.Put(j)
+	// Journal before the job is visible: once it is in the table, a
+	// Cancel or Close may journal its terminal record, and the journal
+	// can apply that only after the submit.
+	if c.journal != nil {
+		c.journal.appendSubmit(j)
+	}
+	c.jobs.put(j)
 	if c.inst != nil {
 		c.inst.submitted.Inc()
 		c.inst.active.Inc()
-		c.inst.stored.Set(int64(c.store.Len()))
+		c.inst.stored.Set(int64(c.jobs.len()))
 	}
 	c.feed(j)
 	return c.snapshot(j), nil
@@ -410,7 +416,7 @@ func validateSpec(spec *Spec) error {
 // Get returns a job's current snapshot.
 func (c *Coordinator) Get(id string) (Snapshot, error) {
 	c.purgeExpired()
-	j, ok := c.store.Get(id)
+	j, ok := c.jobs.get(id)
 	if !ok {
 		return Snapshot{}, ErrNotFound
 	}
@@ -420,7 +426,7 @@ func (c *Coordinator) Get(id string) (Snapshot, error) {
 // List returns all stored jobs, newest first.
 func (c *Coordinator) List() []Snapshot {
 	c.purgeExpired()
-	js := c.store.List()
+	js := c.jobs.list()
 	snaps := make([]Snapshot, 0, len(js))
 	for _, j := range js {
 		snaps = append(snaps, c.snapshot(j))
@@ -431,7 +437,7 @@ func (c *Coordinator) List() []Snapshot {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (c *Coordinator) Done(id string) (<-chan struct{}, error) {
-	j, ok := c.store.Get(id)
+	j, ok := c.jobs.get(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -444,7 +450,7 @@ func (c *Coordinator) Done(id string) (<-chan struct{}, error) {
 // returns its snapshot.
 func (c *Coordinator) Cancel(id string) (Snapshot, error) {
 	c.purgeExpired()
-	j, ok := c.store.Get(id)
+	j, ok := c.jobs.get(id)
 	if !ok {
 		return Snapshot{}, ErrNotFound
 	}
@@ -463,7 +469,7 @@ func (c *Coordinator) Cancel(id string) (Snapshot, error) {
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		c.stop()
-		for _, j := range c.store.List() {
+		for _, j := range c.jobs.list() {
 			j.cancelFn()
 			j.mu.Lock()
 			if !j.state.Terminal() {
@@ -473,10 +479,10 @@ func (c *Coordinator) Close() {
 			j.mu.Unlock()
 		}
 		c.wg.Wait()
-		// The coordinator owns its store's lifecycle: a JournalStore
-		// flushes and closes its log once no worker can settle again.
-		if cl, ok := c.store.(io.Closer); ok {
-			cl.Close()
+		// The journal flushes and closes its log once no worker can
+		// settle again.
+		if c.journal != nil {
+			c.journal.Close()
 		}
 	})
 }
@@ -617,8 +623,8 @@ func (c *Coordinator) settle(j *Job, k int, status PairStatus, r *compare.Report
 			c.inst.quarantined.Inc()
 		}
 	}
-	if c.durable != nil && !j.run {
-		c.durable.appendSettle(j, k)
+	if c.journal != nil && !j.run {
+		c.journal.appendSettle(j, k)
 	}
 	if j.settled == len(j.pairs) && !j.state.Terminal() {
 		// A pair settles as skipped only once its job is dead, so a
@@ -690,8 +696,8 @@ func (c *Coordinator) finalizeLocked(j *Job, state State) {
 	if j.run {
 		return
 	}
-	if c.durable != nil {
-		c.durable.appendFinal(j, state, j.finished)
+	if c.journal != nil {
+		c.journal.appendFinal(j, state, j.finished)
 	}
 	j.span.SetAttr("job.state", string(state))
 	j.span.SetAttr("job.ok", j.ok)
@@ -714,17 +720,19 @@ func (c *Coordinator) finalizeLocked(j *Job, state State) {
 func (c *Coordinator) purgeExpired() {
 	cutoff := time.Now().Add(-c.cfg.Retention)
 	removed := false
-	for _, j := range c.store.List() {
+	for _, j := range c.jobs.list() {
 		j.mu.Lock()
 		expired := j.state.Terminal() && j.finished.Before(cutoff)
 		j.mu.Unlock()
-		if expired {
-			c.store.Delete(j.id)
+		if expired && c.jobs.remove(j.id) {
+			if c.journal != nil {
+				c.journal.appendDelete(j.id)
+			}
 			removed = true
 		}
 	}
 	if removed && c.inst != nil {
-		c.inst.stored.Set(int64(c.store.Len()))
+		c.inst.stored.Set(int64(c.jobs.len()))
 	}
 }
 

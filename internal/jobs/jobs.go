@@ -158,84 +158,65 @@ type Snapshot struct {
 // ErrNotFound reports an unknown or already-purged job ID.
 var ErrNotFound = errors.New("jobs: job not found")
 
-// ErrTooManyJobs reports that the store is at its MaxJobs cap.
+// ErrTooManyJobs reports that the coordinator holds MaxJobs jobs.
 var ErrTooManyJobs = errors.New("jobs: too many jobs")
 
-// Store holds jobs by ID. The coordinator mutates jobs in place after
-// Put, so a Store holds references, not copies; implementations only
-// need to make the map operations safe. The interface exists so the
-// in-memory store can be swapped (e.g. for a bounded-disk spill or a
-// shared store in a multi-process deployment) without touching the
-// coordinator.
-type Store interface {
-	// Put inserts a job. The ID is already set and unique.
-	Put(j *Job)
-	// Get returns the job with the given ID, or false.
-	Get(id string) (*Job, bool)
-	// Delete removes the job with the given ID (no-op when absent).
-	Delete(id string)
-	// List returns all jobs in insertion order.
-	List() []*Job
-	// Len returns the number of stored jobs.
-	Len() int
-}
-
-// memStore is the default Store: a mutex-guarded map plus insertion
-// order.
-type memStore struct {
+// jobTable is the coordinator's set of stored jobs: a mutex-guarded map
+// plus insertion order. It holds references; the coordinator mutates
+// jobs in place under their own mutexes.
+type jobTable struct {
 	mu    sync.Mutex
 	byID  map[string]*Job
 	order []string
 }
 
-// NewMemStore returns the default in-memory Store.
-func NewMemStore() Store {
-	return &memStore{byID: make(map[string]*Job)}
+func (t *jobTable) put(j *Job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.byID[j.id] = j
+	t.order = append(t.order, j.id)
 }
 
-func (s *memStore) Put(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byID[j.id] = j
-	s.order = append(s.order, j.id)
-}
-
-func (s *memStore) Get(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.byID[id]
+func (t *jobTable) get(id string) (*Job, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	j, ok := t.byID[id]
 	return j, ok
 }
 
-func (s *memStore) Delete(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byID[id]; !ok {
-		return
+// remove deletes the job with the given ID and reports whether it was
+// there, so concurrent purges journal one delete record between them.
+func (t *jobTable) remove(id string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.byID[id]; !ok {
+		return false
 	}
-	delete(s.byID, id)
-	for i, v := range s.order {
+	delete(t.byID, id)
+	for i, v := range t.order {
 		if v == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
+			t.order = append(t.order[:i], t.order[i+1:]...)
 			break
 		}
 	}
+	return true
 }
 
-func (s *memStore) List() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.byID[id])
+// list returns all jobs in insertion order.
+func (t *jobTable) list() []*Job {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*Job, 0, len(t.order))
+	for _, id := range t.order {
+		out = append(out, t.byID[id])
 	}
 	return out
 }
 
-func (s *memStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byID)
+func (t *jobTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byID)
 }
 
 // shard assigns a comparison pair to one of workers, given the content

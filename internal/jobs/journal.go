@@ -14,6 +14,7 @@ import (
 
 	"diversefw/internal/chaos"
 	"diversefw/internal/engine"
+	"diversefw/internal/field"
 )
 
 // FsyncPolicy is when the journal fsyncs its log file.
@@ -43,20 +44,21 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 }
 
 // JournalOptions configures a JournalStore. The zero value is usable:
-// batch fsync, 4 MiB compaction threshold, 100ms flush interval.
+// batch fsync, 4 MiB compaction threshold.
 type JournalOptions struct {
 	// Fsync is the log durability policy (default batch).
 	Fsync FsyncPolicy
 	// CompactBytes is the log size that triggers snapshot+compaction
 	// (default 4 MiB).
 	CompactBytes int64
-	// BatchInterval is the flush cadence under FsyncBatch (default
-	// 100ms — the usual group-commit territory: each fsync costs real
-	// kernel CPU that on a small host comes straight out of the worker
-	// budget, and a tenth of a second bounds the worst-case re-run
-	// window to a sliver of any real job's runtime).
-	BatchInterval time.Duration
 }
+
+// batchInterval is the flush cadence under FsyncBatch: the usual
+// group-commit territory. Each fsync costs real kernel CPU that on a
+// small host comes straight out of the worker budget, and a tenth of a
+// second bounds the worst-case re-run window to a sliver of any real
+// job's runtime.
+const batchInterval = 100 * time.Millisecond
 
 // RecoveryReport summarizes one journal replay: what was recovered,
 // what was resumed, and what the replay had to tolerate. Rendered in
@@ -95,17 +97,17 @@ const (
 	journalSnapName = "snapshot.json"
 )
 
-// JournalStore is the durable Store: the in-memory map the coordinator
-// reads through, plus an append-only journal of lifecycle records and a
-// compaction snapshot, so a restarted process rebuilds every job and
-// resumes the unfinished ones.
+// JournalStore records the coordinator's stored jobs: an append-only
+// journal of lifecycle records (submit, settle, cancel, finalize,
+// delete) plus a compaction snapshot, so a restarted process rebuilds
+// every job and resumes the unfinished ones. It holds no jobs itself;
+// the coordinator calls it as each lifecycle event happens.
 //
 // Journal failures degrade durability, never availability: if an append
 // or fsync fails (disk full, injected chaos), the record is counted and
 // dropped, the in-memory shadow stays correct, and the next compaction
 // rewrites the snapshot from the shadow — the job layer keeps serving.
 type JournalStore struct {
-	mem  *memStore
 	dir  string
 	opts JournalOptions
 
@@ -135,7 +137,9 @@ type JournalStore struct {
 	writeErrs atomic.Int64
 	syncErrs  atomic.Int64
 
-	report    RecoveryReport
+	report RecoveryReport
+	// recovered holds the replayed jobs until a coordinator adopts them
+	// in New.
 	recovered []*Job
 }
 
@@ -154,14 +158,10 @@ func OpenJournal(dir string, opts JournalOptions) (*JournalStore, error) {
 	if opts.CompactBytes <= 0 {
 		opts.CompactBytes = 4 << 20
 	}
-	if opts.BatchInterval <= 0 {
-		opts.BatchInterval = 100 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: journal dir: %w", err)
 	}
 	s := &JournalStore{
-		mem:  &memStore{byID: make(map[string]*Job)},
 		dir:  dir,
 		opts: opts,
 		sh:   newShadow(),
@@ -212,7 +212,6 @@ func OpenJournal(dir string, opts JournalOptions) (*JournalStore, error) {
 		if !j.state.Terminal() {
 			s.report.JobsResumed++
 		}
-		s.mem.Put(j)
 		s.recovered = append(s.recovered, j)
 	}
 	if opts.Fsync == FsyncBatch {
@@ -286,7 +285,7 @@ func (s *JournalStore) replay() error {
 // double-digit percent overhead on the crosscompare benchmark.
 func (s *JournalStore) flusher() {
 	defer close(s.flushDone)
-	t := time.NewTicker(s.opts.BatchInterval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -464,38 +463,17 @@ func (s *JournalStore) compactLocked() {
 	}
 }
 
-// Store interface: the in-memory map serves reads; Put and Delete also
-// journal.
-
-func (s *JournalStore) Put(j *Job) {
-	s.mem.Put(j)
-	// j is not yet shared with workers at Put time (Submit publishes it
-	// after), so its fields are safe to read without its mutex.
+// appendSubmit journals a newly submitted job. Called from Submit
+// before the job is stored or fed to workers, so its fields are safe to
+// read without its mutex.
+func (s *JournalStore) appendSubmit(j *Job) {
 	s.append(&record{Type: recSubmit, Job: j.id, Submit: specRecord(j.spec, j.created)})
 }
 
-func (s *JournalStore) Get(id string) (*Job, bool) { return s.mem.Get(id) }
-
-func (s *JournalStore) Delete(id string) {
-	if _, ok := s.mem.Get(id); !ok {
-		return
-	}
-	s.mem.Delete(id)
+// appendDelete journals a retention purge, so replay does not bring the
+// job back.
+func (s *JournalStore) appendDelete(id string) {
 	s.append(&record{Type: recDelete, Job: id})
-}
-
-func (s *JournalStore) List() []*Job { return s.mem.List() }
-
-func (s *JournalStore) Len() int { return s.mem.Len() }
-
-// durableStore is what the coordinator type-asserts its Store against
-// to emit lifecycle records and adopt recovered jobs.
-type durableStore interface {
-	Store
-	appendSettle(j *Job, k int)
-	appendFinal(j *Job, state State, at time.Time)
-	takeRecovered() []*Job
-	recoveryReport() *RecoveryReport
 }
 
 // appendSettle journals pair k's outcome. Called from settle with j.mu
@@ -513,7 +491,7 @@ func (s *JournalStore) appendSettle(j *Job, k int) {
 		sr.Err = pr.Err.Error()
 	}
 	if pr.Report != nil {
-		if schema, err := journalSchema(j.spec.SchemaName); err == nil {
+		if schema, err := field.SchemaByName(j.spec.SchemaName); err == nil {
 			sr.Report = encodeReport(schema, pr.Report)
 		}
 	}
@@ -529,18 +507,6 @@ func (s *JournalStore) appendFinal(j *Job, state State, at time.Time) {
 		typ = recCancel
 	}
 	s.append(&record{Type: typ, Job: j.id, State: string(state), AtNanos: at.UnixNano()})
-}
-
-// takeRecovered hands the replayed jobs to the coordinator, once.
-func (s *JournalStore) takeRecovered() []*Job {
-	out := s.recovered
-	s.recovered = nil
-	return out
-}
-
-func (s *JournalStore) recoveryReport() *RecoveryReport {
-	r := s.report
-	return &r
 }
 
 // RecoveryReport returns what this store's open-time replay recovered

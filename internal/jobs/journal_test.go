@@ -307,12 +307,13 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("log size after compaction = %d", fi.Size())
 	}
 	st2 := openTestJournal(t, dir)
-	defer st2.Close()
 	rep := st2.RecoveryReport()
 	if !rep.SnapshotLoaded || rep.JobsRecovered != 1 || rep.PairsRestored != 3 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if _, ok := st2.Get(snap.ID); !ok {
+	c2 := New(engine.New(engine.Config{}), Config{Workers: 2, Store: st2})
+	defer c2.Close()
+	if _, err := c2.Get(snap.ID); err != nil {
 		t.Fatal("job missing after snapshot-only recovery")
 	}
 }
@@ -331,7 +332,7 @@ func TestJournalDeleteRecordStopsResurrection(t *testing.T) {
 	waitJob(t, c, snap.ID)
 	time.Sleep(5 * time.Millisecond)
 	c.List() // triggers the lazy purge past retention
-	if _, ok := st.Get(snap.ID); ok {
+	if _, err := c.Get(snap.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatal("job not purged")
 	}
 	c.Close()
@@ -478,7 +479,9 @@ func TestJournalCorruptionFixtures(t *testing.T) {
 	if rep.UnknownRecordsSkipped != 1 || rep.PairsRestored != 3 {
 		t.Fatalf("unknown-type: %+v", rep)
 	}
-	if j, ok := s.Get("fix-1"); !ok || j.pairs[1].Attempts != 3 || !j.pairs[1].Quarantined {
+	c := New(engine.New(engine.Config{}), Config{Workers: 1, Store: s})
+	defer c.Close()
+	if got, err := c.Get("fix-1"); err != nil || got.Pairs[1].Attempts != 3 || !got.Pairs[1].Quarantined {
 		t.Fatalf("quarantine flags lost in replay")
 	}
 }

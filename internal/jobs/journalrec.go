@@ -92,21 +92,6 @@ type discrepancyRecord struct {
 	B    string   `json:"b"`
 }
 
-// journalSchema resolves the schema names jobs are submitted with (the
-// same set the API accepts; empty means the API default).
-func journalSchema(name string) (*field.Schema, error) {
-	switch name {
-	case "", "five":
-		return field.IPv4FiveTuple(), nil
-	case "four":
-		return field.FourTuple(), nil
-	case "paper":
-		return field.PaperExample(), nil
-	default:
-		return nil, fmt.Errorf("jobs: unknown schema %q in journal", name)
-	}
-}
-
 // encodeReport renders a compare.Report for the journal. Timing is not
 // persisted: it described a run of a process that no longer exists.
 func encodeReport(schema *field.Schema, r *compare.Report) *reportRecord {
@@ -345,9 +330,9 @@ type snapshotFile struct {
 // trace, or done channel — the coordinator attaches those when it
 // adopts recovered jobs (New → adoptRecovered).
 func materialize(st *jobState) (*Job, error) {
-	schema, err := journalSchema(st.Submit.Schema)
+	schema, err := field.SchemaByName(st.Submit.Schema)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jobs: %w in journal", err)
 	}
 	kind := Kind(st.Submit.Kind)
 	if kind != KindCrossCompare && kind != KindBatchDiff {

@@ -27,9 +27,10 @@ import (
 
 // Effective reports, for each rule, whether some packet's first match is
 // that rule. effective[i] == false means rule i is upward redundant and
-// always safe to delete. The policy must be comprehensive.
-func Effective(p *rule.Policy) ([]bool, error) {
-	_, eff, err := fdd.ConstructEffective(p)
+// always safe to delete. The policy must be comprehensive. The
+// construction stops once ctx is done, returning its error (wrapped).
+func Effective(ctx context.Context, p *rule.Policy) ([]bool, error) {
+	_, eff, err := fdd.ConstructEffectiveContext(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -64,12 +65,14 @@ func IsRedundant(p *rule.Policy, i int) (bool, error) {
 // the redundancy of another, e.g. two identical rules are each redundant
 // but only one may go).
 //
-// The complete check runs once per candidate rule, and RemoveAll polls
-// ctx before each one, returning ctx.Err() (wrapped) once it is done.
-// When ctx carries a trace, the removal is one "redundancy" span with
-// the candidates checked and the rules removed.
+// The first pass's construction runs under ctx, and the complete check
+// runs once per candidate rule, RemoveAll polling ctx before each one;
+// either returns ctx.Err() (wrapped) once it is done. When ctx carries a
+// trace, the removal is one "redundancy" span with the candidates
+// checked and the rules removed, holding the first pass's "construct"
+// span and no per-candidate spans.
 func RemoveAll(ctx context.Context, p *rule.Policy) (*rule.Policy, []int, error) {
-	_, sp := trace.Start(ctx, "redundancy")
+	ctx, sp := trace.Start(ctx, "redundancy")
 	defer sp.End()
 	// Track original indices through removals.
 	origIdx := make([]int, p.Size())
@@ -91,7 +94,7 @@ func RemoveAll(ctx context.Context, p *rule.Policy) (*rule.Policy, []int, error)
 	}
 
 	// Pass 1: upward redundancy, cheap and batched.
-	eff, err := Effective(cur)
+	eff, err := Effective(ctx, cur)
 	if err != nil {
 		return nil, nil, err
 	}

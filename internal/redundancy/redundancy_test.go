@@ -34,7 +34,7 @@ func TestEffectiveDetectsShadowedRules(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(10, 20)}, Decision: rule.Discard}, // fully shadowed
 		rule.CatchAll(s, rule.Discard),
 	})
-	eff, err := Effective(p)
+	eff, err := Effective(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +215,9 @@ func TestRemoveAllResultIsIrredundant(t *testing.T) {
 	}
 }
 
-// TestRemoveAllCancelAndSpan: RemoveAll stops at its first candidate
-// once ctx is done, and a traced removal is one "redundancy" span with
-// its counts and no per-candidate diff spans under it.
+// TestRemoveAllCancelAndSpan: RemoveAll stops once ctx is done, and a
+// traced removal is one "redundancy" span with its counts, holding the
+// upward pass's one construction and no per-candidate spans.
 func TestRemoveAllCancelAndSpan(t *testing.T) {
 	t.Parallel()
 	s := schema1()
@@ -243,8 +243,8 @@ func TestRemoveAllCancelAndSpan(t *testing.T) {
 		t.Fatalf("want one redundancy span, got %+v", root.Children)
 	}
 	sp := root.Children[0]
-	if len(sp.Children) != 0 {
-		t.Fatalf("redundancy span has children: %+v", sp.Children)
+	if len(sp.Children) != 1 || sp.Children[0].Name != "construct" || sp.Children[0].Attrs["rules"] != p.Size() {
+		t.Fatalf("redundancy span children = %+v, want only the upward pass's construct of %d rules", sp.Children, p.Size())
 	}
 	// Rule 1 goes in the upward pass; rules 2 and 0 are each checked and
 	// removed, and the fixpoint's last pass checks nothing new.

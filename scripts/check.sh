@@ -115,6 +115,14 @@ go test -run=NONE -fuzz='^FuzzMergeRowsMatchesReference$' -fuzztime=1x ./interna
 # property on every gate too.
 go test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=1x ./internal/jobs/
 
+# The coordinator owns its job table and calls the journal directly
+# (lock order: a job's mutex, then the journal's, then its file lock),
+# so the journal, retention-purge, Close and Run tests rerun uncached
+# under the race detector: a lock taken out of order or a record
+# appended after Close must fail here rather than hide behind a cached
+# "ok".
+go test -race -count=1 -run 'Journal|Retention|Close|Run' ./internal/jobs/
+
 # The crash-restart test SIGKILLs a journaled server mid-job and
 # asserts the restarted process resumes without recomputing or
 # double-settling pairs. It reruns uncached under the race detector:
