@@ -278,7 +278,11 @@ func BenchmarkRedundancyRemoval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := redundancy.RemoveAll(context.Background(), p); err != nil {
+		bld, err := fdd.NewBuilder(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := redundancy.RemoveAll(context.Background(), bld); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 
 	"diversefw/internal/anomaly"
 	"diversefw/internal/cli"
+	"diversefw/internal/fdd"
 	"diversefw/internal/redundancy"
 	"diversefw/internal/rule"
 )
@@ -70,11 +71,13 @@ func run() int {
 		findings += len(anomalies)
 	}
 
-	shadowed, err := anomaly.CompletelyShadowed(context.Background(), p)
+	// One construction serves both exact checks.
+	b, err := fdd.NewBuilder(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fwaudit:", err)
 		return 2
 	}
+	shadowed := anomaly.CompletelyShadowed(b.Effective())
 	if len(shadowed) > 0 {
 		fmt.Printf("rules that are never a first match (%d):\n", len(shadowed))
 		for _, i := range shadowed {
@@ -84,7 +87,7 @@ func run() int {
 	}
 
 	if *complete {
-		compacted, removed, err := redundancy.RemoveAll(context.Background(), p)
+		compacted, removed, err := redundancy.RemoveAll(context.Background(), b)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fwaudit:", err)
 			return 2

@@ -121,7 +121,12 @@ func run() int {
 	}
 	genSpan.SetAttr("rules", out.Size())
 	if *compact {
-		compacted, removed, err := redundancy.RemoveAll(context.Background(), out)
+		b, err := fdd.NewBuilder(out)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fwcompile:", err)
+			return 2
+		}
+		compacted, removed, err := redundancy.RemoveAll(context.Background(), b)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fwcompile:", err)
 			return 2

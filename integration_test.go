@@ -12,6 +12,7 @@ import (
 	"diversefw/internal/backtoback"
 	"diversefw/internal/compare"
 	"diversefw/internal/core"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/impact"
 	"diversefw/internal/packet"
@@ -211,7 +212,11 @@ func TestBaselinesAgreeOnEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted, removed, err := redundancy.RemoveAll(context.Background(), dup)
+	bld, err := fdd.NewBuilder(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, removed, err := redundancy.RemoveAll(context.Background(), bld)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,8 @@
 package anomaly
 
 import (
-	"context"
 	"fmt"
 
-	"diversefw/internal/redundancy"
 	"diversefw/internal/rule"
 )
 
@@ -152,18 +150,14 @@ func Detect(p *rule.Policy) []Anomaly {
 
 // CompletelyShadowed returns the indices of rules that are never a first
 // match — shadowing by the *union* of earlier rules, which pairwise
-// analysis cannot see. It is exact (a byproduct of FDD construction),
-// and the construction stops once ctx is done.
-func CompletelyShadowed(ctx context.Context, p *rule.Policy) ([]int, error) {
-	eff, err := redundancy.Effective(ctx, p)
-	if err != nil {
-		return nil, err
-	}
+// analysis cannot see. It is exact: effective is the per-rule bit FDD
+// construction reports (fdd.Builder.Effective), false for such a rule.
+func CompletelyShadowed(effective []bool) []int {
 	var out []int
-	for i, e := range eff {
+	for i, e := range effective {
 		if !e {
 			out = append(out, i)
 		}
 	}
-	return out, nil
+	return out
 }

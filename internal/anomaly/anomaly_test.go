@@ -1,9 +1,9 @@
 package anomaly
 
 import (
-	"context"
 	"testing"
 
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/paper"
@@ -171,10 +171,11 @@ func TestUnionShadowingNeedsCompleteCheck(t *testing.T) {
 			t.Fatalf("pairwise analysis should not see union shadowing: %v", a)
 		}
 	}
-	shadowed, err := CompletelyShadowed(context.Background(), p)
+	b, err := fdd.NewBuilder(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shadowed := CompletelyShadowed(b.Effective())
 	if len(shadowed) != 1 || shadowed[0] != 2 {
 		t.Fatalf("complete check should find rule 3 shadowed, got %v", shadowed)
 	}

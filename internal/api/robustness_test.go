@@ -222,6 +222,37 @@ func TestWorstCasePolicyReturns422(t *testing.T) {
 	}
 }
 
+// TestAnalysesOverBudgetReturn422: the single-policy analyses and
+// resolution compile their received policies through the engine, so the
+// work budget bounds them as it bounds /v1/diff: a policy in the
+// exponential regime is a typed 422 policy_too_complex on every one of
+// them, and nothing from the aborted flights is cached.
+func TestAnalysesOverBudgetReturn422(t *testing.T) {
+	const budget = 50_000 // Adversarial(48) needs ~2.8e5 nodes
+	eng := engine.New(engine.Config{Limits: guard.Limits{MaxFDDNodes: budget, MaxEdgeSplits: budget}})
+	srv := NewServer(WithEngine(eng))
+	bomb := jsonString(rule.FormatPolicy(synth.Adversarial(48)))
+	for path, body := range map[string]string{
+		"/v1/audit":   `{"schema":"five","policy":` + bomb + `}`,
+		"/v1/analyze": `{"schema":"five","policy":` + bomb + `}`,
+		"/v1/query":   `{"schema":"five","policy":` + bomb + `,"query":"select dport decision accept"}`,
+		"/v1/resolve": `{"schema":"five","a":` + bomb + `,"b":` + jsonString(fiveB) + `}`,
+	} {
+		rec := post(srv, path, body)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422\n%.300s", path, rec.Code, rec.Body.String())
+		}
+		if e := errorBody(t, rec); e.Err.Code != CodePolicyTooComplex {
+			t.Fatalf("%s: code = %q, want %q", path, e.Err.Code, CodePolicyTooComplex)
+		}
+	}
+	// /v1/resolve compiled fiveB too; the adversarial policy left nothing.
+	if s := eng.Stats(); s.Compile.Entries != 1 || s.Reports.Entries != 0 {
+		t.Fatalf("caches retain compile=%d reports=%d; aborted flights must not be cached",
+			s.Compile.Entries, s.Reports.Entries)
+	}
+}
+
 // TestShedRequestsEchoIdentityAndCount: a shed request must still echo
 // X-Request-ID and X-Trace-ID, carry Retry-After, and land in the
 // per-endpoint request counters.

@@ -596,7 +596,7 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	findings, err := policyFindings(r.Context(), p, req.Complete)
+	findings, err := s.policyFindings(r.Context(), p, req.Complete)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
@@ -607,16 +607,18 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 // policyFindings runs the single-policy checks /v1/audit and /v1/analyze
 // share: the pairwise anomaly taxonomy, then the exact FDD-based
 // never-first-match check and, when redundant is set, semantic
-// redundancy, which stops once ctx is done. Its errors are pipeline
-// errors (a non-comprehensive policy has no FDD, a dead request has no
-// time), for writeAnalysisError.
-func policyFindings(ctx context.Context, p *rule.Policy, redundant bool) ([]Finding, error) {
-	findings := ConvertAnomalies(p, anomaly.Detect(p))
-	shadowed, err := anomaly.CompletelyShadowed(ctx, p)
+// redundancy, which stops once ctx is done. Both exact checks read the
+// policy's one compilation (engine.Compile: cached, coalesced,
+// budgeted), which they never modify. Its errors are pipeline errors (a
+// non-comprehensive policy has no FDD, a policy past the work budget is
+// too complex, a dead request has no time), for writeAnalysisError.
+func (s *Server) policyFindings(ctx context.Context, p *rule.Policy, redundant bool) ([]Finding, error) {
+	c, _, err := s.eng.Compile(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range shadowed {
+	findings := ConvertAnomalies(p, anomaly.Detect(p))
+	for _, i := range anomaly.CompletelyShadowed(c.Builder.Effective()) {
 		findings = append(findings, Finding{
 			Kind:   "never-first-match",
 			Rules:  []int{i + 1},
@@ -626,7 +628,7 @@ func policyFindings(ctx context.Context, p *rule.Policy, redundant bool) ([]Find
 	if !redundant {
 		return findings, nil
 	}
-	_, removed, err := redundancy.RemoveAll(ctx, p)
+	_, removed, err := redundancy.RemoveAll(ctx, c.Builder)
 	if err != nil {
 		return nil, err
 	}
@@ -678,7 +680,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = frontend.DefaultFormat
 	}
-	findings, err := policyFindings(r.Context(), p, true)
+	findings, err := s.policyFindings(r.Context(), p, true)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
@@ -743,7 +745,12 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	result, err := query.RunPolicy(p, q)
+	c, _, err := s.eng.Compile(r.Context(), p)
+	if err != nil {
+		writeAnalysisError(w, err)
+		return
+	}
+	result, err := query.Run(c.FDD, q)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
@@ -814,7 +821,19 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 	if !stats.ReportCached {
 		s.observeTiming(report.Timing)
 	}
-	plan := resolve.NewPlanFromReport(pa, pb, report)
+	// Method 1 works from the two diagrams the report compares. The diff
+	// just compiled both, so these lookups hit the compile cache.
+	ca, _, err := s.eng.Compile(r.Context(), pa)
+	if err != nil {
+		writeAnalysisError(w, err)
+		return
+	}
+	cb, _, err := s.eng.Compile(r.Context(), pb)
+	if err != nil {
+		writeAnalysisError(w, err)
+		return
+	}
+	plan := resolve.NewPlanFromReport(pa, pb, ca.FDD, cb.FDD, report)
 	for row, dec := range decisions {
 		if err := plan.Resolve(row-1, dec); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, err)

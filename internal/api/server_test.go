@@ -470,6 +470,17 @@ func TestQueryEndpoint(t *testing.T) {
 	if code := do(t, srv, "/v1/query", QueryRequest{Schema: "paper", Policy: in(teamB), Query: "zork"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad query: status = %d", code)
 	}
+
+	// An empty where clause is a parse error, not a panic.
+	for _, q := range []string{"select N where decision accept", "select nosuch where decision accept"} {
+		rec := doRec(t, srv, "/v1/query", QueryRequest{Schema: "paper", Policy: in(teamB), Query: q})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%q: status = %d, want 400\n%s", q, rec.Code, rec.Body.String())
+		}
+		if e := errorBody(t, rec); e.Err.Code != CodeBadRequest {
+			t.Fatalf("%q: code = %q, want %q", q, e.Err.Code, CodeBadRequest)
+		}
+	}
 }
 
 // in wraps native policy text as a PolicyInput, the way a bare-string

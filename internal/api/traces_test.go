@@ -1,13 +1,21 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"diversefw/internal/compare"
 	"diversefw/internal/metrics"
+	"diversefw/internal/resolve"
+	"diversefw/internal/rule"
+	"diversefw/internal/synth"
 	"diversefw/internal/trace"
 )
 
@@ -323,5 +331,166 @@ func TestUntracedEndpointsStayOut(t *testing.T) {
 	}
 	if snap.Observed != 0 {
 		t.Fatalf("non-/v1 endpoints were traced: observed = %d", snap.Observed)
+	}
+}
+
+// constructAncestors returns, for every "construct" span under root, the
+// names of its ancestors, outermost first.
+func constructAncestors(root trace.SpanRecord) [][]string {
+	var out [][]string
+	var walk func(r trace.SpanRecord, path []string)
+	walk = func(r trace.SpanRecord, path []string) {
+		if r.Name == "construct" {
+			out = append(out, append([]string(nil), path...))
+		}
+		for _, c := range r.Children {
+			walk(c, append(path, r.Name))
+		}
+	}
+	walk(root, nil)
+	return out
+}
+
+// tracedRoot returns the root span of the trace rec's response names.
+func tracedRoot(t *testing.T, srv http.Handler, rec *httptest.ResponseRecorder) trace.SpanRecord {
+	t.Helper()
+	id := rec.Header().Get("X-Trace-ID")
+	var snap trace.Snapshot
+	if err := json.Unmarshal(getTraces(t, srv, "").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range snap.Recent {
+		if r.TraceID == id {
+			return r.Root
+		}
+	}
+	t.Fatalf("trace %s not retained", id)
+	return trace.SpanRecord{}
+}
+
+// TestServedAnalysesReuseCompilation: every served analysis takes its
+// received policies' diagrams from the engine's one compilation. A first
+// /v1/analyze constructs the policy once, under "compile"; /v1/audit and
+// /v1/query of the same policy construct nothing and compile nothing
+// more; a Method 1 /v1/resolve after a /v1/diff of its pair constructs
+// only inside its verification and returns the library's Method 1
+// firewall; and the resolve leaves the cached diagrams as they were, so
+// the pair diffs to the same rows afterwards.
+func TestServedAnalysesReuseCompilation(t *testing.T) {
+	t.Parallel()
+	srv := NewServer()
+	pa := synth.RealLife(661, 1)
+	pb, _ := synth.Perturb(pa, 1, 2)
+	a, b := rule.FormatPolicy(pa), rule.FormatPolicy(pb)
+
+	rec := doRec(t, srv, "/v1/analyze", AnalyzeRequest{Schema: "five", Policy: in(a)})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("analyze: status %d\n%.300s", rec.Code, rec.Body.String())
+	}
+	cons := constructAncestors(tracedRoot(t, srv, rec))
+	if len(cons) != 1 || !slices.Contains(cons[0], "compile") {
+		t.Fatalf("analyze construct spans (ancestors) = %v, want one under compile", cons)
+	}
+	compilations := srv.Engine().Stats().Compilations
+	for path, body := range map[string]any{
+		"/v1/audit": AuditRequest{Schema: "five", Policy: in(a), Complete: true},
+		"/v1/query": QueryRequest{Schema: "five", Policy: in(a), Query: "select dport decision accept"},
+	} {
+		rec := doRec(t, srv, path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d\n%.300s", path, rec.Code, rec.Body.String())
+		}
+		if cons := constructAncestors(tracedRoot(t, srv, rec)); len(cons) != 0 {
+			t.Fatalf("%s construct spans (ancestors) = %v, want none", path, cons)
+		}
+	}
+	if got := srv.Engine().Stats().Compilations; got != compilations {
+		t.Fatalf("compilations went from %d to %d across audit and query", compilations, got)
+	}
+
+	diff := func() DiffResponse {
+		t.Helper()
+		rec := doRec(t, srv, "/v1/diff", DiffRequest{Schema: "five", A: in(a), B: in(b)})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("diff: status %d\n%.300s", rec.Code, rec.Body.String())
+		}
+		var resp DiffResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	before := diff()
+	if len(before.Discrepancies) == 0 {
+		t.Fatal("perturbed pair diffs equivalent; the resolve below would check nothing")
+	}
+	decisions := make(map[string]string, len(before.Discrepancies))
+	for i, d := range before.Discrepancies {
+		decisions[strconv.Itoa(i+1)] = d.B
+	}
+	rec = doRec(t, srv, "/v1/resolve", ResolveRequest{Schema: "five", A: in(a), B: in(b), Decisions: decisions})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("resolve: status %d\n%.300s", rec.Code, rec.Body.String())
+	}
+	// The compiled diagrams yield the firewall the library's own
+	// constructions do.
+	var served ResolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := resolve.NewPlan(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range plan.Report.Discrepancies {
+		if err := plan.Resolve(i, d.B); err != nil {
+			t.Fatal(err)
+		}
+	}
+	final, err := plan.Method1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rule.FormatPolicy(final); served.Policy != got {
+		t.Fatalf("served Method 1 firewall (%d bytes) differs from the library's (%d bytes)", len(served.Policy), len(got))
+	}
+	cons = constructAncestors(tracedRoot(t, srv, rec))
+	if len(cons) == 0 {
+		t.Fatal("resolve has no construct span; its verification constructs both sides")
+	}
+	for _, path := range cons {
+		if !slices.Contains(path, "resolve-verify") {
+			t.Fatalf("resolve construct span outside resolve-verify: ancestors %v", path)
+		}
+	}
+
+	// Method 1 shaped copies: the cached diagrams still diff to the rows
+	// the report cache holds for them.
+	after := diff()
+	if !reflect.DeepEqual(after.Discrepancies, before.Discrepancies) {
+		t.Fatalf("diff rows changed across resolve: %d rows before, %d after", len(before.Discrepancies), len(after.Discrepancies))
+	}
+	ctx := context.Background()
+	ca, hitA, err := srv.Engine().Compile(ctx, pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, hitB, err := srv.Engine().Compile(ctx, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hitA || !hitB {
+		t.Fatalf("compile cache hits a=%v b=%v; the pair must still be cached", hitA, hitB)
+	}
+	cached, hit, err := srv.Engine().Diff(ctx, ca, cb)
+	if err != nil || !hit {
+		t.Fatalf("cached report: hit %v, err %v", hit, err)
+	}
+	fresh, err := compare.DiffFDDsDirectContext(ctx, ca.FDD, cb.FDD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Discrepancies, cached.Discrepancies) {
+		t.Fatalf("cached diagrams now diff to %d rows, the cached report holds %d", len(fresh.Discrepancies), len(cached.Discrepancies))
 	}
 }

@@ -5,7 +5,6 @@ package cli
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"diversefw/internal/field"
@@ -13,30 +12,17 @@ import (
 	"diversefw/internal/rule"
 )
 
-// schemas maps the names accepted by the tools' -schema flag.
-var schemas = map[string]func() *field.Schema{
-	"five":  field.IPv4FiveTuple,
-	"four":  field.FourTuple,
-	"paper": field.PaperExample,
-}
-
 // SchemaNames lists the accepted -schema values.
-func SchemaNames() string {
-	names := make([]string, 0, len(schemas))
-	for n := range schemas {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
+func SchemaNames() string { return "five, four, paper" }
 
-// Schema resolves a -schema flag value.
+// Schema resolves a -schema flag value, case-insensitively, through the
+// server's schema registry. Unlike a request, a flag may not be empty.
 func Schema(name string) (*field.Schema, error) {
-	mk, ok := schemas[strings.ToLower(name)]
-	if !ok {
+	s, err := field.SchemaByName(strings.ToLower(name))
+	if err != nil || name == "" {
 		return nil, fmt.Errorf("unknown schema %q (have: %s)", name, SchemaNames())
 	}
-	return mk(), nil
+	return s, nil
 }
 
 // LoadPolicy reads a policy file in the rule text format.
@@ -80,17 +66,4 @@ func LoadPolicyFormat(schema *field.Schema, path, format, chain string) (*rule.P
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return p, nil
-}
-
-// SavePolicy writes a policy file in the rule text format.
-func SavePolicy(path string, p *rule.Policy) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rule.WritePolicy(f, p); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

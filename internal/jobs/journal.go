@@ -133,6 +133,7 @@ type JournalStore struct {
 
 	flushStop chan struct{}
 	flushDone chan struct{}
+	stopOnce  sync.Once
 
 	writeErrs atomic.Int64
 	syncErrs  atomic.Int64
@@ -333,10 +334,11 @@ func (s *JournalStore) writeFrames(buf []byte, recs int) {
 }
 
 // Close flushes and closes the log. The coordinator calls it from
-// Coordinator.Close after the workers have drained.
+// Coordinator.Close after the workers have drained. Closing twice is a
+// no-op, in every fsync policy.
 func (s *JournalStore) Close() error {
 	if s.flushStop != nil {
-		close(s.flushStop)
+		s.stopOnce.Do(func() { close(s.flushStop) })
 		<-s.flushDone
 	}
 	s.jmu.Lock()

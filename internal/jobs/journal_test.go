@@ -140,6 +140,32 @@ func countPairFires(t *testing.T) *atomic.Int64 {
 	return &fires
 }
 
+// TestJournalCloseTwiceBatch: a batch-mode journal closes idempotently,
+// whether the caller closes it twice or the coordinator closes it first
+// and the caller's own deferred Close follows.
+func TestJournalCloseTwiceBatch(t *testing.T) {
+	st, err := OpenJournal(t.TempDir(), JournalOptions{Fsync: FsyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	st, err = OpenJournal(t.TempDir(), JournalOptions{Fsync: FsyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(engine.New(engine.Config{}), Config{Workers: 1, Store: st})
+	c.Close()
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close after Coordinator.Close: %v", err)
+	}
+}
+
 // TestJournalResumeSkipsSettledPairs is the core durability property: a
 // journal holding a submit and one settled pair resumes with exactly
 // the unsettled pairs executed — the settled pair's journaled result is

@@ -175,8 +175,7 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // Gauge is a value that can go up and down.
 type Gauge struct {
 	family
-	labels string // rendered {k="v",...} suffix, empty for plain gauges
-	v      atomic.Int64
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -193,7 +192,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) render(w io.Writer) {
 	g.header(w)
-	fmt.Fprintf(w, "%s%s %d\n", g.fname, g.labels, g.v.Load())
+	fmt.Fprintf(w, "%s %d\n", g.fname, g.v.Load())
 }
 
 // NewGauge registers a gauge.
@@ -404,39 +403,6 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 		labelNames: labelNames,
 		children:   make(map[string]*Counter),
 		make:       func(labels string) *Counter { return &Counter{family: f, labels: labels} },
-	}}
-	r.register(v)
-	return v
-}
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct {
-	vec[Gauge]
-}
-
-// With returns the child gauge for the label values, creating it on
-// first use. Values must match the registered label names positionally.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values...) }
-
-func (v *GaugeVec) render(w io.Writer) {
-	children := v.sortedChildren()
-	if len(children) == 0 {
-		return
-	}
-	v.header(w)
-	for _, g := range children {
-		fmt.Fprintf(w, "%s%s %d\n", g.fname, g.labels, g.v.Load())
-	}
-}
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	f := family{name, help, "gauge"}
-	v := &GaugeVec{vec[Gauge]{
-		family:     f,
-		labelNames: labelNames,
-		children:   make(map[string]*Gauge),
-		make:       func(labels string) *Gauge { return &Gauge{family: f, labels: labels} },
 	}}
 	r.register(v)
 	return v

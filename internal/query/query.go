@@ -157,23 +157,27 @@ func VerifyPolicy(p *rule.Policy, pred rule.Predicate, want rule.Decision) (*Wit
 //	select <field> [where <conjuncts>] decision <dec>
 //
 // where <conjuncts> uses the rule text syntax ("src in 10.0.0.0/8 &&
-// dport in 25"); omitting the where clause means all packets.
+// dport in 25"); omitting the where clause means all packets, and a
+// where clause with no conjuncts is an error. Keywords match
+// case-insensitively.
 func Parse(schema *field.Schema, text string) (Query, error) {
-	lower := strings.ToLower(text)
-	if !strings.HasPrefix(lower, "select ") {
+	if !strings.HasPrefix(asciiLower(text), "select ") {
 		return Query{}, fmt.Errorf("query: must start with 'select'")
 	}
 	rest := strings.TrimSpace(text[len("select "):])
-	wherePos := strings.Index(strings.ToLower(rest), " where ")
-	decPos := strings.LastIndex(strings.ToLower(rest), " decision ")
+	lower := asciiLower(rest)
+	decPos := strings.LastIndex(lower, " decision ")
 	if decPos < 0 {
 		return Query{}, fmt.Errorf("query: missing 'decision'")
 	}
 	fieldName := strings.TrimSpace(rest[:decPos])
 	whereText := "any"
-	if wherePos >= 0 && wherePos < decPos {
+	// The " where " marker may end on the space that opens " decision ",
+	// so it is searched up to and including that space.
+	wherePos := strings.Index(lower[:decPos+1], " where ")
+	if wherePos >= 0 {
 		fieldName = strings.TrimSpace(rest[:wherePos])
-		whereText = strings.TrimSpace(rest[wherePos+len(" where ") : decPos])
+		whereText = strings.TrimSpace(rest[min(wherePos+len(" where "), decPos):decPos])
 	}
 	decText := strings.TrimSpace(rest[decPos+len(" decision "):])
 
@@ -185,10 +189,26 @@ func Parse(schema *field.Schema, text string) (Query, error) {
 	if err != nil {
 		return Query{}, err
 	}
+	if whereText == "" {
+		return Query{}, fmt.Errorf("query: empty where clause")
+	}
 	// The where clause is exactly a rule predicate; reuse the rule parser.
 	cond, err := rule.ParseRule(schema, whereText+" -> accept")
 	if err != nil {
 		return Query{}, err
 	}
 	return Query{Select: sel, Where: cond.Pred, Decision: dec}, nil
+}
+
+// asciiLower lowercases ASCII letters only, so every byte offset into
+// the result is an offset into s (strings.ToLower may change the length
+// of non-ASCII text).
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }

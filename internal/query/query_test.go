@@ -1,9 +1,11 @@
 package query
 
 import (
+	"strings"
 	"testing"
 
 	"diversefw/internal/fdd"
+	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/packet"
 	"diversefw/internal/paper"
@@ -219,6 +221,13 @@ func TestParse(t *testing.T) {
 		"select bogus decision accept",   // unknown field
 		"select N decision fly",          // unknown decision
 		"select N where Z in 0 decision accept",
+		"select N where decision accept",     // empty where clause
+		"select bogus where decision accept", // unknown field, empty where
+		"select N where   decision accept",   // blank where clause
+		"select N where  decision accept",    // markers one space apart
+		// Invalid UTF-8, which strings.ToLower lengthens: keyword offsets
+		// must stay offsets into the text.
+		"select \xff\xff\xff\xff\xff\xff\xff\xff decision accept",
 	} {
 		if _, err := Parse(s, bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
@@ -241,4 +250,54 @@ func TestParsedQueryEndToEnd(t *testing.T) {
 	if !got.Equal(interval.SetOf(25, 25)) {
 		t.Fatalf("got %v, want {25}", got)
 	}
+}
+
+// parseSeeds are the query texts the tests above parse, accepted and
+// rejected alike.
+var parseSeeds = []string{
+	"select N where I in 0 && D in 192.168.0.1 decision accept",
+	"select S decision discard",
+	"N where I in 0 decision accept",
+	"select N where I in 0",
+	"select bogus decision accept",
+	"select N decision fly",
+	"select N where Z in 0 decision accept",
+	"select N where decision accept",
+	"select bogus where decision accept",
+	"SELECT N WHERE I in 0 DECISION accept",
+	"select \xff\xff\xff\xff\xff\xff\xff\xff decision accept",
+}
+
+// formatQuery renders q in the text form Parse reads.
+func formatQuery(s *field.Schema, q Query) string {
+	r := rule.FormatRule(s, rule.Rule{Pred: q.Where, Decision: q.Decision})
+	where := strings.TrimSuffix(r, " -> "+q.Decision.String())
+	return "select " + s.Field(q.Select).Name + " where " + where + " decision " + q.Decision.String()
+}
+
+// FuzzQueryParse: Parse never panics, and a query it accepts, rendered
+// back to text, parses to the same query.
+func FuzzQueryParse(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	s := paper.Schema()
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := Parse(s, text)
+		if err != nil {
+			return
+		}
+		back, err := Parse(s, formatQuery(s, q))
+		if err != nil {
+			t.Fatalf("%q: reparse of %q: %v", text, formatQuery(s, q), err)
+		}
+		if back.Select != q.Select || back.Decision != q.Decision {
+			t.Fatalf("%q: reparsed as %+v, want %+v", text, back, q)
+		}
+		for i := range q.Where {
+			if !back.Where[i].Equal(q.Where[i]) {
+				t.Fatalf("%q: where field %d changed through %q", text, i, formatQuery(s, q))
+			}
+		}
+	})
 }

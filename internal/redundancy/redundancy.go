@@ -6,9 +6,9 @@
 // A rule is redundant iff removing it leaves the policy's semantics
 // unchanged. Two mechanisms are provided:
 //
-//   - Effective reports upward redundancy cheaply: a rule no packet
-//     reaches as its first match contributes nothing, detected as a free
-//     byproduct of FDD construction.
+//   - Upward redundancy comes free with FDD construction: a rule no
+//     packet reaches as its first match contributes nothing, and
+//     fdd.Builder.Effective reports it per rule.
 //   - IsRedundant is the complete semantic check (covering downward
 //     redundancy too — a rule whose packets would get the same decision
 //     from later rules): the policy with and without the rule are compared
@@ -24,18 +24,6 @@ import (
 	"diversefw/internal/rule"
 	"diversefw/internal/trace"
 )
-
-// Effective reports, for each rule, whether some packet's first match is
-// that rule. effective[i] == false means rule i is upward redundant and
-// always safe to delete. The policy must be comprehensive. The
-// construction stops once ctx is done, returning its error (wrapped).
-func Effective(ctx context.Context, p *rule.Policy) ([]bool, error) {
-	_, eff, err := fdd.ConstructEffectiveContext(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return eff, nil
-}
 
 // IsRedundant reports whether rule i can be deleted without changing the
 // policy's semantics. This is the complete check: it detects both upward
@@ -58,22 +46,22 @@ func IsRedundant(p *rule.Policy, i int) (bool, error) {
 	return compare.Equivalent(p, without)
 }
 
-// RemoveAll returns an equivalent policy with no redundant rules, plus the
-// original indices of the removed rules in removal order. It first drops
-// all upward-redundant rules in one FDD pass, then repeats the complete
-// semantic check to a fixpoint (removing one rule can expose or conceal
-// the redundancy of another, e.g. two identical rules are each redundant
-// but only one may go).
+// RemoveAll returns a policy equivalent to b's with no redundant rules,
+// plus the original indices of the removed rules in removal order. It
+// first drops every upward-redundant rule, which b's effective bits
+// name, then repeats the complete semantic check to a fixpoint (removing
+// one rule can expose or conceal the redundancy of another, e.g. two
+// identical rules are each redundant but only one may go). b is only
+// read, so a cached, shared builder serves.
 //
-// The first pass's construction runs under ctx, and the complete check
-// runs once per candidate rule, RemoveAll polling ctx before each one;
-// either returns ctx.Err() (wrapped) once it is done. When ctx carries a
-// trace, the removal is one "redundancy" span with the candidates
-// checked and the rules removed, holding the first pass's "construct"
-// span and no per-candidate spans.
-func RemoveAll(ctx context.Context, p *rule.Policy) (*rule.Policy, []int, error) {
-	ctx, sp := trace.Start(ctx, "redundancy")
+// The complete check runs once per candidate rule, RemoveAll polling
+// ctx before each one and returning ctx.Err() (wrapped) once it is done.
+// When ctx carries a trace, the removal is one "redundancy" span with
+// the candidates checked and the rules removed, and no child spans.
+func RemoveAll(ctx context.Context, b *fdd.Builder) (*rule.Policy, []int, error) {
+	_, sp := trace.Start(ctx, "redundancy")
 	defer sp.End()
+	p := b.Policy()
 	// Track original indices through removals.
 	origIdx := make([]int, p.Size())
 	for i := range origIdx {
@@ -93,11 +81,8 @@ func RemoveAll(ctx context.Context, p *rule.Policy) (*rule.Policy, []int, error)
 		return nil
 	}
 
-	// Pass 1: upward redundancy, cheap and batched.
-	eff, err := Effective(ctx, cur)
-	if err != nil {
-		return nil, nil, err
-	}
+	// Pass 1: upward redundancy, read off the construction.
+	eff := b.Effective()
 	for i := len(eff) - 1; i >= 0; i-- {
 		if !eff[i] {
 			if err := drop(i); err != nil {
@@ -108,14 +93,12 @@ func RemoveAll(ctx context.Context, p *rule.Policy) (*rule.Policy, []int, error)
 
 	// Pass 2: complete semantic check to a fixpoint. Two optimizations
 	// keep this O(n) FDD builds per pass instead of O(n) *pairs*: the
-	// current policy's FDD is constructed once per removal, and rules
-	// that cannot possibly be downward redundant are skipped (a rule's
-	// first-match region can only be re-decided identically if some later
-	// rule with the same decision overlaps it).
-	curFDD, err := fdd.Construct(cur)
-	if err != nil {
-		return nil, nil, err
-	}
+	// current policy's FDD is carried from removal to removal (pass 1
+	// leaves b's function unchanged, so it starts as b's diagram), and
+	// rules that cannot possibly be downward redundant are skipped (a
+	// rule's first-match region can only be re-decided identically if
+	// some later rule with the same decision overlaps it).
+	curFDD := b.FDD()
 	checked := 0
 	for again := true; again; {
 		again = false

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diversefw/internal/compare"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/paper"
@@ -26,6 +27,16 @@ func mk(t *testing.T, s *field.Schema, rules []rule.Rule) *rule.Policy {
 	return p
 }
 
+// build constructs p's builder, the input RemoveAll reads.
+func build(t *testing.T, p *rule.Policy) *fdd.Builder {
+	t.Helper()
+	b, err := fdd.NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestEffectiveDetectsShadowedRules(t *testing.T) {
 	t.Parallel()
 	s := schema1()
@@ -34,10 +45,7 @@ func TestEffectiveDetectsShadowedRules(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(10, 20)}, Decision: rule.Discard}, // fully shadowed
 		rule.CatchAll(s, rule.Discard),
 	})
-	eff, err := Effective(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eff := build(t, p).Effective()
 	want := []bool{true, false, true}
 	for i := range want {
 		if eff[i] != want[i] {
@@ -123,7 +131,7 @@ func TestRemoveAllIdenticalRules(t *testing.T) {
 	s := schema1()
 	dup := rule.Rule{Pred: rule.Predicate{interval.SetOf(0, 20)}, Decision: rule.Discard}
 	p := mk(t, s, []rule.Rule{dup, dup, rule.CatchAll(s, rule.Accept)})
-	out, removed, err := RemoveAll(context.Background(), p)
+	out, removed, err := RemoveAll(context.Background(), build(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +159,7 @@ func TestRemoveAllMixedRedundancy(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(60, 70)}, Decision: rule.Accept},  // downward redundant
 		rule.CatchAll(s, rule.Accept),
 	})
-	out, removed, err := RemoveAll(context.Background(), p)
+	out, removed, err := RemoveAll(context.Background(), build(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,7 @@ func TestRemoveAllMixedRedundancy(t *testing.T) {
 func TestRemoveAllNoRedundancy(t *testing.T) {
 	t.Parallel()
 	p := paper.TeamB()
-	out, removed, err := RemoveAll(context.Background(), p)
+	out, removed, err := RemoveAll(context.Background(), build(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +201,7 @@ func TestRemoveAllResultIsIrredundant(t *testing.T) {
 		{Pred: rule.Predicate{interval.SetOf(40, 80)}, Decision: rule.Discard},
 		rule.CatchAll(s, rule.Accept),
 	})
-	out, _, err := RemoveAll(context.Background(), p)
+	out, _, err := RemoveAll(context.Background(), build(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +225,8 @@ func TestRemoveAllResultIsIrredundant(t *testing.T) {
 
 // TestRemoveAllCancelAndSpan: RemoveAll stops once ctx is done, and a
 // traced removal is one "redundancy" span with its counts, holding the
-// upward pass's one construction and no per-candidate spans.
+// no child spans: the upward pass reads the builder, and candidates are
+// not traced.
 func TestRemoveAllCancelAndSpan(t *testing.T) {
 	t.Parallel()
 	s := schema1()
@@ -229,12 +238,13 @@ func TestRemoveAllCancelAndSpan(t *testing.T) {
 	})
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if out, _, err := RemoveAll(dead, p); out != nil || !errors.Is(err, context.Canceled) {
+	if out, _, err := RemoveAll(dead, build(t, p)); out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled removal: policy %v, err %v; want none and context.Canceled", out, err)
 	}
 
+	b := build(t, p)
 	ctx, tr := trace.New(context.Background(), "test", "")
-	if _, _, err := RemoveAll(ctx, p); err != nil {
+	if _, _, err := RemoveAll(ctx, b); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -243,8 +253,8 @@ func TestRemoveAllCancelAndSpan(t *testing.T) {
 		t.Fatalf("want one redundancy span, got %+v", root.Children)
 	}
 	sp := root.Children[0]
-	if len(sp.Children) != 1 || sp.Children[0].Name != "construct" || sp.Children[0].Attrs["rules"] != p.Size() {
-		t.Fatalf("redundancy span children = %+v, want only the upward pass's construct of %d rules", sp.Children, p.Size())
+	if len(sp.Children) != 0 {
+		t.Fatalf("redundancy span children = %+v, want none", sp.Children)
 	}
 	// Rule 1 goes in the upward pass; rules 2 and 0 are each checked and
 	// removed, and the fixpoint's last pass checks nothing new.

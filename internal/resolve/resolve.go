@@ -18,6 +18,7 @@ package resolve
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
@@ -36,6 +37,9 @@ type Plan struct {
 	// Decisions[i] is the agreed decision for Report.Discrepancies[i];
 	// zero means still unresolved.
 	Decisions []rule.Decision
+	// fa and fb are A's and B's diagrams, the ones Report compares. They
+	// are only read: Method 1 shapes copies of them.
+	fa, fb *fdd.FDD
 }
 
 // NewPlan compares the two firewalls and returns a plan with all
@@ -44,32 +48,42 @@ func NewPlan(a, b *rule.Policy) (*Plan, error) {
 	return NewPlanContext(context.Background(), a, b)
 }
 
-// NewPlanContext is NewPlan with cancellation: the underlying comparison
-// pipeline aborts as soon as ctx is canceled (see compare.DiffContext).
+// NewPlanContext is NewPlan with cancellation: it constructs both
+// firewalls' diagrams and diffs them with the product walk
+// (compare.DiffFDDsDirectContext), every stage aborting as soon as ctx
+// is canceled. The report's Timing fills Construct and Compare.
 func NewPlanContext(ctx context.Context, a, b *rule.Policy) (*Plan, error) {
-	report, err := compare.DiffContext(ctx, a, b)
+	start := time.Now()
+	fa, err := fdd.ConstructContext(ctx, a)
+	if err != nil {
+		return nil, fmt.Errorf("resolve: first policy: %w", err)
+	}
+	fb, err := fdd.ConstructContext(ctx, b)
+	if err != nil {
+		return nil, fmt.Errorf("resolve: second policy: %w", err)
+	}
+	construct := time.Since(start)
+	report, err := compare.DiffFDDsDirectContext(ctx, fa, fb)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{
-		A:         a,
-		B:         b,
-		Report:    report,
-		Decisions: make([]rule.Decision, len(report.Discrepancies)),
-	}, nil
+	report.Timing.Construct = construct
+	return NewPlanFromReport(a, b, fa, fb, report), nil
 }
 
-// NewPlanFromReport builds a plan from an already-computed comparison
-// report for (a, b) — the entry point for callers that cache reports
-// (see internal/engine). The report is only read, so one cached report
-// can back many concurrent plans; this also keeps discrepancy numbering
-// identical between a diff and the resolve session built on it.
-func NewPlanFromReport(a, b *rule.Policy, report *compare.Report) *Plan {
+// NewPlanFromReport builds a plan from already-computed diagrams of a and
+// b and their comparison report — the entry point for callers that cache
+// both (see internal/engine). Diagrams and report are only read, so one
+// cached set can back many concurrent plans; this also keeps discrepancy
+// numbering identical between a diff and the resolve session built on it.
+func NewPlanFromReport(a, b *rule.Policy, fa, fb *fdd.FDD, report *compare.Report) *Plan {
 	return &Plan{
 		A:         a,
 		B:         b,
 		Report:    report,
 		Decisions: make([]rule.Decision, len(report.Discrepancies)),
+		fa:        fa,
+		fb:        fb,
 	}
 }
 
@@ -131,9 +145,10 @@ func (p *Plan) Method1() (*rule.Policy, error) {
 	return p.Method1Context(context.Background())
 }
 
-// Method1Context is Method1 with cancellation and tracing: the pipeline
-// stages it runs poll ctx, and when ctx carries a trace the generation
-// appears as a "resolve-generate" span over the construct/shape children.
+// Method1Context is Method1 with cancellation and tracing: the shaping
+// polls ctx, and when ctx carries a trace the generation appears as a
+// "resolve-generate" span over the shape child. It constructs nothing:
+// it shapes copies of the plan's diagrams.
 func (p *Plan) Method1Context(ctx context.Context) (*rule.Policy, error) {
 	if !p.Resolved() {
 		return nil, fmt.Errorf("resolve: method 1: unresolved discrepancies remain")
@@ -141,15 +156,7 @@ func (p *Plan) Method1Context(ctx context.Context) (*rule.Policy, error) {
 	ctx, sp := trace.Start(ctx, "resolve-generate")
 	defer sp.End()
 	sp.SetAttr("method", "fdd")
-	fa, err := fdd.ConstructContext(ctx, p.A)
-	if err != nil {
-		return nil, err
-	}
-	fb, err := fdd.ConstructContext(ctx, p.B)
-	if err != nil {
-		return nil, err
-	}
-	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, fa, fb)
+	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, p.fa, p.fb)
 	if err != nil {
 		return nil, err
 	}
@@ -216,23 +223,16 @@ func (p *Plan) findRegion(pathPred rule.Predicate) int {
 	return -1
 }
 
-// CorrectedFDDs shapes both firewalls' FDDs and applies the resolution to
-// the terminals of each. The paper's observation in Section 6.1 is that
-// after correction the two semi-isomorphic diagrams become exactly the
-// same diagram; callers can verify that with fdd/shape and use either one.
+// CorrectedFDDs shapes copies of both firewalls' FDDs and applies the
+// resolution to the terminals of each. The paper's observation in
+// Section 6.1 is that after correction the two semi-isomorphic diagrams
+// become exactly the same diagram; callers can verify that with
+// fdd/shape and use either one.
 func (p *Plan) CorrectedFDDs() (*fdd.FDD, *fdd.FDD, error) {
 	if !p.Resolved() {
 		return nil, nil, fmt.Errorf("resolve: unresolved discrepancies remain")
 	}
-	fa, err := fdd.Construct(p.A)
-	if err != nil {
-		return nil, nil, err
-	}
-	fb, err := fdd.Construct(p.B)
-	if err != nil {
-		return nil, nil, err
-	}
-	sa, sb, err := shape.MakeSemiIsomorphic(fa, fb)
+	sa, sb, err := shape.MakeSemiIsomorphic(p.fa, p.fb)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -257,8 +257,8 @@ func (p *Plan) Method2(useA bool) (*rule.Policy, error) {
 
 // Method2Context is Method2 with cancellation and tracing (a
 // "resolve-generate" span with method "a" or "b" and the correction
-// count, over the "redundancy" span of the removal that dominates its
-// duration).
+// count, over the composed policy's "construct" span and the
+// "redundancy" span of the removal that dominates its duration).
 func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, error) {
 	if !p.Resolved() {
 		return nil, fmt.Errorf("resolve: method 2: unresolved discrepancies remain")
@@ -287,7 +287,11 @@ func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, err
 	if err != nil {
 		return nil, err
 	}
-	compacted, _, err := redundancy.RemoveAll(ctx, composed)
+	b, err := fdd.NewBuilderContext(ctx, composed)
+	if err != nil {
+		return nil, err
+	}
+	compacted, _, err := redundancy.RemoveAll(ctx, b)
 	if err != nil {
 		return nil, err
 	}

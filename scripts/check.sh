@@ -103,6 +103,11 @@ go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/pr
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/api/
 
+# Query strings come from the network (/v1/query) and the command line
+# (fwquery): the query parser's no-panic/round-trip target re-runs its
+# corpus on every gate too.
+go test -run=NONE -fuzz='^FuzzQueryParse$' -fuzztime=1x ./internal/query/
+
 # Pair and N-way discrepancy rows merge in one function; its
 # differential holds it, with real and with colliding group keys, to
 # the byte-key merge, the string-key pair merge and the N-way merge it
