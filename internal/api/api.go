@@ -640,7 +640,8 @@ const (
 	CodePayloadTooLarge = "payload_too_large"
 	// CodeUnknownSchema: the schema name is not one the server knows.
 	CodeUnknownSchema = "unknown_schema"
-	// CodeUnparseablePolicy: a policy (or edit/query) failed to parse.
+	// CodeUnparseablePolicy: a policy or edit failed to parse (a query
+	// that fails to parse is CodeBadRequest).
 	// Frontend parse failures carry positioned diagnostics in
 	// ErrorDetail.Diagnostics.
 	CodeUnparseablePolicy = "unparseable_policy"
