@@ -311,6 +311,16 @@ func benchJSON(cfg config) error {
 				compare.CompareSemiIsomorphic(sa, sb)
 			}
 		}},
+		// The walk every served diff runs: the memoized product walk and
+		// its rows on the compare phase's pair, construction excluded.
+		{"diff_direct", func(b *testing.B) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				if _, err := compare.DiffFDDsDirectContext(ctx, fa, fb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"diff_end_to_end", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := compare.Diff(pa, pb); err != nil {

@@ -84,7 +84,7 @@ func TestJSONBenchSnapshot(t *testing.T) {
 		t.Fatalf("bad provenance: %+v", r0)
 	}
 	want := map[string]bool{
-		"construct": true, "shape": true, "compare": true,
+		"construct": true, "shape": true, "compare": true, "diff_direct": true,
 		"diff_end_to_end": true, "diff_end_to_end_traced": true,
 		"diff_warm_cache": true, "impact_incremental_head": true,
 		"impact_incremental_middle": true, "impact_incremental_tail": true,
@@ -132,9 +132,9 @@ func TestJSONBenchSnapshot(t *testing.T) {
 	if r1.Baseline != base {
 		t.Fatalf("baseline not recorded: %q", r1.Baseline)
 	}
-	// Eleven per-phase ratios plus the warm-vs-cold-baseline headline.
-	if len(r1.SpeedupVsBaseline) != 12 {
-		t.Fatalf("want 12 speedup entries, got %v", r1.SpeedupVsBaseline)
+	// Twelve per-phase ratios plus the warm-vs-cold-baseline headline.
+	if len(r1.SpeedupVsBaseline) != 13 {
+		t.Fatalf("want 13 speedup entries, got %v", r1.SpeedupVsBaseline)
 	}
 	for name, s := range r1.SpeedupVsBaseline {
 		if s <= 0 {

@@ -65,7 +65,7 @@ func (s *Server) jobList(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	respond(r, w, http.StatusOK, resp)
 }
 
 func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -88,7 +88,7 @@ func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("at most %d policies per job, got %d", maxJobPolicies, len(req.Policies)))
 		return
 	}
-	names, policies, ok := parseNamedPolicies(w, schema, req.Policies)
+	names, policies, ok := parseNamedPolicies(r.Context(), w, schema, req.Policies)
 	if !ok {
 		return
 	}
@@ -165,7 +165,7 @@ func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+snap.ID)
-	writeJSON(w, http.StatusAccepted, convertJobSnapshot(snap, true))
+	respond(r, w, http.StatusAccepted, convertJobSnapshot(snap, true))
 }
 
 // jobByID serves /v1/jobs/{id}: GET polls, DELETE cancels.
@@ -190,7 +190,7 @@ func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no job %q (unknown, or purged after its retention window)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, convertJobSnapshot(snap, true))
+	respond(r, w, http.StatusOK, convertJobSnapshot(snap, true))
 }
 
 // convertJobSnapshot renders a job snapshot onto the wire. withPairs

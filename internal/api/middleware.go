@@ -393,9 +393,12 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 		fmt.Errorf("server overloaded (%s), retry later", ae.Reason))
 }
 
-// serverTimingPhases are the pipeline spans surfaced in the
-// Server-Timing response header, in emission order.
-var serverTimingPhases = []string{"api.decode", "construct", "shape", "compare", "resolve-generate", "resolve-verify"}
+// serverTimingPhases are the layer and pipeline spans surfaced in the
+// Server-Timing response header, in emission order. api.encode can be
+// among them because every body is encoded before its header is written
+// (writeJSON, writeReport): the header carries the encoding, not the
+// write that follows it.
+var serverTimingPhases = []string{"api.decode", "frontend.lower", "engine.hash", "construct", "shape", "compare", "resolve-generate", "resolve-verify", "api.encode"}
 
 // serverTiming renders the trace's per-phase durations so far as a
 // Server-Timing header value: the named pipeline phases that actually

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -249,7 +251,7 @@ func (s *Server) version(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	respond(r, w, http.StatusOK, resp)
 }
 
 // decodeInto reads a JSON request body: POST only (405 carries the
@@ -344,12 +346,23 @@ func convertPairError(err error) *PairError {
 	return &PairError{Status: status, Code: code, Message: err.Error()}
 }
 
-// parseInput lowers one PolicyInput through the frontend registry. The
-// returned error keeps its type (frontend.ParseError, ErrUnknownFormat,
-// ErrSchema survive the what-prefix wrapping) so writePolicyError can
-// map it to the right code and diagnostics.
-func parseInput(schema *field.Schema, in PolicyInput, what string) (*rule.Policy, error) {
+// parseInput lowers one PolicyInput through the frontend registry, under
+// a frontend.lower span. The returned error keeps its type
+// (frontend.ParseError, ErrUnknownFormat, ErrSchema survive the
+// what-prefix wrapping) so writePolicyError can map it to the right code
+// and diagnostics.
+func parseInput(ctx context.Context, schema *field.Schema, in PolicyInput, what string) (*rule.Policy, error) {
+	_, sp := trace.Start(ctx, "frontend.lower")
+	if sp != nil { // an untraced request boxes no attribute
+		format := in.Format
+		if format == "" {
+			format = frontend.DefaultFormat
+		}
+		sp.SetAttr("format", format)
+		sp.SetAttr("bytes", len(in.Text))
+	}
 	p, err := frontend.Parse(in.Format, schema, in.Text, frontend.Options{Chain: in.Chain})
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", what, err)
 	}
@@ -360,7 +373,7 @@ func parseInput(schema *field.Schema, in PolicyInput, what string) (*rule.Policy
 // cross-comparison or a job), naming an unnamed one policy<i> (1-based)
 // and rejecting a duplicate name. On failure it writes the error
 // response and returns ok false.
-func parseNamedPolicies(w http.ResponseWriter, schema *field.Schema, nps []NamedPolicy) (names []string, policies []*rule.Policy, ok bool) {
+func parseNamedPolicies(ctx context.Context, w http.ResponseWriter, schema *field.Schema, nps []NamedPolicy) (names []string, policies []*rule.Policy, ok bool) {
 	names = make([]string, len(nps))
 	seen := make(map[string]bool, len(nps))
 	policies = make([]*rule.Policy, len(nps))
@@ -376,7 +389,7 @@ func parseNamedPolicies(w http.ResponseWriter, schema *field.Schema, nps []Named
 		}
 		seen[name] = true
 		names[i] = name
-		p, err := parseInput(schema, np.Policy, fmt.Sprintf("policy %q", name))
+		p, err := parseInput(ctx, schema, np.Policy, fmt.Sprintf("policy %q", name))
 		if err != nil {
 			writePolicyError(w, err)
 			return nil, nil, false
@@ -405,6 +418,11 @@ func writePolicyError(w http.ResponseWriter, err error) {
 	}
 }
 
+// diff is POST /v1/diff. Sources it has diffed before reach their
+// compilations through the engine's text alias, without being parsed or
+// hashed (engine.DiffSources); any other request parses both policies,
+// diffs them through their compilations and records both aliases. Either
+// way the answer is the pair's one cached report.
 func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 	var req DiffRequest
 	if !decodeInto(w, r, &req) {
@@ -415,29 +433,67 @@ func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	pa, err := parseInput(schema, req.A, "policy a")
-	if err != nil {
-		writePolicyError(w, err)
-		return
+	ctx := r.Context()
+	ka, kb := sourceKey(req.Schema, req.A), sourceKey(req.Schema, req.B)
+	d, ok, err := s.eng.DiffSources(ctx, ka, kb)
+	if !ok {
+		var pa, pb *rule.Policy
+		if pa, err = parseInput(ctx, schema, req.A, "policy a"); err != nil {
+			writePolicyError(w, err)
+			return
+		}
+		if pb, err = parseInput(ctx, schema, req.B, "policy b"); err != nil {
+			writePolicyError(w, err)
+			return
+		}
+		d, err = s.eng.DiffPair(ctx, pa, pb)
+		s.eng.AliasSource(ka, d.A)
+		s.eng.AliasSource(kb, d.B)
 	}
-	pb, err := parseInput(schema, req.B, "policy b")
-	if err != nil {
-		writePolicyError(w, err)
-		return
-	}
-	report, stats, err := s.eng.DiffPolicies(r.Context(), pa, pb)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
 	}
-	if !stats.ReportCached {
+	if !d.Stats.ReportCached {
 		// Cached reports carry the timings of the run that produced them;
 		// feeding those into the phase histograms again would double-count.
-		s.observeTiming(report.Timing)
+		s.observeTiming(d.Report.Timing)
 	}
-	resp := ConvertReport(schema, report)
-	resp.Cached = stats.ReportCached
-	writeJSON(w, http.StatusOK, resp)
+	writeReport(ctx, w, s.eng, schema, d)
+}
+
+// sourceKey is the engine's text-alias key of a policy a request carries.
+func sourceKey(schema string, in PolicyInput) string {
+	return engine.SourceKey(schema, in.Format, in.Chain, in.Text)
+}
+
+// cachedTail ends a diff response served from the report cache: the
+// encoding of DiffResponse.Cached, its last field, when it is true.
+var cachedTail = []byte(`,"cached":true}` + "\n")
+
+// writeReport writes a diff response under an api.encode span. The body
+// is the report's one encoding, kept on its cache entry
+// (engine.EncodedReport): ConvertReport's response with Cached unset,
+// encoded as writeJSON encodes. A report-cache hit splices in the
+// per-request cached flag, so each body is byte for byte what encoding
+// the response with its flag would give.
+func writeReport(ctx context.Context, w http.ResponseWriter, eng *engine.Engine, schema *field.Schema, d engine.PairDiff) {
+	_, sp := trace.Start(ctx, "api.encode")
+	defer sp.End()
+	body := eng.EncodedReport(d, func() []byte {
+		buf := getBuffer()
+		defer putBuffer(buf)
+		encodeJSON(buf, ConvertReport(schema, d.Report))
+		return bytes.Clone(buf.Bytes())
+	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if !d.Stats.ReportCached {
+		w.Write(body)
+		return
+	}
+	w.Write(body[:len(body)-len("}\n")])
+	w.Write(cachedTail)
 }
 
 func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
@@ -460,7 +516,7 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("at most %d policies per cross-comparison, got %d", maxCrossPolicies, len(req.Policies)))
 		return
 	}
-	names, policies, ok := parseNamedPolicies(w, schema, req.Policies)
+	names, policies, ok := parseNamedPolicies(r.Context(), w, schema, req.Policies)
 	if !ok {
 		return
 	}
@@ -516,7 +572,7 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Pairs = append(resp.Pairs, cell)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	respond(r, w, http.StatusOK, resp)
 }
 
 func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
@@ -529,7 +585,7 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	before, err := parseInput(schema, req.Before, "before")
+	before, err := parseInput(r.Context(), schema, req.Before, "before")
 	if err != nil {
 		writePolicyError(w, err)
 		return
@@ -545,7 +601,7 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		st     engine.EditStats
 	)
 	if !req.After.IsZero() {
-		after, err = parseInput(schema, req.After, "after")
+		after, err = parseInput(r.Context(), schema, req.After, "after")
 		if err != nil {
 			writePolicyError(w, err)
 			return
@@ -577,7 +633,7 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 	resp := ConvertImpact(impact.FromReport(before, after, report))
 	resp.Incremental = st.Incremental
 	resp.RulesReappended = st.RulesReappended
-	writeJSON(w, http.StatusOK, resp)
+	respond(r, w, http.StatusOK, resp)
 }
 
 func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
@@ -590,7 +646,7 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	p, err := parseInput(schema, req.Policy, "policy")
+	p, err := parseInput(r.Context(), schema, req.Policy, "policy")
 	if err != nil {
 		writePolicyError(w, err)
 		return
@@ -601,7 +657,7 @@ func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 		writeAnalysisError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, AuditResponse{Findings: findings})
+	respond(r, w, http.StatusOK, AuditResponse{Findings: findings})
 }
 
 // policyFindings runs the single-policy checks /v1/audit and /v1/analyze
@@ -671,7 +727,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	p, err := parseInput(schema, req.Policy, "policy")
+	p, err := parseInput(r.Context(), schema, req.Policy, "policy")
 	if err != nil {
 		writePolicyError(w, err)
 		return
@@ -700,7 +756,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	resp.Complexity = complexityOf(p)
-	writeJSON(w, http.StatusOK, resp)
+	respond(r, w, http.StatusOK, resp)
 }
 
 // complexityOf profiles the lowered policy — the "Rules in Play"-style
@@ -735,7 +791,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	p, err := parseInput(schema, req.Policy, "policy")
+	p, err := parseInput(r.Context(), schema, req.Policy, "policy")
 	if err != nil {
 		writePolicyError(w, err)
 		return
@@ -759,7 +815,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	if !resp.Empty {
 		resp.Values = rule.FormatValueSet(schema.Field(q.Select), result)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	respond(r, w, http.StatusOK, resp)
 }
 
 // parseDecisions validates the wire decision map: keys must be canonical
@@ -795,12 +851,12 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	pa, err := parseInput(schema, req.A, "policy a")
+	pa, err := parseInput(r.Context(), schema, req.A, "policy a")
 	if err != nil {
 		writePolicyError(w, err)
 		return
 	}
-	pb, err := parseInput(schema, req.B, "policy b")
+	pb, err := parseInput(r.Context(), schema, req.B, "policy b")
 	if err != nil {
 		writePolicyError(w, err)
 		return
@@ -812,28 +868,17 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 	}
 	// Going through the engine means the same cached report backs
 	// /v1/diff and /v1/resolve for one pair, so the 1-based row numbers
-	// clients took from the diff stay valid here.
-	report, stats, err := s.eng.DiffPolicies(r.Context(), pa, pb)
+	// clients took from the diff stay valid here. Method 1 works from the
+	// two diagrams the report compares, which the diff returns.
+	d, err := s.eng.DiffPair(r.Context(), pa, pb)
 	if err != nil {
 		writeAnalysisError(w, err)
 		return
 	}
-	if !stats.ReportCached {
-		s.observeTiming(report.Timing)
+	if !d.Stats.ReportCached {
+		s.observeTiming(d.Report.Timing)
 	}
-	// Method 1 works from the two diagrams the report compares. The diff
-	// just compiled both, so these lookups hit the compile cache.
-	ca, _, err := s.eng.Compile(r.Context(), pa)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	cb, _, err := s.eng.Compile(r.Context(), pb)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	plan := resolve.NewPlanFromReport(pa, pb, ca.FDD, cb.FDD, report)
+	plan := resolve.NewPlanFromReport(pa, pb, d.A.FDD, d.B.FDD, d.Report)
 	for row, dec := range decisions {
 		if err := plan.Resolve(row-1, dec); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
@@ -865,18 +910,53 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 		writeAnalysisError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ResolveResponse{
+	respond(r, w, http.StatusOK, ResolveResponse{
 		Policy: rule.FormatPolicy(final),
 		Rows:   len(plan.Report.Discrepancies),
 	})
 }
 
+// respond writes a handler's result under an api.encode span.
+func respond(r *http.Request, w http.ResponseWriter, status int, v interface{}) {
+	_, sp := trace.Start(r.Context(), "api.encode")
+	writeJSON(w, status, v)
+	sp.End()
+}
+
+// writeJSON encodes v into a pooled buffer and writes it after the header,
+// so a body's bytes exist before the header does (see serverTiming).
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	encodeJSON(buf, v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding errors past the header can only be logged; for these small
-	// bodies they do not occur in practice.
-	_ = json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
+}
+
+// encodeJSON appends v's JSON encoding and a newline to buf, as
+// json.Encoder does. Encoding errors can only be ignored; for these
+// types they do not occur.
+func encodeJSON(buf *bytes.Buffer, v interface{}) {
+	_ = json.NewEncoder(buf).Encode(v)
+}
+
+// maxPooledBuffer bounds the buffers the encode pool keeps, so one large
+// response does not stay resident after it is written.
+const maxPooledBuffer = 1 << 20
+
+var encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuffer() *bytes.Buffer {
+	buf := encodeBuffers.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		encodeBuffers.Put(buf)
+	}
 }
 
 // writeError emits the v1 error envelope. The request ID was stamped

@@ -16,7 +16,12 @@
 //   - Diff caches (hash(A), hash(B)) -> the full comparison report, so a
 //     repeated diff of the same pair costs two hash lookups. Reusing the
 //     report also makes discrepancy row numbering stable across /v1/diff
-//     and /v1/resolve for the same pair.
+//     and /v1/resolve for the same pair. A report entry also keeps the
+//     response a server rendered from it (EncodedReport), charged to it.
+//   - A bounded text alias maps a policy's source (schema, format, chain
+//     and text) to its content address, so a repeated source reaches its
+//     compilation and reports without being parsed or hashed again
+//     (DiffSources). Its budget is carved out of the compile cache's.
 //
 // Both caches run one lookup-or-compute path (lookupOrCompute), and each
 // deduplicates concurrent identical requests with one singleflight group
@@ -57,7 +62,8 @@ import (
 // Config configures an Engine. The zero value is usable: default cache
 // budgets, no metrics.
 type Config struct {
-	// CompileCacheBytes bounds the compiled-policy cache (default 128 MiB).
+	// CompileCacheBytes bounds the compiled-policy cache (default 128 MiB),
+	// the text alias's 1/64 share of it included.
 	CompileCacheBytes int64
 	// ReportCacheBytes bounds the pairwise-report cache (default 32 MiB).
 	ReportCacheBytes int64
@@ -111,7 +117,10 @@ type Compiled struct {
 // Engine is the caching service layer. Safe for concurrent use.
 type Engine struct {
 	compiled cache[*Compiled]
-	reports  cache[*compare.Report]
+	reports  cache[*reportEntry]
+	// sources is the text alias: SourceKey -> content address. Its
+	// entries count toward the compile cache's bytes (see Stats).
+	sources *lruCache[string]
 
 	// construct is fdd.NewBuilderContext, swappable in tests to observe
 	// and stall compilations.
@@ -158,17 +167,19 @@ func New(cfg Config) *Engine {
 	if cfg.ReportCacheBytes <= 0 {
 		cfg.ReportCacheBytes = DefaultReportCacheBytes
 	}
+	aliasBytes := cfg.CompileCacheBytes / sourceAliasShare
 	e := &Engine{
 		compiled: cache[*Compiled]{
 			name: cacheCompile, span: "compile",
 			fault: chaos.PointCompile, insertFault: chaos.PointCacheInsertCompile,
-			lru: newLRU[*Compiled](cfg.CompileCacheBytes),
+			lru: newLRU[*Compiled](cfg.CompileCacheBytes - aliasBytes),
 		},
-		reports: cache[*compare.Report]{
+		reports: cache[*reportEntry]{
 			name: cacheReport, span: "diff",
 			fault: chaos.PointDiff, insertFault: chaos.PointCacheInsertReport,
-			lru: newLRU[*compare.Report](cfg.ReportCacheBytes),
+			lru: newLRU[*reportEntry](cfg.ReportCacheBytes),
 		},
+		sources:   newLRU[string](aliasBytes),
 		construct: fdd.NewBuilderContext,
 		resume: func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
 			return base.Resume(ctx, after)
@@ -224,7 +235,14 @@ const hashFlushBytes = 512
 // checkpoints: the diffs it serves never resume it, and should it become
 // an edit base later, its first edit replays it (see ImpactEdits).
 func (e *Engine) Compile(ctx context.Context, p *rule.Policy) (c *Compiled, hit bool, err error) {
-	return e.compile(ctx, p, PolicyHash(p), nil, false)
+	return e.compile(ctx, p, hashPolicy(ctx, p), nil, false)
+}
+
+// hashPolicy is PolicyHash under an engine.hash span.
+func hashPolicy(ctx context.Context, p *rule.Policy) string {
+	_, sp := trace.Start(ctx, "engine.hash")
+	defer sp.End()
+	return PolicyHash(p)
 }
 
 // compile is Compile for a policy whose content address is already taken,
@@ -311,7 +329,7 @@ func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled) (*fdd.B
 func lookupOrCompute[V any](ctx context.Context, e *Engine, c *cache[V], key string,
 	annotate func(*trace.Span, V, error), compute func(context.Context) (V, int64, error)) (v V, hit bool, err error) {
 	v, hit = c.lru.get(key)
-	trace.Event(ctx, "cache-lookup", trace.A("cache", c.name), trace.A("hit", hit))
+	lookupEvent(ctx, c.name, hit)
 	if hit {
 		return v, true, nil
 	}
@@ -359,49 +377,81 @@ type DiffStats struct {
 	CompileHits int
 }
 
+// PairDiff is what a pair diff obtained: the report, the two compilations
+// it compares, and how the call was served. A and B are set for each
+// policy whose compilation succeeded, also when the call failed later.
+type PairDiff struct {
+	Report *compare.Report
+	A, B   *Compiled
+	Stats  DiffStats
+	// entry is the report's cache entry, where EncodedReport keeps the
+	// response rendered from it.
+	entry *reportEntry
+}
+
 // DiffPolicies compiles both policies (cached, deduplicated) and returns
 // their comparison report (cached by content-address pair). On the cold
 // path the report's Timing.Construct records the wall time this call
 // spent obtaining the two FDDs; cached reports keep the timing of the run
 // that produced them.
 func (e *Engine) DiffPolicies(ctx context.Context, pa, pb *rule.Policy) (*compare.Report, DiffStats, error) {
+	d, err := e.DiffPair(ctx, pa, pb)
+	return d.Report, d.Stats, err
+}
+
+// DiffPair is DiffPolicies returning the two compilations as well, for
+// callers that go on to use the diagrams the report compares.
+func (e *Engine) DiffPair(ctx context.Context, pa, pb *rule.Policy) (PairDiff, error) {
+	var d PairDiff
 	if !pa.Schema.Equal(pb.Schema) {
-		return nil, DiffStats{}, fmt.Errorf("engine: schemas differ")
+		return d, fmt.Errorf("engine: schemas differ")
 	}
-	var stats DiffStats
 	start := time.Now()
 	// The two compilations are independent; overlap them like
 	// compare.DiffContext overlaps its constructions.
-	var cb *Compiled
 	var hitB bool
 	var errB error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		cb, hitB, errB = e.Compile(ctx, pb)
+		d.B, hitB, errB = e.Compile(ctx, pb)
 	}()
 	ca, hitA, err := e.Compile(ctx, pa)
 	<-done
+	d.A = ca
 	if err != nil {
-		return nil, stats, fmt.Errorf("engine: first policy: %w", err)
+		return d, fmt.Errorf("engine: first policy: %w", err)
 	}
 	if errB != nil {
-		return nil, stats, fmt.Errorf("engine: second policy: %w", errB)
+		return d, fmt.Errorf("engine: second policy: %w", errB)
 	}
 	for _, hit := range []bool{hitA, hitB} {
 		if hit {
-			stats.CompileHits++
+			d.Stats.CompileHits++
 		}
 	}
-	r, cached, err := e.diff(ctx, ca, cb, time.Since(start))
-	stats.ReportCached = cached
-	return r, stats, err
+	return d, e.diffPair(ctx, &d, time.Since(start))
+}
+
+// diffPair fills d's report from its two compilations.
+func (e *Engine) diffPair(ctx context.Context, d *PairDiff, construct time.Duration) error {
+	ent, cached, err := e.diff(ctx, d.A, d.B, construct)
+	d.Stats.ReportCached = cached
+	if err != nil {
+		return err
+	}
+	d.Report, d.entry = ent.report, ent
+	return nil
 }
 
 // Diff returns the comparison report for two already-compiled policies,
 // from the pair cache when resident. hit reports a pair-cache hit.
 func (e *Engine) Diff(ctx context.Context, a, b *Compiled) (r *compare.Report, hit bool, err error) {
-	return e.diff(ctx, a, b, 0)
+	ent, hit, err := e.diff(ctx, a, b, 0)
+	if err != nil {
+		return nil, hit, err
+	}
+	return ent.report, hit, nil
 }
 
 // diff is Diff with the construct wall time to stamp into a freshly built
@@ -417,15 +467,47 @@ func (e *Engine) Diff(ctx context.Context, a, b *Compiled) (r *compare.Report, h
 // shares with its base. One pair therefore has one report under one key,
 // whichever endpoint computed it, and row numbers handed out by one
 // endpoint hold for the others.
-func (e *Engine) diff(ctx context.Context, a, b *Compiled, construct time.Duration) (*compare.Report, bool, error) {
-	return lookupOrCompute(ctx, e, &e.reports, a.Hash+"|"+b.Hash, nil, func(fctx context.Context) (*compare.Report, int64, error) {
+func (e *Engine) diff(ctx context.Context, a, b *Compiled, construct time.Duration) (*reportEntry, bool, error) {
+	key := a.Hash + "|" + b.Hash
+	return lookupOrCompute(ctx, e, &e.reports, key, nil, func(fctx context.Context) (*reportEntry, int64, error) {
 		r, err := compare.DiffFDDsDirectContext(fctx, a.FDD, b.FDD)
 		if err != nil {
 			return nil, 0, err
 		}
 		r.Timing.Construct = construct
-		return r, reportBytes(r), nil
+		ent := &reportEntry{report: r, key: key, size: reportBytes(r)}
+		return ent, ent.size, nil
 	})
+}
+
+// reportEntry is one report-cache value: a pair's report and, once a
+// response has been rendered from it, that rendering.
+type reportEntry struct {
+	report *compare.Report
+	key    string
+	size   int64 // reportBytes(report)
+	body   atomic.Pointer[[]byte]
+}
+
+// EncodedReport returns the response body d's report renders to: the one
+// kept on the report's cache entry, or else encode's, which it keeps
+// there and charges to the entry while the entry is resident, so the
+// body leaves the cache with its report. encode must depend on the
+// report alone, so that every caller would render the same bytes. With
+// no cache entry behind d (a failed diff), it returns encode's result.
+func (e *Engine) EncodedReport(d PairDiff, encode func() []byte) []byte {
+	ent := d.entry
+	if ent == nil {
+		return encode()
+	}
+	if b := ent.body.Load(); b != nil {
+		return *b
+	}
+	b := encode()
+	if e.reports.lru.recharge(ent.key, ent, ent.size+encodedCost+int64(len(b))) {
+		ent.body.Store(&b)
+	}
+	return b
 }
 
 // EditStats describes how an ImpactEdits call was served.
@@ -470,7 +552,7 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	defer sp.End()
 	sp.SetAttr("edits", len(edits))
 	start := time.Now()
-	cb, hitB, err := e.compile(ctx, before, PolicyHash(before), nil, true)
+	cb, hitB, err := e.compile(ctx, before, hashPolicy(ctx, before), nil, true)
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("engine: before policy: %w", err)
 	}
@@ -481,7 +563,7 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	afterHash := PolicyHash(after)
+	afterHash := hashPolicy(ctx, after)
 	stats.AfterHash = afterHash
 	ca, hitA, err := e.compile(ctx, after, afterHash, cb, true)
 	if err != nil {
@@ -494,14 +576,14 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 		stats.CheckpointRules = ca.resumed.CheckpointRules
 		stats.RulesReappended = ca.resumed.RulesReappended
 	}
-	r, cached, err := e.diff(ctx, cb, ca, time.Since(start))
+	ent, cached, err := e.diff(ctx, cb, ca, time.Since(start))
 	stats.ReportCached = cached
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	sp.SetAttr("incremental", stats.Incremental)
 	sp.SetAttr("rulesReappended", stats.RulesReappended)
-	return after, r, stats, nil
+	return after, ent.report, stats, nil
 }
 
 // isAbort reports whether the error is a cancellation or budget crossing
@@ -523,6 +605,8 @@ type CacheStats struct {
 
 // Stats is a point-in-time snapshot of the engine.
 type Stats struct {
+	// Compile is the compile cache; its Bytes include the text alias's,
+	// whose budget is a share of the compile cache's.
 	Compile CacheStats `json:"compile"`
 	Reports CacheStats `json:"reports"`
 	// Compilations counts FDD constructions actually performed (cache
@@ -546,7 +630,7 @@ type IncrementalStats struct {
 // Stats returns current cache and dedup counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Compile:      e.compiled.lru.stats(),
+		Compile:      e.compileStats(),
 		Reports:      e.reports.lru.stats(),
 		Compilations: e.compilations.Load(),
 		Coalesced:    e.compiled.coalesced.Load() + e.reports.coalesced.Load(),
@@ -558,9 +642,18 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
+// compileStats is the compile cache's snapshot with the text alias's
+// bytes added, since its budget is carved out of the compile cache's.
+func (e *Engine) compileStats() CacheStats {
+	st := e.compiled.lru.stats()
+	st.Bytes += e.sources.stats().Bytes
+	return st
+}
+
 const (
 	cacheCompile = "compile"
 	cacheReport  = "report"
+	cacheSource  = "text"
 )
 
 // budgeted attaches a fresh work budget from the engine's limits to a
@@ -598,7 +691,10 @@ func (e *Engine) observeBudget(sp *trace.Span, err error) {
 func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	perCache := func(value func(CacheStats, uint64) uint64) func() []metrics.Sample {
 		return func() []metrics.Sample {
-			return []metrics.Sample{e.compiled.sample(value), e.reports.sample(value)}
+			return []metrics.Sample{
+				e.compiled.sample(e.compileStats(), value),
+				e.reports.sample(e.reports.lru.stats(), value),
+			}
 		}
 	}
 	count := func(n *atomic.Uint64) func() []metrics.Sample {
@@ -633,11 +729,12 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		"Pipeline flights aborted by a work budget, by resource kind.", "kind")
 }
 
-// sample is one cache's series of a per-cache family, labelled by its name.
-func (c *cache[V]) sample(value func(CacheStats, uint64) uint64) metrics.Sample {
+// sample is one cache's series of a per-cache family, labelled by its
+// name, read from its snapshot st.
+func (c *cache[V]) sample(st CacheStats, value func(CacheStats, uint64) uint64) metrics.Sample {
 	return metrics.Sample{
 		Labels: []metrics.Label{{Name: "cache", Value: c.name}},
-		Value:  float64(value(c.lru.stats(), c.coalesced.Load())),
+		Value:  float64(value(st, c.coalesced.Load())),
 	}
 }
 
@@ -650,6 +747,8 @@ const (
 	intervalCost = 16
 	ruleCost     = 64
 	rowCost      = 96
+	// encodedCost is a kept response body's overhead beyond its bytes.
+	encodedCost = 48
 )
 
 // fddBytes estimates the resident size of a reduced FDD, counting shared

@@ -47,6 +47,23 @@ func (c *lruCache[V]) peek(key string) (V, bool) {
 	return c.lookup(key, false)
 }
 
+// getBoth returns the entries for k1 and k2, marking both most recently
+// used and counting two hits, when both are resident; otherwise it counts
+// nothing and reports false.
+func (c *lruCache[V]) getBoth(k1, k2 string) (v1, v2 V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el1, ok1 := c.items[k1]
+	el2, ok2 := c.items[k2]
+	if !ok1 || !ok2 {
+		return v1, v2, false
+	}
+	c.hits += 2
+	c.ll.MoveToFront(el2)
+	c.ll.MoveToFront(el1)
+	return el1.Value.(*lruEntry[V]).val, el2.Value.(*lruEntry[V]).val, true
+}
+
 func (c *lruCache[V]) lookup(key string, count bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,6 +100,33 @@ func (c *lruCache[V]) add(key string, v V, size int64) (evicted int) {
 		c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v, size: size})
 		c.bytes += size
 	}
+	return c.evict()
+}
+
+// recharge sets the charge of key's entry to size, provided the entry
+// still holds v (V's dynamic values must be comparable), then evicts from
+// the cold end until the budget holds again, this entry included. It
+// reports whether the entry was there to charge.
+func (c *lruCache[V]) recharge(key string, v V, size int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	e := el.Value.(*lruEntry[V])
+	if any(e.val) != any(v) {
+		return false
+	}
+	c.bytes += size - e.size
+	e.size = size
+	c.evict()
+	return true
+}
+
+// evict drops entries from the cold end while the cache is over budget
+// and returns how many it dropped. The caller holds c.mu.
+func (c *lruCache[V]) evict() (evicted int) {
 	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
 		back := c.ll.Back()
 		e := back.Value.(*lruEntry[V])

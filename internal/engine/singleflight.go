@@ -68,11 +68,18 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, fn func(context.Con
 }
 
 // wait blocks until the flight completes or the caller's context dies,
-// whichever comes first.
+// whichever comes first. A caller whose context died while it waited gets
+// ctx.Err() even when the flight has completed by the time it runs again:
+// a select between two ready channels picks either, and a request past
+// its deadline must not be answered by the chance of that pick.
 func (g *flightGroup[V]) wait(ctx context.Context, key string, f *flight[V], shared bool) (V, bool, error) {
 	select {
 	case <-f.done:
-		return f.val, shared, f.err
+		if ctx.Err() == nil {
+			return f.val, shared, f.err
+		}
+		var zero V
+		return zero, shared, ctx.Err()
 	case <-ctx.Done():
 	}
 	g.mu.Lock()

@@ -103,6 +103,13 @@ go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/pr
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/api/
 
+# /v1/diff resolves a policy's source to its content address through the
+# engine's text alias instead of parsing it; the differential holds every
+# alias to what parse + PolicyHash give, over the frontend corpus,
+# synthetic policies and their respellings, and holds sources that fail
+# to parse or compile to the same answer on every repeat and no alias.
+go test -run=NONE -fuzz='^FuzzTextAliasMatchesParse$' -fuzztime=1x ./internal/api/
+
 # Query strings come from the network (/v1/query) and the command line
 # (fwquery): the query parser's no-panic/round-trip target re-runs its
 # corpus on every gate too.
@@ -161,29 +168,32 @@ go test -race -count=1 -run 'TestScratchAndResumedCompileShareOneFlight' ./inter
 # scratch construction — the correctness proof for the edits fast path.
 go test -race -count=1 -run 'TestIncrementalDifferential' ./internal/impact/
 
-# Performance gate: the pipeline must stay within 12% of the last
+# Performance gate: the pipeline must stay within 30% of the last
 # committed snapshot on the gated phases, after rescaling the baseline
 # by the machine-calibration ratio both snapshots record (this box's
 # absolute timings drift by tens of percent between sessions on
 # byte-identical workloads; BENCH_4 was the first calibrated snapshot).
-# The envelope is set just above this box's measured same-binary noise:
-# back-to-back runs of one unchanged binary swing +/-10-12% per phase
-# even after calibration (see the BENCH_7 note in EXPERIMENTS.md), so a
-# 5% gate fails on noise alone, while the regressions the gate exists
-# to catch (a resume path quietly rebuilding from scratch, a cache
-# stopping to coalesce) overshoot any sane envelope by multiples.
-# impact_incremental_tail is gated so the edit-to-diff fast path cannot
-# silently rot back toward from-scratch cost, and
-# crosscompare_16x_sharded_4_workers so the async-job coordinator's
-# scheduling and compile-cache coalescing cannot either. Skippable for
-# doc-only loops (SKIP_BENCH_GATE=1) — CI always runs it.
+# The envelope is set from this box's measured same-binary noise at the
+# scale the phases now run at (0.2-80 ms): three back-to-back runs of one
+# binary spread by 12-14% on construct, compare and diff_direct and by
+# 27-30% on the edit tail and the 16-policy cross-compare, after
+# calibration (see the BENCH_12 note in EXPERIMENTS.md), while the
+# regressions the gate exists to catch (a resume path quietly
+# rebuilding from scratch, a cache stopping to coalesce, a walk losing
+# its memo) overshoot it by multiples. diff_direct is the product walk
+# and its rows, which every served diff runs; impact_incremental_tail
+# is gated so the edit-to-diff fast path cannot silently rot back toward
+# from-scratch cost, and crosscompare_16x_sharded_4_workers so the
+# async-job coordinator's scheduling and compile-cache coalescing cannot
+# either. Skippable for doc-only loops (SKIP_BENCH_GATE=1) — CI always
+# runs it.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 if [ "${SKIP_BENCH_GATE:-}" != "1" ]; then
     go run ./cmd/fwbench -json -out "$tmpdir/bench" \
-        -baseline results/BENCH_8.json -gate 12 \
-        -gatephases construct,compare,impact_incremental_tail,crosscompare_16x_sharded_4_workers
+        -baseline results/BENCH_12.json -gate 30 \
+        -gatephases construct,compare,diff_direct,impact_incremental_tail,crosscompare_16x_sharded_4_workers
 fi
 
 # Scenario-matrix gate: the seeded scenario matrix (overload, cache-cold
@@ -196,6 +206,6 @@ fi
 # Skippable for doc-only loops (SKIP_SCEN_GATE=1) — CI always runs it.
 if [ "${SKIP_SCEN_GATE:-}" != "1" ]; then
     go run ./cmd/fwscen -fast -out "$tmpdir/scen" \
-        -baseline results/BENCH_8.json
+        -baseline results/BENCH_12.json
     cp "$tmpdir/scen/provenance.json" results/provenance.json
 fi
