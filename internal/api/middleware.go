@@ -394,11 +394,10 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 }
 
 // serverTimingPhases are the layer and pipeline spans surfaced in the
-// Server-Timing response header, in emission order. api.encode can be
-// among them because every body is encoded before its header is written
-// (writeJSON, writeReport): the header carries the encoding, not the
-// write that follows it.
-var serverTimingPhases = []string{"api.decode", "frontend.lower", "engine.hash", "construct", "shape", "compare", "resolve-generate", "resolve-verify", "api.encode"}
+// Server-Timing response header, in emission order. api.encode is not
+// among them: most bodies are encoded as they are written, after the
+// header.
+var serverTimingPhases = []string{"api.decode", "frontend.lower", "engine.hash", "construct", "shape", "compare", "resolve-generate", "resolve-verify"}
 
 // serverTiming renders the trace's per-phase durations so far as a
 // Server-Timing header value: the named pipeline phases that actually

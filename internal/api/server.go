@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -481,9 +480,10 @@ func writeReport(ctx context.Context, w http.ResponseWriter, eng *engine.Engine,
 	_, sp := trace.Start(ctx, "api.encode")
 	defer sp.End()
 	body := eng.EncodedReport(d, func() []byte {
-		buf := getBuffer()
-		defer putBuffer(buf)
-		encodeJSON(buf, ConvertReport(schema, d.Report))
+		// Encoded as writeJSON encodes, and cloned so the kept body has
+		// no spare capacity.
+		var buf bytes.Buffer
+		_ = json.NewEncoder(&buf).Encode(ConvertReport(schema, d.Report))
 		return bytes.Clone(buf.Bytes())
 	})
 	w.Header().Set("Content-Type", "application/json")
@@ -923,40 +923,12 @@ func respond(r *http.Request, w http.ResponseWriter, status int, v interface{}) 
 	sp.End()
 }
 
-// writeJSON encodes v into a pooled buffer and writes it after the header,
-// so a body's bytes exist before the header does (see serverTiming).
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	buf := getBuffer()
-	defer putBuffer(buf)
-	encodeJSON(buf, v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(buf.Bytes())
-}
-
-// encodeJSON appends v's JSON encoding and a newline to buf, as
-// json.Encoder does. Encoding errors can only be ignored; for these
-// types they do not occur.
-func encodeJSON(buf *bytes.Buffer, v interface{}) {
-	_ = json.NewEncoder(buf).Encode(v)
-}
-
-// maxPooledBuffer bounds the buffers the encode pool keeps, so one large
-// response does not stay resident after it is written.
-const maxPooledBuffer = 1 << 20
-
-var encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getBuffer() *bytes.Buffer {
-	buf := encodeBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	return buf
-}
-
-func putBuffer(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuffer {
-		encodeBuffers.Put(buf)
-	}
+	// Encoding errors past the header can only be logged; for these small
+	// bodies they do not occur in practice.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError emits the v1 error envelope. The request ID was stamped
