@@ -113,17 +113,6 @@ func TestDiffSourcesNeedsAliasAndCompilations(t *testing.T) {
 	}
 }
 
-// TestFailedCompileIsNotAliased: AliasSource of a failed compilation
-// records nothing.
-func TestFailedCompileIsNotAliased(t *testing.T) {
-	t.Parallel()
-	e := New(Config{})
-	e.AliasSource(SourceKey("paper", "", "", "x"), nil)
-	if st := e.Stats(); st.Compile.Bytes != 0 {
-		t.Fatalf("a nil compilation charged %d bytes", st.Compile.Bytes)
-	}
-}
-
 // TestAliasAndBodyCharges: an alias is charged to the compile cache's
 // bytes and a kept body to its report's, the body is encoded once, and
 // one report's body leaves the cache with it.
