@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -572,6 +573,27 @@ func TestReportEvictedCompilesResident(t *testing.T) {
 	}
 }
 
+// TestSchemaNameFoldsCase: a request's schema name resolves in any
+// case, as a -schema flag's does. "PAPER" answers 200 with the rows
+// "paper" gives, each computed on its own server.
+func TestSchemaNameFoldsCase(t *testing.T) {
+	var got [2]DiffResponse
+	for i, name := range []string{"paper", "PAPER"} {
+		srv := NewServer()
+		rec := postDiff(t, srv, DiffRequest{Schema: name, A: in(teamA), B: in(teamB)})
+		srv.Close()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("schema %q: status %d: %s", name, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got[0].Discrepancies) != 3 || !reflect.DeepEqual(got[0].Discrepancies, got[1].Discrepancies) {
+		t.Fatalf("schema \"PAPER\" gives rows %+v, \"paper\" %+v", got[1].Discrepancies, got[0].Discrepancies)
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps nothing and allocates
 // nothing per write.
 type discardWriter struct{ h http.Header }
@@ -583,9 +605,9 @@ func (w *discardWriter) WriteHeader(int)             {}
 // TestUntracedWarmDiffAllocs pins what an untraced warm /v1/diff
 // allocates, so a span or event that allocates without a trace fails
 // here: the request struct and the body decode's 5 (TestDecodeAllocs),
-// what field.SchemaByName builds, the two alias keys, the report key
-// and the report lookup's compute closure, and the Content-Type header's
-// value slice.
+// the two alias keys, the report key and the report lookup's compute
+// closure, and the Content-Type header's value slice. field.SchemaByName
+// returns a schema built once and allocates nothing, in any case.
 func TestUntracedWarmDiffAllocs(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
@@ -611,8 +633,12 @@ func TestUntracedWarmDiffAllocs(t *testing.T) {
 	if got := srv.Engine().Stats().Reports.Hits - hits; got != 21 {
 		t.Fatalf("%d report hits over 21 runs; the loop is not on the warm path", got)
 	}
-	schema := testing.AllocsPerRun(20, func() { field.SchemaByName("paper") })
-	if want := 1 + 5 + schema + 2 + 2 + 1; n != want {
+	for _, name := range []string{"paper", "PAPER", "", "Five"} {
+		if schema := testing.AllocsPerRun(20, func() { field.SchemaByName(name) }); schema != 0 {
+			t.Fatalf("field.SchemaByName(%q) makes %v allocations, want 0", name, schema)
+		}
+	}
+	if want := float64(1 + 5 + 2 + 2 + 1); n != want {
 		t.Fatalf("an untraced warm diff makes %v allocations, want %v", n, want)
 	}
 }

@@ -15,10 +15,11 @@ import (
 // SchemaNames lists the accepted -schema values.
 func SchemaNames() string { return "five, four, paper" }
 
-// Schema resolves a -schema flag value, case-insensitively, through the
-// server's schema registry. Unlike a request, a flag may not be empty.
+// Schema resolves a -schema flag value through the server's schema
+// registry (field.SchemaByName, which folds case). Unlike a request, a
+// flag may not be empty.
 func Schema(name string) (*field.Schema, error) {
-	s, err := field.SchemaByName(strings.ToLower(name))
+	s, err := field.SchemaByName(name)
 	if err != nil || name == "" {
 		return nil, fmt.Errorf("unknown schema %q (have: %s)", name, SchemaNames())
 	}

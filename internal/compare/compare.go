@@ -181,10 +181,11 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 	defer sp.End()
 	report := &Report{}
 	w := newCmpWalker(ctx, sa.Schema)
+	defer w.st.Release()
 
 	var diff *fdd.FDD
 	if sa.Root.IsTerminal() {
-		diff = &fdd.FDD{Schema: sa.Schema, Root: w.walk(sa.Root, sb.Root)}
+		diff = w.st.Diagram(sa.Schema, w.walk(sa.Root, sb.Root))
 	} else {
 		diff = w.walkParallel(ctx, sa, sb)
 	}
@@ -215,14 +216,11 @@ func fullSets(schema *field.Schema) []interval.Set {
 }
 
 // cmpWalker carries one lockstep walk's node store and path counters.
+// The nodes under construction are frames of the store's scratch; the
+// store copies a frame only into a node it has not seen.
 type cmpWalker struct {
-	in    *fdd.Interner
+	st    *fdd.Store
 	fulls []interval.Set
-	// stack holds the edge lists of the nodes under construction, one
-	// frame per walk call, addressed by base index because deeper calls
-	// may grow (and move) it; the store copies a frame only into a node
-	// it has not seen.
-	stack []fdd.Edge
 	paths int // decision-path pairs walked
 	raw   int // pairs with differing terminal decisions
 	// err is the first out-of-range decision the walk met (see
@@ -237,16 +235,16 @@ type cmpWalker struct {
 // newCmpWalker returns a lockstep walker with its own node store,
 // metered against ctx.
 func newCmpWalker(ctx context.Context, schema *field.Schema) *cmpWalker {
-	return &cmpWalker{in: fdd.NewInterner(), fulls: fullSets(schema), m: guard.NewMeter(ctx)}
+	return &cmpWalker{st: fdd.NewStore(), fulls: fullSets(schema), m: guard.NewMeter(ctx)}
 }
 
-// walk compares the semi-isomorphic subtrees a and b and returns the
-// canonical (hash-consed) root of their difference diagram.
-func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
+// walk compares the semi-isomorphic subtrees a and b and returns the id
+// of the canonical (hash-consed) root of their difference diagram.
+func (w *cmpWalker) walk(a, b *fdd.Node) uint32 {
 	if w.m.Tick() || w.err != nil {
 		// Unwind with an arbitrary agreeing terminal; the caller checks
 		// the meter and the range error and discards the diagram.
-		return w.in.CanonicalTerminal(agreeTerminal)
+		return w.st.Terminal(agreeTerminal)
 	}
 	w.m.AddNodes(1)
 	if a.IsTerminal() {
@@ -258,23 +256,21 @@ func (w *cmpWalker) walk(a, b *fdd.Node) *fdd.Node {
 		if err != nil && w.err == nil {
 			w.err = err
 		}
-		return w.in.CanonicalTerminal(code)
+		return w.st.Terminal(code)
 	}
-	base := len(w.stack)
+	f := w.st.Frame()
 	for i := range a.Edges {
-		to := w.walk(a.Edges[i].To, b.Edges[i].To)
-		w.stack = append(w.stack, fdd.Edge{Label: a.Edges[i].Label, To: to})
+		w.st.Push(a.Edges[i].Label, w.walk(a.Edges[i].To, b.Edges[i].To))
 	}
-	out := w.in.Canonicalize(a.Field, w.stack[base:], w.fulls[a.Field])
-	w.stack = w.stack[:base]
-	return out
+	return w.st.Node(f, a.Field, w.fulls[a.Field])
 }
 
 // walkParallel fans the per-root-edge subwalks out (guard.FanOut).
 // Shaped diagrams are trees, so the subwalks share nothing; each worker
 // interns into its own store shard and meters against ctx with its own
-// meter. The shard results are stitched under a fresh root and
-// re-interned once into w's store, which canonicalizes across shards.
+// meter. The shard results are materialized, stitched under a fresh
+// root and re-interned once into w's store, which canonicalizes across
+// shards.
 // Counters are summed into w, and the result is deterministic: subwalk
 // k always lands at root-edge position k.
 func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD {
@@ -287,13 +283,15 @@ func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD 
 		sw := newCmpWalker(ctx, sa.Schema)
 		for k, ok := next(); ok; k, ok = next() {
 			sw.err = nil
+			id := sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To)
 			edges[k] = fdd.Edge{
 				Label: sa.Root.Edges[k].Label,
-				To:    sw.walk(sa.Root.Edges[k].To, sb.Root.Edges[k].To),
+				To:    sw.st.Diagram(sa.Schema, id).Root,
 			}
 			errs[k] = sw.err
 		}
 		sw.m.Flush()
+		sw.st.Release()
 		mu.Lock()
 		w.paths += sw.paths
 		w.raw += sw.raw
@@ -312,7 +310,7 @@ func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD 
 		// caller discards the diagram anyway.
 		return &fdd.FDD{Schema: sa.Schema, Root: root}
 	}
-	return w.in.Reduce(&fdd.FDD{Schema: sa.Schema, Root: root})
+	return w.st.Reduce(&fdd.FDD{Schema: sa.Schema, Root: root})
 }
 
 // pairRows lists the merged discrepancy rows of a pair difference

@@ -29,10 +29,10 @@ func DiffFDDsDirect(fa, fb *fdd.FDD) (*Report, error) {
 // Two properties make it the fast path for change-impact analysis:
 //
 //   - pointer-identical subgraphs short-circuit to "agree" in O(1). When
-//     both diagrams were reduced in the same node store (fdd.Builder
-//     families: a base FDD and one resumed after an edit), everything the
-//     edit did not touch is shared and the walk only descends into the
-//     changed region.
+//     both diagrams were materialized from the same node store
+//     (fdd.Builder families: a base FDD and one resumed after an edit),
+//     everything the edit did not touch is shared and the walk only
+//     descends into the changed region.
 //   - the memo is keyed by node pair, so repeated shared substructure is
 //     compared once.
 //
@@ -72,8 +72,10 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 // behind the pair diff, DiffN's folds and package compose: at each node
 // pair it splits on the smaller labeled field, intersecting edge labels
 // pairwise, memoizes per (a, b) node pair, and hash-conses every node it
-// builds. It polls ctx and charges the context's guard budget; on
-// either tripping it returns the wrapped error and no diagram.
+// builds into a pointer-free fdd.Store, from which the result is
+// materialized once. It polls ctx and charges the context's guard
+// budget; on either tripping it returns the wrapped error and no
+// diagram.
 func Product(ctx context.Context, fa, fb *fdd.FDD, combine func(da, db rule.Decision) rule.Decision) (*fdd.FDD, error) {
 	return (&directWalker{combine: combine}).run(ctx, fa, fb)
 }
@@ -105,8 +107,9 @@ func (w *directWalker) run(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, erro
 	if !fa.Schema.Equal(fb.Schema) {
 		return nil, fmt.Errorf("compare: schemas differ")
 	}
-	w.in, w.fulls = fdd.NewInterner(), fullSets(fa.Schema)
-	w.memo = make(map[[2]*fdd.Node]*fdd.Node)
+	w.st, w.fulls = fdd.NewStore(), fullSets(fa.Schema)
+	defer w.st.Release()
+	w.memo = make(map[[2]*fdd.Node]uint32)
 	w.m = guard.NewMeter(ctx)
 	if err := chaos.Fire(ctx, chaos.PointDirectWalk); err != nil {
 		return nil, fmt.Errorf("compare: %w", err)
@@ -120,12 +123,12 @@ func (w *directWalker) run(ctx context.Context, fa, fb *fdd.FDD) (*fdd.FDD, erro
 	if w.err != nil {
 		return nil, w.err
 	}
-	return &fdd.FDD{Schema: fa.Schema, Root: root}, nil
+	return w.st.Diagram(fa.Schema, root), nil
 }
 
 // directWalker carries one product walk's memo, node store, and counters.
 type directWalker struct {
-	in      *fdd.Interner
+	st      *fdd.Store
 	fulls   []interval.Set
 	combine func(da, db rule.Decision) rule.Decision
 	// shortCircuit collapses a node pair that is one pointer to
@@ -136,13 +139,11 @@ type directWalker struct {
 	// err is pairDecision's first range error (see pairCode); the walk
 	// unwinds and the diagram is discarded.
 	err error
-	// stack holds the edge lists of the nodes under construction, one
-	// frame per walk call, addressed by base index because deeper calls
-	// may grow (and move) it. Interning copies a frame only into a node
-	// the store has not seen, so a product node that dedupes allocates
-	// nothing.
-	stack  []fdd.Edge
-	memo   map[[2]*fdd.Node]*fdd.Node
+	// memo maps a node pair to its product's id in st. The nodes under
+	// construction are frames of st's scratch, and interning copies a
+	// frame only into a node the store has not seen, so a product node
+	// that dedupes allocates nothing.
+	memo   map[[2]*fdd.Node]uint32
 	paths  int // node pairs whose terminals were combined
 	raw    int // pairs with differing decisions
 	shared int // pointer-identity short-circuits
@@ -159,31 +160,32 @@ type directWalker struct {
 // they agree on.
 const agreeTerminal = 1<<pairShift | 1
 
-// walk returns the canonical product node for subgraphs a and b.
-func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
+// walk returns the id of the canonical product node for subgraphs a
+// and b.
+func (w *directWalker) walk(a, b *fdd.Node) uint32 {
 	if a == b && w.shortCircuit {
 		// Shared subgraph: both sides decide every packet below here
 		// identically, whatever those decisions are.
 		w.shared++
-		return w.in.CanonicalTerminal(agreeTerminal)
+		return w.st.Terminal(agreeTerminal)
 	}
 	if w.m.Tick() || w.err != nil {
 		// Unwind with an arbitrary terminal; the caller discards the
 		// diagram.
-		return w.in.CanonicalTerminal(agreeTerminal)
+		return w.st.Terminal(agreeTerminal)
 	}
 	key := [2]*fdd.Node{a, b}
 	if c, ok := w.memo[key]; ok {
 		return c
 	}
 	w.m.AddNodes(1)
-	var out *fdd.Node
+	var out uint32
 	if a.IsTerminal() && b.IsTerminal() {
 		w.paths++
 		if a.Decision != b.Decision {
 			w.raw++
 		}
-		out = w.in.CanonicalTerminal(w.combine(a.Decision, b.Decision))
+		out = w.st.Terminal(w.combine(a.Decision, b.Decision))
 	} else {
 		// Branch on the smaller labeled field. A terminal (or a node
 		// labeled with a later field — reduction elides full-domain
@@ -196,34 +198,29 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 		}
 		aBranches := !a.IsTerminal() && a.Field == f
 		bBranches := !b.IsTerminal() && b.Field == f
-		base := len(w.stack)
+		frame := w.st.Frame()
 		switch {
 		case aBranches && bBranches:
 			for i := range a.Edges {
 				ea := &a.Edges[i]
 				for j := range b.Edges {
 					eb := &b.Edges[j]
-					common := ea.Label.Intersect(eb.Label)
-					if common.Empty() {
+					if !ea.Label.Overlaps(eb.Label) {
 						continue
 					}
-					to := w.walk(ea.To, eb.To)
-					w.stack = append(w.stack, fdd.Edge{Label: common, To: to})
+					w.st.PushIntersect(ea.Label, eb.Label, w.walk(ea.To, eb.To))
 				}
 			}
 		case aBranches:
 			for i := range a.Edges {
-				to := w.walk(a.Edges[i].To, b)
-				w.stack = append(w.stack, fdd.Edge{Label: a.Edges[i].Label, To: to})
+				w.st.Push(a.Edges[i].Label, w.walk(a.Edges[i].To, b))
 			}
 		default:
 			for i := range b.Edges {
-				to := w.walk(a, b.Edges[i].To)
-				w.stack = append(w.stack, fdd.Edge{Label: b.Edges[i].Label, To: to})
+				w.st.Push(b.Edges[i].Label, w.walk(a, b.Edges[i].To))
 			}
 		}
-		out = w.in.Canonicalize(f, w.stack[base:], w.fulls[f])
-		w.stack = w.stack[:base]
+		out = w.st.Node(frame, f, w.fulls[f])
 	}
 	w.memo[key] = out
 	return out

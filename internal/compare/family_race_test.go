@@ -38,13 +38,13 @@ func editScript(p *rule.Policy, r *rand.Rand, n int) (*rule.Policy, error) {
 }
 
 // TestResumeFamilyRace runs one builder family from many goroutines at
-// once: some Resume the base with distinct edit scripts, writing the
-// append memo slots of the family's nodes under the family lock, while
-// others walk the base against earlier results of the same family with
-// DiffFDDsDirect, reading those nodes without the lock. Run under
-// -race it proves the slots share no memory with what readers touch;
-// the results must match scratch construction and the sequential
-// reports.
+// once: some Resume the base with distinct edit scripts, growing the
+// family store and publishing new nodes through its id->node table
+// under the family lock, while others walk the base against earlier
+// results of the same family with DiffFDDsDirect, reading published
+// nodes without the lock. Run under -race it proves a build shares no
+// memory with what readers touch; the results must match scratch
+// construction and the sequential reports.
 func TestResumeFamilyRace(t *testing.T) {
 	withProcs(t, 4, func() {
 		p := synth.RealLife(240, 17)

@@ -130,7 +130,7 @@ func lockstepDiagram(tb testing.TB, fa, fb *fdd.FDD) *fdd.FDD {
 		tb.Fatal(err)
 	}
 	w := newCmpWalker(context.Background(), sa.Schema)
-	return &fdd.FDD{Schema: sa.Schema, Root: w.walk(sa.Root, sb.Root)}
+	return w.st.Diagram(sa.Schema, w.walk(sa.Root, sb.Root))
 }
 
 // coldPairs is the diff-cold shape: 16 RealLife(661) bases, each

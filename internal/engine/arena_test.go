@@ -3,11 +3,17 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
+	"diversefw/internal/compare"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/frontend"
 	"diversefw/internal/impact"
+	"diversefw/internal/interval"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
 )
@@ -70,4 +76,63 @@ func TestArenaPolicyUnchangedByEdits(t *testing.T) {
 	if got := PolicyHash(p); got != wantHash {
 		t.Fatalf("PolicyHash changed: %s, want %s", got, wantHash)
 	}
+}
+
+// TestDiagramAndReportOwnTheirIntervals parses a policy into the native
+// parser's arena, compiles it through the engine and diffs it, keeps the
+// diagram and the report, and drops the policy and the engine. The
+// arena's interval slab must then be collected: no edge label of the
+// diagram and no row of the report may be a view of the rule sets it
+// was built from.
+func TestDiagramAndReportOwnTheirIntervals(t *testing.T) {
+	schema := field.IPv4FiveTuple()
+	base := synth.RealLife(120, 5)
+	other, _ := synth.Perturb(base, 25, 3)
+	collected := make(chan struct{})
+	diagram, report := func() (*fdd.FDD, *compare.Report) {
+		p, err := frontend.Parse("native", schema, rule.FormatPolicy(base), frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every set of p views the arena's one interval slab, whose first
+		// interval is field 0's full domain, the set of every rule that
+		// omits field 0 (the catch-all does): the lowest address of them
+		// all is the slab's.
+		var first *interval.Interval
+		for _, r := range p.Rules {
+			for _, s := range r.Pred {
+				ptr := (*interval.Interval)(reflect.ValueOf(s).Field(0).Index(0).Addr().UnsafePointer())
+				if first == nil || uintptr(unsafe.Pointer(ptr)) < uintptr(unsafe.Pointer(first)) {
+					first = ptr
+				}
+			}
+		}
+		runtime.SetFinalizer(first, func(*interval.Interval) { close(collected) })
+		e := New(Config{})
+		c, _, err := e.Compile(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, _, err := e.DiffPolicies(context.Background(), p, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Equivalent() {
+			t.Fatal("the diff found no discrepancy")
+		}
+		return c.FDD, report
+	}()
+	deadline := time.After(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the policy's interval slab is still reachable from the diagram or the report")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(diagram)
+	runtime.KeepAlive(report)
 }

@@ -282,8 +282,8 @@ func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base 
 			}
 		}
 		c.FDD = c.Builder.FDD()
-		size, nodes := fddBytes(c.FDD)
-		c.SizeBytes = policyBytes(p) + size + builderBytes(c.Builder, nodes)
+		size, _ := fddBytes(c.FDD)
+		c.SizeBytes = policyBytes(p) + size + builderBytes(c.Builder)
 		return c, c.SizeBytes, nil
 	})
 }
@@ -742,8 +742,11 @@ func (c *cache[V]) sample(st CacheStats, value func(CacheStats, uint64) uint64) 
 // overheads (headers, slices, pointers) approximately; the goal is that
 // the budget tracks real memory within a small constant factor.
 const (
-	nodeCost     = 64
-	edgeCost     = 48
+	// A diagram is materialized as one slab each of fdd.Node, fdd.Edge
+	// and interval.Interval, so nodeCost and edgeCost are those structs'
+	// sizes, with no per-object overhead.
+	nodeCost     = 40
+	edgeCost     = 32
 	intervalCost = 16
 	ruleCost     = 64
 	rowCost      = 96
@@ -772,17 +775,17 @@ func fddBytes(f *fdd.FDD) (total int64, nodes int) {
 }
 
 // builderBytes estimates the extra resident cost of keeping a compiled
-// policy's builder: the nodes its family's shared store holds beyond the
-// final diagram of diagramNodes nodes, which fddBytes already charges —
-// the checkpoints' partial diagrams. A trimmed builder holds none.
-// Builders resumed from a common base share one store, so summing per
-// cache entry over-charges — the LRU budget prefers over- to
-// under-counting.
-func builderBytes(b *fdd.Builder, diagramNodes int) int64 {
+// policy's builder: its family's pointer-free store, which holds the
+// final diagrams and the checkpoints' partial diagrams as slab records
+// beside the materialized diagram fddBytes charges. A trimmed builder
+// holds none. Builders resumed from a common base share one store, so
+// summing per cache entry over-charges — the LRU budget prefers over-
+// to under-counting.
+func builderBytes(b *fdd.Builder) int64 {
 	if b == nil {
 		return 0
 	}
-	return int64(b.StoreNodes()-diagramNodes) * (nodeCost + edgeCost)
+	return b.StoreBytes()
 }
 
 // policyBytes estimates the resident size of a parsed policy.

@@ -227,8 +227,8 @@ func TestCompileKeepsOnlyTheDiagram(t *testing.T) {
 	if n := c.Builder.NumCheckpoints(); n != 0 {
 		t.Fatalf("a cold Compile keeps %d checkpoints", n)
 	}
-	if _, nodes := fddBytes(c.FDD); c.Builder.StoreNodes() != nodes {
-		t.Fatalf("a cold Compile's store holds %d nodes, its diagram %d", c.Builder.StoreNodes(), nodes)
+	if c.Builder.StoreNodes() != 0 || builderBytes(c.Builder) != 0 {
+		t.Fatalf("a cold Compile keeps a store of %d nodes, charged %d bytes", c.Builder.StoreNodes(), builderBytes(c.Builder))
 	}
 
 	e = New(Config{})

@@ -44,7 +44,7 @@ func flipRule(t *testing.T, p *rule.Policy, i int) *rule.Policy {
 // mid-build, by a tiny budget, by a budget that trips after a few
 // promotions, and by cancellation between appends, and checks after
 // every build (aborted or not) that the family store is still
-// indexed and that no node in it keeps an append memo slot. A later
+// indexed and that no overlay or scratch frame is left open. A later
 // Resume of a different edit must then match scratch construction, and
 // resuming that edit again must return the very same root.
 func TestAbortedResumeLeavesFamilyClean(t *testing.T) {
@@ -53,7 +53,7 @@ func TestAbortedResumeLeavesFamilyClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	family := base.core.in
+	family := base.core.st
 	assertStoreIndexed(t, family)
 	// Flip effective rules near the head, so every edit changes the
 	// diagram and its Resume rebuilds from the first rule.
@@ -102,7 +102,7 @@ func TestAbortedResumeLeavesFamilyClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		stored := family.NumNodes()
-		if family.ReduceNode(after.Schema, scratch.FDD().Root) != nb.FDD().Root {
+		if family.ReduceNode(after.Schema, scratch.FDD().Root) != nb.root {
 			t.Fatal("resume after aborted builds differs from scratch construction")
 		}
 		if family.NumNodes() != stored {

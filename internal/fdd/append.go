@@ -1,6 +1,8 @@
 package fdd
 
 import (
+	"sync"
+
 	"diversefw/internal/field"
 	"diversefw/internal/guard"
 	"diversefw/internal/interval"
@@ -15,52 +17,44 @@ const checkpointEvery = 32
 
 // appender holds the per-construction state of the append algorithm
 // (Fig. 7). Every node an append produces is hash-consed into an overlay
-// over the family store the moment it is created, so each intermediate
+// of the family store the moment it is created, so each intermediate
 // root is already reduced: the partial FDD never carries structure that
 // a later reduction would throw away, and "did this rule change the
-// diagram" is a pointer comparison.
+// diagram" is an id comparison. Nothing the appender keeps per node is a
+// pointer: its caches are arrays and maps indexed by store id.
 type appender struct {
-	fulls []interval.Set // fulls[k] == schema.FullSet(k)
-	ivbuf []interval.Interval
-
-	family *Interner // the builder family's store
-	ov     *Interner // overlay of family holding the nodes since the last promotion
-	// overlayNodes totals the nodes interned in overlays over the whole
-	// build: the construction's work, in nodes.
+	st    *Store // the builder family's store, its overlay open
+	fulls []interval.Set
+	nf    int // the schema's field count
+	// overlayNodes totals the nodes interned in the overlay over the
+	// whole build: the construction's work, in nodes.
 	overlayNodes int
 
-	// covered caches the covered-label union of each canonical
-	// nonterminal the store did not mark complete (a complete node
-	// covers the domain, which coveredBy reads off the node); canonical
-	// nodes are immutable, so an entry never goes stale. It is cleared
-	// with the overlay whose nodes it references.
-	covered map[*Node]interval.Set
-
-	// stack holds the edge lists under construction, one frame per
-	// applyAt (or node) call, each addressed by its base index: a deeper
-	// call may grow, and so move, the slice. Interning copies a frame
-	// only when its node is new.
-	stack []Edge
+	// cov caches, by id, the covered-label union of each nonterminal the
+	// store did not mark complete (a complete node covers the domain,
+	// which coveredBy reads off its record), as a span of covIvs; hi 0
+	// means not computed. Stored nodes are immutable, so an entry never
+	// goes stale until a promotion renumbers the overlay, which empties
+	// the cache.
+	cov    []span
+	covIvs []interval.Interval
 
 	// Per-append state: the rule being appended, the memo that visits
 	// each (node, field index) once, and lazily built pieces that depend
-	// only on the rule and a field index. The common subproblem, a node
-	// at its own field, is memoized in the node's slot (Node.memoGen,
-	// Node.memoOut); memo holds only the skipped-field ones (a terminal,
-	// or a node labeled with a later field). Either entry holds for the
-	// append whose generation it carries: start bumps gen instead of
-	// clearing anything, except when gen wraps. slots lists the nodes
-	// whose slot the build has written since the last clearSlots, which
-	// promotion and the end of the build call, so no resident node keeps
-	// a slot (or a pointer into a discarded overlay) once its build
-	// moves on.
+	// only on the rule and a field index. The memo is indexed by
+	// id*nf + field index; an entry holds for the append whose
+	// generation it carries: start bumps gen instead of clearing
+	// anything, except when gen wraps. A promotion renumbers overlay ids
+	// between two appends, and a recycled appender (appenders) comes from
+	// another store, so the next append's generation already disowns
+	// every entry either could confuse.
 	pred    rule.Predicate
 	dec     rule.Decision
-	gen     uint16
-	memo    map[memoKey]memoEntry
-	slots   []*Node
-	paths   []*Node        // paths[k]: canonical path for pred[k:], or nil
-	outside []interval.Set // outside[k]: fulls[k] minus pred[k], or empty
+	gen     uint32
+	memo    []memoEntry
+	paths   []uint32            // paths[k]: canonical path for pred[k:], or noNode
+	outside []interval.Set      // outside[k]: fulls[k] minus pred[k] (in outIvs), or empty
+	outIvs  []interval.Interval // the current append's outside sets
 
 	// m meters the build: one tick, charged as one node, for every
 	// (node, field index) subproblem the append visits and one for every
@@ -69,41 +63,42 @@ type appender struct {
 	m guard.Meter
 }
 
-// memoKey identifies one skipped-field append subproblem: the rule's
-// conjuncts from field k on, merged into the canonical node n, which is
-// a terminal or labeled with a field after k.
-type memoKey struct {
-	n *Node
-	k int
-}
+// span is a run [lo, hi) of an interval slab.
+type span struct{ lo, hi uint32 }
 
 // memoEntry is a memoized subproblem result, valid in the append of
 // generation gen only.
 type memoEntry struct {
-	out *Node
-	gen uint16
+	out, gen uint32
 }
+
+// appenders recycles appenders across builds: their memo and cache
+// arrays hold no pointers and grow to the stores they serve.
+var appenders = sync.Pool{New: func() any { return new(appender) }}
 
 // budgetPanic carries a meter's stop (a budget crossing or a
 // cancellation) out of a recursion with no error path; it is recovered
 // at the construction and simplification entry points only.
 type budgetPanic struct{ err error }
 
-func newAppender(schema *field.Schema, family *Interner) *appender {
-	d := schema.NumFields()
-	fulls := make([]interval.Set, d)
-	for k := range fulls {
-		fulls[k] = schema.FullSet(k)
-	}
-	return &appender{
-		fulls:   fulls,
-		family:  family,
-		ov:      newOverlay(family),
-		covered: make(map[*Node]interval.Set),
-		memo:    make(map[memoKey]memoEntry),
-		paths:   make([]*Node, d+1),
-		outside: make([]interval.Set, d),
-	}
+// newAppender returns an appender for a build of schema's policies into
+// family, recycled when one was released.
+func newAppender(schema *field.Schema, family *Store) *appender {
+	ap := appenders.Get().(*appender)
+	ap.st, ap.fulls, ap.nf = family, fullSets(schema), schema.NumFields()
+	ap.paths = extend(ap.paths[:0], ap.nf+1)
+	ap.outside = extend(ap.outside[:0], ap.nf)
+	clear(ap.cov)
+	ap.covIvs = ap.covIvs[:0]
+	return ap
+}
+
+// release drops the appender's references and recycles it.
+func (ap *appender) release() {
+	ap.st, ap.fulls, ap.pred = nil, nil, nil
+	clear(ap.outside)
+	ap.m = guard.Meter{}
+	appenders.Put(ap)
 }
 
 // tick charges one unit of work, a visited subproblem or a created
@@ -119,73 +114,60 @@ func (ap *appender) tick() {
 // tick so the hot path inlines.
 func (ap *appender) unwind() { panic(budgetPanic{ap.m.Err()}) }
 
-// node canonicalizes a nonterminal labeled k whose edges are the stack
-// frame from base up (their children canonical) into the overlay,
-// charging the budget for it, and pops the frame.
-func (ap *appender) node(k, base int) *Node {
+// node canonicalizes a nonterminal labeled k whose edges are the frame
+// pushed since f (their children canonical) into the overlay, charging
+// the budget for it, and pops the frame.
+func (ap *appender) node(k int, f Frame) uint32 {
 	ap.tick()
-	n := ap.ov.Canonicalize(k, ap.stack[base:], ap.fulls[k])
-	ap.stack = ap.stack[:base]
-	return n
+	return ap.st.Node(f, k, ap.fulls[k])
 }
 
 // promote moves the overlay nodes root reaches into the family store
 // and empties the overlay for the next batch: the family keeps exactly
 // the nodes reachable from promoted roots, never the intermediate forms
-// between them, and the nodes it keeps are the ones the appends built.
-// root itself stays the same pointer, now canonical in the family.
-func (ap *appender) promote(root *Node) {
-	ap.clearSlots()
-	moveInto(ap.family, root)
-	ap.overlayNodes += ap.ov.NumNodes()
-	ap.ov.reset()
-	clear(ap.covered)
-	clear(ap.memo)
-	clear(ap.stack[:cap(ap.stack)])
-}
-
-// clearSlots empties every memo slot the build has written since the
-// last call.
-func (ap *appender) clearSlots() {
-	for _, n := range ap.slots {
-		n.memoGen, n.memoOut = 0, nil
-	}
-	clear(ap.slots)
-	ap.slots = ap.slots[:0]
+// between them. It returns root's id in the family.
+func (ap *appender) promote(root uint32) uint32 {
+	ap.overlayNodes += ap.st.overlayNodes()
+	root = ap.st.promote(root)
+	clear(ap.cov)
+	ap.covIvs = ap.covIvs[:0]
+	return root
 }
 
 // start resets the per-append state for rule (pred, d).
 func (ap *appender) start(pred rule.Predicate, d rule.Decision) {
 	ap.pred, ap.dec = pred, d
 	if ap.gen++; ap.gen == 0 {
-		// The generation wrapped: empty every slot and memo entry an
-		// earlier append of this build could still match.
-		ap.clearSlots()
+		// The generation wrapped: empty every memo entry an earlier
+		// append could still match.
 		clear(ap.memo)
 		ap.gen = 1
 	}
-	clear(ap.paths)
+	for k := range ap.paths {
+		ap.paths[k] = noNode
+	}
 	clear(ap.outside)
+	ap.outIvs = ap.outIvs[:0]
 }
 
 // path returns the canonical single-rule diagram for conjuncts pred[k:]
 // ending in the rule's decision (the partial FDD of a lone rule).
-func (ap *appender) path(k int) *Node {
-	if n := ap.paths[k]; n != nil {
+func (ap *appender) path(k int) uint32 {
+	if n := ap.paths[k]; n != noNode {
 		return n
 	}
-	var n *Node
+	var n uint32
 	switch {
 	case k == len(ap.pred):
 		ap.tick()
-		n = ap.ov.CanonicalTerminal(ap.dec)
+		n = ap.st.Terminal(ap.dec)
 	case ap.pred[k].Equal(ap.fulls[k]):
 		n = ap.path(k + 1)
 	default:
 		to := ap.path(k + 1)
-		base := len(ap.stack)
-		ap.stack = append(ap.stack, Edge{Label: ap.pred[k], To: to})
-		n = ap.node(k, base)
+		f := ap.st.Frame()
+		ap.st.Push(ap.pred[k], to)
+		n = ap.node(k, f)
 	}
 	ap.paths[k] = n
 	return n
@@ -196,84 +178,83 @@ func (ap *appender) path(k int) *Node {
 // not the full domain, so an empty entry means "not computed yet".
 func (ap *appender) outsideOf(k int) interval.Set {
 	if ap.outside[k].Empty() {
-		ap.outside[k] = ap.fulls[k].Subtract(ap.pred[k])
+		lo := len(ap.outIvs)
+		ap.outIvs = ap.fulls[k].AppendSubtract(ap.outIvs, ap.pred[k])
+		ap.outside[k] = interval.SetView(ap.outIvs[lo:])
 	}
 	return ap.outside[k]
 }
 
-// coveredBy returns the union of v's edge labels. A node the store
-// found complete when it created it covers the whole domain; the union
-// of any other is gathered and canonicalized in a single pass, once per
-// canonical node.
-func (ap *appender) coveredBy(v *Node) interval.Set {
-	if v.complete {
-		return ap.fulls[v.Field]
+// coveredBy returns the union of the labels of v, whose record is r. A
+// node the store found complete when it created it covers the whole
+// domain; the union of any other is gathered from its labels and
+// canonicalized once per stored node.
+func (ap *appender) coveredBy(v uint32, r *record) interval.Set {
+	if r.complete {
+		return ap.fulls[r.field]
 	}
-	if s, ok := ap.covered[v]; ok {
-		return s
+	if int(v) >= len(ap.cov) {
+		ap.cov = extend(ap.cov, len(ap.st.nodes))
 	}
-	ap.ivbuf = ap.ivbuf[:0]
-	for i := range v.Edges {
-		ap.ivbuf = v.Edges[i].Label.AppendIntervals(ap.ivbuf)
+	if c := ap.cov[v]; c.hi != 0 {
+		return interval.SetView(ap.covIvs[c.lo:c.hi])
 	}
-	s := interval.NewSet(ap.ivbuf...)
-	ap.covered[v] = s
-	return s
+	st := ap.st
+	lo := len(ap.covIvs)
+	for _, e := range st.edges[r.edge0 : r.edge0+r.nEdges] {
+		ap.covIvs = append(ap.covIvs, st.ivs[e.lo:e.hi]...)
+	}
+	set := interval.NewSetInPlace(ap.covIvs[lo:])
+	ap.covIvs = ap.covIvs[:lo+set.NumIntervals()]
+	ap.cov[v] = span{uint32(lo), uint32(len(ap.covIvs))}
+	return set
 }
 
 // appendRule implements APPEND of Fig. 7 for the whole rule: it merges
 // (pred, d) into the canonical partial FDD rooted at root and returns
 // the canonical root of the result. The root is unchanged exactly when
 // every packet matching the rule already matched an earlier rule — in
-// one canonical store, equal functions are equal pointers.
-func (ap *appender) appendRule(root *Node, pred rule.Predicate, d rule.Decision) *Node {
+// one canonical store, equal functions are equal ids.
+func (ap *appender) appendRule(root uint32, pred rule.Predicate, d rule.Decision) uint32 {
 	ap.start(pred, d)
 	return ap.apply(root, 0)
 }
 
 // apply merges the rule's conjuncts pred[k:] into the canonical node v,
 // memoized on (v, k) so a subgraph shared under several edges is
-// appended to once: in v's own slot when k is v's field, in the memo
-// map otherwise. Each memo miss is charged to the budget: an append
+// appended to once. Each memo miss is charged to the budget: an append
 // that changes nothing still walks every subproblem its rule overlaps.
-func (ap *appender) apply(v *Node, k int) *Node {
+func (ap *appender) apply(v uint32, k int) uint32 {
 	if k == len(ap.pred) {
 		// All fields consumed: the existing first-match decision wins.
 		return v
 	}
-	if k == v.Field {
-		if v.memoGen == ap.gen {
-			return v.memoOut
-		}
-		ap.tick()
-		out := ap.applyAt(v, k)
-		if v.memoGen == 0 {
-			ap.slots = append(ap.slots, v)
-		}
-		v.memoGen, v.memoOut = ap.gen, out
-		return out
-	}
-	key := memoKey{v, k}
-	if e, ok := ap.memo[key]; ok && e.gen == ap.gen {
-		return e.out
+	i := int(v)*ap.nf + k
+	if i < len(ap.memo) && ap.memo[i].gen == ap.gen {
+		return ap.memo[i].out
 	}
 	ap.tick()
 	out := ap.applyAt(v, k)
-	ap.memo[key] = memoEntry{out, ap.gen}
+	if i >= len(ap.memo) {
+		ap.memo = extend(ap.memo, len(ap.st.nodes)*ap.nf)
+	}
+	ap.memo[i] = memoEntry{out, ap.gen}
 	return out
 }
 
 // applyAt is apply's body: the three edge cases of Fig. 7 on a diagram
 // whose nodes may skip fields (a skipped field is implicitly a single
-// full-domain edge). A changed node's edges are built as a frame on
-// ap.stack starting at base; nothing is pushed until the first change,
-// so an append that leaves v's function alone copies nothing here.
-func (ap *appender) applyAt(v *Node, k int) *Node {
+// full-domain edge). A changed node's edges are built on the store's
+// scratch frame; nothing is pushed until the first change, so an append
+// that leaves v's function alone copies nothing here.
+func (ap *appender) applyAt(v uint32, k int) uint32 {
+	st := ap.st
 	s := ap.pred[k]
+	r := st.nodes[v]
 
 	// A terminal or a node labeled with a later field covers field k
 	// implicitly with the full domain: split that implicit edge on S.
-	if v.IsTerminal() || v.Field > k {
+	if r.field == TerminalField || int(r.field) > k {
 		if s.Equal(ap.fulls[k]) {
 			return ap.apply(v, k+1)
 		}
@@ -281,62 +262,65 @@ func (ap *appender) applyAt(v *Node, k int) *Node {
 		if inside == v {
 			return v
 		}
-		base := len(ap.stack)
-		ap.stack = append(ap.stack,
-			Edge{Label: ap.outsideOf(k), To: v},
-			Edge{Label: s, To: inside})
-		return ap.node(k, base)
+		f := st.Frame()
+		st.Push(ap.outsideOf(k), v)
+		st.Push(s, inside)
+		return ap.node(k, f)
 	}
 
-	base := len(ap.stack)
+	f := st.Frame()
 	changed := false
 
 	// Uncovered part of S: packets here match none of the earlier rules,
 	// so they get the new rule's decision path. A node whose edges
 	// already tile the whole domain has no uncovered part.
-	if cov := ap.coveredBy(v); !cov.Equal(ap.fulls[v.Field]) {
-		if rest := s.Subtract(cov); !rest.Empty() {
-			to := ap.path(k + 1)
-			ap.stack = append(ap.stack, Edge{Label: rest, To: to})
+	if cov := ap.coveredBy(v, &r); !cov.Equal(ap.fulls[r.field]) {
+		lo := len(st.fivs)
+		st.fivs = s.AppendSubtract(st.fivs, cov)
+		if len(st.fivs) > lo {
+			// path's frames sit above the rest's run and pop back to it.
+			st.pushScratch(lo, ap.path(k+1))
 			changed = true
 		}
 	}
 
-	for i := range v.Edges {
-		e := &v.Edges[i]
-		if !e.Label.Overlaps(s) {
+	for i := r.edge0; i < r.edge0+r.nEdges; i++ {
+		e := st.edges[i]
+		label := st.label(e)
+		if !label.Overlaps(s) {
 			// Case 1: S ∩ I(e) = ∅ — the edge is unaffected.
 			if changed {
-				ap.stack = append(ap.stack, *e)
+				st.pushStored(e, e.to)
 			}
 			continue
 		}
-		child := ap.apply(e.To, k+1)
-		if child == e.To {
+		child := ap.apply(e.to, k+1)
+		if child == e.to {
 			// Every packet of S ∩ I(e) already matched an earlier rule.
 			if changed {
-				ap.stack = append(ap.stack, *e)
+				st.pushStored(e, e.to)
 			}
 			continue
 		}
 		if !changed {
-			ap.stack = append(ap.stack, v.Edges[:i]...)
+			for _, p := range st.edges[r.edge0:i] {
+				st.pushStored(p, p.to)
+			}
 			changed = true
 		}
-		if s.ContainsSet(e.Label) {
+		if s.ContainsSet(label) {
 			// Case 2: I(e) ⊆ S — the rest of the rule went below e.
-			ap.stack = append(ap.stack, Edge{Label: e.Label, To: child})
+			st.pushStored(e, child)
 		} else {
 			// Case 3: split e; the outside part keeps the old subgraph,
 			// the inside part gets the appended version.
-			ap.stack = append(ap.stack,
-				Edge{Label: e.Label.Subtract(s), To: e.To},
-				Edge{Label: e.Label.Intersect(s), To: child})
+			st.pushSubtract(label, s, e.to)
+			st.PushIntersect(label, s, child)
 		}
 	}
 	if !changed {
 		// No terminal changed anywhere below: keep the canonical node.
 		return v
 	}
-	return ap.node(v.Field, base)
+	return ap.node(int(r.field), f)
 }

@@ -1,11 +1,13 @@
 package fdd
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
+	"diversefw/internal/trace"
 )
 
 // constructPolicies returns the policies of four diff-cold-shaped pairs:
@@ -67,4 +69,39 @@ func BenchmarkBuilderResident(b *testing.B) {
 		runtime.KeepAlive(builders)
 	}
 	b.ReportMetric(perNode, "B/storenode")
+}
+
+// TestConstructAllocs pins construction's garbage to the diagram it
+// publishes: a RealLife(661) build makes at most two allocations per
+// node of its final diagram (the store's slabs and tables grow by
+// doubling, and the diagram is materialized in one slab each of nodes,
+// edges and intervals), however many intermediate nodes its overlay
+// interned on the way. One heap object per interned node would make ten
+// times that.
+func TestConstructAllocs(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		p := synth.RealLife(661, seed)
+		ctx, tr := trace.New(context.Background(), "build", "allocs")
+		b, err := NewBuilderContext(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		sp, ok := tr.Snapshot().Root.Find("construct")
+		if !ok {
+			t.Fatal("no construct span")
+		}
+		overlay := sp.Attrs["overlayNodes"].(int)
+		nodes := b.FDD().Stats().Nodes
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := NewBuilder(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("seed %d: %.0f allocations, %d diagram nodes, %d overlay nodes", seed, allocs, nodes, overlay)
+		if allocs > float64(2*nodes) {
+			t.Fatalf("seed %d: a build makes %.0f allocations for a diagram of %d nodes (%d overlay nodes), want at most %d",
+				seed, allocs, nodes, overlay, 2*nodes)
+		}
+	}
 }

@@ -12,17 +12,19 @@ import (
 
 // Builder is a resumable FDD construction: the paper's append loop, plus
 // root snapshots ("checkpoints") taken every checkpointEvery rules.
-// Appends hash-cons every node they create into a per-build overlay
-// (append.go), and each checkpoint root is promoted into a store shared
-// by the whole builder family; canonical nodes are never mutated, so a
-// checkpoint is a single root pointer — no copying, no serialization.
+// Appends hash-cons every node they create into an overlay of a
+// pointer-free store shared by the whole builder family (store.go,
+// append.go), and each checkpoint root is promoted into the family's
+// part of it; stored nodes are never mutated, so a checkpoint is a
+// single root id — no copying, no serialization.
 //
 // Resume exploits the checkpoints for change-impact analysis: to build
 // the FDD of an edited policy, it finds the longest common rule prefix
 // between the old and new policies, restarts from the deepest checkpoint
 // at or before that prefix, and re-appends only the suffix. A tail edit
 // on an N-rule policy re-appends a handful of rules instead of N, and —
-// because the resumed diagram is canonical in the same store as the base —
+// because the resumed diagram is canonical in the same store as the base
+// and materialized through the family's one id→*Node table —
 // unchanged subgraphs come back pointer-identical, which downstream
 // comparisons can short-circuit on.
 //
@@ -39,6 +41,7 @@ type Builder struct {
 	core      *builderCore
 	policy    *rule.Policy
 	fdd       *FDD
+	root      uint32 // fdd's root id in the family store, while untrimmed
 	effective []bool
 	// checkpoints and trimmed change under core.mu only: Trim drops the
 	// checkpoints, and the first Resume after it rebuilds them.
@@ -47,22 +50,26 @@ type Builder struct {
 }
 
 // builderCore is the state shared by every builder in one resume family:
-// the hash-consing store all of them canonicalize into. The mutex
-// serializes construction; reads of finished diagrams never need it
-// (canonical nodes are immutable). resumed records that a Resume has
-// run on the family, after which no builder of it may be trimmed.
+// the hash-consing store all of them canonicalize into, and the table
+// from store id to the *Node each build materialized for it, through
+// which every diagram of the family is published. The mutex serializes
+// construction; reads of finished diagrams never need it (published
+// nodes are immutable). resumed records that a Resume has run on the
+// family, after which no builder of it may be trimmed. A trimmed
+// family holds no store (st and nodes are nil) until a Resume replays.
 type builderCore struct {
 	mu      sync.Mutex
-	in      *Interner
+	st      *Store
+	nodes   []*Node
 	resumed bool
 }
 
-// checkpoint is one resumable prefix: the root, canonical in the family
-// store, of the partial diagram after the first `rules` rules were
-// appended.
+// checkpoint is one resumable prefix: the root id, canonical in the
+// family store, of the partial diagram after the first `rules` rules
+// were appended.
 type checkpoint struct {
 	rules int
-	root  *Node
+	root  uint32
 }
 
 // maxCheckpoints bounds the checkpoint list. When it fills, the older
@@ -87,11 +94,12 @@ func NewBuilderContext(ctx context.Context, p *rule.Policy) (*Builder, error) {
 	ctx, sp := trace.Start(ctx, "construct")
 	defer sp.End()
 	sp.SetAttr("rules", p.Size())
-	core := &builderCore{in: NewInterner()}
+	core := &builderCore{st: NewStore()}
 	core.mu.Lock()
 	defer core.mu.Unlock()
-	b, err := core.build(ctx, sp, p, 0, nil, nil, nil)
+	b, err := core.build(ctx, sp, p, 0, noNode, nil, nil)
 	if err != nil {
+		core.st.Release()
 		return nil, err
 	}
 	if sp != nil {
@@ -103,7 +111,8 @@ func NewBuilderContext(ctx context.Context, p *rule.Policy) (*Builder, error) {
 }
 
 // FDD returns the constructed diagram. Treat it as immutable: its nodes
-// are canonical in the builder family's shared store.
+// are the builder family's materialization of its shared store, which
+// other diagrams of the family share.
 func (b *Builder) FDD() *FDD { return b.fdd }
 
 // Policy returns the policy this builder constructed.
@@ -121,59 +130,75 @@ func (b *Builder) NumCheckpoints() int {
 	return len(b.checkpoints)
 }
 
-// StoreNodes returns the node count of the family's shared store — the
-// resident cost of keeping this builder (and its checkpoints) alive,
-// which is larger than the final diagram because the checkpoint roots'
-// partial diagrams stay interned. The intermediate diagrams between
-// checkpoints never reach the store. A trimmed builder's store holds its
-// final diagram only.
+// StoreNodes returns the node count of the family's shared store: the
+// final diagrams' nodes and the checkpoint roots' partial diagrams. The
+// intermediate diagrams between checkpoints never reach the store. A
+// trimmed builder holds no store, so its count is 0.
 func (b *Builder) StoreNodes() int {
 	b.core.mu.Lock()
 	defer b.core.mu.Unlock()
-	return b.core.in.NumNodes()
+	if b.core.st == nil {
+		return 0
+	}
+	return b.core.st.NumNodes()
 }
 
-// Trim drops the builder's resume state: its checkpoints, and every
-// node of the family store its final diagram does not reach. The
-// diagram's own nodes move, uncopied, into a fresh store (moveInto
-// restamps their store identity), where they stay canonical, so the
-// builder still resumes: its first Resume replays the builder's policy
-// into that store, rebuilding the checkpoints, and the replayed root is
-// the diagram's root pointer, so resumed diagrams still share subgraphs
-// with it.
+// StoreBytes estimates the resident size of the family's resume state:
+// the store's slabs and unique table, and the id→*Node table of the
+// family's diagrams (the diagrams themselves are not counted). A trimmed
+// builder holds none.
+func (b *Builder) StoreBytes() int64 {
+	b.core.mu.Lock()
+	defer b.core.mu.Unlock()
+	if b.core.st == nil {
+		return 0
+	}
+	return b.core.st.bytes() + 8*int64(cap(b.core.nodes))
+}
+
+// Trim drops the builder's resume state: its checkpoints and the whole
+// family store. The builder keeps only its published diagram, which
+// does not depend on the store, so it still resumes: its first Resume
+// re-interns the diagram into a fresh store, making the diagram that
+// store's materialization of itself, then replays the builder's policy
+// to rebuild the checkpoints. The replay must end on the diagram's root,
+// so resumed diagrams still share subgraphs with it by pointer.
 //
-// Trim restamps nodes other goroutines may read, so it must run before
-// the builder or its diagram is shared. A family that has been resumed
-// shares its store with other builders, and Trim refuses it with an
-// error.
+// A family that has been resumed shares its store with other builders,
+// and Trim refuses it with an error.
 func (b *Builder) Trim() error {
 	b.core.mu.Lock()
 	defer b.core.mu.Unlock()
 	if b.core.resumed {
 		return fmt.Errorf("fdd: cannot trim a builder whose family has been resumed")
 	}
-	in := NewInterner()
-	in.hashOverride = b.core.in.hashOverride
-	moveInto(in, b.fdd.Root)
-	b.core.in, b.checkpoints, b.trimmed = in, nil, true
+	if b.core.st != nil {
+		b.core.st.Release()
+	}
+	b.core.st, b.core.nodes, b.checkpoints, b.trimmed = nil, nil, nil, true
 	return nil
 }
 
-// replay rebuilds a trimmed builder's checkpoints by re-appending its
-// own policy into the family store, where its final diagram is
-// canonical: the replay must end on that very root. A replay that fails
-// leaves the builder trimmed (any checkpoint roots it promoted before
-// failing stay in the store, for the next replay to find). Callers hold
-// core.mu.
+// replay rebuilds a trimmed builder's checkpoints: it re-interns the
+// builder's diagram into the family store (a fresh one unless an earlier
+// replay left it) and re-appends its own policy, which must end on that
+// very root. A replay that fails leaves the builder trimmed (any
+// checkpoint roots it promoted before failing stay in the store, for the
+// next replay to find). Callers hold core.mu.
 func (b *Builder) replay(ctx context.Context) error {
-	rb, err := b.core.build(ctx, nil, b.policy, 0, nil, nil, nil)
+	core := b.core
+	if core.st == nil {
+		core.st = NewStore()
+	}
+	root := core.st.reintern(b.fdd.Schema, b.fdd.Root, &core.nodes)
+	rb, err := core.build(ctx, nil, b.policy, 0, noNode, nil, nil)
 	if err != nil {
 		return err
 	}
-	if rb.fdd.Root != b.fdd.Root {
+	if rb.root != root {
 		return fmt.Errorf("fdd: replaying a trimmed builder did not return its diagram")
 	}
-	b.checkpoints, b.trimmed = rb.checkpoints, false
+	b.root, b.checkpoints, b.trimmed = root, rb.checkpoints, false
 	return nil
 }
 
@@ -220,8 +245,7 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 			return nil, st, err
 		}
 	}
-	start, used := 0, 0
-	var root *Node
+	start, used, root := 0, 0, noNode
 	for i, cp := range b.checkpoints {
 		if cp.rules > prefix {
 			break
@@ -240,14 +264,16 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 }
 
 // build runs the append loop for rules[start:] on top of the partial
-// root (canonical in the family store), promoting and recording a
-// checkpoint every checkpointEvery rules. Rule i is effective exactly
-// when its append changed the root: within one canonical store, equal
-// functions are equal pointers. base and effPrefix describe the prefix
-// already in root and are copied, never aliased. Callers hold core.mu,
-// which also keeps the family store still while an overlay sits on it.
+// root (canonical in the family store; noNode when start is 0),
+// promoting and recording a checkpoint every checkpointEvery rules, and
+// materializes the final diagram through the family's table. Rule i is
+// effective exactly when its append changed the root: within one
+// canonical store, equal functions are equal ids. base and effPrefix
+// describe the prefix already in root and are copied, never aliased.
+// Callers hold core.mu, which also keeps the family store still while
+// the build's overlay sits on it.
 func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Policy,
-	start int, root *Node, base []checkpoint, effPrefix []bool) (b *Builder, err error) {
+	start int, root uint32, base []checkpoint, effPrefix []bool) (b *Builder, err error) {
 	// The append recursion has no error path (it cannot fail on valid
 	// input); a stop by the meter, on a budget crossing or a
 	// cancellation, surfaces as a budgetPanic so the hot path stays
@@ -261,10 +287,12 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 			b, err = nil, fmt.Errorf("fdd: construction %s: %w", guard.Verb(bp.err), bp.err)
 		}
 	}()
-	ap := newAppender(p.Schema, core.in)
-	// Every exit, a budget panic and a cancellation included, leaves no
-	// memo slot set on a family node.
-	defer ap.clearSlots()
+	ap := newAppender(p.Schema, core.st)
+	defer ap.release()
+	// Every exit, a budget panic and a cancellation included, drops the
+	// overlay: the family keeps only what promotions moved into it.
+	core.st.openOverlay(p.Size() - start)
+	defer core.st.closeOverlay()
 	ap.m = guard.NewMeter(ctx)
 	effective := make([]bool, p.Size())
 	copy(effective, effPrefix)
@@ -295,21 +323,24 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 		// The cadence is anchored to absolute rule indices so every
 		// builder in a family snapshots the same prefix lengths.
 		if i%checkpointEvery == 0 {
-			ap.promote(root)
+			root = ap.promote(root)
 			cps = appendCheckpoint(cps, checkpoint{rules: i + 1, root: root})
 		}
 	}
-	ap.promote(root)
+	root = ap.promote(root)
+	core.st.closeOverlay()
 	if sp != nil {
 		// The build's work: every node it interned, most of them in
 		// intermediate diagrams the promotions dropped.
 		sp.SetAttr("overlayNodes", ap.overlayNodes)
 	}
-	f := &FDD{Schema: p.Schema, Root: root}
+	var n *Node
+	core.nodes, n = core.st.materialize(root, core.nodes)
+	f := &FDD{Schema: p.Schema, Root: n}
 	if cerr := f.checkComplete(); cerr != nil {
 		return nil, fmt.Errorf("fdd: %w: %w", ErrIncomplete, cerr)
 	}
-	return &Builder{core: core, policy: p, fdd: f, effective: effective, checkpoints: cps}, nil
+	return &Builder{core: core, policy: p, fdd: f, root: root, effective: effective, checkpoints: cps}, nil
 }
 
 // appendCheckpoint appends cp, thinning the older half to every second

@@ -18,7 +18,7 @@ func sameFunction(t *testing.T, a, b *FDD) bool {
 	if !a.Schema.Equal(b.Schema) {
 		t.Fatalf("schemas differ")
 	}
-	in := NewInterner()
+	in := NewStore()
 	return in.ReduceNode(a.Schema, a.Root) == in.ReduceNode(b.Schema, b.Root)
 }
 

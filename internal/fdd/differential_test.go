@@ -1,7 +1,6 @@
 package fdd
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -33,9 +32,9 @@ func assertMatchesReference(t *testing.T, name string, p *rule.Policy, r *rand.R
 	if err != nil {
 		t.Fatalf("%s: NewBuilder: %v", name, err)
 	}
-	ref, refEff := referenceBuild(NewInterner(), p)
+	ref, refEff := referenceBuild(NewStore(), p)
 	stored := b.StoreNodes()
-	if got := b.core.in.ReduceNode(p.Schema, ref); got != b.FDD().Root {
+	if got := b.core.st.ReduceNode(p.Schema, ref); got != b.root {
 		t.Fatalf("%s: canonical root differs from the reduced Fig. 7 reference", name)
 	}
 	if b.StoreNodes() != stored {
@@ -55,7 +54,7 @@ func assertMatchesReference(t *testing.T, name string, p *rule.Policy, r *rand.R
 	if rerr != nil {
 		return
 	}
-	if resumed.core.in.ReduceNode(after.Schema, scratch.FDD().Root) != resumed.FDD().Root {
+	if resumed.core.st.ReduceNode(after.Schema, scratch.FDD().Root) != resumed.root {
 		t.Fatalf("%s: resumed root differs from scratch construction", name)
 	}
 	if !reflect.DeepEqual(resumed.Effective(), scratch.Effective()) {
@@ -182,12 +181,12 @@ func TestBuilderStoreHoldsOnlyPromotedRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStore := NewInterner()
+	refStore := NewStore()
 	referenceBuild(refStore, p)
 	if b.StoreNodes() != refStore.NumNodes() {
 		t.Fatalf("family store holds %d nodes, the reference's %d", b.StoreNodes(), refStore.NumNodes())
 	}
-	assertStoreIsReachable(t, b.core.in, b)
+	assertStoreIsReachable(t, b.core.st, b)
 
 	r := rand.New(rand.NewSource(9))
 	after := editPolicy(p, r, 2)
@@ -201,109 +200,103 @@ func TestBuilderStoreHoldsOnlyPromotedRoots(t *testing.T) {
 	if st.RulesReappended == 0 {
 		t.Fatal("resume re-appended nothing")
 	}
-	assertStoreIsReachable(t, b.core.in, b, nb)
+	assertStoreIsReachable(t, b.core.st, b, nb)
 }
 
-// assertStoreIsReachable checks that in holds exactly the nodes
+// assertStoreIsReachable checks that st holds exactly the nodes
 // reachable from the builders' checkpoint and final roots.
-func assertStoreIsReachable(t *testing.T, in *Interner, bs ...*Builder) {
+func assertStoreIsReachable(t *testing.T, st *Store, bs ...*Builder) {
 	t.Helper()
-	want := make(map[*Node]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if want[n] {
+	want := make(map[uint32]bool)
+	var walk func(id uint32)
+	walk = func(id uint32) {
+		if want[id] {
 			return
 		}
-		want[n] = true
-		for _, e := range n.Edges {
-			walk(e.To)
+		want[id] = true
+		r := st.nodes[id]
+		for _, e := range st.edges[r.edge0 : r.edge0+r.nEdges] {
+			walk(e.to)
 		}
 	}
 	for _, b := range bs {
-		walk(b.FDD().Root)
+		walk(b.root)
 		for _, cp := range b.checkpoints {
 			walk(cp.root)
 		}
 	}
-	nodes := storeNodes(t, in)
-	if len(nodes) != len(want) {
-		t.Fatalf("store holds %d nodes, %d are reachable from promoted roots", len(nodes), len(want))
+	if ids := storeNodes(t, st); len(ids) != len(want) {
+		t.Fatalf("store holds %d nodes, %d are reachable from promoted roots", len(ids), len(want))
 	}
-	for _, n := range nodes {
-		if !want[n] {
-			t.Fatalf("store holds a node no promoted root reaches")
-		}
-	}
-	assertStoreIndexed(t, in)
+	assertStoreIndexed(t, st)
 }
 
-// assertStoreIndexed checks that every node of in can be found again
-// the way intern looks for it: it carries in's serial and a dense id
-// (storeNodes), and sits in the bucket of the hash it has under the
-// store's current ids (or, for a terminal, in the decision table). A
-// node adopted from an overlay keeps its overlay hash only if promotion
+// assertStoreIndexed checks that every node of st can be found again
+// the way intern looks for it: it sits in the unique table's chain for
+// the hash it has under the store's current ids and labels. A node
+// promoted from an overlay keeps its overlay hash only if promotion
 // forgot to re-hash it, and then a later equal node would miss it and
-// be interned twice. No node may keep an append memo slot: builds clear
-// every slot they write before they return.
-func assertStoreIndexed(t *testing.T, in *Interner) {
+// be interned twice. It also checks that no build left an overlay or a
+// scratch frame open, that every child's id is below its parent's, and
+// that every label lies in the slab and is canonical.
+func assertStoreIndexed(t *testing.T, st *Store) {
 	t.Helper()
-	for i, n := range storeNodes(t, in) {
-		if n.memoGen != 0 || n.memoOut != nil {
-			t.Fatalf("store node %d keeps an append memo slot", i)
+	if st.overlay || len(st.otable) != 0 || len(st.frame) != 0 || len(st.fivs) != 0 {
+		t.Fatal("a build left the store's overlay or scratch frame open")
+	}
+	for _, id := range storeNodes(t, st) {
+		r := st.nodes[id]
+		h := st.termHash(r.dec)
+		if r.field != TerminalField {
+			h = st.hash(r.field, st.edges[r.edge0:r.edge0+r.nEdges])
 		}
-		if n.IsTerminal() {
-			if in.terms[n.Decision] != n {
-				t.Fatalf("terminal %v is not the store's canonical terminal", n.Decision)
+		if !slices.Contains(bucket(st, h), id) {
+			t.Fatalf("store node %d is not in the chain of its hash", id)
+		}
+		for _, e := range st.edges[r.edge0 : r.edge0+r.nEdges] {
+			if e.to >= id {
+				t.Fatalf("store node %d has child %d, not below it", id, e.to)
 			}
-			continue
-		}
-		h, _ := in.hashNode(n.Field, n.Edges)
-		found := false
-		for _, c := range bucket(in, h) {
-			found = found || c == n
-		}
-		if !found {
-			t.Fatalf("store node %d is not in the bucket of its hash", i)
+			if e.lo >= e.hi || int(e.hi) > len(st.ivs) {
+				t.Fatalf("store node %d has label span [%d, %d) of %d intervals", id, e.lo, e.hi, len(st.ivs))
+			}
+			if lab := st.label(e); !lab.Equal(interval.NewSet(lab.Intervals()...)) {
+				t.Fatalf("store node %d has a label that is not canonical", id)
+			}
 		}
 	}
 }
 
-// bucket returns the chain of in's nonterminals hashed to h: the
-// bucket's first node, then its overflow.
-func bucket(in *Interner, h uint64) []*Node {
-	c, ok := in.buckets[h]
-	if !ok {
-		return nil
+// bucket returns the chain of st's unique table for h, newest first.
+func bucket(st *Store, h uint64) []uint32 {
+	var ids []uint32
+	for id, ok := st.table[h]; ok; {
+		ids = append(ids, id)
+		next := st.nodes[id].next
+		id, ok = next-1, next != 0
 	}
-	return append([]*Node{c}, in.overflow[h]...)
+	return ids
 }
 
-// storeNodes enumerates in's nodes through its own tables, the bucket
-// chains and the terminal table, ordered by id. It checks the identity
-// each node carries: in's serial, and ids dense from the store's first
-// id to NumNodes()-1 past it, each held by exactly one node.
-func storeNodes(t *testing.T, in *Interner) []*Node {
+// storeNodes enumerates st's nodes through its unique table, ordered by
+// id, and checks that the chains hold every id from 0 to NumNodes()-1
+// exactly once.
+func storeNodes(t *testing.T, st *Store) []uint32 {
 	t.Helper()
-	nodes := make([]*Node, 0, in.NumNodes())
-	for h := range in.buckets {
-		nodes = append(nodes, bucket(in, h)...)
+	ids := make([]uint32, 0, st.NumNodes())
+	for h := range st.table {
+		ids = append(ids, bucket(st, h)...)
 	}
-	for _, n := range in.terms {
-		nodes = append(nodes, n)
+	slices.Sort(ids)
+	if len(ids) != st.NumNodes() {
+		t.Fatalf("the unique table holds %d nodes, the store counts %d", len(ids), st.NumNodes())
 	}
-	if len(nodes) != in.NumNodes() {
-		t.Fatalf("buckets and terminals hold %d nodes, the store counts %d", len(nodes), in.NumNodes())
-	}
-	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
-	for i, n := range nodes {
-		if n.serial != in.serial || !in.Canonical(n) {
-			t.Fatalf("store node %d carries serial %d, the store's is %d", i, n.serial, in.serial)
-		}
-		if n.id != in.idBase+uint32(i) {
-			t.Fatalf("store node %d has id %d, want %d", i, n.id, in.idBase+uint32(i))
+	for i, id := range ids {
+		if id != uint32(i) {
+			t.Fatalf("the unique table's %dth node has id %d", i, id)
 		}
 	}
-	return nodes
+	return ids
 }
 
 // staircase is the worst case of the copy-on-write reference append:

@@ -34,32 +34,13 @@ const TerminalField = -1
 
 // Node is an FDD node. A terminal node has Field == TerminalField and a
 // Decision; a nonterminal node has a schema field index and outgoing
-// edges, held inline.
-//
-// A node canonical in an Interner also carries that store's identity
-// (its serial and the node's dense id) and one append memo slot, so
-// construction needs no side table keyed by node: see Interner and
-// appender. Nodes built by hand or by the other passes leave them zero.
+// edges, held inline. Construction and the diff walks build nodes in a
+// pointer-free Store and materialize the diagrams they publish as Node
+// graphs.
 type Node struct {
 	Field    int
 	Decision rule.Decision
 	Edges    []Edge
-
-	serial uint64 // serial of the owning store; 0 when no store owns it
-	id     uint32 // dense id in the owning store
-	// memoGen and memoOut are the append memo slot for the subproblem
-	// (this node, its own field): the result memoOut of the append of
-	// generation memoGen. A build clears every slot it wrote before it
-	// promotes a checkpoint and before it returns, so a slot is set only
-	// while its build runs; memoGen 0 means empty. It is 16 bits wide so
-	// that complete shares its word; the appender empties every slot
-	// when its generation wraps.
-	memoGen uint16
-	// complete records, when the store created the node, that its edges
-	// tile the field's whole domain; false also when that was not
-	// established.
-	complete bool
-	memoOut  *Node
 }
 
 // Edge is a labeled outgoing edge.
@@ -118,11 +99,12 @@ func ConstructContext(ctx context.Context, p *rule.Policy) (*FDD, error) {
 // (Theorem 1 allows (2n-1)^d paths).
 func ConstructEffectiveContext(ctx context.Context, p *rule.Policy) (*FDD, []bool, error) {
 	// The construction loop lives in the resumable Builder (builder.go);
-	// this entry point simply discards the resume state.
+	// this entry point discards the resume state, releasing the store.
 	b, err := NewBuilderContext(ctx, p)
 	if err != nil {
 		return nil, nil, err
 	}
+	_ = b.Trim() // cannot fail: the family was never resumed
 	return b.fdd, b.effective, nil
 }
 
@@ -248,10 +230,7 @@ func (f *FDD) Stats() Stats {
 // checkComplete verifies that every node's outgoing edges cover the whole
 // field domain (the completeness property).
 func (f *FDD) checkComplete() error {
-	fulls := make([]interval.Set, f.Schema.NumFields())
-	for k := range fulls {
-		fulls[k] = f.Schema.FullSet(k)
-	}
+	fulls := fullSets(f.Schema)
 	seen := make(map[*Node]bool)
 	var buf []interval.Interval // every edge interval of one node
 	var walk func(n *Node) error
@@ -264,7 +243,7 @@ func (f *FDD) checkComplete() error {
 		for _, e := range n.Edges {
 			buf = e.Label.AppendIntervals(buf)
 		}
-		if union := interval.NewSet(buf...); !union.Equal(fulls[n.Field]) {
+		if union := interval.NewSetInPlace(buf); !union.Equal(fulls[n.Field]) {
 			return fmt.Errorf("node labeled %s covers only %v of %v",
 				f.Schema.Field(n.Field).Name, union, f.Schema.Domain(n.Field))
 		}

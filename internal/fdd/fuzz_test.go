@@ -2,9 +2,14 @@ package fdd
 
 import (
 	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"diversefw/internal/field"
+	"diversefw/internal/frontend"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
@@ -107,9 +112,62 @@ func FuzzBuilderResume(f *testing.F) {
 		if st.CheckpointRules+st.RulesReappended != after.Size() {
 			t.Fatalf("inconsistent stats %+v for %d rules", st, after.Size())
 		}
-		in := NewInterner()
+		in := NewStore()
 		if in.ReduceNode(after.Schema, resumed.FDD().Root) != in.ReduceNode(after.Schema, scratch.Root) {
 			t.Fatalf("resumed FDD differs from scratch (seed %d, ops %x)", seed, ops)
 		}
+	})
+}
+
+// FuzzConstructMatchesReference holds construction on the pointer-free
+// store to the Fig. 7 reference (referenceBuild): for a policy drawn
+// from the adversarial family, a perturbed real-life policy or a
+// perturbed frontend corpus policy, the builder's diagram and the
+// reduced reference must be one node of the builder's family store,
+// reducing the reference must add no node to it, and the effective bits
+// must agree. A Resume after 1-3 random edits must land where a scratch
+// build does (assertMatchesReference).
+func FuzzConstructMatchesReference(f *testing.F) {
+	schema := field.IPv4FiveTuple()
+	var corpus []*rule.Policy
+	for _, c := range []struct{ file, format string }{
+		{"web-dmz.rules", "iptables"},
+		{"home-router.nft", "nftables"},
+		{"web-sg.json", "secgroup"},
+	} {
+		text, err := os.ReadFile(filepath.Join("..", "..", "testdata", "frontends", c.file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		p, err := frontend.Parse(c.format, schema, string(text), frontend.Options{})
+		if err != nil {
+			f.Fatalf("%s: %v", c.file, err)
+		}
+		corpus = append(corpus, p)
+	}
+	// kind 0: synth.Adversarial(4 + n%21); kind 1: synth.RealLife(2 +
+	// n%400, seed) perturbed by pct%60 percent; kind 2: corpus policy n%3
+	// perturbed likewise.
+	for _, n := range []uint16{4, 12, 20} {
+		f.Add(uint8(0), n, int64(1), uint8(0))
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		f.Add(uint8(1), uint16(300), seed, uint8(3+10*seed))
+	}
+	for i := range corpus {
+		f.Add(uint8(2), uint16(i), int64(i+1), uint8(0))
+		f.Add(uint8(2), uint16(i), int64(i+1), uint8(50))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, n uint16, seed int64, pct uint8) {
+		var p *rule.Policy
+		switch kind % 3 {
+		case 0:
+			p = synth.Adversarial(4 + int(n%21))
+		case 1:
+			p, _ = synth.Perturb(synth.RealLife(2+int(n%400), seed), float64(pct%60), seed+1)
+		default:
+			p, _ = synth.Perturb(corpus[int(n)%len(corpus)], float64(pct%60), seed)
+		}
+		assertMatchesReference(t, "fuzz", p, rand.New(rand.NewSource(seed)))
 	})
 }

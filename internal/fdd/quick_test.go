@@ -265,7 +265,7 @@ func TestPropQuickCodecRoundTrip(t *testing.T) {
 
 // reduceLegacy is the original string-signature reduction: hash-consing
 // by fmt.Sprintf keys in a map[string]*Node. It is retained solely as
-// the differential-testing oracle for the Interner-based Reduce (see
+// the differential-testing oracle for the Store-based Reduce (see
 // TestPropQuickReduceDifferential); new code must use Reduce.
 func (f *FDD) reduceLegacy() *FDD {
 	canon := make(map[string]*Node) // signature -> canonical node

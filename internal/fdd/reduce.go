@@ -8,13 +8,15 @@ package fdd
 // rule generator runs before marking, and it is also what keeps FDD memory
 // bounded for large policies.
 //
-// Hash-consing happens in a fresh node store (Interner); pipelines that
-// reduce repeatedly — construction, the difference-diagram walk — hold
-// their own store so already-canonical subgraphs are never
-// re-hashed.
+// Hash-consing happens in a fresh node store (Store), from which the
+// result is materialized; pipelines that build many nodes —
+// construction, the difference-diagram walks — hold their own store and
+// canonicalize each node the moment it is built.
 //
 // The result is a DAG, not a tree; callers that need a simple FDD must
 // call Simplify afterwards.
 func (f *FDD) Reduce() *FDD {
-	return NewInterner().Reduce(f)
+	st := NewStore()
+	defer st.Release()
+	return st.Reduce(f)
 }

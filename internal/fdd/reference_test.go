@@ -18,10 +18,10 @@ type refAppender struct {
 }
 
 // referenceBuild constructs p with the reference append, reducing into
-// in at the checkpoint cadence and at the end. It returns the reduced
-// root (canonical in in) and the per-rule effective bits. The policy
-// must be comprehensive.
-func referenceBuild(in *Interner, p *rule.Policy) (*Node, []bool) {
+// st at the checkpoint cadence and at the end. It returns the reduced
+// root, materialized from st, and the per-rule effective bits. The
+// policy must be comprehensive.
+func referenceBuild(st *Store, p *rule.Policy) (*Node, []bool) {
 	ap := &refAppender{fulls: make([]interval.Set, p.Schema.NumFields())}
 	for k := range ap.fulls {
 		ap.fulls[k] = p.Schema.FullSet(k)
@@ -33,10 +33,10 @@ func referenceBuild(in *Interner, p *rule.Policy) (*Node, []bool) {
 		r := p.Rules[i]
 		root, effective[i] = ap.appendRule(root, r.Pred, 0, r.Decision)
 		if i%checkpointEvery == 0 {
-			root = in.ReduceNode(p.Schema, root)
+			root = st.Reduce(&FDD{Schema: p.Schema, Root: root}).Root
 		}
 	}
-	return in.ReduceNode(p.Schema, root), effective
+	return st.Reduce(&FDD{Schema: p.Schema, Root: root}).Root, effective
 }
 
 // buildPath builds the decision path for conjuncts pred[k..] ending in a

@@ -1,143 +1,166 @@
 package fdd
 
 import (
-	"sync/atomic"
+	"cmp"
+	"slices"
+	"sync"
 
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/rule"
 )
 
-// Interner is a hash-consing node store: it assigns each canonical FDD
-// node a dense uint32 id and dedupes nodes by a uint64 structural hash
-// of (field, [(label, child-id)...]) with collision chaining. Hashing a
-// node is a handful of multiplies over its interval bounds and child
-// ids, no formatting and no string allocation, O(1) amortized per node.
-//
-// A store keeps no side table from node to identity: a node it owns
-// carries the store's serial and its own dense id, so "is n canonical
-// here" and "what is n's id" are field reads. Serials come from one
-// process-wide 64-bit counter and never repeat, so a node stamped by
-// another store, or by an earlier generation of an overlay, never
-// passes as canonical.
+// Store is a hash-consing node store that holds no pointers. Each
+// canonical node is a fixed-size record in one slab, named by its dense
+// uint32 id; its edges are a run of records in a second slab, each a
+// child id and the offsets of its label's intervals in a third slab of
+// []interval.Interval. A label is written to that slab once, when the
+// node that first carries it is stored, and every later node that keeps
+// the edge names the same run. The unique table maps a uint64
+// structural hash of (field, [(label, child id)...]) to the newest node
+// with that hash, and each record links to the next one in its chain,
+// so a collision costs no slice of its own. The garbage collector never scans any of it, and
+// interning a node allocates nothing but amortized slab growth.
 //
 // A node owned by the store is canonical: its children are canonical and
-// no other stored node is structurally equal to it. Canonical nodes are
-// never mutated (apart from the append memo slot, which only a build
-// holding the family lock writes and which every build clears before it
-// returns), so a store can be shared by a whole builder family — a
-// subgraph that is already canonical is recognized by one field read
-// and never re-walked or re-hashed.
+// no other stored node is structurally equal to it, so within one store
+// equal ids mean equal functions. Ids are assigned bottom-up, and every
+// child's id is below its parent's.
 //
-// An overlay (newOverlay) is a store stacked on a parent: lookups
-// consult the parent first and ids continue the parent's numbering, so a
-// node is canonical in exactly one of the two and pointer equality still
-// means functional equality across both. Construction interns its
-// intermediate diagrams into an overlay and promotes only the checkpoint
-// roots into the parent: moveInto moves the overlay nodes a root
-// reaches into the parent as they are, restamping their serial and id,
-// and reset gives the overlay a fresh serial, which disowns every node
-// that was not adopted in O(1).
+// Nodes are built on the store's scratch frame: a caller marks a Frame,
+// pushes its edges (Push, PushIntersect), and Node canonicalizes them
+// and pops the frame. Labels pushed are copied into the scratch, and a
+// node the store has not seen copies them again into its slab, so the
+// store never aliases a caller's interval storage. Construction also
+// pushes stored edges as they are (pushStored), naming their runs.
 //
-// An Interner is not safe for concurrent use; parallel pipelines give
-// each worker its own store and re-intern once at the stitch point.
-type Interner struct {
-	// buckets maps a structural hash to the first canonical nonterminal
-	// with that hash; overflow chains any others, which a 64-bit hash
-	// makes rare, so the common bucket costs no slice of its own.
-	buckets  map[uint64]*Node
-	overflow map[uint64][]*Node
-	terms    map[rule.Decision]*Node // decision -> canonical terminal
-	// serial is stamped on every node the store owns; count is how many
-	// it owns, whose ids run from idBase to idBase+count-1.
-	serial uint64
-	count  int
-	// parent, when non-nil, makes this store an overlay of parent, which
-	// must not change while the overlay is in use; idBase is parent's
-	// node count at creation (or last reset), the first id the overlay
-	// assigns.
-	parent *Interner
-	idBase uint32
-	// hashOverride, when non-nil, replaces the structural hash. Tests
-	// use it to force every node into one bucket and exercise the
-	// chaining path.
-	hashOverride func(field int, edges []Edge) uint64
+// An overlay (openOverlay) is a watermark: nodes from base up are
+// intermediate and indexed in a second table, probed after the first
+// when every child of the node being interned is below base. Promotion
+// compacts the overlay nodes one root reaches down onto the watermark,
+// renumbering them and indexing them in the first table, and drops the
+// rest by truncating the slabs.
+//
+// Published diagrams are *Node graphs materialized from the store
+// (materialize): a Store never hands out a pointer into itself, so a
+// store whose diagrams are all materialized can be released for reuse
+// (Release), slabs and tables at their grown sizes. A Store is not safe
+// for concurrent use.
+type Store struct {
+	nodes []record
+	edges []edgeRec
+	ivs   []interval.Interval
+
+	// table indexes the nodes below base, otable the overlay's; both map
+	// a hash to the newest node with it, whose record chains the others.
+	table  map[uint64]uint32
+	otable map[uint64]uint32
+	// overlay is set between openOverlay and closeOverlay; base, ebase
+	// and ibase are then the lengths of the three slabs the overlay
+	// started from.
+	overlay            bool
+	base, ebase, ibase uint32
+
+	// frame and fivs are the scratch of the nodes under construction:
+	// a frame edge names its label's intervals by offsets in fivs, marked
+	// with the scratch bit, or by a stored run of ivs.
+	frame []edgeRec
+	fivs  []interval.Interval
+	// runs is promotion's scratch, indexed by offset in the overlay's
+	// part of ivs: at each run a kept edge names, first its length, then
+	// its new offset plus one.
+	runs []uint32
+	// wide indexes a wide frame's children while it is merged.
+	wide map[uint32]int
+	// work is promotion's and materialization's id scratch.
+	work []uint32
+
+	// hashOverride, when non-nil, replaces every structural hash. Tests
+	// use it to force every node into one chain.
+	hashOverride func(h uint64) uint64
 }
 
-// storeSerials hands out store serials. Zero is never handed out, so a
-// node no store owns (serial 0) is canonical nowhere.
-var storeSerials atomic.Uint64
+// record is one stored node: a terminal (field TerminalField) with its
+// decision, or a nonterminal with nEdges edges from edge0 on.
+type record struct {
+	dec    rule.Decision
+	field  int32
+	edge0  uint32
+	nEdges uint32
+	// next is the id plus one of the next node in this node's hash
+	// chain, 0 at the chain's end.
+	next uint32
+	// complete records, when the store created the node, that its edges
+	// tile the field's whole domain; false also when that was not
+	// established (a 2^64-value domain saturates the count).
+	complete bool
+}
 
-// NewInterner returns an empty node store.
-func NewInterner() *Interner {
-	return &Interner{
-		buckets: make(map[uint64]*Node),
-		terms:   make(map[rule.Decision]*Node),
-		serial:  storeSerials.Add(1),
+// edgeRec is one edge: its label is ivs[lo:hi], or on the scratch
+// frame fivs[lo:hi] with the scratch bit set in both, its child the node
+// to. Distinct stored runs never overlap: a run is either written whole
+// or named whole.
+type edgeRec struct {
+	lo, hi, to uint32
+}
+
+// scratch marks a frame edge whose label lies in fivs. A store never
+// holds 2^31 intervals, so no stored run has the bit.
+const scratch = 1 << 31
+
+// labelOf returns the intervals of the stored or frame edge e.
+func (s *Store) labelOf(e edgeRec) []interval.Interval {
+	if e.lo&scratch != 0 {
+		return s.fivs[e.lo&^scratch : e.hi&^scratch]
 	}
+	return s.ivs[e.lo:e.hi]
 }
 
-// newOverlay returns an empty store stacked on parent.
-func newOverlay(parent *Interner) *Interner {
-	in := NewInterner()
-	in.parent = parent
-	in.idBase = uint32(parent.NumNodes())
-	in.hashOverride = parent.hashOverride
-	return in
-}
+// noNode marks an absent id.
+const noNode = ^uint32(0)
 
-// moveInto moves root and the nodes below it that dst does not own into
-// dst, children first. No node is copied and no edge rewritten: each
-// moved node is restamped with dst's serial and dst's next id, and
-// re-hashed under that id. The caller guarantees that no moved node
-// equals a node dst already holds, and that no other goroutine reads
-// the moved nodes' store identity while they move.
-//
-// Promotion moves an overlay's nodes into its parent, and there the
-// guarantee holds by construction: intern consults the parent whenever
-// all of a node's children are in it, and a node with a child canonical
-// in the overlay cannot equal a parent node, whose children are all the
-// parent's. The overlay must be reset before it is used again.
-func moveInto(dst *Interner, root *Node) {
-	var move func(n *Node)
-	move = func(n *Node) {
-		if dst.Canonical(n) {
-			return
-		}
-		if n.IsTerminal() {
-			dst.terms[n.Decision] = n
-			dst.register(n)
-			return
-		}
-		for i := range n.Edges {
-			move(n.Edges[i].To)
-		}
-		h, _ := dst.hashNode(n.Field, n.Edges)
-		dst.insert(h, n)
-		dst.register(n)
+// storePool recycles released stores. Their slabs hold no pointers, so
+// a pooled store costs the collector nothing to keep, and a build that
+// takes one grows no slab or table it has grown before.
+var storePool = sync.Pool{New: func() any {
+	return &Store{table: make(map[uint64]uint32), otable: make(map[uint64]uint32)}
+}}
+
+// maxPooled caps the edge and interval slabs of a store Release pools,
+// so one huge diagram's store does not stay resident in the pool.
+const maxPooled = 1 << 18
+
+// NewStore returns an empty node store, recycled when one was released.
+func NewStore() *Store { return storePool.Get().(*Store) }
+
+// Release empties the store and returns it for reuse by NewStore. The
+// caller must not use the store, or an id it handed out, again; the
+// diagrams materialized from it stay valid.
+func (s *Store) Release() {
+	if cap(s.edges) > maxPooled || cap(s.ivs) > maxPooled {
+		return
 	}
-	move(root)
+	clear(s.table)
+	clear(s.otable)
+	*s = Store{
+		nodes: s.nodes[:0], edges: s.edges[:0], ivs: s.ivs[:0],
+		table: s.table, otable: s.otable,
+		frame: s.frame[:0], fivs: s.fivs[:0], runs: s.runs[:0], work: s.work[:0],
+	}
+	storePool.Put(s)
 }
 
-// reset empties the overlay for the next batch: a fresh serial disowns
-// every node it holds (adopted ones already carry the parent's), the
-// tables are cleared keeping their capacity, and ids restart after the
-// parent's current nodes.
-func (in *Interner) reset() {
-	in.serial = storeSerials.Add(1)
-	clear(in.buckets)
-	clear(in.overflow)
-	clear(in.terms)
-	in.count = 0
-	in.idBase = uint32(in.parent.NumNodes())
+// NumNodes returns how many canonical nodes the store holds, overlay
+// nodes included.
+func (s *Store) NumNodes() int { return len(s.nodes) }
+
+// bytes estimates the store's resident size: its slabs at their
+// capacity and about 32 bytes per unique-table entry.
+func (s *Store) bytes() int64 {
+	const recordBytes, edgeBytes, intervalBytes, tableBytes = 32, 12, 16, 32
+	return int64(cap(s.nodes))*recordBytes + int64(cap(s.edges))*edgeBytes +
+		int64(cap(s.ivs))*intervalBytes + int64(len(s.table))*tableBytes
 }
-
-// NumNodes returns how many canonical nodes the store holds (an
-// overlay counts only its own, not its parent's).
-func (in *Interner) NumNodes() int { return in.count }
-
-// Canonical reports whether n is owned by (canonical in) this store.
-func (in *Interner) Canonical(n *Node) bool { return n.serial == in.serial }
 
 // fnv64Offset is the FNV-64 offset basis, the seed of node hashes.
 const fnv64Offset = 14695981039346656037
@@ -148,219 +171,236 @@ func mix64(h, v uint64) uint64 {
 	return (h ^ v) * fnv64Prime
 }
 
-// hashNode computes the structural hash of a nonterminal labeled field
-// with the given edges, whose children are already canonical in this
-// store or its parent (terminals are interned by decision in a separate
-// table and never hashed). inParent reports that every child belongs to
-// the parent store — only then can the parent hold an equal node, under
-// the same hash.
-func (in *Interner) hashNode(field int, edges []Edge) (h uint64, inParent bool) {
-	inParent = in.parent != nil
-	h = mix64(fnv64Offset, uint64(field))
-	for i := range edges {
-		e := &edges[i]
-		inParent = inParent && e.To.serial == in.parent.serial
-		h = e.Label.Hash(h)
-		h = mix64(h, uint64(e.To.id))
+// hash is the structural hash of a nonterminal labeled field with the
+// given stored or frame edges.
+func (s *Store) hash(field int32, edges []edgeRec) uint64 {
+	h := mix64(fnv64Offset, uint64(field))
+	for _, e := range edges {
+		h = interval.SetView(s.labelOf(e)).Hash(h)
+		h = mix64(h, uint64(e.to))
 	}
-	if in.hashOverride != nil {
-		h = in.hashOverride(field, edges)
+	if s.hashOverride != nil {
+		h = s.hashOverride(h)
 	}
-	return h, inParent
+	return h
 }
 
-// sameShape reports whether the nonterminal c is labeled field and has
-// exactly the given edges, whose children are canonical (so child
-// comparison is pointer identity).
-func sameShape(c *Node, field int, edges []Edge) bool {
-	if c.Field != field || len(c.Edges) != len(edges) {
-		return false
+// termHash is the hash of the terminal labeled d.
+func (s *Store) termHash(d rule.Decision) uint64 {
+	h := mix64(mix64(fnv64Offset, ^uint64(0)), uint64(d))
+	if s.hashOverride != nil {
+		h = s.hashOverride(h)
 	}
-	for i := range edges {
-		if c.Edges[i].To != edges[i].To || !c.Edges[i].Label.Equal(edges[i].Label) {
+	return h
+}
+
+// findTerm returns the terminal of tab labeled d, or reports there is
+// none.
+func (s *Store) findTerm(tab map[uint64]uint32, h uint64, d rule.Decision) (uint32, bool) {
+	for id, ok := tab[h]; ok; {
+		r := &s.nodes[id]
+		if r.field == TerminalField && r.dec == d {
+			return id, true
+		}
+		id, ok = r.next-1, r.next != 0
+	}
+	return 0, false
+}
+
+// link indexes the node id, whose hash is h, in tab.
+func (s *Store) link(tab map[uint64]uint32, h uint64, id uint32) {
+	if head, ok := tab[h]; ok {
+		s.nodes[id].next = head + 1
+	} else {
+		s.nodes[id].next = 0
+	}
+	tab[h] = id
+}
+
+// find returns the node of tab labeled field whose edges equal the
+// frame edges fe, or reports there is none.
+func (s *Store) find(tab map[uint64]uint32, h uint64, field int32, fe []edgeRec) (uint32, bool) {
+	for id, ok := tab[h]; ok; {
+		r := &s.nodes[id]
+		if r.field == field && int(r.nEdges) == len(fe) && s.sameEdges(s.edges[r.edge0:r.edge0+r.nEdges], fe) {
+			return id, true
+		}
+		id, ok = r.next-1, r.next != 0
+	}
+	return 0, false
+}
+
+// sameEdges reports whether the stored edges se equal the frame edges
+// fe: the same children, in order, under equal labels.
+func (s *Store) sameEdges(se, fe []edgeRec) bool {
+	for i := range se {
+		if se[i].to != fe[i].to || se[i].lo != fe[i].lo && !slices.Equal(s.ivs[se[i].lo:se[i].hi], s.labelOf(fe[i])) {
 			return false
 		}
 	}
 	return true
 }
 
-// intern returns the canonical nonterminal labeled field with the given
-// edges, whose children must already be canonical and which must be in
-// sorted order. It probes by (field, edges) first: a node that already
-// exists is returned and nothing is allocated. Only a new node is
-// allocated, with its own exact-size copy of edges; the caller's slice
-// is never retained.
-func (in *Interner) intern(field int, edges []Edge, full interval.Set) *Node {
-	h, inParent := in.hashNode(field, edges)
-	if inParent {
-		if c := in.parent.lookup(h, field, edges); c != nil {
-			return c
+// Terminal returns the id of the store's canonical terminal labeled d.
+func (s *Store) Terminal(d rule.Decision) uint32 {
+	h := s.termHash(d)
+	if id, ok := s.findTerm(s.table, h, d); ok {
+		return id
+	}
+	tab := s.table
+	if s.overlay {
+		if id, ok := s.findTerm(s.otable, h, d); ok {
+			return id
+		}
+		tab = s.otable
+	}
+	id := uint32(len(s.nodes))
+	s.nodes = append(grow(s.nodes, 1), record{dec: d, field: TerminalField})
+	s.link(tab, h, id)
+	return id
+}
+
+// Frame marks the top of the scratch frame: the base of a node under
+// construction, which Node pops back to.
+type Frame struct{ edges, ivs int }
+
+// Frame returns the current top of the scratch frame.
+func (s *Store) Frame() Frame { return Frame{len(s.frame), len(s.fivs)} }
+
+// Push pushes an edge labeled label to the canonical node to.
+func (s *Store) Push(label interval.Set, to uint32) {
+	lo := len(s.fivs)
+	s.fivs = label.AppendIntervals(s.fivs)
+	s.pushScratch(lo, to)
+}
+
+// PushIntersect pushes an edge labeled a ∩ b to the canonical node to,
+// unless the intersection is empty.
+func (s *Store) PushIntersect(a, b interval.Set, to uint32) {
+	lo := len(s.fivs)
+	s.fivs = a.AppendIntersect(s.fivs, b)
+	s.pushScratch(lo, to)
+}
+
+// pushSubtract pushes an edge labeled a minus b to the node to, unless
+// the difference is empty.
+func (s *Store) pushSubtract(a, b interval.Set, to uint32) {
+	lo := len(s.fivs)
+	s.fivs = a.AppendSubtract(s.fivs, b)
+	s.pushScratch(lo, to)
+}
+
+// pushScratch pushes an edge to the node to whose label is the scratch
+// run from lo to its end, unless the run is empty.
+func (s *Store) pushScratch(lo int, to uint32) {
+	if hi := len(s.fivs); hi > lo {
+		s.frame = append(s.frame, edgeRec{uint32(lo) | scratch, uint32(hi) | scratch, to})
+	}
+}
+
+// pushStored pushes an edge to the node to under the stored edge e's
+// label, naming its run instead of copying it.
+func (s *Store) pushStored(e edgeRec, to uint32) {
+	s.frame = append(s.frame, edgeRec{e.lo, e.hi, to})
+}
+
+// label returns the label of the stored edge e, a view of the slab that
+// stays valid while the store grows (and until an overlay promotion).
+func (s *Store) label(e edgeRec) interval.Set { return interval.SetView(s.ivs[e.lo:e.hi]) }
+
+// frameLabel returns the label of the frame edge e, valid until its
+// frame is popped.
+func (s *Store) frameLabel(e edgeRec) interval.Set { return interval.SetView(s.labelOf(e)) }
+
+// Node returns the canonical node labeled field whose edges are the
+// frame pushed since f, whose children are canonical, and pops the
+// frame. Edges leading to the same child are merged and the result is
+// ordered by label; a node whose single merged edge covers full (the
+// field's whole domain) tests nothing and is elided to its child. An
+// existing node is found without allocating; only a new node copies its
+// edges and labels into the slabs.
+func (s *Store) Node(f Frame, field int, full interval.Set) uint32 {
+	fe := s.mergeSameChild(s.frame[f.edges:])
+	var id uint32
+	if len(fe) == 1 && s.frameLabel(fe[0]).Equal(full) {
+		id = fe[0].to
+	} else {
+		slices.SortFunc(fe, func(x, y edgeRec) int { return cmp.Compare(s.labelOf(x)[0].Lo, s.labelOf(y)[0].Lo) })
+		id = s.intern(int32(field), fe, full)
+	}
+	s.frame, s.fivs = s.frame[:f.edges], s.fivs[:f.ivs]
+	return id
+}
+
+// intern returns the canonical nonterminal labeled field with the frame
+// edges fe, sorted and merged, adding it if the store lacks it. Only a
+// node whose children all lie below the overlay's watermark can equal a
+// node there.
+func (s *Store) intern(field int32, fe []edgeRec, full interval.Set) uint32 {
+	h := s.hash(field, fe)
+	tab := s.table
+	if s.overlay {
+		below := true
+		for _, e := range fe {
+			below = below && e.to < s.base
+		}
+		if below {
+			if id, ok := s.find(s.table, h, field, fe); ok {
+				return id
+			}
+		}
+		tab = s.otable
+	}
+	if id, ok := s.find(tab, h, field, fe); ok {
+		return id
+	}
+	id := uint32(len(s.nodes))
+	r := record{field: field, edge0: uint32(len(s.edges)), nEdges: uint32(len(fe))}
+	n := 0
+	for _, e := range fe {
+		if e.lo&scratch != 0 {
+			n += int(e.hi - e.lo)
 		}
 	}
-	if c := in.lookup(h, field, edges); c != nil {
-		return c
-	}
-	n := newNode(field, edges)
-	n.complete = tiles(edges, full)
-	in.insert(h, n)
-	in.register(n)
-	return n
-}
-
-// lookup returns the node in the bucket of hash h that is labeled field
-// with exactly edges, or nil.
-func (in *Interner) lookup(h uint64, field int, edges []Edge) *Node {
-	c := in.buckets[h]
-	if c == nil {
-		return nil
-	}
-	if sameShape(c, field, edges) {
-		return c
-	}
-	for _, c := range in.overflow[h] {
-		if sameShape(c, field, edges) {
-			return c
+	s.nodes, s.edges, s.ivs = grow(s.nodes, 1), grow(s.edges, len(fe)), grow(s.ivs, n)
+	var count uint64
+	for _, e := range fe {
+		count += s.frameLabel(e).Count()
+		if e.lo&scratch != 0 {
+			lo := len(s.ivs)
+			s.ivs = append(s.ivs, s.labelOf(e)...)
+			e.lo, e.hi = uint32(lo), uint32(len(s.ivs))
 		}
+		s.edges = append(s.edges, e)
 	}
-	return nil
+	// The labels are disjoint, so they tile the domain exactly when
+	// their sizes sum to its size.
+	r.complete = full.Count() != interval.Max && count == full.Count()
+	s.nodes = append(s.nodes, r)
+	s.link(tab, h, id)
+	return id
 }
 
-// insert adds the nonterminal n, whose hash is h, to the bucket of h.
-func (in *Interner) insert(h uint64, n *Node) {
-	if _, taken := in.buckets[h]; !taken {
-		in.buckets[h] = n
-		return
+// mergeSameChild merges the frame edges fe that lead to the same child,
+// in place, relabeling the first of them with the union (appended to the
+// scratch). Small frames, the overwhelmingly common case, are merged by
+// scan; wide ones through an index.
+func (s *Store) mergeSameChild(fe []edgeRec) []edgeRec {
+	if len(fe) < 2 {
+		return fe
 	}
-	if in.overflow == nil {
-		in.overflow = make(map[uint64][]*Node)
+	out := fe[:0]
+	union := func(i int, e edgeRec) {
+		lo := len(s.fivs)
+		s.fivs = s.frameLabel(out[i]).AppendUnion(s.fivs, s.frameLabel(e))
+		out[i].lo, out[i].hi = uint32(lo)|scratch, uint32(len(s.fivs))|scratch
 	}
-	in.overflow[h] = append(in.overflow[h], n)
-}
-
-// nodeBlock co-allocates a node with its edge array, one object instead
-// of two. For 1 to 8 edges, 64+32k bytes is itself a size class, so the
-// block costs exactly what the two allocations would.
-type nodeBlock[E any] struct {
-	n Node
-	e E
-}
-
-// newNode returns a node labeled field holding an exact-size copy of
-// edges.
-func newNode(field int, edges []Edge) *Node {
-	var n *Node
-	var dst []Edge
-	switch len(edges) {
-	case 1:
-		b := new(nodeBlock[[1]Edge])
-		n, dst = &b.n, b.e[:]
-	case 2:
-		b := new(nodeBlock[[2]Edge])
-		n, dst = &b.n, b.e[:]
-	case 3:
-		b := new(nodeBlock[[3]Edge])
-		n, dst = &b.n, b.e[:]
-	case 4:
-		b := new(nodeBlock[[4]Edge])
-		n, dst = &b.n, b.e[:]
-	case 5:
-		b := new(nodeBlock[[5]Edge])
-		n, dst = &b.n, b.e[:]
-	case 6:
-		b := new(nodeBlock[[6]Edge])
-		n, dst = &b.n, b.e[:]
-	case 7:
-		b := new(nodeBlock[[7]Edge])
-		n, dst = &b.n, b.e[:]
-	case 8:
-		b := new(nodeBlock[[8]Edge])
-		n, dst = &b.n, b.e[:]
-	default:
-		n, dst = new(Node), make([]Edge, len(edges))
-	}
-	copy(dst, edges)
-	n.Field, n.Edges = field, dst
-	return n
-}
-
-// tiles reports whether the disjoint labels of edges cover full: their
-// sizes sum to its size. (A domain of 2^64 values saturates Count, and
-// its nodes are never reported complete.)
-func tiles(edges []Edge, full interval.Set) bool {
-	c := full.Count()
-	if c == interval.Max {
-		return false
-	}
-	var n uint64
-	for i := range edges {
-		n += edges[i].Label.Count()
-	}
-	return n == c
-}
-
-// register stamps n with the store's serial and next dense id.
-func (in *Interner) register(n *Node) {
-	n.serial = in.serial
-	n.id = in.idBase + uint32(in.count)
-	in.count++
-}
-
-// CanonicalTerminal returns the store's canonical terminal labeled d.
-func (in *Interner) CanonicalTerminal(d rule.Decision) *Node {
-	if in.parent != nil {
-		if c, ok := in.parent.terms[d]; ok {
-			return c
-		}
-	}
-	if c, ok := in.terms[d]; ok {
-		return c
-	}
-	c := Terminal(d)
-	in.terms[d] = c
-	in.register(c)
-	return c
-}
-
-// Canonicalize returns the canonical node for a nonterminal labeled
-// fieldIdx with the given edges, whose children must already be
-// canonical in this store. Edges leading to the same child are merged
-// and the result is ordered by label; a node whose single merged edge
-// covers full (the field's whole domain) tests nothing and is elided to
-// its child.
-//
-// edges is scratch space: it is merged and reordered in place, and the
-// store never retains it — a node that is not yet stored gets its own
-// exact-size copy, and one that is allocates nothing. Callers build edge
-// lists on a reused stack and truncate it after the call.
-//
-// It is the primitive for building diagrams directly in reduced form —
-// a bottom-up walk that canonicalizes each node as it is created (the
-// lockstep comparison does this) never materializes an unreduced tree.
-func (in *Interner) Canonicalize(fieldIdx int, edges []Edge, full interval.Set) *Node {
-	edges = mergeSameChild(edges)
-	if len(edges) == 1 && edges[0].Label.Equal(full) {
-		return edges[0].To
-	}
-	sortEdges(edges)
-	return in.intern(fieldIdx, edges, full)
-}
-
-// mergeSameChild merges edges that lead to the same (canonical) child,
-// in place in the slice, relabeling the first of them with the union.
-// The edges are values, so no stored node sees the relabeling. Small
-// edge lists — the overwhelmingly common case — are merged by pointer
-// scan; large ones through a map.
-func mergeSameChild(edges []Edge) []Edge {
-	if len(edges) < 2 {
-		return edges
-	}
-	out := edges[:0]
-	if len(edges) <= 16 {
-		for _, e := range edges {
+	if len(fe) <= 16 {
+		for _, e := range fe {
 			dup := false
 			for i := range out {
-				if out[i].To == e.To {
-					out[i].Label = out[i].Label.Union(e.Label)
+				if out[i].to == e.to {
+					union(i, e)
 					dup = true
 					break
 				}
@@ -371,67 +411,292 @@ func mergeSameChild(edges []Edge) []Edge {
 		}
 		return out
 	}
-	seen := make(map[*Node]int, len(edges))
-	for _, e := range edges {
-		if i, ok := seen[e.To]; ok {
-			out[i].Label = out[i].Label.Union(e.Label)
+	if s.wide == nil {
+		s.wide = make(map[uint32]int)
+	}
+	defer clear(s.wide)
+	for _, e := range fe {
+		if i, ok := s.wide[e.to]; ok {
+			union(i, e)
 			continue
 		}
-		seen[e.To] = len(out)
+		s.wide[e.to] = len(out)
 		out = append(out, e)
 	}
 	return out
 }
 
-// Reduce hash-conses the diagram into the store and returns the reduced
-// FDD. See (*FDD).Reduce for the reduction contract; the input is not
-// modified.
-func (in *Interner) Reduce(f *FDD) *FDD {
-	return &FDD{Schema: f.Schema, Root: in.ReduceNode(f.Schema, f.Root)}
+// openOverlay starts an overlay at the current end of the store, for a
+// build of about rules rules: the slabs are reserved at a few records
+// per rule, which most builds stay within.
+func (s *Store) openOverlay(rules int) {
+	s.overlay = true
+	s.base, s.ebase, s.ibase = uint32(len(s.nodes)), uint32(len(s.edges)), uint32(len(s.ivs))
+	if s.otable == nil {
+		s.otable = make(map[uint64]uint32)
+	}
+	s.nodes, s.edges, s.ivs = grow(s.nodes, rules), grow(s.edges, 4*rules), grow(s.ivs, 8*rules)
 }
 
-// ReduceNode reduces the subgraph rooted at root: isomorphic subgraphs
-// are shared, edges to the same child are merged, and nodes whose single
-// merged edge covers the whole field domain are elided. The returned
-// node is canonical in the store. Nodes already canonical in this store
-// are returned as-is without re-walking their subgraphs, so re-reducing
-// a diagram that is mostly canonical copies only its new part.
-func (in *Interner) ReduceNode(schema *field.Schema, root *Node) *Node {
+// closeOverlay drops every overlay node and empties the scratch frame
+// (which a build's budget stop can leave mid-node), leaving the store as
+// its last promotion left it.
+func (s *Store) closeOverlay() {
+	if !s.overlay {
+		return
+	}
+	s.nodes, s.edges, s.ivs = s.nodes[:s.base], s.edges[:s.ebase], s.ivs[:s.ibase]
+	s.overlay = false
+	clear(s.otable)
+	s.frame, s.fivs = s.frame[:0], s.fivs[:0]
+}
+
+// overlayNodes returns how many nodes the overlay holds.
+func (s *Store) overlayNodes() int { return len(s.nodes) - int(s.base) }
+
+// promote keeps the overlay nodes root reaches and drops the others:
+// the kept ones are compacted, in id order, down onto the watermark
+// (which keeps every child below its parent), renumbered, and indexed
+// below it, and so are the overlay label runs their edges name; then
+// the overlay starts empty above them. It returns root's id after the
+// move. No scratch frame may be open.
+func (s *Store) promote(root uint32) uint32 {
+	s.work = extend(s.work[:0], len(s.nodes)-int(s.base))
+	remap := s.work // remap[i]: 0 if overlay node base+i is dropped, else its new id plus one
+	if root >= s.base {
+		s.mark(root, remap)
+	}
+	// The kept runs move down in slab order, each once however many
+	// edges name it; runs never overlap, so each lands at or below where
+	// it was.
+	s.runs = extend(s.runs[:0], len(s.ivs)-int(s.ibase))
+	for old := s.base; old < uint32(len(s.nodes)); old++ {
+		if remap[old-s.base] != 0 {
+			r := s.nodes[old]
+			for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+				if e.lo >= s.ibase {
+					s.runs[e.lo-s.ibase] = e.hi - e.lo
+				}
+			}
+		}
+	}
+	ni := s.ibase
+	for i, n := range s.runs {
+		if n != 0 {
+			lo := s.ibase + uint32(i)
+			s.runs[i] = ni + 1
+			ni += uint32(copy(s.ivs[ni:], s.ivs[lo:lo+n]))
+		}
+	}
+	id, ne := s.base, s.ebase
+	for old := s.base; old < uint32(len(s.nodes)); old++ {
+		if remap[old-s.base] == 0 {
+			continue
+		}
+		r := s.nodes[old]
+		e0 := ne
+		for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+			if e.to >= s.base {
+				e.to = remap[e.to-s.base] - 1
+			}
+			if e.lo >= s.ibase {
+				lo := s.runs[e.lo-s.ibase] - 1
+				e.lo, e.hi = lo, lo+(e.hi-e.lo)
+			}
+			s.edges[ne] = e
+			ne++
+		}
+		r.edge0 = e0
+		s.nodes[id] = r
+		remap[old-s.base] = id + 1
+		id++
+	}
+	newRoot := root
+	if root >= s.base {
+		newRoot = remap[root-s.base] - 1
+	}
+	s.nodes, s.edges, s.ivs = s.nodes[:id], s.edges[:ne], s.ivs[:ni]
+	for k := s.base; k < id; k++ {
+		r := &s.nodes[k]
+		h := s.termHash(r.dec)
+		if r.field != TerminalField {
+			h = s.hash(r.field, s.edges[r.edge0:r.edge0+r.nEdges])
+		}
+		s.link(s.table, h, k)
+	}
+	clear(s.otable)
+	s.base, s.ebase, s.ibase = id, ne, ni
+	return newRoot
+}
+
+// mark sets remap for the overlay nodes id reaches.
+func (s *Store) mark(id uint32, remap []uint32) {
+	if remap[id-s.base] != 0 {
+		return
+	}
+	remap[id-s.base] = 1
+	r := s.nodes[id]
+	for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+		if e.to >= s.base {
+			s.mark(e.to, remap)
+		}
+	}
+}
+
+// pending marks a table entry whose node materialize is about to build.
+var pending Node
+
+// materialize returns the *Node of id, building from the store every
+// node it reaches that table does not hold yet: all of them in one
+// allocation of nodes, one of edges and one of intervals, each label
+// copied out of the store. table is indexed by id; it is grown to the
+// store's size, filled in, and returned. Nodes table already holds are
+// reused as they are, so diagrams materialized through one table share
+// their common subgraphs by pointer.
+func (s *Store) materialize(id uint32, table []*Node) ([]*Node, *Node) {
+	table = extend(table, len(s.nodes))
+	if n := table[id]; n != nil {
+		return table, n
+	}
+	ids := s.collect(id, table, s.work[:0])
+	var ne, ni int
+	for _, k := range ids {
+		r := &s.nodes[k]
+		ne += int(r.nEdges)
+		for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+			ni += int(e.hi - e.lo)
+		}
+	}
+	nodes := make([]Node, len(ids))
+	edges := make([]Edge, ne)
+	ivs := make([]interval.Interval, ni)
+	for i, k := range ids {
+		r := &s.nodes[k]
+		n := &nodes[i]
+		n.Field, n.Decision = int(r.field), r.dec
+		if r.nEdges > 0 {
+			es := edges[:r.nEdges:r.nEdges]
+			edges = edges[r.nEdges:]
+			for j, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+				c := copy(ivs, s.ivs[e.lo:e.hi])
+				es[j] = Edge{Label: interval.SetView(ivs[:c]), To: table[e.to]}
+				ivs = ivs[c:]
+			}
+			n.Edges = es
+		}
+		table[k] = n
+	}
+	s.work = ids[:0]
+	return table, table[id]
+}
+
+// collect appends to ids, children first, every node id reaches whose
+// table entry is empty, marking each entry pending.
+func (s *Store) collect(id uint32, table []*Node, ids []uint32) []uint32 {
+	table[id] = &pending
+	r := s.nodes[id]
+	for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+		if table[e.to] == nil {
+			ids = s.collect(e.to, table, ids)
+		}
+	}
+	return append(ids, id)
+}
+
+// Diagram materializes the diagram rooted at id as a fresh *Node graph
+// that shares nothing with the store.
+func (s *Store) Diagram(schema *field.Schema, id uint32) *FDD {
+	_, n := s.materialize(id, nil)
+	return &FDD{Schema: schema, Root: n}
+}
+
+// Reduce hash-conses the diagram into the store and returns the reduced
+// FDD, materialized. See (*FDD).Reduce for the reduction contract; the
+// input is not modified.
+func (s *Store) Reduce(f *FDD) *FDD {
+	return s.Diagram(f.Schema, s.ReduceNode(f.Schema, f.Root))
+}
+
+// ReduceNode reduces the subgraph rooted at root into the store and
+// returns the id of its canonical root: isomorphic subgraphs are shared,
+// edges to the same child are merged, and nodes whose single merged edge
+// covers the whole field domain are elided. Reducing a diagram the store
+// already holds adds no node, and two diagrams of one function reduce to
+// one id.
+func (s *Store) ReduceNode(schema *field.Schema, root *Node) uint32 {
+	return s.reintern(schema, root, nil)
+}
+
+// reintern is ReduceNode that also records, when table is non-nil, each
+// input node as the materialized form of the id it reduces to unless
+// the table has one already: reinterning a reduced diagram into a store
+// makes the diagram that store's materialization of itself.
+func (s *Store) reintern(schema *field.Schema, root *Node, table *[]*Node) uint32 {
+	fulls := fullSets(schema)
+	// memo dedupes shared *input* nodes within this call: the input is
+	// usually a DAG, and each distinct node should be reduced once.
+	memo := make(map[*Node]uint32)
+	var reduce func(n *Node) uint32
+	reduce = func(n *Node) uint32 {
+		if c, ok := memo[n]; ok {
+			return c
+		}
+		var c uint32
+		if n.IsTerminal() {
+			c = s.Terminal(n.Decision)
+		} else {
+			// Reduce children first; Node merges duplicate-child edges,
+			// elides nodes whose single merged edge spans the domain (an
+			// *incomplete* single-edge node, which partial diagrams hold,
+			// is preserved), and dedupes against the store.
+			// Each child's frame sits above the edges pushed so far and is
+			// popped before its edge is pushed.
+			f := s.Frame()
+			for _, e := range n.Edges {
+				s.Push(e.Label, reduce(e.To))
+			}
+			c = s.Node(f, n.Field, fulls[n.Field])
+		}
+		memo[n] = c
+		if table != nil {
+			*table = extend(*table, len(s.nodes))
+			if (*table)[c] == nil {
+				(*table)[c] = n
+			}
+		}
+		return c
+	}
+	return reduce(root)
+}
+
+// fullSets returns every field's full-domain set.
+func fullSets(schema *field.Schema) []interval.Set {
 	fulls := make([]interval.Set, schema.NumFields())
 	for k := range fulls {
 		fulls[k] = schema.FullSet(k)
 	}
-	// memo dedupes shared *input* nodes within this call: the input is
-	// usually a DAG, and each distinct node should be reduced once.
-	memo := make(map[*Node]*Node)
-	var stack []Edge
-	var reduce func(n *Node) *Node
-	reduce = func(n *Node) *Node {
-		if in.Canonical(n) {
-			return n
-		}
-		if n.IsTerminal() {
-			return in.CanonicalTerminal(n.Decision)
-		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		// Reduce children first; Canonicalize merges duplicate-child
-		// edges, elides nodes whose single merged edge spans the domain
-		// (a node that tests nothing — but an *incomplete* single-edge
-		// node, which Reduce meets on partial diagrams during
-		// construction, is preserved), and dedupes against the store.
-		// Each call's edges are a frame on stack, indexed by its base
-		// because the recursion may grow (and move) the slice.
-		base := len(stack)
-		for _, e := range n.Edges {
-			to := reduce(e.To)
-			stack = append(stack, Edge{Label: e.Label, To: to})
-		}
-		c := in.Canonicalize(n.Field, stack[base:], fulls[n.Field])
-		stack = stack[:base]
-		memo[n] = c
-		return c
+	return fulls
+}
+
+// grow returns b with room for n more elements, at least doubling its
+// capacity when it must grow. append's own policy grows a large slice
+// by about 1.25x, which for a slab built up from empty allocates about
+// five times its final size.
+func grow[E any](b []E, n int) []E {
+	if len(b)+n > cap(b) {
+		b = slices.Grow(b, max(n, cap(b)))
 	}
-	return reduce(root)
+	return b
+}
+
+// extend returns b lengthened with zero elements to length n (b itself
+// when it is as long already), growing it as grow does.
+func extend[E any](b []E, n int) []E {
+	old := len(b)
+	if n <= old {
+		return b
+	}
+	b = grow(b, n-old)[:n]
+	clear(b[old:])
+	return b
 }

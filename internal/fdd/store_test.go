@@ -39,31 +39,47 @@ func storeFDD() *FDD {
 	return &FDD{Schema: schema, Root: root}
 }
 
-// TestInternerCollisionChaining forces every node into a single hash
-// bucket and checks that collision chaining still dedupes by structure:
-// isomorphic subtrees share, distinct ones do not.
-func TestInternerCollisionChaining(t *testing.T) {
+// sameStored reports whether the stored nodes a and b have the same
+// field, decision, children and labels.
+func sameStored(st *Store, a, b uint32) bool {
+	ra, rb := st.nodes[a], st.nodes[b]
+	if ra.field != rb.field || ra.dec != rb.dec || ra.nEdges != rb.nEdges {
+		return false
+	}
+	for i := uint32(0); i < ra.nEdges; i++ {
+		ea, eb := st.edges[ra.edge0+i], st.edges[rb.edge0+i]
+		if ea.to != eb.to || !st.label(ea).Equal(st.label(eb)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStoreCollisionChaining forces every node into a single hash chain
+// and checks that chaining still dedupes by structure: isomorphic
+// subtrees share, distinct ones do not.
+func TestStoreCollisionChaining(t *testing.T) {
 	f := storeFDD()
-	in := NewInterner()
-	in.hashOverride = func(int, []Edge) uint64 { return 42 }
-	red := in.Reduce(f)
+	st := NewStore()
+	st.hashOverride = func(uint64) uint64 { return 42 }
+	red := st.Reduce(f)
 
 	if err := red.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after colliding reduce: %v", err)
 	}
-	// All nonterminals chained in one bucket.
-	if got := len(in.buckets); got != 1 {
-		t.Fatalf("hash override must produce exactly 1 bucket, got %d", got)
+	// All nodes chained under one hash.
+	if got := len(st.table); got != 1 {
+		t.Fatalf("hash override must produce exactly 1 table entry, got %d", got)
 	}
-	chain := bucket(in, 42)
-	if len(chain) < 2 {
-		t.Fatalf("chaining path not exercised: chain length %d", len(chain))
+	chain := bucket(st, 42)
+	if len(chain) < 2 || len(chain) != st.NumNodes() {
+		t.Fatalf("chaining path not exercised: chain length %d of %d nodes", len(chain), st.NumNodes())
 	}
 	// Chained nodes are pairwise structurally distinct.
 	for i := range chain {
 		for j := i + 1; j < len(chain); j++ {
-			if sameShape(chain[i], chain[j].Field, chain[j].Edges) {
-				t.Fatalf("bucket holds duplicate structures at %d and %d", i, j)
+			if sameStored(st, chain[i], chain[j]) {
+				t.Fatalf("chain holds duplicate structures at %d and %d", i, j)
 			}
 		}
 	}
@@ -83,38 +99,34 @@ func TestInternerCollisionChaining(t *testing.T) {
 	}
 }
 
-// TestInternerIncrementalReuse: reducing an already-canonical diagram
-// through the same store returns the identical nodes (the fast path the
-// incremental construction relies on), and a store never hands out two
-// distinct nodes for one structure.
-func TestInternerIncrementalReuse(t *testing.T) {
+// TestStoreIncrementalReuse: reducing an already-canonical diagram
+// through the same store returns the identical root (the fast path the
+// incremental construction relies on) and adds no node, and a store
+// never hands out two distinct nodes for one structure.
+func TestStoreIncrementalReuse(t *testing.T) {
 	f := storeFDD()
-	in := NewInterner()
-	r1 := in.Reduce(f)
-	grew := in.NumNodes()
-	r2 := in.Reduce(r1)
-	if r2.Root != r1.Root {
+	st := NewStore()
+	r1 := st.ReduceNode(f.Schema, f.Root)
+	grew := st.NumNodes()
+	if r2 := st.ReduceNode(f.Schema, st.Diagram(f.Schema, r1).Root); r2 != r1 {
 		t.Fatal("re-reducing a canonical diagram must return the same root")
 	}
-	if in.NumNodes() != grew {
-		t.Fatalf("re-reduction added nodes: %d -> %d", grew, in.NumNodes())
-	}
-	if !in.Canonical(r1.Root) {
-		t.Fatal("reduced root not canonical in its own store")
+	if st.NumNodes() != grew {
+		t.Fatalf("re-reduction added nodes: %d -> %d", grew, st.NumNodes())
 	}
 	// A structurally identical fresh diagram dedupes onto the same nodes.
-	r3 := in.Reduce(storeFDD())
-	if r3.Root != r1.Root {
+	if r3 := st.ReduceNode(f.Schema, storeFDD().Root); r3 != r1 {
 		t.Fatal("identical structure must intern to the identical root")
 	}
+	assertStoreIndexed(t, st)
 }
 
 // TestCanonicalTerminalDedupes: terminals intern by decision.
 func TestCanonicalTerminalDedupes(t *testing.T) {
-	in := NewInterner()
-	a := in.CanonicalTerminal(rule.Accept)
-	b := in.CanonicalTerminal(rule.Accept)
-	c := in.CanonicalTerminal(rule.Discard)
+	st := NewStore()
+	a := st.Terminal(rule.Accept)
+	b := st.Terminal(rule.Accept)
+	c := st.Terminal(rule.Discard)
 	if a != b {
 		t.Fatal("equal decisions must share a terminal")
 	}
@@ -123,17 +135,17 @@ func TestCanonicalTerminalDedupes(t *testing.T) {
 	}
 }
 
-// TestPromoteAdoptsOverlayNodes drives the append loop by hand and
-// checks each promotion: every node it adds to the family store is a
-// node the overlay created (the same pointer, not a copy), restamped
-// with the family's serial and the next family ids; the promoted root
-// is canonical in the family; the overlay comes back empty under a
-// fresh serial, so a node it created but did not hand over is canonical
-// nowhere; and no family node keeps a memo slot.
+// TestPromoteAdoptsOverlayNodes drives the append loop by hand and checks
+// each promotion: the nodes it adds to the family are exactly the
+// overlay nodes the root reaches, in id order, moved as they are (same
+// field, decision and labels, children renumbered along), not
+// re-interned; the promoted root is below the watermark; and the
+// overlay comes back empty, its table too.
 func TestPromoteAdoptsOverlayNodes(t *testing.T) {
 	p := synth.RealLife(200, 5)
-	family := NewInterner()
+	family := NewStore()
 	ap := newAppender(p.Schema, family)
+	family.openOverlay(p.Size())
 	ap.start(p.Rules[0].Pred, p.Rules[0].Decision)
 	root := ap.path(0)
 	for i := 1; i < p.Size(); i++ {
@@ -142,41 +154,50 @@ func TestPromoteAdoptsOverlayNodes(t *testing.T) {
 		if i%checkpointEvery != 0 && i != p.Size()-1 {
 			continue
 		}
-		created := storeNodes(t, ap.ov)
-		isCreated := make(map[*Node]bool, len(created))
-		for _, n := range created {
-			isCreated[n] = true
+		// The overlay nodes root reaches, ascending, and each one's
+		// materialized subgraph.
+		base := family.base
+		var reached []uint32
+		seen := make(map[uint32]bool)
+		var walk func(id uint32)
+		walk = func(id uint32) {
+			if id < base || seen[id] {
+				return
+			}
+			seen[id] = true
+			r := family.nodes[id]
+			for _, e := range family.edges[r.edge0 : r.edge0+r.nEdges] {
+				walk(e.to)
+			}
+			reached = append(reached, id)
 		}
-		before, overlaySerial := family.NumNodes(), ap.ov.serial
-		ap.promote(root)
-		if !family.Canonical(root) {
-			t.Fatalf("rule %d: promoted root is not canonical in the family", i)
+		walk(root)
+		slices.Sort(reached)
+		before := make([]*Node, len(reached))
+		for k, id := range reached {
+			before[k] = family.Diagram(p.Schema, id).Root
 		}
-		for _, n := range storeNodes(t, family)[before:] {
-			if !isCreated[n] {
-				t.Fatalf("rule %d: promotion added a node the overlay did not create", i)
+		root = ap.promote(root)
+		if root >= family.base || family.overlayNodes() != 0 || len(family.otable) != 0 {
+			t.Fatalf("rule %d: promotion left the root or nodes in the overlay", i)
+		}
+		if family.NumNodes() != int(base)+len(reached) {
+			t.Fatalf("rule %d: promotion added %d nodes, the root reached %d", i, family.NumNodes()-int(base), len(reached))
+		}
+		for k := range reached {
+			got := family.Diagram(p.Schema, base+uint32(k)).Root
+			if !reflect.DeepEqual(got, before[k]) {
+				t.Fatalf("rule %d: family node %d is not the %dth overlay node the root reached", i, base+uint32(k), k)
 			}
 		}
-		if ap.ov.NumNodes() != 0 || len(ap.ov.terms) != 0 || len(ap.ov.buckets) != 0 || len(ap.ov.overflow) != 0 {
-			t.Fatalf("rule %d: overlay not emptied by promotion", i)
-		}
-		if ap.ov.serial == overlaySerial {
-			t.Fatalf("rule %d: overlay kept its serial across the reset", i)
-		}
-		for _, n := range created {
-			if ap.ov.Canonical(n) || (!family.Canonical(n) && n.serial != overlaySerial) {
-				t.Fatalf("rule %d: an overlay node changed owner outside adoption", i)
-			}
-		}
-		if len(ap.slots) != 0 {
-			t.Fatalf("rule %d: promotion left %d memo slots recorded", i, len(ap.slots))
-		}
-		assertStoreIndexed(t, family)
+		storeNodes(t, family)
 	}
+	family.closeOverlay()
+	assertStoreIndexed(t, family)
 }
 
 // TestBuildCollisionChaining runs a build and a Resume with every node
-// hashed into one bucket, so adoption has to chain each moved node
+// hashed into one chain, so promotion has to chain each moved node
 // behind the family's existing ones. The result must be the diagram
 // the default hash builds, and the store must stay deduplicated.
 func TestBuildCollisionChaining(t *testing.T) {
@@ -185,10 +206,10 @@ func TestBuildCollisionChaining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := &builderCore{in: NewInterner()}
-	core.in.hashOverride = func(int, []Edge) uint64 { return 42 }
+	core := &builderCore{st: NewStore()}
+	core.st.hashOverride = func(uint64) uint64 { return 42 }
 	core.mu.Lock()
-	b, err := core.build(context.Background(), nil, p, 0, nil, nil, nil)
+	b, err := core.build(context.Background(), nil, p, 0, noNode, nil, nil)
 	core.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +219,7 @@ func TestBuildCollisionChaining(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.StoreNodes() != plain.StoreNodes() {
-		t.Fatalf("single-bucket store holds %d nodes, the default-hash one %d", b.StoreNodes(), plain.StoreNodes())
+		t.Fatalf("single-chain store holds %d nodes, the default-hash one %d", b.StoreNodes(), plain.StoreNodes())
 	}
 	nb, st, err := b.Resume(context.Background(), after)
 	if err != nil {
@@ -207,10 +228,10 @@ func TestBuildCollisionChaining(t *testing.T) {
 	if st.CheckpointRules == 0 {
 		t.Fatal("resume used no checkpoint")
 	}
-	if len(core.in.buckets) != 1 || len(bucket(core.in, 42)) < 2 {
-		t.Fatalf("hash override did not chain the family store: %d buckets", len(core.in.buckets))
+	if len(core.st.table) != 1 || len(bucket(core.st, 42)) < 2 {
+		t.Fatalf("hash override did not chain the family store: %d table entries", len(core.st.table))
 	}
-	assertStoreIsReachable(t, core.in, b, nb)
+	assertStoreIsReachable(t, core.st, b, nb)
 	plainAfter, err := NewBuilder(after)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +239,7 @@ func TestBuildCollisionChaining(t *testing.T) {
 	for _, c := range [][2]*Builder{{b, plain}, {nb, plainAfter}} {
 		got, want := c[0].FDD(), c[1].FDD()
 		if !sameFunction(t, got, want) || got.Stats() != want.Stats() {
-			t.Fatal("single-bucket build differs from the default-hash build")
+			t.Fatal("single-chain build differs from the default-hash build")
 		}
 	}
 }
@@ -230,9 +251,10 @@ func TestBuildCollisionChaining(t *testing.T) {
 // out as a scratch build makes them.
 func TestAppendGenerationWrap(t *testing.T) {
 	p := synth.RealLife(120, 8)
-	family := NewInterner()
+	family := NewStore()
 	ap := newAppender(p.Schema, family)
-	ap.gen = math.MaxUint16 - 40
+	family.openOverlay(p.Size())
+	ap.gen = math.MaxUint32 - 40
 	ap.start(p.Rules[0].Pred, p.Rules[0].Decision)
 	root := ap.path(0)
 	effective := []bool{true}
@@ -242,11 +264,12 @@ func TestAppendGenerationWrap(t *testing.T) {
 		effective = append(effective, next != root)
 		root = next
 		if i%checkpointEvery == 0 {
-			ap.promote(root)
+			root = ap.promote(root)
 		}
 	}
-	ap.promote(root)
-	if ap.gen >= math.MaxUint16-40 {
+	root = ap.promote(root)
+	family.closeOverlay()
+	if ap.gen >= math.MaxUint32-40 {
 		t.Fatalf("generation %d did not wrap", ap.gen)
 	}
 	scratch, err := NewBuilder(p)
@@ -262,19 +285,26 @@ func TestAppendGenerationWrap(t *testing.T) {
 	assertStoreIndexed(t, family)
 }
 
-// TestCanonicalizeProbesBeforeCopying pins the store's edge contract:
-// canonicalizing edges that name an existing node allocates nothing,
-// and a new node gets its own exact-size copy, so the caller's slice is
-// scratch the store never retains.
+// TestCanonicalizeProbesBeforeCopying pins the store's edge contract: a node
+// whose pushed edges name an existing node allocates nothing, and a new
+// node copies its labels into the store, so the caller's interval
+// storage is scratch the store never retains.
 func TestCanonicalizeProbesBeforeCopying(t *testing.T) {
 	f := storeFDD()
-	in := NewInterner()
-	root := in.Reduce(f).Root
-	full := f.Schema.FullSet(root.Field)
-	scratch := make([]Edge, len(root.Edges), 8)
+	st := NewStore()
+	root := st.ReduceNode(f.Schema, f.Root)
+	d := st.Diagram(f.Schema, root).Root
+	children := make([]uint32, len(d.Edges))
+	for i, e := range d.Edges {
+		children[i] = st.ReduceNode(f.Schema, e.To)
+	}
+	full := f.Schema.FullSet(d.Field)
 	allocs := testing.AllocsPerRun(100, func() {
-		copy(scratch, root.Edges)
-		if in.Canonicalize(root.Field, scratch, full) != root {
+		fr := st.Frame()
+		for i, e := range d.Edges {
+			st.Push(e.Label, children[i])
+		}
+		if st.Node(fr, d.Field, full) != root {
 			t.Fatal("equal edges interned to a different node")
 		}
 	})
@@ -282,23 +312,31 @@ func TestCanonicalizeProbesBeforeCopying(t *testing.T) {
 		t.Fatalf("a dedupe hit allocated %.0f times", allocs)
 	}
 
-	// Swapping the children makes a new node.
-	copy(scratch, root.Edges)
-	scratch[0].To, scratch[1].To = scratch[1].To, scratch[0].To
-	n := in.Canonicalize(root.Field, scratch, full)
-	if n == root || !in.Canonical(n) {
-		t.Fatal("distinct edges did not make a new canonical node")
+	// Swapping the children makes a new node; its labels are the
+	// caller's intervals, which the caller then overwrites.
+	buf := make([]interval.Interval, 0, 4)
+	labels := make([]interval.Set, len(d.Edges))
+	for i, e := range d.Edges {
+		lo := len(buf)
+		buf = e.Label.AppendIntervals(buf)
+		labels[i] = interval.SetView(buf[lo:])
 	}
-	if len(n.Edges) != 2 || cap(n.Edges) != 2 || &n.Edges[0] == &scratch[0] {
-		t.Fatal("the new node does not own an exact-size copy of its edges")
+	want := slices.Clone(buf)
+	fr := st.Frame()
+	st.Push(labels[0], children[1])
+	st.Push(labels[1], children[0])
+	n := st.Node(fr, d.Field, full)
+	if n == root || n != uint32(st.NumNodes()-1) {
+		t.Fatal("distinct edges did not make a new node")
 	}
-	want := slices.Clone(n.Edges)
-	for i := range scratch {
-		scratch[i] = Edge{}
+	clear(buf)
+	got := st.Diagram(f.Schema, n).Root
+	var stored []interval.Interval
+	for _, e := range got.Edges {
+		stored = e.Label.AppendIntervals(stored)
 	}
-	for i := range want {
-		if n.Edges[i].To != want[i].To || !n.Edges[i].Label.Equal(want[i].Label) {
-			t.Fatal("overwriting the caller's edges changed the stored node")
-		}
+	if !slices.Equal(stored, want) {
+		t.Fatal("overwriting the caller's intervals changed the stored node")
 	}
+	assertStoreIndexed(t, st)
 }

@@ -26,11 +26,11 @@ func checkpointRules(b *Builder) []int {
 }
 
 // TestTrimKeepsOnlyTheDiagram pins what Trim keeps and what the first
-// Resume after it restores: the trimmed store holds exactly the final
-// diagram's nodes, still the same pointers; the replay ends on that
-// root and rebuilds the untrimmed builder's checkpoints; and the resumed
-// diagram matches an untrimmed builder's resume, sharing the trimmed
-// base's subgraphs.
+// Resume after it restores: the trimmed builder holds its diagram and
+// no store; the replay re-interns that diagram as the new store's own
+// materialization, ends on its root and rebuilds the untrimmed
+// builder's checkpoints; and the resumed diagram matches an untrimmed
+// builder's resume, sharing the trimmed base's subgraphs by pointer.
 func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
 	p := synth.RealLife(400, 3)
 	kept, err := NewBuilder(p)
@@ -51,10 +51,9 @@ func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
 	if b.NumCheckpoints() != 0 {
 		t.Fatalf("trimmed builder keeps %d checkpoints", b.NumCheckpoints())
 	}
-	if nodes := (&FDD{Root: root}).Stats().Nodes; b.StoreNodes() != nodes {
-		t.Fatalf("trimmed store holds %d nodes, the diagram %d", b.StoreNodes(), nodes)
+	if b.StoreNodes() != 0 || b.StoreBytes() != 0 || b.core.st != nil || b.core.nodes != nil {
+		t.Fatalf("trimmed builder keeps a store of %d nodes, %d bytes", b.StoreNodes(), b.StoreBytes())
 	}
-	assertStoreIsReachable(t, b.core.in, b)
 
 	after := flipRule(t, p, p.Size()-3)
 	want, wst, err := kept.Resume(context.Background(), after)
@@ -75,16 +74,20 @@ func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
 	if !sameFunction(t, nb.FDD(), want.FDD()) {
 		t.Fatal("resume of a trimmed builder differs from the untrimmed one's")
 	}
-	if b.core.in.ReduceNode(p.Schema, root) != root {
-		t.Fatal("the trimmed diagram is no longer canonical in its store")
+	stored := b.StoreNodes()
+	if b.core.st.ReduceNode(p.Schema, root) != b.root || b.StoreNodes() != stored || b.core.nodes[b.root] != root {
+		t.Fatal("the trimmed diagram is not its store's materialization of the root")
 	}
-	assertStoreIsReachable(t, b.core.in, b, nb)
+	if !sharesNode(nb.FDD().Root, root) {
+		t.Fatal("the resumed diagram shares no node with the trimmed base's")
+	}
+	assertStoreIsReachable(t, b.core.st, b, nb)
 }
 
 // TestReplayMustEndOnTheDiagram checks the replay's identity check: a
-// trimmed builder whose diagram is not canonical in its store (here a
-// copy swapped in behind Trim's back) must fail to resume, not resume
-// from a store its diagram shares nothing with.
+// trimmed builder whose diagram is not its policy's (here another
+// policy's diagram swapped in behind Trim's back) must fail to resume,
+// not resume from checkpoints its diagram shares nothing with.
 func TestReplayMustEndOnTheDiagram(t *testing.T) {
 	p := synth.RealLife(100, 5)
 	b, err := NewBuilder(p)
@@ -94,7 +97,14 @@ func TestReplayMustEndOnTheDiagram(t *testing.T) {
 	if err := b.Trim(); err != nil {
 		t.Fatal(err)
 	}
-	b.fdd = &FDD{Schema: p.Schema, Root: b.fdd.Root.Copy()}
+	other, err := NewBuilder(synth.RealLife(100, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameFunction(t, other.FDD(), b.fdd) {
+		t.Fatal("the swapped-in diagram decides like the builder's own")
+	}
+	b.fdd = other.FDD()
 	if _, _, err := b.Resume(context.Background(), flipRule(t, p, p.Size()-2)); err == nil {
 		t.Fatal("a replay that did not end on the diagram's root resumed")
 	}
@@ -127,8 +137,8 @@ func TestTrimRefusedAfterResume(t *testing.T) {
 // TestAbortedReplayLeavesBuilderTrimmed aborts the replay of a trimmed
 // builder by a tiny budget, by a budget that trips after a few
 // promotions, and by cancellation between appends. Each abort must
-// leave the builder trimmed (no checkpoints) and no memo slot set in
-// its store; the next Resume must then replay, match scratch
+// leave the builder trimmed (no checkpoints) and its store indexed with
+// no overlay open; the next Resume must then replay, match scratch
 // construction, and share the diagram's root.
 func TestAbortedReplayLeavesBuilderTrimmed(t *testing.T) {
 	p := synth.RealLife(300, 4)
@@ -159,7 +169,7 @@ func TestAbortedReplayLeavesBuilderTrimmed(t *testing.T) {
 		if b.NumCheckpoints() != 0 {
 			t.Fatalf("%s: an aborted replay left %d checkpoints", a.name, b.NumCheckpoints())
 		}
-		assertStoreIndexed(t, b.core.in)
+		assertStoreIndexed(t, b.core.st)
 	}
 	nb, st, err := b.Resume(context.Background(), after)
 	if err != nil {
@@ -181,7 +191,7 @@ func TestAbortedReplayLeavesBuilderTrimmed(t *testing.T) {
 	if !reflect.DeepEqual(nb.Effective(), scratch.Effective()) {
 		t.Fatal("resume after aborted replays has different effective bits")
 	}
-	assertStoreIndexed(t, b.core.in)
+	assertStoreIndexed(t, b.core.st)
 }
 
 // TestTrimmedResumeRace resumes one trimmed builder from many goroutines
@@ -233,7 +243,7 @@ func TestTrimmedResumeRace(t *testing.T) {
 				return
 			}
 			replayed[g] = sp.Attrs["baseReplayed"] == true
-			in := NewInterner()
+			in := NewStore()
 			if in.ReduceNode(p.Schema, nb.FDD().Root) != in.ReduceNode(p.Schema, scratches[g].FDD().Root) ||
 				!reflect.DeepEqual(nb.Effective(), scratches[g].Effective()) {
 				errs[g] = fmt.Errorf("goroutine %d: resumed diagram differs from scratch", g)
@@ -253,4 +263,31 @@ func TestTrimmedResumeRace(t *testing.T) {
 	if replays != 1 {
 		t.Fatalf("%d of %d concurrent Resumes replayed the trimmed base, want 1", replays, goroutines)
 	}
+}
+
+// sharesNode reports whether the diagrams rooted at a and b share a
+// nonterminal node (by pointer).
+func sharesNode(a, b *Node) bool {
+	nodes := func(root *Node) map[*Node]bool {
+		seen := make(map[*Node]bool)
+		var walk func(x *Node)
+		walk = func(x *Node) {
+			if seen[x] || x.IsTerminal() {
+				return
+			}
+			seen[x] = true
+			for _, e := range x.Edges {
+				walk(e.To)
+			}
+		}
+		walk(root)
+		return seen
+	}
+	inB := nodes(b)
+	for n := range nodes(a) {
+		if inB[n] {
+			return true
+		}
+	}
+	return false
 }

@@ -200,16 +200,27 @@ func FourTuple() *Schema {
 	)
 }
 
-// SchemaByName resolves the schema names requests and journaled jobs
-// carry: "five" (the default, also meant by ""), "four" and "paper".
+// namedFive, namedFour and namedPaper are the schemas SchemaByName
+// returns, built once: a Schema cannot change after it is built (its
+// fields are unexported and Fields returns a copy), so every caller can
+// share one value per name.
+var (
+	namedFive  = IPv4FiveTuple()
+	namedFour  = FourTuple()
+	namedPaper = PaperExample()
+)
+
+// SchemaByName resolves the schema names requests, journaled jobs and
+// command-line flags carry, in any ASCII case: "five" (the default, also
+// meant by ""), "four" and "paper". It allocates nothing on success.
 func SchemaByName(name string) (*Schema, error) {
-	switch name {
-	case "", "five":
-		return IPv4FiveTuple(), nil
-	case "four":
-		return FourTuple(), nil
-	case "paper":
-		return PaperExample(), nil
+	switch {
+	case name == "" || strings.EqualFold(name, "five"):
+		return namedFive, nil
+	case strings.EqualFold(name, "four"):
+		return namedFour, nil
+	case strings.EqualFold(name, "paper"):
+		return namedPaper, nil
 	default:
 		return nil, fmt.Errorf("unknown schema %q", name)
 	}

@@ -91,7 +91,7 @@ func TestIncrementalDifferential(t *testing.T) {
 		if st.CheckpointRules+st.RulesReappended != after.Size() {
 			t.Fatalf("trial %d: inconsistent stats %+v for %d rules", trial, st, after.Size())
 		}
-		in := fdd.NewInterner()
+		in := fdd.NewStore()
 		if in.ReduceNode(after.Schema, resumed.FDD().Root) != in.ReduceNode(after.Schema, scratch.Root) {
 			t.Fatalf("trial %d: resumed FDD not isomorphic to scratch (edits %v)", trial, edits)
 		}

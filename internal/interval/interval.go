@@ -263,27 +263,44 @@ func (s Set) Union(other Set) Set {
 	if other.Empty() {
 		return s
 	}
+	return Set{ivs: s.AppendUnion(make([]Interval, 0, len(s.ivs)+len(other.ivs)), other)}
+}
+
+// AppendUnion appends the canonical intervals of s ∪ other to dst and
+// returns the extended slice. Neither set may share storage with
+// dst[len(dst):].
+func (s Set) AppendUnion(dst []Interval, other Set) []Interval {
 	a, b := s.ivs, other.ivs
-	out := make([]Interval, 0, len(a)+len(b))
+	base := len(dst)
 	for len(a) > 0 || len(b) > 0 {
+		var iv Interval
 		if len(b) == 0 || len(a) > 0 && a[0].Lo <= b[0].Lo {
-			out = appendMerged(out, a[0])
-			a = a[1:]
+			iv, a = a[0], a[1:]
 		} else {
-			out = appendMerged(out, b[0])
-			b = b[1:]
+			iv, b = b[0], b[1:]
 		}
+		if n := len(dst); n > base {
+			dst = appendMerged(dst, iv)
+			continue
+		}
+		dst = append(dst, iv)
 	}
-	return Set{ivs: out}
+	return dst
 }
 
 // Intersect returns the set of integers in both s and other.
 func (s Set) Intersect(other Set) Set {
-	var out []Interval
+	return Set{ivs: s.AppendIntersect(nil, other)}
+}
+
+// AppendIntersect appends the canonical intervals of s ∩ other to dst
+// and returns the extended slice, allocating only when dst must grow.
+// Neither set may share storage with dst[len(dst):].
+func (s Set) AppendIntersect(dst []Interval, other Set) []Interval {
 	i, j := 0, 0
 	for i < len(s.ivs) && j < len(other.ivs) {
 		if inter, ok := s.ivs[i].Intersect(other.ivs[j]); ok {
-			out = append(out, inter)
+			dst = append(dst, inter)
 		}
 		if s.ivs[i].Hi < other.ivs[j].Hi {
 			i++
@@ -291,7 +308,7 @@ func (s Set) Intersect(other Set) Set {
 			j++
 		}
 	}
-	return Set{ivs: out} // pieces are already disjoint, non-adjacent, ordered
+	return dst // pieces are already disjoint, non-adjacent, ordered
 }
 
 // Subtract returns the set of integers in s but not in other. It walks
@@ -301,13 +318,16 @@ func (s Set) Subtract(other Set) Set {
 	if s.Empty() || other.Empty() {
 		return s
 	}
-	var out []Interval
-	keep := func(lo, hi uint64) {
-		if out == nil {
-			out = make([]Interval, 0, len(s.ivs)+len(other.ivs))
-		}
-		out = append(out, Interval{Lo: lo, Hi: hi})
+	if other.ContainsSet(s) {
+		return Set{}
 	}
+	return Set{ivs: s.AppendSubtract(make([]Interval, 0, len(s.ivs)+len(other.ivs)), other)}
+}
+
+// AppendSubtract appends the canonical intervals of s minus other to dst
+// and returns the extended slice, allocating only when dst must grow.
+// Neither set may share storage with dst[len(dst):].
+func (s Set) AppendSubtract(dst []Interval, other Set) []Interval {
 	j := 0
 	for _, iv := range s.ivs {
 		for j < len(other.ivs) && other.ivs[j].Hi < iv.Lo {
@@ -319,7 +339,7 @@ func (s Set) Subtract(other Set) Set {
 		for k := j; k < len(other.ivs) && other.ivs[k].Lo <= iv.Hi; k++ {
 			sub := other.ivs[k]
 			if sub.Lo > lo {
-				keep(lo, sub.Lo-1)
+				dst = append(dst, Interval{Lo: lo, Hi: sub.Lo - 1})
 			}
 			if sub.Hi >= iv.Hi {
 				done = true
@@ -328,10 +348,10 @@ func (s Set) Subtract(other Set) Set {
 			lo = sub.Hi + 1
 		}
 		if !done {
-			keep(lo, iv.Hi)
+			dst = append(dst, Interval{Lo: lo, Hi: iv.Hi})
 		}
 	}
-	return Set{ivs: out}
+	return dst
 }
 
 // Overlaps reports whether the two sets share at least one integer.
@@ -354,6 +374,18 @@ func (s Set) Overlaps(other Set) bool {
 // domain are ignored.
 func (s Set) ComplementWithin(domain Interval) Set {
 	return SetFromInterval(domain).Subtract(s)
+}
+
+// SetView returns the set whose canonical intervals are ivs, adopting
+// the slice (capacity clipped) as its storage without copying or
+// checking it. ivs must already be canonical, as the intervals of a Set
+// are, and must not be written again. Stores that keep many sets in one
+// pointer-free slab hand out their labels through it.
+func SetView(ivs []Interval) Set {
+	if len(ivs) == 0 {
+		return Set{}
+	}
+	return Set{ivs: ivs[:len(ivs):len(ivs)]}
 }
 
 // SetFromInterval returns the set holding exactly iv.

@@ -213,6 +213,36 @@ func TestJournalResumeSkipsSettledPairs(t *testing.T) {
 	}
 }
 
+// TestJournalUpperCaseSchemaReplays: a journaled job whose schema name
+// is spelled in upper case replays, runs its pairs and journals their
+// reports, since the name resolves in any case.
+func TestJournalUpperCaseSchemaReplays(t *testing.T) {
+	dir := t.TempDir()
+	sub := testSubmitRecord(t, 3)
+	sub.Schema = "FIVE"
+	writeJournalLog(t, dir, appendFrame(nil, encodeRecord(&record{Type: recSubmit, Job: "upper-1", Submit: sub})))
+	st := openTestJournal(t, dir)
+	if rep := st.RecoveryReport(); rep.JobsRecovered != 1 || rep.JobsResumed != 1 {
+		t.Fatalf("report = %+v", rep)
+	}
+	c := New(engine.New(engine.Config{}), Config{Workers: 2, Store: st})
+	final := waitJob(t, c, "upper-1")
+	c.Close()
+	if final.State != StateCompleted || final.Progress.OK != 3 {
+		t.Fatalf("replayed job = %+v", final.Progress)
+	}
+
+	st = openTestJournal(t, dir)
+	c = New(engine.New(engine.Config{}), Config{Workers: 2, Store: st})
+	defer c.Close()
+	again := waitJob(t, c, "upper-1")
+	for i, pr := range again.Pairs {
+		if pr.Status != PairOK || pr.Report == nil || pr.Report.RawPaths != final.Pairs[i].Report.RawPaths {
+			t.Fatalf("pair %d did not come back from the journal with its report: %+v", i, pr)
+		}
+	}
+}
+
 // TestJournalCancelRecordRecovery: a cancel record makes the job
 // terminal with its unsettled pairs skipped; nothing is re-enqueued.
 func TestJournalCancelRecordRecovery(t *testing.T) {

@@ -110,6 +110,16 @@ go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/a
 # to parse or compile to the same answer on every repeat and no alias.
 go test -run=NONE -fuzz='^FuzzTextAliasMatchesParse$' -fuzztime=1x ./internal/api/
 
+# Construction builds in a pointer-free node store (fdd.Store) and
+# publishes each diagram by materializing it; the differential holds it
+# to the Fig. 7 reference kept in the tests, over the adversarial family,
+# perturbed real-life policies and the frontend corpus (the same
+# diagram, no node the reference lacks, the same effective bits, and a
+# Resume after random edits landing on scratch construction), and the
+# resume fuzz target holds randomized edit sequences to scratch builds.
+go test -run=NONE -fuzz='^FuzzConstructMatchesReference$' -fuzztime=1x ./internal/fdd/
+go test -run=NONE -fuzz='^FuzzBuilderResume$' -fuzztime=1x ./internal/fdd/
+
 # Query strings come from the network (/v1/query) and the command line
 # (fwquery): the query parser's no-panic/round-trip target re-runs its
 # corpus on every gate too.
@@ -143,10 +153,11 @@ go test -race -count=1 -run 'Journal|Retention|Close|Run' ./internal/jobs/
 go test -race -count=1 -run 'TestCrashRestartResumesWithoutDuplicateSettles' ./cmd/fwserved/
 
 # One builder family under concurrent use also reruns uncached under
-# the race detector: Resumes write the append memo slots of the
-# family's nodes under the family lock while direct diffs read the same
-# nodes without it, so a slot that shared memory with what readers
-# touch would show here and nowhere else.
+# the race detector: Resumes grow the family store and publish new
+# nodes through its id->node table under the family lock while direct
+# diffs read the published nodes without it, so a published node that
+# shared memory with what a build writes would show here and nowhere
+# else.
 go test -race -count=1 -run 'TestResumeFamilyRace' ./internal/compare/
 
 # A builder cached trimmed keeps no checkpoints until its first Resume
