@@ -3,6 +3,7 @@ package compare
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,18 +34,51 @@ func TestDiffContextPreCanceled(t *testing.T) {
 	}
 }
 
+// midRunCtx is a context whose polls count the pipeline's progress: its
+// at-th Err call closes reached and blocks until the context is
+// canceled. The cancel, made on another goroutine once reached is
+// closed, so lands mid-run however late the scheduler runs that
+// goroutine; a sleep-then-cancel lands after the run when the timer
+// fires late on a busy machine.
+type midRunCtx struct {
+	context.Context
+	at      int32
+	polls   atomic.Int32
+	reached chan struct{}
+}
+
+// cancelAtPoll returns a midRunCtx that another goroutine cancels once
+// its at-th poll is reached, and the cancel func for cleanup.
+func cancelAtPoll(at int32) (*midRunCtx, context.CancelFunc) {
+	inner, cancel := context.WithCancel(context.Background())
+	ctx := &midRunCtx{Context: inner, at: at, reached: make(chan struct{})}
+	go func() {
+		select {
+		case <-ctx.reached:
+			cancel()
+		case <-inner.Done():
+		}
+	}()
+	return ctx, cancel
+}
+
+func (c *midRunCtx) Err() error {
+	if c.polls.Add(1) == c.at {
+		close(c.reached)
+		<-c.Context.Done()
+	}
+	return c.Context.Err()
+}
+
 func TestDiffContextCancelMidRun(t *testing.T) {
 	t.Parallel()
 	pa, pb := bigPair(1500)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	// Each construction polls ctx at least once per rule, so the 1,000th
+	// poll falls inside construction; the only way to return without an
+	// error would be to ignore the cancel.
+	ctx, cancel := cancelAtPoll(1000)
+	defer cancel()
 	report, err := DiffContext(ctx, pa, pb)
-	// The full 1,500-rule diff takes several times 5ms on any hardware
-	// (about 45ms on a 2-vCPU Xeon, most of it construction); the only
-	// way to return without an error would be to ignore the cancel.
 	if report != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("report=%v err=%v, want nil report and context.Canceled", report, err)
 	}
@@ -76,11 +110,11 @@ func TestDiffContextCancelParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	withProcs(t, 4, func() {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(25 * time.Millisecond)
-			cancel()
-		}()
+		// The shaping and lockstep workers poll ctx thousands of times
+		// between them; the 2,000th poll stops one of them mid-walk
+		// until the cancel, which the others then see on their own.
+		ctx, cancel := cancelAtPoll(2000)
+		defer cancel()
 		if _, err := lockstepFDDs(ctx, fa, fb); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err=%v, want context.Canceled", err)
 		}
@@ -112,11 +146,9 @@ func TestCrossCompareContextCanceled(t *testing.T) {
 	for i := range policies {
 		policies[i] = synth.Synthetic(synth.Config{Rules: 600, Seed: int64(i + 1)})
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
+	// The four constructions alone poll ctx at least 2,400 times.
+	ctx, cancel := cancelAtPoll(2000)
+	defer cancel()
 	if _, err := CrossCompareContext(ctx, policies); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"sync"
+
+	"diversefw/internal/guard"
 )
 
 // flightGroup deduplicates concurrent identical computations: callers
@@ -75,11 +77,15 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, fn func(context.Con
 func (g *flightGroup[V]) wait(ctx context.Context, key string, f *flight[V], shared bool) (V, bool, error) {
 	select {
 	case <-f.done:
-		if ctx.Err() == nil {
+		// Nor by the lag of the timer that cancels a context at its
+		// deadline: a flight that ends past the caller's deadline fails
+		// the caller even while that timer has yet to run.
+		err := guard.CtxErr(ctx)
+		if err == nil {
 			return f.val, shared, f.err
 		}
 		var zero V
-		return zero, shared, ctx.Err()
+		return zero, shared, err
 	case <-ctx.Done():
 	}
 	g.mu.Lock()

@@ -3,6 +3,7 @@ package guard
 import (
 	"context"
 	"errors"
+	"time"
 )
 
 // PollEvery is how many visits a Meter counts between polls: frequent
@@ -30,16 +31,37 @@ const PollEvery = 256
 type Meter struct {
 	ctx    context.Context
 	budget *Budget
-	left   int   // ticks until the next poll
-	nodes  int64 // pending node charges
-	splits int64 // pending split charges
-	err    error // latched by the first poll that failed
+	// deadline is ctx's deadline, the zero time when it has none.
+	deadline time.Time
+	left     int   // ticks until the next poll
+	nodes    int64 // pending node charges
+	splits   int64 // pending split charges
+	err      error // latched by the first poll that failed
 }
 
 // NewMeter returns a meter that polls ctx and charges ctx's Budget (none
 // when ctx carries no budget).
 func NewMeter(ctx context.Context) Meter {
-	return Meter{ctx: ctx, budget: FromContext(ctx), left: PollEvery}
+	m := Meter{ctx: ctx, budget: FromContext(ctx), left: PollEvery}
+	if ctx != nil {
+		m.deadline, _ = ctx.Deadline()
+	}
+	return m
+}
+
+// CtxErr is ctx.Err(), except that a context whose deadline has passed
+// reports context.DeadlineExceeded also before the runtime has fired the
+// timer that cancels it. That timer can run tens of milliseconds late
+// on a machine whose CPUs are all busy; a wait that checks CtxErr, like
+// a Meter's poll, stops at the deadline whatever the scheduler does.
+func CtxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // Tick counts one visit and reports whether the walk must stop. It
@@ -102,6 +124,9 @@ func (m *Meter) poll() bool {
 	}
 	if m.err == nil && m.ctx != nil {
 		m.err = m.ctx.Err()
+		if m.err == nil && !m.deadline.IsZero() && !time.Now().Before(m.deadline) {
+			m.err = context.DeadlineExceeded
+		}
 	}
 	if m.err != nil {
 		return true

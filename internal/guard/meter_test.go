@@ -190,3 +190,35 @@ func TestVerb(t *testing.T) {
 		t.Fatalf("Verb(cancel) = %q", got)
 	}
 }
+
+// lateTimerCtx is a context whose deadline is d but whose cancel timer
+// has not run: Err stays nil, as it does past a deadline on a machine
+// too busy to run the timer.
+type lateTimerCtx struct {
+	context.Context
+	d time.Time
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.d, true }
+
+// TestMeterDeadlineByClock: a meter and CtxErr report a passed deadline
+// as context.DeadlineExceeded before the context's timer has canceled
+// it, and a deadline still ahead as nothing.
+func TestMeterDeadlineByClock(t *testing.T) {
+	past := lateTimerCtx{context.Background(), time.Now().Add(-time.Millisecond)}
+	m := NewMeter(past)
+	if err := m.Flush(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("meter past its deadline: Flush = %v, want context.DeadlineExceeded", err)
+	}
+	if err := CtxErr(past); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CtxErr past the deadline = %v, want context.DeadlineExceeded", err)
+	}
+	ahead := lateTimerCtx{context.Background(), time.Now().Add(time.Hour)}
+	m = NewMeter(ahead)
+	if err := m.Flush(); err != nil {
+		t.Fatalf("meter before its deadline: Flush = %v, want nil", err)
+	}
+	if err := CtxErr(ahead); err != nil {
+		t.Fatalf("CtxErr before the deadline = %v, want nil", err)
+	}
+}
