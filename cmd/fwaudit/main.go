@@ -72,7 +72,7 @@ func run() int {
 	}
 
 	// One construction serves both exact checks.
-	b, err := fdd.NewBuilder(p)
+	b, err := fdd.NewTrimmedBuilderContext(context.Background(), p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fwaudit:", err)
 		return 2

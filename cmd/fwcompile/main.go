@@ -121,7 +121,7 @@ func run() int {
 	}
 	genSpan.SetAttr("rules", out.Size())
 	if *compact {
-		b, err := fdd.NewBuilder(out)
+		b, err := fdd.NewTrimmedBuilderContext(context.Background(), out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fwcompile:", err)
 			return 2

@@ -351,7 +351,9 @@ func count(list []string, s string) int {
 // TestWarmDiffTrace is a warm hit's served trace: both sources found
 // through the text alias and the answer in the report cache, so nothing
 // is parsed, hashed or constructed, and writing the kept body is a small
-// share of the request.
+// share of the request. The share is the least over three warm
+// requests, so one preemption inside an encode on a busy machine does
+// not decide it.
 func TestWarmDiffTrace(t *testing.T) {
 	t.Parallel()
 	srv := NewServer()
@@ -386,29 +388,32 @@ func TestWarmDiffTrace(t *testing.T) {
 		t.Fatalf("cold Server-Timing = %q, want a frontend.lower entry", st)
 	}
 
-	var warm *httptest.ResponseRecorder
-	for range 3 {
-		warm = postDiff(t, srv, req)
-	}
-	if want := withCached(cold.Body.Bytes()); !bytes.Equal(warm.Body.Bytes(), want) {
-		t.Fatalf("warm body differs from the cold one with cached set")
-	}
-	root := tracedRoot(t, srv, warm)
-	got := lookups(root)
-	if count(got, "text hit") != 2 || count(got, "report hit") != 1 || count(got, "text miss") != 0 {
-		t.Fatalf("warm diff cache lookups = %v, want two text hits and one report hit", got)
-	}
-	for _, name := range []string{"frontend.lower", "engine.hash", "construct", "compile", "diff"} {
-		if _, ok := root.Find(name); ok {
-			t.Fatalf("warm diff trace has a %s span", name)
+	var encMicros, rootMicros int64 // the warm request with the least encode share
+	for i := range 3 {
+		warm := postDiff(t, srv, req)
+		if want := withCached(cold.Body.Bytes()); !bytes.Equal(warm.Body.Bytes(), want) {
+			t.Fatalf("warm body %d differs from the cold one with cached set", i)
+		}
+		root := tracedRoot(t, srv, warm)
+		got := lookups(root)
+		if count(got, "text hit") != 2 || count(got, "report hit") != 1 || count(got, "text miss") != 0 {
+			t.Fatalf("warm diff %d cache lookups = %v, want two text hits and one report hit", i, got)
+		}
+		for _, name := range []string{"frontend.lower", "engine.hash", "construct", "compile", "diff"} {
+			if _, ok := root.Find(name); ok {
+				t.Fatalf("warm diff %d trace has a %s span", i, name)
+			}
+		}
+		enc, ok := root.Find("api.encode")
+		if !ok || len(enc.Children) != 0 {
+			t.Fatalf("warm diff %d trace has no api.encode span, or one with children", i)
+		}
+		if i == 0 || enc.DurationMicros*rootMicros < encMicros*root.DurationMicros {
+			encMicros, rootMicros = enc.DurationMicros, root.DurationMicros
 		}
 	}
-	enc, ok := root.Find("api.encode")
-	if !ok {
-		t.Fatal("warm diff trace has no api.encode span")
-	}
-	if len(enc.Children) != 0 || 10*enc.DurationMicros >= root.DurationMicros && enc.DurationMicros > 0 {
-		t.Fatalf("api.encode took %d µs of a %d µs request, want under 10%%", enc.DurationMicros, root.DurationMicros)
+	if 10*encMicros >= rootMicros && encMicros > 0 {
+		t.Fatalf("api.encode took at least %d µs of a %d µs request, want under 10%%", encMicros, rootMicros)
 	}
 }
 

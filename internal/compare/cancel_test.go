@@ -153,3 +153,53 @@ func TestCrossCompareContextCanceled(t *testing.T) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
 }
+
+// countingCtx counts its Err calls: the polls a pipeline makes.
+type countingCtx struct {
+	context.Context
+	polls atomic.Int32
+}
+
+func (c *countingCtx) Err() error {
+	c.polls.Add(1)
+	return c.Context.Err()
+}
+
+// TestDiffRowsHonorCancel cancels a direct diff between its product
+// walk and its rows: at the first poll after the walk's last one. The
+// rows must see the cancel and return the wrapped error with no report,
+// as the walk would have. Counting the polls of the walk alone and of
+// the whole diff also shows the enumeration and the merge poll on the
+// way, not only once at the end.
+func TestDiffRowsHonorCancel(t *testing.T) {
+	t.Parallel()
+	pa, pb := bigPair(1500)
+	fa, err := fdd.Construct(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := fdd.Construct(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := &countingCtx{Context: context.Background()}
+	if _, err := newPairWalker().run(walk, fa, fb); err != nil {
+		t.Fatal(err)
+	}
+	whole := &countingCtx{Context: context.Background()}
+	report, err := DiffFDDsDirectContext(whole, fa, fb)
+	if err != nil || report.Equivalent() {
+		t.Fatalf("uncanceled diff: err %v", err)
+	}
+	if rowPolls := whole.polls.Load() - walk.polls.Load(); rowPolls < 3 {
+		t.Fatalf("the rows of %d discrepancies polled %d times, want more than the final poll",
+			len(report.Discrepancies), rowPolls)
+	}
+
+	ctx, cancel := cancelAtPoll(walk.polls.Load() + 1)
+	defer cancel()
+	report, err = DiffFDDsDirectContext(ctx, fa, fb)
+	if report != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("report=%v err=%v, want nil report and context.Canceled", report, err)
+	}
+}

@@ -196,7 +196,10 @@ func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report
 		return nil, w.err
 	}
 	report.PathsCompared, report.RawPaths = w.paths, w.raw
-	report.Discrepancies, _ = pairRows(diff)
+	var err error
+	if report.Discrepancies, _, err = pairRows(ctx, diff); err != nil {
+		return nil, err
+	}
 	if sp != nil {
 		sp.SetAttr("pathsCompared", report.PathsCompared)
 		sp.SetAttr("rawPaths", report.RawPaths)
@@ -316,8 +319,8 @@ func (w *cmpWalker) walkParallel(ctx context.Context, sa, sb *fdd.FDD) *fdd.FDD 
 // pairRows lists the merged discrepancy rows of a pair difference
 // diagram, whose terminals are a<<pairShift | b, dropping the regions
 // where a == b. The lockstep and direct walks both end here.
-func pairRows(diff *fdd.FDD) ([]Discrepancy, rowStats) {
-	return diffRows(diff, func(d rule.Decision) bool {
+func pairRows(ctx context.Context, diff *fdd.FDD) ([]Discrepancy, rowStats, error) {
+	return diffRows(ctx, diff, func(d rule.Decision) bool {
 		return d>>pairShift != d&(1<<pairShift-1)
 	}, func(p rule.Predicate, d rule.Decision) Discrepancy {
 		return Discrepancy{Pred: p, A: d >> pairShift, B: d & (1<<pairShift - 1)}

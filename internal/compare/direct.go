@@ -53,7 +53,10 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 	if err != nil {
 		return nil, err
 	}
-	rows, st := pairRows(diff)
+	rows, st, err := pairRows(ctx, diff)
+	if err != nil {
+		return nil, err
+	}
 	report := &Report{PathsCompared: w.paths, RawPaths: w.raw, Discrepancies: rows}
 	report.Timing = Timing{Compare: time.Since(start)}
 	if sp != nil {

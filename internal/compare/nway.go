@@ -93,11 +93,15 @@ func DiffN(policies []*rule.Policy) (*NReport, error) {
 
 	report := &NReport{}
 	report.PathsCompared = combined.NumPaths()
-	report.Discrepancies, _ = diffRows(combined, func(d rule.Decision) bool {
+	var err error
+	report.Discrepancies, _, err = diffRows(context.Background(), combined, func(d rule.Decision) bool {
 		return !allEqual(vectors[d])
 	}, func(p rule.Predicate, d rule.Decision) NDiscrepancy {
 		return NDiscrepancy{Pred: p, Decisions: append([]rule.Decision(nil), vectors[d]...)}
 	})
+	if err != nil {
+		return nil, err
+	}
 	report.Elapsed = time.Since(start)
 	return report, nil
 }

@@ -1,9 +1,12 @@
 package compare
 
 import (
+	"context"
+	"fmt"
 	"sync"
 
 	"diversefw/internal/fdd"
+	"diversefw/internal/guard"
 	"diversefw/internal/interval"
 	"diversefw/internal/rule"
 )
@@ -28,11 +31,16 @@ type rowStats struct {
 // share one exact-size allocation, so a cached report pins neither the
 // enumeration's working set nor a merged-away row. A diagram with no
 // differing path yields nil.
-func diffRows[T any](diff *fdd.FDD, differs func(rule.Decision) bool, row func(rule.Predicate, rule.Decision) T) ([]T, rowStats) {
+//
+// The enumeration and the merge poll ctx (and its budget's latch and
+// wall clock) every guard.PollEvery nodes or rows, and once more at the
+// end; on a stop they return the wrapped error and no rows.
+func diffRows[T any](ctx context.Context, diff *fdd.FDD, differs func(rule.Decision) bool,
+	row func(rule.Predicate, rule.Decision) T) ([]T, rowStats, error) {
 	nf := diff.Schema.NumFields()
 	s := rowSets.Get().(*rowSet)
 	defer s.release()
-	s.nf, s.differs = nf, differs
+	s.nf, s.differs, s.m = nf, differs, guard.NewMeter(ctx)
 	s.cur = resize(s.cur, nf)
 	for f := range s.cur {
 		s.cur[f] = s.addSet(f, diff.Schema.FullSet(f))
@@ -40,7 +48,10 @@ func diffRows[T any](diff *fdd.FDD, differs func(rule.Decision) bool, row func(r
 	s.collect(diff.Root)
 	st := rowStats{enumerated: len(s.dec)}
 	st.rounds = s.merge()
-	return emitRows(s, row), st
+	if err := s.m.Flush(); err != nil {
+		return nil, st, fmt.Errorf("compare: rows %s: %w", guard.Verb(err), err)
+	}
+	return emitRows(s, row), st, nil
 }
 
 // rowSets pools the working sets of rows calls, so that enumerating and
@@ -107,6 +118,10 @@ type rowSet struct {
 	cur     []int32
 	differs func(rule.Decision) bool
 	dead    map[*fdd.Node]struct{}
+
+	// m polls the caller's context; once it stops, the enumeration and
+	// the merge unwind and the rows are discarded.
+	m guard.Meter
 }
 
 // groupSlot is one open-addressing slot of a merge pass's group table:
@@ -123,6 +138,9 @@ type groupSlot struct {
 // terminals per agreeing decision, DiffN's agreeing vectors) can hold
 // whole agreeing subtrees, each walked only the first time it is met.
 func (s *rowSet) collect(n *fdd.Node) bool {
+	if s.m.Tick() {
+		return false
+	}
 	if n.IsTerminal() {
 		if !s.differs(n.Decision) {
 			return false
@@ -214,6 +232,9 @@ func (s *rowSet) mergeField(f int) bool {
 	mask := len(s.table) - 1
 	w := 0
 	for i := range s.dec {
+		if s.m.Tick() {
+			return false
+		}
 		key := s.sum[i] - s.setHash[s.fields[i*nf+f]]
 		if s.hashOverride != nil {
 			key = s.hashOverride(key)

@@ -171,7 +171,10 @@ func coldDiagrams(tb testing.TB) []*fdd.FDD {
 // paths. It returns the row count.
 func assertPairRowsMatchReference(t *testing.T, name string, diff *fdd.FDD) int {
 	t.Helper()
-	got, st := pairRows(diff)
+	got, st, err := pairRows(context.Background(), diff)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, enumerated := pairRowsReference(diff)
 	if !reflect.DeepEqual(got, want) {
 		first := min(len(got), len(want))
@@ -271,7 +274,7 @@ func TestPairRowsAllocs(t *testing.T) {
 	}
 	total := 0.0
 	for _, diff := range coldDiagrams(t) {
-		total += testing.AllocsPerRun(3, func() { pairRows(diff) })
+		total += testing.AllocsPerRun(3, func() { pairRows(context.Background(), diff) })
 	}
 	if total > pairRowsAllocLimit {
 		t.Fatalf("pairRows allocates %.0f times over the 16 diff-cold pairs, want at most %d",
@@ -292,7 +295,7 @@ func BenchmarkPairRows(b *testing.B) {
 	b.Run("onePass", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; b.Loop(); i++ {
-			pairRows(diffs[i%len(diffs)])
+			pairRows(context.Background(), diffs[i%len(diffs)])
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

@@ -95,11 +95,11 @@ type Compiled struct {
 	// Builder is the resumable construction that produced FDD. Keeping it
 	// resident is what makes the incremental edit path possible: an edited
 	// policy re-appends only its changed suffix from the deepest untouched
-	// checkpoint (see ImpactEdits). Only an edit base keeps its
-	// checkpoints: ImpactEdits's before policy and every edited policy.
-	// Any other compilation is trimmed to its final diagram
-	// (fdd.Builder.Trim), and its first edit replays it once. The store
-	// nodes beyond the final diagram are charged to SizeBytes.
+	// checkpoint (see ImpactEdits). Only an edit base takes checkpoints:
+	// ImpactEdits's before policy and every edited policy. Any other
+	// compilation is built trimmed (fdd.NewTrimmedBuilderContext), never
+	// taking one, and its first edit replays it once. The store nodes
+	// beyond the final diagram are charged to SizeBytes.
 	Builder *fdd.Builder
 	// incremental reports that Builder resumed a base compilation's
 	// builder rather than starting from scratch; resumed holds that
@@ -122,9 +122,9 @@ type Engine struct {
 	// entries count toward the compile cache's bytes (see Stats).
 	sources *lruCache[string]
 
-	// construct is fdd.NewBuilderContext, swappable in tests to observe
-	// and stall compilations.
-	construct func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error)
+	// construct is the scratch build (construct below), swappable in
+	// tests to observe and stall every scratch compilation.
+	construct func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error)
 	// resume is (*fdd.Builder).Resume, swappable in tests to force the
 	// incremental path to fail and observe the scratch fallback.
 	resume func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error)
@@ -180,7 +180,7 @@ func New(cfg Config) *Engine {
 			lru: newLRU[*reportEntry](cfg.ReportCacheBytes),
 		},
 		sources:   newLRU[string](aliasBytes),
-		construct: fdd.NewBuilderContext,
+		construct: construct,
 		resume: func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
 			return base.Resume(ctx, after)
 		},
@@ -256,8 +256,8 @@ func hashPolicy(ctx context.Context, p *rule.Policy) string {
 // one construction. Failed flights are never cached, in either mode.
 //
 // editBase keeps the builder's resume checkpoints; without it a scratch
-// build is trimmed inside the flight, before it is cached or shared. A
-// resumed build shares its base's store and always keeps them.
+// build takes none and keeps only its diagram. A resumed build shares
+// its base's store and always keeps them.
 func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base *Compiled, editBase bool) (*Compiled, bool, error) {
 	annotate := func(sp *trace.Span, c *Compiled, err error) {
 		sp.SetAttr("policyHash", hash[:12])
@@ -272,15 +272,10 @@ func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base 
 	return lookupOrCompute(ctx, e, &e.compiled, hash, annotate, func(fctx context.Context) (*Compiled, int64, error) {
 		c := &Compiled{Policy: p, Hash: hash}
 		var err error
-		if c.Builder, err = e.build(fctx, c, base); err != nil {
+		if c.Builder, err = e.build(fctx, c, base, editBase); err != nil {
 			return nil, 0, err
 		}
 		e.compilations.Add(1)
-		if !editBase {
-			if err := c.Builder.Trim(); err != nil {
-				return nil, 0, err
-			}
-		}
 		c.FDD = c.Builder.FDD()
 		size, _ := fddBytes(c.FDD)
 		c.SizeBytes = policyBytes(p) + size + builderBytes(c.Builder)
@@ -289,8 +284,9 @@ func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base 
 }
 
 // build constructs c.Policy's builder, resuming base's builder when there
-// is one and recording on c whether the resume was used.
-func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled) (*fdd.Builder, error) {
+// is one and recording on c whether the resume was used. A scratch build
+// is resumable when it is an edit base.
+func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled, editBase bool) (*fdd.Builder, error) {
 	if base != nil && base.Builder != nil {
 		e.incAttempted.Add(1)
 		b, rs, err := e.resume(ctx, base.Builder, c.Policy)
@@ -308,7 +304,16 @@ func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled) (*fdd.B
 		e.incFallback.Add(1)
 		trace.Event(ctx, "incremental-fallback", trace.A("error", err.Error()))
 	}
-	return e.construct(ctx, c.Policy)
+	return e.construct(ctx, c.Policy, editBase)
+}
+
+// construct builds p from scratch: resumable, with checkpoints, for an
+// edit base, and trimmed at birth otherwise.
+func construct(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
+	if resumable {
+		return fdd.NewBuilderContext(ctx, p)
+	}
+	return fdd.NewTrimmedBuilderContext(ctx, p)
 }
 
 // lookupOrCompute is the one lookup-or-compute path of both caches. In

@@ -70,14 +70,14 @@ func TestCompileSingleflightDedup(t *testing.T) {
 	real := e.construct
 	var calls atomic.Int32
 	release := make(chan struct{})
-	e.construct = func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error) {
+	e.construct = func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
 		calls.Add(1)
 		select {
 		case <-release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return real(ctx, p)
+		return real(ctx, p, resumable)
 	}
 
 	p := mustPolicy(t, teamA)
@@ -124,7 +124,7 @@ func TestCanceledCompileDoesNotPoisonCache(t *testing.T) {
 	real := e.construct
 	started := make(chan struct{})
 	flightCanceled := make(chan struct{})
-	e.construct = func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error) {
+	e.construct = func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
 		close(started)
 		<-ctx.Done()
 		close(flightCanceled)
@@ -174,14 +174,14 @@ func TestCancelOneOfManyWaiters(t *testing.T) {
 	real := e.construct
 	started := make(chan struct{})
 	release := make(chan struct{})
-	e.construct = func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error) {
+	e.construct = func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
 		close(started)
 		select {
 		case <-release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return real(ctx, p)
+		return real(ctx, p, resumable)
 	}
 
 	p := mustPolicy(t, teamA)

@@ -87,10 +87,10 @@ func TestCoalescedWaitersShareOneBudgetFailure(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.construct = func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error) {
+	e.construct = func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return real(ctx, p)
+		return real(ctx, p, resumable)
 	}
 	p := mustPolicy(t, teamA)
 	const n = 8
@@ -284,13 +284,13 @@ func TestNoGoroutineLeaksOnAbortPaths(t *testing.T) {
 	e := New(Config{})
 	real := e.construct
 	block := make(chan struct{})
-	e.construct = func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error) {
+	e.construct = func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return real(ctx, p)
+		return real(ctx, p, resumable)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {

@@ -57,11 +57,11 @@ func TestScratchAndResumedCompileShareOneFlight(t *testing.T) {
 		}
 	}
 	construct, resume := e.construct, e.resume
-	e.construct = func(ctx context.Context, p *rule.Policy) (*fdd.Builder, error) {
+	e.construct = func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error) {
 		if err := stall(ctx); err != nil {
 			return nil, err
 		}
-		return construct(ctx, p)
+		return construct(ctx, p, resumable)
 	}
 	e.resume = func(ctx context.Context, base *fdd.Builder, p *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
 		if err := stall(ctx); err != nil {

@@ -124,10 +124,12 @@ func TestAbortedResumeLeavesFamilyClean(t *testing.T) {
 
 // TestBudgetChargesLastAppend pins that construction charges the
 // append of its last rule. A lone catch-all charges exactly one unit,
-// its terminal. The paper's two firewalls charge 68 units between them
-// (deterministic: one per append subproblem visited plus one per node
-// created); a build that charged only before each append, never after
-// the last, charged 42 for the pair and nothing for the lone rule.
+// its terminal. The paper's two firewalls charge 51 units between them
+// (deterministic: one per append subproblem visited that some packet
+// without a first match reaches, plus one per node created); a build
+// that charged only before each append, never after the last, would
+// charge 35 for the pair (what the pair without its last rules charges)
+// and nothing for the lone rule.
 func TestBudgetChargesLastAppend(t *testing.T) {
 	charged := func(p *rule.Policy) int64 {
 		t.Helper()
@@ -145,7 +147,7 @@ func TestBudgetChargesLastAppend(t *testing.T) {
 	if got := charged(lone); got != 1 {
 		t.Fatalf("a lone catch-all charged %d units, want 1", got)
 	}
-	if got := charged(paper.TeamA()) + charged(paper.TeamB()); got != 68 {
-		t.Fatalf("the paper pair charged %d units, want 68", got)
+	if got := charged(paper.TeamA()) + charged(paper.TeamB()); got != 51 {
+		t.Fatalf("the paper pair charged %d units, want 51", got)
 	}
 }

@@ -223,10 +223,12 @@ func (ap *appender) appendRule(root uint32, pred rule.Predicate, d rule.Decision
 // apply merges the rule's conjuncts pred[k:] into the canonical node v,
 // memoized on (v, k) so a subgraph shared under several edges is
 // appended to once. Each memo miss is charged to the budget: an append
-// that changes nothing still walks every subproblem its rule overlaps.
+// that changes nothing still walks every subproblem its rule overlaps
+// that has a packet without a first match.
 func (ap *appender) apply(v uint32, k int) uint32 {
-	if k == len(ap.pred) {
-		// All fields consumed: the existing first-match decision wins.
+	if k == len(ap.pred) || ap.st.nodes[v].decided {
+		// All fields consumed, or every packet that reaches v already
+		// has its first match: the existing decisions win.
 		return v
 	}
 	i := int(v)*ap.nf + k

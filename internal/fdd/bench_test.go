@@ -24,16 +24,29 @@ func constructPolicies() []*rule.Policy {
 	return out
 }
 
-// BenchmarkConstruct times one construction per op, cycling over the
-// policies of constructPolicies. Its bytes/op and allocs/op locate the
-// construction's garbage, which the served diff path pays for twice per
-// cold request.
+// BenchmarkConstruct times one checkpointed construction per op (an
+// edit base's), cycling over the policies of constructPolicies. Its
+// bytes/op and allocs/op locate the construction's garbage.
 func BenchmarkConstruct(b *testing.B) {
 	pols := constructPolicies()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewBuilder(pols[i%len(pols)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConstructCold is BenchmarkConstruct for the build a cold
+// compilation runs, which the served diff path pays for twice per cold
+// request: trimmed at birth, taking no checkpoint.
+func BenchmarkConstructCold(b *testing.B) {
+	pols := constructPolicies()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTrimmedBuilderContext(context.Background(), pols[i%len(pols)]); err != nil {
 			b.Fatal(err)
 		}
 	}

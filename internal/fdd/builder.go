@@ -28,10 +28,12 @@ import (
 // unchanged subgraphs come back pointer-identical, which downstream
 // comparisons can short-circuit on.
 //
-// Checkpoints cost memory: the family store keeps every checkpoint's
-// partial diagram. A builder that may never be resumed can drop them
-// with Trim, keeping only its final diagram; its first Resume then
-// replays the policy to rebuild them (see Trim).
+// Checkpoints cost memory, and taking them costs time: the family store
+// keeps every checkpoint's partial diagram. A builder that will most
+// likely never be resumed is built trimmed instead
+// (NewTrimmedBuilderContext), keeping only its final diagram; its first
+// Resume then replays the policy to rebuild the checkpoints (see
+// replay).
 //
 // A Builder is safe for concurrent use: the shared node store, the
 // checkpoints and the trimmed state are guarded by the family's mutex,
@@ -43,8 +45,8 @@ type Builder struct {
 	fdd       *FDD
 	root      uint32 // fdd's root id in the family store, while untrimmed
 	effective []bool
-	// checkpoints and trimmed change under core.mu only: Trim drops the
-	// checkpoints, and the first Resume after it rebuilds them.
+	// checkpoints and trimmed change under core.mu only: the first
+	// Resume of a trimmed builder rebuilds its checkpoints.
 	checkpoints []checkpoint
 	trimmed     bool
 }
@@ -54,14 +56,12 @@ type Builder struct {
 // from store id to the *Node each build materialized for it, through
 // which every diagram of the family is published. The mutex serializes
 // construction; reads of finished diagrams never need it (published
-// nodes are immutable). resumed records that a Resume has run on the
-// family, after which no builder of it may be trimmed. A trimmed
-// family holds no store (st and nodes are nil) until a Resume replays.
+// nodes are immutable). A trimmed family holds no store (st and nodes
+// are nil) until a Resume replays.
 type builderCore struct {
-	mu      sync.Mutex
-	st      *Store
-	nodes   []*Node
-	resumed bool
+	mu    sync.Mutex
+	st    *Store
+	nodes []*Node
 }
 
 // checkpoint is one resumable prefix: the root id, canonical in the
@@ -85,9 +85,26 @@ func NewBuilder(p *rule.Policy) (*Builder, error) {
 }
 
 // NewBuilderContext is NewBuilder with cancellation and budgeting; the
-// semantics of both match ConstructEffectiveContext (which is a thin
-// wrapper over this).
+// semantics of both match ConstructEffectiveContext.
 func NewBuilderContext(ctx context.Context, p *rule.Policy) (*Builder, error) {
+	return newBuilder(ctx, p, true)
+}
+
+// NewTrimmedBuilderContext is NewBuilderContext for a builder that will
+// most likely never be resumed: it takes no checkpoint on the way, so
+// it does the appends' work alone, and returns a trimmed builder, which
+// holds its diagram and effective bits and no store. It still resumes:
+// its first Resume re-interns the diagram into a fresh store, making
+// the diagram that store's materialization of itself, then replays p to
+// rebuild the checkpoints. The replay must end on the diagram's root,
+// so resumed diagrams still share subgraphs with it by pointer.
+func NewTrimmedBuilderContext(ctx context.Context, p *rule.Policy) (*Builder, error) {
+	return newBuilder(ctx, p, false)
+}
+
+// newBuilder builds p in a family of its own, keeping its checkpoints
+// and store when resumable, else releasing the store at once.
+func newBuilder(ctx context.Context, p *rule.Policy, resumable bool) (*Builder, error) {
 	if p.Size() == 0 {
 		return nil, fmt.Errorf("fdd: cannot construct from an empty policy")
 	}
@@ -97,9 +114,12 @@ func NewBuilderContext(ctx context.Context, p *rule.Policy) (*Builder, error) {
 	core := &builderCore{st: NewStore()}
 	core.mu.Lock()
 	defer core.mu.Unlock()
-	b, err := core.build(ctx, sp, p, 0, noNode, nil, nil)
-	if err != nil {
+	b, err := core.build(ctx, sp, p, 0, noNode, nil, nil, resumable)
+	if err != nil || !resumable {
 		core.st.Release()
+		core.st, core.nodes = nil, nil
+	}
+	if err != nil {
 		return nil, err
 	}
 	if sp != nil {
@@ -156,29 +176,6 @@ func (b *Builder) StoreBytes() int64 {
 	return b.core.st.bytes() + 8*int64(cap(b.core.nodes))
 }
 
-// Trim drops the builder's resume state: its checkpoints and the whole
-// family store. The builder keeps only its published diagram, which
-// does not depend on the store, so it still resumes: its first Resume
-// re-interns the diagram into a fresh store, making the diagram that
-// store's materialization of itself, then replays the builder's policy
-// to rebuild the checkpoints. The replay must end on the diagram's root,
-// so resumed diagrams still share subgraphs with it by pointer.
-//
-// A family that has been resumed shares its store with other builders,
-// and Trim refuses it with an error.
-func (b *Builder) Trim() error {
-	b.core.mu.Lock()
-	defer b.core.mu.Unlock()
-	if b.core.resumed {
-		return fmt.Errorf("fdd: cannot trim a builder whose family has been resumed")
-	}
-	if b.core.st != nil {
-		b.core.st.Release()
-	}
-	b.core.st, b.core.nodes, b.checkpoints, b.trimmed = nil, nil, nil, true
-	return nil
-}
-
 // replay rebuilds a trimmed builder's checkpoints: it re-interns the
 // builder's diagram into the family store (a fresh one unless an earlier
 // replay left it) and re-appends its own policy, which must end on that
@@ -191,7 +188,7 @@ func (b *Builder) replay(ctx context.Context) error {
 		core.st = NewStore()
 	}
 	root := core.st.reintern(b.fdd.Schema, b.fdd.Root, &core.nodes)
-	rb, err := core.build(ctx, nil, b.policy, 0, noNode, nil, nil)
+	rb, err := core.build(ctx, nil, b.policy, 0, noNode, nil, nil, true)
 	if err != nil {
 		return err
 	}
@@ -238,7 +235,6 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 	sp.SetAttr("rules", after.Size())
 	b.core.mu.Lock()
 	defer b.core.mu.Unlock()
-	b.core.resumed = true
 	sp.SetAttr("baseReplayed", b.trimmed)
 	if b.trimmed {
 		if err := b.replay(ctx); err != nil {
@@ -256,7 +252,7 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 	st.RulesReappended = after.Size() - start
 	sp.SetAttr("checkpointUsed", st.CheckpointRules)
 	sp.SetAttr("rulesReappended", st.RulesReappended)
-	nb, err := b.core.build(ctx, nil, after, start, root, b.checkpoints[:used], b.effective[:start])
+	nb, err := b.core.build(ctx, nil, after, start, root, b.checkpoints[:used], b.effective[:start], true)
 	if err != nil {
 		return nil, st, err
 	}
@@ -264,16 +260,19 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 }
 
 // build runs the append loop for rules[start:] on top of the partial
-// root (canonical in the family store; noNode when start is 0),
-// promoting and recording a checkpoint every checkpointEvery rules, and
-// materializes the final diagram through the family's table. Rule i is
-// effective exactly when its append changed the root: within one
+// root (canonical in the family store; noNode when start is 0) and
+// materializes the final diagram through the family's table. A
+// resumable build promotes and records a checkpoint every
+// checkpointEvery rules and promotes its final root; any other keeps
+// every node in the overlay, whose nodes are dropped when it returns,
+// and returns a trimmed builder (the caller releases the store). Rule i
+// is effective exactly when its append changed the root: within one
 // canonical store, equal functions are equal ids. base and effPrefix
 // describe the prefix already in root and are copied, never aliased.
 // Callers hold core.mu, which also keeps the family store still while
 // the build's overlay sits on it.
 func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Policy,
-	start int, root uint32, base []checkpoint, effPrefix []bool) (b *Builder, err error) {
+	start int, root uint32, base []checkpoint, effPrefix []bool, resumable bool) (b *Builder, err error) {
 	// The append recursion has no error path (it cannot fail on valid
 	// input); a stop by the meter, on a budget crossing or a
 	// cancellation, surfaces as a budgetPanic so the hot path stays
@@ -296,8 +295,11 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 	ap.m = guard.NewMeter(ctx)
 	effective := make([]bool, p.Size())
 	copy(effective, effPrefix)
-	cps := make([]checkpoint, len(base), len(base)+(p.Size()-start)/checkpointEvery+1)
-	copy(cps, base)
+	var cps []checkpoint
+	if resumable {
+		cps = make([]checkpoint, len(base), len(base)+(p.Size()-start)/checkpointEvery+1)
+		copy(cps, base)
+	}
 	i := start
 	if i == 0 {
 		ap.start(p.Rules[0].Pred, p.Rules[0].Decision)
@@ -322,25 +324,35 @@ func (core *builderCore) build(ctx context.Context, sp *trace.Span, p *rule.Poli
 		root = next
 		// The cadence is anchored to absolute rule indices so every
 		// builder in a family snapshots the same prefix lengths.
-		if i%checkpointEvery == 0 {
+		if resumable && i%checkpointEvery == 0 {
 			root = ap.promote(root)
 			cps = appendCheckpoint(cps, checkpoint{rules: i + 1, root: root})
 		}
 	}
-	root = ap.promote(root)
-	core.st.closeOverlay()
+	if resumable {
+		root = ap.promote(root)
+	} else {
+		ap.overlayNodes += core.st.overlayNodes()
+	}
 	if sp != nil {
 		// The build's work: every node it interned, most of them in
-		// intermediate diagrams the promotions dropped.
+		// intermediate diagrams the family never keeps.
 		sp.SetAttr("overlayNodes", ap.overlayNodes)
 	}
-	var n *Node
-	core.nodes, n = core.st.materialize(root, core.nodes)
-	f := &FDD{Schema: p.Schema, Root: n}
-	if cerr := f.checkComplete(); cerr != nil {
-		return nil, fmt.Errorf("fdd: %w: %w", ErrIncomplete, cerr)
+	var table *[]*Node
+	if resumable {
+		table = &core.nodes
 	}
-	return &Builder{core: core, policy: p, fdd: f, root: root, effective: effective, checkpoints: cps}, nil
+	f := &FDD{Schema: p.Schema, Root: core.st.materialize(root, table)}
+	// A decided root decides every packet, so only a diagram the store
+	// could not prove complete (a field of 2^64 values, or a policy that
+	// is not comprehensive) is walked.
+	if !core.st.nodes[root].decided {
+		if cerr := f.checkComplete(); cerr != nil {
+			return nil, fmt.Errorf("fdd: %w: %w", ErrIncomplete, cerr)
+		}
+	}
+	return &Builder{core: core, policy: p, fdd: f, root: root, effective: effective, checkpoints: cps, trimmed: !resumable}, nil
 }
 
 // appendCheckpoint appends cp, thinning the older half to every second

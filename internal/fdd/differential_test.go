@@ -20,11 +20,13 @@ import (
 // The differential gate for construction: the canonical, memoized append
 // must build exactly the diagram the Fig. 7 reference (reference_test.go)
 // builds — the same node in one store, with the same effective bits —
-// and a Resume must land where a scratch build does.
+// whether the build takes checkpoints or is trimmed at birth, and a
+// Resume must land where a scratch build does.
 
-// assertMatchesReference builds p both ways and compares them node for
-// node in the builder's own family store. It then applies 1-3 random
-// edits and checks that resuming the builder matches a scratch build
+// assertMatchesReference builds p with checkpoints, trimmed at birth
+// and by the reference, and compares them node for node in the
+// checkpointed builder's own family store. It then applies 1-3 random
+// edits and checks that resuming either builder matches a scratch build
 // of the edited policy.
 func assertMatchesReference(t *testing.T, name string, p *rule.Policy, r *rand.Rand) {
 	t.Helper()
@@ -44,12 +46,26 @@ func assertMatchesReference(t *testing.T, name string, p *rule.Policy, r *rand.R
 	if !reflect.DeepEqual(b.Effective(), refEff) {
 		t.Fatalf("%s: effective bits differ\ncanonical %v\nreference %v", name, b.Effective(), refEff)
 	}
+	cold, err := NewTrimmedBuilderContext(context.Background(), p)
+	if err != nil {
+		t.Fatalf("%s: NewTrimmedBuilderContext: %v", name, err)
+	}
+	if !cold.trimmed || cold.NumCheckpoints() != 0 || cold.StoreNodes() != 0 {
+		t.Fatalf("%s: a builder trimmed at birth holds resume state", name)
+	}
+	if b.core.st.ReduceNode(p.Schema, cold.FDD().Root) != b.root || b.StoreNodes() != stored {
+		t.Fatalf("%s: the build trimmed at birth differs from the checkpointed build", name)
+	}
+	if !reflect.DeepEqual(cold.Effective(), b.Effective()) || cold.FDD().Stats() != b.FDD().Stats() {
+		t.Fatalf("%s: the build trimmed at birth has other effective bits or stats", name)
+	}
 
 	after := editPolicy(p, r, 1+r.Intn(3))
-	resumed, _, rerr := b.Resume(context.Background(), after)
+	resumed, rst, rerr := b.Resume(context.Background(), after)
+	coldResumed, cst, cerr := cold.Resume(context.Background(), after)
 	scratch, serr := NewBuilder(after)
-	if (rerr == nil) != (serr == nil) {
-		t.Fatalf("%s: resume err %v, scratch err %v", name, rerr, serr)
+	if (rerr == nil) != (serr == nil) || (cerr == nil) != (serr == nil) {
+		t.Fatalf("%s: resume err %v, resume trimmed at birth err %v, scratch err %v", name, rerr, cerr, serr)
 	}
 	if rerr != nil {
 		return
@@ -59,6 +75,10 @@ func assertMatchesReference(t *testing.T, name string, p *rule.Policy, r *rand.R
 	}
 	if !reflect.DeepEqual(resumed.Effective(), scratch.Effective()) {
 		t.Fatalf("%s: resumed effective bits differ from scratch", name)
+	}
+	if resumed.core.st.ReduceNode(after.Schema, coldResumed.FDD().Root) != resumed.root || cst != rst ||
+		!reflect.DeepEqual(coldResumed.Effective(), resumed.Effective()) {
+		t.Fatalf("%s: resuming the builder trimmed at birth differs from resuming the checkpointed one", name)
 	}
 }
 
@@ -237,11 +257,13 @@ func assertStoreIsReachable(t *testing.T, st *Store, bs ...*Builder) {
 // promoted from an overlay keeps its overlay hash only if promotion
 // forgot to re-hash it, and then a later equal node would miss it and
 // be interned twice. It also checks that no build left an overlay or a
-// scratch frame open, that every child's id is below its parent's, and
-// that every label lies in the slab and is canonical.
+// scratch frame open, that every child's id is below its parent's, that
+// every label lies in the slab and is canonical, and that a node is
+// decided exactly when it is a terminal or complete over decided
+// children.
 func assertStoreIndexed(t *testing.T, st *Store) {
 	t.Helper()
-	if st.overlay || len(st.otable) != 0 || len(st.frame) != 0 || len(st.fivs) != 0 {
+	if st.overlay || overlayIndexed(st) || len(st.frame) != 0 || len(st.fivs) != 0 {
 		t.Fatal("a build left the store's overlay or scratch frame open")
 	}
 	for _, id := range storeNodes(t, st) {
@@ -252,6 +274,13 @@ func assertStoreIndexed(t *testing.T, st *Store) {
 		}
 		if !slices.Contains(bucket(st, h), id) {
 			t.Fatalf("store node %d is not in the chain of its hash", id)
+		}
+		decided := r.field == TerminalField || r.complete
+		for _, e := range st.edges[r.edge0 : r.edge0+r.nEdges] {
+			decided = decided && st.nodes[e.to].decided
+		}
+		if r.decided != decided {
+			t.Fatalf("store node %d has decided %v, want %v", id, r.decided, decided)
 		}
 		for _, e := range st.edges[r.edge0 : r.edge0+r.nEdges] {
 			if e.to >= id {
@@ -265,6 +294,11 @@ func assertStoreIndexed(t *testing.T, st *Store) {
 			}
 		}
 	}
+}
+
+// overlayIndexed reports whether st's overlay index holds any node.
+func overlayIndexed(st *Store) bool {
+	return len(st.ohash) != 0 || slices.ContainsFunc(st.oheads, func(id uint32) bool { return id != 0 })
 }
 
 // bucket returns the chain of st's unique table for h, newest first.

@@ -98,13 +98,12 @@ func ConstructContext(ctx context.Context, p *rule.Policy) (*FDD, error) {
 // the defense against policies whose reduced FDD is itself huge
 // (Theorem 1 allows (2n-1)^d paths).
 func ConstructEffectiveContext(ctx context.Context, p *rule.Policy) (*FDD, []bool, error) {
-	// The construction loop lives in the resumable Builder (builder.go);
-	// this entry point discards the resume state, releasing the store.
-	b, err := NewBuilderContext(ctx, p)
+	// The construction loop lives in the Builder (builder.go); this
+	// entry point keeps no resume state.
+	b, err := NewTrimmedBuilderContext(ctx, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	_ = b.Trim() // cannot fail: the family was never resumed
 	return b.fdd, b.effective, nil
 }
 

@@ -2,6 +2,7 @@ package fdd
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -19,8 +20,9 @@ import (
 // the edge names the same run. The unique table maps a uint64
 // structural hash of (field, [(label, child id)...]) to the newest node
 // with that hash, and each record links to the next one in its chain,
-// so a collision costs no slice of its own. The garbage collector never scans any of it, and
-// interning a node allocates nothing but amortized slab growth.
+// so a collision costs no slice of its own. The garbage collector never
+// scans any of it, and interning a node allocates nothing but amortized
+// slab growth.
 //
 // A node owned by the store is canonical: its children are canonical and
 // no other stored node is structurally equal to it, so within one store
@@ -34,12 +36,18 @@ import (
 // store never aliases a caller's interval storage. Construction also
 // pushes stored edges as they are (pushStored), naming their runs.
 //
+// A node is decided when every packet that reaches it has a terminal
+// below it: a terminal, or a node whose edges tile its field's domain
+// and whose children are all decided. An append of a first-match rule
+// changes nothing below a decided node.
+//
 // An overlay (openOverlay) is a watermark: nodes from base up are
-// intermediate and indexed in a second table, probed after the first
-// when every child of the node being interned is below base. Promotion
-// compacts the overlay nodes one root reaches down onto the watermark,
-// renumbering them and indexing them in the first table, and drops the
-// rest by truncating the slabs.
+// intermediate and indexed in an open-hashing slab of their own, probed
+// after the table when every child of the node being interned is below
+// base. Promotion compacts the overlay nodes one root reaches down onto
+// the watermark, renumbering them and indexing them in the table, and
+// drops the rest by truncating the slabs; it empties only the buckets
+// the overlay used, so it costs the overlay's size, not the index's.
 //
 // Published diagrams are *Node graphs materialized from the store
 // (materialize): a Store never hands out a pointer into itself, so a
@@ -51,10 +59,19 @@ type Store struct {
 	edges []edgeRec
 	ivs   []interval.Interval
 
-	// table indexes the nodes below base, otable the overlay's; both map
-	// a hash to the newest node with it, whose record chains the others.
-	table  map[uint64]uint32
-	otable map[uint64]uint32
+	// table indexes the nodes outside an overlay: it maps a hash to the
+	// newest node with it, whose record chains the others.
+	table map[uint64]uint32
+	// oheads indexes the overlay's nodes: a power-of-two slab of chain
+	// heads (an id plus one, 0 for none), one per bucket (see bucket),
+	// chained through the records as table's are. ohash holds each
+	// overlay node's hash, indexed by id minus base, so a chain's nodes
+	// of other hashes are passed over without comparing labels, and
+	// growing the index or promoting a node rehashes no label. oheads is
+	// all zero while no overlay is open.
+	oheads []uint32
+	ohash  []uint64
+	oshift uint8
 	// overlay is set between openOverlay and closeOverlay; base, ebase
 	// and ibase are then the lengths of the three slabs the overlay
 	// started from.
@@ -72,8 +89,11 @@ type Store struct {
 	runs []uint32
 	// wide indexes a wide frame's children while it is merged.
 	wide map[uint32]int
-	// work is promotion's and materialization's id scratch.
+	// work is promotion's and materialization's id scratch, and pos,
+	// indexed by id, materialization's: a node's index in work plus
+	// one while it is being built, else 0.
 	work []uint32
+	pos  []uint32
 
 	// hashOverride, when non-nil, replaces every structural hash. Tests
 	// use it to force every node into one chain.
@@ -94,6 +114,9 @@ type record struct {
 	// tile the field's whole domain; false also when that was not
 	// established (a 2^64-value domain saturates the count).
 	complete bool
+	// decided: the node is a terminal, or complete with every child
+	// decided, so every packet that reaches it has a terminal below it.
+	decided bool
 }
 
 // edgeRec is one edge: its label is ivs[lo:hi], or on the scratch
@@ -123,7 +146,7 @@ const noNode = ^uint32(0)
 // a pooled store costs the collector nothing to keep, and a build that
 // takes one grows no slab or table it has grown before.
 var storePool = sync.Pool{New: func() any {
-	return &Store{table: make(map[uint64]uint32), otable: make(map[uint64]uint32)}
+	return &Store{table: make(map[uint64]uint32)}
 }}
 
 // maxPooled caps the edge and interval slabs of a store Release pools,
@@ -140,12 +163,12 @@ func (s *Store) Release() {
 	if cap(s.edges) > maxPooled || cap(s.ivs) > maxPooled {
 		return
 	}
+	s.closeOverlay()
 	clear(s.table)
-	clear(s.otable)
 	*s = Store{
 		nodes: s.nodes[:0], edges: s.edges[:0], ivs: s.ivs[:0],
-		table: s.table, otable: s.otable,
-		frame: s.frame[:0], fivs: s.fivs[:0], runs: s.runs[:0], work: s.work[:0],
+		table: s.table, oheads: s.oheads, ohash: s.ohash, oshift: s.oshift,
+		frame: s.frame[:0], fivs: s.fivs[:0], runs: s.runs[:0], work: s.work[:0], pos: s.pos,
 	}
 	storePool.Put(s)
 }
@@ -155,11 +178,13 @@ func (s *Store) Release() {
 func (s *Store) NumNodes() int { return len(s.nodes) }
 
 // bytes estimates the store's resident size: its slabs at their
-// capacity and about 32 bytes per unique-table entry.
+// capacity, about 32 bytes per unique-table entry, and the overlay's
+// index.
 func (s *Store) bytes() int64 {
 	const recordBytes, edgeBytes, intervalBytes, tableBytes = 32, 12, 16, 32
 	return int64(cap(s.nodes))*recordBytes + int64(cap(s.edges))*edgeBytes +
-		int64(cap(s.ivs))*intervalBytes + int64(len(s.table))*tableBytes
+		int64(cap(s.ivs))*intervalBytes + int64(len(s.table))*tableBytes +
+		4*int64(cap(s.oheads)) + 8*int64(cap(s.ohash))
 }
 
 // fnv64Offset is the FNV-64 offset basis, the seed of node hashes.
@@ -194,40 +219,77 @@ func (s *Store) termHash(d rule.Decision) uint64 {
 	return h
 }
 
-// findTerm returns the terminal of tab labeled d, or reports there is
-// none.
-func (s *Store) findTerm(tab map[uint64]uint32, h uint64, d rule.Decision) (uint32, bool) {
-	for id, ok := tab[h]; ok; {
+// find returns the node with hash h, labeled field and decision dec
+// (nonterminals carry decision 0), whose edges equal the frame edges fe,
+// or reports there is none. It looks in the overlay's index when
+// overlay is set, else in the table.
+func (s *Store) find(overlay bool, h uint64, field int32, dec rule.Decision, fe []edgeRec) (uint32, bool) {
+	var next uint32
+	if overlay {
+		next = s.oheads[s.bucket(h)]
+	} else if id, ok := s.table[h]; ok {
+		next = id + 1
+	}
+	for next != 0 {
+		id := next - 1
 		r := &s.nodes[id]
-		if r.field == TerminalField && r.dec == d {
+		if (!overlay || s.ohash[id-s.base] == h) && r.field == field && r.dec == dec &&
+			int(r.nEdges) == len(fe) && s.sameEdges(s.edges[r.edge0:r.edge0+r.nEdges], fe) {
 			return id, true
 		}
-		id, ok = r.next-1, r.next != 0
+		next = r.next
 	}
 	return 0, false
 }
 
-// link indexes the node id, whose hash is h, in tab.
-func (s *Store) link(tab map[uint64]uint32, h uint64, id uint32) {
-	if head, ok := tab[h]; ok {
+// index links the new node id, whose hash is h, into the overlay's
+// index while an overlay is open, else into the table.
+func (s *Store) index(h uint64, id uint32) {
+	if !s.overlay {
+		s.link(h, id)
+		return
+	}
+	s.ohash = append(s.ohash, h)
+	if 2*len(s.ohash) > len(s.oheads) {
+		s.rehash(2 * len(s.oheads))
+		return
+	}
+	b := s.bucket(h)
+	s.nodes[id].next, s.oheads[b] = s.oheads[b], id+1
+}
+
+// link indexes the node id, whose hash is h, in the table.
+func (s *Store) link(h uint64, id uint32) {
+	s.nodes[id].next = 0
+	if head, ok := s.table[h]; ok {
 		s.nodes[id].next = head + 1
-	} else {
-		s.nodes[id].next = 0
 	}
-	tab[h] = id
+	s.table[h] = id
 }
 
-// find returns the node of tab labeled field whose edges equal the
-// frame edges fe, or reports there is none.
-func (s *Store) find(tab map[uint64]uint32, h uint64, field int32, fe []edgeRec) (uint32, bool) {
-	for id, ok := tab[h]; ok; {
-		r := &s.nodes[id]
-		if r.field == field && int(r.nEdges) == len(fe) && s.sameEdges(s.edges[r.edge0:r.edge0+r.nEdges], fe) {
-			return id, true
-		}
-		id, ok = r.next-1, r.next != 0
+// bucket returns the overlay index's bucket of the hash h: its top bits
+// after a Fibonacci multiply, so every bit of h counts.
+func (s *Store) bucket(h uint64) uint32 {
+	return uint32((h * 0x9e3779b97f4a7c15) >> s.oshift)
+}
+
+// rehash resizes the overlay's index to n buckets, a power of two, and
+// links every overlay node into it again.
+func (s *Store) rehash(n int) {
+	s.oheads = extend(s.oheads[:0], n)
+	s.oshift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for i, h := range s.ohash {
+		id, b := s.base+uint32(i), s.bucket(h)
+		s.nodes[id].next, s.oheads[b] = s.oheads[b], id+1
 	}
-	return 0, false
+}
+
+// unindexOverlay empties the buckets of the overlay's nodes, which
+// leaves the overlay's index all zero; ohash keeps their hashes.
+func (s *Store) unindexOverlay() {
+	for _, h := range s.ohash {
+		s.oheads[s.bucket(h)] = 0
+	}
 }
 
 // sameEdges reports whether the stored edges se equal the frame edges
@@ -244,19 +306,17 @@ func (s *Store) sameEdges(se, fe []edgeRec) bool {
 // Terminal returns the id of the store's canonical terminal labeled d.
 func (s *Store) Terminal(d rule.Decision) uint32 {
 	h := s.termHash(d)
-	if id, ok := s.findTerm(s.table, h, d); ok {
+	if id, ok := s.find(false, h, TerminalField, d, nil); ok {
 		return id
 	}
-	tab := s.table
 	if s.overlay {
-		if id, ok := s.findTerm(s.otable, h, d); ok {
+		if id, ok := s.find(true, h, TerminalField, d, nil); ok {
 			return id
 		}
-		tab = s.otable
 	}
 	id := uint32(len(s.nodes))
-	s.nodes = append(grow(s.nodes, 1), record{dec: d, field: TerminalField})
-	s.link(tab, h, id)
+	s.nodes = append(grow(s.nodes, 1), record{dec: d, field: TerminalField, decided: true})
+	s.index(h, id)
 	return id
 }
 
@@ -338,21 +398,20 @@ func (s *Store) Node(f Frame, field int, full interval.Set) uint32 {
 // node there.
 func (s *Store) intern(field int32, fe []edgeRec, full interval.Set) uint32 {
 	h := s.hash(field, fe)
-	tab := s.table
-	if s.overlay {
-		below := true
-		for _, e := range fe {
-			below = below && e.to < s.base
-		}
-		if below {
-			if id, ok := s.find(s.table, h, field, fe); ok {
-				return id
-			}
-		}
-		tab = s.otable
+	below, decided := true, true
+	for _, e := range fe {
+		below = below && e.to < s.base
+		decided = decided && s.nodes[e.to].decided
 	}
-	if id, ok := s.find(tab, h, field, fe); ok {
-		return id
+	if !s.overlay || below {
+		if id, ok := s.find(false, h, field, 0, fe); ok {
+			return id
+		}
+	}
+	if s.overlay {
+		if id, ok := s.find(true, h, field, 0, fe); ok {
+			return id
+		}
 	}
 	id := uint32(len(s.nodes))
 	r := record{field: field, edge0: uint32(len(s.edges)), nEdges: uint32(len(fe))}
@@ -376,8 +435,9 @@ func (s *Store) intern(field int32, fe []edgeRec, full interval.Set) uint32 {
 	// The labels are disjoint, so they tile the domain exactly when
 	// their sizes sum to its size.
 	r.complete = full.Count() != interval.Max && count == full.Count()
+	r.decided = r.complete && decided
 	s.nodes = append(s.nodes, r)
-	s.link(tab, h, id)
+	s.index(h, id)
 	return id
 }
 
@@ -432,8 +492,8 @@ func (s *Store) mergeSameChild(fe []edgeRec) []edgeRec {
 func (s *Store) openOverlay(rules int) {
 	s.overlay = true
 	s.base, s.ebase, s.ibase = uint32(len(s.nodes)), uint32(len(s.edges)), uint32(len(s.ivs))
-	if s.otable == nil {
-		s.otable = make(map[uint64]uint32)
+	if s.oheads == nil {
+		s.rehash(256)
 	}
 	s.nodes, s.edges, s.ivs = grow(s.nodes, rules), grow(s.edges, 4*rules), grow(s.ivs, 8*rules)
 }
@@ -447,7 +507,8 @@ func (s *Store) closeOverlay() {
 	}
 	s.nodes, s.edges, s.ivs = s.nodes[:s.base], s.edges[:s.ebase], s.ivs[:s.ibase]
 	s.overlay = false
-	clear(s.otable)
+	s.unindexOverlay()
+	s.ohash = s.ohash[:0]
 	s.frame, s.fivs = s.frame[:0], s.fivs[:0]
 }
 
@@ -488,16 +549,19 @@ func (s *Store) promote(root uint32) uint32 {
 			ni += uint32(copy(s.ivs[ni:], s.ivs[lo:lo+n]))
 		}
 	}
+	s.unindexOverlay()
 	id, ne := s.base, s.ebase
 	for old := s.base; old < uint32(len(s.nodes)); old++ {
 		if remap[old-s.base] == 0 {
 			continue
 		}
 		r := s.nodes[old]
-		e0 := ne
+		e0, renumbered := ne, false
 		for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
 			if e.to >= s.base {
-				e.to = remap[e.to-s.base] - 1
+				to := remap[e.to-s.base] - 1
+				renumbered = renumbered || to != e.to
+				e.to = to
 			}
 			if e.lo >= s.ibase {
 				lo := s.runs[e.lo-s.ibase] - 1
@@ -508,6 +572,13 @@ func (s *Store) promote(root uint32) uint32 {
 		}
 		r.edge0 = e0
 		s.nodes[id] = r
+		// A node's hash covers its children's ids, so only a node none
+		// of whose children moved keeps the hash it was indexed by.
+		h := s.ohash[old-s.base]
+		if renumbered {
+			h = s.hash(r.field, s.edges[e0:ne])
+		}
+		s.ohash[id-s.base] = h
 		remap[old-s.base] = id + 1
 		id++
 	}
@@ -517,14 +588,9 @@ func (s *Store) promote(root uint32) uint32 {
 	}
 	s.nodes, s.edges, s.ivs = s.nodes[:id], s.edges[:ne], s.ivs[:ni]
 	for k := s.base; k < id; k++ {
-		r := &s.nodes[k]
-		h := s.termHash(r.dec)
-		if r.field != TerminalField {
-			h = s.hash(r.field, s.edges[r.edge0:r.edge0+r.nEdges])
-		}
-		s.link(s.table, h, k)
+		s.link(s.ohash[k-s.base], k)
 	}
-	clear(s.otable)
+	s.ohash = s.ohash[:0]
 	s.base, s.ebase, s.ibase = id, ne, ni
 	return newRoot
 }
@@ -543,22 +609,24 @@ func (s *Store) mark(id uint32, remap []uint32) {
 	}
 }
 
-// pending marks a table entry whose node materialize is about to build.
-var pending Node
-
 // materialize returns the *Node of id, building from the store every
-// node it reaches that table does not hold yet: all of them in one
+// node it reaches that the table does not hold yet: all of them in one
 // allocation of nodes, one of edges and one of intervals, each label
-// copied out of the store. table is indexed by id; it is grown to the
-// store's size, filled in, and returned. Nodes table already holds are
-// reused as they are, so diagrams materialized through one table share
-// their common subgraphs by pointer.
-func (s *Store) materialize(id uint32, table []*Node) ([]*Node, *Node) {
-	table = extend(table, len(s.nodes))
-	if n := table[id]; n != nil {
-		return table, n
+// copied out of the store. The table, when given, is indexed by id; it
+// is grown to the store's size and the built nodes are recorded in it.
+// Nodes it already holds are reused as they are, so diagrams
+// materialized through one table share their common subgraphs by
+// pointer. Without a table every node id reaches is built.
+func (s *Store) materialize(id uint32, table *[]*Node) *Node {
+	var held []*Node
+	if table != nil {
+		*table = extend(*table, len(s.nodes))
+		if held = *table; held[id] != nil {
+			return held[id]
+		}
 	}
-	ids := s.collect(id, table, s.work[:0])
+	s.pos = extend(s.pos, len(s.nodes))
+	ids := s.collect(id, held, s.work[:0])
 	var ne, ni int
 	for _, k := range ids {
 		r := &s.nodes[k]
@@ -579,35 +647,48 @@ func (s *Store) materialize(id uint32, table []*Node) ([]*Node, *Node) {
 			edges = edges[r.nEdges:]
 			for j, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
 				c := copy(ivs, s.ivs[e.lo:e.hi])
-				es[j] = Edge{Label: interval.SetView(ivs[:c]), To: table[e.to]}
+				var to *Node
+				if p := s.pos[e.to]; p != 0 {
+					to = &nodes[p-1]
+				} else {
+					to = held[e.to]
+				}
+				es[j] = Edge{Label: interval.SetView(ivs[:c]), To: to}
 				ivs = ivs[c:]
 			}
 			n.Edges = es
 		}
-		table[k] = n
 	}
-	s.work = ids[:0]
-	return table, table[id]
-}
-
-// collect appends to ids, children first, every node id reaches whose
-// table entry is empty, marking each entry pending.
-func (s *Store) collect(id uint32, table []*Node, ids []uint32) []uint32 {
-	table[id] = &pending
-	r := s.nodes[id]
-	for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
-		if table[e.to] == nil {
-			ids = s.collect(e.to, table, ids)
+	for i, k := range ids {
+		s.pos[k] = 0
+		if table != nil {
+			held[k] = &nodes[i]
 		}
 	}
-	return append(ids, id)
+	s.work = ids[:0]
+	return &nodes[len(nodes)-1]
+}
+
+// collect appends to ids, children first, every node id reaches that
+// held (indexed by id, nil for none) does not hold, and sets each one's
+// pos to its index in ids plus one.
+func (s *Store) collect(id uint32, held []*Node, ids []uint32) []uint32 {
+	s.pos[id] = noNode
+	r := s.nodes[id]
+	for _, e := range s.edges[r.edge0 : r.edge0+r.nEdges] {
+		if s.pos[e.to] == 0 && (held == nil || held[e.to] == nil) {
+			ids = s.collect(e.to, held, ids)
+		}
+	}
+	ids = append(ids, id)
+	s.pos[id] = uint32(len(ids))
+	return ids
 }
 
 // Diagram materializes the diagram rooted at id as a fresh *Node graph
 // that shares nothing with the store.
 func (s *Store) Diagram(schema *field.Schema, id uint32) *FDD {
-	_, n := s.materialize(id, nil)
-	return &FDD{Schema: schema, Root: n}
+	return &FDD{Schema: schema, Root: s.materialize(id, nil)}
 }
 
 // Reduce hash-conses the diagram into the store and returns the reduced

@@ -178,7 +178,7 @@ func TestPromoteAdoptsOverlayNodes(t *testing.T) {
 			before[k] = family.Diagram(p.Schema, id).Root
 		}
 		root = ap.promote(root)
-		if root >= family.base || family.overlayNodes() != 0 || len(family.otable) != 0 {
+		if root >= family.base || family.overlayNodes() != 0 || overlayIndexed(family) {
 			t.Fatalf("rule %d: promotion left the root or nodes in the overlay", i)
 		}
 		if family.NumNodes() != int(base)+len(reached) {
@@ -209,7 +209,7 @@ func TestBuildCollisionChaining(t *testing.T) {
 	core := &builderCore{st: NewStore()}
 	core.st.hashOverride = func(uint64) uint64 { return 42 }
 	core.mu.Lock()
-	b, err := core.build(context.Background(), nil, p, 0, noNode, nil, nil)
+	b, err := core.build(context.Background(), nil, p, 0, noNode, nil, nil, true)
 	core.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

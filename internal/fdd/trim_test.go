@@ -25,29 +25,24 @@ func checkpointRules(b *Builder) []int {
 	return out
 }
 
-// TestTrimKeepsOnlyTheDiagram pins what Trim keeps and what the first
-// Resume after it restores: the trimmed builder holds its diagram and
-// no store; the replay re-interns that diagram as the new store's own
-// materialization, ends on its root and rebuilds the untrimmed
-// builder's checkpoints; and the resumed diagram matches an untrimmed
-// builder's resume, sharing the trimmed base's subgraphs by pointer.
+// TestTrimKeepsOnlyTheDiagram pins what a builder trimmed at birth
+// keeps and what its first Resume restores: the trimmed builder holds
+// its diagram and no store; the replay re-interns that diagram as the
+// new store's own materialization, ends on its root and rebuilds the
+// untrimmed builder's checkpoints; and the resumed diagram matches an
+// untrimmed builder's resume, sharing the trimmed base's subgraphs by
+// pointer.
 func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
 	p := synth.RealLife(400, 3)
 	kept, err := NewBuilder(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBuilder(p)
+	b, err := NewTrimmedBuilderContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := b.FDD().Root
-	if err := b.Trim(); err != nil {
-		t.Fatal(err)
-	}
-	if b.FDD().Root != root {
-		t.Fatal("Trim replaced the diagram's root")
-	}
 	if b.NumCheckpoints() != 0 {
 		t.Fatalf("trimmed builder keeps %d checkpoints", b.NumCheckpoints())
 	}
@@ -86,15 +81,12 @@ func TestTrimKeepsOnlyTheDiagram(t *testing.T) {
 
 // TestReplayMustEndOnTheDiagram checks the replay's identity check: a
 // trimmed builder whose diagram is not its policy's (here another
-// policy's diagram swapped in behind Trim's back) must fail to resume,
+// policy's diagram swapped in behind its back) must fail to resume,
 // not resume from checkpoints its diagram shares nothing with.
 func TestReplayMustEndOnTheDiagram(t *testing.T) {
 	p := synth.RealLife(100, 5)
-	b, err := NewBuilder(p)
+	b, err := NewTrimmedBuilderContext(context.Background(), p)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Trim(); err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewBuilder(synth.RealLife(100, 6))
@@ -110,30 +102,6 @@ func TestReplayMustEndOnTheDiagram(t *testing.T) {
 	}
 }
 
-// TestTrimRefusedAfterResume pins that Trim refuses a family that has
-// been resumed: its store then holds nodes other builders' diagrams
-// reach. The refusal covers the base and the resumed builder alike.
-func TestTrimRefusedAfterResume(t *testing.T) {
-	p := synth.RealLife(100, 7)
-	b, err := NewBuilder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, _, err := b.Resume(context.Background(), flipRule(t, p, p.Size()-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := b.StoreNodes()
-	for name, x := range map[string]*Builder{"base": b, "resumed": nb} {
-		if err := x.Trim(); err == nil {
-			t.Fatalf("Trim of the %s builder of a resumed family succeeded", name)
-		}
-	}
-	if b.NumCheckpoints() == 0 || b.StoreNodes() != stored {
-		t.Fatal("a refused Trim changed the family")
-	}
-}
-
 // TestAbortedReplayLeavesBuilderTrimmed aborts the replay of a trimmed
 // builder by a tiny budget, by a budget that trips after a few
 // promotions, and by cancellation between appends. Each abort must
@@ -142,14 +110,11 @@ func TestTrimRefusedAfterResume(t *testing.T) {
 // construction, and share the diagram's root.
 func TestAbortedReplayLeavesBuilderTrimmed(t *testing.T) {
 	p := synth.RealLife(300, 4)
-	b, err := NewBuilder(p)
+	b, err := NewTrimmedBuilderContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := b.FDD().Root
-	if err := b.Trim(); err != nil {
-		t.Fatal(err)
-	}
 	after := flipRule(t, p, p.Size()-3)
 	aborts := []struct {
 		name string
@@ -203,11 +168,8 @@ func TestAbortedReplayLeavesBuilderTrimmed(t *testing.T) {
 func TestTrimmedResumeRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := synth.RealLife(240, 17)
-	b, err := NewBuilder(p)
+	b, err := NewTrimmedBuilderContext(context.Background(), p)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Trim(); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 8

@@ -105,11 +105,12 @@ func TestIncrementalDifferential(t *testing.T) {
 }
 
 // TestTrimmedResumeDifferential runs TestIncrementalDifferential's
-// corpus through a trimmed base: trimming the before policy's builder
-// and then resuming it must give the same decision rules, effective
-// bits and resume stats as resuming an untrimmed builder and as scratch
-// construction, fail exactly when they fail, and leave the base's
-// diagram root in place with the untrimmed builder's checkpoints rebuilt.
+// corpus through a base built trimmed at birth: its diagram and
+// effective bits must be the untrimmed builder's, and resuming it must
+// give the same decision rules, effective bits and resume stats as
+// resuming an untrimmed builder and as scratch construction, fail
+// exactly when they fail, and leave the base's diagram root in place
+// with the untrimmed builder's checkpoints rebuilt.
 func TestTrimmedResumeDifferential(t *testing.T) {
 	for trial := 0; trial < differentialTrials; trial++ {
 		before, edits, after := differentialCase(t, trial)
@@ -117,14 +118,14 @@ func TestTrimmedResumeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
 		}
-		trimmed, err := fdd.NewBuilder(before)
+		trimmed, err := fdd.NewTrimmedBuilderContext(context.Background(), before)
 		if err != nil {
-			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
+			t.Fatalf("trial %d: NewTrimmedBuilderContext(before): %v", trial, err)
+		}
+		if !reflect.DeepEqual(trimmed.FDD().Rules(), kept.FDD().Rules()) || !reflect.DeepEqual(trimmed.Effective(), kept.Effective()) {
+			t.Fatalf("trial %d: the base trimmed at birth differs from the untrimmed one", trial)
 		}
 		root := trimmed.FDD().Root
-		if err := trimmed.Trim(); err != nil {
-			t.Fatalf("trial %d: Trim: %v", trial, err)
-		}
 		want, wst, werr := kept.Resume(context.Background(), after)
 		got, st, gerr := trimmed.Resume(context.Background(), after)
 		scratch, seff, serr := fdd.ConstructEffectiveContext(context.Background(), after)

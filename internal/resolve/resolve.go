@@ -287,7 +287,7 @@ func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, err
 	if err != nil {
 		return nil, err
 	}
-	b, err := fdd.NewBuilderContext(ctx, composed)
+	b, err := fdd.NewTrimmedBuilderContext(ctx, composed)
 	if err != nil {
 		return nil, err
 	}

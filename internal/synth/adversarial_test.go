@@ -3,6 +3,7 @@ package synth
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"diversefw/internal/fdd"
@@ -11,7 +12,7 @@ import (
 )
 
 // Measured construction work for Adversarial(n), in budget-charged units
-// (one per append subproblem visited plus one per node created;
+// (one per undecided append subproblem visited plus one per node created;
 // deterministic — the generator takes no seed), with the reduced FDD's
 // node count alongside:
 //
@@ -108,33 +109,53 @@ func TestAdversarialTripsBudgetDeterministically(t *testing.T) {
 }
 
 // TestNoOpRulesAreCharged pins that the budget bounds construction CPU,
-// not just the nodes it creates: rules shadowed by an earlier catch-all
-// change nothing, yet each still walks every subproblem of the diagram
-// it overlaps. A large reduced prefix followed by many full-domain
-// rules must trip the budget with the typed error, even though the
-// prefix alone fits and the shadowed rules create no node at all.
+// not just the nodes it creates: a rule shadowed by an earlier one
+// changes nothing, yet while some packets still lack a first match its
+// append walks every subproblem it overlaps that holds one. The
+// adversarial boxes followed by 1,000 copies of the first box, and only
+// then the catch-all, must trip the budget with the typed error, even
+// though the boxes with their catch-all fit and the copies create no
+// node at all. Once a catch-all has decided every packet, an append
+// walks nothing: 1,000 rules after it charge nothing beyond the prefix.
 func TestNoOpRulesAreCharged(t *testing.T) {
 	t.Parallel()
 	const limit = 50_000
-	prefix := Adversarial(24) // ~3.6e4 charged, 2,762 reduced nodes, ends in a catch-all
-	build := func(p *rule.Policy) (*fdd.FDD, *guard.Budget, error) {
+	prefix := Adversarial(24) // 36,373 charged, 2,762 reduced nodes, ends in a catch-all
+	build := func(p *rule.Policy, limit int64) (*fdd.FDD, *guard.Budget, error) {
 		b := guard.NewBudget(guard.Limits{MaxFDDNodes: limit})
 		f, err := fdd.ConstructContext(guard.WithBudget(context.Background(), b), p)
 		return f, b, err
 	}
-	if _, _, err := build(prefix); err != nil {
+	_, pb, err := build(prefix, limit)
+	if err != nil {
 		t.Fatalf("the prefix alone must fit in %d nodes: %v", limit, err)
 	}
+	policy := func(rules ...[]rule.Rule) *rule.Policy {
+		p, err := rule.NewPolicy(prefix.Schema, slices.Concat(rules...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	boxes, catchAll := prefix.Rules[:prefix.Size()-1], prefix.Rules[prefix.Size()-1:]
 
-	rules := append([]rule.Rule(nil), prefix.Rules...)
-	for range 1000 {
-		rules = append(rules, rule.CatchAll(prefix.Schema, rule.Accept))
+	after := make([]rule.Rule, 1000)
+	for i := range after {
+		after[i] = rule.CatchAll(prefix.Schema, rule.Accept)
 	}
-	p, err := rule.NewPolicy(prefix.Schema, rules)
+	_, ab, err := build(policy(prefix.Rules, after), limit)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("1,000 rules after the catch-all must fit in %d nodes: %v", limit, err)
 	}
-	f, b, err := build(p)
+	if got, want := ab.Usage().Nodes, pb.Usage().Nodes; got != want {
+		t.Fatalf("1,000 rules after a catch-all charged %d units, the prefix alone %d", got, want)
+	}
+
+	copies := make([]rule.Rule, 1000)
+	for i := range copies {
+		copies[i] = boxes[0]
+	}
+	f, b, err := build(policy(boxes, copies, catchAll), limit)
 	if f != nil {
 		t.Fatal("aborted construction must not return a diagram")
 	}

@@ -25,11 +25,13 @@ go test -race ./...
 # fails this gate instead of the next person who profiles hashing.
 go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
 
-# The construction benchmark likewise runs once, so the bytes/op and
-# allocs/op figures that locate construction garbage stay measurable,
-# and so does the resident one, whose B/storenode figure is what a
-# cached builder costs per node of its family store.
-go test -run '^$' -bench Construct -benchtime 1x ./internal/fdd/
+# The construction benchmarks likewise run once (Construct, a build
+# that takes checkpoints, and ConstructCold, one trimmed at birth as a
+# cold compile's is), so the bytes/op and allocs/op figures that locate
+# construction garbage stay measurable, and so does the resident one,
+# whose B/storenode figure is what a cached builder costs per node of
+# its family store.
+go test -run '^$' -bench 'Construct(Cold)?$' -benchtime 1x ./internal/fdd/
 go test -run '^$' -bench BuilderResident -benchtime 1x ./internal/fdd/
 
 # The rows benchmark likewise runs once, so the allocs/op of turning a
