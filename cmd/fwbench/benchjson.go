@@ -258,23 +258,27 @@ func benchJSON(cfg config) error {
 		}
 		return out, nil
 	}
-	editedHead, err := flip3(0)
+	head, middle, tail := 0, pa.Size()/2, max(0, pa.Size()-4)
+	editedHead, err := flip3(head)
 	if err != nil {
 		return err
 	}
-	editedMiddle, err := flip3(pa.Size() / 2)
+	editedMiddle, err := flip3(middle)
 	if err != nil {
 		return err
 	}
-	editedTail, err := flip3(max(0, pa.Size()-4))
+	editedTail, err := flip3(tail)
 	if err != nil {
 		return err
 	}
-	incremental := func(after *rule.Policy) func(b *testing.B) {
+	// Each resume is told where its edits start, as the engine's edit
+	// path tells it (impact.UntouchedPrefix), so the rules before are not
+	// compared.
+	incremental := func(after *rule.Policy, kept int) func(b *testing.B) {
 		return func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				nb, _, err := builder.Resume(ctx, after)
+				nb, _, err := builder.ResumePrefix(ctx, after, kept)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -360,9 +364,9 @@ func benchJSON(cfg config) error {
 		// The edit-to-diff path: resume the primed builder for a 3-rule
 		// edit and direct-diff the before and after diagrams. Position in
 		// the rule list is the whole story — see the phase inputs above.
-		{"impact_incremental_head", incremental(editedHead)},
-		{"impact_incremental_middle", incremental(editedMiddle)},
-		{"impact_incremental_tail", incremental(editedTail)},
+		{"impact_incremental_head", incremental(editedHead, head)},
+		{"impact_incremental_middle", incremental(editedMiddle, middle)},
+		{"impact_incremental_tail", incremental(editedTail, tail)},
 		// The async-job serving scenario: a 16-policy cross-comparison
 		// (120 pairs) submitted to a fresh coordinator with 4 workers,
 		// timed from Submit to the job's Done channel. Fresh engine per op

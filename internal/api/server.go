@@ -432,33 +432,43 @@ func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	ctx := r.Context()
-	ka, kb := sourceKey(req.Schema, req.A), sourceKey(req.Schema, req.B)
+	d, ok := s.diffSources(r.Context(), w, schema, req.Schema, [2]PolicyInput{req.A, req.B}, [2]string{"policy a", "policy b"})
+	if ok {
+		writeReport(r.Context(), w, s.eng, schema, d)
+	}
+}
+
+// diffSources diffs the two policies a request carries, named what in
+// errors. Sources it has diffed before reach their compilations through
+// the engine's text alias, without being parsed or hashed
+// (engine.DiffSources); otherwise it parses both, diffs them through
+// their compilations and records both aliases. On failure it writes the
+// error response and returns ok false.
+func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, schema *field.Schema, schemaName string, src [2]PolicyInput, what [2]string) (d engine.PairDiff, ok bool) {
+	ka, kb := sourceKey(schemaName, src[0]), sourceKey(schemaName, src[1])
 	d, ok, err := s.eng.DiffSources(ctx, ka, kb)
 	if !ok {
-		var pa, pb *rule.Policy
-		if pa, err = parseInput(ctx, schema, req.A, "policy a"); err != nil {
-			writePolicyError(w, err)
-			return
+		var p [2]*rule.Policy
+		for i := range p {
+			if p[i], err = parseInput(ctx, schema, src[i], what[i]); err != nil {
+				writePolicyError(w, err)
+				return d, false
+			}
 		}
-		if pb, err = parseInput(ctx, schema, req.B, "policy b"); err != nil {
-			writePolicyError(w, err)
-			return
-		}
-		d, err = s.eng.DiffPair(ctx, pa, pb)
+		d, err = s.eng.DiffPair(ctx, p[0], p[1])
 		s.eng.AliasSource(ka, d.A)
 		s.eng.AliasSource(kb, d.B)
 	}
 	if err != nil {
 		writeAnalysisError(w, err)
-		return
+		return d, false
 	}
 	if !d.Stats.ReportCached {
 		// Cached reports carry the timings of the run that produced them;
 		// feeding those into the phase histograms again would double-count.
 		s.observeTiming(d.Report.Timing)
 	}
-	writeReport(ctx, w, s.eng, schema, d)
+	return d, true
 }
 
 // sourceKey is the engine's text-alias key of a policy a request carries.
@@ -575,6 +585,13 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 	respond(r, w, http.StatusOK, resp)
 }
 
+// impact is POST /v1/impact. Its before policy is found as /v1/diff finds
+// its policies: through the engine's text alias when its source was seen
+// before, so a base that many edit scripts are run against is parsed and
+// hashed once. An after text makes the request a diff of two sources
+// (diffSources); an edit script runs from the before policy's
+// compilation (engine.DiffEditsSource), and on an alias miss the handler
+// parses before, runs it (engine.DiffEdits) and records the alias.
 func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 	var req ImpactRequest
 	if !decodeInto(w, r, &req) {
@@ -585,35 +602,41 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
 		return
 	}
-	before, err := parseInput(r.Context(), schema, req.Before, "before")
-	if err != nil {
-		writePolicyError(w, err)
-		return
+	ctx := r.Context()
+	// A before that does not parse is the first error a request gets, so
+	// every other request error is written by badRequest, which parses
+	// before first.
+	badRequest := func(code string, err error) {
+		if _, perr := parseInput(ctx, schema, req.Before, "before"); perr != nil {
+			writePolicyError(w, perr)
+			return
+		}
+		writeError(w, http.StatusBadRequest, code, err)
 	}
 	if !req.After.IsZero() == (len(req.Edits) > 0) {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("provide exactly one of after and edits"))
+		badRequest(CodeBadRequest, fmt.Errorf("provide exactly one of after and edits"))
 		return
 	}
 	var (
-		after  *rule.Policy
-		report *compare.Report
-		st     engine.EditStats
+		before, after *rule.Policy
+		report        *compare.Report
+		st            engine.EditStats
 	)
 	if !req.After.IsZero() {
-		after, err = parseInput(r.Context(), schema, req.After, "after")
-		if err != nil {
-			writePolicyError(w, err)
+		d, ok := s.diffSources(ctx, w, schema, req.Schema, [2]PolicyInput{req.Before, req.After}, [2]string{"before", "after"})
+		if !ok {
 			return
 		}
-		report, st.DiffStats, err = s.eng.DiffPolicies(r.Context(), before, after)
+		// The attribution reads both policies off their compilations: were
+		// entries ever to drop their policy, an alias hit would have to
+		// parse as DiffEditsSource's caller does.
+		before, after, report, st.DiffStats = d.A.Policy, d.B.Policy, d.Report, d.Stats
 	} else {
 		edits := make([]impact.Edit, 0, len(req.Edits))
 		for i, line := range req.Edits {
 			e, err := impact.ParseEdit(schema, line)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, CodeUnparseablePolicy,
-					fmt.Errorf("edit %d: %v", i+1, err))
+				badRequest(CodeUnparseablePolicy, fmt.Errorf("edit %d: %v", i+1, err))
 				return
 			}
 			edits = append(edits, e)
@@ -621,14 +644,26 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		// The edits path goes through the incremental pipeline: the
 		// after-FDD resumes the before policy's construction from a
 		// checkpoint when possible, and the response says whether it did.
-		after, report, st, err = s.eng.ImpactEdits(r.Context(), before, edits)
-	}
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	if !st.ReportCached {
-		s.observeTiming(report.Timing)
+		key := sourceKey(req.Schema, req.Before)
+		d, ok, err := s.eng.DiffEditsSource(ctx, key, edits)
+		if ok {
+			before = d.Before.Policy
+		} else {
+			if before, err = parseInput(ctx, schema, req.Before, "before"); err != nil {
+				writePolicyError(w, err)
+				return
+			}
+			d, err = s.eng.DiffEdits(ctx, before, edits)
+			s.eng.AliasSource(key, d.Before)
+		}
+		if err != nil {
+			writeAnalysisError(w, err)
+			return
+		}
+		after, report, st = d.After, d.Report, d.Stats
+		if !st.ReportCached {
+			s.observeTiming(report.Timing)
+		}
 	}
 	resp := ConvertImpact(impact.FromReport(before, after, report))
 	resp.Incremental = st.Incremental

@@ -125,9 +125,9 @@ type Engine struct {
 	// construct is the scratch build (construct below), swappable in
 	// tests to observe and stall every scratch compilation.
 	construct func(ctx context.Context, p *rule.Policy, resumable bool) (*fdd.Builder, error)
-	// resume is (*fdd.Builder).Resume, swappable in tests to force the
-	// incremental path to fail and observe the scratch fallback.
-	resume func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error)
+	// resume is (*fdd.Builder).ResumePrefix, swappable in tests to force
+	// the incremental path to fail and observe the scratch fallback.
+	resume func(ctx context.Context, base *fdd.Builder, after *rule.Policy, kept int) (*fdd.Builder, fdd.ResumeStats, error)
 
 	limits guard.Limits
 
@@ -181,8 +181,8 @@ func New(cfg Config) *Engine {
 		},
 		sources:   newLRU[string](aliasBytes),
 		construct: construct,
-		resume: func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
-			return base.Resume(ctx, after)
+		resume: func(ctx context.Context, base *fdd.Builder, after *rule.Policy, kept int) (*fdd.Builder, fdd.ResumeStats, error) {
+			return base.ResumePrefix(ctx, after, kept)
 		},
 		limits: cfg.Limits,
 	}
@@ -235,7 +235,7 @@ const hashFlushBytes = 512
 // checkpoints: the diffs it serves never resume it, and should it become
 // an edit base later, its first edit replays it (see ImpactEdits).
 func (e *Engine) Compile(ctx context.Context, p *rule.Policy) (c *Compiled, hit bool, err error) {
-	return e.compile(ctx, p, hashPolicy(ctx, p), nil, false)
+	return e.compile(ctx, p, hashPolicy(ctx, p), nil, 0, false)
 }
 
 // hashPolicy is PolicyHash under an engine.hash span.
@@ -246,19 +246,20 @@ func hashPolicy(ctx context.Context, p *rule.Policy) string {
 }
 
 // compile is Compile for a policy whose content address is already taken,
-// with an optional base: a compilation p was derived from by edits. With a
-// base, the flight resumes the base's builder from the deepest checkpoint
-// the edits left untouched, and falls back to scratch construction when
-// the resume fails for any reason that is not the caller's (cancellation)
-// or the governor's (budget) — those would fail a scratch build
-// identically, so they surface as-is. The flight is keyed by the content
-// address alone, so a scratch and a resumed compile of one policy share
-// one construction. Failed flights are never cached, in either mode.
+// with an optional base: a compilation p was derived from by edits that
+// kept at least its first kept rules. With a base, the flight resumes the
+// base's builder from the deepest checkpoint the edits left untouched, and
+// falls back to scratch construction when the resume fails for any reason
+// that is not the caller's (cancellation) or the governor's (budget) —
+// those would fail a scratch build identically, so they surface as-is.
+// The flight is keyed by the content address alone, so a scratch and a
+// resumed compile of one policy share one construction. Failed flights
+// are never cached, in either mode.
 //
 // editBase keeps the builder's resume checkpoints; without it a scratch
 // build takes none and keeps only its diagram. A resumed build shares
 // its base's store and always keeps them.
-func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base *Compiled, editBase bool) (*Compiled, bool, error) {
+func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base *Compiled, kept int, editBase bool) (*Compiled, bool, error) {
 	annotate := func(sp *trace.Span, c *Compiled, err error) {
 		sp.SetAttr("policyHash", hash[:12])
 		if base == nil {
@@ -272,7 +273,7 @@ func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base 
 	return lookupOrCompute(ctx, e, &e.compiled, hash, annotate, func(fctx context.Context) (*Compiled, int64, error) {
 		c := &Compiled{Policy: p, Hash: hash}
 		var err error
-		if c.Builder, err = e.build(fctx, c, base, editBase); err != nil {
+		if c.Builder, err = e.build(fctx, c, base, kept, editBase); err != nil {
 			return nil, 0, err
 		}
 		e.compilations.Add(1)
@@ -286,10 +287,10 @@ func (e *Engine) compile(ctx context.Context, p *rule.Policy, hash string, base 
 // build constructs c.Policy's builder, resuming base's builder when there
 // is one and recording on c whether the resume was used. A scratch build
 // is resumable when it is an edit base.
-func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled, editBase bool) (*fdd.Builder, error) {
+func (e *Engine) build(ctx context.Context, c *Compiled, base *Compiled, kept int, editBase bool) (*fdd.Builder, error) {
 	if base != nil && base.Builder != nil {
 		e.incAttempted.Add(1)
-		b, rs, err := e.resume(ctx, base.Builder, c.Policy)
+		b, rs, err := e.resume(ctx, base.Builder, c.Policy, kept)
 		if err == nil {
 			e.incUsed.Add(1)
 			if e.incReappended != nil {
@@ -552,43 +553,72 @@ type EditStats struct {
 // checkpoints; a before policy that an earlier Compile cached trimmed
 // replays them inside its first edit's resume, once.
 func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []impact.Edit) (*rule.Policy, *compare.Report, EditStats, error) {
-	var stats EditStats
+	d, err := e.DiffEdits(ctx, before, edits)
+	return d.After, d.Report, d.Stats, err
+}
+
+// EditDiff is what an edit script's impact analysis obtained: the before
+// policy's compilation (set once it compiled, also when the call failed
+// later), the edited policy, the report between the two, and how the
+// call was served. After and Report are set only on success.
+type EditDiff struct {
+	Before *Compiled
+	After  *rule.Policy
+	Report *compare.Report
+	Stats  EditStats
+}
+
+// DiffEdits is ImpactEdits returning the before policy's compilation as
+// well, for a caller that aliases the source it parsed to it
+// (AliasSource).
+func (e *Engine) DiffEdits(ctx context.Context, before *rule.Policy, edits []impact.Edit) (EditDiff, error) {
 	ctx, sp := trace.Start(ctx, "impact.edits")
 	defer sp.End()
-	sp.SetAttr("edits", len(edits))
 	start := time.Now()
-	cb, hitB, err := e.compile(ctx, before, hashPolicy(ctx, before), nil, true)
+	cb, hit, err := e.compile(ctx, before, hashPolicy(ctx, before), nil, 0, true)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("engine: before policy: %w", err)
+		return EditDiff{}, fmt.Errorf("engine: before policy: %w", err)
 	}
-	if hitB {
-		stats.CompileHits++
+	return e.editFrom(ctx, sp, start, before, cb, hit, edits)
+}
+
+// editFrom is DiffEdits from the before policy's compilation cb (hit: a
+// compile-cache hit), under sp, the call's impact.edits span, for a call
+// that started at start: it applies the edits to before, compiles the
+// edited policy by resuming cb's builder past the rules the script left
+// in place, and diffs the two.
+func (e *Engine) editFrom(ctx context.Context, sp *trace.Span, start time.Time, before *rule.Policy, cb *Compiled, hit bool, edits []impact.Edit) (EditDiff, error) {
+	d := EditDiff{Before: cb}
+	sp.SetAttr("edits", len(edits))
+	if hit {
+		d.Stats.CompileHits++
 	}
 	after, err := impact.Apply(before, edits)
 	if err != nil {
-		return nil, nil, stats, err
+		return d, err
 	}
-	afterHash := hashPolicy(ctx, after)
-	stats.AfterHash = afterHash
-	ca, hitA, err := e.compile(ctx, after, afterHash, cb, true)
+	d.Stats.AfterHash = hashPolicy(ctx, after)
+	kept := impact.UntouchedPrefix(before.Size(), edits)
+	ca, hitA, err := e.compile(ctx, after, d.Stats.AfterHash, cb, kept, true)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("engine: after policy: %w", err)
+		return d, fmt.Errorf("engine: after policy: %w", err)
 	}
 	if hitA {
-		stats.CompileHits++
+		d.Stats.CompileHits++
 	} else {
-		stats.Incremental = ca.incremental
-		stats.CheckpointRules = ca.resumed.CheckpointRules
-		stats.RulesReappended = ca.resumed.RulesReappended
+		d.Stats.Incremental = ca.incremental
+		d.Stats.CheckpointRules = ca.resumed.CheckpointRules
+		d.Stats.RulesReappended = ca.resumed.RulesReappended
 	}
 	ent, cached, err := e.diff(ctx, cb, ca, time.Since(start))
-	stats.ReportCached = cached
+	d.Stats.ReportCached = cached
 	if err != nil {
-		return nil, nil, stats, err
+		return d, err
 	}
-	sp.SetAttr("incremental", stats.Incremental)
-	sp.SetAttr("rulesReappended", stats.RulesReappended)
-	return after, ent.report, stats, nil
+	sp.SetAttr("incremental", d.Stats.Incremental)
+	sp.SetAttr("rulesReappended", d.Stats.RulesReappended)
+	d.After, d.Report = after, ent.report
+	return d, nil
 }
 
 // isAbort reports whether the error is a cancellation or budget crossing

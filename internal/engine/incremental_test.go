@@ -84,7 +84,7 @@ func TestImpactEditsIncremental(t *testing.T) {
 
 func TestImpactEditsFallbackToScratch(t *testing.T) {
 	e := New(Config{})
-	e.resume = func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
+	e.resume = func(ctx context.Context, base *fdd.Builder, after *rule.Policy, _ int) (*fdd.Builder, fdd.ResumeStats, error) {
 		return nil, fdd.ResumeStats{}, fmt.Errorf("injected resume failure")
 	}
 	before := synth.Synthetic(synth.Config{Rules: 80, Seed: 5})
@@ -111,7 +111,7 @@ func TestImpactEditsFallbackToScratch(t *testing.T) {
 
 func TestImpactEditsAbortNotCachedNotFallenBack(t *testing.T) {
 	e := New(Config{})
-	e.resume = func(ctx context.Context, base *fdd.Builder, after *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
+	e.resume = func(ctx context.Context, base *fdd.Builder, after *rule.Policy, _ int) (*fdd.Builder, fdd.ResumeStats, error) {
 		return nil, fdd.ResumeStats{}, fmt.Errorf("fdd: construction canceled: %w", context.Canceled)
 	}
 	before := synth.Synthetic(synth.Config{Rules: 60, Seed: 7})

@@ -63,11 +63,11 @@ func TestScratchAndResumedCompileShareOneFlight(t *testing.T) {
 		}
 		return construct(ctx, p, resumable)
 	}
-	e.resume = func(ctx context.Context, base *fdd.Builder, p *rule.Policy) (*fdd.Builder, fdd.ResumeStats, error) {
+	e.resume = func(ctx context.Context, base *fdd.Builder, p *rule.Policy, kept int) (*fdd.Builder, fdd.ResumeStats, error) {
 		if err := stall(ctx); err != nil {
 			return nil, fdd.ResumeStats{}, err
 		}
-		return resume(ctx, base, p)
+		return resume(ctx, base, p, kept)
 	}
 
 	var wg sync.WaitGroup

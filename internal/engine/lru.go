@@ -42,26 +42,17 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 	return c.lookup(key, true)
 }
 
-// peek is get without the count: a recheck of a lookup already counted.
+// peek is get without the count: a recheck of a lookup already counted,
+// or a probe whose hit the caller counts once it uses it (countHits).
 func (c *lruCache[V]) peek(key string) (V, bool) {
 	return c.lookup(key, false)
 }
 
-// getBoth returns the entries for k1 and k2, marking both most recently
-// used and counting two hits, when both are resident; otherwise it counts
-// nothing and reports false.
-func (c *lruCache[V]) getBoth(k1, k2 string) (v1, v2 V, ok bool) {
+// countHits counts n hits of lookups made with peek.
+func (c *lruCache[V]) countHits(n int) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el1, ok1 := c.items[k1]
-	el2, ok2 := c.items[k2]
-	if !ok1 || !ok2 {
-		return v1, v2, false
-	}
-	c.hits += 2
-	c.ll.MoveToFront(el2)
-	c.ll.MoveToFront(el1)
-	return el1.Value.(*lruEntry[V]).val, el2.Value.(*lruEntry[V]).val, true
+	c.hits += uint64(n)
+	c.mu.Unlock()
 }
 
 func (c *lruCache[V]) lookup(key string, count bool) (V, bool) {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"diversefw/internal/impact"
 	"diversefw/internal/trace"
 )
 
@@ -72,18 +73,60 @@ func (e *Engine) AliasSource(key string, c *Compiled) {
 // counted: the caller parses, calls DiffPair and records the aliases.
 func (e *Engine) DiffSources(ctx context.Context, ka, kb string) (d PairDiff, ok bool, err error) {
 	start := time.Now()
-	ha, okA := e.SourceHash(ctx, ka)
-	hb, okB := e.SourceHash(ctx, kb)
+	ca, okA := e.resident(ctx, ka)
+	cb, okB := e.resident(ctx, kb)
 	if !okA || !okB {
 		return d, false, nil
 	}
-	if d.A, d.B, ok = e.compiled.lru.getBoth(ha, hb); !ok {
-		return PairDiff{}, false, nil
-	}
-	lookupEvent(ctx, cacheCompile, true)
-	lookupEvent(ctx, cacheCompile, true)
+	d.A, d.B = ca, cb
+	e.compileHits(ctx, 2)
 	d.Stats.CompileHits = 2
 	return d, true, e.diffPair(ctx, &d, time.Since(start))
+}
+
+// DiffEditsSource is DiffEdits for the before policy whose source has
+// key, without parsing or hashing it. When the alias holds key and its
+// compilation is resident, ok is true and the edits apply to that
+// compilation's policy, so only the edited policy is hashed. Otherwise
+// ok is false, nothing ran, and no compile-cache lookup was counted: the
+// caller parses, calls DiffEdits and records the alias.
+func (e *Engine) DiffEditsSource(ctx context.Context, key string, edits []impact.Edit) (d EditDiff, ok bool, err error) {
+	cb, ok := e.resident(ctx, key)
+	// The edits apply to the entry's policy: an entry that holds none
+	// (should compilations ever drop their policy to save memory) must
+	// send the caller back to parsing.
+	if !ok || cb.Policy == nil {
+		return d, false, nil
+	}
+	ctx, sp := trace.Start(ctx, "impact.edits")
+	defer sp.End()
+	e.compileHits(ctx, 1)
+	d, err = e.editFrom(ctx, sp, time.Now(), cb.Policy, cb, true, edits)
+	return d, true, err
+}
+
+// resident is the one lookup from a source to its compilation, which
+// DiffSources and DiffEditsSource share: the alias's content address for
+// key, then that address's compile-cache entry, if it is still resident.
+// It counts and records the alias lookup but not the compile-cache
+// probe: a caller that uses what it found counts the hit (compileHits),
+// so a source whose compilation was evicted counts only the lookup its
+// fallback compile makes.
+func (e *Engine) resident(ctx context.Context, key string) (*Compiled, bool) {
+	hash, ok := e.SourceHash(ctx, key)
+	if !ok {
+		return nil, false
+	}
+	return e.compiled.lru.peek(hash)
+}
+
+// compileHits counts n compile-cache hits on compilations resident
+// found, each with its cache-lookup event.
+func (e *Engine) compileHits(ctx context.Context, n int) {
+	e.compiled.lru.countHits(n)
+	for range n {
+		lookupEvent(ctx, cacheCompile, true)
+	}
 }
 
 // lookupEvent records one cache lookup on the context's active span, and

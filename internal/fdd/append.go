@@ -32,12 +32,19 @@ type appender struct {
 
 	// cov caches, by id, the covered-label union of each nonterminal the
 	// store did not mark complete (a complete node covers the domain,
-	// which coveredBy reads off its record), as a span of covIvs; hi 0
-	// means not computed. Stored nodes are immutable, so an entry never
-	// goes stale until a promotion renumbers the overlay, which empties
-	// the cache.
-	cov    []span
-	covIvs []interval.Interval
+	// which coveredBy reads off its record), as a run of famIvs for a
+	// family node and of ovIvs for an overlay node. An entry holds for
+	// the build whose generation it carries: newAppender bumps covGen
+	// instead of clearing anything, except when it wraps. Stored nodes
+	// are immutable, so a family entry never goes stale within a build;
+	// a promotion renumbers only the overlay's ids, so it empties only
+	// their entries and ovIvs, and the family's survive it. A resume
+	// into a large family store thus pays per promotion for the overlay
+	// it promotes, not for the store.
+	cov    []covEntry
+	covGen uint32
+	famIvs []interval.Interval
+	ovIvs  []interval.Interval
 
 	// Per-append state: the rule being appended, the memo that visits
 	// each (node, field index) once, and lazily built pieces that depend
@@ -63,8 +70,9 @@ type appender struct {
 	m guard.Meter
 }
 
-// span is a run [lo, hi) of an interval slab.
-type span struct{ lo, hi uint32 }
+// covEntry is a cached covered-label union: the run [lo, hi) of its
+// slab, valid in the build of generation gen only.
+type covEntry struct{ lo, hi, gen uint32 }
 
 // memoEntry is a memoized subproblem result, valid in the append of
 // generation gen only.
@@ -88,8 +96,13 @@ func newAppender(schema *field.Schema, family *Store) *appender {
 	ap.st, ap.fulls, ap.nf = family, fullSets(schema), schema.NumFields()
 	ap.paths = extend(ap.paths[:0], ap.nf+1)
 	ap.outside = extend(ap.outside[:0], ap.nf)
-	clear(ap.cov)
-	ap.covIvs = ap.covIvs[:0]
+	if ap.covGen++; ap.covGen == 0 {
+		// The generation wrapped: empty every entry an earlier build
+		// could still match.
+		clear(ap.cov)
+		ap.covGen = 1
+	}
+	ap.famIvs, ap.ovIvs = ap.famIvs[:0], ap.ovIvs[:0]
 	return ap
 }
 
@@ -125,13 +138,15 @@ func (ap *appender) node(k int, f Frame) uint32 {
 // promote moves the overlay nodes root reaches into the family store
 // and empties the overlay for the next batch: the family keeps exactly
 // the nodes reachable from promoted roots, never the intermediate forms
-// between them. It returns root's id in the family.
+// between them. It returns root's id in the family. The ids it
+// renumbers are the overlay's, so only their covered-set entries go.
 func (ap *appender) promote(root uint32) uint32 {
 	ap.overlayNodes += ap.st.overlayNodes()
-	root = ap.st.promote(root)
-	clear(ap.cov)
-	ap.covIvs = ap.covIvs[:0]
-	return root
+	if base, n := int(ap.st.base), min(len(ap.cov), len(ap.st.nodes)); base < n {
+		clear(ap.cov[base:n])
+	}
+	ap.ovIvs = ap.ovIvs[:0]
+	return ap.st.promote(root)
 }
 
 // start resets the per-append state for rule (pred, d).
@@ -196,17 +211,21 @@ func (ap *appender) coveredBy(v uint32, r *record) interval.Set {
 	if int(v) >= len(ap.cov) {
 		ap.cov = extend(ap.cov, len(ap.st.nodes))
 	}
-	if c := ap.cov[v]; c.hi != 0 {
-		return interval.SetView(ap.covIvs[c.lo:c.hi])
+	ivs := &ap.famIvs
+	if v >= ap.st.base {
+		ivs = &ap.ovIvs
+	}
+	if c := ap.cov[v]; c.gen == ap.covGen {
+		return interval.SetView((*ivs)[c.lo:c.hi])
 	}
 	st := ap.st
-	lo := len(ap.covIvs)
+	lo := len(*ivs)
 	for _, e := range st.edges[r.edge0 : r.edge0+r.nEdges] {
-		ap.covIvs = append(ap.covIvs, st.ivs[e.lo:e.hi]...)
+		*ivs = append(*ivs, st.ivs[e.lo:e.hi]...)
 	}
-	set := interval.NewSetInPlace(ap.covIvs[lo:])
-	ap.covIvs = ap.covIvs[:lo+set.NumIntervals()]
-	ap.cov[v] = span{uint32(lo), uint32(len(ap.covIvs))}
+	set := interval.NewSetInPlace((*ivs)[lo:])
+	*ivs = (*ivs)[:lo+set.NumIntervals()]
+	ap.cov[v] = covEntry{uint32(lo), uint32(len(*ivs)), ap.covGen}
 	return set
 }
 

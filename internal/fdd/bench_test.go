@@ -2,6 +2,7 @@ package fdd
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -82,6 +83,63 @@ func BenchmarkBuilderResident(b *testing.B) {
 		runtime.KeepAlive(builders)
 	}
 	b.ReportMetric(perNode, "B/storenode")
+}
+
+// servedEdit returns base edited by 1-3 replace, delete, insert or swap
+// edits, each at a position uniform over the rules before the catch-all,
+// with payloads drawn from donor's: the served impact-edit workload's
+// mix.
+func servedEdit(tb testing.TB, r *rand.Rand, base, donor *rule.Policy) *rule.Policy {
+	cur := base
+	for k := 1 + r.Intn(3); k > 0; k-- {
+		pos, payload := r.Intn(cur.Size()-1), donor.Rules[r.Intn(donor.Size()-1)]
+		var err error
+		switch r.Intn(4) {
+		case 0:
+			cur, err = cur.ReplaceRule(pos, payload)
+		case 1:
+			cur, err = cur.DeleteRule(pos)
+		case 2:
+			cur, err = cur.InsertRule(pos, payload)
+		default:
+			cur, err = cur.SwapRules(pos, r.Intn(cur.Size()-1))
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cur
+}
+
+// BenchmarkResumeServedBase times one resume of an edited policy against
+// a 661-rule base that has already served 2,000 edits, as a served edit
+// base has: every resume promotes its diagram into the base's family
+// store, which grows with the edits served, so a per-resume cost that
+// grows with the store shows here and not in a fresh family.
+func BenchmarkResumeServedBase(b *testing.B) {
+	base, donor := synth.RealLife(661, 1), synth.RealLife(661, 2)
+	bl, err := NewBuilder(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(1))
+	for range 2000 {
+		if _, _, err := bl.Resume(ctx, servedEdit(b, r, base, donor)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edited := make([]*rule.Policy, 64)
+	for i := range edited {
+		edited[i] = servedEdit(b, r, base, donor)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := bl.Resume(ctx, edited[i%len(edited)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(bl.StoreNodes()), "storenodes")
 }
 
 // TestConstructAllocs pins construction's garbage to the diagram it

@@ -222,6 +222,15 @@ type ResumeStats struct {
 // semantic per rule, and the reduced ordered form is canonical per
 // decision function, so the resume cadence cannot leak into the output.
 func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, ResumeStats, error) {
+	return b.ResumePrefix(ctx, after, 0)
+}
+
+// ResumePrefix is Resume for a caller that knows `after` keeps at least
+// its first `kept` rules from this builder's policy, as the lowest
+// position an edit script touches tells (impact.UntouchedPrefix): the
+// common rule prefix is sought from there on, so the kept rules are not
+// compared. A kept beyond the true common prefix builds a wrong diagram.
+func (b *Builder) ResumePrefix(ctx context.Context, after *rule.Policy, kept int) (*Builder, ResumeStats, error) {
 	var st ResumeStats
 	if after.Size() == 0 {
 		return nil, st, fmt.Errorf("fdd: cannot construct from an empty policy")
@@ -229,7 +238,7 @@ func (b *Builder) Resume(ctx context.Context, after *rule.Policy) (*Builder, Res
 	if !b.policy.Schema.Equal(after.Schema) {
 		return nil, st, fmt.Errorf("fdd: resume across different schemas")
 	}
-	prefix := commonRulePrefix(b.policy, after)
+	prefix := commonRulePrefix(b.policy, after, kept)
 	ctx, sp := trace.Start(ctx, "construct.resume")
 	defer sp.End()
 	sp.SetAttr("rules", after.Size())
@@ -370,13 +379,12 @@ func appendCheckpoint(cps []checkpoint, cp checkpoint) []checkpoint {
 	return cps
 }
 
-// commonRulePrefix counts the leading rules the two policies share.
-func commonRulePrefix(a, b *rule.Policy) int {
-	n := a.Size()
-	if b.Size() < n {
-		n = b.Size()
-	}
-	for i := 0; i < n; i++ {
+// commonRulePrefix counts the leading rules the two policies share,
+// comparing from rule `from` on: the caller knows the rules before it
+// are shared.
+func commonRulePrefix(a, b *rule.Policy, from int) int {
+	n := min(a.Size(), b.Size())
+	for i := max(from, 0); i < n; i++ {
 		if !rulesEqual(a.Rules[i], b.Rules[i]) {
 			return i
 		}

@@ -210,7 +210,7 @@ func TestBuilderStoreHoldsOnlyPromotedRoots(t *testing.T) {
 
 	r := rand.New(rand.NewSource(9))
 	after := editPolicy(p, r, 2)
-	for after.Size() == p.Size() && commonRulePrefix(p, after) == p.Size() {
+	for after.Size() == p.Size() && commonRulePrefix(p, after, 0) == p.Size() {
 		after = editPolicy(p, r, 2)
 	}
 	nb, st, err := b.Resume(context.Background(), after)

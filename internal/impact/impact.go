@@ -85,6 +85,32 @@ func Apply(p *rule.Policy, edits []Edit) (*rule.Policy, error) {
 	return cur, nil
 }
 
+// UntouchedPrefix returns how many leading rules of an n-rule policy an
+// edit script that Apply accepts leaves in place: the lowest position any
+// edit touches, for a swap the lower of its two. An insert or a delete
+// shifts only the rules at or after its position, so no later edit moves
+// a rule below that bound. The edited policy may share more (a replace by
+// an equal rule); it never shares less.
+func UntouchedPrefix(n int, edits []Edit) int {
+	low, size := n, n
+	for _, e := range edits {
+		i := e.Index
+		switch e.Kind {
+		case InsertRule:
+			if i == appendIndex {
+				i = size
+			}
+			size++
+		case DeleteRule:
+			size--
+		case SwapRules:
+			i = min(i, e.J)
+		}
+		low = min(low, i)
+	}
+	return max(low, 0)
+}
+
 // Impact is the result of a change-impact analysis.
 type Impact struct {
 	Before, After *rule.Policy

@@ -155,3 +155,76 @@ func TestTrimmedResumeDifferential(t *testing.T) {
 		}
 	}
 }
+
+// boundaryEdits builds a 1–4 step script of the edits whose untouched
+// prefix is easiest to get wrong: swaps with the second index below the
+// first, inserts at 0, deletes of the rule just before the catch-all,
+// and replaces anywhere.
+func boundaryEdits(rng *rand.Rand, p *rule.Policy) []Edit {
+	edits := make([]Edit, 1+rng.Intn(4))
+	donor := p.Rules[rng.Intn(p.Size())]
+	size := p.Size()
+	for k := range edits {
+		switch rng.Intn(4) {
+		case 0:
+			i := 1 + rng.Intn(size-1)
+			edits[k] = Edit{Kind: SwapRules, Index: i, J: rng.Intn(i)}
+		case 1:
+			edits[k] = Edit{Kind: InsertRule, Index: 0, Rule: donor}
+			size++
+		case 2:
+			edits[k] = Edit{Kind: DeleteRule, Index: size - 2}
+			size--
+		default:
+			edits[k] = Edit{Kind: ReplaceRule, Index: rng.Intn(size), Rule: donor}
+		}
+	}
+	return edits
+}
+
+// TestHintedResumeDifferential holds a resume told the script's
+// untouched prefix (UntouchedPrefix, as the engine's edit path passes it)
+// to the resume that compares every rule and to scratch construction:
+// the hint never exceeds the true common prefix, and the two resumes
+// land on the same root of their family with the same stats and
+// effective bits, and on scratch's rules.
+func TestHintedResumeDifferential(t *testing.T) {
+	ctx := context.Background()
+	for trial := 0; trial < differentialTrials; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		before := synth.Synthetic(synth.Config{Rules: 36 + rng.Intn(48), Seed: int64(trial + 1)})
+		edits := boundaryEdits(rng, before)
+		after, err := Apply(before, edits)
+		if err != nil {
+			t.Fatalf("trial %d: Apply: %v (edits %v)", trial, err, edits)
+		}
+		kept := UntouchedPrefix(before.Size(), edits)
+		common := 0
+		for common < min(before.Size(), after.Size()) && reflect.DeepEqual(before.Rules[common], after.Rules[common]) {
+			common++
+		}
+		if kept > common {
+			t.Fatalf("trial %d: hint %d past the common prefix %d (edits %v)", trial, kept, common, edits)
+		}
+		base, err := fdd.NewBuilder(before)
+		if err != nil {
+			t.Fatalf("trial %d: NewBuilder(before): %v", trial, err)
+		}
+		hinted, hst, herr := base.ResumePrefix(ctx, after, kept)
+		plain, pst, perr := base.Resume(ctx, after)
+		scratch, seff, serr := fdd.ConstructEffectiveContext(ctx, after)
+		if (herr == nil) != (perr == nil) || (herr == nil) != (serr == nil) {
+			t.Fatalf("trial %d: hinted resume err %v, unhinted %v, scratch %v (edits %v)", trial, herr, perr, serr, edits)
+		}
+		if herr != nil {
+			continue // the script deleted the catch-all
+		}
+		if hst != pst || hinted.FDD().Root != plain.FDD().Root {
+			t.Fatalf("trial %d: hinted resume (%+v) differs from unhinted (%+v) (edits %v)", trial, hst, pst, edits)
+		}
+		if !reflect.DeepEqual(hinted.FDD().Rules(), scratch.Rules()) ||
+			!reflect.DeepEqual(hinted.Effective(), plain.Effective()) || !reflect.DeepEqual(hinted.Effective(), seff) {
+			t.Fatalf("trial %d: hinted resume differs from scratch (edits %v)", trial, edits)
+		}
+	}
+}

@@ -34,6 +34,11 @@ go test -run '^$' -bench PolicyHash -benchtime 1x ./internal/engine/
 go test -run '^$' -bench 'Construct(Cold)?$' -benchtime 1x ./internal/fdd/
 go test -run '^$' -bench BuilderResident -benchtime 1x ./internal/fdd/
 
+# So does the served-base resume benchmark: one resume against a base
+# whose family store has grown through 2,000 edits, so a per-resume cost
+# that grows with the edits a base has served stays measurable.
+go test -run '^$' -bench ResumeServedBase -benchtime 1x ./internal/fdd/
+
 # The rows benchmark likewise runs once, so the allocs/op of turning a
 # diff-cold difference diagram into report rows (one pass, and the
 # reference enumerate-filter-merge) stay measurable.
@@ -111,6 +116,13 @@ go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/a
 # synthetic policies and their respellings, and holds sources that fail
 # to parse or compile to the same answer on every repeat and no alias.
 go test -run=NONE -fuzz='^FuzzTextAliasMatchesParse$' -fuzztime=1x ./internal/api/
+
+# /v1/impact reaches its before policy through the same alias, and the
+# edit path hands the resume the prefix its script left in place; the
+# alias and impact tests of the server and the engine rerun uncached
+# under the race detector, since a cached "ok" says nothing about a
+# lookup that concurrent requests share.
+go test -race -count=1 -run 'Alias|Impact' ./internal/api/ ./internal/engine/
 
 # Construction builds in a pointer-free node store (fdd.Store) and
 # publishes each diagram by materializing it; the differential holds it
