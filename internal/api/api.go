@@ -704,7 +704,9 @@ type Error struct {
 	Err ErrorDetail `json:"error"`
 }
 
-// ConvertDiscrepancy renders a pipeline discrepancy into wire form.
+// ConvertDiscrepancy renders a pipeline discrepancy into wire form. The
+// server writes its rows without it (appendRows), byte for byte as
+// encoding this gives.
 func ConvertDiscrepancy(schema *field.Schema, d compare.Discrepancy) Discrepancy {
 	out := Discrepancy{
 		Fields: make(map[string]string, schema.NumFields()),
@@ -718,13 +720,15 @@ func ConvertDiscrepancy(schema *field.Schema, d compare.Discrepancy) Discrepancy
 	return out
 }
 
-// ConvertReport renders a full comparison report.
+// ConvertReport renders a full comparison report. The /v1/diff body is
+// written without it (appendReport), byte for byte as encoding this
+// gives.
 func ConvertReport(schema *field.Schema, r *compare.Report) DiffResponse {
 	resp := DiffResponse{
 		Equivalent:      r.Equivalent(),
-		ConstructMillis: float64(r.Timing.Construct.Microseconds()) / 1000,
-		ShapeMillis:     float64(r.Timing.Shape.Microseconds()) / 1000,
-		CompareMillis:   float64(r.Timing.Compare.Microseconds()) / 1000,
+		ConstructMillis: millis(r.Timing.Construct),
+		ShapeMillis:     millis(r.Timing.Shape),
+		CompareMillis:   millis(r.Timing.Compare),
 	}
 	for _, d := range r.Discrepancies {
 		resp.Discrepancies = append(resp.Discrepancies, ConvertDiscrepancy(schema, d))

@@ -60,13 +60,16 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 
 // decodeBody decodes body, which must be exactly one JSON object, into
 // v, a pointer to a request struct, walking the object once. A member
-// whose key is exactly the json tag of a string or PolicyInput field and
-// whose value is a JSON string is unquoted in place (body is the
-// caller's to overwrite). Every other member goes, as a one-member
-// object, to encoding/json with unknown fields disallowed, which keeps
-// key folding, unknown-field rejection, type errors, null and nested
-// values as they were. Members apply in body order, so the last of a
-// duplicate key wins, as in encoding/json.
+// whose key is exactly the json tag of a field decodeBody owns (see
+// directFields) and whose value is the JSON kind it takes is decoded in
+// the walk: a string is unquoted in place (body is the caller's to
+// overwrite), and an array is walked element by element, each string
+// element unquoted and each object element walked as a struct. Every
+// other member or element goes to encoding/json with unknown fields
+// disallowed (a member as a one-member object), which keeps key
+// folding, unknown-field rejection, type errors, null and nested values
+// as they were. Members apply in body order, so the last of a duplicate
+// key wins, as in encoding/json.
 func decodeBody(body []byte, v any) error {
 	i := skipSpace(body, 0)
 	if i == len(body) {
@@ -75,65 +78,144 @@ func decodeBody(body []byte, v any) error {
 	if body[i] != '{' {
 		// encoding/json leaves a struct as it is for a top-level null and
 		// rejects every other value that is not an object.
-		if bytes.HasPrefix(body[i:], []byte("null")) && skipSpace(body, i+4) == len(body) {
+		if isNull(body, i) && skipSpace(body, i+4) == len(body) {
 			return nil
 		}
 		return errors.New("request body must be a JSON object")
 	}
-	rv := reflect.ValueOf(v).Elem()
-	fields := directFields(rv.Type())
-	i = skipSpace(body, i+1)
-	if i < len(body) && body[i] == '}' {
-		i++
-	} else {
-		for {
-			if i >= len(body) || body[i] != '"' {
-				return syntaxError(body, i, "an object key")
-			}
-			keyEnd := stringEnd(body, i)
-			j := skipSpace(body, keyEnd)
-			if j >= len(body) || body[j] != ':' {
-				return syntaxError(body, j, "':' after an object key")
-			}
-			j = skipSpace(body, j+1)
-			if f := lookupField(fields, body[i+1:keyEnd-1]); f != nil && j < len(body) && body[j] == '"' {
-				s, n, ok := unquoteInPlace(body[j:])
-				if !ok {
-					return fmt.Errorf("invalid JSON string in member %q", f.name)
-				}
-				if fv := rv.Field(f.index); f.policy {
-					*fv.Addr().Interface().(*PolicyInput) = PolicyInput{Text: s}
-				} else {
-					fv.SetString(s)
-				}
-				j += n
-			} else {
-				j = valueEnd(body, j)
-				member := make([]byte, 0, j-i+2)
-				member = append(append(append(member, '{'), body[i:j]...), '}')
-				dec := json.NewDecoder(bytes.NewReader(member))
-				dec.DisallowUnknownFields()
-				if err := dec.Decode(v); err != nil {
-					return err
-				}
-			}
-			i = skipSpace(body, j)
-			if i < len(body) && body[i] == ',' {
-				i = skipSpace(body, i+1)
-				continue
-			}
-			if i < len(body) && body[i] == '}' {
-				i++
-				break
-			}
-			return syntaxError(body, i, "',' or '}' after an object member")
-		}
+	i, err := decodeObject(body, i, reflect.ValueOf(v).Elem())
+	if err != nil {
+		return err
 	}
 	if skipSpace(body, i) < len(body) {
 		return errors.New("trailing data after JSON body")
 	}
 	return nil
 }
+
+// decodeObject decodes the object that starts at body[i] into rv, an
+// addressable struct, and returns the offset just past it.
+func decodeObject(body []byte, i int, rv reflect.Value) (int, error) {
+	fields := directFields(rv.Type())
+	i = skipSpace(body, i+1)
+	if i < len(body) && body[i] == '}' {
+		return i + 1, nil
+	}
+	for {
+		if i >= len(body) || body[i] != '"' {
+			return 0, syntaxError(body, i, "an object key")
+		}
+		keyEnd := stringEnd(body, i)
+		j := skipSpace(body, keyEnd)
+		if j >= len(body) || body[j] != ':' {
+			return 0, syntaxError(body, j, "':' after an object key")
+		}
+		j = skipSpace(body, j+1)
+		var err error
+		if f := lookupField(fields, body[i+1:keyEnd-1]); f != nil && j < len(body) && body[j] == f.opens() {
+			j, err = f.decode(body, j, rv.Field(f.index))
+		} else {
+			end := valueEnd(body, j)
+			member := make([]byte, 0, end-i+2)
+			member = append(append(append(member, '{'), body[i:end]...), '}')
+			j, err = end, decodeJSON(member, rv)
+		}
+		if err != nil {
+			return 0, err
+		}
+		i = skipSpace(body, j)
+		if i < len(body) && body[i] == ',' {
+			i = skipSpace(body, i+1)
+			continue
+		}
+		if i < len(body) && body[i] == '}' {
+			return i + 1, nil
+		}
+		return 0, syntaxError(body, i, "',' or '}' after an object member")
+	}
+}
+
+// decodeArray decodes the array that starts at body[i] into sv, an
+// addressable slice of strings or structs, and returns the offset just
+// past it. It follows encoding/json's slice rule, which a duplicate key
+// makes visible: the array decodes into the elements already there,
+// field by field, up to the slice's capacity, and the length is then cut
+// to the array's; an empty array leaves an empty slice of no capacity.
+func decodeArray(body []byte, i int, sv reflect.Value) (int, error) {
+	n := 0
+	i = skipSpace(body, i+1)
+	if i < len(body) && body[i] == ']' {
+		i++
+	} else {
+		for {
+			if n >= sv.Cap() {
+				sv.Grow(1)
+			}
+			if n >= sv.Len() {
+				sv.SetLen(n + 1)
+			}
+			var err error
+			if i, err = decodeElement(body, i, sv.Index(n)); err != nil {
+				return 0, err
+			}
+			n++
+			i = skipSpace(body, i)
+			if i < len(body) && body[i] == ',' {
+				i = skipSpace(body, i+1)
+				continue
+			}
+			if i < len(body) && body[i] == ']' {
+				i++
+				break
+			}
+			return 0, syntaxError(body, i, "',' or ']' after an array element")
+		}
+	}
+	if n < sv.Len() {
+		sv.SetLen(n)
+	}
+	if n == 0 {
+		sv.Set(reflect.MakeSlice(sv.Type(), 0, 0))
+	}
+	return i, nil
+}
+
+// decodeElement decodes the array element that starts at body[i] into
+// ev and returns the offset just past it. A null leaves the element as
+// it is, as encoding/json leaves a string or a struct.
+func decodeElement(body []byte, i int, ev reflect.Value) (int, error) {
+	switch {
+	case i >= len(body):
+		return 0, syntaxError(body, i, "an array element")
+	case ev.Kind() == reflect.String && body[i] == '"':
+		s, n, ok := unquoteInPlace(body[i:])
+		if !ok {
+			return 0, errors.New("invalid JSON string in an array element")
+		}
+		ev.SetString(s)
+		return i + n, nil
+	case ev.Kind() == reflect.Struct && body[i] == '{':
+		return decodeObject(body, i, ev)
+	case isNull(body, i):
+		return i + 4, nil
+	}
+	end := valueEnd(body, i)
+	if end == i {
+		return 0, syntaxError(body, i, "an array element")
+	}
+	return end, decodeJSON(body[i:end], ev)
+}
+
+// decodeJSON decodes data, one JSON value, into rv through encoding/json
+// with unknown fields disallowed.
+func decodeJSON(data []byte, rv reflect.Value) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(rv.Addr().Interface())
+}
+
+// isNull reports whether the literal null starts at body[i].
+func isNull(body []byte, i int) bool { return bytes.HasPrefix(body[i:], []byte("null")) }
 
 // syntaxError describes what decodeBody found at offset i instead of
 // what it wanted.
@@ -208,19 +290,55 @@ func valueEnd(body []byte, i int) int {
 	return i
 }
 
-// directField is a request struct field decodeBody unquotes itself.
+// directField is a request struct field decodeBody decodes itself.
 type directField struct {
-	name   string // its json tag's name, matched exactly
-	index  int
-	policy bool // a PolicyInput; otherwise a string
+	name  string // its json tag's name, matched exactly
+	index int
+	kind  directKind
 }
 
-// directFieldCache maps a request struct type to its []directField.
+type directKind uint8
+
+const (
+	directString directKind = iota
+	directPolicy            // a PolicyInput given as a bare string
+	directSlice             // a slice of strings or of structs
+)
+
+// opens is the first byte of the JSON values the walk decodes into f.
+func (f *directField) opens() byte {
+	if f.kind == directSlice {
+		return '['
+	}
+	return '"'
+}
+
+// decode decodes the value that starts at body[i], which opens f's kind,
+// into fv and returns the offset just past it.
+func (f *directField) decode(body []byte, i int, fv reflect.Value) (int, error) {
+	if f.kind == directSlice {
+		return decodeArray(body, i, fv)
+	}
+	s, n, ok := unquoteInPlace(body[i:])
+	if !ok {
+		return 0, fmt.Errorf("invalid JSON string in member %q", f.name)
+	}
+	if f.kind == directPolicy {
+		*fv.Addr().Interface().(*PolicyInput) = PolicyInput{Text: s}
+	} else {
+		fv.SetString(s)
+	}
+	return i + n, nil
+}
+
+// directFieldCache maps a struct type to its []directField.
 var directFieldCache sync.Map
 
-// directFields lists t's fields that a JSON string decodes into without
-// encoding/json: exported, named by a json tag, of type string (without
-// the ",string" option) or PolicyInput.
+// directFields lists the fields of t, a request struct or an array
+// element's, that the walk decodes without encoding/json: exported,
+// named by a json tag without the ",string" option, and of type string,
+// PolicyInput, []string, or a slice of a struct with no UnmarshalJSON of
+// its own ([]NamedPolicy, []JobPairSpec).
 func directFields(t reflect.Type) []directField {
 	if fs, ok := directFieldCache.Load(t); ok {
 		return fs.([]directField)
@@ -232,15 +350,24 @@ func directFields(t reflect.Type) []directField {
 		if !f.IsExported() || f.Anonymous || name == "" || name == "-" || strings.Contains(opts, "string") {
 			continue
 		}
-		switch f.Type {
-		case reflect.TypeFor[string]():
-			fs = append(fs, directField{name: name, index: i})
-		case reflect.TypeFor[PolicyInput]():
-			fs = append(fs, directField{name: name, index: i, policy: true})
+		switch {
+		case f.Type == reflect.TypeFor[string]():
+			fs = append(fs, directField{name: name, index: i, kind: directString})
+		case f.Type == reflect.TypeFor[PolicyInput]():
+			fs = append(fs, directField{name: name, index: i, kind: directPolicy})
+		case f.Type.Kind() == reflect.Slice && walkableElem(f.Type.Elem()):
+			fs = append(fs, directField{name: name, index: i, kind: directSlice})
 		}
 	}
 	directFieldCache.Store(t, fs)
 	return fs
+}
+
+// walkableElem reports whether decodeElement decodes elements of type t:
+// plain strings, and structs encoding/json would decode field by field.
+func walkableElem(t reflect.Type) bool {
+	return t == reflect.TypeFor[string]() ||
+		t.Kind() == reflect.Struct && !reflect.PointerTo(t).Implements(reflect.TypeFor[json.Unmarshaler]())
 }
 
 // lookupField returns the field whose name is exactly key, or nil.

@@ -134,6 +134,26 @@ func decodeSeeds(t testing.TB) [][]byte {
 		`{"a":"y","a":null}`, `{"a":"y","A":"z"}`, `{"A":"z","a":"y"}`, `{"schema":"five","schema":"four"}`,
 		`{"decisions":{"1":"accept"},"decisions":{"2":"discard"}}`,
 		`{"policies":[{"name":"x","policy":"a"}],"policies":[{"policy":"b"}]}`,
+		// Arrays the walk decodes: duplicate keys decode into the elements
+		// already there, up to the slice's capacity, and an empty array
+		// drops them; object-form policies, null elements and unknown
+		// keys inside elements go to encoding/json.
+		`{"policies":[{"name":"x","policy":"a"},{"name":"y"},{"name":"z","policy":"c"}],"policies":[{"policy":"b"}],"policies":[{},{},{"name":"w"}]}`,
+		`{"policies":[{"name":"x","policy":"a"},{"name":"y"}],"policies":[],"policies":[{"policy":"b"},{}]}`,
+		`{"policies":[{"name":"x","policy":"a"}],"policies":null,"policies":[{}]}`,
+		`{"policies":[{"name":"x","policy":"a"}],"Policies":[{"policy":"b"}]}`,
+		`{"policies":[{"name":"x","policy":{"format":"native","text":"any -> accept"}},{"policy":{"text":"t"},"policy":"u"}]}`,
+		`{"policies":[null,{"name":"x"},null]}`, `{"policies":[{"name":"x"}],"policies":[null,null]}`,
+		`{"policies":[{"name":"x","Policy":"a","NAME":"y"}]}`, `{"policies":[{"name":"x","zzz":1}]}`,
+		`{"policies":[{"policy":{"text":"t","zzz":1}}]}`, `{"policies":[1]}`, `{"policies":["x"]}`,
+		`{"policies":[[]]}`, `{"policies":[{"name":5}]}`, `{"policies":[{"name":"x"},]}`, `{"policies":[,]}`,
+		`{"policies":[{"name":"x"} {"name":"y"}]}`, `{"policies":[nul]}`, `{"policies":[nullx]}`,
+		`{"policies":[{"name":"x"}`, `{"policies":[`, `{"policies": [ { "name" : "x" } , null ] }`,
+		`{"pairs":[{"name":"p","a":"x","b":"y"},{"a":"y"}],"pairs":[{"b":"z"}],"pairs":[{},{}]}`,
+		`{"pairs":[null,{"A":"x"},{"a":"x","c":1}]}`, `{"pairs":[{"a":1}]}`,
+		`{"edits":["a","b","c"],"edits":["d"],"edits":[null,null,"e"]}`, `{"edits":["a"],"edits":[]}`,
+		`{"edits":[null]}`, `{"edits":[1]}`, `{"edits":[{}]}`, `{"edits":["a\u00e9\ud800","\xff"]}`,
+		`{"edits":["a",]}`, `{"edits":["a" "b"]}`, `{"edits":["a"`, `{"edits":null,"edits":["x"]}`,
 		// Null members and top-level non-objects.
 		`{"a":null,"schema":null,"complete":null,"policies":null}`, `null`, ` null `, `nullx`, `null {}`,
 		`[]`, `"x"`, ``, ` `, `1`, `{}`, ` {} `, `{`, `{"a"`, `{"a":`, `{"a":"x"`, `{"a":"x",}`, `{,}`, `{"a" "x"}`,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"diversefw/internal/field"
 	"diversefw/internal/jobs"
@@ -54,18 +53,18 @@ func (s *Server) jobList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	resp := JobListResponse{Jobs: []JobStatusResponse{}}
+	var listed []jobs.Snapshot
 	for _, snap := range s.jobs.List() {
 		if state != "" && snap.State != jobs.State(state) {
 			continue
 		}
-		// Listings stay light: progress and state, no per-pair bodies.
-		resp.Jobs = append(resp.Jobs, convertJobSnapshot(snap, false))
-		if limit > 0 && len(resp.Jobs) == limit {
+		listed = append(listed, snap)
+		if limit > 0 && len(listed) == limit {
 			break
 		}
 	}
-	respond(r, w, http.StatusOK, resp)
+	// Listings stay light: progress and state, no per-pair bodies.
+	respondWith(r, w, http.StatusOK, func(b []byte) []byte { return appendJobList(b, listed) })
 }
 
 func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -165,7 +164,9 @@ func (s *Server) jobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+snap.ID)
-	respond(r, w, http.StatusAccepted, convertJobSnapshot(snap, true))
+	respondWith(r, w, http.StatusAccepted, func(b []byte) []byte {
+		return append(appendJobStatus(b, snap, true), '\n')
+	})
 }
 
 // jobByID serves /v1/jobs/{id}: GET polls, DELETE cancels.
@@ -190,65 +191,7 @@ func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no job %q (unknown, or purged after its retention window)", id))
 		return
 	}
-	respond(r, w, http.StatusOK, convertJobSnapshot(snap, true))
-}
-
-// convertJobSnapshot renders a job snapshot onto the wire. withPairs
-// false (listings) drops the per-pair entries.
-func convertJobSnapshot(snap jobs.Snapshot, withPairs bool) JobStatusResponse {
-	resp := JobStatusResponse{
-		ID:       snap.ID,
-		Kind:     string(snap.Kind),
-		Schema:   snap.SchemaName,
-		State:    string(snap.State),
-		Policies: snap.Names,
-		Progress: JobProgress{
-			Total:       snap.Progress.Total,
-			Settled:     snap.Progress.Settled,
-			OK:          snap.Progress.OK,
-			Errors:      snap.Progress.Errors,
-			Skipped:     snap.Progress.Skipped,
-			Quarantined: snap.Progress.Quarantined,
-		},
-		TraceID:   snap.TraceID,
-		CreatedAt: snap.Created.UTC().Format(time.RFC3339Nano),
-	}
-	if !snap.Started.IsZero() {
-		resp.StartedAt = snap.Started.UTC().Format(time.RFC3339Nano)
-	}
-	if !snap.Finished.IsZero() {
-		resp.FinishedAt = snap.Finished.UTC().Format(time.RFC3339Nano)
-	}
-	if !withPairs {
-		return resp
-	}
-	// The schema name was validated at submission; rendering falls back
-	// to raw output only if it somehow stopped resolving.
-	schema, _ := field.SchemaByName(snap.SchemaName)
-	for _, pr := range snap.Pairs {
-		jp := JobPair{
-			Name:        pr.Name,
-			A:           snap.Names[pr.Pair.I],
-			B:           snap.Names[pr.Pair.J],
-			Status:      string(pr.Status),
-			Attempts:    pr.Attempts,
-			Quarantined: pr.Quarantined,
-		}
-		switch pr.Status {
-		case jobs.PairOK:
-			eq := pr.Report.Equivalent()
-			jp.Equivalent = &eq
-			if schema != nil {
-				for _, d := range pr.Report.Discrepancies {
-					jp.Discrepancies = append(jp.Discrepancies, ConvertDiscrepancy(schema, d))
-				}
-			}
-			jp.ElapsedMillis = float64(pr.Elapsed.Microseconds()) / 1000
-		case jobs.PairError:
-			jp.Error = convertPairError(pr.Err)
-			jp.ElapsedMillis = float64(pr.Elapsed.Microseconds()) / 1000
-		}
-		resp.Pairs = append(resp.Pairs, jp)
-	}
-	return resp
+	respondWith(r, w, http.StatusOK, func(b []byte) []byte {
+		return append(appendJobStatus(b, snap, true), '\n')
+	})
 }

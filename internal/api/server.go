@@ -482,19 +482,18 @@ var cachedTail = []byte(`,"cached":true}` + "\n")
 
 // writeReport writes a diff response under an api.encode span. The body
 // is the report's one encoding, kept on its cache entry
-// (engine.EncodedReport): ConvertReport's response with Cached unset,
-// encoded as writeJSON encodes. A report-cache hit splices in the
-// per-request cached flag, so each body is byte for byte what encoding
-// the response with its flag would give.
+// (engine.EncodedReport): appendReport's body, which is encoding
+// ConvertReport's response with Cached unset, cloned so the kept body has
+// no spare capacity. A report-cache hit splices in the per-request
+// cached flag, so each body is byte for byte what encoding the response
+// with its flag would give.
 func writeReport(ctx context.Context, w http.ResponseWriter, eng *engine.Engine, schema *field.Schema, d engine.PairDiff) {
 	_, sp := trace.Start(ctx, "api.encode")
 	defer sp.End()
-	body := eng.EncodedReport(d, func() []byte {
-		// Encoded as writeJSON encodes, and cloned so the kept body has
-		// no spare capacity.
-		var buf bytes.Buffer
-		_ = json.NewEncoder(&buf).Encode(ConvertReport(schema, d.Report))
-		return bytes.Clone(buf.Bytes())
+	body := eng.EncodedReport(d, func() (kept []byte) {
+		withBody(func(b []byte) []byte { return appendReport(b, schema, d.Report) },
+			func(b []byte) { kept = bytes.Clone(b) })
+		return kept
 	})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -553,36 +552,10 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 		writeAnalysisError(w, err)
 		return
 	}
-	resp := CrossCompareResponse{
-		Policies:      names,
-		Pairs:         make([]CrossPair, 0, len(snap.Pairs)),
-		AllEquivalent: true,
-		ElapsedMillis: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for _, pr := range snap.Pairs {
-		cell := CrossPair{
-			A: names[pr.Pair.I],
-			B: names[pr.Pair.J],
-		}
-		if pr.Err != nil {
-			cell.Error = convertPairError(pr.Err)
-			resp.FailedPairs++
-			// An unanswered pair means the matrix cannot vouch for full
-			// equivalence.
-			resp.AllEquivalent = false
-			resp.Pairs = append(resp.Pairs, cell)
-			continue
-		}
-		cell.Equivalent = pr.Report.Equivalent()
-		for _, d := range pr.Report.Discrepancies {
-			cell.Discrepancies = append(cell.Discrepancies, ConvertDiscrepancy(schema, d))
-		}
-		if !cell.Equivalent {
-			resp.AllEquivalent = false
-		}
-		resp.Pairs = append(resp.Pairs, cell)
-	}
-	respond(r, w, http.StatusOK, resp)
+	elapsed := millis(time.Since(start))
+	respondWith(r, w, http.StatusOK, func(b []byte) []byte {
+		return appendCrossCompare(b, schema, names, snap.Pairs, elapsed)
+	})
 }
 
 // impact is POST /v1/impact. Its before policy is found as /v1/diff finds

@@ -120,9 +120,13 @@ type JournalStore struct {
 	size    int64
 	buf     []byte // FsyncBatch: frames awaiting the flusher's write
 	bufRecs int    // records in buf, for write-error accounting
-	dirty   bool
-	sh      *shadow
-	closed  bool
+	// spare is the batch buffer the flusher last wrote, handed back
+	// for the next swap so a batch does not regrow its buffer from
+	// empty; nil while the flusher is writing it.
+	spare  []byte
+	dirty  bool
+	sh     *shadow
+	closed bool
 
 	// fmu serializes the file operations that move the log's write
 	// offset: the flusher's deferred batch write (which runs without
@@ -277,13 +281,8 @@ func (s *JournalStore) replay() error {
 	return nil
 }
 
-// flusher is the FsyncBatch loop: swap the buffered frames out under
-// jmu (a pointer exchange), then write and fsync them with no locks
-// held. A worker's settle append in batch mode therefore never enters
-// the kernel and never waits behind a disk operation — holding jmu
-// across the write or the fsync, or even letting appends share the log
-// inode's in-kernel lock with an in-flight fsync, each measured as
-// double-digit percent overhead on the crosscompare benchmark.
+// flusher is the FsyncBatch loop: each tick flushes the buffered
+// frames (flushBatch).
 func (s *JournalStore) flusher() {
 	defer close(s.flushDone)
 	t := time.NewTicker(batchInterval)
@@ -291,27 +290,39 @@ func (s *JournalStore) flusher() {
 	for {
 		select {
 		case <-t.C:
-			s.jmu.Lock()
-			doSync := s.dirty && !s.closed
-			var buf []byte
-			var recs int
-			if doSync {
-				// Clear before syncing: appends racing the fsync re-mark
-				// dirty, refill a fresh buffer, and are covered by the
-				// next tick.
-				s.dirty = false
-				buf, recs = s.buf, s.bufRecs
-				s.buf, s.bufRecs = nil, 0
-			}
-			s.jmu.Unlock()
-			if doSync {
-				s.writeFrames(buf, recs)
-				s.sync()
-			}
+			s.flushBatch()
 		case <-s.flushStop:
 			return
 		}
 	}
+}
+
+// flushBatch swaps the buffered frames out under jmu (a slice exchange
+// with the spare buffer), then writes and fsyncs them with no locks
+// held. A worker's settle append in batch mode therefore never enters
+// the kernel and never waits behind a disk operation — holding jmu
+// across the write or the fsync, or even letting appends share the log
+// inode's in-kernel lock with an in-flight fsync, each measured as
+// double-digit percent overhead on the crosscompare benchmark. The
+// written buffer comes back as the spare once the write is done, so the
+// two buffers alternate and a buffer being written is never appended to.
+func (s *JournalStore) flushBatch() {
+	s.jmu.Lock()
+	if !s.dirty || s.closed {
+		s.jmu.Unlock()
+		return
+	}
+	// Clear before syncing: appends racing the fsync re-mark dirty,
+	// fill the spare buffer, and are covered by the next tick.
+	s.dirty = false
+	buf, recs := s.buf, s.bufRecs
+	s.buf, s.bufRecs, s.spare = s.spare[:0], 0, nil
+	s.jmu.Unlock()
+	s.writeFrames(buf, recs)
+	s.jmu.Lock()
+	s.spare = buf
+	s.jmu.Unlock()
+	s.sync()
 }
 
 // writeFrames writes a swapped-out batch buffer to the log. A failed
@@ -348,7 +359,7 @@ func (s *JournalStore) Close() error {
 	}
 	s.closed = true
 	s.writeFrames(s.buf, s.bufRecs)
-	s.buf, s.bufRecs = nil, 0
+	s.buf, s.bufRecs, s.spare = nil, 0, nil
 	if s.dirty {
 		s.sync()
 	}

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"diversefw/internal/chaos"
 	"diversefw/internal/engine"
@@ -596,4 +599,85 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		s.Close()
 	})
+}
+
+// TestJournalBatchBufferReused: batch-mode appends across flush cycles
+// alternate between two frame buffers once both have grown to a
+// cycle's frames; no flush leaves the next batch to regrow from empty.
+// The flusher goroutine is not started, so each cycle's flush is the
+// test's own.
+func TestJournalBatchBufferReused(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestJournal(t, dir)
+	st.opts.Fsync = FsyncBatch // buffer appends; flushBatch writes them
+	const perCycle = 50
+	cycle := func(n int) *byte {
+		for k := range perCycle {
+			st.appendDelete(fmt.Sprintf("job-%04d-%04d", n, k))
+		}
+		st.jmu.Lock()
+		data := unsafe.SliceData(st.buf)
+		st.jmu.Unlock()
+		st.flushBatch()
+		return data
+	}
+	warm := map[*byte]bool{cycle(0): true, cycle(1): true}
+	if len(warm) != 2 {
+		t.Fatalf("the first two cycles filled %d buffers, want 2", len(warm))
+	}
+	for n := 2; n < 10; n++ {
+		if data := cycle(n); !warm[data] {
+			t.Fatalf("cycle %d appended to a new frame buffer", n)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	if torn := walkFrames(data, func(_ []byte, ok bool) {
+		if ok {
+			frames++
+		}
+	}); torn != len(data) || frames != 10*perCycle {
+		t.Fatalf("log holds %d valid frames (torn at %d of %d bytes), want %d", frames, torn, len(data), 10*perCycle)
+	}
+}
+
+// TestJournalBatchAppendsRaceFlusher races batch-mode appends from
+// several goroutines against the flusher's ticks, so the race detector
+// sees the buffer hand-back; every job journaled comes back on replay.
+func TestJournalBatchAppendsRaceFlusher(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenJournal(dir, JournalOptions{Fsync: FsyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := testSubmitRecord(t, 2)
+	const writers, perWriter = 4, 60
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range perWriter {
+				st.append(&record{Type: recSubmit, Job: fmt.Sprintf("job-%d-%d", w, k), Submit: sub})
+				if k%10 == 0 {
+					time.Sleep(2 * batchInterval / 3) // let ticks land between appends
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openTestJournal(t, dir)
+	defer re.Close()
+	if got := re.RecoveryReport().JobsRecovered; got != writers*perWriter {
+		t.Fatalf("replay recovered %d jobs, want %d", got, writers*perWriter)
+	}
 }

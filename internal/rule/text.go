@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode"
@@ -406,13 +407,14 @@ func parseDecimal(s string) (uint64, bool) {
 // render complemented ("!25", "!224.168.0.0/16") — the paper's "N != 25"
 // and "S not in the malicious domain" style.
 func FormatValueSet(f field.Field, s interval.Set) string {
-	return string(appendValueSet(nil, f, s))
+	return string(AppendValueSet(nil, f, s))
 }
 
-// appendValueSet appends FormatValueSet's rendering of s to b. It picks
-// the complemented form from interval counts and builds the complement
-// only when it prints it.
-func appendValueSet(b []byte, f field.Field, s interval.Set) []byte {
+// AppendValueSet appends FormatValueSet's rendering of s to b, the form
+// a caller writing a report straight into a buffer uses. It picks the
+// complemented form from interval counts and builds the complement only
+// when it prints it.
+func AppendValueSet(b []byte, f field.Field, s interval.Set) []byte {
 	dom := f.Domain
 	lo, _ := s.Min()
 	hi, _ := s.Max()
@@ -459,12 +461,12 @@ func appendValueInterval(b []byte, f field.Field, iv interval.Interval) []byte {
 	switch f.Kind {
 	case field.KindIPv4:
 		// Prefer a single CIDR block; fall back to an address range.
-		if ps, err := prefix.FromInterval(iv, 32); err == nil && len(ps) == 1 {
-			b = prefix.AppendIPv4(b, ps[0].Bits)
-			if ps[0].Len == 32 {
+		if n, ok := cidrLen(iv); ok {
+			b = prefix.AppendIPv4(b, iv.Lo)
+			if n == 32 {
 				return b
 			}
-			return strconv.AppendInt(append(b, '/'), int64(ps[0].Len), 10)
+			return strconv.AppendInt(append(b, '/'), int64(n), 10)
 		}
 		b = prefix.AppendIPv4(b, iv.Lo)
 		return prefix.AppendIPv4(append(b, '-'), iv.Hi)
@@ -480,6 +482,21 @@ func appendValueInterval(b []byte, f field.Field, iv interval.Interval) []byte {
 		return b
 	}
 	return strconv.AppendUint(append(b, '-'), iv.Hi, 10)
+}
+
+// cidrLen returns the prefix length of iv when iv is exactly one CIDR
+// block of the 32-bit address space: its size a power of two and its
+// start aligned to it. This is prefix.FromInterval giving one prefix,
+// without building the list.
+func cidrLen(iv interval.Interval) (int, bool) {
+	if iv.Lo > iv.Hi || iv.Hi > math.MaxUint32 {
+		return 0, false
+	}
+	size := iv.Hi - iv.Lo + 1 // at most 2^32: no overflow
+	if size&(size-1) != 0 || iv.Lo&(size-1) != 0 {
+		return 0, false
+	}
+	return 32 - bits.TrailingZeros64(size), true
 }
 
 // FormatRule renders the rule in the parseable text format, omitting
@@ -500,7 +517,7 @@ func appendRule(b []byte, schema *field.Schema, r Rule) []byte {
 			b = append(b, " && "...)
 		}
 		b = append(append(b, f.Name...), " in "...)
-		b = appendValueSet(b, f, s)
+		b = AppendValueSet(b, f, s)
 	}
 	if len(b) == start {
 		b = append(b, "any"...)

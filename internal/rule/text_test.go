@@ -436,3 +436,42 @@ func TestWritePolicy(t *testing.T) {
 		t.Fatalf("got %q", sb.String())
 	}
 }
+
+// TestCidrLenMatchesFromInterval holds cidrLen to prefix.FromInterval
+// giving exactly one prefix: aligned blocks of every size, each nudged
+// by one at either end, whole and out-of-range intervals, and random
+// ones.
+func TestCidrLenMatchesFromInterval(t *testing.T) {
+	t.Parallel()
+	check := func(iv interval.Interval) {
+		t.Helper()
+		n, ok := cidrLen(iv)
+		ps, err := prefix.FromInterval(iv, 32)
+		one := err == nil && len(ps) == 1
+		if ok != one || (ok && (n != ps[0].Len || ps[0].Bits != iv.Lo)) {
+			t.Fatalf("%v: cidrLen %d %v, FromInterval %v %v", iv, n, ok, ps, err)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for k := 0; k <= 32; k++ {
+		size := uint64(1) << k
+		lo := uint64(r.Int63n(1<<32)) &^ (size - 1)
+		hi := lo + size - 1
+		check(interval.MustNew(lo, hi))
+		if hi < 1<<32-1 {
+			check(interval.MustNew(lo, hi+1))
+		}
+		if lo > 0 {
+			check(interval.MustNew(lo-1, hi))
+		}
+		if lo < hi {
+			check(interval.MustNew(lo+1, hi))
+		}
+	}
+	check(interval.MustNew(0, 1<<32))
+	check(interval.MustNew(1<<32, 1<<32))
+	for range 2000 {
+		lo := uint64(r.Int63n(1 << 32))
+		check(interval.MustNew(lo, lo+uint64(r.Int63n(int64(1<<32-lo)))))
+	}
+}

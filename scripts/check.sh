@@ -53,6 +53,11 @@ go test -run '^$' -bench ParseNative -benchtime 1x ./internal/frontend/
 # the tests, so both MB/s and allocs/op figures stay measurable.
 go test -run '^$' -bench DecodeRequest -benchtime 1x ./internal/api/
 
+# So does the crosscompare-body benchmark: 15 pairs of 40-rule reports
+# encoded through the reference (ConvertDiscrepancy and encoding/json)
+# and through the direct writer, so both figures stay measurable.
+go test -run '^$' -bench EncodeCrossCompare -benchtime 1x ./internal/api/
+
 # The served-request benchmark is a module of its own (bench/go.mod), so
 # the commands above never compile it. It calls engine, compare, fdd,
 # jobs and api exports directly; vetting and short-testing it here makes
@@ -110,6 +115,13 @@ go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/pr
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/api/
 
+# The crosscompare, job status and diff bodies are written without
+# encoding/json; the differential holds every writer to encoding/json of
+# its reference struct, byte for byte, over random reports, names with
+# HTML characters, U+2028 and invalid UTF-8, and job snapshots in every
+# pair status.
+go test -run=NONE -fuzz='^FuzzWireMatchesReference$' -fuzztime=1x ./internal/api/
+
 # /v1/diff resolves a policy's source to its content address through the
 # engine's text alias instead of parsing it; the differential holds every
 # alias to what parse + PolicyHash give, over the frontend corpus,
@@ -156,7 +168,8 @@ go test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=1x ./internal/jobs/
 # so the journal, retention-purge, Close and Run tests rerun uncached
 # under the race detector: a lock taken out of order or a record
 # appended after Close must fail here rather than hide behind a cached
-# "ok".
+# "ok". The batch flusher hands its written buffer back as the next
+# batch's; TestJournalBatchAppendsRaceFlusher races appends against it.
 go test -race -count=1 -run 'Journal|Retention|Close|Run' ./internal/jobs/
 
 # The crash-restart test SIGKILLs a journaled server mid-job and
