@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -115,6 +116,17 @@ func postDiff(t testing.TB, srv http.Handler, req DiffRequest) *httptest.Respons
 	return rec
 }
 
+// wireKey is the text-alias key of src as a request carries it: the
+// digest of the JSON value encoding/json writes for it into the body.
+func wireKey(t testing.TB, schema string, src PolicyInput) string {
+	t.Helper()
+	raw, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.SourceKey(schema, raw)
+}
+
 // withCached is a cold response's body as a report-cache hit must send
 // it: the same bytes with "cached":true as the last member.
 func withCached(body []byte) []byte {
@@ -134,7 +146,7 @@ func checkAlias(t *testing.T, schemaName string, src PolicyInput) {
 	req := DiffRequest{Schema: schemaName, A: src, B: src}
 	first := postDiff(t, srv, req)
 	second := postDiff(t, srv, req)
-	hash, aliased := eng.SourceHash(context.Background(), engine.SourceKey(schemaName, src.Format, src.Chain, src.Text))
+	hash, aliased := eng.SourceHash(context.Background(), wireKey(t, schemaName, src))
 
 	var p *rule.Policy
 	schema, err := field.SchemaByName(schemaName)
@@ -417,6 +429,63 @@ func TestWarmDiffTrace(t *testing.T) {
 	}
 }
 
+// TestRespelledTokenMissesOnceThenHits: the alias is keyed by the bytes
+// a request carries, so a body that spells a seen text's token another
+// way (> where encoding/json wrote \u003e, & for \u0026) misses the
+// alias once, is parsed to the same policies and answered from the
+// report cache, and is an alias hit from then on, with the same body
+// every time.
+func TestRespelledTokenMissesOnceThenHits(t *testing.T) {
+	t.Parallel()
+	srv := NewServer()
+	defer srv.Close()
+	req := warmPair(5)
+	escaped, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The policy texts hold no backslash, so every \u003e and \u0026 in
+	// the body is an escape encoding/json wrote.
+	plain := bytes.ReplaceAll(bytes.ReplaceAll(escaped, []byte(`\u003e`), []byte(">")), []byte(`\u0026`), []byte("&"))
+	if bytes.Equal(plain, escaped) {
+		t.Fatal("the two bodies spell their policies the same")
+	}
+	postBody := func(body []byte) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, "/v1/diff", bytes.NewReader(body))
+		r.Header.Set("X-Request-ID", "alias-test")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("diff: status %d\n%.300s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	cold := postBody(escaped)
+	want := withCached(cold.Body.Bytes())
+	for i, c := range []struct {
+		lookups []string
+		lowered bool
+	}{
+		{[]string{"text miss", "text miss", "report hit"}, true},
+		{[]string{"text hit", "text hit", "report hit"}, false},
+	} {
+		rec := postBody(plain)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("respelled request %d: body differs from the first one with cached set", i)
+		}
+		root := tracedRoot(t, srv, rec)
+		got := lookups(root)
+		for _, l := range c.lookups {
+			if count(got, l) != count(c.lookups, l) {
+				t.Fatalf("respelled request %d: cache lookups = %v, want %v", i, got, c.lookups)
+			}
+		}
+		if _, lowered := root.Find("frontend.lower"); lowered != c.lowered {
+			t.Fatalf("respelled request %d: lowered %v, want %v", i, lowered, c.lowered)
+		}
+	}
+}
+
 // TestResolveTakesCompilationsFromItsDiff: /v1/resolve diffs its pair
 // once and plans from the compilations that diff returns, so after a
 // /v1/diff of the pair it looks the caches up three times (two compiles
@@ -609,10 +678,16 @@ func (w *discardWriter) WriteHeader(int)             {}
 
 // TestUntracedWarmDiffAllocs pins what an untraced warm /v1/diff
 // allocates, so a span or event that allocates without a trace fails
-// here: the request struct and the body decode's 5 (TestDecodeAllocs),
-// the two alias keys, the report key and the report lookup's compute
-// closure, and the Content-Type header's value slice. field.SchemaByName
-// returns a schema built once and allocates nothing, in any case.
+// here: the request struct, the body decode's (TestDecodeAllocs: the
+// bounded reader and the schema string; both policies stay views into
+// the body), the two alias keys, the report key and the report lookup's
+// compute closure, and the Content-Type header's value slice.
+// field.SchemaByName returns a schema built once and allocates nothing,
+// in any case. A body read into a buffer of its own adds that buffer and
+// nothing else; read into a pooled one, as the middleware reads it,
+// nothing the request allocates grows with its body. The pooled counts
+// depend on a pool hit, which the race detector makes random, so they
+// are measured only without it.
 func TestUntracedWarmDiffAllocs(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
@@ -629,12 +704,20 @@ func TestUntracedWarmDiffAllocs(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/diff", nil)
 	req.Body = body
 	req.ContentLength = int64(len(raw))
-	w := &discardWriter{h: http.Header{}}
+	discard := &discardWriter{h: http.Header{}}
+	sw := &statusWriter{ResponseWriter: discard}
+	diff := func(w http.ResponseWriter) func() {
+		return func() {
+			body.Reset(raw)
+			srv.diff(w, req)
+			sw.releaseBody()
+		}
+	}
 	hits := srv.Engine().Stats().Reports.Hits
-	n := testing.AllocsPerRun(20, func() {
-		body.Reset(raw)
-		srv.diff(w, req)
-	})
+	const warm = 1 + 2 + 2 + 2 + 1
+	if n := testing.AllocsPerRun(20, diff(discard)); n != warm+1 {
+		t.Fatalf("an untraced warm diff makes %v allocations, want %v", n, warm+1)
+	}
 	if got := srv.Engine().Stats().Reports.Hits - hits; got != 21 {
 		t.Fatalf("%d report hits over 21 runs; the loop is not on the warm path", got)
 	}
@@ -643,13 +726,30 @@ func TestUntracedWarmDiffAllocs(t *testing.T) {
 			t.Fatalf("field.SchemaByName(%q) makes %v allocations, want 0", name, schema)
 		}
 	}
-	if want := float64(1 + 5 + 2 + 2 + 1); n != want {
-		t.Fatalf("an untraced warm diff makes %v allocations, want %v", n, want)
+	if raceEnabled {
+		return
+	}
+	run := diff(sw)
+	if n := testing.AllocsPerRun(20, run); n != warm {
+		t.Fatalf("an untraced warm diff from a pooled buffer makes %v allocations, want %v", n, warm)
+	}
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1<<10 {
+		t.Fatalf("an untraced warm diff from a pooled buffer allocates %d bytes for a %d-byte body, want at most 1 KiB", perOp, len(raw))
 	}
 }
 
 // TestUntracedSpansAllocateNothing: without a trace, lowering a policy
-// and writing a response allocate what the work itself does.
+// and writing a response allocate what the work itself does. Parsing
+// allocates the same every run. Encoding goes through encoding/json's
+// pooled encoder state, so respond and writeJSON are compared only
+// without the race detector, whose sync.Pool drops items at random.
 func TestUntracedSpansAllocateNothing(t *testing.T) {
 	schema := field.PaperExample()
 	ctx := context.Background()
@@ -657,6 +757,9 @@ func TestUntracedSpansAllocateNothing(t *testing.T) {
 	parse := testing.AllocsPerRun(20, func() { frontend.Parse("", schema, teamA, frontend.Options{}) })
 	if lower != parse {
 		t.Fatalf("parseInput makes %v allocations, frontend.Parse %v", lower, parse)
+	}
+	if raceEnabled {
+		return
 	}
 	w := &discardWriter{h: http.Header{}}
 	req := httptest.NewRequest(http.MethodPost, "/v1/audit", nil)

@@ -16,10 +16,30 @@ import (
 // length; the buffer doubles from there up to maxBodyBytes.
 const chunkedBodyStart = 16 << 10
 
+// pooledRequestBytes is the size of the pooled request buffers. A body
+// that fits one (a 661-rule pair is about 128 KB) is read into a buffer
+// from requestBufs, which the middleware puts back once the handler has
+// returned (statusWriter.releaseBody); a larger body gets a buffer of its
+// own.
+const pooledRequestBytes = 256 << 10
+
+// requestBuf is one pooled request buffer. The pool holds pointers to
+// arrays, so putting one back allocates nothing.
+type requestBuf [pooledRequestBytes]byte
+
+var requestBufs = sync.Pool{New: func() any { return new(requestBuf) }}
+
+// releasedRequestBuf, when set, is handed every pooled buffer as it goes
+// back to the pool. The package's tests set it to overwrite the buffer,
+// so a view into a request body that outlived its request reads garbage.
+var releasedRequestBuf func(*requestBuf)
+
 // readBody reads r's body whole into one buffer under maxBodyBytes, so a
 // body over the bound is an *http.MaxBytesError wherever its bytes would
 // stop parsing. The buffer is sized from Content-Length and never grows
-// past the bound.
+// past the bound. When w is the middleware's statusWriter and the body
+// fits, the buffer is pooled: it is the request's until the handler
+// returns, and nothing may keep a view into it past that.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.ContentLength > maxBodyBytes {
 		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
@@ -31,7 +51,15 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		// declared length is read without growing the buffer.
 		size = min(r.ContentLength+1, maxBodyBytes)
 	}
-	buf := make([]byte, 0, size)
+	var buf []byte
+	if sw, ok := w.(*statusWriter); ok && size <= pooledRequestBytes {
+		if r.ContentLength < 0 {
+			size = pooledRequestBytes // a chunked body may fill all of it
+		}
+		buf = sw.pooledBody()[:0:size]
+	} else {
+		buf = make([]byte, 0, size)
+	}
 	for {
 		if len(buf) == cap(buf) {
 			if len(buf) == maxBodyBytes {
@@ -62,14 +90,15 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // v, a pointer to a request struct, walking the object once. A member
 // whose key is exactly the json tag of a field decodeBody owns (see
 // directFields) and whose value is the JSON kind it takes is decoded in
-// the walk: a string is unquoted in place (body is the caller's to
-// overwrite), and an array is walked element by element, each string
-// element unquoted and each object element walked as a struct. Every
-// other member or element goes to encoding/json with unknown fields
-// disallowed (a member as a one-member object), which keeps key
-// folding, unknown-field rejection, type errors, null and nested values
-// as they were. Members apply in body order, so the last of a duplicate
-// key wins, as in encoding/json.
+// the walk: a bare-string policy is validated (scanString) and kept as a
+// view into body, still quoted; any other string is unquoted in place
+// (body is the caller's to overwrite) and copied out; and an array is
+// walked element by element, each string element unquoted and each
+// object element walked as a struct. Every other member or element goes
+// to encoding/json with unknown fields disallowed (a member as a
+// one-member object), which keeps key folding, unknown-field rejection,
+// type errors, null and nested values as they were. Members apply in
+// body order, so the last of a duplicate key wins, as in encoding/json.
 func decodeBody(body []byte, v any) error {
 	i := skipSpace(body, 0)
 	if i == len(body) {
@@ -301,7 +330,7 @@ type directKind uint8
 
 const (
 	directString directKind = iota
-	directPolicy            // a PolicyInput given as a bare string
+	directPolicy            // a PolicyInput given as a bare string, kept quoted
 	directSlice             // a slice of strings or of structs
 )
 
@@ -314,19 +343,27 @@ func (f *directField) opens() byte {
 }
 
 // decode decodes the value that starts at body[i], which opens f's kind,
-// into fv and returns the offset just past it.
+// into fv and returns the offset just past it. A policy string is
+// validated but not unquoted: the PolicyInput keeps its token, a view
+// into body, for the text alias to key and parseInput to unquote.
 func (f *directField) decode(body []byte, i int, fv reflect.Value) (int, error) {
-	if f.kind == directSlice {
+	var n int
+	var ok bool
+	switch f.kind {
+	case directSlice:
 		return decodeArray(body, i, fv)
+	case directPolicy:
+		if n, ok = scanString(body[i:]); ok {
+			*fv.Addr().Interface().(*PolicyInput) = PolicyInput{raw: body[i : i+n : i+n]}
+		}
+	default:
+		var s string
+		if s, n, ok = unquoteInPlace(body[i:]); ok {
+			fv.SetString(s)
+		}
 	}
-	s, n, ok := unquoteInPlace(body[i:])
 	if !ok {
 		return 0, fmt.Errorf("invalid JSON string in member %q", f.name)
-	}
-	if f.kind == directPolicy {
-		*fv.Addr().Interface().(*PolicyInput) = PolicyInput{Text: s}
-	} else {
-		fv.SetString(s)
 	}
 	return i + n, nil
 }

@@ -66,9 +66,38 @@ func runDecode(decode func(http.ResponseWriter, *http.Request, interface{}) bool
 	return rec, decode(rec, req, v)
 }
 
+// policyFields replaces every PolicyInput in v, a pointer to a request
+// struct, by its decoded fields and text, and returns the raw bytes each
+// held, in walk order. decodeInto leaves a bare string quoted in a view
+// into the body where the reference unquotes it into Text; the two must
+// come to the same text and carry the same value bytes, the alias key.
+func policyFields(v any) [][]byte {
+	var raws [][]byte
+	var walk func(rv reflect.Value)
+	walk = func(rv reflect.Value) {
+		switch {
+		case rv.Type() == reflect.TypeFor[PolicyInput]():
+			p := rv.Addr().Interface().(*PolicyInput)
+			raws = append(raws, p.raw)
+			*p = PolicyInput{Format: p.Format, Text: p.text(), Chain: p.Chain}
+		case rv.Kind() == reflect.Struct:
+			for i := range rv.NumField() {
+				walk(rv.Field(i))
+			}
+		case rv.Kind() == reflect.Slice:
+			for i := range rv.Len() {
+				walk(rv.Index(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(v).Elem())
+	return raws
+}
+
 // checkDecode holds decodeInto to referenceDecodeInto on body, for every
 // request type: the same accept or reject, status and error code, the
-// bad-request prefix on a rejection, and deeply equal values on accept.
+// bad-request prefix on a rejection, and on accept deeply equal values
+// once every policy is compared by its fields, text and value bytes.
 func checkDecode(t *testing.T, body []byte) {
 	for _, target := range decodeTargets {
 		got, want := target.new(), target.new()
@@ -79,8 +108,14 @@ func checkDecode(t *testing.T, body []byte) {
 				target.name, body, gok, grec.Code, grec.Body, wok, wrec.Code, wrec.Body)
 		}
 		if gok {
+			graws, wraws := policyFields(got), policyFields(want)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %q: decodeInto gives %+v, reference %+v", target.name, body, got, want)
+			}
+			for i := range graws {
+				if !bytes.Equal(graws[i], wraws[i]) {
+					t.Fatalf("%s %q: policy %d carries value bytes %q, reference %q", target.name, body, i, graws[i], wraws[i])
+				}
 			}
 			continue
 		}
@@ -165,6 +200,18 @@ func decodeSeeds(t testing.TB) [][]byte {
 		// Trailing data and a byte order mark.
 		`{"a":"x"} x`, `{"a":"x"}{}`, `{"a":"x"}}`, `{"a":"x"} `+"\n\t\r", "\xef\xbb\xbf{\"a\":\"x\"}",
 		`{"a":"x"}`+"\x00", `{"a":"x"} null`,
+		// Policy value bytes, which key the text alias: every write of a
+		// policy sets or clears them, whichever side decodes it.
+		`{"a":""}`, `{"a":"x","a":""}`, `{"a":"","a":"x"}`, `{"a":"x","A":""}`, `{"after":"","edits":["e"]}`,
+		`{"a":"x","a":{"text":"y"},"a":"z"}`, `{"a":{"text":"y"},"a":"z","a":{"format":"native","text":"w"}}`,
+		`{"before":"x","Before":{"text":"y"}}`, `{"Before":{"text":"y"},"before":"x"}`, `{"a":"x","a":null,"a":"y"}`,
+		`{"policies":[{"policy":"x","Policy":{"text":"y"}}]}`, `{"policies":[{"Policy":"y","policy":{"text":"x"}}]}`,
+		`{"policies":[{"policy":"x"},{"policy":"y"}],"policies":[{"policy":{"text":"z"}},{"name":"n"}]}`,
+		`{"policies":[{"policy":"x"},{"policy":"y"}],"policies":[{}],"policies":[{},{}]}`,
+		`{"a":"src in 10.0.0.0/8 \u0026\u0026 dport in 22 -\u003e discard\nany -\u003e accept\n"}`,
+		`{"a":"\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00\ud83d\u0000 é😀`+"\xff\x7f"+`"}`,
+		`{"a":"01234567\u0026","b":"0123456\u0026","policy":"012345678\u0026"}`,
+		`{"a":"0123456789abcdef`+"\x01"+`"}`, `{"a":"0123456789abcde\q"}`, `{"a":"0123456789abcdef\u00`,
 	)
 	out := make([][]byte, len(seeds))
 	for i, s := range seeds {
@@ -260,32 +307,44 @@ func (*reusableBody) Close() error { return nil }
 
 // decodeLoop returns a function that decodes body into a zeroed
 // DiffRequest through decode, reusing one request and recorder, so what
-// it allocates is what decode allocates.
-func decodeLoop(t testing.TB, decode func(http.ResponseWriter, *http.Request, interface{}) bool, body []byte) (func(), *DiffRequest) {
+// it allocates is what decode allocates. With pooled set, the body is
+// read as the middleware reads it, into a pooled buffer that goes back to
+// the pool after each decode.
+func decodeLoop(t testing.TB, decode func(http.ResponseWriter, *http.Request, interface{}) bool, body []byte, pooled bool) func() {
 	rb := new(reusableBody)
 	req := httptest.NewRequest(http.MethodPost, "/v1/diff", bytes.NewReader(body))
 	req.Body = rb
 	rec := httptest.NewRecorder()
+	var w http.ResponseWriter = rec
+	sw := &statusWriter{ResponseWriter: rec}
+	if pooled {
+		w = sw
+	}
 	var out DiffRequest
 	return func() {
 		rb.Reset(body)
 		out = DiffRequest{}
-		if !decode(rec, req, &out) {
+		if !decode(w, req, &out) {
 			t.Fatalf("decode failed: %s", rec.Body)
 		}
-	}, &out
+		sw.releaseBody()
+	}
 }
 
 // BenchmarkDecodeRequest decodes the pair body with the reference
 // decoder and the one-pass one; MB/s is body bytes decoded per second.
 func BenchmarkDecodeRequest(b *testing.B) {
+	// Released buffers go back unpoisoned: overwriting 256 KiB per
+	// request is the tests' cost, not the server's.
+	defer func(poison func(*requestBuf)) { releasedRequestBuf = poison }(releasedRequestBuf)
+	releasedRequestBuf = nil
 	body := pairBody(b)
 	for _, c := range []struct {
 		name   string
 		decode func(http.ResponseWriter, *http.Request, interface{}) bool
 	}{{"reference", referenceDecodeInto}, {"onepass", decodeInto}} {
 		b.Run(c.name, func(b *testing.B) {
-			run, _ := decodeLoop(b, c.decode, body)
+			run := decodeLoop(b, c.decode, body, true)
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -296,14 +355,24 @@ func BenchmarkDecodeRequest(b *testing.B) {
 }
 
 // TestDecodeAllocs pins what decoding the pair body costs without a
-// trace: the body-size reader, the buffer, and one string per member,
-// nothing more (the api.decode span allocates only when traced), and no
-// bytes proportional to the body beyond the buffer and the strings.
+// trace. Read into a buffer of its own, that is the body-size reader,
+// the buffer and the schema string, nothing more (the api.decode span
+// allocates only when traced): both policies stay views into the body.
+// Read into a pooled buffer, as the middleware reads it, the buffer is
+// not allocated either, and no byte allocated grows with the body. That
+// count depends on a pool hit, which the race detector makes random, so
+// it is measured only without it.
 func TestDecodeAllocs(t *testing.T) {
 	body := pairBody(t)
-	run, out := decodeLoop(t, decodeInto, body)
-	if n := testing.AllocsPerRun(20, run); n != 2+3 {
-		t.Fatalf("decodeInto makes %v allocations, want 5: the bounded reader, the buffer and 3 strings", n)
+	if n := testing.AllocsPerRun(20, decodeLoop(t, decodeInto, body, false)); n != 3 {
+		t.Fatalf("decodeInto makes %v allocations, want 3: the bounded reader, the buffer and the schema", n)
+	}
+	if raceEnabled {
+		return
+	}
+	run := decodeLoop(t, decodeInto, body, true)
+	if n := testing.AllocsPerRun(20, run); n != 2 {
+		t.Fatalf("decodeInto into a pooled buffer makes %v allocations, want 2: the bounded reader and the schema", n)
 	}
 	var before, after runtime.MemStats
 	const runs = 20
@@ -312,10 +381,46 @@ func TestDecodeAllocs(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
-	// The allocator rounds a large object up to whole 8 KiB pages.
-	limit := uint64(len(body)+1+len(out.Schema)+len(out.A.Text)+len(out.B.Text)) + 3*8<<10 + 1<<10
-	if perOp > limit {
-		t.Fatalf("decodeInto allocates %d bytes for a %d-byte body, want at most %d", perOp, len(body), limit)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1<<10 {
+		t.Fatalf("decodeInto into a pooled buffer allocates %d bytes for a %d-byte body, want at most 1 KiB", perOp, len(body))
 	}
+}
+
+// checkScan holds scanString to unquoteInPlace on data: the same accept
+// or reject, and on accept the same end offset.
+func checkScan(t *testing.T, data []byte) {
+	n, ok := scanString(data)
+	_, want, wok := unquoteInPlace(bytes.Clone(data))
+	if ok != wok || ok && n != want {
+		t.Fatalf("scanString(%q) = %d, %v; unquoteInPlace ends at %d, %v", data, n, ok, want, wok)
+	}
+}
+
+// scanSeeds are the policy-string seeds, and each kind of byte
+// scanString stops at (an escape of every class, a control byte, a
+// closing quote, invalid UTF-8) at every offset of an eight-byte word,
+// with and without bytes after the closing quote.
+func scanSeeds() [][]byte {
+	var seeds [][]byte
+	for _, s := range policyStringSeeds {
+		seeds = append(seeds, []byte(strings.TrimLeft(s, " \t\r\n")))
+	}
+	specials := []string{`\"`, `\\`, `\/`, `\b`, `\f`, `\n`, `\r`, `\t`, `\u0026`, `\u003E`, `\ud83d\ude00`,
+		`\ud83d`, `\u12`, `\uzzzz`, `\x`, `\`, "\x00", "\x1f", "\x7f", "\xff", "é", `"`}
+	for _, sp := range specials {
+		for k := range 17 {
+			head := `"` + strings.Repeat("a", k) + sp
+			seeds = append(seeds, []byte(head), []byte(head+`tail"`), []byte(head+`0123456789"x`))
+		}
+	}
+	return seeds
+}
+
+// FuzzScanMatchesUnquote runs checkScan on arbitrary bytes; plain go
+// test runs it over the seeds.
+func FuzzScanMatchesUnquote(f *testing.F) {
+	for _, s := range scanSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(checkScan)
 }

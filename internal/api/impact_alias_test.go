@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"diversefw/internal/engine"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
 	"diversefw/internal/trace"
@@ -162,7 +161,7 @@ func TestImpactAliasBaseEvicted(t *testing.T) {
 	defer srv.Close()
 	first := postImpact(t, srv, reqOne)
 	postImpact(t, srv, reqTwo)
-	if _, aliased := srv.Engine().SourceHash(context.Background(), sourceKey("five", one)); !aliased {
+	if _, aliased := srv.Engine().SourceHash(context.Background(), wireKey(t, "five", one)); !aliased {
 		t.Fatal("the first before text is not aliased")
 	}
 	stats := srv.Engine().Stats()
@@ -208,7 +207,7 @@ func TestImpactUnparseableBeforeNeverAliased(t *testing.T) {
 		if !bytes.Contains(first.Body.Bytes(), []byte(CodeUnparseablePolicy)) || !bytes.Contains(first.Body.Bytes(), []byte("before:")) {
 			t.Fatalf("an unparseable before answered %s, want its own unparseable_policy error", first.Body)
 		}
-		if _, aliased := srv.Engine().SourceHash(context.Background(), engine.SourceKey("five", bad.Format, bad.Chain, bad.Text)); aliased {
+		if _, aliased := srv.Engine().SourceHash(context.Background(), wireKey(t, "five", bad)); aliased {
 			t.Fatal("an unparseable before was aliased")
 		}
 		srv.Close()

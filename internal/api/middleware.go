@@ -176,6 +176,32 @@ type statusWriter struct {
 	status      int
 	bytes       int
 	beforeWrite func(h http.Header)
+	// body is the pooled buffer the request body was read into, if any;
+	// it is the request's until releaseBody.
+	body *requestBuf
+}
+
+// pooledBody returns the request's pooled body buffer, taking one from
+// requestBufs on first use.
+func (w *statusWriter) pooledBody() []byte {
+	if w.body == nil {
+		w.body = requestBufs.Get().(*requestBuf)
+	}
+	return w.body[:]
+}
+
+// releaseBody puts the request's body buffer back into requestBufs. wrap
+// calls it once the handler has returned, on every exit: by then nothing
+// may hold a view into the body.
+func (w *statusWriter) releaseBody() {
+	if w.body == nil {
+		return
+	}
+	if releasedRequestBuf != nil {
+		releasedRequestBuf(w.body)
+	}
+	requestBufs.Put(w.body)
+	w.body = nil
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -275,10 +301,14 @@ func (s *Server) wrap(pattern string, h http.HandlerFunc) http.Handler {
 			defer s.inst.inflight.Dec()
 		}
 		sw := &statusWriter{ResponseWriter: w}
+		// Deferred before the accounting below, so it runs after it: the
+		// body goes back once the handler, its panic recovery included,
+		// has returned.
+		defer sw.releaseBody()
 		shed := false
 		if tr != nil {
 			sw.beforeWrite = func(h http.Header) {
-				if st := serverTiming(tr); st != "" {
+				if st := serverTiming(tr.Root(), time.Now()); st != "" {
 					h.Set("Server-Timing", st)
 				}
 			}
@@ -397,34 +427,51 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 // Server-Timing response header, in emission order. api.encode is not
 // among them: most bodies are encoded as they are written, after the
 // header.
-var serverTimingPhases = []string{"api.decode", "frontend.lower", "engine.hash", "construct", "shape", "compare", "resolve-generate", "resolve-verify"}
+var serverTimingPhases = [...]string{"api.decode", "frontend.lower", "engine.hash", "construct", "shape", "compare", "resolve-generate", "resolve-verify"}
 
-// serverTiming renders the trace's per-phase durations so far as a
-// Server-Timing header value: the named pipeline phases that actually
-// ran (a phase occurring twice — e.g. construct for each policy — is
-// summed), plus the total elapsed on the root. Empty when nothing ran.
-func serverTiming(tr *trace.Trace) string {
-	root := tr.Root().Snapshot()
-	sums := make(map[string]int64, len(serverTimingPhases))
-	root.Walk(func(sr trace.SpanRecord) {
-		name := sr.Name
+// serverTiming renders the per-phase durations of the trace under root
+// as of now as a Server-Timing header value: the named pipeline phases
+// that actually ran (a phase occurring twice — e.g. construct for each
+// policy — is summed), plus the total elapsed on the root. Empty when
+// nothing ran. It sums the live spans (trace.Span.WalkDurations), so the
+// header value is all it allocates.
+func serverTiming(root *trace.Span, now time.Time) string {
+	var sums [len(serverTimingPhases)]int64
+	total := int64(-1)
+	root.WalkDurations(now, func(name string, d time.Duration) {
+		if total < 0 {
+			total = d.Microseconds()
+		}
 		if name == "compare.direct" {
 			name = "compare" // the engine's diff walk is the served compare phase
 		}
-		sums[name] += sr.DurationMicros
+		for i, phase := range serverTimingPhases {
+			if name == phase {
+				sums[i] += d.Microseconds()
+				break
+			}
+		}
 	})
-	var b strings.Builder
-	for _, name := range serverTimingPhases {
-		if sums[name] == 0 {
+	var buf [512]byte
+	b := buf[:0]
+	for i, name := range serverTimingPhases {
+		if sums[i] == 0 {
 			continue
 		}
-		if b.Len() > 0 {
-			b.WriteString(", ")
+		if len(b) > 0 {
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s;dur=%.3f", name, float64(sums[name])/1000)
+		b = appendTiming(b, name, sums[i])
 	}
-	if b.Len() > 0 {
-		fmt.Fprintf(&b, ", total;dur=%.3f", float64(root.DurationMicros)/1000)
+	if len(b) == 0 {
+		return ""
 	}
-	return b.String()
+	return string(appendTiming(append(b, ", "...), "total", total))
+}
+
+// appendTiming appends one Server-Timing entry, name;dur=<ms>, with the
+// duration in milliseconds to three places.
+func appendTiming(b []byte, name string, micros int64) []byte {
+	b = append(append(b, name...), ";dur="...)
+	return strconv.AppendFloat(b, float64(micros)/1000, 'f', 3, 64)
 }

@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"diversefw/internal/metrics"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
+	"diversefw/internal/trace"
 )
 
 // post sends a raw body and returns the recorder.
@@ -299,5 +301,94 @@ func waitFor(t *testing.T, limit time.Duration, cond func() bool) {
 			t.Fatalf("condition not reached within %v", limit)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// referenceServerTiming is serverTiming as it was before it summed the
+// live spans: it sums the durations of a snapshot of the whole trace.
+// TestServerTimingMatchesSnapshot holds serverTiming to it.
+func referenceServerTiming(root trace.SpanRecord) string {
+	sums := make(map[string]int64, len(serverTimingPhases))
+	root.Walk(func(sr trace.SpanRecord) {
+		name := sr.Name
+		if name == "compare.direct" {
+			name = "compare" // the engine's diff walk is the served compare phase
+		}
+		sums[name] += sr.DurationMicros
+	})
+	var b strings.Builder
+	for _, name := range serverTimingPhases {
+		if sums[name] == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s;dur=%.3f", name, float64(sums[name])/1000)
+	}
+	if b.Len() > 0 {
+		fmt.Fprintf(&b, ", total;dur=%.3f", float64(root.DurationMicros)/1000)
+	}
+	return b.String()
+}
+
+// randomTrace builds a span tree under a fresh trace's root: phases that
+// repeat, compare.direct beside compare, names no header shows, spans
+// measured externally with sub-microsecond and multi-second durations,
+// and spans still running at every depth.
+func randomTrace(rng *rand.Rand) *trace.Trace {
+	names := append(serverTimingPhases[:], "compare.direct", "compile", "cache-lookup", "api.encode", "job.pair")
+	_, tr := trace.New(context.Background(), "/v1/diff", "differential")
+	spans := []*trace.Span{tr.Root()}
+	base := time.Now().Add(-time.Hour)
+	for range rng.IntN(40) {
+		parent := spans[rng.IntN(len(spans))]
+		name := names[rng.IntN(len(names))]
+		if rng.IntN(2) == 0 {
+			start := base.Add(time.Duration(rng.Int64N(int64(time.Minute))))
+			parent.AddCompleted(name, start, time.Duration(rng.Int64N(int64(3*time.Second))))
+			continue
+		}
+		child := parent.StartChild(name)
+		if rng.IntN(3) > 0 {
+			child.End()
+		}
+		spans = append(spans, child)
+	}
+	if rng.IntN(2) == 0 {
+		tr.Finish()
+	}
+	return tr
+}
+
+// TestServerTimingMatchesSnapshot holds serverTiming to the snapshot
+// it replaced, over random span trees, each read at one instant.
+func TestServerTimingMatchesSnapshot(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(1, 35))
+	for i := range 500 {
+		tr := randomTrace(rng)
+		now := time.Now()
+		got, want := serverTiming(tr.Root(), now), referenceServerTiming(tr.Root().SnapshotAt(now))
+		if got != want {
+			t.Fatalf("trace %d: serverTiming = %q, the snapshot gives %q", i, got, want)
+		}
+	}
+}
+
+// TestServerTimingAllocs: summing the live spans allocates the header
+// value and nothing else, and nothing when there is no header.
+func TestServerTimingAllocs(t *testing.T) {
+	_, tr := trace.New(context.Background(), "/v1/diff", "allocs")
+	now := time.Now()
+	if n := testing.AllocsPerRun(20, func() { serverTiming(tr.Root(), now) }); n != 0 {
+		t.Fatalf("serverTiming of a trace with no phase makes %v allocations, want 0", n)
+	}
+	for _, name := range serverTimingPhases {
+		tr.Root().AddCompleted(name, now, time.Millisecond)
+		tr.Root().StartChild(name).AddCompleted("compare.direct", now, time.Second)
+	}
+	if n := testing.AllocsPerRun(20, func() { serverTiming(tr.Root(), now) }); n != 1 {
+		t.Fatalf("serverTiming makes %v allocations, want 1: the header value", n)
 	}
 }

@@ -346,21 +346,23 @@ func convertPairError(err error) *PairError {
 }
 
 // parseInput lowers one PolicyInput through the frontend registry, under
-// a frontend.lower span. The returned error keeps its type
+// a frontend.lower span, which also covers unquoting a bare string the
+// request walk left quoted. The returned error keeps its type
 // (frontend.ParseError, ErrUnknownFormat, ErrSchema survive the
 // what-prefix wrapping) so writePolicyError can map it to the right code
 // and diagnostics.
 func parseInput(ctx context.Context, schema *field.Schema, in PolicyInput, what string) (*rule.Policy, error) {
 	_, sp := trace.Start(ctx, "frontend.lower")
+	text := in.text()
 	if sp != nil { // an untraced request boxes no attribute
 		format := in.Format
 		if format == "" {
 			format = frontend.DefaultFormat
 		}
 		sp.SetAttr("format", format)
-		sp.SetAttr("bytes", len(in.Text))
+		sp.SetAttr("bytes", len(text))
 	}
-	p, err := frontend.Parse(in.Format, schema, in.Text, frontend.Options{Chain: in.Chain})
+	p, err := frontend.Parse(in.Format, schema, text, frontend.Options{Chain: in.Chain})
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", what, err)
@@ -445,7 +447,7 @@ func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 // their compilations and records both aliases. On failure it writes the
 // error response and returns ok false.
 func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, schema *field.Schema, schemaName string, src [2]PolicyInput, what [2]string) (d engine.PairDiff, ok bool) {
-	ka, kb := sourceKey(schemaName, src[0]), sourceKey(schemaName, src[1])
+	ka, kb := src[0].key(schemaName), src[1].key(schemaName)
 	d, ok, err := s.eng.DiffSources(ctx, ka, kb)
 	if !ok {
 		var p [2]*rule.Policy
@@ -469,11 +471,6 @@ func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, schema 
 		s.observeTiming(d.Report.Timing)
 	}
 	return d, true
-}
-
-// sourceKey is the engine's text-alias key of a policy a request carries.
-func sourceKey(schema string, in PolicyInput) string {
-	return engine.SourceKey(schema, in.Format, in.Chain, in.Text)
 }
 
 // cachedTail ends a diff response served from the report cache: the
@@ -617,7 +614,7 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		// The edits path goes through the incremental pipeline: the
 		// after-FDD resumes the before policy's construction from a
 		// checkpoint when possible, and the response says whether it did.
-		key := sourceKey(req.Schema, req.Before)
+		key := req.Before.key(req.Schema)
 		d, ok, err := s.eng.DiffEditsSource(ctx, key, edits)
 		if ok {
 			before = d.Before.Policy

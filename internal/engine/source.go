@@ -10,12 +10,13 @@ import (
 	"diversefw/internal/trace"
 )
 
-// The text alias maps a policy's source to its content address, so that a
-// source seen before reaches its compilation without being parsed or
-// hashed again. A parse is a function of the source alone, so an alias
-// can be evicted but never goes stale; it is recorded only after the
-// source parsed and compiled, so a source that fails either is never
-// aliased.
+// The text alias maps a policy's source, the JSON value a request
+// carried it as, to its content address, so that a source seen before
+// reaches its compilation without being unquoted, parsed or hashed
+// again. Equal value bytes always decode to one source, and a parse is a
+// function of its source alone, so an alias can be evicted but never
+// goes stale; it is recorded only after the source parsed and compiled,
+// so a source that fails either is never aliased.
 const (
 	// sourceAliasShare is the alias's share of CompileCacheBytes, as its
 	// reciprocal: the compile cache keeps the rest, so the operator's
@@ -24,25 +25,29 @@ const (
 	// aliasCost is one alias entry's charge: its 32-byte key and 64-byte
 	// value, with the entry, list element and map slot that hold them.
 	aliasCost = 256
-	// sourceChunk is how much text SourceKey copies per digest write.
-	sourceChunk = 4 << 10
 )
 
+// sourceKeyTag opens every text-alias key's digest, so that no alias key
+// equals a digest some other scheme takes over the same bytes.
+const sourceKeyTag = "diversefw text alias: schema, JSON value\x00"
+
 // SourceKey returns the text-alias key of a policy source: the sha256
-// digest over its schema name, format, chain and text, each prefixed by
-// its length, so that no two sources share a key by splitting one string
-// differently. The text streams through one fixed buffer.
-func SourceKey(schema, format, chain, text string) string {
+// digest over a domain tag, the length-prefixed schema name, and value,
+// the policy's JSON value exactly as the request carried it (a bare
+// string token, escapes and all, or a {format, text, chain} object).
+// Respelling a value (\u0026 for &, members reordered) gives another key
+// for the same policy, which costs one miss, never a wrong answer.
+func SourceKey(schema string, value []byte) string {
 	h := sha256.New()
-	var buf [sourceChunk]byte
-	for _, s := range [...]string{schema, format, chain, text} {
-		h.Write(binary.AppendUvarint(buf[:0], uint64(len(s))))
-		for len(s) > 0 {
-			n := copy(buf[:], s)
-			h.Write(buf[:n])
-			s = s[n:]
-		}
+	var buf [len(sourceKeyTag) + binary.MaxVarintLen64]byte
+	b := binary.AppendUvarint(append(buf[:0], sourceKeyTag...), uint64(len(schema)))
+	h.Write(b)
+	for s := schema; len(s) > 0; {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
 	}
+	h.Write(value)
 	var sum [sha256.Size]byte
 	return string(h.Sum(sum[:0]))
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,22 +12,26 @@ import (
 	"diversefw/internal/synth"
 )
 
-// TestSourceKeyFields: every field of a source is in its key, and the
-// length prefixes keep a string split differently from colliding.
+// TestSourceKeyFields: the schema and every value byte are in a
+// source's key, the length prefix keeps a schema and value split
+// differently from colliding, and the domain tag keeps the key off the
+// plain digest of the same bytes.
 func TestSourceKeyFields(t *testing.T) {
 	t.Parallel()
 	keys := map[string]string{}
-	for _, src := range [][4]string{
-		{"five", "native", "", "any -> accept\n"},
-		{"four", "native", "", "any -> accept\n"},
-		{"five", "", "", "any -> accept\n"},
-		{"five", "native", "INPUT", "any -> accept\n"},
-		{"five", "native", "", "any -> accept \n"},
-		{"fiven", "ative", "", "any -> accept\n"},
-		{"five", "nativ", "e", "any -> accept\n"},
-		{"five", "native", "", ""},
+	for _, src := range [][2]string{
+		{"five", `"any -> accept\n"`},
+		{"four", `"any -> accept\n"`},
+		{"five", `"any -\u003e accept\n"`},
+		{"five", `"any -> accept \n"`},
+		{"five", `{"format":"native","text":"any -> accept\n"}`},
+		{"five", `{"text":"any -> accept\n","format":"native"}`},
+		{"fiv", `e"any -> accept\n"`},
+		{"five", `""`},
+		{"five", ``},
+		{"", `five""`},
 	} {
-		k := SourceKey(src[0], src[1], src[2], src[3])
+		k := SourceKey(src[0], []byte(src[1]))
 		if len(k) != 32 {
 			t.Fatalf("key of %q is %d bytes, want a sha256 digest", src, len(k))
 		}
@@ -33,22 +39,31 @@ func TestSourceKeyFields(t *testing.T) {
 			t.Fatalf("sources %q and %s share a key", src, other)
 		}
 		keys[k] = fmt.Sprintf("%q", src)
-		if k != SourceKey(src[0], src[1], src[2], src[3]) {
+		if k != SourceKey(src[0], []byte(src[1])) {
 			t.Fatalf("key of %q is not deterministic", src)
+		}
+		if plain := sha256.Sum256([]byte(src[0] + src[1])); k == string(plain[:]) {
+			t.Fatalf("key of %q is the untagged digest of its bytes", src)
 		}
 	}
 }
 
-// TestSourceKeyAllocsFlat: the text streams through a fixed buffer, so
-// the allocation count does not grow with it.
+// TestSourceKeyAllocsFlat: the value is hashed where it lies, so the
+// allocation count does not grow with it.
 func TestSourceKeyAllocsFlat(t *testing.T) {
-	small := "any -> accept\n"
-	large := rule.FormatPolicy(synth.RealLife(661, 1))
-	a := testing.AllocsPerRun(20, func() { SourceKey("five", "", "", small) })
-	b := testing.AllocsPerRun(20, func() { SourceKey("five", "", "", large) })
+	small := []byte(`"any -> accept\n"`)
+	large, _ := json.Marshal(rule.FormatPolicy(synth.RealLife(661, 1)))
+	a := testing.AllocsPerRun(20, func() { SourceKey("five", small) })
+	b := testing.AllocsPerRun(20, func() { SourceKey("five", large) })
 	if a != b || b > 2 {
 		t.Fatalf("SourceKey allocates %v for %d bytes and %v for %d bytes, want the same, at most 2", a, len(small), b, len(large))
 	}
+}
+
+// textKey is the key of a native text carried as a bare JSON string.
+func textKey(schema, text string) string {
+	raw, _ := json.Marshal(text)
+	return SourceKey(schema, raw)
 }
 
 // TestHashSpanAllocatesNothingUntraced: hashPolicy without a trace
@@ -72,7 +87,7 @@ func TestDiffSourcesNeedsAliasAndCompilations(t *testing.T) {
 	ctx := context.Background()
 	e := New(Config{})
 	pa, pb := mustPolicy(t, teamA), mustPolicy(t, teamB)
-	ka, kb := SourceKey("paper", "", "", teamA), SourceKey("paper", "", "", teamB)
+	ka, kb := textKey("paper", teamA), textKey("paper", teamB)
 	if _, ok, err := e.DiffSources(ctx, ka, kb); ok || err != nil {
 		t.Fatalf("DiffSources with no alias: ok %v, err %v", ok, err)
 	}
@@ -125,7 +140,7 @@ func TestAliasAndBodyCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	e.AliasSource(SourceKey("paper", "", "", teamA), d.A)
+	e.AliasSource(textKey("paper", teamA), d.A)
 	if got := e.Stats().Compile.Bytes - st.Compile.Bytes; got != aliasCost {
 		t.Fatalf("an alias added %d compile bytes, want %d", got, aliasCost)
 	}
@@ -172,8 +187,8 @@ func TestCachesStayWithinBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.AliasSource(SourceKey("five", "", fmt.Sprint(i), "a"), d.A)
-		e.AliasSource(SourceKey("five", "", fmt.Sprint(i), "b"), d.B)
+		e.AliasSource(textKey("five", fmt.Sprint("a", i)), d.A)
+		e.AliasSource(textKey("five", fmt.Sprint("b", i)), d.B)
 		e.EncodedReport(d, func() []byte { return make([]byte, 2000+100*i) })
 		st := e.Stats()
 		if st.Compile.Bytes > compileBytes || st.Reports.Bytes > reportBytes {

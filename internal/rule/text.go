@@ -412,38 +412,53 @@ func FormatValueSet(f field.Field, s interval.Set) string {
 
 // AppendValueSet appends FormatValueSet's rendering of s to b, the form
 // a caller writing a report straight into a buffer uses. It picks the
-// complemented form from interval counts and builds the complement only
-// when it prints it.
+// complemented form from interval counts, and within the domain appends
+// the complement's intervals, the gaps between s's, without building it.
 func AppendValueSet(b []byte, f field.Field, s interval.Set) []byte {
 	dom := f.Domain
 	lo, _ := s.Min()
 	hi, _ := s.Max()
-	complement := false
 	switch {
 	case s.Empty():
 	case lo < dom.Lo || hi > dom.Hi:
 		// Values outside the domain (a validated policy has none): the
 		// count argument below does not hold, so build the complement.
-		c := s.ComplementWithin(dom)
-		complement = !c.Empty() && c.NumIntervals() < s.NumIntervals()
+		if c := s.ComplementWithin(dom); !c.Empty() && c.NumIntervals() < s.NumIntervals() {
+			return appendNot(b, c.NumIntervals(), func(b []byte) []byte { return appendAtoms(b, f, c) })
+		}
 	case lo == dom.Lo && hi == dom.Hi:
 		if s.NumIntervals() == 1 {
 			return append(b, '*')
 		}
 		// Within the domain, the complement of n intervals is the n-1
 		// gaps between them plus one interval per domain end s leaves
-		// uncovered. It is strictly simpler exactly when s reaches both.
-		complement = true
+		// uncovered. It is strictly simpler exactly when s reaches both,
+		// and then it is the gaps alone.
+		return appendNot(b, s.NumIntervals()-1, func(b []byte) []byte { return appendGaps(b, f, s) })
 	}
-	if !complement {
-		return appendAtoms(b, f, s)
+	return appendAtoms(b, f, s)
+}
+
+// appendNot appends the complement whose n atoms atoms appends: !a for
+// one atom, !(a|b|...) for more.
+func appendNot(b []byte, n int, atoms func([]byte) []byte) []byte {
+	if n == 1 {
+		return atoms(append(b, '!'))
 	}
-	c := s.ComplementWithin(dom)
-	if c.NumIntervals() == 1 {
-		return appendAtoms(append(b, '!'), f, c)
+	return append(atoms(append(b, "!("...)), ')')
+}
+
+// appendGaps appends the gaps between s's intervals as '|'-joined atoms.
+func appendGaps(b []byte, f field.Field, s interval.Set) []byte {
+	var buf [8]interval.Interval
+	ivs := s.AppendIntervals(buf[:0])
+	for i := 1; i < len(ivs); i++ {
+		if i > 1 {
+			b = append(b, '|')
+		}
+		b = appendValueInterval(b, f, interval.Interval{Lo: ivs[i-1].Hi + 1, Hi: ivs[i].Lo - 1})
 	}
-	b = appendAtoms(append(b, "!("...), f, c)
-	return append(b, ')')
+	return b
 }
 
 func appendAtoms(b []byte, f field.Field, s interval.Set) []byte {

@@ -391,6 +391,102 @@ func TestFormatValueSetMatchesReference(t *testing.T) {
 	}
 }
 
+// appendValueSetReference is AppendValueSet as it was before it wrote
+// the gaps between a set's intervals itself: it builds every complement
+// it prints with ComplementWithin. AppendValueSet must stay
+// byte-identical to it.
+func appendValueSetReference(b []byte, f field.Field, s interval.Set) []byte {
+	dom := f.Domain
+	lo, _ := s.Min()
+	hi, _ := s.Max()
+	complement := false
+	switch {
+	case s.Empty():
+	case lo < dom.Lo || hi > dom.Hi:
+		c := s.ComplementWithin(dom)
+		complement = !c.Empty() && c.NumIntervals() < s.NumIntervals()
+	case lo == dom.Lo && hi == dom.Hi:
+		if s.NumIntervals() == 1 {
+			return append(b, '*')
+		}
+		complement = true
+	}
+	if !complement {
+		return appendAtoms(b, f, s)
+	}
+	c := s.ComplementWithin(dom)
+	if c.NumIntervals() == 1 {
+		return appendAtoms(append(b, '!'), f, c)
+	}
+	b = appendAtoms(append(b, "!("...), f, c)
+	return append(b, ')')
+}
+
+// TestAppendValueSetMatchesReference holds AppendValueSet to the
+// complement-building reference over random sets of every field kind:
+// sets touching neither, one or both domain ends, with up to a dozen
+// intervals, and sets reaching past the domain on either side. Each is
+// appended after existing bytes, which must stay as they are.
+func TestAppendValueSetMatchesReference(t *testing.T) {
+	t.Parallel()
+	fields := []field.Field{
+		{Name: "p", Domain: interval.MustNew(0, 65535), Kind: field.KindPort},
+		{Name: "proto", Domain: interval.MustNew(0, 255), Kind: field.KindProto},
+		{Name: "src", Domain: interval.MustNew(0, 1<<32-1), Kind: field.KindIPv4},
+		{Name: "x", Domain: interval.MustNew(0, 10), Kind: field.KindInt},
+		{Name: "y", Domain: interval.MustNew(5, 900), Kind: field.KindInt},
+	}
+	r := rand.New(rand.NewSource(35))
+	kinds := map[string]int{}
+	for i := 0; i < 20000; i++ {
+		f := fields[i%len(fields)]
+		dom := f.Domain
+		// Values range a little past the domain on both sides when the
+		// set is to reach outside it, and stay inside otherwise.
+		lo, hi := dom.Lo, dom.Hi
+		if r.Intn(5) == 0 {
+			lo, hi = dom.Lo-min(dom.Lo, 3), dom.Hi+3
+		}
+		var ivs []interval.Interval
+		for k := r.Intn(12); k >= 0; k-- {
+			a := lo + uint64(r.Int63n(int64(hi-lo)+1))
+			switch r.Intn(6) {
+			case 0:
+				a = dom.Lo
+			case 1:
+				a = hi
+			}
+			b := a + uint64(r.Int63n(int64(min(hi-a, uint64(r.Intn(3)+1)*(hi-lo)/16))+1))
+			if r.Intn(6) == 0 {
+				b = max(a, dom.Hi)
+			}
+			ivs = append(ivs, interval.MustNew(a, b))
+		}
+		s := interval.NewSet(ivs...)
+		got := AppendValueSet([]byte("p="), f, s)
+		want := appendValueSetReference([]byte("p="), f, s)
+		if string(got) != string(want) {
+			t.Fatalf("%s %v: got %q, reference %q", f.Name, s, got, want)
+		}
+		smin, _ := s.Min()
+		smax, _ := s.Max()
+		switch {
+		case s.Empty():
+		case smin < dom.Lo || smax > dom.Hi:
+			kinds["outside"]++
+		case smin == dom.Lo && smax == dom.Hi && s.NumIntervals() > 2:
+			kinds["both ends, several gaps"]++
+		case smin == dom.Lo && smax == dom.Hi && s.NumIntervals() == 2:
+			kinds["both ends, one gap"]++
+		}
+	}
+	for _, kind := range []string{"outside", "both ends, several gaps", "both ends, one gap"} {
+		if kinds[kind] < 100 {
+			t.Fatalf("only %d random sets are %s: %v", kinds[kind], kind, kinds)
+		}
+	}
+}
+
 func TestFormatParseRoundTrip(t *testing.T) {
 	t.Parallel()
 	s := ipv4Schema()

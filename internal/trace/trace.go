@@ -162,10 +162,41 @@ func (s *Span) AddCompleted(name string, start time.Time, d time.Duration, attrs
 // still running get their duration so far. Safe to call concurrently
 // with ongoing span activity. On a nil span it returns a zero record.
 func (s *Span) Snapshot() SpanRecord {
+	return s.SnapshotAt(time.Now())
+}
+
+// SnapshotAt is Snapshot with spans still running given their duration
+// up to now.
+func (s *Span) SnapshotAt(now time.Time) SpanRecord {
 	if s == nil {
 		return SpanRecord{}
 	}
-	return s.snapshot(time.Now())
+	return s.snapshot(now)
+}
+
+// WalkDurations calls fn with the name and duration of the span and of
+// every span under it, depth first, parents before children: the names
+// and durations SnapshotAt(now) records, spans still running given
+// their duration up to now, but with no record built. Each span is read
+// under its own lock and nothing is copied. Safe to call concurrently
+// with ongoing span activity; a no-op on a nil span.
+func (s *Span) WalkDurations(now time.Time, fn func(name string, d time.Duration)) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	end := s.end
+	// Children only ever gain entries, so the prefix this header covers
+	// stays as it is after the lock is released.
+	children := s.children
+	s.mu.Unlock()
+	if end.IsZero() {
+		end = now
+	}
+	fn(s.name, end.Sub(s.start))
+	for _, c := range children {
+		c.WalkDurations(now, fn)
+	}
 }
 
 func (s *Span) snapshot(now time.Time) SpanRecord {

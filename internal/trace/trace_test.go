@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -117,4 +118,59 @@ func TestNewGeneratesID(t *testing.T) {
 	if tr.ID() == tr2.ID() {
 		t.Fatalf("two generated IDs collided: %q", tr.ID())
 	}
+}
+
+// TestWalkDurationsMatchesSnapshot: WalkDurations visits the spans
+// SnapshotAt records, in its walk order, with the same durations, running
+// spans included; and it may run while another goroutine adds children,
+// attributes and ends to the tree it walks.
+func TestWalkDurationsMatchesSnapshot(t *testing.T) {
+	_, tr := New(context.Background(), "root", "walk")
+	mid := tr.Root().StartChild("mid")
+	tr.Root().AddCompleted("done", time.Now().Add(-time.Second), 1500*time.Microsecond)
+	mid.StartChild("running").StartChild("ended").End()
+	type visit struct {
+		name   string
+		micros int64
+	}
+	walk := func(now time.Time) (walked, snap []visit) {
+		tr.Root().WalkDurations(now, func(name string, d time.Duration) {
+			walked = append(walked, visit{name, d.Microseconds()})
+		})
+		tr.Root().SnapshotAt(now).Walk(func(sr SpanRecord) {
+			snap = append(snap, visit{sr.Name, sr.DurationMicros})
+		})
+		return walked, snap
+	}
+	now := time.Now().Add(time.Second)
+	if walked, snap := walk(now); len(walked) != 5 || fmt.Sprint(walked) != fmt.Sprint(snap) {
+		t.Fatalf("walk visited %v, the snapshot records %v", walked, snap)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 1000 {
+			c := mid.StartChild("leaf")
+			c.SetAttr("i", i)
+			if i%2 == 0 {
+				c.End()
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		// A child added after the walk read its parent is missing from
+		// the walk and may be in the later snapshot.
+		walked, snap := walk(time.Now())
+		if len(walked) < 5 || len(walked) > len(snap) || walked[0] != snap[0] || walked[1] != snap[1] {
+			t.Fatalf("walk visited %d spans from %v, the later snapshot %d from %v", len(walked), walked[:2], len(snap), snap[:2])
+		}
+	}
+	var nilSpan *Span
+	nilSpan.WalkDurations(time.Now(), func(string, time.Duration) { t.Fatal("a nil span was walked") })
 }

@@ -115,6 +115,12 @@ go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/pr
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/api/
 
+# A bare-string policy is validated without being unquoted (scanString);
+# the differential holds it to the unquoting it stands in for: the same
+# accept or reject and the same end offset, over every escape class,
+# control bytes and invalid UTF-8 at every offset of an eight-byte word.
+go test -run=NONE -fuzz='^FuzzScanMatchesUnquote$' -fuzztime=1x ./internal/api/
+
 # The crosscompare, job status and diff bodies are written without
 # encoding/json; the differential holds every writer to encoding/json of
 # its reference struct, byte for byte, over random reports, names with
@@ -135,6 +141,14 @@ go test -run=NONE -fuzz='^FuzzTextAliasMatchesParse$' -fuzztime=1x ./internal/ap
 # under the race detector, since a cached "ok" says nothing about a
 # lookup that concurrent requests share.
 go test -race -count=1 -run 'Alias|Impact' ./internal/api/ ./internal/engine/
+
+# Request bodies are read into pooled buffers and policy tokens stay
+# views into them until the handler returns; the api tests overwrite
+# every released buffer (TestMain), so a view that outlived its request
+# reads garbage. The alias, decode and job tests rerun uncached under
+# the race detector with that on, where concurrent requests share the
+# pool.
+go test -race -count=1 -run 'Alias|Decode|Respelled|Jobs' ./internal/api/
 
 # Construction builds in a pointer-free node store (fdd.Store) and
 # publishes each diagram by materializing it; the differential holds it
