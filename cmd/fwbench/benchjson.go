@@ -570,8 +570,9 @@ func benchJSON(cfg config) error {
 	return nil
 }
 
-// gate fails the run if any of cfg.gatePhases regressed more than
-// cfg.gatePct percent against the baseline's ns/op. Phases the baseline
+// gate fails the run if any of cfg.gatePhases regressed more than its
+// envelope against the baseline's ns/op: the percent an entry names as
+// phase:pct, or cfg.gatePct for a bare phase name. Phases the baseline
 // never measured are skipped (a new phase cannot regress). A phase that
 // appears over the limit is re-measured up to twice and judged on its
 // minimum: on a small shared machine single testing.Benchmark runs
@@ -602,10 +603,17 @@ func gate(cfg config, base *benchReport, report *benchReport, remeasure func(str
 		curNs[p.Name] = p.NsPerOp
 	}
 	var failures []string
-	for _, name := range strings.Split(cfg.gatePhases, ",") {
-		name = strings.TrimSpace(name)
+	for _, entry := range strings.Split(cfg.gatePhases, ",") {
+		name, pctText, own := strings.Cut(strings.TrimSpace(entry), ":")
 		if name == "" {
 			continue
+		}
+		envelope := cfg.gatePct
+		if own {
+			var err error
+			if envelope, err = strconv.ParseFloat(pctText, 64); err != nil || envelope <= 0 {
+				return fmt.Errorf("gate: bad envelope in %q", entry)
+			}
 		}
 		cur, ok := curNs[name]
 		if !ok {
@@ -615,7 +623,7 @@ func gate(cfg config, base *benchReport, report *benchReport, remeasure func(str
 		if !ok || bn <= 0 {
 			continue
 		}
-		limit := float64(bn) * (1 + cfg.gatePct/100)
+		limit := float64(bn) * (1 + envelope/100)
 		for retry := 0; float64(cur) > limit && retry < 2 && remeasure != nil; retry++ {
 			again, ok := remeasure(name)
 			if !ok {
@@ -629,9 +637,9 @@ func gate(cfg config, base *benchReport, report *benchReport, remeasure func(str
 		pct := (float64(cur)/float64(bn) - 1) * 100
 		if float64(cur) > limit {
 			failures = append(failures, fmt.Sprintf("%s: %d ns/op vs baseline %d (%+.1f%%, limit +%.1f%%)",
-				name, cur, bn, pct, cfg.gatePct))
+				name, cur, bn, pct, envelope))
 		} else {
-			fmt.Printf("gate ok: %-12s %+.1f%% vs baseline (limit +%.1f%%)\n", name, pct, cfg.gatePct)
+			fmt.Printf("gate ok: %-12s %+.1f%% vs baseline (limit +%.1f%%)\n", name, pct, envelope)
 		}
 	}
 	if len(failures) > 0 {

@@ -69,7 +69,7 @@ func run() int {
 	fs.StringVar(&cfg.baseline, "baseline", "", "prior BENCH_*.json to compute speedups against (-json only)")
 	fs.IntVar(&cfg.benchRules, "benchrules", 1000, "synthetic pair size for -json")
 	fs.Float64Var(&cfg.gatePct, "gate", 0, "fail (exit 1) if any -gatephases phase regresses more than this percent vs -baseline (0 disables)")
-	fs.StringVar(&cfg.gatePhases, "gatephases", "construct,compare", "comma-separated phases the -gate check applies to")
+	fs.StringVar(&cfg.gatePhases, "gatephases", "construct,compare", "comma-separated phases the -gate check applies to; phase:pct gives a phase its own envelope")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: fwbench [-exp name] [-trials k] [-csv dir] | fwbench -json [-baseline file] [-gate pct]")
 		fs.PrintDefaults()

@@ -185,3 +185,26 @@ func TestGateCatchesRegression(t *testing.T) {
 		t.Fatalf("failing gate must still leave the snapshot: %v", err)
 	}
 }
+
+// TestGatePerPhaseEnvelope: a phase:pct entry judges that phase on its
+// own envelope and a bare phase name on -gate's, against a baseline
+// rescaled by the calibration ratio.
+func TestGatePerPhaseEnvelope(t *testing.T) {
+	base := &benchReport{CalibrationNsPerOp: 100, Phases: []phaseResult{{Name: "construct", NsPerOp: 1000}, {Name: "compare", NsPerOp: 1000}}}
+	cur := &benchReport{CalibrationNsPerOp: 200, Phases: []phaseResult{{Name: "construct", NsPerOp: 2800}, {Name: "compare", NsPerOp: 2500}}}
+	for _, c := range []struct {
+		phases string
+		pass   bool
+	}{
+		{"construct:50,compare", true},     // +40% under 50%, +25% under -gate's 30%
+		{"construct,compare", false},       // +40% over -gate's 30%
+		{"construct:50,compare:20", false}, // +25% over 20%
+		{"construct:x", false},
+		{"construct:0", false},
+	} {
+		err := gate(config{gatePct: 30, gatePhases: c.phases}, base, cur, nil)
+		if (err == nil) != c.pass {
+			t.Fatalf("-gatephases %q: gate error %v, want pass %v", c.phases, err, c.pass)
+		}
+	}
+}

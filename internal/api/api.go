@@ -49,9 +49,10 @@ type PolicyInput struct {
 	// the bytes the engine's text alias is keyed by (see key). Every
 	// decode writes the whole struct, so raw always belongs to the
 	// fields beside it. A bare string the request walk decoded is a view
-	// into the request body, validated but still quoted, with Text left
-	// empty until parseInput unquotes it (see text); UnmarshalJSON keeps
-	// a copy and fills Text.
+	// into the request body, still quoted, with Text left empty until it
+	// is unquoted (see text); /v1/diff and /v1/impact validate it only
+	// when an answer needs it (pendingTokens). UnmarshalJSON keeps a copy
+	// and fills Text.
 	raw []byte
 }
 
@@ -101,10 +102,11 @@ func (p *PolicyInput) text() string {
 	if !p.quoted() {
 		return p.Text
 	}
+	countValidation()
 	s, err := unquoteString(p.raw)
 	if err != nil {
-		// The walk validated raw with scanString, which accepts exactly
-		// what unquoting does.
+		// A token is unquoted only once validated, and scanString accepts
+		// exactly what unquoting does.
 		panic("api: a validated policy string does not unquote")
 	}
 	return s

@@ -34,6 +34,17 @@ var requestBufs = sync.Pool{New: func() any { return new(requestBuf) }}
 // so a view into a request body that outlived its request reads garbage.
 var releasedRequestBuf func(*requestBuf)
 
+// validatedPolicyToken, when set, is called on every pass that validates
+// a bare-string policy token: scanning it (scanString) or unquoting it.
+// The package's tests set it to count the passes a request makes.
+var validatedPolicyToken func()
+
+func countValidation() {
+	if validatedPolicyToken != nil {
+		validatedPolicyToken()
+	}
+}
+
 // readBody reads r's body whole into one buffer under maxBodyBytes, so a
 // body over the bound is an *http.MaxBytesError wherever its bytes would
 // stop parsing. The buffer is sized from Content-Length and never grows
@@ -90,16 +101,23 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // v, a pointer to a request struct, walking the object once. A member
 // whose key is exactly the json tag of a field decodeBody owns (see
 // directFields) and whose value is the JSON kind it takes is decoded in
-// the walk: a bare-string policy is validated (scanString) and kept as a
-// view into body, still quoted; any other string is unquoted in place
-// (body is the caller's to overwrite) and copied out; and an array is
-// walked element by element, each string element unquoted and each
-// object element walked as a struct. Every other member or element goes
-// to encoding/json with unknown fields disallowed (a member as a
-// one-member object), which keeps key folding, unknown-field rejection,
-// type errors, null and nested values as they were. Members apply in
-// body order, so the last of a duplicate key wins, as in encoding/json.
-func decodeBody(body []byte, v any) error {
+// the walk: a bare-string policy is kept as a view into body, still
+// quoted; any other string is unquoted in place (body is the caller's to
+// overwrite) and copied out; and an array is walked element by element,
+// each string element unquoted and each object element walked as a
+// struct. Every other member or element goes to encoding/json with
+// unknown fields disallowed (a member as a one-member object), which
+// keeps key folding, unknown-field rejection, type errors, null and
+// nested values as they were. Members apply in body order, so the last of
+// a duplicate key wins, as in encoding/json.
+//
+// A bare-string policy is validated in the walk (scanString) when pend is
+// nil. Otherwise a top-level one is only bounded (stringEnd) and added to
+// pend, for the caller to settle; an error decodeBody returns is that of
+// the first pending token that fails validation, if one does, as the walk
+// would have stopped there. Policies inside arrays are always validated
+// in the walk: a shorter duplicate array can drop them.
+func decodeBody(body []byte, v any, pend *pendingTokens) error {
 	i := skipSpace(body, 0)
 	if i == len(body) {
 		return errors.New("unexpected end of JSON input")
@@ -112,19 +130,23 @@ func decodeBody(body []byte, v any) error {
 		}
 		return errors.New("request body must be a JSON object")
 	}
-	i, err := decodeObject(body, i, reflect.ValueOf(v).Elem())
-	if err != nil {
-		return err
+	i, err := decodeObject(body, i, reflect.ValueOf(v).Elem(), pend)
+	if err == nil && skipSpace(body, i) < len(body) {
+		err = errors.New("trailing data after JSON body")
 	}
-	if skipSpace(body, i) < len(body) {
-		return errors.New("trailing data after JSON body")
+	if err != nil {
+		if perr := pend.settle(); perr != nil {
+			return perr
+		}
+		return err
 	}
 	return nil
 }
 
 // decodeObject decodes the object that starts at body[i] into rv, an
-// addressable struct, and returns the offset just past it.
-func decodeObject(body []byte, i int, rv reflect.Value) (int, error) {
+// addressable struct, and returns the offset just past it. Its bare-string
+// policies go to pend, or are validated in the walk when pend is nil.
+func decodeObject(body []byte, i int, rv reflect.Value, pend *pendingTokens) (int, error) {
 	fields := directFields(rv.Type())
 	i = skipSpace(body, i+1)
 	if i < len(body) && body[i] == '}' {
@@ -142,7 +164,7 @@ func decodeObject(body []byte, i int, rv reflect.Value) (int, error) {
 		j = skipSpace(body, j+1)
 		var err error
 		if f := lookupField(fields, body[i+1:keyEnd-1]); f != nil && j < len(body) && body[j] == f.opens() {
-			j, err = f.decode(body, j, rv.Field(f.index))
+			j, err = f.decode(body, j, rv.Field(f.index), pend)
 		} else {
 			end := valueEnd(body, j)
 			member := make([]byte, 0, end-i+2)
@@ -224,7 +246,7 @@ func decodeElement(body []byte, i int, ev reflect.Value) (int, error) {
 		ev.SetString(s)
 		return i + n, nil
 	case ev.Kind() == reflect.Struct && body[i] == '{':
-		return decodeObject(body, i, ev)
+		return decodeObject(body, i, ev, nil)
 	case isNull(body, i):
 		return i + 4, nil
 	}
@@ -271,13 +293,22 @@ func skipSpace(body []byte, i int) int {
 
 // stringEnd returns the offset just past the string token that starts
 // at body[i], or len(body)+1 when it is not closed (slicing up to
-// stringEnd-1 stays in bounds, and nothing follows it).
+// stringEnd-1 stays in bounds, and nothing follows it). The token ends at
+// its first quote preceded by an even run of backslashes, as a walk that
+// skips the byte after each backslash finds it; for a valid token that is
+// where scanString ends, and finding it takes bytes.IndexByte's pace.
 func stringEnd(body []byte, i int) int {
 	for i++; i < len(body); i++ {
-		switch body[i] {
-		case '\\':
-			i++
-		case '"':
+		q := bytes.IndexByte(body[i:], '"')
+		if q < 0 {
+			break
+		}
+		i += q
+		run := 0
+		for body[i-1-run] == '\\' {
+			run++
+		}
+		if run%2 == 0 {
 			return i + 1
 		}
 	}
@@ -343,17 +374,30 @@ func (f *directField) opens() byte {
 }
 
 // decode decodes the value that starts at body[i], which opens f's kind,
-// into fv and returns the offset just past it. A policy string is
-// validated but not unquoted: the PolicyInput keeps its token, a view
-// into body, for the text alias to key and parseInput to unquote.
-func (f *directField) decode(body []byte, i int, fv reflect.Value) (int, error) {
+// into fv and returns the offset just past it. A policy string is not
+// unquoted: the PolicyInput keeps its token, a view into body, for the
+// text alias to key and parseInput to unquote. It is validated here when
+// pend is nil; otherwise it is only bounded and added to pend.
+func (f *directField) decode(body []byte, i int, fv reflect.Value, pend *pendingTokens) (int, error) {
 	var n int
 	var ok bool
 	switch f.kind {
 	case directSlice:
 		return decodeArray(body, i, fv)
 	case directPolicy:
-		if n, ok = scanString(body[i:]); ok {
+		if pend != nil {
+			n = stringEnd(body, i) - i
+			ok = i+n <= len(body)
+			if ok && n > 2 { // "" is valid as it is bounded
+				if err := pend.add(f.name, body[i:i+n:i+n]); err != nil {
+					return 0, err
+				}
+			}
+		} else {
+			countValidation()
+			n, ok = scanString(body[i:])
+		}
+		if ok {
 			*fv.Addr().Interface().(*PolicyInput) = PolicyInput{raw: body[i : i+n : i+n]}
 		}
 	default:
@@ -363,9 +407,121 @@ func (f *directField) decode(body []byte, i int, fv reflect.Value) (int, error) 
 		}
 	}
 	if !ok {
-		return 0, fmt.Errorf("invalid JSON string in member %q", f.name)
+		return 0, badString(f.name)
 	}
 	return i + n, nil
+}
+
+// badString is the error of a member whose string is not one valid JSON
+// string.
+func badString(member string) error {
+	return fmt.Errorf("invalid JSON string in member %q", member)
+}
+
+// maxPendingTokens bounds a pendingTokens list. A request carries at most
+// two top-level policies; only a duplicate key adds a token.
+const maxPendingTokens = 4
+
+// pendingTokens lists the top-level bare-string policy tokens a walk has
+// bounded but not validated, in body order, with no allocation. Each is
+// validated before an error is written or an answer depends on it, except
+// a token that is exactly the value bytes of a policy the engine's text
+// alias held: the alias gets an entry only after those very bytes were
+// validated and parsed, so the hit proves them valid. A token another
+// member overwrote stays listed, since its error would still come first.
+type pendingTokens struct {
+	toks [maxPendingTokens]pendingToken
+	n    int
+}
+
+type pendingToken struct {
+	member string // the member's key, which names the token in its error
+	tok    []byte // the token, quotes included: a view into the body
+}
+
+// add appends a token. A full list first validates its earliest one,
+// which keeps the list in body order.
+func (p *pendingTokens) add(member string, tok []byte) error {
+	if p.n == len(p.toks) {
+		if err := p.toks[0].validate(nil); err != nil {
+			p.n = 0
+			return err
+		}
+		copy(p.toks[:], p.toks[1:])
+		p.n--
+	}
+	p.toks[p.n] = pendingToken{member, tok}
+	p.n++
+	return nil
+}
+
+// settle validates every listed token in body order and empties the list.
+// A token that is exactly the value bytes of one of unquote is validated
+// by unquoting it into that policy's Text, so parsing it scans it no more.
+// The error is the first invalid token's. A nil list holds nothing.
+func (p *pendingTokens) settle(unquote ...*PolicyInput) error {
+	if p == nil {
+		return nil
+	}
+	toks := p.toks[:p.n]
+	p.n = 0
+	for i := range toks {
+		if err := toks[i].validate(owner(toks[i].tok, unquote)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settleExcept validates, in body order, every listed token that is not
+// exactly the value bytes of one of keep, and leaves keep's listed. The
+// error is the first invalid token's in body order, one of keep's
+// included.
+func (p *pendingTokens) settleExcept(keep ...*PolicyInput) error {
+	n := 0 // p.toks[:n] are keep's tokens seen so far
+	for _, t := range p.toks[:p.n] {
+		if owner(t.tok, keep) == nil {
+			if t.validate(nil) == nil {
+				continue
+			}
+			// Settled behind the kept tokens before it, t gives the
+			// first error.
+			p.toks[n] = t
+			p.n = n + 1
+			return p.settle()
+		}
+		p.toks[n] = t
+		n++
+	}
+	p.n = n
+	return nil
+}
+
+// validate validates t by scanning it, or, with into set, by unquoting it
+// into into.Text.
+func (t *pendingToken) validate(into *PolicyInput) error {
+	countValidation()
+	ok := false
+	if into == nil {
+		_, ok = scanString(t.tok)
+	} else if s, err := unquoteString(t.tok); err == nil {
+		into.Text, ok = s, true
+	}
+	if !ok {
+		return badString(t.member)
+	}
+	return nil
+}
+
+// owner returns the policy among ps whose value bytes are exactly tok,
+// the same bytes of the same body, or nil.
+func owner(tok []byte, ps []*PolicyInput) *PolicyInput {
+	for _, p := range ps {
+		if len(p.raw) == len(tok) && len(tok) > 0 && &p.raw[0] == &tok[0] {
+			return p
+		}
+	}
+	return nil
 }
 
 // directFieldCache maps a struct type to its []directField.

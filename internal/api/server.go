@@ -259,8 +259,17 @@ func (s *Server) version(w http.ResponseWriter, r *http.Request) {
 // null, which leaves v as it is) — trailing garbage such as `{...}{...}`
 // is a 400, not silently ignored.
 // The body is read once and decoded in one walk (decodeBody) under an
-// api.decode span.
+// api.decode span, which validates every policy token.
 func decodeInto(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	return decodeDeferred(w, r, v, nil)
+}
+
+// decodeDeferred is decodeInto for a handler that validates its top-level
+// bare-string policy tokens itself: the walk only bounds them and lists
+// them in pend, which the handler settles before it writes an error or an
+// answer that needs them (see pendingTokens). A nil pend validates them
+// in the walk.
+func decodeDeferred(w http.ResponseWriter, r *http.Request, v interface{}, pend *pendingTokens) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("use POST"))
@@ -272,8 +281,25 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 		sp.SetAttr("bytes", len(body))
 	}
 	if err == nil {
-		err = decodeBody(body, v)
+		err = decodeBody(body, v, pend)
 	}
+	sp.End()
+	if err != nil {
+		writeBodyError(w, err)
+		return false
+	}
+	return true
+}
+
+// settled settles pend (pendingTokens.settle), unquoting the tokens of
+// unquote, under an api.decode span when it has tokens to validate. When
+// one is invalid it writes that token's body error and returns false.
+func settled(ctx context.Context, w http.ResponseWriter, pend *pendingTokens, unquote ...*PolicyInput) bool {
+	if pend.n == 0 {
+		return true
+	}
+	_, sp := trace.Start(ctx, "api.decode")
+	err := pend.settle(unquote...)
 	sp.End()
 	if err != nil {
 		writeBodyError(w, err)
@@ -347,7 +373,8 @@ func convertPairError(err error) *PairError {
 
 // parseInput lowers one PolicyInput through the frontend registry, under
 // a frontend.lower span, which also covers unquoting a bare string the
-// request walk left quoted. The returned error keeps its type
+// request walk left quoted (settling pending tokens unquotes them before
+// it). The returned error keeps its type
 // (frontend.ParseError, ErrUnknownFormat, ErrSchema survive the
 // what-prefix wrapping) so writePolicyError can map it to the right code
 // and diagnostics.
@@ -420,21 +447,29 @@ func writePolicyError(w http.ResponseWriter, err error) {
 }
 
 // diff is POST /v1/diff. Sources it has diffed before reach their
-// compilations through the engine's text alias, without being parsed or
-// hashed (engine.DiffSources); any other request parses both policies,
-// diffs them through their compilations and records both aliases. Either
-// way the answer is the pair's one cached report.
+// compilations through the engine's text alias, without being validated,
+// parsed or hashed (engine.DiffSources); any other request parses both
+// policies, diffs them through their compilations and records both
+// aliases. Either way the answer is the pair's one cached report.
 func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 	var req DiffRequest
-	if !decodeInto(w, r, &req) {
-		return
+	var pend pendingTokens
+	if decodeDeferred(w, r, &req, &pend) {
+		s.serveDiff(w, r, &req, &pend)
 	}
+}
+
+// serveDiff answers a decoded /v1/diff request whose pending policy
+// tokens are pend.
+func (s *Server) serveDiff(w http.ResponseWriter, r *http.Request, req *DiffRequest, pend *pendingTokens) {
 	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
+		if settled(r.Context(), w, pend) {
+			writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
+		}
 		return
 	}
-	d, ok := s.diffSources(r.Context(), w, schema, req.Schema, [2]PolicyInput{req.A, req.B}, [2]string{"policy a", "policy b"})
+	d, ok := s.diffSources(r.Context(), w, pend, schema, req.Schema, [2]PolicyInput{req.A, req.B}, [2]string{"policy a", "policy b"})
 	if ok {
 		writeReport(r.Context(), w, s.eng, schema, d)
 	}
@@ -442,14 +477,22 @@ func (s *Server) diff(w http.ResponseWriter, r *http.Request) {
 
 // diffSources diffs the two policies a request carries, named what in
 // errors. Sources it has diffed before reach their compilations through
-// the engine's text alias, without being parsed or hashed
-// (engine.DiffSources); otherwise it parses both, diffs them through
-// their compilations and records both aliases. On failure it writes the
-// error response and returns ok false.
-func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, schema *field.Schema, schemaName string, src [2]PolicyInput, what [2]string) (d engine.PairDiff, ok bool) {
+// the engine's text alias, without being validated, parsed or hashed
+// (engine.DiffSources): every other pending token is validated first.
+// Otherwise it validates and unquotes both, parses them, diffs them
+// through their compilations and records both aliases. On failure it
+// writes the error response and returns ok false.
+func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, pend *pendingTokens, schema *field.Schema, schemaName string, src [2]PolicyInput, what [2]string) (d engine.PairDiff, ok bool) {
+	if err := pend.settleExcept(&src[0], &src[1]); err != nil {
+		writeBodyError(w, err)
+		return d, false
+	}
 	ka, kb := src[0].key(schemaName), src[1].key(schemaName)
 	d, ok, err := s.eng.DiffSources(ctx, ka, kb)
 	if !ok {
+		if !settled(ctx, w, pend, &src[0], &src[1]) {
+			return d, false
+		}
 		var p [2]*rule.Policy
 		for i := range p {
 			if p[i], err = parseInput(ctx, schema, src[i], what[i]); err != nil {
@@ -557,26 +600,37 @@ func (s *Server) crossCompare(w http.ResponseWriter, r *http.Request) {
 
 // impact is POST /v1/impact. Its before policy is found as /v1/diff finds
 // its policies: through the engine's text alias when its source was seen
-// before, so a base that many edit scripts are run against is parsed and
-// hashed once. An after text makes the request a diff of two sources
-// (diffSources); an edit script runs from the before policy's
+// before, so a base that many edit scripts are run against is validated,
+// parsed and hashed once. An after text makes the request a diff of two
+// sources (diffSources); an edit script runs from the before policy's
 // compilation (engine.DiffEditsSource), and on an alias miss the handler
 // parses before, runs it (engine.DiffEdits) and records the alias.
 func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 	var req ImpactRequest
-	if !decodeInto(w, r, &req) {
-		return
+	var pend pendingTokens
+	if decodeDeferred(w, r, &req, &pend) {
+		s.serveImpact(w, r, &req, &pend)
 	}
+}
+
+// serveImpact answers a decoded /v1/impact request whose pending policy
+// tokens are pend.
+func (s *Server) serveImpact(w http.ResponseWriter, r *http.Request, req *ImpactRequest, pend *pendingTokens) {
+	ctx := r.Context()
 	schema, err := field.SchemaByName(req.Schema)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
+		if settled(ctx, w, pend) {
+			writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
+		}
 		return
 	}
-	ctx := r.Context()
-	// A before that does not parse is the first error a request gets, so
-	// every other request error is written by badRequest, which parses
-	// before first.
+	// A before that does not parse is the first error a request gets after
+	// its body's own, so every other request error is written by
+	// badRequest, which settles the body and parses before first.
 	badRequest := func(code string, err error) {
+		if !settled(ctx, w, pend, &req.Before) {
+			return
+		}
 		if _, perr := parseInput(ctx, schema, req.Before, "before"); perr != nil {
 			writePolicyError(w, perr)
 			return
@@ -593,7 +647,7 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		st            engine.EditStats
 	)
 	if !req.After.IsZero() {
-		d, ok := s.diffSources(ctx, w, schema, req.Schema, [2]PolicyInput{req.Before, req.After}, [2]string{"before", "after"})
+		d, ok := s.diffSources(ctx, w, pend, schema, req.Schema, [2]PolicyInput{req.Before, req.After}, [2]string{"before", "after"})
 		if !ok {
 			return
 		}
@@ -611,6 +665,10 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 			}
 			edits = append(edits, e)
 		}
+		if err := pend.settleExcept(&req.Before); err != nil {
+			writeBodyError(w, err)
+			return
+		}
 		// The edits path goes through the incremental pipeline: the
 		// after-FDD resumes the before policy's construction from a
 		// checkpoint when possible, and the response says whether it did.
@@ -619,6 +677,9 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			before = d.Before.Policy
 		} else {
+			if !settled(ctx, w, pend, &req.Before) {
+				return
+			}
 			if before, err = parseInput(ctx, schema, req.Before, "before"); err != nil {
 				writePolicyError(w, err)
 				return

@@ -115,6 +115,13 @@ go test -run=NONE -fuzz='^FuzzParseMatchesReference$' -fuzztime=1x ./internal/pr
 go test -run=NONE -fuzz='^FuzzPolicyInputString$' -fuzztime=1x ./internal/api/
 go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/api/
 
+# /v1/diff and /v1/impact validate a top-level policy token only when an
+# answer needs it, and not at all when it hits the text alias; the
+# differential serves each body to a primed server and to the eager
+# walk's handler on a twin, and holds every status, code, message and
+# body to the eager one's.
+go test -run=NONE -fuzz='^FuzzDeferredDecodeMatchesEager$' -fuzztime=1x ./internal/api/
+
 # A bare-string policy is validated without being unquoted (scanString);
 # the differential holds it to the unquoting it stands in for: the same
 # accept or reject and the same end offset, over every escape class,
@@ -220,32 +227,35 @@ go test -race -count=1 -run 'TestScratchAndResumedCompileShareOneFlight' ./inter
 # scratch construction — the correctness proof for the edits fast path.
 go test -race -count=1 -run 'TestIncrementalDifferential' ./internal/impact/
 
-# Performance gate: the pipeline must stay within 30% of the last
-# committed snapshot on the gated phases, after rescaling the baseline
+# Performance gate: the pipeline must stay within each gated phase's
+# envelope of the last committed snapshot, after rescaling the baseline
 # by the machine-calibration ratio both snapshots record (this box's
 # absolute timings drift by tens of percent between sessions on
 # byte-identical workloads; BENCH_4 was the first calibrated snapshot).
-# The envelope is set from this box's measured same-binary noise at the
-# scale the phases now run at (0.2-80 ms): three back-to-back runs of one
-# binary spread by 12-14% on construct, compare and diff_direct and by
-# 27-30% on the edit tail and the 16-policy cross-compare, after
-# calibration (see the BENCH_12 note in EXPERIMENTS.md), while the
-# regressions the gate exists to catch (a resume path quietly
-# rebuilding from scratch, a cache stopping to coalesce, a walk losing
-# its memo) overshoot it by multiples. diff_direct is the product walk
-# and its rows, which every served diff runs; impact_incremental_tail
-# is gated so the edit-to-diff fast path cannot silently rot back toward
-# from-scratch cost, and crosscompare_16x_sharded_4_workers so the
-# async-job coordinator's scheduling and compile-cache coalescing cannot
-# either. Skippable for doc-only loops (SKIP_BENCH_GATE=1) — CI always
-# runs it.
+# Each envelope is set from this box's measured same-binary noise at the
+# scale the phases now run at (4 µs to 60 ms): six back-to-back runs of
+# one binary spread, after calibration, by 48% on construct, 18% on
+# compare, 17% on diff_direct, 68% on the microsecond edit tail and 67%
+# on the 16-policy cross-compare (see the BENCH_16 note in
+# EXPERIMENTS.md). compare and diff_direct keep 30%: a gate run after
+# the -race suite read compare at +19.5%. The regressions the gate
+# exists to catch (a resume path quietly rebuilding from scratch, a
+# cache stopping to coalesce, a walk losing its memo) overshoot these
+# envelopes by multiples.
+# diff_direct is the product walk and its rows, which every served diff
+# runs; impact_incremental_tail is gated so the edit-to-diff fast path
+# cannot silently rot back toward from-scratch cost, and
+# crosscompare_16x_sharded_4_workers so the async-job coordinator's
+# scheduling and compile-cache coalescing cannot either. A phase over
+# its envelope is re-measured twice and judged on its minimum.
+# Skippable for doc-only loops (SKIP_BENCH_GATE=1) — CI always runs it.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 if [ "${SKIP_BENCH_GATE:-}" != "1" ]; then
     go run ./cmd/fwbench -json -out "$tmpdir/bench" \
-        -baseline results/BENCH_12.json -gate 30 \
-        -gatephases construct,compare,diff_direct,impact_incremental_tail,crosscompare_16x_sharded_4_workers
+        -baseline results/BENCH_16.json -gate 30 \
+        -gatephases construct:50,compare:30,diff_direct:30,impact_incremental_tail:70,crosscompare_16x_sharded_4_workers:70
 fi
 
 # Scenario-matrix gate: the seeded scenario matrix (overload, cache-cold
@@ -258,6 +268,6 @@ fi
 # Skippable for doc-only loops (SKIP_SCEN_GATE=1) — CI always runs it.
 if [ "${SKIP_SCEN_GATE:-}" != "1" ]; then
     go run ./cmd/fwscen -fast -out "$tmpdir/scen" \
-        -baseline results/BENCH_12.json
+        -baseline results/BENCH_16.json
     cp "$tmpdir/scen/provenance.json" results/provenance.json
 fi
