@@ -473,27 +473,16 @@ func (p *pendingTokens) settle(unquote ...*PolicyInput) error {
 	return nil
 }
 
-// settleExcept validates, in body order, every listed token that is not
-// exactly the value bytes of one of keep, and leaves keep's listed. The
-// error is the first invalid token's in body order, one of keep's
-// included.
+// settleExcept leaves the list as it is when every listed token is
+// exactly the value bytes of one of keep. Otherwise it settles the whole
+// list, so the error is the first invalid token's in body order, one of
+// keep's included.
 func (p *pendingTokens) settleExcept(keep ...*PolicyInput) error {
-	n := 0 // p.toks[:n] are keep's tokens seen so far
 	for _, t := range p.toks[:p.n] {
 		if owner(t.tok, keep) == nil {
-			if t.validate(nil) == nil {
-				continue
-			}
-			// Settled behind the kept tokens before it, t gives the
-			// first error.
-			p.toks[n] = t
-			p.n = n + 1
 			return p.settle()
 		}
-		p.toks[n] = t
-		n++
 	}
-	p.n = n
 	return nil
 }
 

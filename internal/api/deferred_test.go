@@ -53,10 +53,11 @@ var badTokens = []string{
 
 // primedServer returns a server whose text alias holds goodA and goodB,
 // both compiled, with their pair's report cached and an edit script run
-// from goodA.
+// from goodA, closed when t's test ends.
 func primedServer(t testing.TB) *Server {
 	t.Helper()
 	srv := NewServer()
+	t.Cleanup(srv.Close)
 	if rec := postDiff(t, srv, DiffRequest{Schema: "paper", A: in(teamA), B: in(teamB)}); rec.Code != http.StatusOK {
 		t.Fatalf("priming diff: status %d\n%s", rec.Code, rec.Body)
 	}
@@ -100,8 +101,6 @@ func sameAnswer(got, want *httptest.ResponseRecorder) bool {
 // body, nor be aliased and change the retry's.
 func checkDeferred(t *testing.T, impact bool, body []byte) {
 	srv, ref := primedServer(t), primedServer(t)
-	defer srv.Close()
-	defer ref.Close()
 	path, served, eager := "/v1/diff", srv.diff, eagerDiff(ref)
 	if impact {
 		path, served, eager = "/v1/impact", srv.impact, eagerImpact(ref)
@@ -232,9 +231,12 @@ func TestDiffInvalidTokenNeverAliased(t *testing.T) {
 			`{"schema":"paper","b":` + goodB + `,"a":` + bad + `}`,
 		} {
 			for _, primed := range []bool{false, true} {
-				srv := NewServer()
+				var srv *Server
 				if primed {
 					srv = primedServer(t)
+				} else {
+					srv = NewServer()
+					t.Cleanup(srv.Close)
 				}
 				compiled := srv.Engine().Stats().Compile.Bytes
 				for try := range 2 {
@@ -251,7 +253,6 @@ func TestDiffInvalidTokenNeverAliased(t *testing.T) {
 				if b := srv.Engine().Stats().Compile.Bytes; b != compiled {
 					t.Fatalf("primed=%v %q: the compile cache grew from %d to %d bytes", primed, body, compiled, b)
 				}
-				srv.Close()
 			}
 		}
 	}

@@ -478,7 +478,8 @@ func (s *Server) serveDiff(w http.ResponseWriter, r *http.Request, req *DiffRequ
 // diffSources diffs the two policies a request carries, named what in
 // errors. Sources it has diffed before reach their compilations through
 // the engine's text alias, without being validated, parsed or hashed
-// (engine.DiffSources): every other pending token is validated first.
+// (engine.DiffSources); if any other token is pending, every pending
+// token is validated first.
 // Otherwise it validates and unquotes both, parses them, diffs them
 // through their compilations and records both aliases. On failure it
 // writes the error response and returns ok false.
