@@ -153,17 +153,13 @@ func (s *Server) observeSpans(root trace.SpanRecord) {
 	})
 }
 
-// observeTiming records one pipeline run's per-phase durations. The
-// engine's diff walk does no shaping, so a zero Shape phase means the
-// phase did not run and is not observed.
+// observeTiming records one pipeline run's construct and compare
+// durations.
 func (s *Server) observeTiming(t compare.Timing) {
 	if s.inst == nil {
 		return
 	}
 	s.inst.phases.With("construct").Observe(t.Construct.Seconds())
-	if t.Shape > 0 {
-		s.inst.phases.With("shape").Observe(t.Shape.Seconds())
-	}
 	s.inst.phases.With("compare").Observe(t.Compare.Seconds())
 }
 
@@ -427,7 +423,7 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 // Server-Timing response header, in emission order. api.encode is not
 // among them: most bodies are encoded as they are written, after the
 // header.
-var serverTimingPhases = [...]string{"api.decode", "frontend.lower", "engine.hash", "construct", "shape", "compare", "resolve-generate", "resolve-verify"}
+var serverTimingPhases = [...]string{"api.decode", "frontend.lower", "engine.hash", "construct", "compare", "resolve-generate", "resolve-verify"}
 
 // serverTiming renders the per-phase durations of the trace under root
 // as of now as a Server-Timing header value: the named pipeline phases

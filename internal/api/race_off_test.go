@@ -3,6 +3,7 @@
 package api
 
 // raceEnabled reports a -race build, whose sync.Pool drops items at
-// random: an allocation count that depends on a pool hit is measured
-// only without it.
+// random and whose instrumentation slows copies and walks unevenly: an
+// allocation count that depends on a pool hit, and a span's share of a
+// request, are measured only without it.
 const raceEnabled = false

@@ -935,8 +935,8 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 	}
 	// Going through the engine means the same cached report backs
 	// /v1/diff and /v1/resolve for one pair, so the 1-based row numbers
-	// clients took from the diff stay valid here. Method 1 works from the
-	// two diagrams the report compares, which the diff returns.
+	// clients took from the diff stay valid here. The plan compiles every
+	// diagram it uses on the same engine.
 	d, err := s.eng.DiffPair(r.Context(), pa, pb)
 	if err != nil {
 		writeAnalysisError(w, err)
@@ -945,7 +945,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) {
 	if !d.Stats.ReportCached {
 		s.observeTiming(d.Report.Timing)
 	}
-	plan := resolve.NewPlanFromReport(pa, pb, d.A.FDD, d.B.FDD, d.Report)
+	plan := resolve.NewPlanFromReport(pa, pb, s.eng, d.Report)
 	for row, dec := range decisions {
 		if err := plan.Resolve(row-1, dec); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, err)

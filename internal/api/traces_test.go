@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"diversefw/internal/chaos"
 	"diversefw/internal/compare"
+	"diversefw/internal/engine"
+	"diversefw/internal/guard"
 	"diversefw/internal/metrics"
 	"diversefw/internal/resolve"
 	"diversefw/internal/rule"
@@ -195,8 +198,8 @@ func TestTraceResolveSpans(t *testing.T) {
 
 // TestTraceResolveMethodARunsProductWalk: resolution method a neither
 // shapes nor walks in lockstep. Its redundancy removal is one span under
-// resolve-generate, and the verification diff's walk is a compare.direct
-// child of resolve-verify.
+// resolve-generate, and the verification is an engine diff under
+// resolve-verify, whose walk is the diff span's compare.direct child.
 func TestTraceResolveMethodARunsProductWalk(t *testing.T) {
 	t.Parallel()
 	srv := NewServer()
@@ -241,10 +244,15 @@ func TestTraceResolveMethodARunsProductWalk(t *testing.T) {
 		}
 		direct := false
 		for _, c := range ver.Children {
-			direct = direct || c.Name == "compare.direct"
+			if c.Name != "diff" {
+				continue
+			}
+			for _, w := range c.Children {
+				direct = direct || w.Name == "compare.direct"
+			}
 		}
 		if !direct {
-			t.Fatalf("resolve-verify has no compare.direct child: %+v", ver.Children)
+			t.Fatalf("resolve-verify has no diff span over a compare.direct walk: %+v", ver.Children)
 		}
 		return
 	}
@@ -372,13 +380,20 @@ func tracedRoot(t *testing.T, srv http.Handler, rec *httptest.ResponseRecorder) 
 // received policies' diagrams from the engine's one compilation. A first
 // /v1/analyze constructs the policy once, under "compile"; /v1/audit and
 // /v1/query of the same policy construct nothing and compile nothing
-// more; a Method 1 /v1/resolve after a /v1/diff of its pair constructs
-// only inside its verification and returns the library's Method 1
-// firewall; and the resolve leaves the cached diagrams as they were, so
-// the pair diffs to the same rows afterwards.
+// more. A Method 1 /v1/resolve after a /v1/diff of its pair constructs
+// only under "compile" spans (the reference semantics and the candidate
+// it verifies), shapes nothing, and returns the library's Method 1
+// firewall; a repeat of it compiles nothing new; and the resolve leaves
+// the cached diagrams as they were, so the pair diffs to the same rows
+// afterwards. Last, a resolve whose reference compile trips the work
+// budget answers 422 policy_too_complex and caches nothing.
+//
+// The budget fault is registered on the process-wide chaos registry, so
+// the test does not run in parallel.
 func TestServedAnalysesReuseCompilation(t *testing.T) {
-	t.Parallel()
-	srv := NewServer()
+	// Limits far beyond what the pair needs, so that each compile flight
+	// carries a budget for the fault to exhaust.
+	srv := NewServer(WithEngine(engine.New(engine.Config{Limits: guard.Limits{MaxFDDNodes: 1 << 40}})))
 	pa := synth.RealLife(661, 1)
 	pb, _ := synth.Perturb(pa, 1, 2)
 	a, b := rule.FormatPolicy(pa), rule.FormatPolicy(pb)
@@ -428,12 +443,13 @@ func TestServedAnalysesReuseCompilation(t *testing.T) {
 	for i, d := range before.Discrepancies {
 		decisions[strconv.Itoa(i+1)] = d.B
 	}
-	rec = doRec(t, srv, "/v1/resolve", ResolveRequest{Schema: "five", A: in(a), B: in(b), Decisions: decisions})
+	resolveReq := ResolveRequest{Schema: "five", A: in(a), B: in(b), Method: "fdd", Decisions: decisions}
+	rec = doRec(t, srv, "/v1/resolve", resolveReq)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("resolve: status %d\n%.300s", rec.Code, rec.Body.String())
 	}
-	// The compiled diagrams yield the firewall the library's own
-	// constructions do.
+	// The compiled diagrams yield the firewall the library's own plan
+	// does.
 	var served ResolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
 		t.Fatal(err)
@@ -454,18 +470,30 @@ func TestServedAnalysesReuseCompilation(t *testing.T) {
 	if got := rule.FormatPolicy(final); served.Policy != got {
 		t.Fatalf("served Method 1 firewall (%d bytes) differs from the library's (%d bytes)", len(served.Policy), len(got))
 	}
-	cons = constructAncestors(tracedRoot(t, srv, rec))
+	root := tracedRoot(t, srv, rec)
+	cons = constructAncestors(root)
 	if len(cons) == 0 {
-		t.Fatal("resolve has no construct span; its verification constructs both sides")
+		t.Fatal("resolve has no construct span; it compiles its reference and candidate")
 	}
 	for _, path := range cons {
-		if !slices.Contains(path, "resolve-verify") {
-			t.Fatalf("resolve construct span outside resolve-verify: ancestors %v", path)
+		if !slices.Contains(path, "compile") {
+			t.Fatalf("resolve construct span outside a compile span: ancestors %v", path)
 		}
 	}
+	if _, ok := root.Find("shape"); ok {
+		t.Fatal("Method 1 resolve trace has a shape span")
+	}
+	compilations = srv.Engine().Stats().Compilations
+	again := doRec(t, srv, "/v1/resolve", resolveReq)
+	if again.Code != http.StatusOK || again.Body.String() != rec.Body.String() {
+		t.Fatalf("repeated resolve: status %d, body differs %v", again.Code, again.Body.String() != rec.Body.String())
+	}
+	if got := srv.Engine().Stats().Compilations; got != compilations {
+		t.Fatalf("compilations went from %d to %d across a repeated resolve", compilations, got)
+	}
 
-	// Method 1 shaped copies: the cached diagrams still diff to the rows
-	// the report cache holds for them.
+	// The cached diagrams still diff to the rows the report cache holds
+	// for them.
 	after := diff()
 	if !reflect.DeepEqual(after.Discrepancies, before.Discrepancies) {
 		t.Fatalf("diff rows changed across resolve: %d rows before, %d after", len(before.Discrepancies), len(after.Discrepancies))
@@ -492,5 +520,26 @@ func TestServedAnalysesReuseCompilation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh.Discrepancies, cached.Discrepancies) {
 		t.Fatalf("cached diagrams now diff to %d rows, the cached report holds %d", len(fresh.Discrepancies), len(cached.Discrepancies))
+	}
+
+	// With the pair and its report cached, the first compile flight of a
+	// resolve that takes A's side is its reference's.
+	remove := chaos.Register(chaos.PointCompile, chaos.ExhaustBudget(guard.KindNodes))
+	defer remove()
+	sideA := make(map[string]string, len(before.Discrepancies))
+	for i, d := range before.Discrepancies {
+		sideA[strconv.Itoa(i+1)] = d.A
+	}
+	st := srv.Engine().Stats()
+	rec = doRec(t, srv, "/v1/resolve", ResolveRequest{Schema: "five", A: in(a), B: in(b), Method: "fdd", Decisions: sideA})
+	var e Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusUnprocessableEntity || e.Err.Code != CodePolicyTooComplex {
+		t.Fatalf("resolve over budget: status %d, code %q (%v), want 422 %s", rec.Code, e.Err.Code, err, CodePolicyTooComplex)
+	}
+	remove()
+	now := srv.Engine().Stats()
+	if now.Compile.Entries != st.Compile.Entries || now.Reports.Entries != st.Reports.Entries || now.Compilations != st.Compilations {
+		t.Fatalf("over-budget resolve cached something: compile entries %d -> %d, reports %d -> %d, compilations %d -> %d",
+			st.Compile.Entries, now.Compile.Entries, st.Reports.Entries, now.Reports.Entries, st.Compilations, now.Compilations)
 	}
 }

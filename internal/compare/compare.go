@@ -26,7 +26,6 @@ import (
 	"diversefw/internal/guard"
 	"diversefw/internal/interval"
 	"diversefw/internal/rule"
-	"diversefw/internal/shape"
 	"diversefw/internal/trace"
 )
 
@@ -132,6 +131,34 @@ func pairCode(a, b rule.Decision) (rule.Decision, error) {
 	return a<<pairShift | b, nil
 }
 
+// SemiIsomorphic reports whether fa and fb are semi-isomorphic
+// (Definition 4.2): identical structure and labels everywhere except
+// terminal decisions.
+func SemiIsomorphic(fa, fb *fdd.FDD) bool {
+	if !fa.Schema.Equal(fb.Schema) {
+		return false
+	}
+	var walk func(a, b *fdd.Node) bool
+	walk = func(a, b *fdd.Node) bool {
+		if a.IsTerminal() || b.IsTerminal() {
+			return a.IsTerminal() && b.IsTerminal()
+		}
+		if a.Field != b.Field || len(a.Edges) != len(b.Edges) {
+			return false
+		}
+		for i := range a.Edges {
+			if !a.Edges[i].Label.Equal(b.Edges[i].Label) {
+				return false
+			}
+			if !walk(a.Edges[i].To, b.Edges[i].To) {
+				return false
+			}
+		}
+		return true
+	}
+	return walk(fa.Root, fb.Root)
+}
+
 // CompareSemiIsomorphic implements the comparison algorithm of Section 5:
 // walk two semi-isomorphic FDDs in lockstep and collect every companion
 // path pair with differing terminal decisions. The caller must pass
@@ -173,7 +200,7 @@ func CompareSemiIsomorphic(sa, sb *fdd.FDD) *Report {
 // The error is a wrapped ctx.Err() or the budget's typed
 // guard.ErrBudgetExceeded.
 func CompareSemiIsomorphicContext(ctx context.Context, sa, sb *fdd.FDD) (*Report, error) {
-	if !shape.SemiIsomorphic(sa, sb) {
+	if !SemiIsomorphic(sa, sb) {
 		// Programming error in the pipeline, not user input.
 		panic("compare: diagrams are not semi-isomorphic")
 	}

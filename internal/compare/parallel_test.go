@@ -114,7 +114,7 @@ func TestParallelShapeRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !shape.SemiIsomorphic(sa, sb) {
+		if !SemiIsomorphic(sa, sb) {
 			t.Fatal("parallel shaping did not produce semi-isomorphic diagrams")
 		}
 		if err := sa.CheckInvariants(); err != nil {

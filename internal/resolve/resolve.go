@@ -4,28 +4,36 @@
 //
 // Two methods are provided, matching the paper:
 //
-//   - Method 1: correct the terminal labels of one shaped FDD according to
-//     the resolution, then generate a compact rule sequence from the
-//     corrected FDD (package gen).
+//   - Method 1: generate a compact rule sequence (package gen) from the
+//     diagram of the resolved semantics. The paper shapes A's and B's FDDs
+//     to semi-isomorphism and corrects their terminals per the resolution,
+//     after which the two are one diagram (Section 6.1) computing "the
+//     resolution rules, then A". The generator reduces its input, and a
+//     reduced FDD is canonical for its function and field order, so
+//     generating from that policy's own diagram yields the same firewall
+//     without shaping.
 //   - Method 2: prepend, to one of the original firewalls, the resolution
 //     rules on which that firewall was wrong, then remove redundant rules
 //     (package redundancy).
 //
 // Both methods must produce equivalent firewalls; Plan.Verify checks any
 // candidate against the resolved semantics.
+//
+// Every diagram a plan uses comes from its engine's Compile (the pair it
+// compares, the resolved semantics, Method 2's composed policy and the
+// candidate Verify checks), so each is budgeted, coalesced, cached and
+// traced under a "compile" span like any other compilation.
 package resolve
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"diversefw/internal/compare"
-	"diversefw/internal/fdd"
+	"diversefw/internal/engine"
 	"diversefw/internal/gen"
 	"diversefw/internal/redundancy"
 	"diversefw/internal/rule"
-	"diversefw/internal/shape"
 	"diversefw/internal/trace"
 )
 
@@ -37,9 +45,8 @@ type Plan struct {
 	// Decisions[i] is the agreed decision for Report.Discrepancies[i];
 	// zero means still unresolved.
 	Decisions []rule.Decision
-	// fa and fb are A's and B's diagrams, the ones Report compares. They
-	// are only read: Method 1 shapes copies of them.
-	fa, fb *fdd.FDD
+	// eng compiles every diagram the plan builds.
+	eng *engine.Engine
 }
 
 // NewPlan compares the two firewalls and returns a plan with all
@@ -48,42 +55,32 @@ func NewPlan(a, b *rule.Policy) (*Plan, error) {
 	return NewPlanContext(context.Background(), a, b)
 }
 
-// NewPlanContext is NewPlan with cancellation: it constructs both
-// firewalls' diagrams and diffs them with the product walk
-// (compare.DiffFDDsDirectContext), every stage aborting as soon as ctx
-// is canceled. The report's Timing fills Construct and Compare.
+// NewPlanContext is NewPlan with cancellation: it diffs the pair on a
+// default engine of its own (engine.DiffPair), every stage aborting as
+// soon as ctx is canceled. The report's Timing fills Construct and
+// Compare.
 func NewPlanContext(ctx context.Context, a, b *rule.Policy) (*Plan, error) {
-	start := time.Now()
-	fa, err := fdd.ConstructContext(ctx, a)
+	eng := engine.New(engine.Config{})
+	d, err := eng.DiffPair(ctx, a, b)
 	if err != nil {
-		return nil, fmt.Errorf("resolve: first policy: %w", err)
+		return nil, fmt.Errorf("resolve: %w", err)
 	}
-	fb, err := fdd.ConstructContext(ctx, b)
-	if err != nil {
-		return nil, fmt.Errorf("resolve: second policy: %w", err)
-	}
-	construct := time.Since(start)
-	report, err := compare.DiffFDDsDirectContext(ctx, fa, fb)
-	if err != nil {
-		return nil, err
-	}
-	report.Timing.Construct = construct
-	return NewPlanFromReport(a, b, fa, fb, report), nil
+	return NewPlanFromReport(a, b, eng, d.Report), nil
 }
 
-// NewPlanFromReport builds a plan from already-computed diagrams of a and
-// b and their comparison report — the entry point for callers that cache
-// both (see internal/engine). Diagrams and report are only read, so one
-// cached set can back many concurrent plans; this also keeps discrepancy
-// numbering identical between a diff and the resolve session built on it.
-func NewPlanFromReport(a, b *rule.Policy, fa, fb *fdd.FDD, report *compare.Report) *Plan {
+// NewPlanFromReport builds a plan on an engine that already holds a's and
+// b's comparison report — the entry point for callers that serve many
+// plans from one engine (see internal/api). The report is only read, so
+// one cached report can back many concurrent plans; this also keeps
+// discrepancy numbering identical between a diff and the resolve session
+// built on it.
+func NewPlanFromReport(a, b *rule.Policy, eng *engine.Engine, report *compare.Report) *Plan {
 	return &Plan{
 		A:         a,
 		B:         b,
 		Report:    report,
 		Decisions: make([]rule.Decision, len(report.Discrepancies)),
-		fa:        fa,
-		fb:        fb,
+		eng:       eng,
 	}
 }
 
@@ -129,26 +126,30 @@ func (p *Plan) resolutionRules() []rule.Rule {
 	return out
 }
 
-// referenceSemantics returns a policy with the intended final semantics:
-// the resolution rules first (the regions of disagreement, now fixed),
-// then firewall A (correct wherever the teams agreed).
-func (p *Plan) referenceSemantics() (*rule.Policy, error) {
-	rules := append(p.resolutionRules(), p.A.Rules...)
-	return rule.NewPolicy(p.A.Schema, rules)
+// compileReference compiles, on the plan's engine, a policy with the
+// intended final semantics: the resolution rules first (the regions of
+// disagreement, now fixed), then firewall A (correct wherever the teams
+// agreed).
+func (p *Plan) compileReference(ctx context.Context) (*engine.Compiled, error) {
+	ref, err := rule.NewPolicy(p.A.Schema, append(p.resolutionRules(), p.A.Rules...))
+	if err != nil {
+		return nil, err
+	}
+	c, _, err := p.eng.Compile(ctx, ref)
+	return c, err
 }
 
-// Method1 generates the final firewall from the corrected FDD: shape A's
-// and B's FDDs to semi-isomorphism, rewrite the terminals of A's shaped
-// FDD according to the resolution, and run the structured-design generator
-// on the result (Section 6.1).
+// Method1 generates the final firewall from the diagram of the resolved
+// semantics: the structured-design generator run on the compiled FDD of
+// the reference policy (compileReference), which is the corrected FDD of
+// Section 6.1.
 func (p *Plan) Method1() (*rule.Policy, error) {
 	return p.Method1Context(context.Background())
 }
 
-// Method1Context is Method1 with cancellation and tracing: the shaping
-// polls ctx, and when ctx carries a trace the generation appears as a
-// "resolve-generate" span over the shape child. It constructs nothing:
-// it shapes copies of the plan's diagrams.
+// Method1Context is Method1 with cancellation and tracing: when ctx
+// carries a trace the generation appears as a "resolve-generate" span
+// over the reference's compile.
 func (p *Plan) Method1Context(ctx context.Context) (*rule.Policy, error) {
 	if !p.Resolved() {
 		return nil, fmt.Errorf("resolve: method 1: unresolved discrepancies remain")
@@ -156,95 +157,16 @@ func (p *Plan) Method1Context(ctx context.Context) (*rule.Policy, error) {
 	ctx, sp := trace.Start(ctx, "resolve-generate")
 	defer sp.End()
 	sp.SetAttr("method", "fdd")
-	sa, sb, err := shape.MakeSemiIsomorphicContext(ctx, p.fa, p.fb)
+	ref, err := p.compileReference(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.correctTerminals(sa, sb); err != nil {
-		return nil, err
-	}
-	out, err := gen.Generate(sa)
+	out, err := gen.Generate(ref.FDD)
 	if err != nil {
 		return nil, err
 	}
 	sp.SetAttr("rules", out.Size())
 	return out, nil
-}
-
-// correctTerminals walks the semi-isomorphic pair; wherever the terminals
-// differ, the path region belongs to exactly one discrepancy row, whose
-// agreed decision replaces sa's terminal. After this, sa and sb corrected
-// the same way would be identical — the paper's observation in
-// Section 6.1, Step 1.
-func (p *Plan) correctTerminals(sa, sb *fdd.FDD) error {
-	pred := rule.FullPredicate(sa.Schema)
-	var walk func(a, b *fdd.Node) error
-	walk = func(a, b *fdd.Node) error {
-		if a.IsTerminal() {
-			if a.Decision == b.Decision {
-				return nil
-			}
-			idx := p.findRegion(pred)
-			if idx < 0 {
-				return fmt.Errorf("resolve: differing path %v matches no discrepancy row", pred)
-			}
-			a.Decision = p.Decisions[idx]
-			return nil
-		}
-		saved := pred[a.Field]
-		defer func() { pred[a.Field] = saved }()
-		for i := range a.Edges {
-			pred[a.Field] = a.Edges[i].Label
-			if err := walk(a.Edges[i].To, b.Edges[i].To); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(sa.Root, sb.Root)
-}
-
-// findRegion returns the index of the discrepancy row containing the path
-// region, or -1. Merged rows are unions of whole path regions, so
-// overlap implies containment.
-func (p *Plan) findRegion(pathPred rule.Predicate) int {
-	for i, d := range p.Report.Discrepancies {
-		contained := true
-		for f := range pathPred {
-			if !d.Pred[f].ContainsSet(pathPred[f]) {
-				contained = false
-				break
-			}
-		}
-		if contained {
-			return i
-		}
-	}
-	return -1
-}
-
-// CorrectedFDDs shapes copies of both firewalls' FDDs and applies the
-// resolution to the terminals of each. The paper's observation in
-// Section 6.1 is that after correction the two semi-isomorphic diagrams
-// become exactly the same diagram; callers can verify that with
-// fdd/shape and use either one.
-func (p *Plan) CorrectedFDDs() (*fdd.FDD, *fdd.FDD, error) {
-	if !p.Resolved() {
-		return nil, nil, fmt.Errorf("resolve: unresolved discrepancies remain")
-	}
-	sa, sb, err := shape.MakeSemiIsomorphic(p.fa, p.fb)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := p.correctTerminals(sa, sb); err != nil {
-		return nil, nil, err
-	}
-	// Correct sb symmetrically: on differing paths its terminal gets the
-	// same agreed decision sa's terminal just received.
-	if err := p.correctTerminals(sb, sa); err != nil {
-		return nil, nil, err
-	}
-	return sa, sb, nil
 }
 
 // Method2 builds the final firewall from one of the originals (Section
@@ -257,8 +179,9 @@ func (p *Plan) Method2(useA bool) (*rule.Policy, error) {
 
 // Method2Context is Method2 with cancellation and tracing (a
 // "resolve-generate" span with method "a" or "b" and the correction
-// count, over the composed policy's "construct" span and the
-// "redundancy" span of the removal that dominates its duration).
+// count, over the composed policy's compile and the "redundancy" span
+// of the removal that dominates its duration). The removal starts from
+// the compilation's builder, which it only reads.
 func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, error) {
 	if !p.Resolved() {
 		return nil, fmt.Errorf("resolve: method 2: unresolved discrepancies remain")
@@ -287,11 +210,11 @@ func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, err
 	if err != nil {
 		return nil, err
 	}
-	b, err := fdd.NewTrimmedBuilderContext(ctx, composed)
+	c, _, err := p.eng.Compile(ctx, composed)
 	if err != nil {
 		return nil, err
 	}
-	compacted, _, err := redundancy.RemoveAll(ctx, b)
+	compacted, _, err := redundancy.RemoveAll(ctx, c.Builder)
 	if err != nil {
 		return nil, err
 	}
@@ -307,19 +230,23 @@ func (p *Plan) Verify(candidate *rule.Policy) error {
 }
 
 // VerifyContext is Verify with cancellation and tracing (a
-// "resolve-verify" span over the reference-vs-candidate diff's construct
-// and compare.direct spans).
+// "resolve-verify" span over the reference's and the candidate's
+// compiles and the engine diff of the two).
 func (p *Plan) VerifyContext(ctx context.Context, candidate *rule.Policy) error {
 	if !p.Resolved() {
 		return fmt.Errorf("resolve: verify: unresolved discrepancies remain")
 	}
 	ctx, sp := trace.Start(ctx, "resolve-verify")
 	defer sp.End()
-	ref, err := p.referenceSemantics()
+	ref, err := p.compileReference(ctx)
 	if err != nil {
 		return err
 	}
-	r, err := compare.DiffContext(ctx, ref, candidate)
+	cand, _, err := p.eng.Compile(ctx, candidate)
+	if err != nil {
+		return err
+	}
+	r, _, err := p.eng.Diff(ctx, ref, cand)
 	if err != nil {
 		return err
 	}

@@ -4,11 +4,9 @@ import (
 	"testing"
 
 	"diversefw/internal/compare"
-	"diversefw/internal/fdd"
 	"diversefw/internal/packet"
 	"diversefw/internal/paper"
 	"diversefw/internal/rule"
-	"diversefw/internal/shape"
 )
 
 // paperPlan builds the plan for the paper's running example and resolves
@@ -174,57 +172,6 @@ func TestResolvedSemanticsPointwise(t *testing.T) {
 		if !ok || got != c.want {
 			t.Errorf("%s: got %v (ok=%v), want %v", c.name, got, ok, c.want)
 		}
-	}
-}
-
-// TestCorrectedFDDsBecomeIdentical checks Section 6.1's observation:
-// after applying the resolution to both semi-isomorphic FDDs, they are
-// exactly the same diagram (same shape, same terminal decisions).
-func TestCorrectedFDDsBecomeIdentical(t *testing.T) {
-	t.Parallel()
-	plan := paperPlan(t)
-	sa, sb, err := plan.CorrectedFDDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shape.SemiIsomorphic(sa, sb) {
-		t.Fatal("corrected diagrams lost semi-isomorphism")
-	}
-	var walk func(a, b *fdd.Node)
-	walk = func(a, b *fdd.Node) {
-		if a.IsTerminal() {
-			if a.Decision != b.Decision {
-				t.Fatalf("corrected terminals differ: %v vs %v", a.Decision, b.Decision)
-			}
-			return
-		}
-		for i := range a.Edges {
-			walk(a.Edges[i].To, b.Edges[i].To)
-		}
-	}
-	walk(sa.Root, sb.Root)
-
-	// And the corrected diagram implements the agreed semantics.
-	sm := packet.NewSampler(plan.A.Schema, 47)
-	agreed := paper.AgreedFirewall()
-	for i := 0; i < 2000; i++ {
-		pkt := sm.BiasedPair(plan.A, plan.B)
-		want, _ := packet.Oracle(agreed, pkt)
-		got, ok := sa.Decide(pkt)
-		if !ok || got != want {
-			t.Fatalf("corrected FDD wrong on %v: %v vs %v", pkt, got, want)
-		}
-	}
-}
-
-func TestCorrectedFDDsRequireResolution(t *testing.T) {
-	t.Parallel()
-	plan, err := NewPlan(paper.TeamA(), paper.TeamB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := plan.CorrectedFDDs(); err == nil {
-		t.Fatal("unresolved plan should fail")
 	}
 }
 

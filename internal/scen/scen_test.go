@@ -151,6 +151,9 @@ func TestValidateRejects(t *testing.T) {
 		{"bad point", func(s *Scenario) {
 			s.Inject.Faults = []FaultSpec{{Point: "engine.nope", Kind: "error"}}
 		}, "chaos point"},
+		{"unserved point", func(s *Scenario) {
+			s.Inject.Faults = []FaultSpec{{Point: "shape.walk", Kind: "budget"}}
+		}, "chaos point"},
 		{"bad fault kind", func(s *Scenario) {
 			s.Inject.Faults = []FaultSpec{{Point: "engine.diff", Kind: "explode"}}
 		}, "fault kind"},

@@ -82,7 +82,7 @@ type LoadSpec struct {
 type FaultSpec struct {
 	// Point is a chaos point name: engine.compile, engine.diff,
 	// engine.cache_insert.compile, engine.cache_insert.report,
-	// shape.walk, jobs.pair.
+	// jobs.pair, jobs.journal.write, jobs.journal.fsync.
 	Point string `json:"point"`
 	// Kind is "latency" (sleep Millis), "error" (fail the operation), or
 	// "budget" (exhaust the work budget mid-walk).
@@ -201,7 +201,6 @@ var validPoints = map[string]bool{
 	"engine.diff":                 true,
 	"engine.cache_insert.compile": true,
 	"engine.cache_insert.report":  true,
-	"shape.walk":                  true,
 	"jobs.pair":                   true,
 	"jobs.journal.write":          true,
 	"jobs.journal.fsync":          true,

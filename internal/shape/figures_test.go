@@ -3,6 +3,7 @@ package shape
 import (
 	"testing"
 
+	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
@@ -41,7 +42,7 @@ func TestPaperFigures8And9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SemiIsomorphic(sa, sb) {
+	if !compare.SemiIsomorphic(sa, sb) {
 		t.Fatal("not semi-isomorphic")
 	}
 
@@ -104,7 +105,7 @@ func TestNodeInsertionOperationPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SemiIsomorphic(sa, sb) {
+	if !compare.SemiIsomorphic(sa, sb) {
 		t.Fatal("not semi-isomorphic")
 	}
 	if sa.Root.Field != 0 {

@@ -303,31 +303,3 @@ func singleInterval(e *fdd.Edge) interval.Interval {
 	hi, _ := e.Label.Max()
 	return interval.Interval{Lo: lo, Hi: hi}
 }
-
-// SemiIsomorphic reports whether fa and fb are semi-isomorphic
-// (Definition 4.2): identical structure and labels everywhere except
-// terminal decisions.
-func SemiIsomorphic(fa, fb *fdd.FDD) bool {
-	if !fa.Schema.Equal(fb.Schema) {
-		return false
-	}
-	var walk func(a, b *fdd.Node) bool
-	walk = func(a, b *fdd.Node) bool {
-		if a.IsTerminal() || b.IsTerminal() {
-			return a.IsTerminal() && b.IsTerminal()
-		}
-		if a.Field != b.Field || len(a.Edges) != len(b.Edges) {
-			return false
-		}
-		for i := range a.Edges {
-			if !a.Edges[i].Label.Equal(b.Edges[i].Label) {
-				return false
-			}
-			if !walk(a.Edges[i].To, b.Edges[i].To) {
-				return false
-			}
-		}
-		return true
-	}
-	return walk(fa.Root, fb.Root)
-}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/guard"
@@ -36,7 +37,7 @@ func TestMakeSemiIsomorphicPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SemiIsomorphic(sa, sb) {
+	if !compare.SemiIsomorphic(sa, sb) {
 		t.Fatal("outputs are not semi-isomorphic")
 	}
 	if err := sa.CheckInvariants(); err != nil {
@@ -110,7 +111,7 @@ func TestNodeInsertionPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SemiIsomorphic(sa, sb) {
+	if !compare.SemiIsomorphic(sa, sb) {
 		t.Fatal("not semi-isomorphic after node insertion")
 	}
 	sm := packet.NewSampler(s, 2)
@@ -145,7 +146,7 @@ func TestTerminalVsSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SemiIsomorphic(sa, sb) {
+	if !compare.SemiIsomorphic(sa, sb) {
 		t.Fatal("not semi-isomorphic")
 	}
 	for v := uint64(0); v <= 9; v++ {
@@ -166,11 +167,11 @@ func TestSemiIsomorphicDetectsDifferences(t *testing.T) {
 	t.Parallel()
 	fa := construct(t, paper.TeamA())
 	fb := construct(t, paper.TeamB())
-	if SemiIsomorphic(fa, fb) {
+	if compare.SemiIsomorphic(fa, fb) {
 		t.Fatal("unshaped diagrams reported semi-isomorphic")
 	}
 	// A diagram is trivially semi-isomorphic to its own copy.
-	if !SemiIsomorphic(fa, fa.Clone()) {
+	if !compare.SemiIsomorphic(fa, fa.Clone()) {
 		t.Fatal("clone should be semi-isomorphic")
 	}
 }
@@ -219,7 +220,7 @@ func TestPropShapingRandomPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !SemiIsomorphic(sa, sb) {
+		if !compare.SemiIsomorphic(sa, sb) {
 			t.Fatalf("trial %d: not semi-isomorphic", trial)
 		}
 		if err := sa.CheckInvariants(); err != nil {

@@ -167,6 +167,12 @@ go test -race -count=1 -run 'Alias|Decode|Respelled|Jobs' ./internal/api/
 go test -run=NONE -fuzz='^FuzzConstructMatchesReference$' -fuzztime=1x ./internal/fdd/
 go test -run=NONE -fuzz='^FuzzBuilderResume$' -fuzztime=1x ./internal/fdd/
 
+# Resolution Method 1 generates from the compiled diagram of the resolved
+# semantics instead of shaping; the differential holds it to the paper's
+# shaped, terminal-corrected diagram kept in the tests, byte for byte,
+# over random real-life pairs, perturbation rates and decision mixes.
+go test -run=NONE -fuzz='^FuzzMethod1MatchesShaped$' -fuzztime=1x ./internal/resolve/
+
 # Query strings come from the network (/v1/query) and the command line
 # (fwquery): the query parser's no-panic/round-trip target re-runs its
 # corpus on every gate too.
