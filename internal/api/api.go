@@ -10,11 +10,9 @@ package api
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -49,10 +47,10 @@ type PolicyInput struct {
 	// the bytes the engine's text alias is keyed by (see key). Every
 	// decode writes the whole struct, so raw always belongs to the
 	// fields beside it. A bare string the request walk decoded is a view
-	// into the request body, still quoted, with Text left empty until it
-	// is unquoted (see text); /v1/diff and /v1/impact validate it only
-	// when an answer needs it (pendingTokens). UnmarshalJSON keeps a copy
-	// and fills Text.
+	// into the request body, still quoted. The walk validates it by
+	// unquoting it into Text, except that /v1/diff and /v1/impact leave
+	// Text empty until an answer needs it (pendingTokens). UnmarshalJSON
+	// keeps a copy and fills Text.
 	raw []byte
 }
 
@@ -86,30 +84,6 @@ func (p *PolicyInput) UnmarshalJSON(data []byte) error {
 	*p = PolicyInput(obj)
 	p.raw = bytes.Clone(bytes.TrimRight(trim, " \t\r\n"))
 	return nil
-}
-
-// quoted reports whether p is a bare string whose Text is still quoted
-// in raw: the request walk validated it without unquoting it. A bare
-// string that unquotes to something holds more than its two quotes.
-func (p *PolicyInput) quoted() bool {
-	return p.Text == "" && len(p.raw) > 2 && p.raw[0] == '"'
-}
-
-// text returns the policy source: Text, or the unquoting of a bare string
-// the request walk left quoted. The string it unquotes is a copy, never a
-// view into the request body.
-func (p *PolicyInput) text() string {
-	if !p.quoted() {
-		return p.Text
-	}
-	countValidation()
-	s, err := unquoteString(p.raw)
-	if err != nil {
-		// A token is unquoted only once validated, and scanString accepts
-		// exactly what unquoting does.
-		panic("api: a validated policy string does not unquote")
-	}
-	return s
 }
 
 // key returns the engine's text-alias key of p under the named schema:
@@ -234,85 +208,6 @@ func unquoteInPlace(data []byte) (string, int, bool) {
 	return "", 0, false
 }
 
-// scanString validates the JSON string token at the start of data
-// without decoding it, and returns the offset just past its closing
-// quote: it accepts exactly the tokens unquoteInPlace accepts and ends
-// where that ends. Only three kinds of byte need a look. A quote ends
-// the token, a backslash must open an escape decodeEscape takes, and a
-// control byte rejects it. Every other byte stands in the token as it is,
-// invalid UTF-8 included, which unquoting replaces. Eight bytes at a time
-// are checked for those three at once.
-func scanString(data []byte) (int, bool) {
-	i := 1
-	for {
-		for i+8 <= len(data) {
-			if m := specialBytes(binary.LittleEndian.Uint64(data[i:])); m != 0 {
-				i += bits.TrailingZeros64(m) / 8
-				break
-			}
-			i += 8
-		}
-		if i >= len(data) {
-			return 0, false
-		}
-		switch c := data[i]; {
-		case c == '"':
-			return i + 1, true
-		case c == '\\':
-			if i+1 == len(data) {
-				return 0, false
-			}
-			n := int(escapeLen[data[i+1]])
-			if n == 0 || n == 6 && !hexDigits(data[i+2:]) {
-				return 0, false
-			}
-			i += n
-		case c < ' ':
-			return 0, false
-		default:
-			i++ // a plain byte among the last seven
-		}
-	}
-}
-
-// specialBytes marks, in the high bit of each byte, the bytes of the
-// little-endian word x that are a quote, a backslash or below a space.
-// Marks above the lowest one may be false (a borrow carries into the
-// next byte), so only the lowest is to be read.
-func specialBytes(x uint64) uint64 {
-	return zeroBytes(x^'"'*wordOnes) | zeroBytes(x^'\\'*wordOnes) | (x-' '*wordOnes)&^x&wordHighs
-}
-
-// zeroBytes marks the zero bytes of v as specialBytes marks its bytes.
-func zeroBytes(v uint64) uint64 { return (v - wordOnes) &^ v & wordHighs }
-
-const wordOnes, wordHighs = 0x0101010101010101, 0x8080808080808080
-
-// escapeLen is the length of the escape a backslash and the byte after
-// it open: 2 for a one-letter escape, 6 for \uXXXX (whose four digits
-// must be hex), 0 for none. A surrogate pair is two \u escapes, each
-// valid alone, and decodeEscape takes a lone surrogate too.
-var escapeLen = func() (n [256]uint8) {
-	for _, c := range `"\/bfnrt` {
-		n[c] = 2
-	}
-	n['u'] = 6
-	return n
-}()
-
-// hexDigits reports whether b opens with four hex digits, as hex4 reads
-// them.
-func hexDigits(b []byte) bool {
-	return len(b) >= 4 && isHex[b[0]] && isHex[b[1]] && isHex[b[2]] && isHex[b[3]]
-}
-
-var isHex = func() (h [256]bool) {
-	for _, c := range "0123456789abcdefABCDEF" {
-		h[c] = true
-	}
-	return h
-}()
-
 // decodeEscape decodes the escape sequence at the start of esc and
 // reports how many bytes it took, 0 when it is not a valid one.
 func decodeEscape(esc []byte) (rune, int) {
@@ -374,20 +269,19 @@ func hex4(esc []byte) rune {
 // nothing, keeping native round-trips byte-identical to the old wire.
 func (p PolicyInput) MarshalJSON() ([]byte, error) {
 	if p.Format == "" && p.Chain == "" {
-		return json.Marshal(p.text())
+		return json.Marshal(p.Text)
 	}
 	type wire PolicyInput
-	w := wire(p)
-	w.Text = p.text()
-	return json.Marshal(w)
+	return json.Marshal(wire(p))
 }
 
 // IsZero reports whether the input was absent or empty (optional fields
 // like ImpactRequest.After cannot compare against "" anymore): no
 // format, text or chain, whether the text was carried as "" or not at
-// all.
+// all. A bare string still pending carries its text only in raw, and a
+// token longer than its two quotes never unquotes to "".
 func (p PolicyInput) IsZero() bool {
-	return p.Format == "" && p.Chain == "" && p.Text == "" && !p.quoted()
+	return p.Format == "" && p.Chain == "" && p.Text == "" && !(len(p.raw) > 2 && p.raw[0] == '"')
 }
 
 // DiffRequest asks for all functional discrepancies between two policies.

@@ -35,8 +35,8 @@ var requestBufs = sync.Pool{New: func() any { return new(requestBuf) }}
 var releasedRequestBuf func(*requestBuf)
 
 // validatedPolicyToken, when set, is called on every pass that validates
-// a bare-string policy token: scanning it (scanString) or unquoting it.
-// The package's tests set it to count the passes a request makes.
+// a bare-string policy token, which is the pass that unquotes it. The
+// package's tests set it to count the passes a request makes.
 var validatedPolicyToken func()
 
 func countValidation() {
@@ -101,22 +101,23 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // v, a pointer to a request struct, walking the object once. A member
 // whose key is exactly the json tag of a field decodeBody owns (see
 // directFields) and whose value is the JSON kind it takes is decoded in
-// the walk: a bare-string policy is kept as a view into body, still
-// quoted; any other string is unquoted in place (body is the caller's to
-// overwrite) and copied out; and an array is walked element by element,
-// each string element unquoted and each object element walked as a
-// struct. Every other member or element goes to encoding/json with
-// unknown fields disallowed (a member as a one-member object), which
-// keeps key folding, unknown-field rejection, type errors, null and
-// nested values as they were. Members apply in body order, so the last of
-// a duplicate key wins, as in encoding/json.
+// the walk: a bare-string policy keeps its token, a view into body, and
+// is unquoted into a copy; any other string is unquoted in place (body is
+// the caller's to overwrite) and copied out; and an array is walked
+// element by element, each string element unquoted and each object
+// element walked as a struct. Every other member or element goes to
+// encoding/json with unknown fields disallowed (a member as a one-member
+// object), which keeps key folding, unknown-field rejection, type errors,
+// null and nested values as they were. Members apply in body order, so
+// the last of a duplicate key wins, as in encoding/json.
 //
-// A bare-string policy is validated in the walk (scanString) when pend is
-// nil. Otherwise a top-level one is only bounded (stringEnd) and added to
-// pend, for the caller to settle; an error decodeBody returns is that of
-// the first pending token that fails validation, if one does, as the walk
-// would have stopped there. Policies inside arrays are always validated
-// in the walk: a shorter duplicate array can drop them.
+// A bare-string policy is validated in the walk, by unquoting it into
+// Text, when pend is nil. Otherwise a top-level one is only bounded
+// (stringEnd) and added to pend, for the caller to settle; an error
+// decodeBody returns is that of the first pending token that fails
+// validation, if one does, as the walk would have stopped there.
+// Policies inside arrays are always validated in the walk: a shorter
+// duplicate array can drop them.
 func decodeBody(body []byte, v any, pend *pendingTokens) error {
 	i := skipSpace(body, 0)
 	if i == len(body) {
@@ -296,7 +297,7 @@ func skipSpace(body []byte, i int) int {
 // stringEnd-1 stays in bounds, and nothing follows it). The token ends at
 // its first quote preceded by an even run of backslashes, as a walk that
 // skips the byte after each backslash finds it; for a valid token that is
-// where scanString ends, and finding it takes bytes.IndexByte's pace.
+// where unquoting ends, and finding it takes bytes.IndexByte's pace.
 func stringEnd(body []byte, i int) int {
 	for i++; i < len(body); i++ {
 		q := bytes.IndexByte(body[i:], '"')
@@ -361,7 +362,7 @@ type directKind uint8
 
 const (
 	directString directKind = iota
-	directPolicy            // a PolicyInput given as a bare string, kept quoted
+	directPolicy            // a PolicyInput given as a bare string
 	directSlice             // a slice of strings or of structs
 )
 
@@ -374,10 +375,10 @@ func (f *directField) opens() byte {
 }
 
 // decode decodes the value that starts at body[i], which opens f's kind,
-// into fv and returns the offset just past it. A policy string is not
-// unquoted: the PolicyInput keeps its token, a view into body, for the
-// text alias to key and parseInput to unquote. It is validated here when
-// pend is nil; otherwise it is only bounded and added to pend.
+// into fv and returns the offset just past it. A policy string keeps its
+// token, a view into body never written over, for the text alias to key.
+// When pend is nil it is validated here by unquoting it into Text;
+// otherwise it is only bounded and added to pend.
 func (f *directField) decode(body []byte, i int, fv reflect.Value, pend *pendingTokens) (int, error) {
 	var n int
 	var ok bool
@@ -385,21 +386,22 @@ func (f *directField) decode(body []byte, i int, fv reflect.Value, pend *pending
 	case directSlice:
 		return decodeArray(body, i, fv)
 	case directPolicy:
-		if pend != nil {
-			n = stringEnd(body, i) - i
-			ok = i+n <= len(body)
-			if ok && n > 2 { // "" is valid as it is bounded
-				if err := pend.add(f.name, body[i:i+n:i+n]); err != nil {
-					return 0, err
-				}
-			}
-		} else {
-			countValidation()
-			n, ok = scanString(body[i:])
+		n = stringEnd(body, i) - i
+		if i+n > len(body) {
+			break
 		}
-		if ok {
-			*fv.Addr().Interface().(*PolicyInput) = PolicyInput{raw: body[i : i+n : i+n]}
+		p := PolicyInput{raw: body[i : i+n : i+n]}
+		var err error
+		if pend == nil {
+			err = (&pendingToken{f.name, p.raw}).validate(&p)
+		} else if n > 2 { // "" is valid as it is bounded
+			err = pend.add(f.name, p.raw)
 		}
+		if err != nil {
+			return 0, err
+		}
+		*fv.Addr().Interface().(*PolicyInput) = p
+		return i + n, nil
 	default:
 		var s string
 		if s, n, ok = unquoteInPlace(body[i:]); ok {
@@ -424,11 +426,12 @@ const maxPendingTokens = 4
 
 // pendingTokens lists the top-level bare-string policy tokens a walk has
 // bounded but not validated, in body order, with no allocation. Each is
-// validated before an error is written or an answer depends on it, except
-// a token that is exactly the value bytes of a policy the engine's text
-// alias held: the alias gets an entry only after those very bytes were
-// validated and parsed, so the hit proves them valid. A token another
-// member overwrote stays listed, since its error would still come first.
+// validated, by unquoting it, before an error is written or an answer
+// depends on it, except a token that is exactly the value bytes of a
+// policy the engine's text alias held: the alias gets an entry only after
+// those very bytes were validated and parsed, so the hit proves them
+// valid. A token another member overwrote stays listed, since its error
+// would still come first.
 type pendingTokens struct {
 	toks [maxPendingTokens]pendingToken
 	n    int
@@ -440,7 +443,7 @@ type pendingToken struct {
 }
 
 // add appends a token. A full list first validates its earliest one,
-// which keeps the list in body order.
+// which keeps the list in body order; no policy takes its text.
 func (p *pendingTokens) add(member string, tok []byte) error {
 	if p.n == len(p.toks) {
 		if err := p.toks[0].validate(nil); err != nil {
@@ -456,9 +459,9 @@ func (p *pendingTokens) add(member string, tok []byte) error {
 }
 
 // settle validates every listed token in body order and empties the list.
-// A token that is exactly the value bytes of one of unquote is validated
-// by unquoting it into that policy's Text, so parsing it scans it no more.
-// The error is the first invalid token's. A nil list holds nothing.
+// A token that is exactly the value bytes of one of unquote leaves its
+// text in that policy's Text, for parsing to read. The error is the first
+// invalid token's. A nil list holds nothing.
 func (p *pendingTokens) settle(unquote ...*PolicyInput) error {
 	if p == nil {
 		return nil
@@ -476,28 +479,26 @@ func (p *pendingTokens) settle(unquote ...*PolicyInput) error {
 // settleExcept leaves the list as it is when every listed token is
 // exactly the value bytes of one of keep. Otherwise it settles the whole
 // list, so the error is the first invalid token's in body order, one of
-// keep's included.
+// keep's included, and each of keep's tokens leaves its text in Text.
 func (p *pendingTokens) settleExcept(keep ...*PolicyInput) error {
 	for _, t := range p.toks[:p.n] {
 		if owner(t.tok, keep) == nil {
-			return p.settle()
+			return p.settle(keep...)
 		}
 	}
 	return nil
 }
 
-// validate validates t by scanning it, or, with into set, by unquoting it
-// into into.Text.
+// validate validates t by unquoting it, into into.Text when into is set
+// and into a string it drops otherwise.
 func (t *pendingToken) validate(into *PolicyInput) error {
 	countValidation()
-	ok := false
-	if into == nil {
-		_, ok = scanString(t.tok)
-	} else if s, err := unquoteString(t.tok); err == nil {
-		into.Text, ok = s, true
-	}
-	if !ok {
+	s, err := unquoteString(t.tok)
+	if err != nil {
 		return badString(t.member)
+	}
+	if into != nil {
+		into.Text = s
 	}
 	return nil
 }

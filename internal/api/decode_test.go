@@ -66,20 +66,15 @@ func runDecode(decode func(http.ResponseWriter, *http.Request, interface{}) bool
 	return rec, decode(rec, req, v)
 }
 
-// policyFields replaces every PolicyInput in v, a pointer to a request
-// struct, by its decoded fields and text, and returns the raw bytes each
-// held, in walk order. decodeInto leaves a bare string quoted in a view
-// into the body where the reference unquotes it into Text; the two must
-// come to the same text and carry the same value bytes, the alias key.
-func policyFields(v any) [][]byte {
-	var raws [][]byte
+// policies returns every PolicyInput in v, a pointer to a request
+// struct, in walk order.
+func policies(v any) []*PolicyInput {
+	var ps []*PolicyInput
 	var walk func(rv reflect.Value)
 	walk = func(rv reflect.Value) {
 		switch {
 		case rv.Type() == reflect.TypeFor[PolicyInput]():
-			p := rv.Addr().Interface().(*PolicyInput)
-			raws = append(raws, p.raw)
-			*p = PolicyInput{Format: p.Format, Text: p.text(), Chain: p.Chain}
+			ps = append(ps, rv.Addr().Interface().(*PolicyInput))
 		case rv.Kind() == reflect.Struct:
 			for i := range rv.NumField() {
 				walk(rv.Field(i))
@@ -91,14 +86,29 @@ func policyFields(v any) [][]byte {
 		}
 	}
 	walk(reflect.ValueOf(v).Elem())
+	return ps
+}
+
+// policyFields replaces every PolicyInput in v, a pointer to a request
+// struct, by its decoded fields and text, and returns the raw bytes each
+// held, in walk order. decodeInto keeps a bare string's token as a view
+// into the body where the reference keeps a copy; the two must come to
+// the same text and carry the same value bytes, the alias key.
+func policyFields(v any) [][]byte {
+	var raws [][]byte
+	for _, p := range policies(v) {
+		raws = append(raws, p.raw)
+		*p = PolicyInput{Format: p.Format, Text: p.Text, Chain: p.Chain}
+	}
 	return raws
 }
 
 // decodeSettled is decodeDeferred with every pending policy token
-// settled at once, as a handler settles them before an error.
+// settled at once into the request's policies, as a handler settles them
+// before it parses.
 func decodeSettled(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	var pend pendingTokens
-	return decodeDeferred(w, r, v, &pend) && settled(r.Context(), w, &pend)
+	return decodeDeferred(w, r, v, &pend) && settled(r.Context(), w, &pend, policies(v)...)
 }
 
 // checkDecode holds decodeInto to referenceDecodeInto on body, for every
@@ -346,6 +356,13 @@ func decodeLoop(t testing.TB, decode func(http.ResponseWriter, *http.Request, in
 	}
 }
 
+// decodePending is decodeDeferred with its policy tokens left pending,
+// as /v1/diff decodes a body before an alias hit.
+func decodePending(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	var pend pendingTokens
+	return decodeDeferred(w, r, v, &pend)
+}
+
 // BenchmarkDecodeRequest decodes the pair body with the reference
 // decoder, the one-pass one, and the one-pass one with the policy tokens
 // left pending, as /v1/diff decodes it before an alias hit; MB/s is body
@@ -359,10 +376,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		decode func(http.ResponseWriter, *http.Request, interface{}) bool
-	}{{"reference", referenceDecodeInto}, {"onepass", decodeInto}, {"deferred", func(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-		var pend pendingTokens
-		return decodeDeferred(w, r, v, &pend)
-	}}} {
+	}{{"reference", referenceDecodeInto}, {"onepass", decodeInto}, {"deferred", decodePending}} {
 		b.Run(c.name, func(b *testing.B) {
 			run := decodeLoop(b, c.decode, body, true)
 			b.SetBytes(int64(len(body)))
@@ -375,24 +389,32 @@ func BenchmarkDecodeRequest(b *testing.B) {
 }
 
 // TestDecodeAllocs pins what decoding the pair body costs without a
-// trace. Read into a buffer of its own, that is the body-size reader,
-// the buffer and the schema string, nothing more (the api.decode span
-// allocates only when traced): both policies stay views into the body.
-// Read into a pooled buffer, as the middleware reads it, the buffer is
-// not allocated either, and no byte allocated grows with the body. That
-// count depends on a pool hit, which the race detector makes random, so
-// it is measured only without it.
+// trace. The deferred decode, as /v1/diff decodes it, read into a buffer
+// of its own, makes the body-size reader, the buffer and the schema
+// string, nothing more (the api.decode span allocates only when traced):
+// both policies stay views into the body. decodeInto adds the two texts
+// it unquotes them into. Read into a pooled buffer, as the middleware
+// reads it, the buffer is not allocated either, and no byte the deferred
+// decode allocates grows with the body. Those counts depend on a pool
+// hit, which the race detector makes random, so they are measured only
+// without it.
 func TestDecodeAllocs(t *testing.T) {
 	body := pairBody(t)
-	if n := testing.AllocsPerRun(20, decodeLoop(t, decodeInto, body, false)); n != 3 {
-		t.Fatalf("decodeInto makes %v allocations, want 3: the bounded reader, the buffer and the schema", n)
+	if n := testing.AllocsPerRun(20, decodeLoop(t, decodeInto, body, false)); n != 5 {
+		t.Fatalf("decodeInto makes %v allocations, want 5: the bounded reader, the buffer, the schema and two texts", n)
+	}
+	if n := testing.AllocsPerRun(20, decodeLoop(t, decodePending, body, false)); n != 3 {
+		t.Fatalf("the deferred decode makes %v allocations, want 3: the bounded reader, the buffer and the schema", n)
 	}
 	if raceEnabled {
 		return
 	}
-	run := decodeLoop(t, decodeInto, body, true)
+	if n := testing.AllocsPerRun(20, decodeLoop(t, decodeInto, body, true)); n != 4 {
+		t.Fatalf("decodeInto into a pooled buffer makes %v allocations, want 4: the bounded reader, the schema and two texts", n)
+	}
+	run := decodeLoop(t, decodePending, body, true)
 	if n := testing.AllocsPerRun(20, run); n != 2 {
-		t.Fatalf("decodeInto into a pooled buffer makes %v allocations, want 2: the bounded reader and the schema", n)
+		t.Fatalf("the deferred decode into a pooled buffer makes %v allocations, want 2: the bounded reader and the schema", n)
 	}
 	var before, after runtime.MemStats
 	const runs = 20
@@ -402,22 +424,33 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1<<10 {
-		t.Fatalf("decodeInto into a pooled buffer allocates %d bytes for a %d-byte body, want at most 1 KiB", perOp, len(body))
+		t.Fatalf("the deferred decode into a pooled buffer allocates %d bytes for a %d-byte body, want at most 1 KiB", perOp, len(body))
 	}
 }
 
-// checkScan holds scanString to unquoteInPlace on data: the same accept
-// or reject, and on accept the same end offset.
+// checkScan holds the pass that validates a policy token, stringEnd
+// bounding it and unquoteString unquoting the bounded token, to
+// unquoteInPlace on data, the walk's unquoting of every other string: the
+// same accept or reject, and on accept the same end offset and the same
+// text. So bounding a token first neither moves its end nor changes its
+// error or its text.
 func checkScan(t *testing.T, data []byte) {
-	n, ok := scanString(data)
-	_, want, wok := unquoteInPlace(bytes.Clone(data))
-	if ok != wok || ok && n != want {
-		t.Fatalf("scanString(%q) = %d, %v; unquoteInPlace ends at %d, %v", data, n, ok, want, wok)
+	n := stringEnd(data, 0)
+	var got string
+	ok := n <= len(data)
+	if ok {
+		s, err := unquoteString(data[:n])
+		got, ok = s, err == nil
+	}
+	want, end, wok := unquoteInPlace(bytes.Clone(data))
+	if ok != wok || ok && (n != end || got != want) {
+		t.Fatalf("stringEnd(%q) = %d, unquoteString gives %q, %v; unquoteInPlace gives %q, ends at %d, %v",
+			data, n, got, ok, want, end, wok)
 	}
 }
 
-// scanSeeds are the policy-string seeds, and each kind of byte
-// scanString stops at (an escape of every class, a control byte, a
+// scanSeeds are the policy-string seeds, and each kind of byte a token's
+// validation stops at (an escape of every class, a control byte, a
 // closing quote, invalid UTF-8) at every offset of an eight-byte word,
 // with and without bytes after the closing quote.
 func scanSeeds() [][]byte {

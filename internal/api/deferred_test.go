@@ -43,7 +43,7 @@ var goodA, goodB = func() (string, string) {
 	return string(a), string(b)
 }()
 
-// badTokens are policy tokens scanString rejects: a control byte, a bad
+// badTokens are policy tokens unquoting rejects: a control byte, a bad
 // escape, a \u escape without four hex digits, and a primed spelling
 // with a control byte in it.
 var badTokens = []string{
@@ -157,6 +157,11 @@ func deferredSeeds() []string {
 		`{"schema":"paper","before":`+goodA+`,"after":`+goodB+`}`,
 		`{"schema":"paper","before":`+goodA+`,"after":`+goodB+`,"edits":["delete 1"]}`,
 		`{"schema":"paper","a":"x\","b":`+goodB+`}`,
+		// An overwritten valid token settles the list before a lookup
+		// that misses, so the parse must read the text settling left.
+		`{"schema":"paper","a":"any -> discard\n","a":"any -> accept\n","b":`+goodB+`}`,
+		`{"schema":"paper","before":"any -> discard\n","before":"I in 0 -> discard\nany -> accept\n","edits":["delete 1"]}`,
+		`{"schema":"paper","before":`+goodA+`,"after":"any -> discard\n","after":"any -> accept\n"}`,
 		`{"schema":"paper","a":"abc`,
 	)
 	// Every escape class, in a token that is valid and in one made
@@ -183,8 +188,9 @@ func FuzzDeferredDecodeMatchesEager(f *testing.F) {
 
 // TestPolicyTokenValidations pins how many passes over its policy tokens
 // a request makes: none when both of a diff's tokens hit the text alias,
-// or an edit script's before does, and one per token on a miss, which
-// validates a token by unquoting it for the parse.
+// or an edit script's before does, and one per token on a miss and on
+// every endpoint that validates its tokens in the walk, since validating
+// a token is unquoting it for the parse.
 func TestPolicyTokenValidations(t *testing.T) {
 	var n int
 	validatedPolicyToken = func() { n++ }
@@ -196,6 +202,13 @@ func TestPolicyTokenValidations(t *testing.T) {
 		return ImpactRequest{Schema: "paper", Before: before, Edits: script}
 	}
 	respelled := in(spellings(teamA)[0])
+	named := func(texts ...string) []NamedPolicy {
+		nps := make([]NamedPolicy, len(texts))
+		for i, text := range texts {
+			nps[i] = NamedPolicy{Policy: in(text)}
+		}
+		return nps
+	}
 	for _, c := range []struct {
 		what string
 		path string
@@ -208,9 +221,15 @@ func TestPolicyTokenValidations(t *testing.T) {
 		{"an edit script against a new before", "/v1/impact", edits(in(spellings(teamB)[1]), "delete 1"), 1},
 		{"an edit script against a resident before", "/v1/impact", edits(in(teamA), "delete 2"), 0},
 		{"an after text against a resident before", "/v1/impact", ImpactRequest{Schema: "paper", Before: respelled, After: in(teamB)}, 0},
+		{"an audit", "/v1/audit", AuditRequest{Schema: "paper", Policy: in(teamA)}, 1},
+		{"an analysis", "/v1/analyze", AnalyzeRequest{Schema: "paper", Policy: in(teamA)}, 1},
+		{"a query", "/v1/query", QueryRequest{Schema: "paper", Policy: in(teamB), Query: "select N decision accept"}, 1},
+		{"a resolution", "/v1/resolve", ResolveRequest{Schema: "paper", A: in(teamA), B: in(teamA), Decisions: map[string]string{}}, 2},
+		{"a two-policy cross-comparison", "/v1/crosscompare", CrossCompareRequest{Schema: "paper", Policies: named(teamA, teamB)}, 2},
+		{"a three-policy job", "/v1/jobs", JobSubmitRequest{Schema: "paper", Policies: named(teamA, teamB, teamA)}, 3},
 	} {
 		n = 0
-		if rec := doRec(t, srv, c.path, c.req); rec.Code != http.StatusOK {
+		if rec := doRec(t, srv, c.path, c.req); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
 			t.Fatalf("%s: status %d\n%s", c.what, rec.Code, rec.Body)
 		}
 		if n != c.want {

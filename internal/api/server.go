@@ -372,15 +372,15 @@ func convertPairError(err error) *PairError {
 }
 
 // parseInput lowers one PolicyInput through the frontend registry, under
-// a frontend.lower span, which also covers unquoting a bare string the
-// request walk left quoted (settling pending tokens unquotes them before
-// it). The returned error keeps its type
+// a frontend.lower span. A bare string's Text was unquoted when its token
+// was validated (in the request walk, or when pending tokens settled).
+// The returned error keeps its type
 // (frontend.ParseError, ErrUnknownFormat, ErrSchema survive the
 // what-prefix wrapping) so writePolicyError can map it to the right code
 // and diagnostics.
 func parseInput(ctx context.Context, schema *field.Schema, in PolicyInput, what string) (*rule.Policy, error) {
 	_, sp := trace.Start(ctx, "frontend.lower")
-	text := in.text()
+	text := in.Text
 	if sp != nil { // an untraced request boxes no attribute
 		format := in.Format
 		if format == "" {

@@ -324,6 +324,53 @@ func TestSpanMetrics(t *testing.T) {
 	}
 }
 
+// metricSample scrapes srv's /metrics and returns the value of series,
+// a family name with its labels, or 0 when the series is absent.
+func metricSample(t *testing.T, srv http.Handler, series string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestCrossCompareFeedsSpansNotPhases pins what the two histograms of
+// construction time count: a cross-comparison's compilations add
+// construct spans, but only fresh /v1/diff, /v1/impact and /v1/resolve
+// reports feed the pipeline phases, so a cross-comparison leaves them
+// as they were.
+func TestCrossCompareFeedsSpansNotPhases(t *testing.T) {
+	t.Parallel()
+	srv := NewServer(WithMetrics(metrics.NewRegistry()))
+	if rec := doRec(t, srv, "/v1/diff", DiffRequest{Schema: "paper", A: in(teamA), B: in(teamB)}); rec.Code != http.StatusOK {
+		t.Fatalf("diff: status %d\n%s", rec.Code, rec.Body)
+	}
+	const spans, phases = `fwserved_span_duration_seconds_count{span="construct"}`, `fwserved_pipeline_phase_seconds_count{phase="construct"}`
+	spansBefore, phasesBefore := metricSample(t, srv, spans), metricSample(t, srv, phases)
+	if phasesBefore != 1 {
+		t.Fatalf("a fresh diff observed the construct phase %v times, want 1", phasesBefore)
+	}
+	req := CrossCompareRequest{Schema: "paper", Policies: []NamedPolicy{
+		{Policy: in("I in 1 -> discard\nany -> accept\n")}, {Policy: in("any -> accept\n")}, {Policy: in(teamA)}}}
+	if rec := doRec(t, srv, "/v1/crosscompare", req); rec.Code != http.StatusOK {
+		t.Fatalf("crosscompare: status %d\n%s", rec.Code, rec.Body)
+	}
+	if got := metricSample(t, srv, spans); got <= spansBefore {
+		t.Fatalf("a cross-comparison compiling two new policies left %s at %v", spans, got)
+	}
+	if got := metricSample(t, srv, phases); got != phasesBefore {
+		t.Fatalf("a cross-comparison moved %s from %v to %v", phases, phasesBefore, got)
+	}
+}
+
 // TestUntracedEndpointsStayOut pins that /healthz and /debug/traces do
 // not trace themselves into the buffer.
 func TestUntracedEndpointsStayOut(t *testing.T) {

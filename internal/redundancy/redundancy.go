@@ -38,12 +38,21 @@ func IsRedundant(p *rule.Policy, i int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if _, cerr := fdd.Construct(without); cerr != nil {
+	withoutFDD, cerr := fdd.Construct(without)
+	if cerr != nil {
 		// Deleting rule i leaves some packet uncovered, so rule i is the
 		// sole cover of that packet: not redundant.
 		return false, nil
 	}
-	return compare.Equivalent(p, without)
+	f, err := fdd.Construct(p)
+	if err != nil {
+		return false, fmt.Errorf("redundancy: %w", err)
+	}
+	report, err := compare.DiffFDDsDirect(f, withoutFDD)
+	if err != nil {
+		return false, err
+	}
+	return report.Equivalent(), nil
 }
 
 // RemoveAll returns a policy equivalent to b's with no redundant rules,

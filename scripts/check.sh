@@ -94,10 +94,20 @@ go test -race -count=1 -run 'TestJobsChaos' ./internal/api/
 # single-worker result and raced on shaping.
 go test -race -count=1 -run 'Cancel|Budget|Abort|Meter|Parallel' ./internal/guard/ ./internal/fdd/ ./internal/shape/ ./internal/compare/ ./internal/synth/
 
-# One-iteration fuzz passes over the policy frontends: the parsers face
-# arbitrary config text from the network (nftables rulesets, cloud
-# security-group JSON, iptables dumps), so each corpus entry re-runs
-# through the no-panic/round-trip properties on every gate.
+# Fuzz targets. Each package with fuzz targets below gets one corpus
+# line, `go test -count=1 -run '^(FuzzA|FuzzB)$' ./pkg/`, which runs,
+# uncached, every f.Add seed and every testdata/fuzz entry of the
+# package's listed targets, so a seed that fails fails this gate. Each
+# target also keeps a one-input line, `go test -run=NONE -fuzz=<target>
+# -fuzztime=1x`, which runs the fuzzing engine for one execution: the
+# first input of the target's seed corpus, under the fuzzer's coverage
+# instrumentation. It shows the target still starts under -fuzz, not
+# that its corpus passes.
+
+# The policy frontends: the parsers face arbitrary config text from the
+# network (nftables rulesets, cloud security-group JSON, iptables
+# dumps), so each seed runs through the no-panic/round-trip properties.
+go test -count=1 -run '^(FuzzNftables|FuzzSecgroup|FuzzImport)$' ./internal/frontend/
 go test -run=NONE -fuzz=FuzzNftables -fuzztime=1x ./internal/frontend/
 go test -run=NONE -fuzz=FuzzSecgroup -fuzztime=1x ./internal/frontend/
 go test -run=NONE -fuzz=FuzzImport -fuzztime=1x ./internal/frontend/
@@ -108,6 +118,9 @@ go test -run=NONE -fuzz=FuzzImport -fuzztime=1x ./internal/frontend/
 # one-pass policy-string unquoting to encoding/json, byte for byte, and
 # the one-pass request-body decoder to the json.Decoder one it replaced:
 # the same accept or reject, status and code, and the same request.
+# (The api package's corpus line follows its last one-input line.)
+go test -count=1 -run '^(FuzzParseRule|FuzzParsePolicy|FuzzParseRuleMatchesReference)$' ./internal/rule/
+go test -count=1 -run '^(FuzzParseMatchesReference)$' ./internal/prefix/
 go test -run=NONE -fuzz='^FuzzParseRule$' -fuzztime=1x ./internal/rule/
 go test -run=NONE -fuzz='^FuzzParsePolicy$' -fuzztime=1x ./internal/rule/
 go test -run=NONE -fuzz='^FuzzParseRuleMatchesReference$' -fuzztime=1x ./internal/rule/
@@ -122,10 +135,11 @@ go test -run=NONE -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=1x ./internal/a
 # body to the eager one's.
 go test -run=NONE -fuzz='^FuzzDeferredDecodeMatchesEager$' -fuzztime=1x ./internal/api/
 
-# A bare-string policy is validated without being unquoted (scanString);
-# the differential holds it to the unquoting it stands in for: the same
-# accept or reject and the same end offset, over every escape class,
-# control bytes and invalid UTF-8 at every offset of an eight-byte word.
+# A bare-string policy token is validated by bounding it (stringEnd) and
+# unquoting the bounded token; the differential holds that pass to the
+# walk's in-place unquoting: the same accept or reject, end offset and
+# text, over every escape class, control bytes and invalid UTF-8 at
+# every offset of an eight-byte word.
 go test -run=NONE -fuzz='^FuzzScanMatchesUnquote$' -fuzztime=1x ./internal/api/
 
 # The crosscompare, job status and diff bodies are written without
@@ -141,6 +155,9 @@ go test -run=NONE -fuzz='^FuzzWireMatchesReference$' -fuzztime=1x ./internal/api
 # synthetic policies and their respellings, and holds sources that fail
 # to parse or compile to the same answer on every repeat and no alias.
 go test -run=NONE -fuzz='^FuzzTextAliasMatchesParse$' -fuzztime=1x ./internal/api/
+
+# The corpus line of the api package's six targets above.
+go test -count=1 -run '^(FuzzPolicyInputString|FuzzDecodeMatchesReference|FuzzDeferredDecodeMatchesEager|FuzzScanMatchesUnquote|FuzzWireMatchesReference|FuzzTextAliasMatchesParse)$' ./internal/api/
 
 # /v1/impact reaches its before policy through the same alias, and the
 # edit path hands the resume the prefix its script left in place; the
@@ -164,6 +181,7 @@ go test -race -count=1 -run 'Alias|Decode|Respelled|Jobs' ./internal/api/
 # diagram, no node the reference lacks, the same effective bits, and a
 # Resume after random edits landing on scratch construction), and the
 # resume fuzz target holds randomized edit sequences to scratch builds.
+go test -count=1 -run '^(FuzzConstructMatchesReference|FuzzBuilderResume)$' ./internal/fdd/
 go test -run=NONE -fuzz='^FuzzConstructMatchesReference$' -fuzztime=1x ./internal/fdd/
 go test -run=NONE -fuzz='^FuzzBuilderResume$' -fuzztime=1x ./internal/fdd/
 
@@ -171,23 +189,27 @@ go test -run=NONE -fuzz='^FuzzBuilderResume$' -fuzztime=1x ./internal/fdd/
 # semantics instead of shaping; the differential holds it to the paper's
 # shaped, terminal-corrected diagram kept in the tests, byte for byte,
 # over random real-life pairs, perturbation rates and decision mixes.
+go test -count=1 -run '^(FuzzMethod1MatchesShaped)$' ./internal/resolve/
 go test -run=NONE -fuzz='^FuzzMethod1MatchesShaped$' -fuzztime=1x ./internal/resolve/
 
 # Query strings come from the network (/v1/query) and the command line
-# (fwquery): the query parser's no-panic/round-trip target re-runs its
-# corpus on every gate too.
+# (fwquery): the query parser's no-panic/round-trip target runs over its
+# seeds on every gate too.
+go test -count=1 -run '^(FuzzQueryParse)$' ./internal/query/
 go test -run=NONE -fuzz='^FuzzQueryParse$' -fuzztime=1x ./internal/query/
 
 # Pair and N-way discrepancy rows merge in one function; its
 # differential holds it, with real and with colliding group keys, to
 # the byte-key merge, the string-key pair merge and the N-way merge it
 # replaced, all kept in the tests, over random row sets.
+go test -count=1 -run '^(FuzzMergeRowsMatchesReference)$' ./internal/compare/
 go test -run=NONE -fuzz='^FuzzMergeRowsMatchesReference$' -fuzztime=1x ./internal/compare/
 
 # The journal replayer faces arbitrary bytes after a crash (torn tails,
-# bit rot, garbage), so its corpus — seeded with the testdata/journal
-# corruption fixtures — re-runs through the never-panic/always-report
+# bit rot, garbage), so its seeds — the testdata/journal corruption
+# fixtures among them — run through the never-panic/always-report
 # property on every gate too.
+go test -count=1 -run '^(FuzzJournalReplay)$' ./internal/jobs/
 go test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=1x ./internal/jobs/
 
 # The coordinator owns its job table and calls the journal directly
