@@ -390,17 +390,18 @@ func (f *directField) decode(body []byte, i int, fv reflect.Value, pend *pending
 		if i+n > len(body) {
 			break
 		}
-		p := PolicyInput{raw: body[i : i+n : i+n]}
+		p := fv.Addr().Interface().(*PolicyInput)
+		*p = PolicyInput{raw: body[i : i+n : i+n]}
+		t := pendingToken{f.name, p.raw, p}
 		var err error
 		if pend == nil {
-			err = (&pendingToken{f.name, p.raw}).validate(&p)
+			err = t.validate()
 		} else if n > 2 { // "" is valid as it is bounded
-			err = pend.add(f.name, p.raw)
+			err = pend.add(t)
 		}
 		if err != nil {
 			return 0, err
 		}
-		*fv.Addr().Interface().(*PolicyInput) = p
 		return i + n, nil
 	default:
 		var s string
@@ -438,80 +439,76 @@ type pendingTokens struct {
 }
 
 type pendingToken struct {
-	member string // the member's key, which names the token in its error
-	tok    []byte // the token, quotes included: a view into the body
+	member string       // the member's key, which names the token in its error
+	tok    []byte       // the token, quotes included: a view into the body
+	into   *PolicyInput // the policy the walk decoded it into
 }
 
-// add appends a token. A full list first validates its earliest one,
-// which keeps the list in body order; no policy takes its text.
-func (p *pendingTokens) add(member string, tok []byte) error {
+// add appends t. A full list first validates its earliest token, which
+// keeps the list in body order.
+func (p *pendingTokens) add(t pendingToken) error {
 	if p.n == len(p.toks) {
-		if err := p.toks[0].validate(nil); err != nil {
+		if err := p.toks[0].validate(); err != nil {
 			p.n = 0
 			return err
 		}
 		copy(p.toks[:], p.toks[1:])
 		p.n--
 	}
-	p.toks[p.n] = pendingToken{member, tok}
+	p.toks[p.n] = t
 	p.n++
 	return nil
 }
 
 // settle validates every listed token in body order and empties the list.
-// A token that is exactly the value bytes of one of unquote leaves its
-// text in that policy's Text, for parsing to read. The error is the first
-// invalid token's. A nil list holds nothing.
-func (p *pendingTokens) settle(unquote ...*PolicyInput) error {
+// The error is the first invalid token's. A nil list holds nothing.
+func (p *pendingTokens) settle() error {
 	if p == nil {
 		return nil
 	}
 	toks := p.toks[:p.n]
 	p.n = 0
 	for i := range toks {
-		if err := toks[i].validate(owner(toks[i].tok, unquote)); err != nil {
+		if err := toks[i].validate(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// settleExcept leaves the list as it is when every listed token is
-// exactly the value bytes of one of keep. Otherwise it settles the whole
-// list, so the error is the first invalid token's in body order, one of
-// keep's included, and each of keep's tokens leaves its text in Text.
-func (p *pendingTokens) settleExcept(keep ...*PolicyInput) error {
-	for _, t := range p.toks[:p.n] {
-		if owner(t.tok, keep) == nil {
-			return p.settle(keep...)
+// settleOverwritten leaves the list as it is when every listed token is
+// still its policy's value, the key of an alias lookup. Otherwise it
+// settles the whole list, so the error is the first invalid token's in
+// body order, an overwritten one's included.
+func (p *pendingTokens) settleOverwritten() error {
+	for i := range p.toks[:p.n] {
+		if !p.toks[i].current() {
+			return p.settle()
 		}
 	}
 	return nil
 }
 
-// validate validates t by unquoting it, into into.Text when into is set
-// and into a string it drops otherwise.
-func (t *pendingToken) validate(into *PolicyInput) error {
+// validate validates t by unquoting it. The text goes to its policy's
+// Text while t is still that policy's value, and is dropped otherwise.
+func (t *pendingToken) validate() error {
 	countValidation()
 	s, err := unquoteString(t.tok)
 	if err != nil {
 		return badString(t.member)
 	}
-	if into != nil {
-		into.Text = s
+	if t.current() {
+		t.into.Text = s
 	}
 	return nil
 }
 
-// owner returns the policy among ps whose value bytes are exactly tok,
-// the same bytes of the same body, or nil.
-func owner(tok []byte, ps []*PolicyInput) *PolicyInput {
-	for _, p := range ps {
-		if len(p.raw) == len(tok) && len(tok) > 0 && &p.raw[0] == &tok[0] {
-			return p
-		}
-	}
-	return nil
+// current reports whether t is still its policy's value: the policy's raw
+// is the same bytes of the same body. A later member that sets the policy
+// writes the whole struct, raw and an empty Text alike.
+func (t *pendingToken) current() bool {
+	raw := t.into.raw
+	return len(raw) == len(t.tok) && len(raw) > 0 && &raw[0] == &t.tok[0]
 }
 
 // directFieldCache maps a struct type to its []directField.

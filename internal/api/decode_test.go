@@ -108,7 +108,7 @@ func policyFields(v any) [][]byte {
 // before it parses.
 func decodeSettled(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	var pend pendingTokens
-	return decodeDeferred(w, r, v, &pend) && settled(r.Context(), w, &pend, policies(v)...)
+	return decodeDeferred(w, r, v, &pend) && settled(r.Context(), w, &pend)
 }
 
 // checkDecode holds decodeInto to referenceDecodeInto on body, for every
@@ -189,6 +189,10 @@ func decodeSeeds(t testing.TB) [][]byte {
 		// Keys matching a tag only case-insensitively, and escaped keys.
 		`{"A":"x","B":"y","SCHEMA":"five"}`, `{"Policy":"x","Query":"q"}`, `{"Before":"x","Edits":["e"]}`,
 		`{"schema":"five","a":"x"}`, `{"a\u0000":"x"}`,
+		// Policy tokens whose closing quote follows a run of backslashes:
+		// an even run ends the token there, an odd one escapes the quote.
+		`{"a":"x\\","b":"y"}`, `{"a":"x\\\\","b":"y"}`, `{"a":"x\\\"","b":"y"}`,
+		`{"policy":"\\\\\\"}`, `{"policy":"\\\"\\"}`,
 		// Duplicate keys: the last wins, whichever side decodes each.
 		`{"a":"x","a":"y"}`, `{"a":{"text":"x","format":"native"},"a":"y"}`, `{"a":"y","a":{"text":"x"}}`,
 		`{"a":"y","a":null}`, `{"a":"y","A":"z"}`, `{"A":"z","a":"y"}`, `{"schema":"five","schema":"four"}`,
@@ -428,8 +432,8 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
-// checkScan holds the pass that validates a policy token, stringEnd
-// bounding it and unquoteString unquoting the bounded token, to
+// checkScan holds the pass that validates a policy token, stringEnd's
+// scan for its closing quote and unquoteString of the bounded token, to
 // unquoteInPlace on data, the walk's unquoting of every other string: the
 // same accept or reject, and on accept the same end offset and the same
 // text. So bounding a token first neither moves its end nor changes its
@@ -451,8 +455,8 @@ func checkScan(t *testing.T, data []byte) {
 
 // scanSeeds are the policy-string seeds, and each kind of byte a token's
 // validation stops at (an escape of every class, a control byte, a
-// closing quote, invalid UTF-8) at every offset of an eight-byte word,
-// with and without bytes after the closing quote.
+// closing quote, invalid UTF-8) after 0 to 16 plain bytes, with and
+// without bytes after the closing quote.
 func scanSeeds() [][]byte {
 	var seeds [][]byte
 	for _, s := range policyStringSeeds {

@@ -162,6 +162,11 @@ func deferredSeeds() []string {
 		`{"schema":"paper","a":"any -> discard\n","a":"any -> accept\n","b":`+goodB+`}`,
 		`{"schema":"paper","before":"any -> discard\n","before":"I in 0 -> discard\nany -> accept\n","edits":["delete 1"]}`,
 		`{"schema":"paper","before":`+goodA+`,"after":"any -> discard\n","after":"any -> accept\n"}`,
+		// A token the full pending list validates as it evicts it may be
+		// the one its policy keeps, so its text must reach the parse.
+		`{"schema":"paper","a":"any -> accept\n","b":`+goodB+`,"b":`+goodB+`,"b":`+goodB+`,"b":`+goodB+`}`,
+		`{"schema":"paper","before":"I in 0 -> discard\nany -> accept\n","after":`+goodB+`,"after":`+goodB+`,"after":`+goodB+`,"after":`+goodB+`,"edits":["delete 1"]}`,
+		`{"schema":"paper","before":"I in 0 -> discard\nany -> accept\n","after":`+goodB+`,"after":`+goodB+`,"after":`+goodB+`,"after":`+goodB+`,"after":"","edits":["delete 1"]}`,
 		`{"schema":"paper","a":"abc`,
 	)
 	// Every escape class, in a token that is valid and in one made

@@ -291,15 +291,15 @@ func decodeDeferred(w http.ResponseWriter, r *http.Request, v interface{}, pend 
 	return true
 }
 
-// settled settles pend (pendingTokens.settle), unquoting the tokens of
-// unquote, under an api.decode span when it has tokens to validate. When
-// one is invalid it writes that token's body error and returns false.
-func settled(ctx context.Context, w http.ResponseWriter, pend *pendingTokens, unquote ...*PolicyInput) bool {
+// settled settles pend (pendingTokens.settle) under an api.decode span
+// when it has tokens to validate. When one is invalid it writes that
+// token's body error and returns false.
+func settled(ctx context.Context, w http.ResponseWriter, pend *pendingTokens) bool {
 	if pend.n == 0 {
 		return true
 	}
 	_, sp := trace.Start(ctx, "api.decode")
-	err := pend.settle(unquote...)
+	err := pend.settle()
 	sp.End()
 	if err != nil {
 		writeBodyError(w, err)
@@ -469,7 +469,7 @@ func (s *Server) serveDiff(w http.ResponseWriter, r *http.Request, req *DiffRequ
 		}
 		return
 	}
-	d, ok := s.diffSources(r.Context(), w, pend, schema, req.Schema, [2]PolicyInput{req.A, req.B}, [2]string{"policy a", "policy b"})
+	d, ok := s.diffSources(r.Context(), w, pend, schema, req.Schema, [2]*PolicyInput{&req.A, &req.B}, [2]string{"policy a", "policy b"})
 	if ok {
 		writeReport(r.Context(), w, s.eng, schema, d)
 	}
@@ -483,20 +483,20 @@ func (s *Server) serveDiff(w http.ResponseWriter, r *http.Request, req *DiffRequ
 // Otherwise it validates and unquotes both, parses them, diffs them
 // through their compilations and records both aliases. On failure it
 // writes the error response and returns ok false.
-func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, pend *pendingTokens, schema *field.Schema, schemaName string, src [2]PolicyInput, what [2]string) (d engine.PairDiff, ok bool) {
-	if err := pend.settleExcept(&src[0], &src[1]); err != nil {
+func (s *Server) diffSources(ctx context.Context, w http.ResponseWriter, pend *pendingTokens, schema *field.Schema, schemaName string, src [2]*PolicyInput, what [2]string) (d engine.PairDiff, ok bool) {
+	if err := pend.settleOverwritten(); err != nil {
 		writeBodyError(w, err)
 		return d, false
 	}
 	ka, kb := src[0].key(schemaName), src[1].key(schemaName)
 	d, ok, err := s.eng.DiffSources(ctx, ka, kb)
 	if !ok {
-		if !settled(ctx, w, pend, &src[0], &src[1]) {
+		if !settled(ctx, w, pend) {
 			return d, false
 		}
 		var p [2]*rule.Policy
 		for i := range p {
-			if p[i], err = parseInput(ctx, schema, src[i], what[i]); err != nil {
+			if p[i], err = parseInput(ctx, schema, *src[i], what[i]); err != nil {
 				writePolicyError(w, err)
 				return d, false
 			}
@@ -629,7 +629,7 @@ func (s *Server) serveImpact(w http.ResponseWriter, r *http.Request, req *Impact
 	// its body's own, so every other request error is written by
 	// badRequest, which settles the body and parses before first.
 	badRequest := func(code string, err error) {
-		if !settled(ctx, w, pend, &req.Before) {
+		if !settled(ctx, w, pend) {
 			return
 		}
 		if _, perr := parseInput(ctx, schema, req.Before, "before"); perr != nil {
@@ -648,7 +648,7 @@ func (s *Server) serveImpact(w http.ResponseWriter, r *http.Request, req *Impact
 		st            engine.EditStats
 	)
 	if !req.After.IsZero() {
-		d, ok := s.diffSources(ctx, w, pend, schema, req.Schema, [2]PolicyInput{req.Before, req.After}, [2]string{"before", "after"})
+		d, ok := s.diffSources(ctx, w, pend, schema, req.Schema, [2]*PolicyInput{&req.Before, &req.After}, [2]string{"before", "after"})
 		if !ok {
 			return
 		}
@@ -666,7 +666,7 @@ func (s *Server) serveImpact(w http.ResponseWriter, r *http.Request, req *Impact
 			}
 			edits = append(edits, e)
 		}
-		if err := pend.settleExcept(&req.Before); err != nil {
+		if err := pend.settleOverwritten(); err != nil {
 			writeBodyError(w, err)
 			return
 		}
@@ -678,7 +678,7 @@ func (s *Server) serveImpact(w http.ResponseWriter, r *http.Request, req *Impact
 		if ok {
 			before = d.Before.Policy
 		} else {
-			if !settled(ctx, w, pend, &req.Before) {
+			if !settled(ctx, w, pend) {
 				return
 			}
 			if before, err = parseInput(ctx, schema, req.Before, "before"); err != nil {
